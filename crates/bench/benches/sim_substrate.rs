@@ -4,9 +4,10 @@
 //! * `link_contention_1000` — 1000 concurrent flows on one fair-share link
 //!   with per-flow caps and completion churn, modelled on the 1000Genome
 //!   *Individual* task (1252 components hammering the store link).
-//! * `event_queue_cancel_storm` — the cancel/reschedule pattern a link
-//!   replan performs on every transfer arrival/completion, which stresses
-//!   tombstone handling in the event queue.
+//! * `event_queue_cancel_storm` — a long run of cancel/reschedule pairs, the
+//!   pattern of a link that cancels its completion event in every event
+//!   that changes its transfer set, which stresses tombstone handling in the
+//!   event queue.
 //!
 //! Run `BENCH_JSON=results/BENCH_sim.json cargo bench --bench sim_substrate`
 //! to refresh the tracked numbers (see EXPERIMENTS.md).
@@ -15,7 +16,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mashup_sim::{shared, SharedLink, SimDuration, Simulation};
 
 /// 1000 staggered flows with heterogeneous per-flow caps on one link; each
-/// completion triggers a replan of everything still in flight.
+/// burst of arrivals and each completion tick re-plans the next completion
+/// over everything still in flight, once per event.
 fn link_contention(flows: usize) -> f64 {
     let mut sim = Simulation::new();
     let link = SharedLink::new("bench-fabric", 1.0e9);
@@ -41,9 +43,8 @@ fn link_contention(flows: usize) -> f64 {
     sim.now().as_secs()
 }
 
-/// The replan pattern: schedule a completion, then cancel and reschedule it
-/// repeatedly before letting it fire — one tombstone per iteration in the
-/// old queue.
+/// Schedule an event, then cancel and reschedule it repeatedly before
+/// letting it fire — one tombstone per iteration in the old queue.
 fn cancel_storm(events: usize) -> u64 {
     let mut sim = Simulation::new();
     let mut handle = None;

@@ -20,6 +20,7 @@ use crate::service::{
     PlanRequest, PlanService, RequestKind, ServiceConfig, ServiceStats, WorkflowName,
 };
 use serde::Serialize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 // The load-test harness measures real service latency by design — its
 // output is observability, not simulated results; lint: allow(wall-clock)
@@ -169,35 +170,42 @@ pub fn run_point(spec: &LoadTestSpec) -> LoadPoint {
     let parallelism = spec.parallelism.max(1);
     let handles = service.spawn_workers(workers);
     let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(spec.requests));
-    let refused = std::sync::atomic::AtomicUsize::new(0);
-    let rejected = std::sync::atomic::AtomicUsize::new(0);
+    let refused = AtomicUsize::new(0);
+    let rejected = AtomicUsize::new(0);
+    let next_request = AtomicUsize::new(0);
 
     let started = Instant::now(); // lint: allow(wall-clock)
     std::thread::scope(|scope| {
-        for client in 0..parallelism {
+        for _ in 0..parallelism {
             let service = &service;
             let latencies = &latencies;
             let refused = &refused;
             let rejected = &rejected;
+            let next_request = &next_request;
             scope.spawn(move || {
                 let mut mine = Vec::new();
-                // Client c owns request indices c, c+P, c+2P, ...
-                let mut i = client;
-                while i < spec.requests {
+                // Each client takes the next index of the one request
+                // stream. A fixed stride (client c sending c, c+P, ...)
+                // would give every `Run` (i % 4 == 3) to the clients with
+                // c % 4 == 3 and leave the throughput to the slowest ones.
+                loop {
+                    let i = next_request.fetch_add(1, Ordering::Relaxed);
+                    if i >= spec.requests {
+                        break;
+                    }
                     let t0 = Instant::now(); // lint: allow(wall-clock)
                     match service.submit(request_mix(i)) {
                         Ok(ticket) => {
                             let reply = ticket.wait();
                             mine.push(t0.elapsed().as_secs_f64() * 1e3);
                             if reply.status != crate::service::ReplyStatus::Done {
-                                refused.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                                refused.fetch_add(1, Ordering::SeqCst);
                             }
                         }
                         Err(_) => {
-                            rejected.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            rejected.fetch_add(1, Ordering::SeqCst);
                         }
                     }
-                    i += parallelism;
                 }
                 latencies.lock().expect("latency lock").extend(mine);
             });

@@ -8,20 +8,38 @@
 //! contention effect in the cloud models: master-NIC bottlenecks, S3
 //! aggregate-bandwidth saturation, and cluster-network congestion.
 //!
+//! **One water-fill per event.** A change to the transfer set cancels the
+//! pending completion event and reserves an engine sequence number, but the
+//! next completion is computed once per event, by a flush the engine runs
+//! after the event returns (see [`Simulation::defer`]). A burst of n
+//! arrivals inside one event (a wide VM task starting every component on one
+//! NIC) costs one water-fill, one min-scan and one scheduled event, not n of
+//! each. This is exact: between the link's last change in an event and the
+//! flush, no other event runs and the clock does not move, so the flush sees
+//! the state the last change left, computes the next completion with the
+//! same floating-point operations in the same order, and schedules it under
+//! the sequence number reserved at that change — the `(at, seq)` key an
+//! eager replan at that change would have given it.
+//!
+//! A completion tick finds the finished transfers in one scan. A lone
+//! finisher, the common case, is removed by binary search on both indexes;
+//! several are removed in one `retain` pass over each. Callbacks run in id
+//! order from a buffer kept between ticks, so a tick allocates nothing.
+//!
 //! Shares are cached per transfer and recomputed lazily: the cache is
-//! invalidated only when the transfer set (or a cap) changes, so the three
-//! share consumers on a completion tick (advance, utilization trace, replan)
-//! trigger at most one water-fill pass instead of three, and the pass itself
-//! runs over a slab + sorted index vectors with no per-call allocation. The
-//! recompute walks flows in exactly the order the original per-call
-//! `BTreeMap` build did (cap ascending, id breaking ties), so every
-//! floating-point operation happens in the same sequence and simulated
-//! results are bit-for-bit unchanged.
+//! invalidated only when the transfer set (or a cap) changes, so the share
+//! consumers on a completion tick (advance, utilization trace, flush) trigger
+//! at most one water-fill pass, and the pass itself runs over a slab + sorted
+//! index vectors with no per-call allocation. The recompute walks flows in
+//! exactly the order the original per-call `BTreeMap` build did (cap
+//! ascending, id breaking ties), so every floating-point operation happens
+//! in the same sequence and simulated results are bit-for-bit unchanged.
 
-use crate::engine::{EventHandle, Simulation};
-use crate::shared::{shared, Shared};
+use crate::engine::{Deferred, EventHandle, ReservedSeq, Simulation};
+use crate::shared::{shared, AtomicRefCell, Shared};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
+use std::sync::Arc;
 
 /// Completion epsilon: transfers within this many bytes of done are finished.
 const EPS_BYTES: f64 = 1e-6;
@@ -40,7 +58,7 @@ struct Transfer {
     /// Cached fair share in bytes/sec; valid only while `shares_dirty` is
     /// false on the owning link.
     share: f64,
-    on_done: Option<DoneFn>,
+    on_done: DoneFn,
 }
 
 struct LinkState {
@@ -59,6 +77,12 @@ struct LinkState {
     next_id: u64,
     last_update: SimTime,
     completion_event: Option<EventHandle>,
+    /// Sequence number reserved by the latest change to the transfer set;
+    /// `Some` exactly while a flush is registered with the engine.
+    pending_flush: Option<ReservedSeq>,
+    /// Callbacks of the finishing tick; kept between ticks (empty) so a
+    /// tick does not allocate.
+    done_buf: Vec<DoneFn>,
     bytes_delivered: f64,
     // Time series of (time, utilized fraction) for figure traces.
     utilization_trace: Vec<(f64, f64)>,
@@ -114,20 +138,76 @@ impl LinkState {
 
     fn remove(&mut self, id: u64) -> Option<Transfer> {
         let id_pos = self.find_by_id(id)?;
+        Some(self.remove_at(id_pos))
+    }
+
+    /// Removes the transfer at `id_pos` in `by_id`, finding its `by_cap`
+    /// entry by binary search on `(cap, id)`.
+    fn remove_at(&mut self, id_pos: usize) -> Transfer {
         let slot = self.by_id.remove(id_pos);
-        let t = self.slab[slot as usize].take().expect("live slot");
-        let cap_pos = {
-            // `cap_position` can't look the slot up any more; search the
-            // index vector for it directly (still O(n), shifts u32s).
-            self.by_cap
-                .iter()
-                .position(|&s| s == slot)
-                .expect("cap index in sync")
-        };
+        let t = self.transfer(slot);
+        // Search the cap index while the slot is still live.
+        let cap_pos = self.cap_position(t.cap, t.id);
+        debug_assert_eq!(self.by_cap[cap_pos], slot, "cap index in sync");
         self.by_cap.remove(cap_pos);
+        let t = self.slab[slot as usize].take().expect("live slot");
         self.free.push(slot);
         self.shares_dirty = true;
-        Some(t)
+        t
+    }
+
+    /// Detaches every finished transfer, appending their callbacks to
+    /// `done` in id order. One scan finds the first; if nothing crossed the
+    /// epsilon, the transfer closest to done is force-finished instead. A
+    /// lone finisher (the common tick) is removed by binary search; several
+    /// are removed in one `retain` pass over each index.
+    fn remove_finished(&mut self, now: SimTime, done: &mut Vec<DoneFn>) {
+        let finished = |s: &Self, slot: u32| s.transfer(slot).remaining <= EPS_BYTES;
+        let first = match self.by_id.iter().position(|&slot| finished(self, slot)) {
+            Some(pos) => pos,
+            None if self.by_id.is_empty() => return,
+            None => self.force_finish_closest(),
+        };
+        if !self.by_id[first + 1..]
+            .iter()
+            .any(|&slot| finished(self, slot))
+        {
+            let t = self.remove_at(first);
+            self.tracer.emit_verbose(now, || TraceEvent::TransferEnd {
+                link: self.name.clone(),
+                id: t.id,
+            });
+            done.push(t.on_done);
+            return;
+        }
+        let LinkState {
+            slab,
+            free,
+            by_id,
+            by_cap,
+            shares_dirty,
+            tracer,
+            name,
+            ..
+        } = self;
+        let live = |slab: &[Option<Transfer>], slot: u32| {
+            slab[slot as usize].as_ref().expect("live slot").remaining > EPS_BYTES
+        };
+        by_cap.retain(|&slot| live(slab, slot));
+        by_id.retain(|&slot| {
+            if live(slab, slot) {
+                return true;
+            }
+            let t = slab[slot as usize].take().expect("live slot");
+            free.push(slot);
+            done.push(t.on_done);
+            tracer.emit_verbose(now, || TraceEvent::TransferEnd {
+                link: name.clone(),
+                id: t.id,
+            });
+            false
+        });
+        *shares_dirty = true;
     }
 
     /// Recomputes max-min fair shares (water-filling with per-flow caps) if
@@ -172,6 +252,30 @@ impl LinkState {
         self.last_update = now;
     }
 
+    /// Ticks fire exactly at a planned completion, so if nothing crossed the
+    /// epsilon the residue is floating-point error (advancing by
+    /// `remaining/share` can round to a dt smaller than one ulp of the
+    /// clock, which would loop forever). Force-finishes the transfer closest
+    /// to done (first minimum in id order, as `Iterator::min_by`
+    /// guarantees) and returns its position in `by_id`.
+    fn force_finish_closest(&mut self) -> usize {
+        let pos = (0..self.by_id.len())
+            .min_by(|&a, &b| {
+                self.transfer(self.by_id[a])
+                    .remaining
+                    .partial_cmp(&self.transfer(self.by_id[b]).remaining)
+                    .expect("remaining is never NaN")
+            })
+            .expect("non-empty");
+        let t = self.slab[self.by_id[pos] as usize]
+            .as_mut()
+            .expect("live slot");
+        let residue = t.remaining;
+        t.remaining = 0.0;
+        self.bytes_delivered += residue;
+        pos
+    }
+
     fn record_utilization(&mut self, now: SimTime) {
         if self.trace_enabled {
             self.refresh_shares();
@@ -212,6 +316,8 @@ impl SharedLink {
                 next_id: 0,
                 last_update: SimTime::ZERO,
                 completion_event: None,
+                pending_flush: None,
+                done_buf: Vec::new(),
                 bytes_delivered: 0.0,
                 utilization_trace: Vec::new(),
                 trace_enabled: false,
@@ -302,7 +408,7 @@ impl SharedLink {
                 remaining: bytes,
                 cap: per_flow_cap.unwrap_or(f64::INFINITY),
                 share: 0.0,
-                on_done: Some(Box::new(on_done)),
+                on_done: Box::new(on_done),
             });
             s.record_utilization(sim.now());
             s.tracer
@@ -333,13 +439,34 @@ impl SharedLink {
         remaining.unwrap_or(0.0)
     }
 
-    /// Re-plans the next completion event from the current state.
+    /// Marks the next completion stale after a change to the transfer set:
+    /// cancels the scheduled completion, reserves the sequence number an
+    /// event scheduled now would take, and registers one flush per event.
+    /// An empty link needs no completion: a flush registered earlier in
+    /// the event finds it empty too, unless a later change refills it and
+    /// reserves its own number.
     fn replan(&self, sim: &mut Simulation) {
-        let next_completion: Option<SimDuration> = {
+        let first_change = {
             let mut s = self.inner.borrow_mut();
             if let Some(h) = s.completion_event.take() {
                 sim.cancel(h);
             }
+            if s.by_id.is_empty() {
+                return;
+            }
+            s.pending_flush.replace(sim.reserve_seq()).is_none()
+        };
+        if first_change {
+            sim.defer(self.inner.clone());
+        }
+    }
+
+    /// Schedules the next completion from the state the event left: one
+    /// water-fill, one min-scan, one event under the latest reservation.
+    fn flush(&self, sim: &mut Simulation) {
+        let next_completion: Option<(SimDuration, ReservedSeq)> = {
+            let mut s = self.inner.borrow_mut();
+            let seq = s.pending_flush.take().expect("flush registered by replan");
             if s.by_id.is_empty() {
                 None
             } else {
@@ -357,77 +484,40 @@ impl SharedLink {
                     })
                     .fold(f64::INFINITY, f64::min);
                 assert!(dt.is_finite(), "transfer on link '{}' starved", s.name);
-                Some(SimDuration::from_secs(dt))
+                Some((SimDuration::from_secs(dt), seq))
             }
         };
-        if let Some(dt) = next_completion {
+        if let Some((dt, seq)) = next_completion {
             let link = self.clone();
-            let h = sim.schedule_in(dt, move |sim| link.on_completion_tick(sim));
+            let h =
+                sim.schedule_reserved(sim.now() + dt, seq, move |sim| link.on_completion_tick(sim));
             self.inner.borrow_mut().completion_event = Some(h);
         }
     }
 
     fn on_completion_tick(&self, sim: &mut Simulation) {
         // Advance, detach finished transfers, run their callbacks, replan.
-        let finished: Vec<DoneFn> = {
+        let mut finished = {
             let mut s = self.inner.borrow_mut();
             s.completion_event = None;
             s.advance(sim.now());
-            let mut done_ids: Vec<u64> = s
-                .by_id
-                .iter()
-                .map(|&slot| s.transfer(slot))
-                .filter(|t| t.remaining <= EPS_BYTES)
-                .map(|t| t.id)
-                .collect();
-            if done_ids.is_empty() && !s.by_id.is_empty() {
-                // Ticks fire exactly at a planned completion, so if nothing
-                // crossed the epsilon the residue is floating-point error
-                // (advancing by `remaining/share` can round to a dt smaller
-                // than one ulp of the clock, which would loop forever).
-                // Force-finish the transfer closest to done (first minimum
-                // in id order, as `Iterator::min_by` guarantees).
-                let id = s
-                    .by_id
-                    .iter()
-                    .map(|&slot| s.transfer(slot))
-                    .min_by(|a, b| {
-                        a.remaining
-                            .partial_cmp(&b.remaining)
-                            .expect("remaining is never NaN")
-                    })
-                    .expect("non-empty")
-                    .id;
-                let slot = s.by_id[s.find_by_id(id).expect("present")] as usize;
-                let residue = {
-                    let t = s.slab[slot].as_mut().expect("live slot");
-                    let r = t.remaining;
-                    t.remaining = 0.0;
-                    r
-                };
-                s.bytes_delivered += residue;
-                done_ids.push(id);
-            }
-            let mut callbacks = Vec::with_capacity(done_ids.len());
-            for id in done_ids {
-                if let Some(mut t) = s.remove(id) {
-                    if let Some(cb) = t.on_done.take() {
-                        callbacks.push(cb);
-                    }
-                    s.tracer
-                        .emit_verbose(sim.now(), || TraceEvent::TransferEnd {
-                            link: s.name.clone(),
-                            id,
-                        });
-                }
-            }
+            let mut done = std::mem::take(&mut s.done_buf);
+            s.remove_finished(sim.now(), &mut done);
             s.record_utilization(sim.now());
-            callbacks
+            done
         };
-        for cb in finished {
+        for cb in finished.drain(..) {
             cb(sim);
         }
+        self.inner.borrow_mut().done_buf = finished;
         self.replan(sim);
+    }
+}
+
+/// A link's flush, registered by [`SharedLink::replan`].
+impl Deferred for AtomicRefCell<LinkState> {
+    fn run(self: Arc<Self>, sim: &mut Simulation) {
+        SharedLink { inner: self }.flush(sim);
     }
 }
 

@@ -14,14 +14,26 @@
 //! handle names a slot plus the generation it was issued for, and cancelling
 //! (or firing) bumps the generation so stale heap entries are recognised and
 //! skipped on pop. A live-event counter makes `is_idle` O(1), and the heap is
-//! compacted in place once dead entries outnumber live ones, so replan-heavy
-//! workloads (cancel + reschedule per transfer arrival) no longer accumulate
-//! unbounded garbage.
+//! compacted in place once dead entries outnumber live ones, so cancel-heavy
+//! workloads (a link cancelling its completion event in every event that
+//! touches it) do not accumulate unbounded garbage.
+//!
+//! **Deferred work.** [`Simulation::defer`] queues a [`Deferred`] handle
+//! whose work runs after the current event returns and before the next one
+//! is dispatched; the clock does not move in between. Paired with [`Simulation::reserve_seq`]
+//! and [`Simulation::schedule_reserved`], this lets a component coalesce
+//! many state changes inside one event into one reschedule, while the event
+//! it schedules keeps the `(at, seq)` key it would have had if scheduled
+//! eagerly at the last change: the sequence number is taken at that change,
+//! so every event scheduled after it still orders after it. Deferred work
+//! counts as pending for [`Simulation::is_idle`], and
+//! [`Simulation::run_until`] runs it before it checks a deadline or returns.
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// An event callback: runs at its scheduled instant with access to the engine
 /// so it can schedule follow-up events. `Send` so simulations can migrate
@@ -80,6 +92,21 @@ impl EventHandle {
     }
 }
 
+/// Work the engine runs after the current event returns and before the
+/// next one is dispatched (see [`Simulation::defer`]). Taken as a shared
+/// handle, so a component already behind an `Arc` registers itself without
+/// allocating.
+pub trait Deferred: Send + Sync {
+    /// Runs the work, at the instant it was deferred.
+    fn run(self: Arc<Self>, sim: &mut Simulation);
+}
+
+/// A sequence number taken by [`Simulation::reserve_seq`] for one event
+/// scheduled later with [`Simulation::schedule_reserved`]. Not `Clone`, so
+/// a reservation orders at most one event.
+#[derive(Debug)]
+pub struct ReservedSeq(u64);
+
 /// Dead-entry count below which compaction is never attempted; tiny queues
 /// are cheap to scan and compacting them would thrash.
 const COMPACT_MIN_DEAD: usize = 64;
@@ -108,10 +135,14 @@ pub struct Simulation {
     /// this FIFO ring instead of the heap (O(1) instead of O(log n)), so a
     /// wide fan-out spawned within one instant doesn't pay per-event heap
     /// operations. Invariant: every ring entry has `at == now` (the ring
-    /// drains before the clock can advance), and ring sequence numbers
-    /// exceed those of any equal-time heap entries, so the dispatch loop
-    /// merges the two sources by `(at, seq)` without reordering anything.
+    /// drains before the clock can advance) and the ring is in `seq` order,
+    /// so the dispatch loop merges it with the heap by `(at, seq)` without
+    /// reordering anything. A reserved sequence number lower than the
+    /// ring's last one goes to the heap instead.
     now_ring: VecDeque<Scheduled>,
+    /// Work queued by [`defer`](Self::defer) for the end of the current
+    /// event, in registration order.
+    deferred: VecDeque<Arc<dyn Deferred>>,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
     /// Events in the heap whose generation still matches their slot.
@@ -139,6 +170,7 @@ impl Simulation {
             next_seq: 0,
             queue: BinaryHeap::new(),
             now_ring: VecDeque::new(),
+            deferred: VecDeque::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
@@ -188,13 +220,38 @@ impl Simulation {
     }
 
     fn push_event(&mut self, at: SimTime, run: EventFn) -> EventHandle {
+        let seq = self.reserve_seq();
+        self.insert(at, seq, run)
+    }
+
+    /// Takes the next sequence number without scheduling anything. An event
+    /// scheduled with it later by [`schedule_reserved`](Self::schedule_reserved)
+    /// orders exactly as if it had been scheduled now: after every event
+    /// scheduled before this call, before every event scheduled after it.
+    pub fn reserve_seq(&mut self) -> ReservedSeq {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        ReservedSeq(seq)
+    }
+
+    /// Schedules `event` at absolute time `at` under a sequence number taken
+    /// earlier by [`reserve_seq`](Self::reserve_seq). Panics if `at` is in
+    /// the past.
+    pub fn schedule_reserved(
+        &mut self,
+        at: SimTime,
+        seq: ReservedSeq,
+        event: impl FnOnce(&mut Simulation) + Send + 'static,
+    ) -> EventHandle {
+        self.insert(at, seq, Box::new(event))
+    }
+
+    fn insert(&mut self, at: SimTime, ReservedSeq(seq): ReservedSeq, run: EventFn) -> EventHandle {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at:?} < {:?}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
@@ -211,7 +268,7 @@ impl Simulation {
             gen,
             run,
         };
-        if at == self.now {
+        if at == self.now && self.now_ring.back().is_none_or(|last| last.seq < seq) {
             self.now_ring.push_back(scheduled);
         } else {
             self.queue.push(Reverse(scheduled));
@@ -272,6 +329,17 @@ impl Simulation {
         self.schedule_at(self.now, event)
     }
 
+    /// Queues `work` to run after the current event returns and before the
+    /// next event is dispatched, at the same instant; called outside the
+    /// event loop, it runs first thing in the next
+    /// [`run_until`](Self::run_until). Deferred work is not an event: it has
+    /// no sequence number, is not counted by
+    /// [`events_processed`](Self::events_processed), and cannot be
+    /// cancelled. Work runs in the order it was deferred.
+    pub fn defer(&mut self, work: Arc<dyn Deferred>) {
+        self.deferred.push_back(work);
+    }
+
     /// Cancels a scheduled event. Cancelling an already-fired or already-
     /// cancelled event is a no-op.
     pub fn cancel(&mut self, handle: EventHandle) {
@@ -316,13 +384,18 @@ impl Simulation {
     }
 
     /// Runs until the queue drains or the clock passes `deadline`.
-    /// Events scheduled exactly at the deadline still fire.
+    /// Events scheduled exactly at the deadline still fire. Deferred work
+    /// always runs, at the instant it was deferred, before the deadline is
+    /// checked.
     pub fn run_until(&mut self, deadline: Option<SimTime>) -> SimTime {
         loop {
-            // Merge the same-instant ring with the heap by (at, seq): ring
-            // entries sit at the current instant with later sequence
-            // numbers, so equal-time heap entries (scheduled from an
-            // earlier instant) still fire first.
+            while let Some(work) = self.deferred.pop_front() {
+                work.run(self);
+            }
+            // Merge the same-instant ring with the heap by (at, seq): both
+            // are in (at, seq) order, so taking the smaller head each time
+            // fires equal-time events in scheduling order whichever queue
+            // holds them.
             let from_ring = match (self.now_ring.front(), self.queue.peek()) {
                 (Some(r), Some(Reverse(h))) => (r.at, r.seq) < (h.at, h.seq),
                 (Some(_), None) => true,
@@ -374,21 +447,36 @@ impl Simulation {
         self.now
     }
 
-    /// True if no events remain. O(1): tracked by a live-event counter
-    /// rather than scanning the heap for non-cancelled entries.
+    /// True if no events and no deferred work remain. O(1): tracked by a
+    /// live-event counter rather than scanning the heap for non-cancelled
+    /// entries.
     pub fn is_idle(&self) -> bool {
-        self.live == 0
+        self.live == 0 && self.deferred.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared::{shared, Shared};
+    use crate::shared::{shared, AtomicRefCell, Shared};
 
     fn record(log: &Shared<Vec<u32>>, id: u32) -> impl FnOnce(&mut Simulation) + Send + 'static {
         let log = log.clone();
         move |_| log.borrow_mut().push(id)
+    }
+
+    /// Deferred work that runs a closure.
+    struct Once(AtomicRefCell<Option<EventFn>>);
+
+    impl Deferred for Once {
+        fn run(self: Arc<Self>, sim: &mut Simulation) {
+            let work = self.0.borrow_mut().take().expect("deferred once");
+            work(sim);
+        }
+    }
+
+    fn once(work: impl FnOnce(&mut Simulation) + Send + 'static) -> Arc<dyn Deferred> {
+        Arc::new(Once(AtomicRefCell::new(Some(Box::new(work)))))
     }
 
     #[test]
@@ -658,5 +746,92 @@ mod tests {
         sim.run();
         assert_eq!(*log.borrow(), (0..500).collect::<Vec<_>>());
         assert_eq!(sim.events_processed(), 500);
+    }
+
+    #[test]
+    fn reserved_events_order_by_seq_against_ring_and_heap_events() {
+        let mut sim = Simulation::new();
+        let log = shared(Vec::new());
+        let log2 = log.clone();
+        // Heap event at t=1 with the lowest sequence number.
+        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 1));
+        sim.schedule_at(SimTime::ZERO, move |sim| {
+            let at_one = sim.reserve_seq();
+            sim.schedule_at(SimTime::from_secs(1.0), record(&log2, 3));
+            sim.schedule_now(record(&log2, 10));
+            let at_zero = sim.reserve_seq();
+            sim.schedule_now(record(&log2, 12));
+            // Scheduled last, but ordered where they were reserved: 11
+            // between the two ring events at t=0, 2 between the two heap
+            // events at t=1.
+            sim.schedule_reserved(sim.now(), at_zero, record(&log2, 11));
+            sim.schedule_reserved(SimTime::from_secs(1.0), at_one, record(&log2, 2));
+            let log3 = log2.clone();
+            sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
+                log3.borrow_mut().push(4);
+                // A ring event at t=1 fires after every reserved one.
+                sim.schedule_now(record(&log3, 5));
+            });
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec![10, 11, 12, 1, 2, 3, 4, 5]);
+        assert!(sim.is_idle());
+    }
+
+    #[test]
+    fn deferred_work_runs_between_events_and_counts_as_pending() {
+        let mut sim = Simulation::new();
+        let log = shared(Vec::new());
+        let log2 = log.clone();
+        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
+            log2.borrow_mut().push(1);
+            let log3 = log2.clone();
+            sim.defer(once(move |sim| {
+                assert_eq!(sim.now().as_secs(), 1.0);
+                log3.borrow_mut().push(2);
+            }));
+        });
+        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 3));
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 2, 3]);
+        assert_eq!(sim.events_processed(), 2);
+
+        // With no event queued, the deferred work alone keeps it busy.
+        sim.defer(once(record(&log, 4)));
+        assert!(!sim.is_idle());
+        sim.run();
+        assert!(sim.is_idle());
+        assert_eq!(*log.borrow(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn run_until_never_strands_deferred_work() {
+        let mut sim = Simulation::new();
+        let log = shared(Vec::new());
+        let log2 = log.clone();
+        // Work deferred by the last event before the deadline schedules an
+        // event past it; the work runs at t=1, its event waits.
+        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
+            let log3 = log2.clone();
+            sim.defer(once(move |sim| {
+                log3.borrow_mut().push(1);
+                sim.schedule_in(SimDuration::from_secs(1.0), record(&log3, 20));
+            }));
+        });
+        let t = sim.run_until(Some(SimTime::from_secs(1.5)));
+        assert_eq!(t.as_secs(), 1.5);
+        assert_eq!(*log.borrow(), vec![1]);
+        assert!(!sim.is_idle());
+
+        // Deferred outside the loop with the deadline already reached: it
+        // still runs, and the pending event still waits.
+        sim.defer(once(record(&log, 2)));
+        let t = sim.run_until(Some(SimTime::from_secs(1.5)));
+        assert_eq!(t.as_secs(), 1.5);
+        assert_eq!(*log.borrow(), vec![1, 2]);
+
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 2, 20]);
+        assert!(sim.is_idle());
     }
 }

@@ -6,14 +6,14 @@
 //! The engine is deliberately domain-free. It provides:
 //!
 //! * [`Simulation`] — an event loop ordered by `(time, sequence)`, so runs
-//!   are bit-for-bit reproducible for a given seed and program order;
+//!   are bit-for-bit reproducible for a given seed and program order, with
+//!   deferred end-of-event work and reserved sequence numbers for
+//!   components that coalesce the changes of one event;
 //! * [`Resource`] — counted capacity with FIFO admission (core slots,
 //!   concurrency caps);
 //! * [`SharedLink`] — max-min fair-share bandwidth channels, the mechanism
 //!   behind every network/storage contention effect in the paper;
 //! * [`SeedSource`]/[`stream_rng`] — labelled deterministic RNG streams;
-//! * metric primitives ([`Counter`], [`TimeWeightedGauge`], [`Histogram`],
-//!   [`Series`]) for reports and figure traces;
 //! * [`Tracer`] — the execution flight recorder: a zero-overhead-when-off
 //!   structured event stream (see [`trace`]) the cloud and core layers
 //!   thread through every mechanism.
@@ -30,7 +30,6 @@
 
 mod bandwidth;
 mod engine;
-mod metrics;
 mod resource;
 mod rng;
 mod shared;
@@ -38,8 +37,7 @@ mod time;
 pub mod trace;
 
 pub use bandwidth::{SharedLink, TransferId};
-pub use engine::{EventFn, EventHandle, Simulation};
-pub use metrics::{Counter, Histogram, Series, TimeWeightedGauge};
+pub use engine::{Deferred, EventFn, EventHandle, ReservedSeq, Simulation};
 pub use resource::Resource;
 pub use rng::{jitter_factor, stream_rng, SeedSource};
 pub use shared::{shared, AtomicRef, AtomicRefCell, AtomicRefMut, Shared};

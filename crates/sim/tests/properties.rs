@@ -1,8 +1,322 @@
 //! Property-based tests of the simulation engine invariants.
 
-use mashup_sim::{shared, Shared};
+use mashup_sim::{shared, EventHandle, Shared, TransferId};
 use mashup_sim::{Resource, SharedLink, SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
+
+/// The fair-share link as it was before completions were planned once per
+/// event: every arrival, cancellation and completion tick cancels the
+/// completion event, re-runs the water-fill and the min-scan, and schedules
+/// a new event. Shares are recomputed from scratch each time. This is the
+/// reference [`SharedLink`] must match bit for bit.
+#[derive(Clone)]
+struct EagerLink(Shared<EagerState>);
+
+struct EagerFlow {
+    id: u64,
+    remaining: f64,
+    cap: f64,
+    on_done: Box<dyn FnOnce(&mut Simulation) + Send>,
+}
+
+struct EagerState {
+    capacity: f64,
+    /// In id order.
+    flows: Vec<EagerFlow>,
+    next_id: u64,
+    last_update: SimTime,
+    completion: Option<EventHandle>,
+}
+
+const EPS_BYTES: f64 = 1e-6;
+
+impl EagerState {
+    /// Max-min fair shares in `flows` order: a stable sort by cap (ids
+    /// break ties), then the water-fill.
+    fn shares(&self) -> Vec<f64> {
+        let mut order: Vec<usize> = (0..self.flows.len()).collect();
+        order.sort_by(|&a, &b| {
+            self.flows[a]
+                .cap
+                .partial_cmp(&self.flows[b].cap)
+                .expect("caps are never NaN")
+        });
+        let mut shares = vec![0.0; self.flows.len()];
+        let mut remaining_cap = self.capacity;
+        for (i, &f) in order.iter().enumerate() {
+            let fair = remaining_cap / (order.len() - i) as f64;
+            let share = self.flows[f].cap.min(fair);
+            shares[f] = share;
+            remaining_cap -= share;
+        }
+        shares
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        let dt = now.saturating_since(self.last_update).as_secs();
+        if dt > 0.0 && !self.flows.is_empty() {
+            let shares = self.shares();
+            for (f, share) in self.flows.iter_mut().zip(shares) {
+                let moved = (share * dt).min(f.remaining);
+                f.remaining -= moved;
+            }
+        }
+        self.last_update = now;
+    }
+}
+
+impl EagerLink {
+    fn new(capacity: f64) -> Self {
+        EagerLink(shared(EagerState {
+            capacity,
+            flows: Vec::new(),
+            next_id: 0,
+            last_update: SimTime::ZERO,
+            completion: None,
+        }))
+    }
+
+    fn replan(&self, sim: &mut Simulation) {
+        let dt = {
+            let mut s = self.0.borrow_mut();
+            if let Some(h) = s.completion.take() {
+                sim.cancel(h);
+            }
+            let shares = s.shares();
+            s.flows
+                .iter()
+                .zip(shares)
+                .map(|(f, share)| {
+                    if share <= 0.0 {
+                        f64::INFINITY
+                    } else {
+                        f.remaining / share
+                    }
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        if dt.is_finite() {
+            let link = self.clone();
+            let h = sim.schedule_in(SimDuration::from_secs(dt), move |sim| link.tick(sim));
+            self.0.borrow_mut().completion = Some(h);
+        }
+    }
+
+    fn tick(&self, sim: &mut Simulation) {
+        let callbacks: Vec<_> = {
+            let mut s = self.0.borrow_mut();
+            s.completion = None;
+            s.advance(sim.now());
+            if !s.flows.is_empty() && s.flows.iter().all(|f| f.remaining > EPS_BYTES) {
+                // First minimum in id order, as `Iterator::min_by` returns.
+                let closest = (0..s.flows.len())
+                    .min_by(|&a, &b| {
+                        s.flows[a]
+                            .remaining
+                            .partial_cmp(&s.flows[b].remaining)
+                            .expect("remaining is never NaN")
+                    })
+                    .expect("non-empty");
+                s.flows[closest].remaining = 0.0;
+            }
+            let (done, left): (Vec<_>, Vec<_>) = std::mem::take(&mut s.flows)
+                .into_iter()
+                .partition(|f| f.remaining <= EPS_BYTES);
+            s.flows = left;
+            done.into_iter().map(|f| f.on_done).collect()
+        };
+        for cb in callbacks {
+            cb(sim);
+        }
+        self.replan(sim);
+    }
+}
+
+/// The calls the differential test drives on either link.
+trait Link: Clone + Send + 'static {
+    type Id: Copy + Send + 'static;
+    fn start(
+        &self,
+        sim: &mut Simulation,
+        bytes: f64,
+        cap: Option<f64>,
+        on_done: impl FnOnce(&mut Simulation) + Send + 'static,
+    ) -> Self::Id;
+    fn cancel(&self, sim: &mut Simulation, id: Self::Id) -> f64;
+}
+
+impl Link for SharedLink {
+    type Id = TransferId;
+    fn start(
+        &self,
+        sim: &mut Simulation,
+        bytes: f64,
+        cap: Option<f64>,
+        on_done: impl FnOnce(&mut Simulation) + Send + 'static,
+    ) -> TransferId {
+        self.start_transfer(sim, bytes, cap, on_done)
+    }
+    fn cancel(&self, sim: &mut Simulation, id: TransferId) -> f64 {
+        self.cancel_transfer(sim, id)
+    }
+}
+
+impl Link for EagerLink {
+    type Id = u64;
+    fn start(
+        &self,
+        sim: &mut Simulation,
+        bytes: f64,
+        cap: Option<f64>,
+        on_done: impl FnOnce(&mut Simulation) + Send + 'static,
+    ) -> u64 {
+        let id = {
+            let mut s = self.0.borrow_mut();
+            s.next_id += 1;
+            s.next_id - 1
+        };
+        if bytes <= EPS_BYTES {
+            sim.schedule_now(on_done);
+            return id;
+        }
+        {
+            let mut s = self.0.borrow_mut();
+            s.advance(sim.now());
+            s.flows.push(EagerFlow {
+                id,
+                remaining: bytes,
+                cap: cap.unwrap_or(f64::INFINITY),
+                on_done: Box::new(on_done),
+            });
+        }
+        self.replan(sim);
+        id
+    }
+    fn cancel(&self, sim: &mut Simulation, id: u64) -> f64 {
+        let removed = {
+            let mut s = self.0.borrow_mut();
+            s.advance(sim.now());
+            let pos = s.flows.iter().position(|f| f.id == id);
+            pos.map(|p| s.flows.remove(p).remaining)
+        };
+        if removed.is_some() {
+            self.replan(sim);
+        }
+        removed.unwrap_or(0.0)
+    }
+}
+
+/// Sizes and caps are drawn in these units on a link of `8 * UNIT` B/s, so
+/// completions often land exactly on another event's instant, where only
+/// the `(at, seq)` order decides which fires first.
+const UNIT: f64 = 125.0;
+
+/// One driver step, one event: `(gap in quarter-seconds after the previous
+/// step, burst of (size, capped if 0, cap), cancel selector)`. A gap of 0
+/// puts two events at the same instant; the selector cancels an earlier
+/// flow when it is below 64.
+type Step = (u8, Vec<(u32, u8, u32)>, u16);
+
+/// Starts one flow of `units * UNIT` bytes whose completion logs `(label,
+/// instant bits)`, then schedules a marker event `units % 4` eighths of a
+/// second later, so markers fall between the link changes of one event and
+/// on completion instants. Flows of a multiple of 3 units start a half-size
+/// successor from their callback, so arrivals also land inside completion
+/// ticks.
+fn start_flow<L: Link>(
+    link: &L,
+    sim: &mut Simulation,
+    log: &Shared<Vec<(u64, u64)>>,
+    ids: &Shared<Vec<L::Id>>,
+    label: u64,
+    units: u32,
+    cap: Option<f64>,
+) {
+    let (link2, log2, ids2) = (link.clone(), log.clone(), ids.clone());
+    let id = link.start(sim, f64::from(units) * UNIT, cap, move |sim| {
+        log2.borrow_mut()
+            .push((label, sim.now().as_secs().to_bits()));
+        if label < 1 << 20 && units.is_multiple_of(3) {
+            start_flow(&link2, sim, &log2, &ids2, label + (1 << 20), units / 2, cap);
+        }
+    });
+    ids.borrow_mut().push(id);
+    let log2 = log.clone();
+    let marker_in = SimDuration::from_secs(f64::from(units % 4) / 8.0);
+    sim.schedule_in(marker_in, move |sim| {
+        log2.borrow_mut()
+            .push((label + (1 << 40), sim.now().as_secs().to_bits()));
+    });
+}
+
+/// Runs `steps` on `link` and returns every completion, cancel result and
+/// step marker in the order they happened, with bit-exact instants.
+fn drive<L: Link>(link: L, steps: &[Step]) -> Vec<(u64, u64)> {
+    let mut sim = Simulation::new();
+    let log: Shared<Vec<(u64, u64)>> = shared(Vec::new());
+    let ids: Shared<Vec<L::Id>> = shared(Vec::new());
+    let mut t = 0.0;
+    for (k, (gap, burst, cancel)) in steps.iter().enumerate() {
+        t += f64::from(*gap) * 0.25;
+        let (link, log, ids, burst, cancel) = (
+            link.clone(),
+            log.clone(),
+            ids.clone(),
+            burst.clone(),
+            *cancel,
+        );
+        let k = k as u64;
+        sim.schedule_at(SimTime::from_secs(t), move |sim| {
+            log.borrow_mut()
+                .push((u64::MAX - k, sim.now().as_secs().to_bits()));
+            let victim = {
+                let ids = ids.borrow();
+                (cancel < 64 && !ids.is_empty()).then(|| ids[usize::from(cancel) % ids.len()])
+            };
+            if let Some(id) = victim {
+                let left = link.cancel(sim, id);
+                log.borrow_mut().push((u64::MAX / 2 - k, left.to_bits()));
+            }
+            for (j, &(units, capped, cap)) in burst.iter().enumerate() {
+                let cap = (capped == 0).then_some(f64::from(cap) * UNIT);
+                start_flow(&link, sim, &log, &ids, k * 100 + j as u64, units, cap);
+            }
+        });
+    }
+    // Pause at deadlines so deferred work meets them too.
+    let mut deadline = 0.0;
+    while !sim.is_idle() {
+        deadline += 0.3;
+        sim.run_until(Some(SimTime::from_secs(deadline)));
+    }
+    let out = log.borrow().clone();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Planning a link's next completion once per event gives the schedule
+    /// the per-change replan gave: the same completion instants, bit for
+    /// bit, and the same order of callbacks, cancels and other events, over
+    /// same-instant bursts, staggered arrivals, per-flow caps, cancels and
+    /// arrivals from completion callbacks.
+    #[test]
+    fn deferred_link_matches_eager_replan_bit_for_bit(
+        steps in proptest::collection::vec(
+            (
+                0u8..3,
+                proptest::collection::vec((0u32..320, 0u8..3, 1u32..8), 0..12),
+                0u16..96,
+            ),
+            1..20,
+        )
+    ) {
+        let eager = drive(EagerLink::new(8.0 * UNIT), &steps);
+        let deferred = drive(SharedLink::new("l", 8.0 * UNIT), &steps);
+        prop_assert_eq!(deferred, eager);
+    }
+}
 
 proptest! {
     /// Events always fire in non-decreasing time order, and simultaneous

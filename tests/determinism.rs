@@ -10,6 +10,22 @@ use mashup_cloud::{FaultPlan, FaultProfile};
 use mashup_core::{ChaosSpec, MashupConfig, Tracer};
 use mashup_sim::trace::to_jsonl;
 use mashup_workflows::{epigenomics, genome1000, srasearch};
+use std::sync::{Mutex, MutexGuard};
+
+/// The pool's worker count, the plan-cache switch and the trace directory
+/// are process-wide, and the test harness runs tests on parallel threads.
+/// Every test that sets one holds this lock, so no test flips a setting
+/// while another runs: the chaos matrix, say, must never see the cache
+/// switched back on halfway through.
+static GLOBAL_SETTINGS: Mutex<()> = Mutex::new(());
+
+fn global_settings() -> MutexGuard<'static, ()> {
+    // The lock guards no data; a test that panicked while holding it leaves
+    // nothing for the next one to distrust, since each sets what it needs.
+    GLOBAL_SETTINGS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Mashup makespans on a 4-node AWS-like cluster, captured from the seed
 /// substrate (pre fast-path). Written with `{:?}` so the literals
@@ -74,6 +90,7 @@ fn chaos_replay_is_bit_identical_across_job_counts() {
             format!("{report:?}\n{}", to_jsonl(&tracer.take()))
         })
     }
+    let _settings = global_settings();
     bench::set_plan_cache_enabled(false);
     bench::set_jobs(1);
     let serial = run_matrix();
@@ -95,6 +112,7 @@ fn figure_json_is_byte_identical_with_tracing_enabled() {
     // platforms. (The trace directory is process-global and write-only, so
     // recording the untraced reference first is the only ordering that
     // works inside one test binary.)
+    let _settings = global_settings();
     bench::set_jobs(1);
     let untraced = serde_json::to_string_pretty(&bench::fig05_objectives()).expect("serialize");
     let dir = std::env::temp_dir().join(format!("mashup-trace-test-{}", std::process::id()));
@@ -111,6 +129,7 @@ fn figure_json_is_byte_identical_across_job_counts() {
     // fig05 runs three full Mashup plans; fig08 covers two workflows and
     // two VM families. Together they exercise the sweep fan-out both below
     // and above the worker count.
+    let _settings = global_settings();
     let serial = {
         bench::set_jobs(1);
         (
@@ -136,6 +155,7 @@ fn figure_json_is_byte_identical_with_plan_cache_on_and_off() {
     // the cache); the accuracy table plans every paper workflow. Both must
     // serialize identically whether the planning cache is on or off —
     // memoization is a pure performance layer.
+    let _settings = global_settings();
     bench::set_jobs(1);
     bench::set_plan_cache_enabled(false);
     let uncached = (
