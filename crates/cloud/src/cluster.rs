@@ -213,7 +213,9 @@ struct Accum {
 /// A shareable VM cluster. Cloning shares the same nodes and links.
 #[derive(Clone)]
 pub struct VmCluster {
-    cfg: ClusterConfig,
+    /// Behind an `Arc`: every component's events hold a clone of the
+    /// cluster, and a deep copy would copy the instance name each time.
+    cfg: std::sync::Arc<ClusterConfig>,
     subs: std::sync::Arc<Vec<SubCluster>>,
     meter: CostMeter,
     seeds: SeedSource,
@@ -259,7 +261,7 @@ impl VmCluster {
                 tracer: Tracer::off(),
                 spot: None,
             }),
-            cfg,
+            cfg: std::sync::Arc::new(cfg),
         }
     }
 
@@ -399,8 +401,13 @@ impl VmCluster {
         self.state.borrow_mut().tracer = tracer;
     }
 
-    fn tracer(&self) -> Tracer {
-        self.state.borrow().tracer.clone()
+    /// Emits the event `make` builds, building it only when a recorder is
+    /// attached: its task label is per-component heap churn otherwise.
+    fn trace_with(&self, now: SimTime, make: impl FnOnce() -> TraceEvent) {
+        let s = self.state.borrow();
+        if s.tracer.is_on() {
+            s.tracer.emit(now, make());
+        }
     }
 
     /// The cluster configuration.
@@ -580,19 +587,15 @@ impl VmCluster {
 
         for comp in 0..spec.components {
             let node_idx = comp % n_nodes;
-            let cluster = self.clone();
-            let spec = spec.clone();
-            let accum = accum.clone();
-            let store = store.cloned();
             let jf = jitter_factor(&mut rng, spec.jitter);
 
             // --- input ---
             let read_begin = sim.now();
             let after_read = {
-                let cluster = cluster.clone();
+                let cluster = self.clone();
                 let spec = spec.clone();
                 let accum = accum.clone();
-                let store = store.clone();
+                let store = store.cloned();
                 move |sim: &mut Simulation| {
                     accum.borrow_mut().io_secs += sim.now().since(read_begin).as_secs();
                     VmCluster::compute_component(cluster, spec, accum, store, node_idx, jf, sim);
@@ -601,16 +604,15 @@ impl VmCluster {
             if no_input {
                 batch.push(Box::new(after_read));
             } else if spec.input == ClusterInput::Wan {
-                let s = store.clone().expect("store checked above");
-                s.read(
+                store.expect("store checked above").read(
                     sim,
                     spec.input_bytes,
                     spec.io_requests,
-                    Some(cluster.cfg.instance.wan_bps),
+                    Some(self.cfg.instance.wan_bps),
                     move |sim, _| after_read(sim),
                 );
             } else {
-                let sub = &cluster.subs[spec.subcluster];
+                let sub = &self.subs[spec.subcluster];
                 let link = if spec.input == ClusterInput::Master {
                     &sub.master_link
                 } else {
@@ -619,7 +621,7 @@ impl VmCluster {
                 link.start_transfer(
                     sim,
                     spec.input_bytes,
-                    Some(cluster.cfg.instance.node_nic_bps),
+                    Some(self.cfg.instance.node_nic_bps),
                     after_read,
                 );
             }
@@ -666,53 +668,36 @@ impl VmCluster {
         );
         let thrash = load as f64 * spec.memory_gb > cluster.cfg.instance.memory_gb
             && spec.contention_coeff > 0.0;
-        // Build the event only when recording: the label clone
-        // is per-component heap churn at million-task scale.
-        if cluster.tracer().is_on() {
-            cluster.tracer().emit(
-                sim.now(),
-                TraceEvent::VmCompStart {
-                    task: spec.label.clone(),
-                    sub: spec.subcluster,
-                    node: node_idx,
-                    load,
-                    mem_gb: spec.memory_gb,
-                    factor,
-                    thrash,
-                },
-            );
-        }
+        cluster.trace_with(sim.now(), || TraceEvent::VmCompStart {
+            task: spec.label.clone(),
+            sub: spec.subcluster,
+            node: node_idx,
+            load,
+            mem_gb: spec.memory_gb,
+            factor,
+            thrash,
+        });
         let secs = spec.compute_secs / cluster.cfg.instance.core_speed * factor * jf;
         let dur = SimDuration::from_secs(secs);
         accum.borrow_mut().compute_secs += secs;
         sim.schedule_in(dur, move |sim| {
             cluster.subs[spec.subcluster].node_loads.borrow_mut()[node_idx] -= 1;
-            if cluster.tracer().is_on() {
-                cluster.tracer().emit(
-                    sim.now(),
-                    TraceEvent::VmCompEnd {
-                        task: spec.label.clone(),
-                        sub: spec.subcluster,
-                        node: node_idx,
-                    },
-                );
-            }
+            cluster.trace_with(sim.now(), || TraceEvent::VmCompEnd {
+                task: spec.label.clone(),
+                sub: spec.subcluster,
+                node: node_idx,
+            });
             // Spot: the node may have been reclaimed mid-window; the
             // attempt's work is lost and the component retries.
             if let Some((t_pre, fault_id)) = cluster.preempted_at(spec.subcluster, node_idx) {
                 if t_pre < sim.now() {
                     let retry_node = cluster.resolve_node(spec.subcluster, preferred_node);
-                    if cluster.tracer().is_on() {
-                        cluster.tracer().emit(
-                            sim.now(),
-                            TraceEvent::CompRetry {
-                                id: fault_id,
-                                task: spec.label.clone(),
-                                sub: spec.subcluster,
-                                node: retry_node,
-                            },
-                        );
-                    }
+                    cluster.trace_with(sim.now(), || TraceEvent::CompRetry {
+                        id: fault_id,
+                        task: spec.label.clone(),
+                        sub: spec.subcluster,
+                        node: retry_node,
+                    });
                     VmCluster::compute_component(
                         cluster,
                         spec,
@@ -727,30 +712,26 @@ impl VmCluster {
             }
             // --- output ---
             let write_begin = sim.now();
-            let finish = {
-                let accum = accum.clone();
-                move |sim: &mut Simulation| {
-                    let mut a = accum.borrow_mut();
-                    a.io_secs += sim.now().since(write_begin).as_secs();
-                    a.remaining -= 1;
-                    if a.remaining == 0 {
-                        let stats = ClusterRunStats {
-                            start: a.start,
-                            end: sim.now(),
-                            io_secs: a.io_secs,
-                            compute_secs: a.compute_secs,
-                        };
-                        let cb = a.done.take().expect("done fires once");
-                        drop(a);
-                        cb(sim, stats);
-                    }
+            let finish = move |sim: &mut Simulation| {
+                let mut a = accum.borrow_mut();
+                a.io_secs += sim.now().since(write_begin).as_secs();
+                a.remaining -= 1;
+                if a.remaining == 0 {
+                    let stats = ClusterRunStats {
+                        start: a.start,
+                        end: sim.now(),
+                        io_secs: a.io_secs,
+                        compute_secs: a.compute_secs,
+                    };
+                    let cb = a.done.take().expect("done fires once");
+                    drop(a);
+                    cb(sim, stats);
                 }
             };
             if spec.output_bytes <= 0.0 || spec.output == ClusterOutput::None {
                 sim.schedule_now(finish);
             } else if spec.output == ClusterOutput::Wan {
-                let s = store.clone().expect("store checked above");
-                s.write(
+                store.as_ref().expect("store checked above").write(
                     sim,
                     spec.output_bytes,
                     spec.io_requests,

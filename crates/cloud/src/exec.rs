@@ -254,27 +254,23 @@ fn run_segment(sim: &mut Simulation, ctx: Ctx, work: Work) {
                 a.stats.last_fn_start = a.stats.last_fn_start.max(inv.ready_at);
             }
         }
-        ctx.platform.tracer().emit(
-            sim.now(),
-            TraceEvent::SegmentStart {
+        ctx.platform
+            .trace_with(sim.now(), || TraceEvent::SegmentStart {
                 task: ctx.spec.label.clone(),
                 chain: work.chain,
                 inv: inv.id.raw(),
                 resume: work.needs_ckpt_read,
                 mem_gb: ctx.spec.memory_gb,
-            },
-        );
+            });
         if work.needs_ckpt_read {
             // Resume: re-read the checkpointed state before anything else.
-            ctx.platform.tracer().emit(
-                sim.now(),
-                TraceEvent::CheckpointResume {
+            ctx.platform
+                .trace_with(sim.now(), || TraceEvent::CheckpointResume {
                     task: ctx.spec.label.clone(),
                     chain: work.chain,
                     inv: inv.id.raw(),
                     remaining_secs: work.compute,
-                },
-            );
+                });
             let ckpt = ctx.spec.checkpoint_bytes;
             let cap = ctx.platform.config().per_function_bps;
             let requests = ctx.spec.io_requests;
@@ -418,16 +414,14 @@ fn compute_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, w
                     // it landed (before the deadline, or the watchdog would
                     // have killed the function first).
                     if ctx3.platform.is_active(inv.id) {
-                        ctx3.platform.tracer().emit(
-                            sim.now(),
-                            TraceEvent::Checkpoint {
+                        ctx3.platform
+                            .trace_with(sim.now(), || TraceEvent::Checkpoint {
                                 task: ctx3.spec.label.clone(),
                                 chain: work.chain,
                                 inv: inv.id.raw(),
                                 bytes: ckpt,
                                 remaining_secs: leftover,
-                            },
-                        );
+                            });
                     }
                     let alive = ctx3.platform.complete(sim, inv.id);
                     let next = if alive {

@@ -116,8 +116,14 @@ impl FaasPlatform {
         self.state.borrow_mut().tracer = tracer;
     }
 
-    pub(crate) fn tracer(&self) -> Tracer {
-        self.state.borrow().tracer.clone()
+    /// Emits the event `make` builds, building it only when a recorder is
+    /// attached: the strings it carries are per-invocation heap churn
+    /// otherwise.
+    pub(crate) fn trace_with(&self, now: SimTime, make: impl FnOnce() -> TraceEvent) {
+        let s = self.state.borrow();
+        if s.tracer.is_on() {
+            s.tracer.emit(now, make());
+        }
     }
 
     /// The platform constants.
@@ -256,21 +262,14 @@ impl FaasPlatform {
                 cold,
                 start_latency: SimDuration::from_secs(latency),
             };
-            // Build the event only when recording: the code-key clone is
-            // per-invocation heap churn at million-task scale.
-            if platform.tracer().is_on() {
-                platform.tracer().emit(
-                    sim.now(),
-                    TraceEvent::FnStart {
-                        id,
-                        code: code_key.clone(),
-                        cold,
-                        latency_secs: latency,
-                        ready_secs: ready_at.as_secs(),
-                        deadline_secs: deadline.as_secs(),
-                    },
-                );
-            }
+            platform.trace_with(sim.now(), || TraceEvent::FnStart {
+                id,
+                code: code_key.clone(),
+                cold,
+                latency_secs: latency,
+                ready_secs: ready_at.as_secs(),
+                deadline_secs: deadline.as_secs(),
+            });
             // Watchdog enforcing the execution time cap.
             let p2 = platform.clone();
             sim.schedule_at(deadline, move |sim| {
@@ -308,14 +307,11 @@ impl FaasPlatform {
                 s.function_seconds += billed;
             }
             self.meter.charge_faas(billed, self.cfg.price_per_hour);
-            self.tracer().emit(
-                sim.now(),
-                TraceEvent::FnKill {
-                    id,
-                    reason,
-                    billed_secs: billed,
-                },
-            );
+            self.trace_with(sim.now(), || TraceEvent::FnKill {
+                id,
+                reason,
+                billed_secs: billed,
+            });
             if let Some(cb) = inv.on_killed {
                 cb(sim);
             }
@@ -353,13 +349,10 @@ impl FaasPlatform {
             s.warm_pool.entry(inv.code_key).or_default().push(expiry);
         }
         self.meter.charge_faas(billed, self.cfg.price_per_hour);
-        self.tracer().emit(
-            now,
-            TraceEvent::FnEnd {
-                id: id.0,
-                billed_secs: billed,
-            },
-        );
+        self.trace_with(now, || TraceEvent::FnEnd {
+            id: id.0,
+            billed_secs: billed,
+        });
         true
     }
 
@@ -387,17 +380,12 @@ impl FaasPlatform {
                     s.function_seconds += latency;
                     s.cold_starts += 1;
                 }
-                if platform.tracer().is_on() {
-                    platform.tracer().emit(
-                        sim.now(),
-                        TraceEvent::FnPrewarm {
-                            code: key.clone(),
-                            latency_secs: latency,
-                            warm_secs: warm_at.as_secs(),
-                            expires_secs: warm_at.as_secs() + platform.cfg.keep_alive_secs,
-                        },
-                    );
-                }
+                platform.trace_with(sim.now(), || TraceEvent::FnPrewarm {
+                    code: key.clone(),
+                    latency_secs: latency,
+                    warm_secs: warm_at.as_secs(),
+                    expires_secs: warm_at.as_secs() + platform.cfg.keep_alive_secs,
+                });
                 let p2 = platform.clone();
                 sim.schedule_at(warm_at, move |sim| {
                     let expiry = sim.now() + SimDuration::from_secs(p2.cfg.keep_alive_secs);

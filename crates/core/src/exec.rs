@@ -47,35 +47,47 @@ enum OutputLocation {
 }
 
 /// Computes each task's output location under `plan` (see module docs).
+/// Walks the dependency lists rather than the consumer index, so it never
+/// builds an arena on the executor's workflow copy.
 fn output_locations(w: &Workflow, plan: &PlacementPlan) -> Vec<Vec<OutputLocation>> {
+    let mut locs: Vec<Vec<OutputLocation>> = w
+        .phases
+        .iter()
+        .map(|p| vec![OutputLocation::Master; p.tasks.len()])
+        .collect();
+    for r in w.task_refs() {
+        // Full coverage is guaranteed by diagnostic M201.
+        if plan.platform(r).expect("plan covers workflow") == Platform::Serverless {
+            locs[r.phase][r.task] = OutputLocation::Store;
+            for dep in &w.task(r).deps {
+                locs[dep.producer.phase][dep.producer.task] = OutputLocation::Store;
+            }
+        }
+    }
+    locs
+}
+
+/// Flat id of each phase's first task: task `r` has flat id
+/// `base[r.phase] + r.task`, the phase-major numbering of `TaskArena`.
+pub(crate) fn phase_bases(w: &Workflow) -> Vec<usize> {
     w.phases
         .iter()
-        .enumerate()
-        .map(|(pi, phase)| {
-            (0..phase.tasks.len())
-                .map(|ti| {
-                    let r = TaskRef::new(pi, ti);
-                    // Full coverage is guaranteed by diagnostic M201.
-                    let platform_of = |t: TaskRef| plan.platform(t).expect("plan covers workflow");
-                    let serverless_here = platform_of(r) == Platform::Serverless;
-                    let serverless_consumer = w
-                        .consumers(r)
-                        .iter()
-                        .any(|&(c, _)| platform_of(c) == Platform::Serverless);
-                    if serverless_here || serverless_consumer {
-                        OutputLocation::Store
-                    } else {
-                        OutputLocation::Master
-                    }
-                })
-                .collect()
+        .scan(0, |next, p| {
+            let base = *next;
+            *next += p.tasks.len();
+            Some(base)
         })
         .collect()
 }
 
 struct Driver {
     cfg: MashupConfig,
+    /// The executor's copy of the workflow. It carries no arena index, and
+    /// building one cost ~15% of a 100k-task run, so flat ids come from
+    /// `phase_base` instead.
     workflow: Arc<Workflow>,
+    /// See [`phase_bases`].
+    phase_base: Vec<usize>,
     plan: PlacementPlan,
     /// Per-task memory tiers for a sized run; `None` runs every serverless
     /// task on the base platform (the original engine, byte-identical).
@@ -83,7 +95,11 @@ struct Driver {
     locations: Vec<Vec<OutputLocation>>,
     env_handles: EnvHandles,
     tracer: Tracer,
+    /// Finished tasks' reports in completion order, unnamed: names are
+    /// filled in from `completed` once the event loop is over.
     reports: Vec<TaskReport>,
+    /// The task behind each entry of `reports`.
+    completed: Vec<TaskRef>,
     remaining_in_phase: usize,
     finished_at: Option<SimTime>,
     /// Online replanning controller; `None` unless the config's chaos spec
@@ -111,24 +127,27 @@ struct ChaosCtx {
 }
 
 impl Driver {
+    /// Task `r`'s flat id (see [`phase_bases`]).
+    fn flat(&self, r: TaskRef) -> usize {
+        self.phase_base[r.phase] + r.task
+    }
+
     /// The FaaS platform a task runs on: its sizing-assigned tier's platform
     /// when one was provisioned, the base platform otherwise.
     fn faas_for_task(&self, r: TaskRef) -> &FaasPlatform {
         if let Some(sizing) = &self.sizing {
-            if let Some(flat) = self.workflow.arena().flat(r) {
-                let key = tier_key(sizing.tier(flat));
-                if let Some(platform) = self.env_handles.tier_faas.get(&key) {
-                    return platform;
-                }
+            let key = tier_key(sizing.tier(self.flat(r)));
+            if let Some(platform) = self.env_handles.tier_faas.get(&key) {
+                return platform;
             }
         }
         &self.env_handles.faas
     }
 }
 
-/// Clonable handles into the environment (the `Simulation` itself stays
-/// outside and is threaded through event callbacks).
-#[derive(Clone)]
+/// Handles into the environment (the `Simulation` itself stays outside and
+/// is threaded through event callbacks). Task spawns clone only the
+/// handles they use.
 struct EnvHandles {
     cluster: mashup_cloud::VmCluster,
     faas: mashup_cloud::FaasPlatform,
@@ -223,11 +242,12 @@ pub fn try_execute_sized(
     Ok(execute_in_unchecked(
         &mut env,
         cfg,
-        workflow,
+        &Arc::new(workflow.clone()),
         plan,
         Some(sizing),
         strategy,
-    ))
+    )
+    .0)
 }
 
 /// Like [`try_execute_sized`], but records the run into `tracer`.
@@ -246,11 +266,12 @@ pub fn try_execute_sized_traced(
     Ok(execute_in_unchecked(
         &mut env,
         cfg,
-        workflow,
+        &Arc::new(workflow.clone()),
         plan,
         Some(sizing),
         strategy,
-    ))
+    )
+    .0)
 }
 
 /// The preflight gate for sized runs. The standard checks run with the
@@ -334,23 +355,25 @@ pub fn try_execute_in(
     strategy: &str,
 ) -> Result<WorkflowReport, AnalysisError> {
     crate::analysis::preflight(cfg, workflow, Some(plan))?;
-    Ok(execute_in_unchecked(
-        env, cfg, workflow, plan, None, strategy,
-    ))
+    Ok(execute_in_unchecked(env, cfg, &Arc::new(workflow.clone()), plan, None, strategy).0)
 }
 
 /// The executor proper. Callers arrive through the preflight gate, so the
 /// plan covers the workflow (M201), every serverless task fits the function
 /// memory cap (M203) and the checkpoint-chaining window (M202), and every
-/// profile field is finite and in range (M105).
-fn execute_in_unchecked(
+/// profile field is finite and in range (M105). The event callbacks share
+/// `workflow`, so a caller running several passes clones it once.
+///
+/// Returns the report and, for each entry of its `tasks`, the task it
+/// describes.
+pub(crate) fn execute_in_unchecked(
     env: &mut CloudEnv,
     cfg: &MashupConfig,
-    workflow: &Workflow,
+    workflow: &Arc<Workflow>,
     plan: &PlacementPlan,
     sizing: Option<&Sizing>,
     strategy: &str,
-) -> WorkflowReport {
+) -> (WorkflowReport, Vec<TaskRef>) {
     let locations = output_locations(workflow, plan);
 
     // Install the seeded fault schedule before billing starts: spot pools
@@ -376,7 +399,8 @@ fn execute_in_unchecked(
 
     let driver = shared(Driver {
         cfg: cfg.clone(),
-        workflow: Arc::new(workflow.clone()),
+        workflow: Arc::clone(workflow),
+        phase_base: phase_bases(workflow),
         plan: plan.clone(),
         sizing: sizing.cloned(),
         locations,
@@ -388,7 +412,8 @@ fn execute_in_unchecked(
             seeds: env.seeds,
         },
         tracer: env.sim.tracer().clone(),
-        reports: Vec::new(),
+        reports: Vec::with_capacity(workflow.task_count()),
+        completed: Vec::with_capacity(workflow.task_count()),
         remaining_in_phase: 0,
         finished_at: None,
         chaos: cfg.chaos.as_ref().filter(|c| c.adaptive).map(|c| ChaosCtx {
@@ -417,16 +442,30 @@ fn execute_in_unchecked(
     }
     env.store.finalize(finished_at);
 
-    let d = driver.borrow();
-    WorkflowReport {
+    // Names are allocated only now, after the event loop. Built while it
+    // ran, long-lived name strings interleave with the loop's short-lived
+    // allocations and fragment the heap: at 100k tasks every later layer,
+    // DAG build included, measured about 20% slower.
+    let (mut tasks, completed) = {
+        let mut d = driver.borrow_mut();
+        (
+            std::mem::take(&mut d.reports),
+            std::mem::take(&mut d.completed),
+        )
+    };
+    for (report, &r) in tasks.iter_mut().zip(&completed) {
+        report.name = workflow.task(r).name.clone();
+    }
+    let report = WorkflowReport {
         workflow: workflow.name.clone(),
         strategy: strategy.into(),
         cluster_nodes: if used_cluster { cfg.cluster.nodes } else { 0 },
         makespan_secs: finished_at.as_secs(),
         expense: env.meter.expense(cfg.provider.storage.price_per_gb_month),
         plan: final_plan,
-        tasks: d.reports.clone(),
-    }
+        tasks,
+    };
+    (report, completed)
 }
 
 fn run_phase(sim: &mut Simulation, driver: Shared<Driver>, phase_idx: usize) {
@@ -536,7 +575,7 @@ pub(crate) fn input_requests(w: &Workflow, r: TaskRef) -> u64 {
 }
 
 fn spawn_serverless(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef) {
-    let (spec, handles, faas) = {
+    let (spec, store, seeds, faas) = {
         let d = driver.borrow();
         let w = &d.workflow;
         let t = w.task(r);
@@ -568,42 +607,30 @@ fn spawn_serverless(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef) {
             memory_gb: t.profile.memory_gb,
             checkpoint_margin_secs: d.cfg.margin_for(t.profile.checkpoint_bytes),
         };
-        (spec, d.env_handles.clone(), d.faas_for_task(r).clone())
+        trace_task_start(&d, sim.now(), r, "serverless");
+        (
+            spec,
+            d.env_handles.store.clone(),
+            d.env_handles.seeds,
+            d.faas_for_task(r).clone(),
+        )
     };
     let driver2 = driver.clone();
-    let task_name = driver.borrow().workflow.task(r).name.clone();
-    {
-        let d = driver.borrow();
-        // Build the event only when recording: the strings it carries are
-        // per-task heap churn at million-task scale.
-        if d.tracer.is_on() {
-            d.tracer.emit(
-                sim.now(),
-                TraceEvent::TaskStart {
-                    task: task_name.clone(),
-                    phase: r.phase,
-                    platform: "serverless".into(),
-                    components: spec.components,
-                },
-            );
-        }
-    }
-    let store = handles.store.clone();
-    let seeds = handles.seeds;
+    let store2 = store.clone();
     mashup_cloud::run_task_on_faas(sim, &faas, &store, spec, &seeds, move |sim, stats| {
-        let (components, output_bytes) = {
+        let (components, key, bytes) = {
             let d = driver2.borrow();
             let t = d.workflow.task(r);
-            (t.components, t.profile.output_bytes)
+            (
+                t.components,
+                output_key(&t.name),
+                t.components as f64 * t.profile.output_bytes,
+            )
         };
         // Serverless outputs always live in the store.
-        handles.store.register_object(
-            sim.now(),
-            output_key(&task_name),
-            components as f64 * output_bytes,
-        );
+        store2.register_object(sim.now(), key, bytes);
         let report = TaskReport {
-            name: task_name.clone(),
+            name: String::new(),
             platform: Platform::Serverless,
             phase: r.phase,
             components,
@@ -622,7 +649,7 @@ fn spawn_serverless(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef) {
 }
 
 fn spawn_on_cluster(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef, subcluster: usize) {
-    let (spec, handles, to_store) = {
+    let (spec, cluster, store, to_store) = {
         let d = driver.borrow();
         let w = &d.workflow;
         let t = w.task(r);
@@ -670,41 +697,33 @@ fn spawn_on_cluster(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef, s
             output,
             subcluster,
         };
-        (spec, d.env_handles.clone(), to_store)
+        trace_task_start(&d, sim.now(), r, "vm");
+        (
+            spec,
+            d.env_handles.cluster.clone(),
+            d.env_handles.store.clone(),
+            to_store,
+        )
     };
     let driver2 = driver.clone();
-    let task_name = driver.borrow().workflow.task(r).name.clone();
-    {
-        let d = driver.borrow();
-        if d.tracer.is_on() {
-            d.tracer.emit(
-                sim.now(),
-                TraceEvent::TaskStart {
-                    task: task_name.clone(),
-                    phase: r.phase,
-                    platform: "vm".into(),
-                    components: spec.components,
-                },
-            );
-        }
-    }
-    let store = handles.store.clone();
-    let cluster = handles.cluster.clone();
-    cluster.run_task(sim, Some(&handles.store), spec, move |sim, stats| {
-        let (components, output_bytes) = {
+    let store2 = store.clone();
+    cluster.run_task(sim, Some(&store), spec, move |sim, stats| {
+        let (components, upload) = {
             let d = driver2.borrow();
             let t = d.workflow.task(r);
-            (t.components, t.profile.output_bytes)
+            let upload = to_store.then(|| {
+                (
+                    output_key(&t.name),
+                    t.components as f64 * t.profile.output_bytes,
+                )
+            });
+            (t.components, upload)
         };
-        if to_store {
-            store.register_object(
-                sim.now(),
-                output_key(&task_name),
-                components as f64 * output_bytes,
-            );
+        if let Some((key, bytes)) = upload {
+            store2.register_object(sim.now(), key, bytes);
         }
         let report = TaskReport {
-            name: task_name.clone(),
+            name: String::new(),
             platform: Platform::VmCluster,
             phase: r.phase,
             components,
@@ -722,6 +741,23 @@ fn spawn_on_cluster(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef, s
     });
 }
 
+/// Records a task's start; builds the event (and its name copy) only when
+/// a recorder is attached.
+fn trace_task_start(d: &Driver, now: SimTime, r: TaskRef, platform: &str) {
+    if d.tracer.is_on() {
+        let t = d.workflow.task(r);
+        d.tracer.emit(
+            now,
+            TraceEvent::TaskStart {
+                task: t.name.clone(),
+                phase: r.phase,
+                platform: platform.into(),
+                components: t.components,
+            },
+        );
+    }
+}
+
 fn finish_task(sim: &mut Simulation, driver: Shared<Driver>, r: TaskRef, report: TaskReport) {
     let next_phase = {
         let mut d = driver.borrow_mut();
@@ -729,11 +765,12 @@ fn finish_task(sim: &mut Simulation, driver: Shared<Driver>, r: TaskRef, report:
             d.tracer.emit(
                 sim.now(),
                 TraceEvent::TaskEnd {
-                    task: report.name.clone(),
+                    task: d.workflow.task(r).name.clone(),
                 },
             );
         }
         d.reports.push(report);
+        d.completed.push(r);
         d.remaining_in_phase -= 1;
         if d.remaining_in_phase == 0 {
             Some(r.phase + 1)
@@ -825,12 +862,10 @@ fn phase_envelope_secs(d: &Driver, phase_idx: usize) -> f64 {
     };
     let nodes = d.cfg.cluster.nodes.max(1) as f64;
     let planned = ctx.planned_nodes.max(1) as f64;
-    let arena = d.workflow.arena();
     let mut envelope: f64 = 0.0;
     for ti in 0..d.workflow.phases[phase_idx].tasks.len() {
         let r = TaskRef::new(phase_idx, ti);
-        let Some(flat) = arena.flat(r) else { continue };
-        let dec = &baseline.decisions[flat];
+        let dec = &baseline.decisions[d.flat(r)];
         let expected = match d.plan.platform(r) {
             Ok(Platform::Serverless) if dec.t_serverless_est_secs.is_finite() => {
                 dec.t_serverless_est_secs

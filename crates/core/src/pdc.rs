@@ -32,7 +32,7 @@
 
 use crate::cache::{PhaseProfileEntry, PlanCache, ProbeEntry, VmProfileEntry};
 use crate::config::{tier_key, CloudEnv, MashupConfig, Sizing};
-use crate::exec::execute_in;
+use crate::exec::{execute_in_unchecked, phase_bases};
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::placement::{PlacementPlan, Platform};
 use mashup_cloud::{
@@ -168,15 +168,19 @@ impl Pdc {
     }
 
     /// Records whether a memoized profiling stage was served from the cache
-    /// (`compute` never ran) or computed fresh.
-    fn trace_cache(&self, section: &str, computed: bool) {
-        self.tracer.emit(
-            SimTime::ZERO,
-            TraceEvent::PdcCache {
-                section: section.to_string(),
-                hit: !computed,
-            },
-        );
+    /// (`compute` never ran) or computed fresh. The section name is only
+    /// formatted when a recorder is attached: a cold 100k-task decide
+    /// would otherwise build 100k dead probe labels.
+    fn trace_cache(&self, section: std::fmt::Arguments<'_>, computed: bool) {
+        if self.tracer.is_on() {
+            self.tracer.emit(
+                SimTime::ZERO,
+                TraceEvent::PdcCache {
+                    section: section.to_string(),
+                    hit: !computed,
+                },
+            );
+        }
     }
 
     /// Builder-style: changes the optimization objective.
@@ -278,7 +282,7 @@ impl Pdc {
                     computed.set(true);
                     self.run_vm_profile(workflow)
                 });
-                self.trace_cache("vm-profile", computed.get());
+                self.trace_cache(format_args!("vm-profile"), computed.get());
                 v
             }
             None => self.run_vm_profile(workflow),
@@ -328,7 +332,7 @@ impl Pdc {
                     computed.set(true);
                     calibrate(&self.cfg)
                 });
-                self.trace_cache("calibration", computed.get());
+                self.trace_cache(format_args!("calibration"), computed.get());
                 f
             }
             None => calibrate(&self.cfg),
@@ -376,7 +380,7 @@ impl Pdc {
                     self.run_probe(workflow, r, &faas_cfg)
                 });
                 let ident = self.probe_identity(t).unwrap_or(&t.name);
-                self.trace_cache(&format!("probe:{ident}"), computed.get());
+                self.trace_cache(format_args!("probe:{ident}"), computed.get());
                 p
             }
             None => self.run_probe(workflow, r, &faas_cfg),
@@ -792,9 +796,18 @@ impl Pdc {
     /// split (seed-offset so profiling does not share jitter draws with
     /// production runs) — the PDC keeps the best VM configuration as the
     /// cluster-side baseline (§3 "Optimal VM configuration").
+    ///
+    /// Per-run work happens once: the analyzer checks the first pass only
+    /// (the passes differ only in `cluster.subclusters`, which this loop
+    /// keeps within `1..=nodes`, the one M3xx bound that reads it), and
+    /// every pass shares one copy of the workflow.
+    ///
+    /// Panics when the analyzer refuses the inputs, with the message
+    /// [`try_execute_in`](crate::try_execute_in) would have returned.
     fn run_vm_profile(&self, workflow: &Workflow) -> VmProfileEntry {
         let mut expense = Expense::default();
         let vm_plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
+        let shared_workflow = Arc::new(workflow.clone());
         let mut best: Option<(usize, crate::report::WorkflowReport)> = None;
         // Per-task best VM time across the splits, indexed by flat task id
         // (phase-major, matching `Workflow::task_refs`): a task's
@@ -802,23 +815,29 @@ impl Pdc {
         // gives it (§3 "Mashup recognizes the most optimal VM
         // configuration") — the all-in-one run can be polluted by
         // co-scheduled siblings thrashing the same nodes.
-        let arena = workflow.arena();
         let mut best_task_vm = vec![f64::INFINITY; workflow.task_count()];
+        let phase_base = phase_bases(workflow);
         for k in [1usize, 2, 4] {
             if k > self.cfg.cluster.nodes {
                 continue;
             }
             let tuned = self.cfg.clone().with_subclusters(k);
+            if k == 1 {
+                crate::analysis::preflight(&tuned, workflow, Some(&vm_plan))
+                    .unwrap_or_else(|e| panic!("{e}"));
+            }
             let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-            let report = execute_in(&mut env, &tuned, workflow, &vm_plan, "pdc-profiling");
+            let (report, completed) = execute_in_unchecked(
+                &mut env,
+                &tuned,
+                &shared_workflow,
+                &vm_plan,
+                None,
+                "pdc-profiling",
+            );
             add_expense(&mut expense, &report.expense);
-            for t in &report.tasks {
-                let flat = arena
-                    .flat_by_name(&t.name)
-                    // The profiling passes execute every task exactly once,
-                    // and task names are unique (diagnostic M106).
-                    .expect("profiled task exists in the workflow");
-                let e = &mut best_task_vm[flat];
+            for (t, r) in report.tasks.iter().zip(&completed) {
+                let e = &mut best_task_vm[phase_base[r.phase] + r.task];
                 *e = e.min(t.makespan_secs());
             }
             // Hysteresis: a finer split must be clearly (≥5 %) better —
@@ -988,7 +1007,7 @@ impl Pdc {
                     computed.set(true);
                     self.run_phase_profile(workflow, phase_idx)
                 });
-                self.trace_cache(&format!("phase-profile:{phase_idx}"), computed.get());
+                self.trace_cache(format_args!("phase-profile:{phase_idx}"), computed.get());
                 e
             }
             None => self.run_phase_profile(workflow, phase_idx),
