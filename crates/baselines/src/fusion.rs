@@ -10,7 +10,9 @@
 //! baseline). It is the "fusion fixes serverless" counterpoint the Pareto
 //! search measures hybrid placement against.
 
-use mashup_core::{execute_traced, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport};
+use mashup_core::{
+    try_execute_with, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport,
+};
 use mashup_dag::{fusable_pairs, fuse, FusionCandidate, TaskRef, Workflow};
 
 /// Applies fusion rewrites greedily until none remain: each round picks a
@@ -49,40 +51,24 @@ pub fn maximal_fusion(workflow: &Workflow) -> Workflow {
 }
 
 /// Runs the maximally fused workflow entirely on the serverless platform.
-///
-/// Panics if any fused task's memory footprint exceeds the function cap —
-/// such a workflow has no serverless fusion execution at all.
-pub fn run_fusion(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_fusion_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_fusion`] with a flight recorder attached.
-pub fn run_fusion_traced(
+/// A fused task whose memory footprint exceeds the function cap is refused
+/// (diagnostic M203): such a workflow has no serverless fusion execution.
+pub(crate) fn run(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
+) -> Result<WorkflowReport, AnalysisError> {
     let mut cfg = cfg.clone();
     cfg.prewarm = false;
-    let cfg = &cfg;
     let fused = maximal_fusion(workflow);
-    for r in fused.task_refs() {
-        let t = fused.task(r);
-        assert!(
-            t.profile.memory_gb <= cfg.provider.faas.memory_gb,
-            "task '{}' cannot run the fusion baseline: {} GiB exceeds the {} GiB cap",
-            t.name,
-            t.profile.memory_gb,
-            cfg.provider.faas.memory_gb
-        );
-    }
     let plan = PlacementPlan::uniform(&fused, Platform::Serverless);
-    execute_traced(cfg, &fused, &plan, "fusion", tracer)
+    try_execute_with(&cfg, &fused, &plan, None, "fusion", tracer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
     use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
 
     /// A→B→C pipeline (collapses to one task) plus a fan-out D that stays.
@@ -142,14 +128,14 @@ mod tests {
     fn fusion_run_bills_no_vm_and_beats_plain_serverless_io() {
         let cfg = MashupConfig::aws(4);
         let w = wf();
-        let fused = run_fusion(&cfg, &w);
+        let fused = crate::run_untraced(Strategy::Fusion, &cfg, &w);
         assert_eq!(fused.expense.vm_dollars, 0.0);
         assert!(fused.expense.faas_dollars > 0.0);
         assert_eq!(fused.strategy, "fusion");
         // The fused run moves less data through the store than the plain
         // serverless run (A→B's 8 × 2e8 B intermediate never leaves
         // function memory), so it spends less wall time on I/O.
-        let plain = crate::run_serverless_only(&cfg, &w);
+        let plain = crate::run_untraced(Strategy::ServerlessOnly, &cfg, &w);
         let io = |r: &WorkflowReport| r.tasks.iter().map(|t| t.io_secs).sum::<f64>();
         assert!(io(&fused) < io(&plain), "{} vs {}", io(&fused), io(&plain));
     }
@@ -158,8 +144,8 @@ mod tests {
     fn traced_run_matches_untraced() {
         let cfg = MashupConfig::aws(4);
         let tracer = Tracer::new();
-        let traced = run_fusion_traced(&cfg, &wf(), &tracer);
-        let untraced = run_fusion(&cfg, &wf());
+        let traced = run(&cfg, &wf(), &tracer).expect("clean inputs");
+        let untraced = crate::run_untraced(Strategy::Fusion, &cfg, &wf());
         assert_eq!(traced, untraced);
         assert!(!tracer.take().is_empty());
     }

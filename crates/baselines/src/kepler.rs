@@ -11,7 +11,8 @@
 
 use mashup_cloud::ClusterTaskSpec;
 use mashup_core::{
-    CloudEnv, MashupConfig, PlacementPlan, Platform, TaskReport, TraceEvent, Tracer, WorkflowReport,
+    preflight, AnalysisError, CloudEnv, MashupConfig, PlacementPlan, Platform, TaskReport,
+    TraceEvent, Tracer, WorkflowReport,
 };
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{shared, Shared};
@@ -34,18 +35,17 @@ struct Driver {
     tracer: Tracer,
 }
 
-/// Runs the workflow with dataflow-fired task scheduling on the cluster.
-pub fn run_kepler(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_kepler_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_kepler`] with a flight recorder attached to the environment and
-/// the dataflow driver (task start/end events carry the firing order).
-pub fn run_kepler_traced(
+/// Runs the workflow with dataflow-fired task scheduling on the cluster,
+/// recording into `tracer` (task start/end events carry the firing order).
+/// Kepler has no executor entry of its own, so it checks its all-VM plan
+/// before it builds an environment.
+pub(crate) fn run(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
+) -> Result<WorkflowReport, AnalysisError> {
+    let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
+    preflight(cfg, workflow, Some(&plan))?;
     let mut env = CloudEnv::new(cfg);
     env.attach_tracer(tracer.clone());
     env.cluster.start_billing(env.sim.now());
@@ -85,15 +85,15 @@ pub fn run_kepler_traced(
     env.store.finalize(finished_at);
 
     let d = driver.borrow();
-    WorkflowReport {
+    Ok(WorkflowReport {
         workflow: workflow.name.clone(),
         strategy: "kepler".into(),
         cluster_nodes: cfg.cluster.nodes,
         makespan_secs: finished_at.as_secs(),
         expense: env.meter.expense(cfg.provider.storage.price_per_gb_month),
-        plan: PlacementPlan::uniform(workflow, Platform::VmCluster),
+        plan,
         tasks: d.reports.clone(),
-    }
+    })
 }
 
 fn spawn(sim: &mut mashup_sim::Simulation, driver: Shared<Driver>, r: TaskRef) {
@@ -186,6 +186,7 @@ fn spawn(sim: &mut mashup_sim::Simulation, driver: Shared<Driver>, r: TaskRef) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
     use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
 
     /// Phase 1 has a fast task A and a slow task B; phase 2's C depends
@@ -211,8 +212,8 @@ mod tests {
     fn kepler_pipelines_across_phase_barriers() {
         let w = pipelined_workflow();
         let cfg = MashupConfig::aws(4);
-        let kepler = run_kepler(&cfg, &w);
-        let traditional = crate::traditional::run_traditional(&cfg, &w);
+        let kepler = crate::run_untraced(Strategy::Kepler, &cfg, &w);
+        let traditional = crate::run_untraced(Strategy::Traditional, &cfg, &w);
         // Kepler: after-fast starts at 5 s, everything done at 100 s.
         // Traditional: after-fast starts at 100 s, done at 150 s.
         assert!(
@@ -228,7 +229,7 @@ mod tests {
     #[test]
     fn kepler_respects_dependencies() {
         let w = pipelined_workflow();
-        let r = run_kepler(&MashupConfig::aws(4), &w);
+        let r = crate::run_untraced(Strategy::Kepler, &MashupConfig::aws(4), &w);
         let fast = r.task("fast").expect("exists");
         let after = r.task("after-fast").expect("exists");
         assert!(after.start_secs >= fast.end_secs - 1e-9);
@@ -238,7 +239,7 @@ mod tests {
     #[test]
     fn kepler_bills_vm_only() {
         let w = pipelined_workflow();
-        let r = run_kepler(&MashupConfig::aws(4), &w);
+        let r = crate::run_untraced(Strategy::Kepler, &MashupConfig::aws(4), &w);
         assert!(r.expense.vm_dollars > 0.0);
         assert_eq!(r.expense.faas_dollars, 0.0);
         assert_eq!(r.expense.storage_dollars, 0.0);

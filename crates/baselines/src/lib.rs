@@ -1,22 +1,29 @@
 //! # mashup-baselines
 //!
 //! The competing techniques of the paper's §4, implemented on the same
-//! simulated substrates as Mashup:
+//! simulated substrates as Mashup, and the one registry that runs them all:
+//! [`Strategy`]. Its [`Strategy::run`] is the only place a strategy is
+//! dispatched:
 //!
-//! * [`run_traditional`] / [`run_traditional_tuned`] — the traditional
-//!   VM-cluster execution (the latter with the paper's sub-cluster-split
-//!   strengthening);
-//! * [`run_serverless_only`] — everything on FaaS with checkpointing;
-//! * [`run_pegasus`] — Pegasus-like: task clustering + data reuse on VMs;
-//! * [`run_kepler`] — Kepler-like: dataflow-fired task pipelining on VMs;
-//! * [`run_fusion`] — Costless-like: greedy function fusion to a fixpoint
-//!   ([`maximal_fusion`]), then everything on FaaS.
+//! * [`Strategy::Traditional`] / [`Strategy::TraditionalTuned`] — the
+//!   traditional VM-cluster execution (the latter with the paper's
+//!   sub-cluster-split strengthening);
+//! * [`Strategy::ServerlessOnly`] — everything on FaaS with checkpointing;
+//! * [`Strategy::Pegasus`] — Pegasus-like: task clustering
+//!   ([`cluster_tasks`]) + data reuse on VMs;
+//! * [`Strategy::Kepler`] — Kepler-like: dataflow-fired task pipelining on
+//!   VMs;
+//! * [`Strategy::Fusion`] — Costless-like: greedy function fusion to a
+//!   fixpoint ([`maximal_fusion`]), then everything on FaaS;
+//! * [`Strategy::MashupWithoutPdc`] and [`Strategy::Mashup`] — the paper's
+//!   system without and with its Placement Decision Controller.
 //!
-//! All of them return the same [`mashup_core::WorkflowReport`] as Mashup, so
-//! the bench harness compares them uniformly. Every baseline also has a
-//! `*_traced` variant that records the execution into a
-//! [`mashup_core::Tracer`] flight recorder — the traced run is always
-//! byte-identical to the untraced one.
+//! Every strategy returns the same [`mashup_core::WorkflowReport`], so the
+//! bench harness and the CLI compare them uniformly, and records into the
+//! [`mashup_core::Tracer`] it is given — a traced run is always
+//! byte-identical to an untraced one. Inputs the analyzer refuses come
+//! back as a typed [`mashup_core::AnalysisError`] before any environment is
+//! built.
 
 #![warn(missing_docs)]
 
@@ -24,12 +31,21 @@ mod fusion;
 mod kepler;
 mod pegasus;
 mod serverless_only;
+mod strategy;
 mod traditional;
 
-pub use fusion::{maximal_fusion, run_fusion, run_fusion_traced};
-pub use kepler::{run_kepler, run_kepler_traced};
-pub use pegasus::{cluster_tasks, run_pegasus, run_pegasus_traced};
-pub use serverless_only::{run_serverless_only, run_serverless_only_traced};
-pub use traditional::{
-    run_traditional, run_traditional_traced, run_traditional_tuned, run_traditional_tuned_traced,
-};
+pub use fusion::maximal_fusion;
+pub use pegasus::cluster_tasks;
+pub use strategy::Strategy;
+
+/// Runs `strategy` unrecorded and uncached on inputs a test knows are clean.
+#[cfg(test)]
+fn run_untraced(
+    strategy: Strategy,
+    cfg: &mashup_core::MashupConfig,
+    workflow: &mashup_dag::Workflow,
+) -> mashup_core::WorkflowReport {
+    strategy
+        .run(cfg, workflow, &mashup_core::Tracer::off(), None)
+        .expect("clean inputs")
+}

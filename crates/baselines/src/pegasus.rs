@@ -17,7 +17,9 @@
 //! paper notes both incur similar overhead, so reports exclude it for every
 //! engine alike. It is serverless-agnostic: everything runs on the cluster.
 
-use mashup_core::{execute_traced, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport};
+use mashup_core::{
+    try_execute_with, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport,
+};
 use mashup_dag::{DependencyPattern, Task, TaskDep, Workflow};
 
 /// Target duration of a clustered job, seconds. Groups of short components
@@ -123,28 +125,24 @@ fn group_size(compute_secs: f64, components: usize, max_parallel: usize) -> usiz
 }
 
 /// Runs the Pegasus-like engine: clustering transform, then VM execution.
-pub fn run_pegasus(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_pegasus_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_pegasus`] with a flight recorder attached. Clustered jobs keep
-/// their task names, so the trace's task events line up with the original
-/// workflow.
-pub fn run_pegasus_traced(
+/// Clustered jobs keep their task names, so a trace's task events line up
+/// with the original workflow.
+pub(crate) fn run(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
+) -> Result<WorkflowReport, AnalysisError> {
     let clustered = cluster_tasks(workflow, cfg.cluster.total_slots());
     let plan = PlacementPlan::uniform(&clustered, Platform::VmCluster);
-    let mut report = execute_traced(cfg, &clustered, &plan, "pegasus", tracer);
+    let mut report = try_execute_with(cfg, &clustered, &plan, None, "pegasus", tracer)?;
     report.workflow = workflow.name.clone();
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
     use mashup_dag::{TaskProfile, TaskRef, WorkflowBuilder};
 
     fn short_wide_workflow() -> Workflow {
@@ -201,8 +199,8 @@ mod tests {
     fn pegasus_beats_plain_traditional_on_short_wide_tasks() {
         let w = short_wide_workflow();
         let cfg = MashupConfig::aws(4);
-        let plain = crate::traditional::run_traditional(&cfg, &w);
-        let pegasus = run_pegasus(&cfg, &w);
+        let plain = crate::run_untraced(Strategy::Traditional, &cfg, &w);
+        let pegasus = crate::run_untraced(Strategy::Pegasus, &cfg, &w);
         assert!(
             pegasus.makespan_secs <= plain.makespan_secs + 1e-9,
             "pegasus {} vs plain {}",

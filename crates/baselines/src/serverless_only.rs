@@ -7,48 +7,33 @@
 //!
 //! Tasks whose memory footprint physically cannot fit a function are the
 //! one exception — the paper's evaluation workflows fit 3 GB Lambdas, and
-//! [`run_serverless_only`] asserts the same so an impossible configuration
-//! fails loudly instead of silently falling back.
+//! [`run`] refuses any that does not (diagnostic M203) instead of silently
+//! falling back to a VM.
 
-use mashup_core::{execute_traced, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport};
+use mashup_core::{
+    try_execute_with, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport,
+};
 use mashup_dag::Workflow;
 
 /// Runs the workflow entirely on the serverless platform.
-///
-/// Panics if any task's memory footprint exceeds the function cap — such a
-/// workflow has no serverless-only execution at all.
-pub fn run_serverless_only(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_serverless_only_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_serverless_only`] with a flight recorder attached.
-pub fn run_serverless_only_traced(
+pub(crate) fn run(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
+) -> Result<WorkflowReport, AnalysisError> {
     // Pre-warming is one of Mashup's §3 mitigations, not part of the naive
     // serverless-only baseline: functions here pay their cold starts.
     let mut cfg = cfg.clone();
     cfg.prewarm = false;
-    let cfg = &cfg;
-    for r in workflow.task_refs() {
-        let t = workflow.task(r);
-        assert!(
-            t.profile.memory_gb <= cfg.provider.faas.memory_gb,
-            "task '{}' cannot run serverless-only: {} GiB exceeds the {} GiB cap",
-            t.name,
-            t.profile.memory_gb,
-            cfg.provider.faas.memory_gb
-        );
-    }
     let plan = PlacementPlan::uniform(workflow, Platform::Serverless);
-    execute_traced(cfg, workflow, &plan, "serverless-only", tracer)
+    try_execute_with(&cfg, workflow, &plan, None, "serverless-only", tracer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
+    use mashup_core::Code;
     use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, WorkflowBuilder};
 
     fn wf(long: bool) -> Workflow {
@@ -69,7 +54,7 @@ mod tests {
 
     #[test]
     fn bills_only_faas_and_storage() {
-        let r = run_serverless_only(&MashupConfig::aws(4), &wf(false));
+        let r = crate::run_untraced(Strategy::ServerlessOnly, &MashupConfig::aws(4), &wf(false));
         assert_eq!(r.expense.vm_dollars, 0.0);
         assert!(r.expense.faas_dollars > 0.0);
         assert!(r.expense.storage_dollars > 0.0);
@@ -78,7 +63,7 @@ mod tests {
 
     #[test]
     fn over_cap_tasks_checkpoint() {
-        let r = run_serverless_only(&MashupConfig::aws(4), &wf(true));
+        let r = crate::run_untraced(Strategy::ServerlessOnly, &MashupConfig::aws(4), &wf(true));
         let a = r.task("a").expect("exists");
         // 2000 s of compute per component crosses the 900 s cap at least
         // twice per component.
@@ -86,10 +71,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot run serverless-only")]
-    fn oversized_memory_panics() {
+    fn oversized_memory_is_refused() {
         let mut w = wf(false);
         w.phases[0].tasks[0].profile.memory_gb = 32.0;
-        run_serverless_only(&MashupConfig::aws(4), &w);
+        let err = run(&MashupConfig::aws(4), &w, &Tracer::off()).unwrap_err();
+        assert!(err.errors().all(|d| d.code == Code::FaasMemoryExceeded));
+        assert_eq!(err.errors().count(), 1);
     }
 }

@@ -8,69 +8,66 @@
 //! The paper strengthens this baseline with insider knowledge: "two
 //! clusters each of half-size might yield better execution time results...
 //! we utilized this information to make the traditional VM-based cluster
-//! approach more competitive." [`run_traditional_tuned`] reproduces that by
-//! searching over sub-cluster splits and keeping the best.
+//! approach more competitive." [`run_tuned`] reproduces that by searching
+//! over sub-cluster splits and keeping the best.
 
-use mashup_core::{execute_traced, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport};
+use mashup_core::{
+    try_execute_with, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport,
+};
 use mashup_dag::Workflow;
 
 /// Runs the workflow entirely on the configured VM cluster.
-pub fn run_traditional(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_traditional_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_traditional`] with a flight recorder attached to the execution.
-pub fn run_traditional_traced(
+pub(crate) fn run(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
+) -> Result<WorkflowReport, AnalysisError> {
     let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
-    execute_traced(cfg, workflow, &plan, "traditional", tracer)
+    try_execute_with(cfg, workflow, &plan, None, "traditional", tracer)
 }
 
-/// Runs the traditional baseline under each sub-cluster split in `splits`
-/// (clamped to the node count) and returns the best-makespan report — the
-/// paper's strengthened baseline.
-pub fn run_traditional_tuned(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_traditional_tuned_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_traditional_tuned`] with a flight recorder. The split search runs
-/// unrecorded (its rejected candidates are not part of the chosen
-/// execution); the winning split is re-run traced, which — execution being
-/// deterministic — reproduces the winning report exactly.
-pub fn run_traditional_tuned_traced(
+/// Runs the traditional baseline under each sub-cluster split that fits
+/// the node count and returns the best-makespan report — the paper's
+/// strengthened baseline. The single-cluster split always runs, so a
+/// refused input returns its refusal.
+///
+/// The split search runs unrecorded (its rejected candidates are not part
+/// of the chosen execution); the winning split is re-run traced, which —
+/// execution being deterministic — reproduces the winning report exactly.
+pub(crate) fn run_tuned(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
-    let mut best: Option<(usize, WorkflowReport)> = None;
-    for k in [1usize, 2, 4] {
+) -> Result<WorkflowReport, AnalysisError> {
+    // Sets the field directly: the analyzer, not an assertion, refuses a
+    // split the cluster cannot hold.
+    let split = |k: usize| {
+        let mut tuned = cfg.clone();
+        tuned.cluster.subclusters = k;
+        tuned
+    };
+    let mut best = (1, run(&split(1), workflow, &Tracer::off())?);
+    for k in [2usize, 4] {
         if k > cfg.cluster.nodes {
-            continue;
+            break;
         }
-        let tuned = cfg.clone().with_subclusters(k);
-        let report = run_traditional(&tuned, workflow);
+        let report = run(&split(k), workflow, &Tracer::off())?;
         // Same hysteresis as the PDC: a finer split must clearly win.
-        let better = match &best {
-            None => true,
-            Some((_, b)) => report.makespan_secs < b.makespan_secs * 0.95,
-        };
-        if better {
-            best = Some((k, report));
+        if report.makespan_secs < best.1.makespan_secs * 0.95 {
+            best = (k, report);
         }
     }
-    let (k, report) = best.expect("at least the single-cluster split always runs");
+    let (k, report) = best;
     if !tracer.is_on() {
-        return report;
+        return Ok(report);
     }
-    run_traditional_traced(&cfg.clone().with_subclusters(k), workflow, tracer)
+    run(&split(k), workflow, tracer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
     use mashup_dag::{Task, TaskProfile, WorkflowBuilder};
 
     fn contended_workflow() -> Workflow {
@@ -93,7 +90,7 @@ mod tests {
     #[test]
     fn traditional_never_touches_serverless() {
         let w = contended_workflow();
-        let r = run_traditional(&MashupConfig::aws(4), &w);
+        let r = crate::run_untraced(Strategy::Traditional, &MashupConfig::aws(4), &w);
         assert_eq!(r.expense.faas_dollars, 0.0);
         assert_eq!(r.expense.storage_dollars, 0.0);
         assert_eq!(r.plan.count(Platform::Serverless), 0);
@@ -103,8 +100,8 @@ mod tests {
     fn tuned_baseline_is_at_least_as_good() {
         let w = contended_workflow();
         let cfg = MashupConfig::aws(4);
-        let plain = run_traditional(&cfg, &w);
-        let tuned = run_traditional_tuned(&cfg, &w);
+        let plain = crate::run_untraced(Strategy::Traditional, &cfg, &w);
+        let tuned = crate::run_untraced(Strategy::TraditionalTuned, &cfg, &w);
         assert!(tuned.makespan_secs <= plain.makespan_secs + 1e-9);
     }
 
@@ -112,8 +109,9 @@ mod tests {
     fn split_helps_master_contended_workflows() {
         let w = contended_workflow();
         let cfg = MashupConfig::aws(4);
-        let single = run_traditional(&cfg, &w);
-        let split = run_traditional(&cfg.clone().with_subclusters(2), &w);
+        let single = crate::run_untraced(Strategy::Traditional, &cfg, &w);
+        let split =
+            crate::run_untraced(Strategy::Traditional, &cfg.clone().with_subclusters(2), &w);
         assert!(
             split.makespan_secs < single.makespan_secs,
             "split {} vs single {}",

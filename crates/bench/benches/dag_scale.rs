@@ -126,7 +126,9 @@ fn bench_simulate(c: &mut Criterion) {
         let w = scale::workflow(Shape::FanOut, n);
         let plan = plan_without_pdc(&cfg, &w);
         c.bench_function(&format!("dag_scale/simulate_fanout_{tier}"), |b| {
-            b.iter(|| black_box(mashup_core::execute(&cfg, &w, &plan, "dag-scale")))
+            b.iter(|| {
+                black_box(mashup_core::try_execute(&cfg, &w, &plan, "dag-scale").expect("clean"))
+            })
         });
     }
 }

@@ -4,10 +4,17 @@
 
 use crate::strategies::{run_strategy, Strategy};
 use crate::table::{pct, Table};
-use mashup_core::{execute, improvement_pct, MashupConfig, PlacementPlan, Platform};
+use mashup_core::{
+    improvement_pct, try_execute, MashupConfig, PlacementPlan, Platform, WorkflowReport,
+};
 use mashup_dag::{Task, TaskProfile, Workflow, WorkflowBuilder};
 use mashup_workflows::{epigenomics, srasearch};
 use serde::Serialize;
+
+/// Executes a fixed plan; every ablation builds inputs the analyzer accepts.
+fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, label: &str) -> WorkflowReport {
+    try_execute(cfg, w, plan, label).unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// One ablation row: the design choice on vs off.
 #[derive(Debug, Clone, Serialize)]
@@ -152,7 +159,7 @@ fn ablate_warm_family() -> Vec<AblationRow> {
     cfg.prewarm = false; // isolate the family-reuse effect
     let with = execute(&cfg, &shared, &plan_for(&shared), "family-shared");
     let without = execute(&cfg, &split, &plan_for(&split), "family-split");
-    let cold = |r: &mashup_core::WorkflowReport| r.task("Mapmerge2").expect("ran").n_cold as f64;
+    let cold = |r: &WorkflowReport| r.task("Mapmerge2").expect("ran").n_cold as f64;
     vec![AblationRow {
         mechanism: "code-family warm reuse (Mapmerge2 cold starts)".into(),
         workload: shared.name.clone(),

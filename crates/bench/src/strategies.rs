@@ -1,61 +1,10 @@
-//! Uniform access to every execution strategy under comparison.
+//! Uniform access to every execution strategy under comparison: the
+//! [`Strategy`] registry of `mashup-baselines`, with the harness's plan
+//! cache and trace directory applied.
 
-use mashup_baselines::{
-    run_fusion_traced, run_kepler_traced, run_pegasus_traced, run_serverless_only_traced,
-    run_traditional_traced, run_traditional_tuned_traced,
-};
-use mashup_core::{Mashup, MashupConfig, Tracer, WorkflowReport};
+pub use mashup_baselines::Strategy;
+use mashup_core::{MashupConfig, Tracer, WorkflowReport};
 use mashup_dag::Workflow;
-use serde::{Deserialize, Serialize};
-
-/// Every execution strategy the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Strategy {
-    /// Plain all-VM phase-ordered execution.
-    Traditional,
-    /// All-VM with the paper's sub-cluster-split strengthening.
-    TraditionalTuned,
-    /// Everything on FaaS with checkpointing.
-    ServerlessOnly,
-    /// Costless-like greedy function fusion, then everything on FaaS.
-    Fusion,
-    /// Pegasus-like: task clustering + data reuse on VMs.
-    Pegasus,
-    /// Kepler-like: dataflow-fired pipelining on VMs.
-    Kepler,
-    /// Hybrid with the component-count threshold (no profiling).
-    MashupWithoutPdc,
-    /// The full system: PDC profiling + hybrid execution.
-    Mashup,
-}
-
-impl Strategy {
-    /// All strategies in presentation order.
-    pub const ALL: [Strategy; 8] = [
-        Strategy::Traditional,
-        Strategy::TraditionalTuned,
-        Strategy::ServerlessOnly,
-        Strategy::Fusion,
-        Strategy::Pegasus,
-        Strategy::Kepler,
-        Strategy::MashupWithoutPdc,
-        Strategy::Mashup,
-    ];
-
-    /// Short display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Strategy::Traditional => "traditional",
-            Strategy::TraditionalTuned => "traditional-tuned",
-            Strategy::ServerlessOnly => "serverless-only",
-            Strategy::Fusion => "fusion",
-            Strategy::Pegasus => "pegasus",
-            Strategy::Kepler => "kepler",
-            Strategy::MashupWithoutPdc => "mashup-wo-pdc",
-            Strategy::Mashup => "mashup",
-        }
-    }
-}
 
 /// Runs `strategy` on `workflow` under `cfg` and returns its report.
 ///
@@ -76,31 +25,20 @@ pub fn run_strategy(cfg: &MashupConfig, workflow: &Workflow, strategy: Strategy)
 }
 
 /// Runs `strategy` on `workflow` under `cfg`, recording the execution into
-/// `tracer` (pass `Tracer::off()` for an unrecorded run).
+/// `tracer` (pass `Tracer::off()` for an unrecorded run). Mashup memoizes
+/// its profiling in the harness's plan cache while that is enabled.
+///
+/// Panics with the analyzer's message when it refuses the inputs; the
+/// harness only runs inputs it has preflighted.
 pub fn run_strategy_traced(
     cfg: &MashupConfig,
     workflow: &Workflow,
     strategy: Strategy,
     tracer: &Tracer,
 ) -> WorkflowReport {
-    match strategy {
-        Strategy::Traditional => run_traditional_traced(cfg, workflow, tracer),
-        Strategy::TraditionalTuned => run_traditional_tuned_traced(cfg, workflow, tracer),
-        Strategy::ServerlessOnly => run_serverless_only_traced(cfg, workflow, tracer),
-        Strategy::Fusion => run_fusion_traced(cfg, workflow, tracer),
-        Strategy::Pegasus => run_pegasus_traced(cfg, workflow, tracer),
-        Strategy::Kepler => run_kepler_traced(cfg, workflow, tracer),
-        Strategy::MashupWithoutPdc => Mashup::new(cfg.clone())
-            .with_tracer(tracer.clone())
-            .run_without_pdc(workflow),
-        Strategy::Mashup => {
-            let mut engine = Mashup::new(cfg.clone()).with_tracer(tracer.clone());
-            if let Some(cache) = crate::plan_cache::plan_cache() {
-                engine = engine.with_cache(cache);
-            }
-            engine.run(workflow).report
-        }
-    }
+    strategy
+        .run(cfg, workflow, tracer, crate::plan_cache::plan_cache())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 
 use crate::cache::PlanCache;
 use crate::config::MashupConfig;
-use crate::exec::try_execute_traced;
-use crate::naive::plan_without_pdc;
+use crate::exec::try_execute_with;
 use crate::pdc::{Objective, Pdc, PdcReport};
 use crate::report::WorkflowReport;
 use mashup_analyze::AnalysisError;
@@ -103,27 +102,8 @@ impl Mashup {
         }
         let pdc = pdc.try_decide(workflow)?;
         let tuned = self.cfg.clone().with_subclusters(pdc.subclusters);
-        let report = try_execute_traced(&tuned, workflow, &pdc.plan, "mashup", &self.tracer)?;
+        let report = try_execute_with(&tuned, workflow, &pdc.plan, None, "mashup", &self.tracer)?;
         Ok(MashupOutcome { pdc, report })
-    }
-
-    /// Executes with the w/o-PDC threshold plan (paper's "Mashup w/o PDC").
-    ///
-    /// Panics when the analyzer refuses the inputs; use
-    /// [`Mashup::try_run_without_pdc`] for a typed refusal.
-    pub fn run_without_pdc(&self, workflow: &Workflow) -> WorkflowReport {
-        self.try_run_without_pdc(workflow)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Mashup::run_without_pdc`], but refuses error-diagnosed inputs
-    /// with a typed [`AnalysisError`] instead of panicking mid-simulation.
-    pub fn try_run_without_pdc(
-        &self,
-        workflow: &Workflow,
-    ) -> Result<WorkflowReport, AnalysisError> {
-        let plan = plan_without_pdc(&self.cfg, workflow);
-        try_execute_traced(&self.cfg, workflow, &plan, "mashup-wo-pdc", &self.tracer)
     }
 }
 
@@ -159,12 +139,13 @@ mod tests {
         let w = wf();
         let cfg = MashupConfig::aws(2);
         let outcome = Mashup::new(cfg.clone()).run(&w);
-        let traditional = crate::exec::execute(
+        let traditional = crate::exec::try_execute(
             &cfg,
             &w,
             &crate::placement::PlacementPlan::uniform(&w, crate::placement::Platform::VmCluster),
             "traditional",
-        );
+        )
+        .expect("clean inputs");
         // 128 components on 4 slots is wave-bound; hybrid must win.
         assert!(
             outcome.report.makespan_secs < traditional.makespan_secs,
@@ -197,16 +178,5 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.hits() > 0, "warm run must hit the cache");
         assert_eq!(stats.misses(), stats.entries());
-    }
-
-    #[test]
-    fn without_pdc_uses_threshold_plan() {
-        let w = wf();
-        let report = Mashup::new(MashupConfig::aws(2)).run_without_pdc(&w);
-        assert_eq!(report.strategy, "mashup-wo-pdc");
-        let wide = report.task("wide").expect("exists");
-        assert_eq!(wide.platform, crate::placement::Platform::Serverless);
-        let merge = report.task("merge").expect("exists");
-        assert_eq!(merge.platform, crate::placement::Platform::VmCluster);
     }
 }

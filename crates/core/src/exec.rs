@@ -160,115 +160,52 @@ struct EnvHandles {
 /// Executes `workflow` under `plan` in a fresh environment built from
 /// `cfg`, returning the full report. `strategy` labels the report.
 ///
-/// Panics when the analyzer refuses the inputs; use [`try_execute`] for a
-/// typed refusal.
-pub fn execute(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-) -> WorkflowReport {
-    try_execute(cfg, workflow, plan, strategy).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute`], but refuses error-diagnosed inputs with a typed
-/// [`AnalysisError`] instead of panicking mid-simulation.
+/// Refuses error-diagnosed inputs with a typed [`AnalysisError`] before
+/// any environment is built.
 pub fn try_execute(
     cfg: &MashupConfig,
     workflow: &Workflow,
     plan: &PlacementPlan,
     strategy: &str,
 ) -> Result<WorkflowReport, AnalysisError> {
-    let mut env = CloudEnv::new(cfg);
-    try_execute_in(&mut env, cfg, workflow, plan, strategy)
+    try_execute_with(cfg, workflow, plan, None, strategy, &Tracer::off())
 }
 
-/// Like [`execute`], but records the run into `tracer` (a fresh environment
-/// is built and the recorder attached to every mechanism before execution).
-pub fn execute_traced(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-    tracer: &Tracer,
-) -> WorkflowReport {
-    try_execute_traced(cfg, workflow, plan, strategy, tracer).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`try_execute`], but records the run into `tracer`.
-pub fn try_execute_traced(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-    tracer: &Tracer,
-) -> Result<WorkflowReport, AnalysisError> {
-    let mut env = CloudEnv::new(cfg);
-    env.attach_tracer(tracer.clone());
-    try_execute_in(&mut env, cfg, workflow, plan, strategy)
-}
-
-/// Like [`execute`], but runs each serverless task on the memory tier
-/// `sizing` assigns it (see [`Sizing`]): per-tier FaaS platforms are
-/// provisioned up front, each with its own warm pools and price point,
-/// and the executor routes every invocation, pre-warm, and burst-capacity
-/// read through the task's tier. A sizing that keeps every task at the
-/// provider's base tier reproduces [`execute`] bit-for-bit.
+/// [`try_execute`] with an optional memory-tier `sizing` and a flight
+/// recorder.
 ///
-/// Panics when the analyzer refuses the inputs; use [`try_execute_sized`]
-/// for a typed refusal.
-pub fn execute_sized(
+/// With a sizing, each serverless task runs on the memory tier it assigns
+/// (see [`Sizing`]): per-tier FaaS platforms are provisioned up front, each
+/// with its own warm pools and price point, and the executor routes every
+/// invocation, pre-warm, and burst-capacity read through the task's tier.
+/// A sizing that keeps every task at the provider's base tier reproduces
+/// the unsized run bit-for-bit. `tracer` is attached to every mechanism
+/// once the tiers exist; emission never touches simulated state.
+pub fn try_execute_with(
     cfg: &MashupConfig,
     workflow: &Workflow,
     plan: &PlacementPlan,
-    sizing: &Sizing,
-    strategy: &str,
-) -> WorkflowReport {
-    try_execute_sized(cfg, workflow, plan, sizing, strategy).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_sized`], but refuses error-diagnosed inputs with a typed
-/// [`AnalysisError`] instead of panicking mid-simulation.
-pub fn try_execute_sized(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    sizing: &Sizing,
-    strategy: &str,
-) -> Result<WorkflowReport, AnalysisError> {
-    preflight_sized(cfg, workflow, plan, sizing)?;
-    let mut env = CloudEnv::new(cfg);
-    env.provision_tiers(cfg, sizing);
-    Ok(execute_in_unchecked(
-        &mut env,
-        cfg,
-        &Arc::new(workflow.clone()),
-        plan,
-        Some(sizing),
-        strategy,
-    )
-    .0)
-}
-
-/// Like [`try_execute_sized`], but records the run into `tracer`.
-pub fn try_execute_sized_traced(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    sizing: &Sizing,
+    sizing: Option<&Sizing>,
     strategy: &str,
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
-    preflight_sized(cfg, workflow, plan, sizing)?;
+    match sizing {
+        Some(sizing) => preflight_sized(cfg, workflow, plan, sizing)?,
+        None => {
+            crate::analysis::preflight(cfg, workflow, Some(plan))?;
+        }
+    }
     let mut env = CloudEnv::new(cfg);
-    env.provision_tiers(cfg, sizing);
+    if let Some(sizing) = sizing {
+        env.provision_tiers(cfg, sizing);
+    }
     env.attach_tracer(tracer.clone());
     Ok(execute_in_unchecked(
         &mut env,
         cfg,
         &Arc::new(workflow.clone()),
         plan,
-        Some(sizing),
+        sizing,
         strategy,
     )
     .0)
@@ -330,23 +267,8 @@ fn preflight_sized(
     Ok(())
 }
 
-/// Executes in a caller-provided environment (lets the PDC reuse one
-/// environment across probes, and tests inject failure-laden stores).
-///
-/// Panics when the analyzer refuses the inputs; use [`try_execute_in`] for
-/// a typed refusal.
-pub fn execute_in(
-    env: &mut CloudEnv,
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-) -> WorkflowReport {
-    try_execute_in(env, cfg, workflow, plan, strategy).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_in`], but refuses error-diagnosed inputs with a typed
-/// [`AnalysisError`] instead of panicking mid-simulation.
+/// [`try_execute`] in a caller-provided environment (lets the PDC reuse
+/// one environment across probes, and tests inject failure-laden stores).
 pub fn try_execute_in(
     env: &mut CloudEnv,
     cfg: &MashupConfig,
@@ -1038,6 +960,40 @@ mod tests {
 
     fn cfg(nodes: usize) -> MashupConfig {
         MashupConfig::aws(nodes)
+    }
+
+    fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, s: &str) -> WorkflowReport {
+        try_execute(cfg, w, plan, s).expect("clean inputs")
+    }
+
+    fn execute_traced(
+        cfg: &MashupConfig,
+        w: &Workflow,
+        plan: &PlacementPlan,
+        s: &str,
+        tracer: &Tracer,
+    ) -> WorkflowReport {
+        try_execute_with(cfg, w, plan, None, s, tracer).expect("clean inputs")
+    }
+
+    fn try_execute_sized(
+        cfg: &MashupConfig,
+        w: &Workflow,
+        plan: &PlacementPlan,
+        sizing: &Sizing,
+        s: &str,
+    ) -> Result<WorkflowReport, AnalysisError> {
+        try_execute_with(cfg, w, plan, Some(sizing), s, &Tracer::off())
+    }
+
+    fn execute_sized(
+        cfg: &MashupConfig,
+        w: &Workflow,
+        plan: &PlacementPlan,
+        sizing: &Sizing,
+        s: &str,
+    ) -> WorkflowReport {
+        try_execute_sized(cfg, w, plan, sizing, s).expect("clean inputs")
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //!   autonomously calibrated factors, and the Algorithm 1 decision rules
 //!   (conservative cold-start penalty, memory and short-task forcing, the
 //!   recurring-task warm-pool exception, alternative objectives);
-//! * [`execute`] — the hybrid executor: phase-ordered execution across the
-//!   VM cluster and the serverless platform with store-mediated data
-//!   exchange, checkpointing across the FaaS time cap, and pre-warming;
+//! * [`try_execute_with`] — the hybrid executor: phase-ordered execution
+//!   across the VM cluster and the serverless platform with store-mediated
+//!   data exchange, checkpointing across the FaaS time cap, and
+//!   pre-warming. It checks its inputs first and refuses error-diagnosed
+//!   ones with a typed [`AnalysisError`]; [`try_execute`] is its unsized,
+//!   unrecorded form and [`try_execute_in`] runs in a caller-built
+//!   [`CloudEnv`];
 //! * [`Mashup`] — the one-call engine combining both;
 //! * [`plan_without_pdc`] — the paper's "Mashup w/o PDC" baseline design;
 //! * [`trace::check`] — the trace-invariant oracle: replays a recorded
@@ -45,10 +49,7 @@ pub use cache::{
 pub use chaos::ChaosSpec;
 pub use config::{CloudEnv, MashupConfig, Sizing, MEMORY_TIERS_GB};
 pub use engine::{Mashup, MashupOutcome};
-pub use exec::{
-    execute, execute_in, execute_sized, execute_traced, try_execute, try_execute_in,
-    try_execute_sized, try_execute_sized_traced, try_execute_traced,
-};
+pub use exec::{try_execute, try_execute_in, try_execute_with};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use mashup_analyze::{AnalysisError, Code, Diagnostic, Location, Severity};
 pub use mashup_sim::{KillReason, TraceEvent, TraceRecord, Tracer};

@@ -571,7 +571,7 @@ fn check_fault_attrib(records: &[TraceRecord], out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_traced;
+    use crate::exec::try_execute_with;
     use crate::placement::{PlacementPlan, Platform};
     use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
     use mashup_sim::Tracer;
@@ -602,7 +602,8 @@ mod tests {
         let w = wf();
         let plan = PlacementPlan::uniform(&w, plan_platform);
         let tracer = Tracer::new();
-        let report = execute_traced(&cfg, &w, &plan, "test", &tracer);
+        let report =
+            try_execute_with(&cfg, &w, &plan, None, "test", &tracer).expect("clean inputs");
         let records = tracer.take();
         (cfg, w, report, records)
     }
@@ -697,7 +698,8 @@ mod tests {
         let w = wf();
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         let tracer = Tracer::new();
-        let report = execute_traced(&cfg, &w, &plan, "test", &tracer);
+        let report =
+            try_execute_with(&cfg, &w, &plan, None, "test", &tracer).expect("clean inputs");
         (cfg, w, report, tracer.take())
     }
 
@@ -798,7 +800,8 @@ mod tests {
         let w = b.build().expect("valid");
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let tracer = Tracer::new();
-        let report = execute_traced(&shortened, &w, &plan, "test", &tracer);
+        let report =
+            try_execute_with(&shortened, &w, &plan, None, "test", &tracer).expect("clean inputs");
         let mut records = tracer.take();
         assert!(
             records

@@ -1,8 +1,12 @@
 //! Integration tests of hybrid-execution semantics: pre-warming, boundary
 //! refinement, store billing, and checkpoint-margin widening.
 
-use mashup_core::{execute, MashupConfig, Pdc, PlacementPlan, Platform};
-use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, WorkflowBuilder};
+use mashup_core::{try_execute, MashupConfig, Pdc, PlacementPlan, Platform, WorkflowReport};
+use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, Workflow, WorkflowBuilder};
+
+fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, label: &str) -> WorkflowReport {
+    try_execute(cfg, w, plan, label).expect("clean inputs")
+}
 
 /// Two serverless phases of the same width: phase 2 should find warm
 /// microVMs when pre-warming is on.

@@ -1,12 +1,27 @@
 //! Property-based tests of the Mashup engine invariants.
 
 use mashup_core::{
-    estimate_serverless_time, execute, execute_traced, fit_gamma, MashupConfig, ModelFactors, Pdc,
-    PlacementPlan, PlanCache, Platform, Tracer,
+    estimate_serverless_time, fit_gamma, try_execute, try_execute_with, MashupConfig, ModelFactors,
+    Pdc, PlacementPlan, PlanCache, Platform, Tracer, WorkflowReport,
 };
+use mashup_dag::Workflow;
 use mashup_workflows::{generate, SyntheticConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, label: &str) -> WorkflowReport {
+    try_execute(cfg, w, plan, label).expect("clean inputs")
+}
+
+fn execute_traced(
+    cfg: &MashupConfig,
+    w: &Workflow,
+    plan: &PlacementPlan,
+    label: &str,
+    tracer: &Tracer,
+) -> WorkflowReport {
+    try_execute_with(cfg, w, plan, None, label, tracer).expect("clean inputs")
+}
 
 fn small_synthetic(seed: u64) -> mashup_dag::Workflow {
     generate(

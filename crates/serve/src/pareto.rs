@@ -14,7 +14,7 @@
 //!    per-tier probe lands in the shared cache, so repeated sweeps run
 //!    almost entirely warm.
 //! 3. **Execute** — the estimate-front survivors run end to end
-//!    ([`execute_sized`]) and the final front is the dominance filter over
+//!    ([`try_execute_with`] with the candidate's sizing) and the final front is the dominance filter over
 //!    their *measured* (makespan, expense) points.
 //!
 //! Pruning consults only completed waves and `par_map` merges in input
@@ -25,8 +25,8 @@ use mashup_core::pareto::{
     Candidate, Materialized, SearchSpace,
 };
 use mashup_core::{
-    execute_sized, CacheStats, Fingerprinter, MashupConfig, Pdc, PdcReport, PlanCache, Platform,
-    ReplanStats,
+    try_execute_with, CacheStats, Fingerprinter, MashupConfig, Pdc, PdcReport, PlanCache, Platform,
+    ReplanStats, Tracer,
 };
 use mashup_dag::Workflow;
 use serde::{Deserialize, Serialize};
@@ -223,13 +223,15 @@ pub fn pareto_sweep_with(
         .map(|(e, _)| e)
         .collect();
     let executed: Vec<FrontPoint> = crate::par_map(survivors, |e| {
-        let report = execute_sized(
+        let report = try_execute_with(
             cfg,
             &e.mat.workflow,
             &e.report.plan,
-            &e.mat.sizing,
+            Some(&e.mat.sizing),
             "pareto",
-        );
+            &Tracer::off(),
+        )
+        .expect("planned candidates pass the sized preflight");
         FrontPoint {
             label: e.cand.describe(&space),
             makespan_secs: report.makespan_secs,

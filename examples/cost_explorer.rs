@@ -24,7 +24,9 @@ fn main() {
     );
     for nodes in [2usize, 8, 16, 32, 64] {
         let cfg = MashupConfig::aws(nodes);
-        let trad = run_traditional_tuned(&cfg, &workflow);
+        let trad = Strategy::TraditionalTuned
+            .run(&cfg, &workflow, &Tracer::off(), None)
+            .expect("the workflow passes the analyzer");
         let mashup = Mashup::new(cfg).run(&workflow).report;
         println!(
             "{:>5}  {:>11.0}s {:>9.4}   {:>11.0}s {:>9.4}   {:>6.1}% {:>6.1}%",

@@ -35,8 +35,12 @@ fn main() {
     // 3. Run Mashup vs the baselines on a small cluster.
     let cfg = MashupConfig::aws(4);
     let outcome = Mashup::new(cfg.clone()).run(&workflow);
-    let traditional = run_traditional_tuned(&cfg, &workflow);
-    let serverless = run_serverless_only(&cfg, &workflow);
+    let run = |s: Strategy| {
+        s.run(&cfg, &workflow, &Tracer::off(), None)
+            .expect("the workflow passes the analyzer")
+    };
+    let traditional = run(Strategy::TraditionalTuned);
+    let serverless = run(Strategy::ServerlessOnly);
     println!("\nplacements:");
     for d in &outcome.pdc.decisions {
         println!("  {:<8} -> {}", d.name, d.platform);

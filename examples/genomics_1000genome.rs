@@ -22,10 +22,14 @@ fn main() {
         nodes
     );
 
-    let traditional = run_traditional_tuned(&cfg, &workflow);
-    let serverless = run_serverless_only(&cfg, &workflow);
-    let pegasus = run_pegasus(&cfg, &workflow);
-    let kepler = run_kepler(&cfg, &workflow);
+    let run = |s: Strategy| {
+        s.run(&cfg, &workflow, &Tracer::off(), None)
+            .expect("1000Genome passes the analyzer")
+    };
+    let traditional = run(Strategy::TraditionalTuned);
+    let serverless = run(Strategy::ServerlessOnly);
+    let pegasus = run(Strategy::Pegasus);
+    let kepler = run(Strategy::Kepler);
     let mashup = Mashup::new(cfg).run(&workflow);
 
     println!("=== Placement chosen by Mashup's PDC ===");

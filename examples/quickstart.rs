@@ -49,7 +49,9 @@ fn main() {
     }
 
     // 4. Compare with the traditional all-VM execution.
-    let traditional = run_traditional(&cfg, &workflow);
+    let traditional = Strategy::Traditional
+        .run(&cfg, &workflow, &Tracer::off(), None)
+        .expect("the workflow passes the analyzer");
     println!("\n=== Results ===");
     println!(
         "  traditional cluster : {:>8.1}s  ${:.4}",

@@ -17,6 +17,12 @@
 //! Built-in workflow names load the paper's benchmarks; anything else is
 //! treated as a path to a JSON workflow definition (see
 //! `examples/custom_workflow.rs` for the format).
+//!
+//! Strategy names: `mashup` (the full system), `wo-pdc` (Mashup without
+//! the PDC), `traditional` (the tuned all-VM cluster), `serverless`
+//! (serverless-only), `pegasus` and `kepler`. `compare` runs all but
+//! `wo-pdc`. Every command refuses inputs the analyzer rejects with its
+//! rendered diagnostics and exit status 1.
 
 use mashup::prelude::*;
 
@@ -44,6 +50,37 @@ fn die_diagnosed(err: &AnalysisError) -> ! {
     eprintln!("mashup: static analysis refused the input");
     eprintln!("{}", render_pretty(&err.diagnostics));
     std::process::exit(1)
+}
+
+/// The CLI's strategy names, in `compare`'s print order.
+const STRATEGIES: [(&str, Strategy); 6] = [
+    ("traditional", Strategy::TraditionalTuned),
+    ("serverless", Strategy::ServerlessOnly),
+    ("pegasus", Strategy::Pegasus),
+    ("kepler", Strategy::Kepler),
+    ("wo-pdc", Strategy::MashupWithoutPdc),
+    ("mashup", Strategy::Mashup),
+];
+
+/// The strategy a CLI name selects.
+fn strategy_named(name: &str) -> Strategy {
+    STRATEGIES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, s)| s)
+        .unwrap_or_else(|| die(&format!("unknown strategy '{name}'")))
+}
+
+/// Runs `strategy`, exiting with the rendered diagnostics on a refusal.
+fn run_or_die(
+    strategy: Strategy,
+    cfg: &MashupConfig,
+    w: &Workflow,
+    tracer: &Tracer,
+) -> WorkflowReport {
+    strategy
+        .run(cfg, w, tracer, None)
+        .unwrap_or_else(|e| die_diagnosed(&e))
 }
 
 struct Args {
@@ -199,22 +236,8 @@ fn main() {
             let args = parse_args(argv);
             let w = load_workflow(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
-            let report = match args.strategy.as_str() {
-                "mashup" => {
-                    Mashup::new(cfg)
-                        .try_run(&w)
-                        .unwrap_or_else(|e| die_diagnosed(&e))
-                        .report
-                }
-                "wo-pdc" => Mashup::new(cfg)
-                    .try_run_without_pdc(&w)
-                    .unwrap_or_else(|e| die_diagnosed(&e)),
-                "traditional" => run_traditional_tuned(&cfg, &w),
-                "serverless" => run_serverless_only(&cfg, &w),
-                "pegasus" => run_pegasus(&cfg, &w),
-                "kepler" => run_kepler(&cfg, &w),
-                other => die(&format!("unknown strategy '{other}'")),
-            };
+            let strategy = strategy_named(&args.strategy);
+            let report = run_or_die(strategy, &cfg, &w, &Tracer::off());
             print_report(&args.strategy, &report);
             for t in &report.tasks {
                 println!(
@@ -238,24 +261,8 @@ fn main() {
             } else {
                 Tracer::new()
             };
-            let report = match args.strategy.as_str() {
-                "mashup" => {
-                    Mashup::new(cfg.clone())
-                        .with_tracer(tracer.clone())
-                        .try_run(&w)
-                        .unwrap_or_else(|e| die_diagnosed(&e))
-                        .report
-                }
-                "wo-pdc" => Mashup::new(cfg.clone())
-                    .with_tracer(tracer.clone())
-                    .try_run_without_pdc(&w)
-                    .unwrap_or_else(|e| die_diagnosed(&e)),
-                "traditional" => run_traditional_tuned_traced(&cfg, &w, &tracer),
-                "serverless" => run_serverless_only_traced(&cfg, &w, &tracer),
-                "pegasus" => run_pegasus_traced(&cfg, &w, &tracer),
-                "kepler" => run_kepler_traced(&cfg, &w, &tracer),
-                other => die(&format!("unknown strategy '{other}'")),
-            };
+            let strategy = strategy_named(&args.strategy);
+            let report = run_or_die(strategy, &cfg, &w, &tracer);
             let records = tracer.take();
             let body = match args.format.as_str() {
                 "chrome" => mashup::sim::trace::to_chrome_trace(&records),
@@ -290,13 +297,18 @@ fn main() {
             let w = load_workflow(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
             println!("'{}' on {} nodes:", w.name, args.nodes);
-            let traditional = run_traditional_tuned(&cfg, &w);
-            print_report("traditional", &traditional);
-            print_report("serverless", &run_serverless_only(&cfg, &w));
-            print_report("pegasus", &run_pegasus(&cfg, &w));
-            print_report("kepler", &run_kepler(&cfg, &w));
-            let mashup = Mashup::new(cfg).run(&w).report;
-            print_report("mashup", &mashup);
+            let reports: Vec<(Strategy, WorkflowReport)> = STRATEGIES
+                .iter()
+                .filter(|(_, s)| *s != Strategy::MashupWithoutPdc)
+                .map(|&(name, s)| {
+                    let report = run_or_die(s, &cfg, &w, &Tracer::off());
+                    print_report(name, &report);
+                    (s, report)
+                })
+                .collect();
+            let report = |s: Strategy| &reports.iter().find(|(r, _)| *r == s).expect("compared").1;
+            let (traditional, mashup) =
+                (report(Strategy::TraditionalTuned), report(Strategy::Mashup));
             println!(
                 "\nmashup vs traditional: {:.1}% time, {:.1}% expense",
                 improvement_pct(mashup.makespan_secs, traditional.makespan_secs),
@@ -475,26 +487,8 @@ fn run_chaos(mut argv: std::env::Args) {
     }
     let w = load_workflow(&spec);
     let cfg = MashupConfig::aws(nodes);
-    let run = |cfg: &MashupConfig, tracer: &Tracer| -> WorkflowReport {
-        match strategy.as_str() {
-            "mashup" => {
-                Mashup::new(cfg.clone())
-                    .with_tracer(tracer.clone())
-                    .try_run(&w)
-                    .unwrap_or_else(|e| die_diagnosed(&e))
-                    .report
-            }
-            "wo-pdc" => Mashup::new(cfg.clone())
-                .with_tracer(tracer.clone())
-                .try_run_without_pdc(&w)
-                .unwrap_or_else(|e| die_diagnosed(&e)),
-            "traditional" => run_traditional_tuned_traced(cfg, &w, tracer),
-            "serverless" => run_serverless_only_traced(cfg, &w, tracer),
-            "pegasus" => run_pegasus_traced(cfg, &w, tracer),
-            "kepler" => run_kepler_traced(cfg, &w, tracer),
-            other => die(&format!("unknown strategy '{other}'")),
-        }
-    };
+    let strategy = strategy_named(&strategy);
+    let run = |cfg: &MashupConfig, tracer: &Tracer| run_or_die(strategy, cfg, &w, tracer);
 
     // The fault-free reference also sizes the default fault horizon.
     let base = run(&cfg, &Tracer::off());

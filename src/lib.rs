@@ -10,9 +10,10 @@
 //! * [`cloud`] — simulated VM cluster, FaaS platform, and object store;
 //! * [`analyze`] — static workflow/plan/config diagnostics (M-codes);
 //! * [`engine`] — the Mashup engine: PDC + hybrid executor;
-//! * [`baselines`] — traditional cluster, serverless-only, Pegasus-like,
-//!   Kepler-like;
-//! * [`local`] — the real thread-based execution backend;
+//! * [`baselines`] — the [`Strategy`](prelude::Strategy) registry: every
+//!   strategy the paper compares (traditional cluster, serverless-only,
+//!   Pegasus-like, Kepler-like, fusion, Mashup with and without its PDC)
+//!   behind one `run`;
 //! * [`serve`] — the multi-tenant planning service, shared worker pool,
 //!   and closed-loop load-test harness;
 //! * [`sim`] — the discrete-event substrate.
@@ -21,8 +22,11 @@
 //! use mashup::prelude::*;
 //!
 //! let workflow = mashup::workflows::srasearch::workflow();
-//! let outcome = Mashup::new(MashupConfig::aws(4)).run(&workflow);
-//! let baseline = run_traditional(&MashupConfig::aws(4), &workflow);
+//! let cfg = MashupConfig::aws(4);
+//! let outcome = Mashup::new(cfg.clone()).run(&workflow);
+//! let baseline = Strategy::Traditional
+//!     .run(&cfg, &workflow, &Tracer::off(), None)
+//!     .expect("the paper's workflows pass the analyzer");
 //! assert!(outcome.report.makespan_secs < baseline.makespan_secs);
 //! ```
 
@@ -33,7 +37,6 @@ pub use mashup_baselines as baselines;
 pub use mashup_cloud as cloud;
 pub use mashup_core as engine;
 pub use mashup_dag as dag;
-pub use mashup_local as local;
 pub use mashup_serve as serve;
 pub use mashup_sim as sim;
 pub use mashup_workflows as workflows;
@@ -41,11 +44,7 @@ pub use mashup_workflows as workflows;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use mashup_analyze::{render_pretty, AnalysisError, Diagnostic};
-    pub use mashup_baselines::{
-        run_kepler, run_kepler_traced, run_pegasus, run_pegasus_traced, run_serverless_only,
-        run_serverless_only_traced, run_traditional, run_traditional_traced, run_traditional_tuned,
-        run_traditional_tuned_traced,
-    };
+    pub use mashup_baselines::Strategy;
     pub use mashup_cloud::{Fault, FaultPlan, FaultProfile};
     pub use mashup_core::{
         improvement_pct, ChaosSpec, Mashup, MashupConfig, MashupOutcome, Objective, Pdc,

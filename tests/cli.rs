@@ -42,23 +42,45 @@ fn plan_prints_decisions() {
     assert!(stdout.contains("profiling cost"));
 }
 
+/// Every strategy name the CLI accepts.
+const STRATEGIES: [&str; 6] = [
+    "mashup",
+    "wo-pdc",
+    "traditional",
+    "serverless",
+    "pegasus",
+    "kepler",
+];
+
 #[test]
 fn run_executes_a_strategy() {
-    let out = mashup()
-        .args([
-            "run",
-            "SRAsearch",
-            "--nodes",
-            "4",
-            "--strategy",
-            "traditional",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("traditional"));
-    assert!(stdout.contains("Merge2"));
+    for strategy in STRATEGIES {
+        let out = mashup()
+            .args(["run", "SRAsearch", "--nodes", "4", "--strategy", strategy])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{strategy}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with(strategy), "{strategy}: {stdout}");
+        assert!(stdout.contains("Merge2"), "{strategy}");
+    }
+}
+
+#[test]
+fn an_empty_cluster_is_refused_with_a_diagnostic() {
+    let refused = |args: &[&str]| {
+        let out = mashup().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("M301"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    };
+    for strategy in STRATEGIES {
+        for cmd in ["run", "trace", "chaos"] {
+            refused(&[cmd, "SRAsearch", "--nodes", "0", "--strategy", strategy]);
+        }
+    }
+    refused(&["compare", "SRAsearch", "--nodes", "0"]);
 }
 
 #[test]

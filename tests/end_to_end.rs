@@ -7,6 +7,12 @@ fn small_cfg() -> MashupConfig {
     MashupConfig::aws(8)
 }
 
+fn run(strategy: Strategy, cfg: &MashupConfig, w: &Workflow) -> WorkflowReport {
+    strategy
+        .run(cfg, w, &Tracer::off(), None)
+        .expect("paper workflows pass the analyzer")
+}
+
 #[test]
 fn mashup_beats_traditional_on_every_paper_workflow() {
     for w in [
@@ -15,7 +21,7 @@ fn mashup_beats_traditional_on_every_paper_workflow() {
         epigenomics::workflow(),
     ] {
         let cfg = small_cfg();
-        let traditional = run_traditional_tuned(&cfg, &w);
+        let traditional = run(Strategy::TraditionalTuned, &cfg, &w);
         let outcome = Mashup::new(cfg).run(&w);
         assert!(
             outcome.report.makespan_secs < traditional.makespan_secs,
@@ -41,8 +47,8 @@ fn hybrid_beats_both_pure_strategies_on_1000genome() {
     let cfg = small_cfg();
     let w = genome1000::workflow();
     let mashup = Mashup::new(cfg.clone()).run(&w).report;
-    let vm = run_traditional_tuned(&cfg, &w);
-    let sl = run_serverless_only(&cfg, &w);
+    let vm = run(Strategy::TraditionalTuned, &cfg, &w);
+    let sl = run(Strategy::ServerlessOnly, &cfg, &w);
     assert!(mashup.makespan_secs <= vm.makespan_secs);
     assert!(mashup.makespan_secs <= sl.makespan_secs * 1.05);
 }
@@ -51,9 +57,8 @@ fn hybrid_beats_both_pure_strategies_on_1000genome() {
 fn pdc_beats_or_matches_the_naive_threshold_plan() {
     for w in [genome1000::workflow(), srasearch::workflow()] {
         let cfg = small_cfg();
-        let engine = Mashup::new(cfg);
-        let with_pdc = engine.run(&w).report;
-        let without = engine.run_without_pdc(&w);
+        let with_pdc = Mashup::new(cfg.clone()).run(&w).report;
+        let without = run(Strategy::MashupWithoutPdc, &cfg, &w);
         assert!(
             with_pdc.makespan_secs <= without.makespan_secs * 1.02,
             "{}: PDC {:.0}s vs naive {:.0}s",
@@ -115,11 +120,11 @@ fn all_baselines_complete_on_all_workflows() {
     ] {
         let cfg = small_cfg();
         for (label, r) in [
-            ("traditional", run_traditional(&cfg, &w)),
-            ("tuned", run_traditional_tuned(&cfg, &w)),
-            ("serverless", run_serverless_only(&cfg, &w)),
-            ("pegasus", run_pegasus(&cfg, &w)),
-            ("kepler", run_kepler(&cfg, &w)),
+            ("traditional", run(Strategy::Traditional, &cfg, &w)),
+            ("tuned", run(Strategy::TraditionalTuned, &cfg, &w)),
+            ("serverless", run(Strategy::ServerlessOnly, &cfg, &w)),
+            ("pegasus", run(Strategy::Pegasus, &cfg, &w)),
+            ("kepler", run(Strategy::Kepler, &cfg, &w)),
         ] {
             assert!(r.makespan_secs > 0.0, "{label} on {}", w.name);
             assert!(r.expense.total() > 0.0, "{label} on {}", w.name);
@@ -132,7 +137,7 @@ fn serverless_only_checkpoints_over_cap_tasks() {
     // Epigenomics' Chr21 (~42 min serverless) must cross the 15-minute cap.
     let cfg = small_cfg();
     let w = epigenomics::workflow();
-    let r = run_serverless_only(&cfg, &w);
+    let r = run(Strategy::ServerlessOnly, &cfg, &w);
     let chr = r.task("Chr21").expect("Chr21 ran");
     assert!(chr.checkpoints >= 2, "checkpoints {}", chr.checkpoints);
     let split = r.task("FastQSplit").expect("FastQSplit ran");

@@ -2,7 +2,8 @@
 //! format round trips, and the GCP-like provider preset.
 
 use mashup::engine::{
-    execute_in, CloudEnv, KillReason, MashupConfig, PlacementPlan, Platform, TraceEvent, Tracer,
+    try_execute, try_execute_in, CloudEnv, KillReason, MashupConfig, PlacementPlan, Platform,
+    TraceEvent, Tracer,
 };
 use mashup::prelude::*;
 use std::collections::HashMap;
@@ -16,7 +17,7 @@ fn storage_failures_are_recovered_from_replicas() {
     cfg.provider.storage.get_failure_prob = 0.2;
     let mut env = CloudEnv::new(&cfg);
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-    let report = execute_in(&mut env, &cfg, &w, &plan, "faulty");
+    let report = try_execute_in(&mut env, &cfg, &w, &plan, "faulty").expect("clean inputs");
     assert!(report.makespan_secs > 0.0);
     assert!(
         env.store.injected_failures() > 0,
@@ -26,7 +27,7 @@ fn storage_failures_are_recovered_from_replicas() {
     // The same run without failures is never slower.
     let mut clean_cfg = MashupConfig::aws(4);
     clean_cfg.provider.storage.get_failure_prob = 0.0;
-    let clean = mashup::engine::execute(&clean_cfg, &w, &plan, "clean");
+    let clean = try_execute(&clean_cfg, &w, &plan, "clean").expect("clean inputs");
     assert!(clean.makespan_secs <= report.makespan_secs);
 }
 
@@ -46,7 +47,7 @@ fn faas_platform_failures_are_recovered_end_to_end() {
     let tracer = Tracer::new();
     env.attach_tracer(tracer.clone());
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-    let report = execute_in(&mut env, &cfg, &w, &plan, "flaky-faas");
+    let report = try_execute_in(&mut env, &cfg, &w, &plan, "flaky-faas").expect("clean inputs");
     assert_eq!(report.tasks.len(), w.task_count());
     assert!(env.faas.kills() > 0, "failures should have fired");
 
@@ -87,7 +88,7 @@ fn faas_platform_failures_are_recovered_end_to_end() {
     // A clean run is never slower than the failure-ridden one.
     let mut clean = MashupConfig::aws(4);
     clean.provider.faas.failure_prob = 0.0;
-    let baseline = mashup::engine::execute(&clean, &w, &plan, "clean");
+    let baseline = try_execute(&clean, &w, &plan, "clean").expect("clean inputs");
     assert!(baseline.makespan_secs <= report.makespan_secs);
 }
 
@@ -118,7 +119,9 @@ fn gcp_like_provider_preserves_the_trends() {
     // The §5 portability claim: trends survive provider constants changing.
     let w = srasearch::workflow();
     let cfg = MashupConfig::gcp(8);
-    let traditional = run_traditional_tuned(&cfg, &w);
+    let traditional = Strategy::TraditionalTuned
+        .run(&cfg, &w, &Tracer::off(), None)
+        .expect("clean inputs");
     let outcome = Mashup::new(cfg).run(&w);
     assert!(outcome.report.makespan_secs < traditional.makespan_secs);
 }

@@ -181,7 +181,8 @@ fn adaptive_replan_keeps_report_names_in_completion_order() {
     });
     let chaotic = cfg.with_chaos(ChaosSpec::new(faults).with_adaptive(true));
     let tracer = Tracer::new();
-    let report = mashup_core::execute_traced(&chaotic, &w, &plan, "adaptive", &tracer);
+    let report = mashup_core::try_execute_with(&chaotic, &w, &plan, None, "adaptive", &tracer)
+        .expect("clean inputs");
     let records = tracer.take();
     assert!(
         records

@@ -53,10 +53,10 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// The directories whose `.rs` trees the lint covers: all nine workspace
-/// crates that hold engine state, plus xtask itself. `crates/analyze` is
-/// deliberately absent — it is pure diagnostics over recorded traces and
-/// holds no engine state.
+/// The directories whose `.rs` trees the lint covers: the eight workspace
+/// crates that hold engine state, plus xtask itself. The ninth,
+/// `crates/analyze`, is deliberately absent — it is pure diagnostics over
+/// recorded traces and holds no engine state.
 const LINTED_DIRS: &[&str] = &[
     "crates/sim/src",
     "crates/cloud/src",
@@ -65,7 +65,6 @@ const LINTED_DIRS: &[&str] = &[
     "crates/serve/src",
     "crates/baselines/src",
     "crates/workflows/src",
-    "crates/local/src",
     "crates/bench/src",
     "xtask/src",
 ];
