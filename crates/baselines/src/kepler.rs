@@ -9,27 +9,31 @@
 //! state-of-the-art managers with. Everything runs on the cluster; no
 //! serverless, no external storage.
 
-use mashup_cloud::ClusterTaskSpec;
+use mashup_cloud::{ClusterTaskSpec, VmCluster};
 use mashup_core::{
     preflight, AnalysisError, CloudEnv, MashupConfig, PlacementPlan, Platform, TaskReport,
-    TraceEvent, Tracer, WorkflowReport,
+    TraceEvent, Tracer, WorkflowReport, World,
 };
 use mashup_dag::{TaskRef, Workflow};
-use mashup_sim::{shared, Shared};
+use mashup_sim::{SimTime, Simulation};
 // Keyed dependency counters only: inserted in deterministic task_refs
 // order, then read/decremented by key — never order-iterated.
 // lint: allow(hash-collections)
 use std::collections::HashMap;
 
-struct Driver {
-    workflow: std::sync::Arc<Workflow>,
+/// Kepler's world: the cloud plus its dataflow director.
+pub type KeplerWorld = World<Director>;
+
+/// The dataflow director's state: which tasks still wait on producers, and
+/// the reports of finished ones.
+pub struct Director {
+    workflow: Workflow,
     /// Unfinished producer count per task.
     /// Keyed access only; lint: allow(hash-collections)
     pending_deps: HashMap<TaskRef, usize>,
     reports: Vec<TaskReport>,
     remaining: usize,
-    finished_at: Option<mashup_sim::SimTime>,
-    cluster: mashup_cloud::VmCluster,
+    finished_at: Option<SimTime>,
     subclusters: usize,
     next_sub: usize,
     tracer: Tracer,
@@ -46,139 +50,129 @@ pub(crate) fn run(
 ) -> Result<WorkflowReport, AnalysisError> {
     let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
     preflight(cfg, workflow, Some(&plan))?;
-    let mut env = CloudEnv::new(cfg);
-    env.attach_tracer(tracer.clone());
-    env.cluster.start_billing(env.sim.now());
 
     // Keyed access only; lint: allow(hash-collections)
     let mut pending_deps = HashMap::new();
     for r in workflow.task_refs() {
         pending_deps.insert(r, workflow.task(r).deps.len());
     }
-    let driver = shared(Driver {
-        workflow: std::sync::Arc::new(workflow.clone()),
+    let director = Director {
+        workflow: workflow.clone(),
         pending_deps,
         reports: Vec::new(),
         remaining: workflow.task_count(),
         finished_at: None,
-        cluster: env.cluster.clone(),
         subclusters: cfg.cluster.subclusters,
         next_sub: 0,
         tracer: tracer.clone(),
-    });
+    };
+    let mut env = CloudEnv::with_driver(cfg, 0, director);
+    env.attach_tracer(tracer.clone());
+    env.world.cloud.cluster.start_billing(SimTime::ZERO);
 
     // Fire every dependency-free task immediately.
     let ready: Vec<TaskRef> = workflow
         .task_refs()
         .filter(|r| workflow.task(*r).deps.is_empty())
         .collect();
-    let d2 = driver.clone();
-    env.sim.schedule_now(move |sim| {
+    env.sim.schedule_now(move |w, sim| {
         for r in ready {
-            spawn(sim, d2.clone(), r);
+            spawn(w, sim, r);
         }
     });
-    env.sim.run();
+    env.run();
 
-    let finished_at = driver.borrow().finished_at.expect("kepler run completed");
-    env.cluster.stop_billing(finished_at);
-    env.store.finalize(finished_at);
+    let World { cloud, driver, .. } = env.world;
+    let mut cloud = cloud;
+    let finished_at = driver.finished_at.expect("kepler run completed");
+    cloud.cluster.stop_billing(&mut cloud.meter, finished_at);
+    cloud.store.finalize(&mut cloud.meter, finished_at);
 
-    let d = driver.borrow();
     Ok(WorkflowReport {
         workflow: workflow.name.clone(),
         strategy: "kepler".into(),
         cluster_nodes: cfg.cluster.nodes,
         makespan_secs: finished_at.as_secs(),
-        expense: env.meter.expense(cfg.provider.storage.price_per_gb_month),
+        expense: cloud.meter.expense(cfg.provider.storage.price_per_gb_month),
         plan,
-        tasks: d.reports.clone(),
+        tasks: driver.reports,
     })
 }
 
-fn spawn(sim: &mut mashup_sim::Simulation, driver: Shared<Driver>, r: TaskRef) {
-    let (spec, cluster) = {
-        let mut d = driver.borrow_mut();
-        let sub = d.next_sub % d.subclusters;
-        d.next_sub += 1;
-        let t = d.workflow.task(r);
-        let spec = ClusterTaskSpec {
-            label: t.name.clone(),
-            components: t.components,
-            compute_secs: t.profile.compute_secs_vm,
-            input_bytes: t.profile.input_bytes,
-            output_bytes: t.profile.output_bytes,
-            io_requests: 1,
-            contention_coeff: t.profile.vm_local_contention,
-            memory_gb: t.profile.memory_gb,
-            jitter: t.profile.runtime_jitter,
-            input: if t.deps.is_empty() {
-                mashup_cloud::ClusterInput::Master
-            } else {
-                mashup_cloud::ClusterInput::Fabric
-            },
-            output: mashup_cloud::ClusterOutput::Fabric,
-            subcluster: sub,
-        };
-        (spec, d.cluster.clone())
+fn spawn(w: &mut KeplerWorld, sim: &mut Simulation<KeplerWorld>, r: TaskRef) {
+    let d = &mut w.driver;
+    let sub = d.next_sub % d.subclusters;
+    d.next_sub += 1;
+    let t = d.workflow.task(r);
+    let spec = ClusterTaskSpec {
+        label: t.name.clone(),
+        components: t.components,
+        compute_secs: t.profile.compute_secs_vm,
+        input_bytes: t.profile.input_bytes,
+        output_bytes: t.profile.output_bytes,
+        io_requests: 1,
+        contention_coeff: t.profile.vm_local_contention,
+        memory_gb: t.profile.memory_gb,
+        jitter: t.profile.runtime_jitter,
+        input: if t.deps.is_empty() {
+            mashup_cloud::ClusterInput::Master
+        } else {
+            mashup_cloud::ClusterInput::Fabric
+        },
+        output: mashup_cloud::ClusterOutput::Fabric,
+        subcluster: sub,
     };
-    let driver2 = driver.clone();
-    let name = driver.borrow().workflow.task(r).name.clone();
-    {
-        let d = driver.borrow();
-        d.tracer.emit(
-            sim.now(),
-            TraceEvent::TaskStart {
-                task: name.clone(),
-                phase: r.phase,
-                platform: "vm".into(),
-                components: spec.components,
-            },
-        );
-    }
-    cluster.run_task(sim, None, spec, move |sim, stats| {
-        let newly_ready: Vec<TaskRef> = {
-            let mut d = driver2.borrow_mut();
-            d.tracer
-                .emit(sim.now(), TraceEvent::TaskEnd { task: name.clone() });
-            let t_components = d.workflow.task(r).components;
-            d.reports.push(TaskReport {
-                name,
-                platform: Platform::VmCluster,
-                phase: r.phase,
-                components: t_components,
-                start_secs: stats.start.as_secs(),
-                end_secs: stats.end.as_secs(),
-                compute_secs: stats.compute_secs,
-                io_secs: stats.io_secs,
-                cold_start_secs: 0.0,
-                scaling_secs: 0.0,
-                checkpoints: 0,
-                n_cold: 0,
-                n_warm: 0,
-            });
-            d.remaining -= 1;
-            if d.remaining == 0 {
-                d.finished_at = Some(sim.now());
-                Vec::new()
-            } else {
-                let consumers: Vec<TaskRef> =
-                    d.workflow.consumers(r).iter().map(|&(c, _)| c).collect();
-                consumers
-                    .into_iter()
-                    .filter(|c| {
-                        let n = d
-                            .pending_deps
-                            .get_mut(c)
-                            .expect("every task has a dep count");
-                        *n -= 1;
-                        *n == 0
-                    })
-                    .collect()
-            }
-        };
+    let name = t.name.clone();
+    d.tracer.emit(
+        sim.now(),
+        TraceEvent::TaskStart {
+            task: name.clone(),
+            phase: r.phase,
+            platform: "vm".into(),
+            components: spec.components,
+        },
+    );
+    VmCluster::run_task(w, sim, spec, move |w: &mut KeplerWorld, sim, stats| {
+        let d = &mut w.driver;
+        d.tracer
+            .emit(sim.now(), TraceEvent::TaskEnd { task: name.clone() });
+        let t_components = d.workflow.task(r).components;
+        d.reports.push(TaskReport {
+            name,
+            platform: Platform::VmCluster,
+            phase: r.phase,
+            components: t_components,
+            start_secs: stats.start.as_secs(),
+            end_secs: stats.end.as_secs(),
+            compute_secs: stats.compute_secs,
+            io_secs: stats.io_secs,
+            cold_start_secs: 0.0,
+            scaling_secs: 0.0,
+            checkpoints: 0,
+            n_cold: 0,
+            n_warm: 0,
+        });
+        d.remaining -= 1;
+        if d.remaining == 0 {
+            d.finished_at = Some(sim.now());
+            return;
+        }
+        let newly_ready: Vec<TaskRef> = d
+            .workflow
+            .consumers(r)
+            .iter()
+            .map(|&(c, _)| c)
+            .filter(|c| {
+                let n = d
+                    .pending_deps
+                    .get_mut(c)
+                    .expect("every task has a dep count");
+                *n -= 1;
+                *n == 0
+            })
+            .collect();
         for c in newly_ready {
-            spawn(sim, driver2.clone(), c);
+            spawn(w, sim, c);
         }
     });
 }
@@ -234,6 +228,13 @@ mod tests {
         let after = r.task("after-fast").expect("exists");
         assert!(after.start_secs >= fast.end_secs - 1e-9);
         assert_eq!(r.tasks.len(), 3);
+    }
+
+    #[test]
+    fn kepler_world_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<KeplerWorld>();
+        assert_send::<Simulation<KeplerWorld>>();
     }
 
     #[test]

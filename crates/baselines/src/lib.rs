@@ -25,6 +25,7 @@
 //! back as a typed [`mashup_core::AnalysisError`] before any environment is
 //! built.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fusion;
@@ -35,6 +36,7 @@ mod strategy;
 mod traditional;
 
 pub use fusion::maximal_fusion;
+pub use kepler::{Director, KeplerWorld};
 pub use pegasus::cluster_tasks;
 pub use strategy::Strategy;
 

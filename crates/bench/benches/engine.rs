@@ -4,21 +4,42 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mashup_cloud::{
-    run_task_on_faas, ClusterConfig, ClusterTaskSpec, CostMeter, FaasConfig, FaasPlatform,
-    FaasTaskSpec, InstanceType, ObjectStore, StorageConfig, VmCluster,
+    run_task_on_faas, Cloud, CloudWorld, ClusterConfig, ClusterTaskSpec, FaasConfig, FaasTaskSpec,
+    InstanceType, StorageConfig, VmCluster,
 };
 use mashup_core::{try_execute, MashupConfig, Pdc, PlacementPlan, Platform};
-use mashup_sim::{SeedSource, SharedLink, SimDuration, Simulation};
+use mashup_sim::{SeedSource, SimDuration, Simulation};
 use std::hint::black_box;
+
+/// A bare world: the cloud and nothing else.
+struct World(Cloud<World>);
+
+impl CloudWorld for World {
+    fn cloud(&mut self) -> &mut Cloud<Self> {
+        &mut self.0
+    }
+}
+
+fn world(nodes: usize, seed: u64) -> (Simulation<World>, World) {
+    let mut sim = Simulation::new();
+    let cloud = Cloud::new(
+        &mut sim,
+        ClusterConfig::new(InstanceType::r5_large(), nodes),
+        FaasConfig::aws_like(),
+        StorageConfig::s3_like(),
+        &SeedSource::new(seed),
+    );
+    (sim, World(cloud))
+}
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("sim/schedule_and_run_10k_events", |b| {
         b.iter(|| {
-            let mut sim = Simulation::new();
+            let mut sim = Simulation::<()>::new();
             for i in 0..10_000u32 {
-                sim.schedule_at(mashup_sim::SimTime::from_secs(i as f64 * 0.001), |_| {});
+                sim.schedule_at(mashup_sim::SimTime::from_secs(i as f64 * 0.001), |_, _| {});
             }
-            black_box(sim.run());
+            black_box(sim.run(&mut ()));
         })
     });
 }
@@ -26,15 +47,14 @@ fn bench_event_queue(c: &mut Criterion) {
 fn bench_shared_link(c: &mut Criterion) {
     c.bench_function("sim/fair_share_link_500_transfers", |b| {
         b.iter(|| {
-            let mut sim = Simulation::new();
-            let link = SharedLink::new("bench", 1e9);
+            let mut sim = Simulation::<()>::new();
+            let link = sim.add_link("bench", 1e9);
             for i in 0..500 {
-                let link = link.clone();
-                sim.schedule_in(SimDuration::from_secs(i as f64 * 0.01), move |sim| {
-                    link.start_transfer(sim, 1e7, None, |_| {});
+                sim.schedule_in(SimDuration::from_secs(i as f64 * 0.01), move |_, sim| {
+                    sim.start_transfer(link, 1e7, None, |_, _| {});
                 });
             }
-            black_box(sim.run());
+            black_box(sim.run(&mut ()));
         })
     });
 }
@@ -42,18 +62,12 @@ fn bench_shared_link(c: &mut Criterion) {
 fn bench_cluster_task(c: &mut Criterion) {
     c.bench_function("cloud/cluster_task_500_components", |b| {
         b.iter(|| {
-            let mut sim = Simulation::new();
-            let cluster = VmCluster::new(
-                ClusterConfig::new(InstanceType::r5_large(), 16),
-                CostMeter::new(),
-                &SeedSource::new(1),
-            );
+            let (mut sim, mut w) = world(16, 1);
             let mut spec = ClusterTaskSpec::new("bench", 500, 10.0);
             spec.input_bytes = 1e7;
             spec.output_bytes = 1e6;
-            let c2 = cluster.clone();
-            sim.schedule_now(move |sim| c2.run_task(sim, None, spec, |_, _| {}));
-            black_box(sim.run());
+            sim.schedule_now(move |w, sim| VmCluster::run_task(w, sim, spec, |_, _, _| {}));
+            black_box(sim.run(&mut w));
         })
     });
 }
@@ -61,18 +75,15 @@ fn bench_cluster_task(c: &mut Criterion) {
 fn bench_faas_task(c: &mut Criterion) {
     c.bench_function("cloud/faas_task_500_components", |b| {
         b.iter(|| {
-            let mut sim = Simulation::new();
-            let meter = CostMeter::new();
+            let (mut sim, mut w) = world(1, 2);
             let seeds = SeedSource::new(2);
-            let faas = FaasPlatform::new(FaasConfig::aws_like(), meter.clone(), &seeds);
-            let store = ObjectStore::new(StorageConfig::s3_like(), meter, &seeds);
             let mut spec = FaasTaskSpec::new("bench", 500, 10.0);
             spec.input_bytes = 1e7;
             spec.output_bytes = 1e6;
-            sim.schedule_now(move |sim| {
-                run_task_on_faas(sim, &faas, &store, spec, &seeds, |_, _| {});
+            sim.schedule_now(move |w, sim| {
+                run_task_on_faas(w, sim, None, spec, &seeds, |_, _, _| {});
             });
-            black_box(sim.run());
+            black_box(sim.run(&mut w));
         })
     });
 }

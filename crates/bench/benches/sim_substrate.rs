@@ -13,52 +13,48 @@
 //! to refresh the tracked numbers (see EXPERIMENTS.md).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mashup_sim::{shared, SharedLink, SimDuration, Simulation};
+use mashup_sim::{SimDuration, Simulation};
 
 /// 1000 staggered flows with heterogeneous per-flow caps on one link; each
 /// burst of arrivals and each completion tick re-plans the next completion
 /// over everything still in flight, once per event.
 fn link_contention(flows: usize) -> f64 {
     let mut sim = Simulation::new();
-    let link = SharedLink::new("bench-fabric", 1.0e9);
-    let done = shared(0usize);
+    let link = sim.add_link("bench-fabric", 1.0e9);
     for i in 0..flows {
-        let link2 = link.clone();
-        let done2 = done.clone();
         // Arrivals in small same-instant bursts (8 per instant), like a
         // phase of components starting together.
         let at = SimDuration::from_secs((i / 8) as f64 * 1.0e-3);
-        sim.schedule_in(at, move |sim| {
+        sim.schedule_in(at, move |_: &mut usize, sim| {
             let bytes = 1.0e6 + (i % 17) as f64 * 3.0e5;
             // A mix of capped (NIC-bound) and uncapped flows exercises both
             // sides of the water-filling split.
             let cap = if i % 3 == 0 { Some(2.0e6) } else { None };
-            link2.start_transfer(sim, bytes, cap, move |_| {
-                done2.set(done2.get() + 1);
-            });
+            sim.start_transfer(link, bytes, cap, |done: &mut usize, _| *done += 1);
         });
     }
-    sim.run();
-    assert_eq!(done.get(), flows);
+    let mut done = 0usize;
+    sim.run(&mut done);
+    assert_eq!(done, flows);
     sim.now().as_secs()
 }
 
 /// Schedule an event, then cancel and reschedule it repeatedly before
 /// letting it fire — one tombstone per iteration in the old queue.
 fn cancel_storm(events: usize) -> u64 {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let mut handle = None;
     for i in 0..events {
         if let Some(h) = handle.take() {
             sim.cancel(h);
         }
         let at = SimDuration::from_secs(1.0 + (i % 97) as f64 * 1.0e-4);
-        handle = Some(sim.schedule_in(at, |_| {}));
+        handle = Some(sim.schedule_in(at, |_, _| {}));
         // is_idle is called by run loops and watchdogs; the old
         // implementation scanned every tombstone each time.
         black_box(sim.is_idle());
     }
-    sim.run();
+    sim.run(&mut ());
     sim.events_processed()
 }
 

@@ -18,16 +18,15 @@
 
 use crate::cost::CostMeter;
 use crate::pricing::InstanceType;
-use crate::storage::ObjectStore;
+use crate::world::CloudWorld;
 use mashup_sim::trace::{TraceEvent, Tracer};
-use mashup_sim::{
-    jitter_factor, EventFn, SeedSource, SharedLink, SimDuration, SimTime, Simulation,
-};
-use mashup_sim::{shared, Shared};
+use mashup_sim::{jitter_factor, EventFn, LinkId, SeedSource, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Completion callback handed to [`VmCluster::run_task`].
-type ClusterDoneFn = Box<dyn FnOnce(&mut Simulation, ClusterRunStats) + Send>;
+type ClusterDoneFn<W> = Box<dyn FnOnce(&mut W, &mut Simulation<W>, ClusterRunStats) + Send>;
 
 /// Cluster shape and billing parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -170,18 +169,18 @@ impl ClusterRunStats {
 
 struct SubCluster {
     /// Live component count per worker node (timeshare load).
-    node_loads: mashup_sim::AtomicRefCell<Vec<usize>>,
-    peak_load: std::sync::atomic::AtomicUsize,
+    node_loads: Vec<usize>,
+    peak_load: usize,
     /// Master ingest NIC: initial-data distribution.
-    master_link: SharedLink,
+    master_link: LinkId,
     /// Intra-cluster fabric: inter-phase data; aggregate scales with the
     /// node count (bisection bound), per-flow capped by a node's NIC.
-    fabric_link: SharedLink,
+    fabric_link: LinkId,
 }
 
 impl SubCluster {
     fn nodes(&self) -> usize {
-        self.node_loads.borrow().len()
+        self.node_loads.len()
     }
 }
 
@@ -191,40 +190,34 @@ struct SpotState {
     /// the last segment persists forever.
     price_trace: Vec<(f64, f64)>,
     /// Reclaimed nodes: `(sub, node)` → (reclaim instant, fault id).
-    preempted: std::collections::BTreeMap<(usize, usize), (SimTime, u64)>,
+    preempted: BTreeMap<(usize, usize), (SimTime, u64)>,
 }
 
-struct ClusterState {
+/// Per-task completion accumulator of a cluster run in flight, kept in the
+/// world's [`Cloud`](crate::Cloud) under the key its component events carry.
+pub(crate) struct ClusterRun<W> {
+    remaining: usize,
+    io_secs: f64,
+    compute_secs: f64,
+    start: SimTime,
+    done: ClusterDoneFn<W>,
+}
+
+/// A VM cluster: its sub-clusters' nodes and links, and its billing.
+pub struct VmCluster {
+    cfg: ClusterConfig,
+    subs: Vec<SubCluster>,
+    seeds: SeedSource,
     billing_started: Option<SimTime>,
     billed_node_seconds: f64,
     tracer: Tracer,
     spot: Option<SpotState>,
 }
 
-/// Per-task completion accumulator shared by a task's component events.
-struct Accum {
-    remaining: usize,
-    io_secs: f64,
-    compute_secs: f64,
-    start: SimTime,
-    done: Option<ClusterDoneFn>,
-}
-
-/// A shareable VM cluster. Cloning shares the same nodes and links.
-#[derive(Clone)]
-pub struct VmCluster {
-    /// Behind an `Arc`: every component's events hold a clone of the
-    /// cluster, and a deep copy would copy the instance name each time.
-    cfg: std::sync::Arc<ClusterConfig>,
-    subs: std::sync::Arc<Vec<SubCluster>>,
-    meter: CostMeter,
-    seeds: SeedSource,
-    state: Shared<ClusterState>,
-}
-
 impl VmCluster {
-    /// Builds a cluster; nodes are split round-robin across sub-clusters.
-    pub fn new(cfg: ClusterConfig, meter: CostMeter, seeds: &SeedSource) -> Self {
+    /// Builds a cluster, adding its links to `sim`; nodes are split
+    /// round-robin across sub-clusters.
+    pub fn new<W>(cfg: ClusterConfig, sim: &mut Simulation<W>, seeds: &SeedSource) -> Self {
         assert!(cfg.nodes >= 1, "cluster needs at least one node");
         assert!(
             cfg.subclusters >= 1 && cfg.subclusters <= cfg.nodes,
@@ -242,26 +235,21 @@ impl VmCluster {
             let fabric_bps =
                 (n as f64 * cfg.instance.node_nic_bps / 2.0).max(cfg.instance.node_nic_bps);
             subs.push(SubCluster {
-                node_loads: mashup_sim::AtomicRefCell::new(vec![0usize; n]),
-                peak_load: std::sync::atomic::AtomicUsize::new(0),
-                master_link: SharedLink::new(
-                    format!("sub{s}-master-nic"),
-                    cfg.instance.master_nic_bps,
-                ),
-                fabric_link: SharedLink::new(format!("sub{s}-fabric"), fabric_bps),
+                node_loads: vec![0usize; n],
+                peak_load: 0,
+                master_link: sim
+                    .add_link(format!("sub{s}-master-nic"), cfg.instance.master_nic_bps),
+                fabric_link: sim.add_link(format!("sub{s}-fabric"), fabric_bps),
             });
         }
         VmCluster {
-            subs: std::sync::Arc::new(subs),
-            meter,
+            subs,
             seeds: seeds.child("cluster"),
-            state: shared(ClusterState {
-                billing_started: None,
-                billed_node_seconds: 0.0,
-                tracer: Tracer::off(),
-                spot: None,
-            }),
-            cfg: std::sync::Arc::new(cfg),
+            billing_started: None,
+            billed_node_seconds: 0.0,
+            tracer: Tracer::off(),
+            spot: None,
+            cfg,
         }
     }
 
@@ -269,37 +257,37 @@ impl VmCluster {
     /// and billing integrates the piecewise `(from_secs, price_per_hour)`
     /// trace per node (empty = flat on-demand price). Must be called
     /// before billing starts.
-    pub fn enable_spot(&self, mut price_trace: Vec<(f64, f64)>) {
-        let mut s = self.state.borrow_mut();
+    pub fn enable_spot(&mut self, mut price_trace: Vec<(f64, f64)>) {
         assert!(
-            s.billing_started.is_none(),
+            self.billing_started.is_none(),
             "enable spot pools before billing starts"
         );
         if price_trace.first().is_none_or(|p| p.0 > 0.0) {
             price_trace.insert(0, (0.0, self.cfg.instance.price_per_hour));
         }
-        s.spot = Some(SpotState {
+        self.spot = Some(SpotState {
             price_trace,
-            preempted: std::collections::BTreeMap::new(),
+            preempted: BTreeMap::new(),
         });
     }
 
     /// True when spot pools are enabled.
     pub fn spot_enabled(&self) -> bool {
-        self.state.borrow().spot.is_some()
+        self.spot.is_some()
     }
 
     /// Reclaims a spot node given a flat cluster-wide index (clamped into
     /// range), mapping it onto the actual sub-cluster split — fault plans
     /// stay valid whatever split the planner chose.
-    pub fn preempt_flat(&self, now: SimTime, flat: usize, fault_id: u64) {
+    pub fn preempt_flat(&mut self, now: SimTime, flat: usize, fault_id: u64) {
         let mut rest = flat % self.cfg.nodes;
-        for (sub_idx, sub) in self.subs.iter().enumerate() {
-            if rest < sub.nodes() {
+        for sub_idx in 0..self.subs.len() {
+            let nodes = self.subs[sub_idx].nodes();
+            if rest < nodes {
                 self.preempt_node(now, sub_idx, rest, fault_id);
                 return;
             }
-            rest -= sub.nodes();
+            rest -= nodes;
         }
         unreachable!("flat index within node count");
     }
@@ -308,9 +296,10 @@ impl VmCluster {
     /// and billing stops at the reclaim instant. No-op when spot pools are
     /// off, the node is already reclaimed, or it is the sub-cluster's last
     /// survivor (liveness: a run must always be able to finish).
-    pub fn preempt_node(&self, now: SimTime, sub: usize, node: usize, fault_id: u64) {
-        let mut s = self.state.borrow_mut();
-        let Some(spot) = s.spot.as_mut() else { return };
+    pub fn preempt_node(&mut self, now: SimTime, sub: usize, node: usize, fault_id: u64) {
+        let Some(spot) = self.spot.as_mut() else {
+            return;
+        };
         if spot.preempted.contains_key(&(sub, node)) {
             return;
         }
@@ -319,7 +308,7 @@ impl VmCluster {
             return;
         }
         spot.preempted.insert((sub, node), (now, fault_id));
-        s.tracer.emit(
+        self.tracer.emit(
             now,
             TraceEvent::SpotPreempt {
                 id: fault_id,
@@ -336,17 +325,11 @@ impl VmCluster {
 
     /// Reclaimed node count.
     pub fn preempted_nodes(&self) -> usize {
-        self.state
-            .borrow()
-            .spot
-            .as_ref()
-            .map_or(0, |sp| sp.preempted.len())
+        self.spot.as_ref().map_or(0, |sp| sp.preempted.len())
     }
 
     fn preempted_at(&self, sub: usize, node: usize) -> Option<(SimTime, u64)> {
-        self.state
-            .borrow()
-            .spot
+        self.spot
             .as_ref()
             .and_then(|sp| sp.preempted.get(&(sub, node)).copied())
     }
@@ -354,8 +337,7 @@ impl VmCluster {
     /// Maps a component's preferred node onto a surviving one. Identity
     /// when spot pools are off or the preferred node is alive.
     fn resolve_node(&self, sub: usize, preferred: usize) -> usize {
-        let s = self.state.borrow();
-        let Some(spot) = s.spot.as_ref() else {
+        let Some(spot) = self.spot.as_ref() else {
             return preferred;
         };
         if !spot.preempted.contains_key(&(sub, preferred)) {
@@ -376,14 +358,19 @@ impl VmCluster {
     /// node, charging the meter per segment. Returns billed node-seconds
     /// and dollars, computed with the meter's own arithmetic so the cost
     /// oracle reconciles `SpotBill` records exactly.
-    fn charge_spot_segments(&self, trace: &[(f64, f64)], from: f64, to: f64) -> (f64, f64) {
+    fn charge_spot_segments(
+        meter: &mut CostMeter,
+        trace: &[(f64, f64)],
+        from: f64,
+        to: f64,
+    ) -> (f64, f64) {
         let mut dollars = 0.0;
         for (i, &(seg_from, price)) in trace.iter().enumerate() {
             let seg_to = trace.get(i + 1).map_or(f64::INFINITY, |s| s.0);
             let a = from.max(seg_from);
             let b = to.min(seg_to);
             if b > a {
-                self.meter.charge_vm(b - a, price);
+                meter.charge_vm(b - a, price);
                 dollars += (b - a) / 3600.0 * price;
             }
         }
@@ -391,22 +378,16 @@ impl VmCluster {
     }
 
     /// Attaches a flight recorder; component timeshare windows and billing
-    /// boundaries flow through it (sub-cluster links pick it up too).
-    /// Reaches every clone of this cluster (state is shared).
-    pub fn set_tracer(&self, tracer: Tracer) {
-        for sub in self.subs.iter() {
-            sub.master_link.set_tracer(tracer.clone());
-            sub.fabric_link.set_tracer(tracer.clone());
-        }
-        self.state.borrow_mut().tracer = tracer;
+    /// boundaries flow through it.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// Emits the event `make` builds, building it only when a recorder is
     /// attached: its task label is per-component heap churn otherwise.
     fn trace_with(&self, now: SimTime, make: impl FnOnce() -> TraceEvent) {
-        let s = self.state.borrow();
-        if s.tracer.is_on() {
-            s.tracer.emit(now, make());
+        if self.tracer.is_on() {
+            self.tracer.emit(now, make());
         }
     }
 
@@ -415,22 +396,11 @@ impl VmCluster {
         &self.cfg
     }
 
-    /// The master ingest link of a sub-cluster (exposed for traces).
-    pub fn master_link(&self, subcluster: usize) -> &SharedLink {
-        &self.subs[subcluster].master_link
-    }
-
-    /// The intra-cluster fabric link of a sub-cluster (exposed for traces).
-    pub fn fabric_link(&self, subcluster: usize) -> &SharedLink {
-        &self.subs[subcluster].fabric_link
-    }
-
     /// Starts billing node time (idempotent).
-    pub fn start_billing(&self, now: SimTime) {
-        let mut s = self.state.borrow_mut();
-        if s.billing_started.is_none() {
-            s.billing_started = Some(now);
-            s.tracer.emit(
+    pub fn start_billing(&mut self, now: SimTime) {
+        if self.billing_started.is_none() {
+            self.billing_started = Some(now);
+            self.tracer.emit(
                 now,
                 TraceEvent::BillingStart {
                     nodes: self.cfg.nodes,
@@ -439,71 +409,67 @@ impl VmCluster {
         }
     }
 
-    /// Stops billing and charges the meter for the elapsed node time. With
+    /// Stops billing and charges `meter` for the elapsed node time. With
     /// spot pools enabled, each node is billed to its reclaim instant (or
     /// the stop instant) across the piecewise price segments, and per-node
     /// `SpotBill` records replace the single `BillingStop`.
-    pub fn stop_billing(&self, now: SimTime) {
-        let mut s = self.state.borrow_mut();
-        if let Some(t0) = s.billing_started.take() {
-            if let Some(spot) = s.spot.as_ref() {
-                let trace = spot.price_trace.clone();
-                let preempted = spot.preempted.clone();
-                let mut bills = Vec::new();
-                let mut total = 0.0;
-                for (sub_idx, sub) in self.subs.iter().enumerate() {
-                    for node in 0..sub.nodes() {
-                        let end = preempted.get(&(sub_idx, node)).map_or(now, |&(t, _)| {
-                            if t < now {
-                                t
-                            } else {
-                                now
-                            }
-                        });
-                        let from = t0.as_secs();
-                        let to = end.as_secs().max(from);
-                        let (secs, dollars) = self.charge_spot_segments(&trace, from, to);
-                        total += secs;
-                        bills.push((sub_idx, node, secs, dollars));
-                    }
+    pub fn stop_billing(&mut self, meter: &mut CostMeter, now: SimTime) {
+        let Some(t0) = self.billing_started.take() else {
+            return;
+        };
+        if let Some(spot) = self.spot.as_ref() {
+            let mut bills = Vec::new();
+            let mut total = 0.0;
+            for (sub_idx, sub) in self.subs.iter().enumerate() {
+                for node in 0..sub.nodes() {
+                    let end = spot.preempted.get(&(sub_idx, node)).map_or(now, |&(t, _)| {
+                        if t < now {
+                            t
+                        } else {
+                            now
+                        }
+                    });
+                    let from = t0.as_secs();
+                    let to = end.as_secs().max(from);
+                    let (secs, dollars) =
+                        Self::charge_spot_segments(meter, &spot.price_trace, from, to);
+                    total += secs;
+                    bills.push((sub_idx, node, secs, dollars));
                 }
-                s.billed_node_seconds += total;
-                for (sub, node, node_seconds, dollars) in bills {
-                    s.tracer.emit(
-                        now,
-                        TraceEvent::SpotBill {
-                            sub,
-                            node,
-                            node_seconds,
-                            dollars,
-                        },
-                    );
-                }
-            } else {
-                let node_secs = now.saturating_since(t0).as_secs() * self.cfg.nodes as f64;
-                s.billed_node_seconds += node_secs;
-                self.meter
-                    .charge_vm(node_secs, self.cfg.instance.price_per_hour);
-                s.tracer.emit(
+            }
+            self.billed_node_seconds += total;
+            for (sub, node, node_seconds, dollars) in bills {
+                self.tracer.emit(
                     now,
-                    TraceEvent::BillingStop {
-                        node_seconds: node_secs,
+                    TraceEvent::SpotBill {
+                        sub,
+                        node,
+                        node_seconds,
+                        dollars,
                     },
                 );
             }
+        } else {
+            let node_secs = now.saturating_since(t0).as_secs() * self.cfg.nodes as f64;
+            self.billed_node_seconds += node_secs;
+            meter.charge_vm(node_secs, self.cfg.instance.price_per_hour);
+            self.tracer.emit(
+                now,
+                TraceEvent::BillingStop {
+                    node_seconds: node_secs,
+                },
+            );
         }
     }
 
     /// Node-seconds billed so far.
     pub fn billed_node_seconds(&self) -> f64 {
-        self.state.borrow().billed_node_seconds
+        self.billed_node_seconds
     }
 
     /// Peak per-node component load observed on a sub-cluster.
     pub fn peak_node_load(&self, subcluster: usize) -> usize {
-        self.subs[subcluster]
-            .peak_load
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.subs[subcluster].peak_load
     }
 
     /// Saturation bound on the swap-thrash multiplier (the slowdown cannot
@@ -537,40 +503,45 @@ impl VmCluster {
         oversub * (1.0 + swap_coeff * pressure).min(Self::MAX_THRASH)
     }
 
-    /// Runs all components of a task on the cluster, invoking `on_done` with
-    /// timing stats when the last component finishes.
+    /// Runs all components of a task on the world's cluster, invoking
+    /// `on_done` with timing stats when the last component finishes.
     ///
     /// Per component (Algorithm 1 lines 12–14): read input through the
     /// master NIC (or the store over the WAN in hybrid mode), compute while
     /// timesharing the node with its co-residents (superlinear
     /// oversubscription slowdown sampled at compute start), write output.
-    pub fn run_task(
-        &self,
-        sim: &mut Simulation,
-        store: Option<&ObjectStore>,
+    pub fn run_task<W: CloudWorld>(
+        w: &mut W,
+        sim: &mut Simulation<W>,
         spec: ClusterTaskSpec,
-        on_done: impl FnOnce(&mut Simulation, ClusterRunStats) + Send + 'static,
+        on_done: impl FnOnce(&mut W, &mut Simulation<W>, ClusterRunStats) + Send + 'static,
     ) {
-        assert!(spec.subcluster < self.subs.len(), "no such subcluster");
+        let cloud = w.cloud();
+        let cluster = &cloud.cluster;
+        assert!(spec.subcluster < cluster.subs.len(), "no such subcluster");
         assert!(spec.components > 0, "task with zero components");
-        assert!(
-            !(spec.input == ClusterInput::Wan || spec.output == ClusterOutput::Wan)
-                || store.is_some(),
-            "WAN I/O requires an object store"
-        );
 
-        let accum = shared(Accum {
+        let run = cloud.cluster_runs.insert(ClusterRun {
             remaining: spec.components,
             io_secs: 0.0,
             compute_secs: 0.0,
             start: sim.now(),
-            done: Some(Box::new(on_done)),
+            done: Box::new(on_done),
         });
 
-        let sub = spec.subcluster;
-        let n_nodes = self.subs[sub].nodes();
-        let spec = std::sync::Arc::new(spec);
-        let mut rng = self.seeds.child(&spec.label).stream("cluster-run");
+        let sub = &cluster.subs[spec.subcluster];
+        let n_nodes = sub.nodes();
+        let input_link = if spec.input == ClusterInput::Master {
+            sub.master_link
+        } else {
+            sub.fabric_link
+        };
+        let (wan_bps, nic_bps) = (
+            cluster.cfg.instance.wan_bps,
+            cluster.cfg.instance.node_nic_bps,
+        );
+        let spec = Arc::new(spec);
+        let mut rng = cluster.seeds.child(&spec.label).stream("cluster-run");
 
         // The input branch is component-independent; when there is no input
         // transfer, the whole fan-out fires at the current instant and can
@@ -579,7 +550,7 @@ impl VmCluster {
         // preserves component order and nothing else is scheduled between
         // the loop iterations it replaces.
         let no_input = spec.input_bytes <= 0.0 || spec.input == ClusterInput::None;
-        let mut batch: Vec<EventFn> = if no_input {
+        let mut batch: Vec<EventFn<W>> = if no_input {
             Vec::with_capacity(spec.components)
         } else {
             Vec::new()
@@ -592,38 +563,26 @@ impl VmCluster {
             // --- input ---
             let read_begin = sim.now();
             let after_read = {
-                let cluster = self.clone();
                 let spec = spec.clone();
-                let accum = accum.clone();
-                let store = store.cloned();
-                move |sim: &mut Simulation| {
-                    accum.borrow_mut().io_secs += sim.now().since(read_begin).as_secs();
-                    VmCluster::compute_component(cluster, spec, accum, store, node_idx, jf, sim);
+                move |w: &mut W, sim: &mut Simulation<W>| {
+                    w.cloud().cluster_runs.get_mut(run).io_secs +=
+                        sim.now().since(read_begin).as_secs();
+                    VmCluster::compute_component(w, sim, spec, run, node_idx, jf);
                 }
             };
             if no_input {
                 batch.push(Box::new(after_read));
             } else if spec.input == ClusterInput::Wan {
-                store.expect("store checked above").read(
+                cloud.store.read(
+                    &mut cloud.meter,
                     sim,
                     spec.input_bytes,
                     spec.io_requests,
-                    Some(self.cfg.instance.wan_bps),
-                    move |sim, _| after_read(sim),
+                    Some(wan_bps),
+                    move |w, sim, _| after_read(w, sim),
                 );
             } else {
-                let sub = &self.subs[spec.subcluster];
-                let link = if spec.input == ClusterInput::Master {
-                    &sub.master_link
-                } else {
-                    &sub.fabric_link
-                };
-                link.start_transfer(
-                    sim,
-                    spec.input_bytes,
-                    Some(self.cfg.instance.node_nic_bps),
-                    after_read,
-                );
+                sim.start_transfer(input_link, spec.input_bytes, Some(nic_bps), after_read);
             }
         }
         if no_input {
@@ -638,36 +597,36 @@ impl VmCluster {
     /// reclaims the node mid-window the attempt's work is lost and the
     /// component retries on a survivor (chaining a `CompRetry` record to
     /// the preemption's fault id).
-    fn compute_component(
-        cluster: VmCluster,
-        spec: std::sync::Arc<ClusterTaskSpec>,
-        accum: Shared<Accum>,
-        store: Option<ObjectStore>,
+    fn compute_component<W: CloudWorld>(
+        w: &mut W,
+        sim: &mut Simulation<W>,
+        spec: Arc<ClusterTaskSpec>,
+        run: usize,
         preferred_node: usize,
         jf: f64,
-        sim: &mut Simulation,
     ) {
+        let cloud = w.cloud();
+        let cluster = &mut cloud.cluster;
         let node_idx = cluster.resolve_node(spec.subcluster, preferred_node);
         // --- compute: timeshare the node ---
         let load = {
-            let sub = &cluster.subs[spec.subcluster];
-            let mut loads = sub.node_loads.borrow_mut();
-            loads[node_idx] += 1;
-            let l = loads[node_idx];
-            let prev = sub.peak_load.load(std::sync::atomic::Ordering::Relaxed);
-            sub.peak_load
-                .store(prev.max(l), std::sync::atomic::Ordering::Relaxed);
+            let sub = &mut cluster.subs[spec.subcluster];
+            sub.node_loads[node_idx] += 1;
+            let l = sub.node_loads[node_idx];
+            sub.peak_load = sub.peak_load.max(l);
             l
         };
+        let instance = &cluster.cfg.instance;
         let factor = VmCluster::timeshare_factor(
             load,
-            cluster.cfg.instance.cores,
+            instance.cores,
             spec.memory_gb,
-            cluster.cfg.instance.memory_gb,
+            instance.memory_gb,
             spec.contention_coeff,
         );
-        let thrash = load as f64 * spec.memory_gb > cluster.cfg.instance.memory_gb
-            && spec.contention_coeff > 0.0;
+        let thrash =
+            load as f64 * spec.memory_gb > instance.memory_gb && spec.contention_coeff > 0.0;
+        let secs = spec.compute_secs / instance.core_speed * factor * jf;
         cluster.trace_with(sim.now(), || TraceEvent::VmCompStart {
             task: spec.label.clone(),
             sub: spec.subcluster,
@@ -677,11 +636,12 @@ impl VmCluster {
             factor,
             thrash,
         });
-        let secs = spec.compute_secs / cluster.cfg.instance.core_speed * factor * jf;
         let dur = SimDuration::from_secs(secs);
-        accum.borrow_mut().compute_secs += secs;
-        sim.schedule_in(dur, move |sim| {
-            cluster.subs[spec.subcluster].node_loads.borrow_mut()[node_idx] -= 1;
+        cloud.cluster_runs.get_mut(run).compute_secs += secs;
+        sim.schedule_in(dur, move |w: &mut W, sim| {
+            let cloud = w.cloud();
+            let cluster = &mut cloud.cluster;
+            cluster.subs[spec.subcluster].node_loads[node_idx] -= 1;
             cluster.trace_with(sim.now(), || TraceEvent::VmCompEnd {
                 task: spec.label.clone(),
                 sub: spec.subcluster,
@@ -698,53 +658,44 @@ impl VmCluster {
                         sub: spec.subcluster,
                         node: retry_node,
                     });
-                    VmCluster::compute_component(
-                        cluster,
-                        spec,
-                        accum,
-                        store,
-                        preferred_node,
-                        jf,
-                        sim,
-                    );
+                    VmCluster::compute_component(w, sim, spec, run, preferred_node, jf);
                     return;
                 }
             }
             // --- output ---
             let write_begin = sim.now();
-            let finish = move |sim: &mut Simulation| {
-                let mut a = accum.borrow_mut();
+            let finish = move |w: &mut W, sim: &mut Simulation<W>| {
+                let runs = &mut w.cloud().cluster_runs;
+                let a = runs.get_mut(run);
                 a.io_secs += sim.now().since(write_begin).as_secs();
                 a.remaining -= 1;
                 if a.remaining == 0 {
+                    let a = runs.remove(run);
                     let stats = ClusterRunStats {
                         start: a.start,
                         end: sim.now(),
                         io_secs: a.io_secs,
                         compute_secs: a.compute_secs,
                     };
-                    let cb = a.done.take().expect("done fires once");
-                    drop(a);
-                    cb(sim, stats);
+                    (a.done)(w, sim, stats);
                 }
             };
+            let instance = &cluster.cfg.instance;
             if spec.output_bytes <= 0.0 || spec.output == ClusterOutput::None {
                 sim.schedule_now(finish);
             } else if spec.output == ClusterOutput::Wan {
-                store.as_ref().expect("store checked above").write(
+                let wan_bps = instance.wan_bps;
+                cloud.store.write(
+                    &mut cloud.meter,
                     sim,
                     spec.output_bytes,
                     spec.io_requests,
-                    Some(cluster.cfg.instance.wan_bps),
-                    move |sim, _| finish(sim),
+                    Some(wan_bps),
+                    move |w, sim, _| finish(w, sim),
                 );
             } else {
-                cluster.subs[spec.subcluster].fabric_link.start_transfer(
-                    sim,
-                    spec.output_bytes,
-                    Some(cluster.cfg.instance.node_nic_bps),
-                    finish,
-                );
+                let link = cluster.subs[spec.subcluster].fabric_link;
+                sim.start_transfer(link, spec.output_bytes, Some(instance.node_nic_bps), finish);
             }
         });
     }
@@ -753,29 +704,40 @@ impl VmCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    fn cluster(nodes: usize) -> (VmCluster, CostMeter) {
-        let meter = CostMeter::new();
-        let c = VmCluster::new(
-            ClusterConfig::new(InstanceType::r5_large(), nodes),
-            meter.clone(),
+    use crate::pricing::{FaasConfig, StorageConfig};
+    use crate::world::testing::{world, World};
+
+    type W = World<Vec<ClusterRunStats>>;
+
+    fn with_config(cfg: ClusterConfig) -> (Simulation<W>, W) {
+        world(
+            cfg,
+            FaasConfig::aws_like(),
+            StorageConfig::s3_like(),
             &SeedSource::new(7),
-        );
-        (c, meter)
+        )
     }
 
-    fn run(c: &VmCluster, spec: ClusterTaskSpec) -> ClusterRunStats {
-        let mut sim = Simulation::new();
-        let out = shared(None);
-        let o2 = out.clone();
-        let c2 = c.clone();
-        sim.schedule_now(move |sim| {
-            c2.run_task(sim, None, spec, move |_, stats| {
-                *o2.borrow_mut() = Some(stats);
-            });
+    fn cluster(nodes: usize) -> (Simulation<W>, W) {
+        with_config(ClusterConfig::new(InstanceType::r5_large(), nodes))
+    }
+
+    /// Starts `spec` at the current instant; its stats land in `w.out`.
+    fn submit(sim: &mut Simulation<W>, spec: ClusterTaskSpec) {
+        sim.schedule_now(move |w: &mut W, sim| {
+            VmCluster::run_task(w, sim, spec, |w: &mut W, _, stats| w.out.push(stats));
         });
-        sim.run();
-        let stats = out.borrow_mut().take().expect("task completed");
-        stats
+    }
+
+    fn run(sim: &mut Simulation<W>, w: &mut W, spec: ClusterTaskSpec) -> ClusterRunStats {
+        submit(sim, spec);
+        sim.run(w);
+        w.out.pop().expect("task completed")
+    }
+
+    fn run_on(nodes: usize, spec: ClusterTaskSpec) -> ClusterRunStats {
+        let (mut sim, mut w) = cluster(nodes);
+        run(&mut sim, &mut w, spec)
     }
 
     #[test]
@@ -786,24 +748,23 @@ mod tests {
         // instant see loads 1,2,3,4 on their node), so the slowest sees the
         // full oversubscription of 2 -> makespan 20 s, the same as ideal
         // wave packing.
-        let (c, _) = cluster(2);
-        let stats = run(&c, ClusterTaskSpec::new("t", 8, 10.0));
+        let (mut sim, mut w) = cluster(2);
+        let stats = run(&mut sim, &mut w, ClusterTaskSpec::new("t", 8, 10.0));
         assert!((stats.makespan().as_secs() - 20.0).abs() < 1e-9);
         assert_eq!(stats.io_secs, 0.0);
         // Per node: loads 1,2,3,4 -> factors 1,1,1.5,2 -> 10+10+15+20 s.
         assert!((stats.compute_secs - 110.0).abs() < 1e-9);
-        assert_eq!(c.peak_node_load(0), 4);
+        assert_eq!(w.cloud.cluster.peak_node_load(0), 4);
     }
 
     #[test]
     fn memory_pressure_thrash_is_superlinear() {
         // 8 comps of 4 GiB on one 16 GiB node (2 cores), coeff 0.5:
         // oversub 4, memory pressure 8*4/16 - 1 = 1 -> factor 4 * 1.5 = 6.
-        let (c, _) = cluster(1);
         let mut spec = ClusterTaskSpec::new("t", 8, 10.0);
         spec.contention_coeff = 0.5;
         spec.memory_gb = 4.0;
-        let stats = run(&c, spec);
+        let stats = run_on(1, spec);
         assert!(
             (stats.makespan().as_secs() - 60.0).abs() < 1e-6,
             "{}",
@@ -814,21 +775,19 @@ mod tests {
     #[test]
     fn fitting_in_memory_avoids_thrash() {
         // Same oversubscription, tiny memory: pure timesharing (factor 4).
-        let (c, _) = cluster(1);
         let mut spec = ClusterTaskSpec::new("t", 8, 10.0);
         spec.contention_coeff = 0.5;
         spec.memory_gb = 0.1;
-        let stats = run(&c, spec);
+        let stats = run_on(1, spec);
         assert!((stats.makespan().as_secs() - 40.0).abs() < 1e-6);
     }
 
     #[test]
     fn under_subscribed_nodes_run_at_full_speed() {
-        let (c, _) = cluster(4);
         let mut spec = ClusterTaskSpec::new("t", 4, 10.0);
         spec.contention_coeff = 0.5;
         spec.memory_gb = 1.0;
-        let stats = run(&c, spec);
+        let stats = run_on(4, spec);
         assert!((stats.makespan().as_secs() - 10.0).abs() < 1e-9);
     }
 
@@ -853,11 +812,10 @@ mod tests {
     fn master_ingest_is_shared_within_subcluster() {
         // 4 comps each pulling 2.5 GB of initial data through the 2.5 GB/s
         // master ingest NIC: 10 GB total -> 4 s of I/O, then 1 s compute.
-        let (c, _) = cluster(4);
         let mut spec = ClusterTaskSpec::new("t", 4, 1.0);
         spec.input_bytes = 2.5e9;
         spec.input = ClusterInput::Master;
-        let stats = run(&c, spec);
+        let stats = run_on(4, spec);
         assert!(
             (stats.makespan().as_secs() - 5.0).abs() < 1e-6,
             "{}",
@@ -871,11 +829,10 @@ mod tests {
         // fabric is max(nic, 2*nic/2) = 1.25 GB/s -> 16 s; on 16 nodes it
         // is 10 GB/s -> 2 s.
         for (nodes, expect) in [(2usize, 16.0), (16usize, 2.0)] {
-            let (c, _) = cluster(nodes);
             let mut spec = ClusterTaskSpec::new("t", 16, 0.0);
             spec.input_bytes = 1.25e9;
             spec.input = ClusterInput::Fabric;
-            let stats = run(&c, spec);
+            let stats = run_on(nodes, spec);
             assert!(
                 (stats.makespan().as_secs() - expect).abs() < 1e-6,
                 "{} nodes: {}",
@@ -889,95 +846,68 @@ mod tests {
     fn fabric_flows_are_capped_by_the_node_nic() {
         // A single component cannot pull faster than its own NIC even on a
         // big cluster: 2.5 GB at 1.25 GB/s = 2 s.
-        let (c, _) = cluster(32);
         let mut spec = ClusterTaskSpec::new("t", 1, 0.0);
         spec.input_bytes = 2.5e9;
         spec.input = ClusterInput::Fabric;
-        let stats = run(&c, spec);
+        let stats = run_on(32, spec);
         assert!((stats.makespan().as_secs() - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn subclusters_have_independent_masters() {
-        let meter = CostMeter::new();
-        let c = VmCluster::new(
-            ClusterConfig::new(InstanceType::r5_large(), 4).with_subclusters(2),
-            meter,
-            &SeedSource::new(7),
-        );
-        let mut sim = Simulation::new();
-        let ends = shared(Vec::new());
+        let (mut sim, mut w) =
+            with_config(ClusterConfig::new(InstanceType::r5_large(), 4).with_subclusters(2));
         for sub in 0..2 {
             let mut spec = ClusterTaskSpec::new(format!("t{sub}"), 4, 0.0);
             spec.input_bytes = 1.25e9;
             spec.input = ClusterInput::Master;
             spec.subcluster = sub;
-            let c2 = c.clone();
-            let ends2 = ends.clone();
-            sim.schedule_now(move |sim| {
-                c2.run_task(sim, None, spec, move |sim, _| {
-                    ends2.borrow_mut().push(sim.now().as_secs());
-                });
-            });
+            submit(&mut sim, spec);
         }
-        sim.run();
+        sim.run(&mut w);
         // Each subcluster ingests 4 x 1.25 GB over its own 2.5 GB/s master:
         // 2 s each, in parallel (4 s if they shared one master).
-        for &e in ends.borrow().iter() {
+        assert_eq!(w.out.len(), 2);
+        for stats in &w.out {
+            let e = stats.end.as_secs();
             assert!((e - 2.0).abs() < 1e-6, "end {e}");
         }
     }
 
     #[test]
     fn billing_charges_node_time() {
-        let (c, meter) = cluster(4);
-        c.start_billing(SimTime::ZERO);
-        c.start_billing(SimTime::from_secs(10.0)); // idempotent
-        c.stop_billing(SimTime::from_secs(3600.0));
-        let e = meter.expense(0.0);
+        let (_, mut w) = cluster(4);
+        let cloud = &mut w.cloud;
+        cloud.cluster.start_billing(SimTime::ZERO);
+        cloud.cluster.start_billing(SimTime::from_secs(10.0)); // idempotent
+        cloud
+            .cluster
+            .stop_billing(&mut cloud.meter, SimTime::from_secs(3600.0));
+        let e = cloud.meter.expense(0.0);
         // 4 nodes x 1 h x $0.12.
         assert!((e.vm_dollars - 0.48).abs() < 1e-9);
-        assert_eq!(c.billed_node_seconds(), 4.0 * 3600.0);
+        assert_eq!(cloud.cluster.billed_node_seconds(), 4.0 * 3600.0);
     }
 
     #[test]
     fn faster_cores_shrink_compute() {
-        let meter = CostMeter::new();
-        let c = VmCluster::new(
-            ClusterConfig::new(InstanceType::r5b_large(), 1),
-            meter,
-            &SeedSource::new(7),
-        );
-        let stats = run(&c, ClusterTaskSpec::new("t", 1, 13.5));
+        let (mut sim, mut w) = with_config(ClusterConfig::new(InstanceType::r5b_large(), 1));
+        let stats = run(&mut sim, &mut w, ClusterTaskSpec::new("t", 1, 13.5));
         assert!((stats.makespan().as_secs() - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn larger_cluster_reduces_makespan() {
-        let (small, _) = cluster(2);
-        let (large, _) = cluster(16);
-        let t_small = run(&small, ClusterTaskSpec::new("t", 64, 5.0));
-        let t_large = run(&large, ClusterTaskSpec::new("t", 64, 5.0));
+        let t_small = run_on(2, ClusterTaskSpec::new("t", 64, 5.0));
+        let t_large = run_on(16, ClusterTaskSpec::new("t", 64, 5.0));
         assert!(t_large.makespan() < t_small.makespan());
     }
 
     #[test]
-    #[should_panic(expected = "WAN I/O requires an object store")]
-    fn wan_io_without_store_panics() {
-        let (c, _) = cluster(1);
-        let mut spec = ClusterTaskSpec::new("t", 1, 1.0);
-        spec.input = ClusterInput::Wan;
-        run(&c, spec);
-    }
-
-    #[test]
     fn preempt_flat_maps_onto_the_subcluster_split() {
-        let meter = CostMeter::new();
-        let c = VmCluster::new(
-            ClusterConfig::new(InstanceType::r5_large(), 4).with_subclusters(2),
-            meter,
-            &SeedSource::new(7),
-        );
+        let (_, mut w) =
+            with_config(ClusterConfig::new(InstanceType::r5_large(), 4).with_subclusters(2));
+        let c = &mut w.cloud.cluster;
         c.enable_spot(Vec::new());
         // Flat index 3 lands on (sub 1, node 1) under a 2+2 split; an
         // out-of-range index wraps (5 % 4 = 1 -> sub 0, node 1).
@@ -990,7 +920,8 @@ mod tests {
 
     #[test]
     fn preemption_spares_each_subclusters_last_survivor() {
-        let (c, _) = cluster(2);
+        let (_, mut w) = cluster(2);
+        let c = &mut w.cloud.cluster;
         c.enable_spot(Vec::new());
         c.preempt_node(SimTime::from_secs(1.0), 0, 0, 0);
         // Reclaiming the last survivor is a silent no-op (liveness), as is
@@ -1004,7 +935,8 @@ mod tests {
 
     #[test]
     fn preemption_without_spot_pools_is_a_no_op() {
-        let (c, _) = cluster(2);
+        let (_, mut w) = cluster(2);
+        let c = &mut w.cloud.cluster;
         c.preempt_node(SimTime::from_secs(1.0), 0, 0, 0);
         assert_eq!(c.surviving_nodes(), 2);
         assert_eq!(c.resolve_node(0, 0), 0);
@@ -1015,54 +947,46 @@ mod tests {
         // 2 comps of 10 s, one per node; node 0 is reclaimed at t=5, so its
         // comp's first attempt is lost and it re-runs on node 1: 10 s wasted
         // + 10 s retry -> makespan 20 s, 30 s of compute across attempts.
-        let (c, _) = cluster(2);
-        c.enable_spot(Vec::new());
-        let mut sim = Simulation::new();
-        let out = shared(None);
-        let o2 = out.clone();
-        let c2 = c.clone();
-        sim.schedule_now(move |sim| {
-            c2.run_task(
-                sim,
-                None,
-                ClusterTaskSpec::new("t", 2, 10.0),
-                move |_, stats| {
-                    *o2.borrow_mut() = Some(stats);
-                },
-            );
+        let (mut sim, mut w) = cluster(2);
+        w.cloud.cluster.enable_spot(Vec::new());
+        sim.schedule_at(SimTime::from_secs(5.0), |w: &mut W, sim| {
+            w.cloud.cluster.preempt_node(sim.now(), 0, 0, 0);
         });
-        let c3 = c.clone();
-        sim.schedule_at(SimTime::from_secs(5.0), move |sim| {
-            c3.preempt_node(sim.now(), 0, 0, 0);
-        });
-        sim.run();
-        let stats = out.borrow_mut().take().expect("task completed");
+        let stats = run(&mut sim, &mut w, ClusterTaskSpec::new("t", 2, 10.0));
         assert!((stats.makespan().as_secs() - 20.0).abs() < 1e-9);
         assert!((stats.compute_secs - 30.0).abs() < 1e-9);
     }
 
     #[test]
     fn spot_billing_integrates_price_segments_per_node() {
-        let (c, meter) = cluster(2);
-        c.enable_spot(vec![(0.0, 0.12), (1800.0, 0.06)]);
-        c.start_billing(SimTime::ZERO);
-        c.preempt_node(SimTime::from_secs(1800.0), 0, 0, 0);
-        c.stop_billing(SimTime::from_secs(3600.0));
+        let (_, mut w) = cluster(2);
+        let cloud = &mut w.cloud;
+        cloud.cluster.enable_spot(vec![(0.0, 0.12), (1800.0, 0.06)]);
+        cloud.cluster.start_billing(SimTime::ZERO);
+        cloud
+            .cluster
+            .preempt_node(SimTime::from_secs(1800.0), 0, 0, 0);
+        cloud
+            .cluster
+            .stop_billing(&mut cloud.meter, SimTime::from_secs(3600.0));
         // Node 0: 1800 s at $0.12/h = $0.06. Node 1: 1800 s at $0.12/h +
         // 1800 s at $0.06/h = $0.09.
-        let e = meter.expense(0.0);
+        let e = cloud.meter.expense(0.0);
         assert!((e.vm_dollars - 0.15).abs() < 1e-9, "{}", e.vm_dollars);
-        assert_eq!(c.billed_node_seconds(), 1800.0 + 3600.0);
+        assert_eq!(cloud.cluster.billed_node_seconds(), 1800.0 + 3600.0);
     }
 
     #[test]
     fn spot_billing_without_a_trace_matches_on_demand() {
-        let (c, meter) = cluster(4);
-        c.enable_spot(Vec::new());
-        c.start_billing(SimTime::ZERO);
-        c.stop_billing(SimTime::from_secs(3600.0));
-        let e = meter.expense(0.0);
+        let (_, mut w) = cluster(4);
+        let cloud = &mut w.cloud;
+        cloud.cluster.enable_spot(Vec::new());
+        cloud.cluster.start_billing(SimTime::ZERO);
+        cloud
+            .cluster
+            .stop_billing(&mut cloud.meter, SimTime::from_secs(3600.0));
+        let e = cloud.meter.expense(0.0);
         assert!((e.vm_dollars - 0.48).abs() < 1e-9);
-        assert_eq!(c.billed_node_seconds(), 4.0 * 3600.0);
+        assert_eq!(cloud.cluster.billed_node_seconds(), 4.0 * 3600.0);
     }
 }

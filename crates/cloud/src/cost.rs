@@ -5,7 +5,6 @@
 //! execution. [`CostMeter`] accumulates these as the simulation runs and
 //! renders an [`Expense`] breakdown at the end.
 
-use mashup_sim::Shared;
 use serde::{Deserialize, Serialize};
 
 const SECS_PER_MONTH: f64 = 30.0 * 24.0 * 3600.0;
@@ -28,18 +27,14 @@ impl Expense {
     }
 }
 
-#[derive(Debug, Default)]
-struct Meter {
+/// The expense accumulator of one run. A world owns exactly one, and every
+/// service charges it in simulation order.
+#[derive(Debug, Clone, Default)]
+pub struct CostMeter {
     vm_node_seconds_dollars: f64,
     faas_function_seconds_dollars: f64,
     storage_byte_seconds: f64,
     storage_request_dollars: f64,
-}
-
-/// A shareable expense accumulator. Cloning shares the same meter.
-#[derive(Debug, Clone, Default)]
-pub struct CostMeter {
-    inner: Shared<Meter>,
 }
 
 impl CostMeter {
@@ -49,38 +44,36 @@ impl CostMeter {
     }
 
     /// Charges `node_seconds` of VM time at `price_per_hour`.
-    pub fn charge_vm(&self, node_seconds: f64, price_per_hour: f64) {
+    pub fn charge_vm(&mut self, node_seconds: f64, price_per_hour: f64) {
         debug_assert!(node_seconds >= 0.0);
-        self.inner.borrow_mut().vm_node_seconds_dollars += node_seconds / 3600.0 * price_per_hour;
+        self.vm_node_seconds_dollars += node_seconds / 3600.0 * price_per_hour;
     }
 
     /// Charges `function_seconds` of serverless time at `price_per_hour`.
-    pub fn charge_faas(&self, function_seconds: f64, price_per_hour: f64) {
+    pub fn charge_faas(&mut self, function_seconds: f64, price_per_hour: f64) {
         debug_assert!(function_seconds >= 0.0);
-        self.inner.borrow_mut().faas_function_seconds_dollars +=
-            function_seconds / 3600.0 * price_per_hour;
+        self.faas_function_seconds_dollars += function_seconds / 3600.0 * price_per_hour;
     }
 
     /// Charges storage occupancy: `bytes` held for `seconds`.
-    pub fn charge_storage_occupancy(&self, bytes: f64, seconds: f64) {
+    pub fn charge_storage_occupancy(&mut self, bytes: f64, seconds: f64) {
         debug_assert!(bytes >= 0.0 && seconds >= 0.0);
-        self.inner.borrow_mut().storage_byte_seconds += bytes * seconds;
+        self.storage_byte_seconds += bytes * seconds;
     }
 
     /// Charges `n` storage requests at `price_each`.
-    pub fn charge_storage_requests(&self, n: u64, price_each: f64) {
-        self.inner.borrow_mut().storage_request_dollars += n as f64 * price_each;
+    pub fn charge_storage_requests(&mut self, n: u64, price_each: f64) {
+        self.storage_request_dollars += n as f64 * price_each;
     }
 
     /// Renders the expense breakdown; `price_per_gb_month` converts the
     /// accumulated byte-seconds.
     pub fn expense(&self, price_per_gb_month: f64) -> Expense {
-        let m = self.inner.borrow();
-        let gb_months = m.storage_byte_seconds / 1e9 / SECS_PER_MONTH;
+        let gb_months = self.storage_byte_seconds / 1e9 / SECS_PER_MONTH;
         Expense {
-            vm_dollars: m.vm_node_seconds_dollars,
-            faas_dollars: m.faas_function_seconds_dollars,
-            storage_dollars: gb_months * price_per_gb_month + m.storage_request_dollars,
+            vm_dollars: self.vm_node_seconds_dollars,
+            faas_dollars: self.faas_function_seconds_dollars,
+            storage_dollars: gb_months * price_per_gb_month + self.storage_request_dollars,
         }
     }
 }
@@ -91,7 +84,7 @@ mod tests {
 
     #[test]
     fn vm_and_faas_charging() {
-        let m = CostMeter::new();
+        let mut m = CostMeter::new();
         // 10 nodes for one hour at $0.12.
         m.charge_vm(10.0 * 3600.0, 0.12);
         // 100 function-seconds at $0.12/hr.
@@ -104,20 +97,12 @@ mod tests {
 
     #[test]
     fn storage_charging() {
-        let m = CostMeter::new();
+        let mut m = CostMeter::new();
         // 1 GB held for a month.
         m.charge_storage_occupancy(1e9, SECS_PER_MONTH);
         m.charge_storage_requests(1000, 5e-6);
         let e = m.expense(0.023);
         assert!((e.storage_dollars - (0.023 + 0.005)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cloned_meters_share_state() {
-        let m = CostMeter::new();
-        let m2 = m.clone();
-        m2.charge_vm(3600.0, 1.0);
-        assert!((m.expense(0.0).vm_dollars - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! reached... the next set of serverless functions that start the task from
 //! its stored state is spawned").
 
-use crate::faas::FaasPlatform;
-use crate::storage::ObjectStore;
+use crate::faas::Invocation;
+use crate::world::CloudWorld;
 use mashup_sim::trace::TraceEvent;
 use mashup_sim::{jitter_factor, SeedSource, SimDuration, SimTime, Simulation};
-use mashup_sim::{shared, Shared};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Completion callback fired once the last component chain finishes.
-type FaasDoneFn = Box<dyn FnOnce(&mut Simulation, FaasRunStats) + Send>;
+type FaasDoneFn<W> = Box<dyn FnOnce(&mut W, &mut Simulation<W>, FaasRunStats) + Send>;
 
 /// Work description for running one task's components on FaaS.
 #[derive(Debug, Clone)]
@@ -108,48 +108,99 @@ impl FaasRunStats {
     }
 }
 
-struct Accum {
+/// Per-task accumulator of a serverless run in flight, kept in the world's
+/// [`Cloud`](crate::Cloud) under the key its invocation chains carry.
+pub(crate) struct FaasRun<W> {
     remaining: usize,
     first_start_seen: bool,
     stats: FaasRunStats,
-    done: Option<FaasDoneFn>,
+    done: FaasDoneFn<W>,
 }
 
+/// What every event of one task's invocation chains carries: the platform
+/// tier, the spec, and the key of the task's [`FaasRun`].
 #[derive(Clone)]
 struct Ctx {
-    platform: FaasPlatform,
-    store: ObjectStore,
-    spec: std::sync::Arc<FaasTaskSpec>,
-    accum: Shared<Accum>,
+    tier: Option<u32>,
+    spec: Arc<FaasTaskSpec>,
+    run: usize,
 }
 
-/// Runs all components of `spec` on the platform, exchanging data through
-/// the store, invoking `on_done` with aggregate stats when the last
-/// component's chain finishes.
+impl Ctx {
+    fn run<'w, W: CloudWorld>(&self, w: &'w mut W) -> &'w mut FaasRun<W> {
+        w.cloud().faas_runs.get_mut(self.run)
+    }
+
+    /// Completes `inv` on the task's platform, billing it now.
+    fn complete<W: CloudWorld>(&self, w: &mut W, sim: &Simulation<W>, inv: &Invocation) -> bool {
+        let (platform, _, meter) = w.cloud().serverless(self.tier);
+        platform.complete(meter, sim.now(), inv.id)
+    }
+
+    fn is_active<W: CloudWorld>(&self, w: &mut W, inv: &Invocation) -> bool {
+        w.cloud().platform(self.tier).is_active(inv.id)
+    }
+
+    fn trace_with<W: CloudWorld>(
+        &self,
+        w: &mut W,
+        sim: &Simulation<W>,
+        make: impl FnOnce() -> TraceEvent,
+    ) {
+        w.cloud().platform(self.tier).trace_with(sim.now(), make);
+    }
+
+    /// Starts a store read (`write` false) or write of `bytes` at the
+    /// per-function cap, then runs `then` with the transfer's wall time.
+    fn store_io<W: CloudWorld>(
+        &self,
+        w: &mut W,
+        sim: &mut Simulation<W>,
+        write: bool,
+        bytes: f64,
+        then: impl FnOnce(&mut W, &mut Simulation<W>, SimDuration) + Send + 'static,
+    ) {
+        let (platform, store, meter) = w.cloud().serverless(self.tier);
+        let cap = Some(platform.config().per_function_bps);
+        let requests = self.spec.io_requests;
+        if write {
+            store.write(meter, sim, bytes, requests, cap, then);
+        } else {
+            store.read(meter, sim, bytes, requests, cap, then);
+        }
+    }
+}
+
+/// Runs all components of `spec` on the platform of memory tier `tier` (the
+/// base platform for `None`), exchanging data through the world's store,
+/// invoking `on_done` with aggregate stats when the last component's chain
+/// finishes.
 ///
 /// Panics if a component's memory footprint exceeds the platform cap or if
 /// a component cannot make forward progress inside one timeout window
 /// (input read longer than the usable window) — both indicate a placement
 /// bug the PDC is supposed to prevent.
-pub fn run_task_on_faas(
-    sim: &mut Simulation,
-    platform: &FaasPlatform,
-    store: &ObjectStore,
+pub fn run_task_on_faas<W: CloudWorld>(
+    w: &mut W,
+    sim: &mut Simulation<W>,
+    tier: Option<u32>,
     spec: FaasTaskSpec,
     seeds: &SeedSource,
-    on_done: impl FnOnce(&mut Simulation, FaasRunStats) + Send + 'static,
+    on_done: impl FnOnce(&mut W, &mut Simulation<W>, FaasRunStats) + Send + 'static,
 ) {
+    let cloud = w.cloud();
+    let platform = cloud.platform(tier).config();
     // Analyzer-checked invariant: diagnostic M104 rejects zero-component
     // tasks before execution reaches this platform.
     assert!(spec.components > 0, "task with zero components");
     // Analyzer-checked invariant: diagnostic M203 rejects serverless
     // placements whose memory demand exceeds the function cap.
     assert!(
-        spec.memory_gb <= platform.config().memory_gb,
+        spec.memory_gb <= platform.memory_gb,
         "task '{}' needs {} GiB but functions cap at {} GiB",
         spec.label,
         spec.memory_gb,
-        platform.config().memory_gb
+        platform.memory_gb
     );
     // A checkpoint written after the margin point must land before the
     // deadline, or the watchdog kills the function mid-checkpoint.
@@ -157,16 +208,17 @@ pub fn run_task_on_faas(
     // checkpoint write (`MashupConfig::margin_for`), and diagnostics M302 /
     // M202 reject margins that devour the timeout window.
     assert!(
-        spec.checkpoint_bytes / platform.config().per_function_bps <= spec.checkpoint_margin_secs,
+        spec.checkpoint_bytes / platform.per_function_bps <= spec.checkpoint_margin_secs,
         "task '{}': checkpoint of {} bytes cannot be written within the \
          {}-second margin at {} B/s — widen the margin",
         spec.label,
         spec.checkpoint_bytes,
         spec.checkpoint_margin_secs,
-        platform.config().per_function_bps,
+        platform.per_function_bps,
     );
+    let core_speed = platform.core_speed;
     let now = sim.now();
-    let accum = shared(Accum {
+    let run = cloud.faas_runs.insert(FaasRun {
         remaining: spec.components,
         first_start_seen: false,
         stats: FaasRunStats {
@@ -183,19 +235,17 @@ pub fn run_task_on_faas(
             bytes_read: 0.0,
             bytes_written: 0.0,
         },
-        done: Some(Box::new(on_done)),
+        done: Box::new(on_done),
     });
     let ctx = Ctx {
-        platform: platform.clone(),
-        store: store.clone(),
-        spec: std::sync::Arc::new(spec),
-        accum,
+        tier,
+        spec: Arc::new(spec),
+        run,
     };
     let mut rng = seeds.child(&ctx.spec.label).stream("faas-run");
-    let components = ctx.spec.components;
-    for comp in 0..components {
+    for comp in 0..ctx.spec.components {
         let jf = jitter_factor(&mut rng, ctx.spec.jitter);
-        let total_compute = ctx.spec.compute_secs / ctx.platform.config().core_speed * jf;
+        let total_compute = ctx.spec.compute_secs / core_speed * jf;
         let work = Work {
             chain: comp as u32,
             read: ctx.spec.input_bytes,
@@ -204,7 +254,7 @@ pub fn run_task_on_faas(
             write: ctx.spec.output_bytes,
             first_segment: true,
         };
-        run_segment(sim, ctx.clone(), work);
+        run_segment(w, sim, ctx.clone(), work);
     }
 }
 
@@ -231,13 +281,12 @@ struct Work {
 }
 
 /// One invocation in a component's chain.
-fn run_segment(sim: &mut Simulation, ctx: Ctx, work: Work) {
+fn run_segment<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, ctx: Ctx, work: Work) {
     let label = ctx.spec.label.clone();
-    let ctx2 = ctx.clone();
-    ctx.platform.invoke(sim, label, None, move |sim, inv| {
-        let ctx = ctx2;
+    let platform = w.cloud().serverless(ctx.tier).0;
+    platform.invoke(sim, label, move |w: &mut W, sim, inv| {
         {
-            let mut a = ctx.accum.borrow_mut();
+            let a = ctx.run(w);
             if inv.cold {
                 a.stats.n_cold += 1;
                 a.stats.cold_start_secs += inv.start_latency.as_secs();
@@ -254,37 +303,33 @@ fn run_segment(sim: &mut Simulation, ctx: Ctx, work: Work) {
                 a.stats.last_fn_start = a.stats.last_fn_start.max(inv.ready_at);
             }
         }
-        ctx.platform
-            .trace_with(sim.now(), || TraceEvent::SegmentStart {
+        ctx.trace_with(w, sim, || TraceEvent::SegmentStart {
+            task: ctx.spec.label.clone(),
+            chain: work.chain,
+            inv: inv.id.raw(),
+            resume: work.needs_ckpt_read,
+            mem_gb: ctx.spec.memory_gb,
+        });
+        if work.needs_ckpt_read {
+            // Resume: re-read the checkpointed state before anything else.
+            ctx.trace_with(w, sim, || TraceEvent::CheckpointResume {
                 task: ctx.spec.label.clone(),
                 chain: work.chain,
                 inv: inv.id.raw(),
-                resume: work.needs_ckpt_read,
-                mem_gb: ctx.spec.memory_gb,
+                remaining_secs: work.compute,
             });
-        if work.needs_ckpt_read {
-            // Resume: re-read the checkpointed state before anything else.
-            ctx.platform
-                .trace_with(sim.now(), || TraceEvent::CheckpointResume {
-                    task: ctx.spec.label.clone(),
-                    chain: work.chain,
-                    inv: inv.id.raw(),
-                    remaining_secs: work.compute,
-                });
             let ckpt = ctx.spec.checkpoint_bytes;
-            let cap = ctx.platform.config().per_function_bps;
-            let requests = ctx.spec.io_requests;
-            let ctx3 = ctx.clone();
-            ctx.store
-                .read(sim, ckpt, requests, Some(cap), move |sim, dur| {
+            ctx.clone()
+                .store_io(w, sim, false, ckpt, move |w, sim, dur| {
                     {
-                        let mut a = ctx3.accum.borrow_mut();
+                        let a = ctx.run(w);
                         a.stats.io_secs += dur.as_secs();
                         a.stats.bytes_read += ckpt;
                     }
                     read_phase(
+                        w,
                         sim,
-                        ctx3,
+                        ctx,
                         inv,
                         Work {
                             needs_ckpt_read: false,
@@ -293,25 +338,31 @@ fn run_segment(sim: &mut Simulation, ctx: Ctx, work: Work) {
                     );
                 });
         } else {
-            read_phase(sim, ctx, inv, work);
+            read_phase(w, sim, ctx, inv, work);
         }
     });
 }
 
 /// Instant at which this invocation must stop useful work to leave room
 /// for a checkpoint/handover before the hard deadline.
-fn window_end(ctx: &Ctx, inv: &crate::faas::Invocation) -> mashup_sim::SimTime {
+fn window_end(ctx: &Ctx, inv: &Invocation) -> SimTime {
     inv.deadline - SimDuration::from_secs(ctx.spec.checkpoint_margin_secs)
 }
 
 /// Reads as much of the remaining input as fits this window, chaining to a
 /// fresh invocation when bytes remain.
-fn read_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, work: Work) {
+fn read_phase<W: CloudWorld>(
+    w: &mut W,
+    sim: &mut Simulation<W>,
+    ctx: Ctx,
+    inv: Invocation,
+    work: Work,
+) {
     if work.read <= 0.0 {
-        compute_phase(sim, ctx, inv, work);
+        compute_phase(w, sim, ctx, inv, work);
         return;
     }
-    let cap = ctx.platform.config().per_function_bps;
+    let cap = w.cloud().platform(ctx.tier).config().per_function_bps;
     let budget_secs = window_end(&ctx, &inv).saturating_since(sim.now()).as_secs();
     let chunk = work.read.min(budget_secs * cap);
     // Analyzer-checked invariant: diagnostic M202 rejects serverless
@@ -321,22 +372,20 @@ fn read_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, work
         "task '{}' cannot make read progress within the FaaS window",
         ctx.spec.label
     );
-    let requests = ctx.spec.io_requests;
-    let ctx2 = ctx.clone();
-    ctx.store
-        .read(sim, chunk, requests, Some(cap), move |sim, dur| {
-            let ctx = ctx2;
+    ctx.clone()
+        .store_io(w, sim, false, chunk, move |w, sim, dur| {
             {
-                let mut a = ctx.accum.borrow_mut();
+                let a = ctx.run(w);
                 a.stats.io_secs += dur.as_secs();
                 a.stats.bytes_read += chunk;
             }
             if work.read - chunk > 1e-6 {
                 // More input than this window could take: hand the remainder to
                 // a fresh invocation (multipart continuation).
-                let alive = ctx.platform.complete(sim, inv.id);
+                let alive = ctx.complete(w, sim, &inv);
                 let read_left = if alive { work.read - chunk } else { work.read };
                 run_segment(
+                    w,
                     sim,
                     ctx,
                     Work {
@@ -345,12 +394,13 @@ fn read_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, work
                         ..work
                     },
                 );
-            } else if ctx.platform.is_active(inv.id) {
-                compute_phase(sim, ctx, inv, Work { read: 0.0, ..work });
+            } else if ctx.is_active(w, &inv) {
+                compute_phase(w, sim, ctx, inv, Work { read: 0.0, ..work });
             } else {
                 // Contention stretched the read past the deadline and the
                 // watchdog killed the function: redo this chunk fresh.
                 run_segment(
+                    w,
                     sim,
                     ctx,
                     Work {
@@ -364,9 +414,15 @@ fn read_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, work
 
 /// Computes until done or until the checkpoint point, checkpointing and
 /// chaining when work remains.
-fn compute_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, work: Work) {
+fn compute_phase<W: CloudWorld>(
+    w: &mut W,
+    sim: &mut Simulation<W>,
+    ctx: Ctx,
+    inv: Invocation,
+    work: Work,
+) {
     if work.compute <= 0.0 {
-        write_phase(sim, ctx, inv, work);
+        write_phase(w, sim, ctx, inv, work);
         return;
     }
     let budget = window_end(&ctx, &inv).saturating_since(sim.now()).as_secs();
@@ -377,8 +433,9 @@ fn compute_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, w
     };
     if compute_now <= 0.0 && leftover > 0.0 {
         // No usable window left (e.g. the reads consumed it): hand over.
-        let _ = ctx.platform.complete(sim, inv.id);
+        let _ = ctx.complete(w, sim, &inv);
         run_segment(
+            w,
             sim,
             ctx,
             Work {
@@ -389,23 +446,19 @@ fn compute_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, w
         );
         return;
     }
-    ctx.accum.borrow_mut().stats.compute_secs += compute_now;
-    let ctx2 = ctx.clone();
-    sim.schedule_in(SimDuration::from_secs(compute_now), move |sim| {
-        let ctx = ctx2;
-        if leftover > 0.0 {
-            // Checkpoint 30 s (the margin) before the limit and restart
-            // from the stored state (paper §3).
-            let write_begin = sim.now();
-            let ckpt = ctx.spec.checkpoint_bytes;
-            let cap = ctx.platform.config().per_function_bps;
-            let requests = ctx.spec.io_requests;
-            let ctx3 = ctx.clone();
-            let segment_compute = work.compute;
-            ctx.store
-                .write(sim, ckpt, requests, Some(cap), move |sim, _| {
+    ctx.run(w).stats.compute_secs += compute_now;
+    sim.schedule_in(
+        SimDuration::from_secs(compute_now),
+        move |w: &mut W, sim| {
+            if leftover > 0.0 {
+                // Checkpoint 30 s (the margin) before the limit and restart
+                // from the stored state (paper §3).
+                let write_begin = sim.now();
+                let ckpt = ctx.spec.checkpoint_bytes;
+                let segment_compute = work.compute;
+                ctx.clone().store_io(w, sim, true, ckpt, move |w, sim, _| {
                     {
-                        let mut a = ctx3.accum.borrow_mut();
+                        let a = ctx.run(w);
                         a.stats.io_secs += sim.now().since(write_begin).as_secs();
                         a.stats.bytes_written += ckpt;
                     }
@@ -413,19 +466,18 @@ fn compute_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, w
                     // finish the write; record the checkpoint at the instant
                     // it landed (before the deadline, or the watchdog would
                     // have killed the function first).
-                    if ctx3.platform.is_active(inv.id) {
-                        ctx3.platform
-                            .trace_with(sim.now(), || TraceEvent::Checkpoint {
-                                task: ctx3.spec.label.clone(),
-                                chain: work.chain,
-                                inv: inv.id.raw(),
-                                bytes: ckpt,
-                                remaining_secs: leftover,
-                            });
+                    if ctx.is_active(w, &inv) {
+                        ctx.trace_with(w, sim, || TraceEvent::Checkpoint {
+                            task: ctx.spec.label.clone(),
+                            chain: work.chain,
+                            inv: inv.id.raw(),
+                            bytes: ckpt,
+                            remaining_secs: leftover,
+                        });
                     }
-                    let alive = ctx3.platform.complete(sim, inv.id);
+                    let alive = ctx.complete(w, sim, &inv);
                     let next = if alive {
-                        ctx3.accum.borrow_mut().stats.checkpoints += 1;
+                        ctx.run(w).stats.checkpoints += 1;
                         Work {
                             read: 0.0,
                             needs_ckpt_read: true,
@@ -437,7 +489,7 @@ fn compute_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, w
                         // Killed mid-checkpoint: the state never persisted;
                         // redo this segment's compute from the last good
                         // checkpoint (if any).
-                        let had_ckpt = ctx3.accum.borrow().stats.checkpoints > 0;
+                        let had_ckpt = ctx.run(w).stats.checkpoints > 0;
                         Work {
                             read: 0.0,
                             needs_ckpt_read: had_ckpt,
@@ -446,38 +498,47 @@ fn compute_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, w
                             ..work
                         }
                     };
-                    run_segment(sim, ctx3, next);
+                    run_segment(w, sim, ctx, next);
                 });
-        } else {
-            write_phase(
-                sim,
-                ctx,
-                inv,
-                Work {
-                    compute: 0.0,
-                    ..work
-                },
-            );
-        }
-    });
+            } else {
+                write_phase(
+                    w,
+                    sim,
+                    ctx,
+                    inv,
+                    Work {
+                        compute: 0.0,
+                        ..work
+                    },
+                );
+            }
+        },
+    );
 }
 
 /// Writes as much of the remaining output as fits this window, chaining to
 /// a fresh invocation when bytes remain (multipart upload), and finishing
 /// the component when everything has landed.
-fn write_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, work: Work) {
-    let cap = ctx.platform.config().per_function_bps;
+fn write_phase<W: CloudWorld>(
+    w: &mut W,
+    sim: &mut Simulation<W>,
+    ctx: Ctx,
+    inv: Invocation,
+    work: Work,
+) {
+    let cap = w.cloud().platform(ctx.tier).config().per_function_bps;
     if work.write <= 0.0 {
-        let _ = ctx.platform.complete(sim, inv.id);
-        finish_component(sim, ctx);
+        let _ = ctx.complete(w, sim, &inv);
+        finish_component(w, sim, &ctx);
         return;
     }
     let budget_secs = window_end(&ctx, &inv).saturating_since(sim.now()).as_secs();
     let chunk = work.write.min(budget_secs * cap);
     if chunk <= 0.0 {
         // Window exhausted before any bytes could move: fresh invocation.
-        let _ = ctx.platform.complete(sim, inv.id);
+        let _ = ctx.complete(w, sim, &inv);
         run_segment(
+            w,
             sim,
             ctx,
             Work {
@@ -488,92 +549,98 @@ fn write_phase(sim: &mut Simulation, ctx: Ctx, inv: crate::faas::Invocation, wor
         return;
     }
     let write_begin = sim.now();
-    let requests = ctx.spec.io_requests;
-    let ctx2 = ctx.clone();
-    ctx.store
-        .write(sim, chunk, requests, Some(cap), move |sim, _| {
-            let ctx = ctx2;
-            {
-                let mut a = ctx.accum.borrow_mut();
-                a.stats.io_secs += sim.now().since(write_begin).as_secs();
-                a.stats.bytes_written += chunk;
-            }
-            let alive = ctx.platform.complete(sim, inv.id);
-            // A killed function's part upload never lands; redo the chunk.
-            let rest = if alive {
-                work.write - chunk
-            } else {
-                work.write
-            };
-            if rest > 1e-6 {
-                run_segment(
-                    sim,
-                    ctx,
-                    Work {
-                        write: rest,
-                        first_segment: false,
-                        ..work
-                    },
-                );
-            } else {
-                finish_component(sim, ctx);
-            }
-        });
+    ctx.clone().store_io(w, sim, true, chunk, move |w, sim, _| {
+        {
+            let a = ctx.run(w);
+            a.stats.io_secs += sim.now().since(write_begin).as_secs();
+            a.stats.bytes_written += chunk;
+        }
+        let alive = ctx.complete(w, sim, &inv);
+        // A killed function's part upload never lands; redo the chunk.
+        let rest = if alive {
+            work.write - chunk
+        } else {
+            work.write
+        };
+        if rest > 1e-6 {
+            run_segment(
+                w,
+                sim,
+                ctx,
+                Work {
+                    write: rest,
+                    first_segment: false,
+                    ..work
+                },
+            );
+        } else {
+            finish_component(w, sim, &ctx);
+        }
+    });
 }
 
 /// Marks one component done, firing the task callback after the last one.
-fn finish_component(sim: &mut Simulation, ctx: Ctx) {
-    let mut a = ctx.accum.borrow_mut();
+fn finish_component<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, ctx: &Ctx) {
+    let runs = &mut w.cloud().faas_runs;
+    let a = runs.get_mut(ctx.run);
     a.remaining -= 1;
     if a.remaining == 0 {
         a.stats.end = sim.now();
-        let stats = a.stats;
-        let cb = a.done.take().expect("done fires once");
-        drop(a);
-        cb(sim, stats);
+        let a = runs.remove(ctx.run);
+        (a.done)(w, sim, a.stats);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostMeter;
-    use crate::pricing::{FaasConfig, StorageConfig};
+    use crate::cluster::ClusterConfig;
+    use crate::pricing::{FaasConfig, InstanceType, StorageConfig};
+    use crate::world::testing::{world, World};
 
-    fn setup(mut faas: FaasConfig, mut storage: StorageConfig) -> (FaasPlatform, ObjectStore) {
+    type W = World<Option<FaasRunStats>>;
+
+    fn setup(mut faas: FaasConfig, mut storage: StorageConfig) -> (Simulation<W>, W) {
         faas.cold_start_secs = (1.0, 1.0);
         storage.request_latency_secs = 0.0;
-        let meter = CostMeter::new();
-        let seeds = SeedSource::new(11);
-        (
-            FaasPlatform::new(faas, meter.clone(), &seeds),
-            ObjectStore::new(storage, meter, &seeds),
+        world(
+            ClusterConfig::new(InstanceType::r5_large(), 1),
+            faas,
+            storage,
+            &SeedSource::new(11),
         )
     }
 
-    fn run(platform: &FaasPlatform, store: &ObjectStore, spec: FaasTaskSpec) -> FaasRunStats {
-        let mut sim = Simulation::new();
-        let out = shared(None);
-        let o2 = out.clone();
-        let p = platform.clone();
-        let s = store.clone();
-        sim.schedule_now(move |sim| {
-            run_task_on_faas(sim, &p, &s, spec, &SeedSource::new(5), move |_, stats| {
-                *o2.borrow_mut() = Some(stats);
-            });
+    /// Runs `spec` to completion in the world `setup` built; the world
+    /// stays inspectable afterwards.
+    fn run_in(sim: &mut Simulation<W>, w: &mut W, spec: FaasTaskSpec) -> FaasRunStats {
+        sim.schedule_now(move |w: &mut W, sim| {
+            run_task_on_faas(
+                w,
+                sim,
+                None,
+                spec,
+                &SeedSource::new(5),
+                |w: &mut W, _, stats| {
+                    w.out = Some(stats);
+                },
+            );
         });
-        sim.run();
-        let stats = out.borrow_mut().take().expect("task completed");
-        stats
+        sim.run(w);
+        w.out.take().expect("task completed")
+    }
+
+    fn run(faas: FaasConfig, storage: StorageConfig, spec: FaasTaskSpec) -> FaasRunStats {
+        let (mut sim, mut w) = setup(faas, storage);
+        run_in(&mut sim, &mut w, spec)
     }
 
     #[test]
     fn single_component_times_add_up() {
-        let (p, s) = setup(FaasConfig::aws_like(), StorageConfig::s3_like());
         let mut spec = FaasTaskSpec::new("t", 1, 10.0);
         spec.input_bytes = 5e7; // 1 s at the 50 MB/s per-function cap
         spec.output_bytes = 5e7;
-        let stats = run(&p, &s, spec);
+        let stats = run(FaasConfig::aws_like(), StorageConfig::s3_like(), spec);
         // 1 s cold + 1 s read + 10 s compute + 1 s write = 13 s.
         assert!(
             (stats.makespan().as_secs() - 13.0).abs() < 1e-6,
@@ -589,11 +656,10 @@ mod tests {
     fn long_component_checkpoints_and_resumes() {
         let mut cfg = FaasConfig::aws_like();
         cfg.timeout_secs = 100.0;
-        let (p, s) = setup(cfg, StorageConfig::s3_like());
         let mut spec = FaasTaskSpec::new("long", 1, 150.0);
         spec.checkpoint_bytes = 5e7; // 1 s to write/read at the cap
         spec.checkpoint_margin_secs = 30.0;
-        let stats = run(&p, &s, spec);
+        let stats = run(cfg, StorageConfig::s3_like(), spec);
         // Segment 1: cold 1 s, budget = 100 - 30 = 70 s of compute, then a
         // 1 s checkpoint write. Segment 2 (warm): 1 s checkpoint read eats
         // into the window, leaving 69 s of compute -> a second checkpoint.
@@ -610,16 +676,16 @@ mod tests {
     fn very_long_component_chains_many_checkpoints() {
         let mut cfg = FaasConfig::aws_like();
         cfg.timeout_secs = 100.0;
-        let (p, s) = setup(cfg, StorageConfig::s3_like());
+        let (mut sim, mut w) = setup(cfg, StorageConfig::s3_like());
         let mut spec = FaasTaskSpec::new("vlong", 1, 400.0);
         spec.checkpoint_bytes = 1e6;
         spec.checkpoint_margin_secs = 30.0;
-        let stats = run(&p, &s, spec);
+        let stats = run_in(&mut sim, &mut w, spec);
         // ~70 s of usable compute per segment -> 400/70 -> 5 checkpoints + final.
         assert!(stats.checkpoints >= 5, "{stats:?}");
         assert!((stats.compute_secs - 400.0).abs() < 1e-6);
         // No invocation was killed: the chain respected the cap.
-        assert_eq!(p.kills(), 0);
+        assert_eq!(w.cloud.faas.kills(), 0);
     }
 
     #[test]
@@ -627,10 +693,16 @@ mod tests {
         let mut cfg = FaasConfig::aws_like();
         cfg.burst_capacity = 10;
         cfg.ramp_per_sec = 10.0;
-        let (p, s) = setup(cfg.clone(), StorageConfig::s3_like());
-        let stats_small = run(&p, &s, FaasTaskSpec::new("a", 50, 1.0));
-        let (p2, s2) = setup(cfg, StorageConfig::s3_like());
-        let stats_large = run(&p2, &s2, FaasTaskSpec::new("b", 400, 1.0));
+        let stats_small = run(
+            cfg.clone(),
+            StorageConfig::s3_like(),
+            FaasTaskSpec::new("a", 50, 1.0),
+        );
+        let stats_large = run(
+            cfg,
+            StorageConfig::s3_like(),
+            FaasTaskSpec::new("b", 400, 1.0),
+        );
         let small = stats_small.scaling_secs();
         let large = stats_large.scaling_secs();
         // Scheduler starts are staggered at 10/s beyond the 10-token burst,
@@ -650,10 +722,9 @@ mod tests {
         let mut cfg = FaasConfig::aws_like();
         cfg.burst_capacity = 1000;
         cfg.per_function_bps = 1e8;
-        let (p, s) = setup(cfg, st);
         let mut spec = FaasTaskSpec::new("io", 10, 0.0);
         spec.input_bytes = 1e8;
-        let stats = run(&p, &s, spec);
+        let stats = run(cfg, st, spec);
         // 10 x 100 MB over a 100 MB/s aggregate = 10 s of I/O wall clock,
         // plus 1 s cold start.
         assert!((stats.makespan().as_secs() - 11.0).abs() < 0.1, "{stats:?}");
@@ -662,10 +733,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "functions cap at")]
     fn oversized_memory_rejected() {
-        let (p, s) = setup(FaasConfig::aws_like(), StorageConfig::s3_like());
         let mut spec = FaasTaskSpec::new("big", 1, 1.0);
         spec.memory_gb = 100.0;
-        run(&p, &s, spec);
+        run(FaasConfig::aws_like(), StorageConfig::s3_like(), spec);
     }
 
     #[test]
@@ -673,15 +743,18 @@ mod tests {
         let mut cfg = FaasConfig::aws_like();
         cfg.timeout_secs = 120.0;
         cfg.failure_prob = 0.4; // many invocations die mid-window
-        let (p, s) = setup(cfg, StorageConfig::s3_like());
+        let (mut sim, mut w) = setup(cfg, StorageConfig::s3_like());
         let mut spec = FaasTaskSpec::new("flaky", 8, 300.0);
         spec.checkpoint_bytes = 1e6;
         spec.checkpoint_margin_secs = 10.0;
-        let stats = run(&p, &s, spec);
+        let stats = run_in(&mut sim, &mut w, spec);
         // Every component finished all its compute despite the failures —
         // retried segments redo work, so the total is at least the ideal.
         assert!(stats.compute_secs >= 8.0 * 300.0 - 1e-6, "{stats:?}");
-        assert!(p.kills() > 0, "failure injection should have fired");
+        assert!(
+            w.cloud.faas.kills() > 0,
+            "failure injection should have fired"
+        );
         // Checkpoints bounded the damage: makespan stays finite and sane.
         assert!(stats.makespan().as_secs() < 24.0 * 3600.0);
     }
@@ -690,36 +763,35 @@ mod tests {
     fn outputs_larger_than_one_window_are_chunked() {
         // 50 GB of output at 50 MB/s is ~1000 s: impossible in one 900 s
         // function — multipart chunking must chain invocations.
-        let (p, s) = setup(FaasConfig::aws_like(), StorageConfig::s3_like());
+        let (mut sim, mut w) = setup(FaasConfig::aws_like(), StorageConfig::s3_like());
         let mut spec = FaasTaskSpec::new("bigout", 1, 10.0);
         spec.output_bytes = 5.0e10;
-        let stats = run(&p, &s, spec);
+        let stats = run_in(&mut sim, &mut w, spec);
         assert!((stats.bytes_written - 5.0e10).abs() < 1.0, "{stats:?}");
         assert!(
             stats.n_cold + stats.n_warm >= 2,
             "needs at least two invocations"
         );
-        assert_eq!(p.kills(), 0, "chunking must avoid the watchdog");
+        assert_eq!(w.cloud.faas.kills(), 0, "chunking must avoid the watchdog");
     }
 
     #[test]
     fn inputs_larger_than_one_window_are_chunked() {
-        let (p, s) = setup(FaasConfig::aws_like(), StorageConfig::s3_like());
+        let (mut sim, mut w) = setup(FaasConfig::aws_like(), StorageConfig::s3_like());
         let mut spec = FaasTaskSpec::new("bigin", 1, 10.0);
         spec.input_bytes = 6.0e10;
-        let stats = run(&p, &s, spec);
+        let stats = run_in(&mut sim, &mut w, spec);
         assert!((stats.bytes_read - 6.0e10).abs() < 1.0, "{stats:?}");
         assert!(stats.n_cold + stats.n_warm >= 2);
-        assert_eq!(p.kills(), 0);
+        assert_eq!(w.cloud.faas.kills(), 0);
     }
 
     #[test]
     fn stats_count_io_bytes() {
-        let (p, s) = setup(FaasConfig::aws_like(), StorageConfig::s3_like());
         let mut spec = FaasTaskSpec::new("t", 3, 1.0);
         spec.input_bytes = 10.0;
         spec.output_bytes = 20.0;
-        let stats = run(&p, &s, spec);
+        let stats = run(FaasConfig::aws_like(), StorageConfig::s3_like(), spec);
         assert!((stats.bytes_read - 30.0).abs() < 1e-9);
         assert!((stats.bytes_written - 60.0).abs() < 1e-9);
     }

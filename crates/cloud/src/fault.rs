@@ -22,8 +22,7 @@
 //! node, so every chaos run can complete (possibly slowly) rather than
 //! wedging.
 
-use crate::cluster::VmCluster;
-use crate::storage::ObjectStore;
+use crate::world::{Cloud, CloudWorld};
 use mashup_sim::{SeedSource, SimTime, Simulation};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -448,31 +447,28 @@ impl FaultPlan {
     /// arms the store's chaos RNG when it carries storage windows, and
     /// schedules every fault as an ordinary simulation event. Installing an
     /// empty plan is a no-op.
-    pub fn install(&self, sim: &mut Simulation, cluster: &VmCluster, store: &ObjectStore) {
+    pub fn install<W: CloudWorld>(&self, sim: &mut Simulation<W>, cloud: &mut Cloud<W>) {
         if self.has_preemptions() || !self.spot_price_trace.is_empty() {
-            cluster.enable_spot(self.spot_price_trace.clone());
+            cloud.cluster.enable_spot(self.spot_price_trace.clone());
         }
         if self.has_storage_faults() {
-            store.enable_chaos(self.seed);
+            cloud.store.enable_chaos(self.seed);
         }
         for (id, fault) in self.faults.iter().enumerate() {
             let id = id as u64;
             match *fault {
                 Fault::Preempt { at_secs, node } => {
-                    let cluster = cluster.clone();
-                    sim.schedule_at(SimTime::from_secs(at_secs), move |sim| {
-                        cluster.preempt_flat(sim.now(), node, id);
+                    sim.schedule_at(SimTime::from_secs(at_secs), move |w: &mut W, sim| {
+                        w.cloud().cluster.preempt_flat(sim.now(), node, id);
                     });
                 }
                 _ => {
                     let (from, until, f) = fault.store_window().expect("non-preempt fault");
-                    let s = store.clone();
-                    sim.schedule_at(SimTime::from_secs(from), move |sim| {
-                        s.apply_fault(sim.now(), id, f, until);
+                    sim.schedule_at(SimTime::from_secs(from), move |w: &mut W, sim| {
+                        w.cloud().store.apply_fault(sim.now(), id, f, until);
                     });
-                    let s = store.clone();
-                    sim.schedule_at(SimTime::from_secs(until), move |sim| {
-                        s.clear_fault(sim.now(), id);
+                    sim.schedule_at(SimTime::from_secs(until), move |w: &mut W, _| {
+                        w.cloud().store.clear_fault(id);
                     });
                 }
             }

@@ -18,8 +18,14 @@
 //! its cluster-side counterpart. Both report the overhead decomposition
 //! (cold start, I/O, scaling) that the paper's Fig. 4 and §5 analyse.
 //! Prices and platform constants live in [`pricing`] presets; every run
-//! charges a shared [`CostMeter`].
+//! charges one [`CostMeter`].
+//!
+//! The services are plain values grouped in a [`Cloud`], which the
+//! simulated world owns and exposes through the [`CloudWorld`] accessor.
+//! Their links live in the engine's arena; their events carry ids and find
+//! the state they name in the world each event is handed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cluster;
@@ -29,6 +35,7 @@ mod faas;
 pub mod fault;
 pub mod pricing;
 mod storage;
+mod world;
 
 pub use cluster::{
     ClusterConfig, ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, VmCluster,
@@ -39,3 +46,4 @@ pub use faas::{FaasPlatform, Invocation, InvocationId};
 pub use fault::{Fault, FaultPlan, FaultProfile, StoreFault};
 pub use pricing::{FaasConfig, InstanceType, ProviderPreset, StorageConfig};
 pub use storage::ObjectStore;
+pub use world::{Cloud, CloudWorld};

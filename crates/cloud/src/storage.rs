@@ -23,8 +23,7 @@ use crate::cost::CostMeter;
 use crate::fault::StoreFault;
 use crate::pricing::StorageConfig;
 use mashup_sim::trace::{TraceEvent, Tracer};
-use mashup_sim::{shared, Shared};
-use mashup_sim::{SeedSource, SharedLink, SimDuration, SimTime, Simulation};
+use mashup_sim::{LinkId, SeedSource, SimDuration, SimTime, Simulation};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -35,7 +34,11 @@ struct StoreChaos {
     rng: rand::rngs::StdRng,
 }
 
-struct StoreState {
+/// An S3-like object store.
+pub struct ObjectStore {
+    cfg: StorageConfig,
+    /// The data-plane link in the simulation's arena.
+    link: LinkId,
     objects: BTreeMap<String, (f64, SimTime)>, // bytes, put time (ordered for deterministic settlement)
     bytes_stored: f64,
     peak_bytes: f64,
@@ -44,47 +47,34 @@ struct StoreState {
     injected_failures: u64,
     tracer: Tracer,
     chaos: Option<StoreChaos>,
-}
-
-/// A shareable S3-like object store. Cloning shares the same store.
-#[derive(Clone)]
-pub struct ObjectStore {
-    cfg: StorageConfig,
-    link: SharedLink,
-    meter: CostMeter,
-    state: Shared<StoreState>,
-    rng: Shared<rand::rngs::StdRng>,
+    rng: rand::rngs::StdRng,
 }
 
 impl ObjectStore {
-    /// Creates a store with the given configuration, charging `meter`.
-    pub fn new(cfg: StorageConfig, meter: CostMeter, seeds: &SeedSource) -> Self {
+    /// Creates a store with the given configuration, adding its data-plane
+    /// link to `sim`.
+    pub fn new<W>(cfg: StorageConfig, sim: &mut Simulation<W>, seeds: &SeedSource) -> Self {
         ObjectStore {
-            link: SharedLink::new("object-store", cfg.aggregate_bps),
-            rng: shared(seeds.stream("object-store")),
+            link: sim.add_link("object-store", cfg.aggregate_bps),
+            rng: seeds.stream("object-store"),
             cfg,
-            meter,
-            state: shared(StoreState {
-                objects: BTreeMap::new(),
-                bytes_stored: 0.0,
-                peak_bytes: 0.0,
-                reads: 0,
-                writes: 0,
-                injected_failures: 0,
-                tracer: Tracer::off(),
-                chaos: None,
-            }),
+            objects: BTreeMap::new(),
+            bytes_stored: 0.0,
+            peak_bytes: 0.0,
+            reads: 0,
+            writes: 0,
+            injected_failures: 0,
+            tracer: Tracer::off(),
+            chaos: None,
         }
     }
 
     /// Arms the chaos machinery with its own RNG stream derived from a
     /// fault-plan seed. Idempotent; without this call (the default) the
-    /// chaos path costs one shared-state read per operation and changes
-    /// nothing.
-    pub fn enable_chaos(&self, seed: u64) {
-        let mut s = self.state.borrow_mut();
-        if s.chaos.is_none() {
-            s.chaos = Some(StoreChaos {
+    /// chaos path costs one check per operation and changes nothing.
+    pub fn enable_chaos(&mut self, seed: u64) {
+        if self.chaos.is_none() {
+            self.chaos = Some(StoreChaos {
                 active: BTreeMap::new(),
                 rng: SeedSource::new(seed).stream("chaos-store"),
             });
@@ -95,14 +85,13 @@ impl ObjectStore {
     /// first). Emits a `FaultInjected` record so retries can chain to it.
     ///
     /// [`enable_chaos`]: ObjectStore::enable_chaos
-    pub fn apply_fault(&self, now: SimTime, id: u64, fault: StoreFault, until_secs: f64) {
-        let mut s = self.state.borrow_mut();
-        s.chaos
+    pub fn apply_fault(&mut self, now: SimTime, id: u64, fault: StoreFault, until_secs: f64) {
+        self.chaos
             .as_mut()
             .expect("enable_chaos before apply_fault")
             .active
             .insert(id, fault);
-        s.tracer.emit(
+        self.tracer.emit(
             now,
             TraceEvent::FaultInjected {
                 id,
@@ -114,41 +103,28 @@ impl ObjectStore {
     }
 
     /// Deactivates an injected fault window.
-    pub fn clear_fault(&self, _now: SimTime, id: u64) {
-        if let Some(chaos) = self.state.borrow_mut().chaos.as_mut() {
+    pub fn clear_fault(&mut self, id: u64) {
+        if let Some(chaos) = self.chaos.as_mut() {
             chaos.active.remove(&id);
         }
     }
 
     /// Snapshot of the active chaos windows (empty when chaos is off).
     fn active_faults(&self) -> Vec<(u64, StoreFault)> {
-        let s = self.state.borrow();
-        s.chaos.as_ref().map_or_else(Vec::new, |c| {
+        self.chaos.as_ref().map_or_else(Vec::new, |c| {
             c.active.iter().map(|(k, v)| (*k, *v)).collect()
         })
     }
 
     /// One draw from the chaos RNG stream.
-    fn chaos_draw(&self) -> f64 {
-        self.state
-            .borrow_mut()
-            .chaos
-            .as_mut()
-            .expect("chaos active")
-            .rng
-            .gen::<f64>()
+    fn chaos_draw(&mut self) -> f64 {
+        self.chaos.as_mut().expect("chaos active").rng.gen::<f64>()
     }
 
     /// Attaches a flight recorder; GET/PUT request batches and logical object
-    /// lifecycle flow through it (the data-plane link picks it up too).
-    /// Reaches every clone of this store (state is shared).
-    pub fn set_tracer(&self, tracer: Tracer) {
-        self.link.set_tracer(tracer.clone());
-        self.state.borrow_mut().tracer = tracer;
-    }
-
-    fn tracer(&self) -> Tracer {
-        self.state.borrow().tracer.clone()
+    /// lifecycle flow through it.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// The store configuration.
@@ -156,40 +132,32 @@ impl ObjectStore {
         &self.cfg
     }
 
-    /// The data-plane link (exposed for utilization traces).
-    pub fn link(&self) -> &SharedLink {
-        &self.link
-    }
-
     /// Reads `bytes` spread over `requests` GET requests, under an optional
-    /// per-flow bandwidth cap. `on_done` receives the wall time of the read.
+    /// per-flow bandwidth cap, charging `meter`. `on_done` receives the wall
+    /// time of the read.
     ///
     /// With failure injection enabled, a failed first attempt retries from a
     /// replica after an extra request round trip.
-    pub fn read(
-        &self,
-        sim: &mut Simulation,
+    pub fn read<W>(
+        &mut self,
+        meter: &mut CostMeter,
+        sim: &mut Simulation<W>,
         bytes: f64,
         requests: u64,
         per_flow_cap: Option<f64>,
-        on_done: impl FnOnce(&mut Simulation, SimDuration) + Send + 'static,
+        on_done: impl FnOnce(&mut W, &mut Simulation<W>, SimDuration) + Send + 'static,
     ) {
         let begin = sim.now();
-        {
-            let mut s = self.state.borrow_mut();
-            s.reads += requests;
-        }
-        self.meter
-            .charge_storage_requests(requests, self.cfg.price_per_get);
+        self.reads += requests;
+        meter.charge_storage_requests(requests, self.cfg.price_per_get);
         let mut latency = self.cfg.request_latency_secs;
         let mut retried = false;
         if self.cfg.get_failure_prob > 0.0 {
-            let failed = self.rng.borrow_mut().gen::<f64>() < self.cfg.get_failure_prob;
+            let failed = self.rng.gen::<f64>() < self.cfg.get_failure_prob;
             if failed {
                 // One failed round trip, then the replica answers.
-                self.state.borrow_mut().injected_failures += 1;
-                self.meter
-                    .charge_storage_requests(requests, self.cfg.price_per_get);
+                self.injected_failures += 1;
+                meter.charge_storage_requests(requests, self.cfg.price_per_get);
                 latency += 2.0 * self.cfg.request_latency_secs;
                 retried = true;
             }
@@ -215,12 +183,11 @@ impl ObjectStore {
             }
         }
         if let Some(id) = chaos_retry {
-            self.state.borrow_mut().injected_failures += 1;
-            self.meter
-                .charge_storage_requests(requests, self.cfg.price_per_get);
+            self.injected_failures += 1;
+            meter.charge_storage_requests(requests, self.cfg.price_per_get);
             latency += 2.0 * self.cfg.request_latency_secs;
             retried = true;
-            self.tracer().emit(
+            self.tracer.emit(
                 begin,
                 TraceEvent::FaultRetry {
                     id,
@@ -228,7 +195,7 @@ impl ObjectStore {
                 },
             );
         }
-        self.tracer().emit(
+        self.tracer.emit(
             begin,
             TraceEvent::StoreGet {
                 bytes,
@@ -236,31 +203,24 @@ impl ObjectStore {
                 retried,
             },
         );
-        let link = self.link.clone();
-        sim.schedule_in(SimDuration::from_secs(latency), move |sim| {
-            link.start_transfer(sim, bytes, cap, move |sim| {
-                on_done(sim, sim.now().since(begin));
-            });
-        });
+        self.transfer(sim, SimDuration::from_secs(latency), bytes, cap, on_done);
     }
 
     /// Writes `bytes` spread over `requests` PUT requests, under an optional
-    /// per-flow cap. Requests are charged for every replica.
-    pub fn write(
-        &self,
-        sim: &mut Simulation,
+    /// per-flow cap, charging `meter`. Requests are charged for every
+    /// replica.
+    pub fn write<W>(
+        &mut self,
+        meter: &mut CostMeter,
+        sim: &mut Simulation<W>,
         bytes: f64,
         requests: u64,
         per_flow_cap: Option<f64>,
-        on_done: impl FnOnce(&mut Simulation, SimDuration) + Send + 'static,
+        on_done: impl FnOnce(&mut W, &mut Simulation<W>, SimDuration) + Send + 'static,
     ) {
         let begin = sim.now();
-        {
-            let mut s = self.state.borrow_mut();
-            s.writes += requests;
-        }
-        self.meter
-            .charge_storage_requests(requests * self.cfg.replicas as u64, self.cfg.price_per_put);
+        self.writes += requests;
+        meter.charge_storage_requests(requests * self.cfg.replicas as u64, self.cfg.price_per_put);
         // Injected chaos windows. A failed PUT is retried against the same
         // replica set after an extra round trip; providers do not bill the
         // failed attempt, so only latency is added here.
@@ -282,9 +242,9 @@ impl ObjectStore {
             }
         }
         if let Some(id) = chaos_retry {
-            self.state.borrow_mut().injected_failures += 1;
+            self.injected_failures += 1;
             latency += 2.0 * self.cfg.request_latency_secs;
-            self.tracer().emit(
+            self.tracer.emit(
                 begin,
                 TraceEvent::FaultRetry {
                     id,
@@ -292,7 +252,7 @@ impl ObjectStore {
                 },
             );
         }
-        self.tracer().emit(
+        self.tracer.emit(
             begin,
             TraceEvent::StorePut {
                 bytes,
@@ -300,47 +260,63 @@ impl ObjectStore {
                 replicas: self.cfg.replicas as u64,
             },
         );
-        let link = self.link.clone();
-        let latency = SimDuration::from_secs(latency);
-        sim.schedule_in(latency, move |sim| {
-            link.start_transfer(sim, bytes, cap, move |sim| {
-                on_done(sim, sim.now().since(begin));
+        self.transfer(sim, SimDuration::from_secs(latency), bytes, cap, on_done);
+    }
+
+    /// Moves `bytes` over the data plane after the request `latency`, then
+    /// hands `on_done` the wall time since the request was issued.
+    fn transfer<W>(
+        &self,
+        sim: &mut Simulation<W>,
+        latency: SimDuration,
+        bytes: f64,
+        cap: Option<f64>,
+        on_done: impl FnOnce(&mut W, &mut Simulation<W>, SimDuration) + Send + 'static,
+    ) {
+        let begin = sim.now();
+        let link = self.link;
+        sim.schedule_in(latency, move |_, sim| {
+            sim.start_transfer(link, bytes, cap, move |w, sim| {
+                let wall = sim.now().since(begin);
+                on_done(w, sim, wall);
             });
         });
     }
 
     /// Registers a logical object for occupancy accounting and presence
     /// checks. Overwriting an existing key first settles its occupancy.
-    pub fn register_object(&self, now: SimTime, key: impl Into<String>, bytes: f64) {
+    pub fn register_object(
+        &mut self,
+        meter: &mut CostMeter,
+        now: SimTime,
+        key: impl Into<String>,
+        bytes: f64,
+    ) {
         let key = key.into();
-        let mut s = self.state.borrow_mut();
-        if let Some((old_bytes, put_at)) = s.objects.remove(&key) {
-            s.bytes_stored -= old_bytes;
+        if let Some((old_bytes, put_at)) = self.objects.remove(&key) {
+            self.bytes_stored -= old_bytes;
             let held = now.saturating_since(put_at).as_secs();
-            self.meter
-                .charge_storage_occupancy(old_bytes * self.cfg.replicas as f64, held);
+            meter.charge_storage_occupancy(old_bytes * self.cfg.replicas as f64, held);
         }
-        s.bytes_stored += bytes;
-        s.peak_bytes = s.peak_bytes.max(s.bytes_stored);
-        s.tracer.emit(
+        self.bytes_stored += bytes;
+        self.peak_bytes = self.peak_bytes.max(self.bytes_stored);
+        self.tracer.emit(
             now,
             TraceEvent::ObjectPut {
                 key: key.clone(),
                 bytes,
             },
         );
-        s.objects.insert(key, (bytes, now));
+        self.objects.insert(key, (bytes, now));
     }
 
     /// Removes a logical object, settling its occupancy charge.
-    pub fn remove_object(&self, now: SimTime, key: &str) {
-        let mut s = self.state.borrow_mut();
-        if let Some((bytes, put_at)) = s.objects.remove(key) {
-            s.bytes_stored -= bytes;
+    pub fn remove_object(&mut self, meter: &mut CostMeter, now: SimTime, key: &str) {
+        if let Some((bytes, put_at)) = self.objects.remove(key) {
+            self.bytes_stored -= bytes;
             let held = now.saturating_since(put_at).as_secs();
-            self.meter
-                .charge_storage_occupancy(bytes * self.cfg.replicas as f64, held);
-            s.tracer.emit(
+            meter.charge_storage_occupancy(bytes * self.cfg.replicas as f64, held);
+            self.tracer.emit(
                 now,
                 TraceEvent::ObjectRemove {
                     key: key.to_string(),
@@ -353,59 +329,83 @@ impl ObjectStore {
     /// their producers' outputs exist (a scheduling-order sanity check).
     pub fn assert_present(&self, key: &str) {
         assert!(
-            self.state.borrow().objects.contains_key(key),
+            self.objects.contains_key(key),
             "object '{key}' read before it was written: executor scheduling bug"
         );
     }
 
     /// True if the logical object exists.
     pub fn contains(&self, key: &str) -> bool {
-        self.state.borrow().objects.contains_key(key)
+        self.objects.contains_key(key)
     }
 
     /// Settles occupancy charges for everything still stored, as of `now`.
     /// Call once at the end of a run.
-    pub fn finalize(&self, now: SimTime) {
-        let keys: Vec<String> = self.state.borrow().objects.keys().cloned().collect();
+    pub fn finalize(&mut self, meter: &mut CostMeter, now: SimTime) {
+        let keys: Vec<String> = self.objects.keys().cloned().collect();
         for k in keys {
-            self.remove_object(now, &k);
+            self.remove_object(meter, now, &k);
         }
     }
 
     /// Bytes currently registered.
     pub fn bytes_stored(&self) -> f64 {
-        self.state.borrow().bytes_stored
+        self.bytes_stored
     }
 
     /// Peak registered bytes.
     pub fn peak_bytes(&self) -> f64 {
-        self.state.borrow().peak_bytes
+        self.peak_bytes
     }
 
     /// GET requests issued.
     pub fn read_requests(&self) -> u64 {
-        self.state.borrow().reads
+        self.reads
     }
 
     /// PUT requests issued.
     pub fn write_requests(&self) -> u64 {
-        self.state.borrow().writes
+        self.writes
     }
 
     /// Number of injected GET failures recovered from replicas.
     pub fn injected_failures(&self) -> u64 {
-        self.state.borrow().injected_failures
+        self.injected_failures
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterConfig;
+    use crate::pricing::{FaasConfig, InstanceType};
+    use crate::world::testing::{world, World};
 
-    fn store(cfg: StorageConfig) -> (ObjectStore, CostMeter) {
-        let meter = CostMeter::new();
-        let s = ObjectStore::new(cfg, meter.clone(), &SeedSource::new(1));
-        (s, meter)
+    type W = World<Vec<f64>>;
+
+    fn store(cfg: StorageConfig) -> (Simulation<W>, W) {
+        world(
+            ClusterConfig::new(InstanceType::r5_large(), 1),
+            FaasConfig::aws_like(),
+            cfg,
+            &SeedSource::new(1),
+        )
+    }
+
+    /// Schedules a read (`write` false) or write now; its completion
+    /// instant lands in `w.out`.
+    fn submit(sim: &mut Simulation<W>, write: bool, bytes: f64, cap: Option<f64>) {
+        sim.schedule_now(move |w: &mut W, sim| {
+            let cloud = &mut w.cloud;
+            let done = |w: &mut W, sim: &mut Simulation<W>, _| w.out.push(sim.now().as_secs());
+            if write {
+                cloud
+                    .store
+                    .write(&mut cloud.meter, sim, bytes, 1, cap, done);
+            } else {
+                cloud.store.read(&mut cloud.meter, sim, bytes, 1, cap, done);
+            }
+        });
     }
 
     #[test]
@@ -413,20 +413,24 @@ mod tests {
         let mut cfg = StorageConfig::s3_like();
         cfg.aggregate_bps = 100.0;
         cfg.request_latency_secs = 1.0;
-        let (s, _) = store(cfg);
-        let mut sim = Simulation::new();
-        let done_at = shared(0.0);
-        let d2 = done_at.clone();
-        let s2 = s.clone();
-        sim.schedule_now(move |sim| {
-            s2.read(sim, 1000.0, 1, None, move |sim, dur| {
-                d2.set(sim.now().as_secs());
-                assert!((dur.as_secs() - 11.0).abs() < 1e-9);
-            });
+        let (mut sim, mut w) = store(cfg);
+        sim.schedule_now(|w: &mut W, sim| {
+            let cloud = &mut w.cloud;
+            cloud.store.read(
+                &mut cloud.meter,
+                sim,
+                1000.0,
+                1,
+                None,
+                |w: &mut W, sim, dur| {
+                    w.out.push(sim.now().as_secs());
+                    assert!((dur.as_secs() - 11.0).abs() < 1e-9);
+                },
+            );
         });
-        sim.run();
-        assert!((done_at.get() - 11.0).abs() < 1e-9);
-        assert_eq!(s.read_requests(), 1);
+        sim.run(&mut w);
+        assert!((w.out[0] - 11.0).abs() < 1e-9);
+        assert_eq!(w.cloud.store.read_requests(), 1);
     }
 
     #[test]
@@ -434,18 +438,10 @@ mod tests {
         let mut cfg = StorageConfig::s3_like();
         cfg.aggregate_bps = 1e9;
         cfg.request_latency_secs = 0.0;
-        let (s, _) = store(cfg);
-        let mut sim = Simulation::new();
-        let s2 = s.clone();
-        let end = shared(0.0);
-        let e2 = end.clone();
-        sim.schedule_now(move |sim| {
-            s2.write(sim, 1000.0, 1, Some(10.0), move |sim, _| {
-                e2.set(sim.now().as_secs())
-            });
-        });
-        sim.run();
-        assert!((end.get() - 100.0).abs() < 1e-9);
+        let (mut sim, mut w) = store(cfg);
+        submit(&mut sim, true, 1000.0, Some(10.0));
+        sim.run(&mut w);
+        assert!((w.out[0] - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -453,34 +449,29 @@ mod tests {
         let mut cfg = StorageConfig::s3_like();
         cfg.aggregate_bps = 100.0;
         cfg.request_latency_secs = 0.0;
-        let (s, _) = store(cfg);
-        let mut sim = Simulation::new();
-        let done = shared(0u32);
+        let (mut sim, mut w) = store(cfg);
         for _ in 0..2 {
-            let s2 = s.clone();
-            let d = done.clone();
-            sim.schedule_now(move |sim| {
-                s2.read(sim, 500.0, 1, None, move |sim, _| {
-                    assert!((sim.now().as_secs() - 10.0).abs() < 1e-9);
-                    d.set(d.get() + 1);
-                });
-            });
+            submit(&mut sim, false, 500.0, None);
         }
-        sim.run();
-        assert_eq!(done.get(), 2);
+        sim.run(&mut w);
+        assert_eq!(w.out.len(), 2);
+        for &t in &w.out {
+            assert!((t - 10.0).abs() < 1e-9);
+        }
     }
 
     #[test]
     fn occupancy_charged_on_remove_and_finalize() {
         let mut cfg = StorageConfig::s3_like();
         cfg.replicas = 2;
-        let (s, meter) = store(cfg.clone());
-        s.register_object(SimTime::ZERO, "a", 1e9);
-        s.register_object(SimTime::ZERO, "b", 1e9);
+        let (_, mut w) = store(cfg.clone());
+        let (s, meter) = (&mut w.cloud.store, &mut w.cloud.meter);
+        s.register_object(meter, SimTime::ZERO, "a", 1e9);
+        s.register_object(meter, SimTime::ZERO, "b", 1e9);
         assert_eq!(s.bytes_stored(), 2e9);
-        s.remove_object(SimTime::from_secs(3600.0), "a");
+        s.remove_object(meter, SimTime::from_secs(3600.0), "a");
         assert_eq!(s.bytes_stored(), 1e9);
-        s.finalize(SimTime::from_secs(3600.0));
+        s.finalize(meter, SimTime::from_secs(3600.0));
         assert_eq!(s.bytes_stored(), 0.0);
         // 2 objects * 1 GB * 1 h * 2 replicas.
         let month = 30.0 * 24.0 * 3600.0;
@@ -492,17 +483,18 @@ mod tests {
 
     #[test]
     fn overwrite_settles_old_occupancy() {
-        let (s, _) = store(StorageConfig::s3_like());
-        s.register_object(SimTime::ZERO, "k", 100.0);
-        s.register_object(SimTime::from_secs(10.0), "k", 300.0);
+        let (_, mut w) = store(StorageConfig::s3_like());
+        let (s, meter) = (&mut w.cloud.store, &mut w.cloud.meter);
+        s.register_object(meter, SimTime::ZERO, "k", 100.0);
+        s.register_object(meter, SimTime::from_secs(10.0), "k", 300.0);
         assert_eq!(s.bytes_stored(), 300.0);
     }
 
     #[test]
     #[should_panic(expected = "scheduling bug")]
     fn assert_present_catches_missing_objects() {
-        let (s, _) = store(StorageConfig::s3_like());
-        s.assert_present("nope");
+        let (_, w) = store(StorageConfig::s3_like());
+        w.cloud.store.assert_present("nope");
     }
 
     #[test]
@@ -511,20 +503,14 @@ mod tests {
         cfg.get_failure_prob = 1.0;
         cfg.request_latency_secs = 1.0;
         cfg.aggregate_bps = 1e9;
-        let (s, _) = store(cfg);
-        let mut sim = Simulation::new();
-        let s2 = s.clone();
-        let end = shared(0.0);
-        let e2 = end.clone();
-        sim.schedule_now(move |sim| {
-            s2.read(sim, 0.0, 1, None, move |sim, _| e2.set(sim.now().as_secs()));
-        });
-        sim.run();
+        let (mut sim, mut w) = store(cfg);
+        submit(&mut sim, false, 0.0, None);
+        sim.run(&mut w);
         // 1 s base latency + 2 s failure round trip.
-        assert!((end.get() - 3.0).abs() < 1e-9);
-        assert_eq!(s.injected_failures(), 1);
+        assert!((w.out[0] - 3.0).abs() < 1e-9);
+        assert_eq!(w.cloud.store.injected_failures(), 1);
         // Both the failed and the replica GET are charged.
-        assert_eq!(s.read_requests(), 1);
+        assert_eq!(w.cloud.store.read_requests(), 1);
     }
 
     #[test]
@@ -532,31 +518,22 @@ mod tests {
         let mut cfg = StorageConfig::s3_like();
         cfg.request_latency_secs = 1.0;
         cfg.aggregate_bps = 1e9;
-        let (s, _) = store(cfg);
-        s.enable_chaos(7);
-        s.apply_fault(SimTime::ZERO, 0, StoreFault::Error { prob: 1.0 }, 100.0);
-        let mut sim = Simulation::new();
-        let s2 = s.clone();
-        let end = shared(0.0);
-        let e2 = end.clone();
-        sim.schedule_now(move |sim| {
-            s2.read(sim, 0.0, 1, None, move |sim, _| e2.set(sim.now().as_secs()));
-        });
-        sim.run();
-        assert!((end.get() - 3.0).abs() < 1e-9);
-        assert_eq!(s.injected_failures(), 1);
+        let (mut sim, mut w) = store(cfg);
+        w.cloud.store.enable_chaos(7);
+        w.cloud
+            .store
+            .apply_fault(SimTime::ZERO, 0, StoreFault::Error { prob: 1.0 }, 100.0);
+        submit(&mut sim, false, 0.0, None);
+        sim.run(&mut w);
+        assert!((w.out[0] - 3.0).abs() < 1e-9);
+        assert_eq!(w.cloud.store.injected_failures(), 1);
         // Cleared windows stop firing.
-        s.clear_fault(SimTime::from_secs(3.0), 0);
-        let mut sim = Simulation::new();
-        let s2 = s.clone();
-        let end2 = shared(0.0);
-        let e2 = end2.clone();
-        sim.schedule_now(move |sim| {
-            s2.read(sim, 0.0, 1, None, move |sim, _| e2.set(sim.now().as_secs()));
-        });
-        sim.run();
-        assert!((end2.get() - 1.0).abs() < 1e-9);
-        assert_eq!(s.injected_failures(), 1);
+        w.cloud.store.clear_fault(0);
+        submit(&mut sim, false, 0.0, None);
+        sim.run(&mut w);
+        // Issued at t=3: 1 s of base latency only.
+        assert!((w.out[1] - 4.0).abs() < 1e-9);
+        assert_eq!(w.cloud.store.injected_failures(), 1);
     }
 
     #[test]
@@ -564,7 +541,8 @@ mod tests {
         let mut cfg = StorageConfig::s3_like();
         cfg.request_latency_secs = 1.0;
         cfg.aggregate_bps = 100.0;
-        let (s, _) = store(cfg);
+        let (mut sim, mut w) = store(cfg);
+        let s = &mut w.cloud.store;
         s.enable_chaos(7);
         s.apply_fault(
             SimTime::ZERO,
@@ -573,17 +551,9 @@ mod tests {
             100.0,
         );
         s.apply_fault(SimTime::ZERO, 1, StoreFault::Degrade { factor: 0.5 }, 100.0);
-        let mut sim = Simulation::new();
-        let s2 = s.clone();
-        let end = shared(0.0);
-        let e2 = end.clone();
-        sim.schedule_now(move |sim| {
-            s2.write(sim, 100.0, 1, None, move |sim, _| {
-                e2.set(sim.now().as_secs())
-            });
-        });
-        sim.run();
+        submit(&mut sim, true, 100.0, None);
+        sim.run(&mut w);
         // 1 s base + 2 s spike, then 100 bytes at the degraded 50 B/s.
-        assert!((end.get() - 5.0).abs() < 1e-9, "{}", end.get());
+        assert!((w.out[0] - 5.0).abs() < 1e-9, "{}", w.out[0]);
     }
 }

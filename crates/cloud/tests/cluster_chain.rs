@@ -1,20 +1,37 @@
 //! Integration test: chained cluster tasks exchanging data through the
 //! master NIC (regression test for an event-loop livelock).
 
-use mashup_cloud::{ClusterConfig, ClusterTaskSpec, CostMeter, InstanceType, VmCluster};
-use mashup_sim::shared;
+use mashup_cloud::{
+    Cloud, CloudWorld, ClusterConfig, ClusterTaskSpec, FaasConfig, InstanceType, StorageConfig,
+    VmCluster,
+};
 use mashup_sim::{SeedSource, Simulation};
+
+struct World {
+    cloud: Cloud<World>,
+    done_at: Option<f64>,
+}
+
+impl CloudWorld for World {
+    fn cloud(&mut self) -> &mut Cloud<Self> {
+        &mut self.cloud
+    }
+}
 
 #[test]
 fn wide_task_feeding_merge_through_master_terminates() {
     let mut sim = Simulation::new().with_event_limit(5_000_000);
-    let meter = CostMeter::new();
-    let cluster = VmCluster::new(
+    let cloud = Cloud::new(
+        &mut sim,
         ClusterConfig::new(InstanceType::r5_large(), 8),
-        meter,
+        FaasConfig::aws_like(),
+        StorageConfig::s3_like(),
         &SeedSource::new(42),
     );
-    let done = shared(None);
+    let mut world = World {
+        cloud,
+        done_at: None,
+    };
 
     let mut wide = ClusterTaskSpec::new("wide", 64, 5.0);
     wide.output_bytes = 1.0e7;
@@ -22,18 +39,14 @@ fn wide_task_feeding_merge_through_master_terminates() {
     merge.input_bytes = 6.4e8;
     merge.output_bytes = 1.0e7;
 
-    let c2 = cluster.clone();
-    let d2 = done.clone();
-    let c3 = cluster.clone();
-    sim.schedule_now(move |sim| {
-        c2.run_task(sim, None, wide, move |sim, _| {
-            let d3 = d2.clone();
-            c3.run_task(sim, None, merge, move |sim, stats| {
-                *d3.borrow_mut() = Some((sim.now().as_secs(), stats));
+    sim.schedule_now(move |w: &mut World, sim| {
+        VmCluster::run_task(w, sim, wide, move |w: &mut World, sim, _| {
+            VmCluster::run_task(w, sim, merge, |w: &mut World, sim, _| {
+                w.done_at = Some(sim.now().as_secs());
             });
         });
     });
-    sim.run();
-    let (end, _) = done.borrow_mut().take().expect("chain completed");
+    sim.run(&mut world);
+    let end = world.done_at.expect("chain completed");
     assert!(end > 0.0);
 }

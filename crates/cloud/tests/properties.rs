@@ -1,51 +1,71 @@
 //! Property-based tests of the cloud models.
 
 use mashup_cloud::{
-    run_task_on_faas, ClusterConfig, ClusterTaskSpec, CostMeter, FaasConfig, FaasPlatform,
-    FaasTaskSpec, InstanceType, ObjectStore, StorageConfig, VmCluster,
+    run_task_on_faas, Cloud, CloudWorld, ClusterConfig, ClusterTaskSpec, FaasConfig, FaasRunStats,
+    FaasTaskSpec, InstanceType, StorageConfig, VmCluster,
 };
-use mashup_sim::shared;
 use mashup_sim::{SeedSource, Simulation};
 use proptest::prelude::*;
 
-fn run_cluster_task(nodes: usize, spec: ClusterTaskSpec) -> f64 {
-    let mut sim = Simulation::new();
-    let cluster = VmCluster::new(
-        ClusterConfig::new(InstanceType::r5_large(), nodes),
-        CostMeter::new(),
-        &SeedSource::new(1),
-    );
-    let out = shared(None);
-    let o2 = out.clone();
-    let c2 = cluster.clone();
-    sim.schedule_now(move |sim| {
-        c2.run_task(sim, None, spec, move |_, stats| {
-            *o2.borrow_mut() = Some(stats.makespan().as_secs());
-        });
-    });
-    sim.run();
-    let v = out.borrow_mut().take().expect("completed");
-    v
+/// A cloud plus the stats of the task under test.
+struct World {
+    cloud: Cloud<World>,
+    cluster_secs: Option<f64>,
+    faas: Option<FaasRunStats>,
 }
 
-fn run_faas_task(spec: FaasTaskSpec) -> mashup_cloud::FaasRunStats {
+impl CloudWorld for World {
+    fn cloud(&mut self) -> &mut Cloud<Self> {
+        &mut self.cloud
+    }
+}
+
+fn world(nodes: usize, seed: u64) -> (Simulation<World>, World) {
     let mut sim = Simulation::new();
-    let meter = CostMeter::new();
-    let seeds = SeedSource::new(2);
-    let mut cfg = FaasConfig::aws_like();
-    cfg.cold_start_secs = (1.0, 1.0);
-    let faas = FaasPlatform::new(cfg, meter.clone(), &seeds);
-    let store = ObjectStore::new(StorageConfig::s3_like(), meter, &seeds);
-    let out = shared(None);
-    let o2 = out.clone();
-    sim.schedule_now(move |sim| {
-        run_task_on_faas(sim, &faas, &store, spec, &seeds, move |_, stats| {
-            *o2.borrow_mut() = Some(stats);
+    let mut faas = FaasConfig::aws_like();
+    faas.cold_start_secs = (1.0, 1.0);
+    let cloud = Cloud::new(
+        &mut sim,
+        ClusterConfig::new(InstanceType::r5_large(), nodes),
+        faas,
+        StorageConfig::s3_like(),
+        &SeedSource::new(seed),
+    );
+    let world = World {
+        cloud,
+        cluster_secs: None,
+        faas: None,
+    };
+    (sim, world)
+}
+
+fn run_cluster_task(nodes: usize, spec: ClusterTaskSpec) -> f64 {
+    let (mut sim, mut w) = world(nodes, 1);
+    sim.schedule_now(move |w: &mut World, sim| {
+        VmCluster::run_task(w, sim, spec, |w: &mut World, _, stats| {
+            w.cluster_secs = Some(stats.makespan().as_secs());
         });
     });
-    sim.run();
-    let v = out.borrow_mut().take().expect("completed");
-    v
+    sim.run(&mut w);
+    w.cluster_secs.expect("completed")
+}
+
+/// Runs `spec` on the FaaS side of a fresh world seeded with `seed`,
+/// returning the world for inspection.
+fn faas_world(spec: FaasTaskSpec, seed: u64) -> World {
+    let (mut sim, mut w) = world(1, seed);
+    let seeds = SeedSource::new(seed);
+    sim.schedule_now(move |w: &mut World, sim| {
+        run_task_on_faas(w, sim, None, spec, &seeds, |w: &mut World, _, stats| {
+            w.faas = Some(stats);
+        });
+    });
+    sim.run(&mut w);
+    w
+}
+
+fn run_faas_task(spec: FaasTaskSpec) -> FaasRunStats {
+    faas_world(spec, 2).faas.expect("completed")
 }
 
 proptest! {
@@ -141,20 +161,8 @@ proptest! {
     #[test]
     fn faas_cost_is_additive(a in 1usize..32, b in 1usize..32) {
         let cost = |comps: usize| {
-            let mut sim = Simulation::new();
-            let meter = CostMeter::new();
-            let seeds = SeedSource::new(3);
-            let mut cfg = FaasConfig::aws_like();
-            cfg.cold_start_secs = (1.0, 1.0);
-            let faas = FaasPlatform::new(cfg, meter.clone(), &seeds);
-            let store = ObjectStore::new(StorageConfig::s3_like(), meter.clone(), &seeds);
-            let f2 = faas.clone();
-            let s2 = store.clone();
-            sim.schedule_now(move |sim| {
-                run_task_on_faas(sim, &f2, &s2, FaasTaskSpec::new("t", comps, 5.0), &seeds, |_, _| {});
-            });
-            sim.run();
-            meter.expense(0.0).faas_dollars
+            let w = faas_world(FaasTaskSpec::new("t", comps, 5.0), 3);
+            w.cloud.meter.expense(0.0).faas_dollars
         };
         let together = cost(a + b);
         let separate = cost(a) + cost(b);

@@ -1,11 +1,11 @@
 //! Mashup engine configuration and the simulated cloud environment.
 
+use crate::exec::Execution;
 use mashup_cloud::{
-    ClusterConfig, CostMeter, FaasConfig, FaasPlatform, InstanceType, ObjectStore, ProviderPreset,
-    VmCluster,
+    Cloud, CloudWorld, ClusterConfig, FaasConfig, FaasPlatform, InstanceType, ProviderPreset,
 };
 use mashup_dag::Workflow;
-use mashup_sim::{SeedSource, Simulation, Tracer};
+use mashup_sim::{SeedSource, SimTime, Simulation, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -192,49 +192,75 @@ impl Sizing {
     }
 }
 
-/// One instantiated simulated environment: engine + cluster + FaaS + store
-/// sharing a cost meter. Each workflow execution gets a fresh environment so
-/// runs never contaminate each other.
-pub struct CloudEnv {
-    /// The discrete-event engine.
-    pub sim: Simulation,
-    /// The VM cluster.
-    pub cluster: VmCluster,
-    /// The serverless platform.
-    pub faas: FaasPlatform,
-    /// The object store.
-    pub store: ObjectStore,
-    /// The shared expense meter.
-    pub meter: CostMeter,
+/// A run's world: the cloud it simulates plus the state of whatever drives
+/// it — the executor, a profiling batch, a baseline manager. Events reach
+/// both through the `&mut World` the engine lends them.
+pub struct World<D> {
+    /// The cloud services.
+    pub cloud: Cloud<World<D>>,
     /// Seed source for executors.
     pub seeds: SeedSource,
-    /// Extra FaaS platforms for non-base memory tiers, keyed by tier MiB.
-    /// Empty unless the run uses per-task sizing ([`CloudEnv::provision_tiers`]);
-    /// the base tier always resolves to [`CloudEnv::faas`] so an all-base
-    /// sizing shares the unsized path's warm pools and billing stream.
-    tier_faas: BTreeMap<u32, FaasPlatform>,
+    /// The driver's state.
+    pub driver: D,
+}
+
+impl<D: Send + 'static> CloudWorld for World<D> {
+    fn cloud(&mut self) -> &mut Cloud<Self> {
+        &mut self.cloud
+    }
+}
+
+/// One instantiated simulated environment: the engine and the world it
+/// drives. Each workflow execution gets a fresh environment so runs never
+/// contaminate each other. The default driver is the executor's.
+pub struct CloudEnv<D = Option<Execution>> {
+    /// The discrete-event engine.
+    pub sim: Simulation<World<D>>,
+    /// The world it drives.
+    pub world: World<D>,
 }
 
 impl CloudEnv {
     /// Builds a fresh environment from `cfg`.
     pub fn new(cfg: &MashupConfig) -> Self {
-        let meter = CostMeter::new();
-        let seeds = SeedSource::new(cfg.seed);
+        Self::with_driver(cfg, 0, None)
+    }
+
+    /// Builds an environment whose stochastic streams differ from the
+    /// default (used for honest PDC profiling: the profiling run must not
+    /// share jitter draws with the production run).
+    pub fn with_seed_offset(cfg: &MashupConfig, offset: u64) -> Self {
+        Self::with_driver(cfg, offset, None)
+    }
+}
+
+impl<D: Send + 'static> CloudEnv<D> {
+    /// Builds an environment from `cfg` with its seed shifted by
+    /// `seed_offset`, driven by `driver`.
+    pub fn with_driver(cfg: &MashupConfig, seed_offset: u64, driver: D) -> Self {
+        let seeds = SeedSource::new(cfg.seed.wrapping_add(seed_offset));
+        let mut sim = Simulation::new();
+        let cloud = Cloud::new(
+            &mut sim,
+            cfg.cluster.clone(),
+            cfg.provider.faas.clone(),
+            cfg.provider.storage.clone(),
+            &seeds,
+        );
         CloudEnv {
-            sim: Simulation::new(),
-            cluster: VmCluster::new(cfg.cluster.clone(), meter.clone(), &seeds),
-            faas: FaasPlatform::new(cfg.provider.faas.clone(), meter.clone(), &seeds),
-            store: ObjectStore::new(cfg.provider.storage.clone(), meter.clone(), &seeds),
-            meter,
-            seeds,
-            tier_faas: BTreeMap::new(),
+            sim,
+            world: World {
+                cloud,
+                seeds,
+                driver,
+            },
         }
     }
 
     /// Builds the extra per-tier FaaS platforms a sized run needs, one per
     /// distinct non-base tier in `sizing`. Each platform derives its
     /// stochastic streams from a tier-labelled seed child, charges the
-    /// shared meter, and maintains its own warm pools (a 2 GB function
+    /// world's meter, and maintains its own warm pools (a 2 GB function
     /// cannot reuse a 0.5 GB microVM). Call before
     /// [`attach_tracer`](CloudEnv::attach_tracer) so tier platforms are
     /// traced too.
@@ -242,50 +268,31 @@ impl CloudEnv {
         let base = tier_key(cfg.provider.faas.memory_gb);
         for gb in sizing.distinct_tiers() {
             let key = tier_key(gb);
-            if key == base || self.tier_faas.contains_key(&key) {
-                continue;
+            if key != base {
+                let seeds = self.world.seeds.child(&format!("faas-tier-{key}"));
+                self.world.cloud.add_tier(key, cfg.faas_tier(gb), &seeds);
             }
-            let seeds = self.seeds.child(&format!("faas-tier-{key}"));
-            self.tier_faas.insert(
-                key,
-                FaasPlatform::new(cfg.faas_tier(gb), self.meter.clone(), &seeds),
-            );
         }
     }
 
     /// The FaaS platform serving a memory tier: the base platform for the
     /// base tier (or any tier never provisioned), else the tier's own.
     pub fn faas_for(&self, gb: f64) -> &FaasPlatform {
-        self.tier_faas.get(&tier_key(gb)).unwrap_or(&self.faas)
-    }
-
-    /// The provisioned non-base tier platforms, keyed by [`tier_key`] (the
-    /// executor clones these into its event-callback handles).
-    pub(crate) fn tier_platforms(&self) -> &BTreeMap<u32, FaasPlatform> {
-        &self.tier_faas
-    }
-
-    /// Builds an environment whose stochastic streams differ from the
-    /// default (used for honest PDC profiling: the profiling run must not
-    /// share jitter draws with the production run).
-    pub fn with_seed_offset(cfg: &MashupConfig, offset: u64) -> Self {
-        let mut shifted = cfg.clone();
-        shifted.seed = cfg.seed.wrapping_add(offset);
-        Self::new(&shifted)
+        self.world.cloud.platform(Some(tier_key(gb)))
     }
 
     /// Attaches one flight recorder to every mechanism in the environment
-    /// (engine, cluster, platform, store, and their links). Emission never
+    /// (engine and links, cluster, platforms, store). Emission never
     /// touches simulated state, so a traced run is byte-identical to an
     /// untraced one.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.sim.set_tracer(tracer.clone());
-        self.cluster.set_tracer(tracer.clone());
-        self.faas.set_tracer(tracer.clone());
-        for platform in self.tier_faas.values_mut() {
-            platform.set_tracer(tracer.clone());
-        }
-        self.store.set_tracer(tracer);
+        self.world.cloud.set_tracer(&tracer);
+        self.sim.set_tracer(tracer);
+    }
+
+    /// Runs the world until no event remains; returns the final instant.
+    pub fn run(&mut self) -> SimTime {
+        self.sim.run(&mut self.world)
     }
 }
 
@@ -319,8 +326,8 @@ mod tests {
     fn env_construction_is_self_consistent() {
         let cfg = MashupConfig::aws(8);
         let env = CloudEnv::new(&cfg);
-        assert_eq!(env.cluster.config().nodes, 8);
-        assert_eq!(env.faas.config().timeout_secs, 900.0);
+        assert_eq!(env.world.cloud.cluster.config().nodes, 8);
+        assert_eq!(env.world.cloud.faas.config().timeout_secs, 900.0);
         assert_eq!(env.sim.now().as_secs(), 0.0);
     }
 

@@ -16,16 +16,18 @@
 //! * the cluster bills node time for the whole run iff the plan uses it.
 
 use crate::chaos::ChaosSpec;
-use crate::config::{tier_key, CloudEnv, MashupConfig, Sizing};
+use crate::config::{tier_key, CloudEnv, MashupConfig, Sizing, World};
 use crate::pdc::{Pdc, PdcReport};
 use crate::placement::{PlacementPlan, Platform};
 use crate::report::{TaskReport, WorkflowReport};
 use mashup_analyze::{AnalysisError, Code, Diagnostic, Location};
-use mashup_cloud::{ClusterTaskSpec, FaasPlatform, FaasTaskSpec};
+use mashup_cloud::{run_task_on_faas, ClusterTaskSpec, FaasTaskSpec, VmCluster};
 use mashup_dag::{TaskRef, Workflow};
-use mashup_sim::{shared, Shared, SimTime, Simulation, TraceEvent, Tracer};
-use std::collections::BTreeMap;
+use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 use std::sync::Arc;
+
+/// The executor's world.
+type W = World<Option<Execution>>;
 
 /// The storage key under which a task's output is registered.
 fn output_key(task_name: &str) -> String {
@@ -80,7 +82,10 @@ pub(crate) fn phase_bases(w: &Workflow) -> Vec<usize> {
         .collect()
 }
 
-struct Driver {
+/// The executor's state during a run: the plan it follows, where each
+/// output lives, and the reports of finished tasks. It is the driver of
+/// the executor's [`World`] (see [`CloudEnv`]).
+pub struct Execution {
     cfg: MashupConfig,
     /// The executor's copy of the workflow. It carries no arena index, and
     /// building one cost ~15% of a 100k-task run, so flat ids come from
@@ -93,7 +98,6 @@ struct Driver {
     /// task on the base platform (the original engine, byte-identical).
     sizing: Option<Sizing>,
     locations: Vec<Vec<OutputLocation>>,
-    env_handles: EnvHandles,
     tracer: Tracer,
     /// Finished tasks' reports in completion order, unnamed: names are
     /// filled in from `completed` once the event loop is over.
@@ -101,6 +105,9 @@ struct Driver {
     /// The task behind each entry of `reports`.
     completed: Vec<TaskRef>,
     remaining_in_phase: usize,
+    /// Store migrations a replan started that have not landed yet; the
+    /// next phase starts when the last one lands.
+    pending_uploads: usize,
     finished_at: Option<SimTime>,
     /// Online replanning controller; `None` unless the config's chaos spec
     /// turns `adaptive` on.
@@ -126,35 +133,25 @@ struct ChaosCtx {
     uploaded: std::collections::BTreeSet<String>,
 }
 
-impl Driver {
+impl Execution {
     /// Task `r`'s flat id (see [`phase_bases`]).
     fn flat(&self, r: TaskRef) -> usize {
         self.phase_base[r.phase] + r.task
     }
 
-    /// The FaaS platform a task runs on: its sizing-assigned tier's platform
-    /// when one was provisioned, the base platform otherwise.
-    fn faas_for_task(&self, r: TaskRef) -> &FaasPlatform {
-        if let Some(sizing) = &self.sizing {
-            let key = tier_key(sizing.tier(self.flat(r)));
-            if let Some(platform) = self.env_handles.tier_faas.get(&key) {
-                return platform;
-            }
-        }
-        &self.env_handles.faas
+    /// The memory tier whose platform a task runs on: its sizing-assigned
+    /// tier, which falls back to the base platform when none was
+    /// provisioned; `None` (the base platform) for an unsized run.
+    fn tier_for_task(&self, r: TaskRef) -> Option<u32> {
+        self.sizing
+            .as_ref()
+            .map(|sizing| tier_key(sizing.tier(self.flat(r))))
     }
 }
 
-/// Handles into the environment (the `Simulation` itself stays outside and
-/// is threaded through event callbacks). Task spawns clone only the
-/// handles they use.
-struct EnvHandles {
-    cluster: mashup_cloud::VmCluster,
-    faas: mashup_cloud::FaasPlatform,
-    /// Non-base tier platforms of a sized run (empty otherwise).
-    tier_faas: BTreeMap<u32, FaasPlatform>,
-    store: mashup_cloud::ObjectStore,
-    seeds: mashup_sim::SeedSource,
+/// The executor state of a world mid-run.
+fn exec(w: &mut W) -> &mut Execution {
+    w.driver.as_mut().expect("executor state installed")
 }
 
 /// Executes `workflow` under `plan` in a fresh environment built from
@@ -283,7 +280,7 @@ pub fn try_execute_in(
 /// The executor proper. Callers arrive through the preflight gate, so the
 /// plan covers the workflow (M201), every serverless task fits the function
 /// memory cap (M203) and the checkpoint-chaining window (M202), and every
-/// profile field is finite and in range (M105). The event callbacks share
+/// profile field is finite and in range (M105). The run shares
 /// `workflow`, so a caller running several passes clones it once.
 ///
 /// Returns the report and, for each entry of its `tasks`, the task it
@@ -302,41 +299,38 @@ pub(crate) fn execute_in_unchecked(
     // must wrap the whole billing window for piecewise settlement.
     if let Some(chaos) = cfg.chaos.as_ref() {
         if !chaos.plan.is_empty() {
-            chaos.plan.install(&mut env.sim, &env.cluster, &env.store);
+            chaos.plan.install(&mut env.sim, &mut env.world.cloud);
         }
     }
 
+    let now = env.sim.now();
+    let cloud = &mut env.world.cloud;
     if plan.uses_cluster() {
-        env.cluster.start_billing(env.sim.now());
+        cloud.cluster.start_billing(now);
     }
     if plan.uses_serverless() {
         // Stage the initial dataset in the store so stateless initial tasks
         // can read it; its occupancy is billed for the run's duration.
-        env.store.register_object(
-            env.sim.now(),
+        cloud.store.register_object(
+            &mut cloud.meter,
+            now,
             initial_key(&workflow.name),
             workflow.initial_input_bytes,
         );
     }
 
-    let driver = shared(Driver {
+    env.world.driver = Some(Execution {
         cfg: cfg.clone(),
         workflow: Arc::clone(workflow),
         phase_base: phase_bases(workflow),
         plan: plan.clone(),
         sizing: sizing.cloned(),
         locations,
-        env_handles: EnvHandles {
-            cluster: env.cluster.clone(),
-            faas: env.faas.clone(),
-            tier_faas: env.tier_platforms().clone(),
-            store: env.store.clone(),
-            seeds: env.seeds,
-        },
         tracer: env.sim.tracer().clone(),
         reports: Vec::with_capacity(workflow.task_count()),
         completed: Vec::with_capacity(workflow.task_count()),
         remaining_in_phase: 0,
+        pending_uploads: 0,
         finished_at: None,
         chaos: cfg.chaos.as_ref().filter(|c| c.adaptive).map(|c| ChaosCtx {
             spec: c.clone(),
@@ -347,34 +341,25 @@ pub(crate) fn execute_in_unchecked(
         }),
     });
 
-    let d2 = driver.clone();
-    env.sim.schedule_now(move |sim| run_phase(sim, d2, 0));
-    env.sim.run();
+    env.sim.schedule_now(|w, sim| run_phase(w, sim, 0));
+    env.run();
 
-    let finished_at = driver
-        .borrow()
-        .finished_at
-        .expect("workflow execution completed");
+    let d = env.world.driver.take().expect("executor state installed");
+    let finished_at = d.finished_at.expect("workflow execution completed");
     // A replan can add or shed cluster usage mid-run; billing must close if
     // it was ever opened, and the report carries the plan that actually ran.
-    let final_plan = driver.borrow().plan.clone();
-    let used_cluster = plan.uses_cluster() || final_plan.uses_cluster();
+    let used_cluster = plan.uses_cluster() || d.plan.uses_cluster();
+    let cloud = &mut env.world.cloud;
     if used_cluster {
-        env.cluster.stop_billing(finished_at);
+        cloud.cluster.stop_billing(&mut cloud.meter, finished_at);
     }
-    env.store.finalize(finished_at);
+    cloud.store.finalize(&mut cloud.meter, finished_at);
 
     // Names are allocated only now, after the event loop. Built while it
     // ran, long-lived name strings interleave with the loop's short-lived
     // allocations and fragment the heap: at 100k tasks every later layer,
     // DAG build included, measured about 20% slower.
-    let (mut tasks, completed) = {
-        let mut d = driver.borrow_mut();
-        (
-            std::mem::take(&mut d.reports),
-            std::mem::take(&mut d.completed),
-        )
-    };
+    let (mut tasks, completed) = (d.reports, d.completed);
     for (report, &r) in tasks.iter_mut().zip(&completed) {
         report.name = workflow.task(r).name.clone();
     }
@@ -383,35 +368,25 @@ pub(crate) fn execute_in_unchecked(
         strategy: strategy.into(),
         cluster_nodes: if used_cluster { cfg.cluster.nodes } else { 0 },
         makespan_secs: finished_at.as_secs(),
-        expense: env.meter.expense(cfg.provider.storage.price_per_gb_month),
-        plan: final_plan,
+        expense: cloud.meter.expense(cfg.provider.storage.price_per_gb_month),
+        plan: d.plan,
         tasks,
     };
     (report, completed)
 }
 
-fn run_phase(sim: &mut Simulation, driver: Shared<Driver>, phase_idx: usize) {
-    let (n_phases, n_tasks) = {
-        let d = driver.borrow();
-        let n = d.workflow.phases.len();
-        if phase_idx >= n {
-            (n, 0)
-        } else {
-            (n, d.workflow.phases[phase_idx].tasks.len())
-        }
-    };
-    if phase_idx >= n_phases {
-        driver.borrow_mut().finished_at = Some(sim.now());
+fn run_phase(w: &mut W, sim: &mut Simulation<W>, phase_idx: usize) {
+    let d = exec(w);
+    if phase_idx >= d.workflow.phases.len() {
+        d.finished_at = Some(sim.now());
         return;
     }
-    {
-        let mut d = driver.borrow_mut();
-        d.remaining_in_phase = n_tasks;
-        if let Some(ctx) = d.chaos.as_mut() {
-            ctx.phase_started = sim.now();
-        }
+    let n_tasks = d.workflow.phases[phase_idx].tasks.len();
+    d.remaining_in_phase = n_tasks;
+    if let Some(ctx) = d.chaos.as_mut() {
+        ctx.phase_started = sim.now();
     }
-    driver.borrow().tracer.emit(
+    d.tracer.emit(
         sim.now(),
         TraceEvent::PhaseStart {
             phase: phase_idx,
@@ -419,63 +394,49 @@ fn run_phase(sim: &mut Simulation, driver: Shared<Driver>, phase_idx: usize) {
         },
     );
 
-    prewarm_next_phase(sim, &driver, phase_idx);
+    prewarm_next_phase(w, sim, phase_idx);
 
     // Round-robin sub-cluster assignment for the phase's VM tasks.
     let mut next_sub = 0usize;
     for ti in 0..n_tasks {
         let r = TaskRef::new(phase_idx, ti);
-        let platform = driver
-            .borrow()
-            .plan
-            .platform(r)
-            // Full coverage is guaranteed by diagnostic M201.
-            .expect("plan covers workflow");
-        match platform {
-            Platform::Serverless => spawn_serverless(sim, &driver, r),
+        let d = exec(w);
+        // Full coverage is guaranteed by diagnostic M201.
+        match d.plan.platform(r).expect("plan covers workflow") {
+            Platform::Serverless => spawn_serverless(w, sim, r),
             Platform::VmCluster => {
-                let subclusters = driver.borrow().cfg.cluster.subclusters;
-                let sub = next_sub % subclusters;
+                let sub = next_sub % d.cfg.cluster.subclusters;
                 next_sub += 1;
-                spawn_on_cluster(sim, &driver, r, sub);
+                spawn_on_cluster(w, sim, r, sub);
             }
         }
     }
 }
 
-fn prewarm_next_phase(sim: &mut Simulation, driver: &Shared<Driver>, phase_idx: usize) {
+fn prewarm_next_phase(w: &mut W, sim: &mut Simulation<W>, phase_idx: usize) {
     // Pre-warming targets each task's own platform: warm pools live per
     // tier (a 0.5 GB microVM cannot serve a 2 GB function), so both the
     // burst threshold and the warm-up go to the tier's platform.
-    let to_warm: Vec<(FaasPlatform, String, usize)> = {
-        let d = driver.borrow();
-        if !d.cfg.prewarm || phase_idx + 1 >= d.workflow.phases.len() {
-            Vec::new()
-        } else {
-            d.workflow.phases[phase_idx + 1]
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|&(ti, _)| {
-                    d.plan.platform(TaskRef::new(phase_idx + 1, ti)) == Ok(Platform::Serverless)
-                })
-                .filter_map(|(ti, t)| {
-                    let faas = d.faas_for_task(TaskRef::new(phase_idx + 1, ti));
-                    if t.components <= faas.config().burst_capacity {
-                        return None;
-                    }
-                    let key = t
-                        .profile
-                        .code_family
-                        .clone()
-                        .unwrap_or_else(|| t.name.clone());
-                    Some((faas.clone(), key, t.components.min(d.cfg.prewarm_cap)))
-                })
-                .collect()
+    let World { cloud, driver, .. } = w;
+    let d = driver.as_ref().expect("executor state installed");
+    if !d.cfg.prewarm || phase_idx + 1 >= d.workflow.phases.len() {
+        return;
+    }
+    for (ti, t) in d.workflow.phases[phase_idx + 1].tasks.iter().enumerate() {
+        let r = TaskRef::new(phase_idx + 1, ti);
+        if d.plan.platform(r) != Ok(Platform::Serverless) {
+            continue;
         }
-    };
-    for (faas, key, count) in to_warm {
-        faas.prewarm(sim, key, count);
+        let faas = cloud.platform(d.tier_for_task(r));
+        if t.components <= faas.config().burst_capacity {
+            continue;
+        }
+        let key = t
+            .profile
+            .code_family
+            .clone()
+            .unwrap_or_else(|| t.name.clone());
+        faas.prewarm(sim, key, t.components.min(d.cfg.prewarm_cap));
     }
 }
 
@@ -496,66 +457,64 @@ pub(crate) fn input_requests(w: &Workflow, r: TaskRef) -> u64 {
         .max(1)
 }
 
-fn spawn_serverless(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef) {
-    let (spec, store, seeds, faas) = {
-        let d = driver.borrow();
-        let w = &d.workflow;
-        let t = w.task(r);
-        // Statelessness sanity check: everything this task reads must
-        // already sit in the store.
-        if t.deps.is_empty() {
-            d.env_handles.store.assert_present(&initial_key(&w.name));
-        } else {
-            for dep in &t.deps {
-                d.env_handles
-                    .store
-                    .assert_present(&output_key(&w.task(dep.producer).name));
-            }
+fn spawn_serverless(w: &mut W, sim: &mut Simulation<W>, r: TaskRef) {
+    let World {
+        cloud,
+        seeds,
+        driver,
+    } = w;
+    let d = driver.as_ref().expect("executor state installed");
+    let wf = &d.workflow;
+    let t = wf.task(r);
+    // Statelessness sanity check: everything this task reads must
+    // already sit in the store.
+    if t.deps.is_empty() {
+        cloud.store.assert_present(&initial_key(&wf.name));
+    } else {
+        for dep in &t.deps {
+            cloud
+                .store
+                .assert_present(&output_key(&wf.task(dep.producer).name));
         }
-        let label = t
-            .profile
-            .code_family
-            .clone()
-            .unwrap_or_else(|| t.name.clone());
-        let spec = FaasTaskSpec {
-            label,
-            components: t.components,
-            compute_secs: t.profile.compute_secs_serverless(),
-            input_bytes: t.profile.input_bytes,
-            output_bytes: t.profile.output_bytes,
-            io_requests: input_requests(w, r),
-            checkpoint_bytes: t.profile.checkpoint_bytes,
-            jitter: t.profile.runtime_jitter,
-            memory_gb: t.profile.memory_gb,
-            checkpoint_margin_secs: d.cfg.margin_for(t.profile.checkpoint_bytes),
-        };
-        trace_task_start(&d, sim.now(), r, "serverless");
-        (
-            spec,
-            d.env_handles.store.clone(),
-            d.env_handles.seeds,
-            d.faas_for_task(r).clone(),
-        )
+    }
+    let label = t
+        .profile
+        .code_family
+        .clone()
+        .unwrap_or_else(|| t.name.clone());
+    let spec = FaasTaskSpec {
+        label,
+        components: t.components,
+        compute_secs: t.profile.compute_secs_serverless(),
+        input_bytes: t.profile.input_bytes,
+        output_bytes: t.profile.output_bytes,
+        io_requests: input_requests(wf, r),
+        checkpoint_bytes: t.profile.checkpoint_bytes,
+        jitter: t.profile.runtime_jitter,
+        memory_gb: t.profile.memory_gb,
+        checkpoint_margin_secs: d.cfg.margin_for(t.profile.checkpoint_bytes),
     };
-    let driver2 = driver.clone();
-    let store2 = store.clone();
-    mashup_cloud::run_task_on_faas(sim, &faas, &store, spec, &seeds, move |sim, stats| {
-        let (components, key, bytes) = {
-            let d = driver2.borrow();
-            let t = d.workflow.task(r);
-            (
-                t.components,
-                output_key(&t.name),
-                t.components as f64 * t.profile.output_bytes,
-            )
-        };
+    trace_task_start(d, sim.now(), r, "serverless");
+    let (tier, seeds) = (d.tier_for_task(r), *seeds);
+    run_task_on_faas(w, sim, tier, spec, &seeds, move |w: &mut W, sim, stats| {
+        let World { cloud, driver, .. } = &mut *w;
+        let t = driver
+            .as_ref()
+            .expect("executor state installed")
+            .workflow
+            .task(r);
         // Serverless outputs always live in the store.
-        store2.register_object(sim.now(), key, bytes);
+        cloud.store.register_object(
+            &mut cloud.meter,
+            sim.now(),
+            output_key(&t.name),
+            t.components as f64 * t.profile.output_bytes,
+        );
         let report = TaskReport {
             name: String::new(),
             platform: Platform::Serverless,
             phase: r.phase,
-            components,
+            components: t.components,
             start_secs: stats.start.as_secs(),
             end_secs: stats.end.as_secs(),
             compute_secs: stats.compute_secs,
@@ -566,89 +525,80 @@ fn spawn_serverless(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef) {
             n_cold: stats.n_cold,
             n_warm: stats.n_warm,
         };
-        finish_task(sim, driver2, r, report);
+        finish_task(w, sim, r, report);
     });
 }
 
-fn spawn_on_cluster(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef, subcluster: usize) {
-    let (spec, cluster, store, to_store) = {
-        let d = driver.borrow();
-        let w = &d.workflow;
-        let t = w.task(r);
-        let to_store = d.locations[r.phase][r.task] == OutputLocation::Store;
-        // Input routing: phase-0 tasks ingest the initial dataset from the
-        // sub-cluster master (Algorithm 1 line 12); later phases pull from
-        // other workers over the fabric — or from the store over the WAN
-        // when any producer's output lives there.
-        let from_store = t
-            .deps
-            .iter()
-            .any(|dep| d.locations[dep.producer.phase][dep.producer.task] == OutputLocation::Store);
-        if from_store {
-            for dep in &t.deps {
-                if d.locations[dep.producer.phase][dep.producer.task] == OutputLocation::Store {
-                    d.env_handles
-                        .store
-                        .assert_present(&output_key(&w.task(dep.producer).name));
-                }
+fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: usize) {
+    let World { cloud, driver, .. } = w;
+    let d = driver.as_ref().expect("executor state installed");
+    let wf = &d.workflow;
+    let t = wf.task(r);
+    let to_store = d.locations[r.phase][r.task] == OutputLocation::Store;
+    // Input routing: phase-0 tasks ingest the initial dataset from the
+    // sub-cluster master (Algorithm 1 line 12); later phases pull from
+    // other workers over the fabric — or from the store over the WAN
+    // when any producer's output lives there.
+    let from_store = t
+        .deps
+        .iter()
+        .any(|dep| d.locations[dep.producer.phase][dep.producer.task] == OutputLocation::Store);
+    if from_store {
+        for dep in &t.deps {
+            if d.locations[dep.producer.phase][dep.producer.task] == OutputLocation::Store {
+                cloud
+                    .store
+                    .assert_present(&output_key(&wf.task(dep.producer).name));
             }
         }
-        let input = if from_store {
-            mashup_cloud::ClusterInput::Wan
-        } else if t.deps.is_empty() {
-            mashup_cloud::ClusterInput::Master
-        } else {
-            mashup_cloud::ClusterInput::Fabric
-        };
-        let output = if to_store {
-            mashup_cloud::ClusterOutput::Wan
-        } else {
-            mashup_cloud::ClusterOutput::Fabric
-        };
-        let spec = ClusterTaskSpec {
-            label: t.name.clone(),
-            components: t.components,
-            compute_secs: t.profile.compute_secs_vm,
-            input_bytes: t.profile.input_bytes,
-            output_bytes: t.profile.output_bytes,
-            io_requests: input_requests(w, r),
-            contention_coeff: t.profile.vm_local_contention,
-            memory_gb: t.profile.memory_gb,
-            jitter: t.profile.runtime_jitter,
-            input,
-            output,
-            subcluster,
-        };
-        trace_task_start(&d, sim.now(), r, "vm");
-        (
-            spec,
-            d.env_handles.cluster.clone(),
-            d.env_handles.store.clone(),
-            to_store,
-        )
+    }
+    let input = if from_store {
+        mashup_cloud::ClusterInput::Wan
+    } else if t.deps.is_empty() {
+        mashup_cloud::ClusterInput::Master
+    } else {
+        mashup_cloud::ClusterInput::Fabric
     };
-    let driver2 = driver.clone();
-    let store2 = store.clone();
-    cluster.run_task(sim, Some(&store), spec, move |sim, stats| {
-        let (components, upload) = {
-            let d = driver2.borrow();
-            let t = d.workflow.task(r);
-            let upload = to_store.then(|| {
-                (
-                    output_key(&t.name),
-                    t.components as f64 * t.profile.output_bytes,
-                )
-            });
-            (t.components, upload)
-        };
-        if let Some((key, bytes)) = upload {
-            store2.register_object(sim.now(), key, bytes);
+    let output = if to_store {
+        mashup_cloud::ClusterOutput::Wan
+    } else {
+        mashup_cloud::ClusterOutput::Fabric
+    };
+    let spec = ClusterTaskSpec {
+        label: t.name.clone(),
+        components: t.components,
+        compute_secs: t.profile.compute_secs_vm,
+        input_bytes: t.profile.input_bytes,
+        output_bytes: t.profile.output_bytes,
+        io_requests: input_requests(wf, r),
+        contention_coeff: t.profile.vm_local_contention,
+        memory_gb: t.profile.memory_gb,
+        jitter: t.profile.runtime_jitter,
+        input,
+        output,
+        subcluster,
+    };
+    trace_task_start(d, sim.now(), r, "vm");
+    VmCluster::run_task(w, sim, spec, move |w: &mut W, sim, stats| {
+        let World { cloud, driver, .. } = &mut *w;
+        let t = driver
+            .as_ref()
+            .expect("executor state installed")
+            .workflow
+            .task(r);
+        if to_store {
+            cloud.store.register_object(
+                &mut cloud.meter,
+                sim.now(),
+                output_key(&t.name),
+                t.components as f64 * t.profile.output_bytes,
+            );
         }
         let report = TaskReport {
             name: String::new(),
             platform: Platform::VmCluster,
             phase: r.phase,
-            components,
+            components: t.components,
             start_secs: stats.start.as_secs(),
             end_secs: stats.end.as_secs(),
             compute_secs: stats.compute_secs,
@@ -659,13 +609,13 @@ fn spawn_on_cluster(sim: &mut Simulation, driver: &Shared<Driver>, r: TaskRef, s
             n_cold: 0,
             n_warm: 0,
         };
-        finish_task(sim, driver2, r, report);
+        finish_task(w, sim, r, report);
     });
 }
 
 /// Records a task's start; builds the event (and its name copy) only when
 /// a recorder is attached.
-fn trace_task_start(d: &Driver, now: SimTime, r: TaskRef, platform: &str) {
+fn trace_task_start(d: &Execution, now: SimTime, r: TaskRef, platform: &str) {
     if d.tracer.is_on() {
         let t = d.workflow.task(r);
         d.tracer.emit(
@@ -680,72 +630,60 @@ fn trace_task_start(d: &Driver, now: SimTime, r: TaskRef, platform: &str) {
     }
 }
 
-fn finish_task(sim: &mut Simulation, driver: Shared<Driver>, r: TaskRef, report: TaskReport) {
-    let next_phase = {
-        let mut d = driver.borrow_mut();
-        if d.tracer.is_on() {
-            d.tracer.emit(
-                sim.now(),
-                TraceEvent::TaskEnd {
-                    task: d.workflow.task(r).name.clone(),
-                },
-            );
-        }
-        d.reports.push(report);
-        d.completed.push(r);
-        d.remaining_in_phase -= 1;
-        if d.remaining_in_phase == 0 {
-            Some(r.phase + 1)
-        } else {
-            None
-        }
-    };
-    if let Some(p) = next_phase {
-        advance_phase(sim, driver, p);
+fn finish_task(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, report: TaskReport) {
+    let d = exec(w);
+    if d.tracer.is_on() {
+        d.tracer.emit(
+            sim.now(),
+            TraceEvent::TaskEnd {
+                task: d.workflow.task(r).name.clone(),
+            },
+        );
+    }
+    d.reports.push(report);
+    d.completed.push(r);
+    d.remaining_in_phase -= 1;
+    if d.remaining_in_phase == 0 {
+        advance_phase(w, sim, r.phase + 1);
     }
 }
 
 /// Crosses a phase barrier into phase `next`, first giving the chaos
 /// controller (when one is active) a chance to replan the remaining
-/// subgraph. Without a controller this is exactly [`run_phase`]: no extra
-/// borrows linger, no events fire, no randomness is drawn.
-fn advance_phase(sim: &mut Simulation, driver: Shared<Driver>, next: usize) {
-    let trigger = {
-        let d = driver.borrow();
-        match d.chaos.as_ref() {
-            None => None,
-            Some(_) if next >= d.workflow.phases.len() => None,
-            Some(ctx) => {
-                let surviving = d.env_handles.cluster.surviving_nodes();
-                if surviving < ctx.planned_nodes {
-                    Some(("preemption", surviving))
-                } else if ctx.spec.detects_stragglers() {
-                    // Provisional: resolved against the baseline envelope
-                    // below (which may need computing first).
-                    Some(("straggler", surviving))
-                } else {
-                    None
-                }
+/// subgraph. Without a controller this is exactly [`run_phase`]: no events
+/// fire, no randomness is drawn.
+fn advance_phase(w: &mut W, sim: &mut Simulation<W>, next: usize) {
+    let surviving = w.cloud.cluster.surviving_nodes();
+    let d = exec(w);
+    let trigger = match d.chaos.as_ref() {
+        None => None,
+        Some(_) if next >= d.workflow.phases.len() => None,
+        Some(ctx) => {
+            if surviving < ctx.planned_nodes {
+                Some("preemption")
+            } else if ctx.spec.detects_stragglers() {
+                // Provisional: resolved against the baseline envelope
+                // below (which may need computing first).
+                Some("straggler")
+            } else {
+                None
             }
         }
     };
-    let Some((reason, surviving)) = trigger else {
-        return run_phase(sim, driver, next);
+    let Some(reason) = trigger else {
+        return run_phase(w, sim, next);
     };
-    ensure_baseline(&driver);
-    let confirmed = if reason == "preemption" {
-        true
-    } else {
-        let d = driver.borrow();
+    ensure_baseline(d);
+    let confirmed = reason == "preemption" || {
         let ctx = d.chaos.as_ref().expect("trigger implies controller");
         let elapsed = sim.now().saturating_since(ctx.phase_started).as_secs();
-        let envelope = phase_envelope_secs(&d, next - 1);
+        let envelope = phase_envelope_secs(d, next - 1);
         envelope > 0.0 && elapsed > ctx.spec.straggler_factor * envelope
     };
     if confirmed {
-        replan_and_run(sim, driver, next, reason, surviving);
+        replan_and_run(w, sim, next, reason, surviving);
     } else {
-        run_phase(sim, driver, next);
+        run_phase(w, sim, next);
     }
 }
 
@@ -754,21 +692,13 @@ fn advance_phase(sim: &mut Simulation, driver: Shared<Driver>, next: usize) {
 /// environments, so the baseline reflects the advertised (fault-free)
 /// platform behaviour and leaves the production run's RNG streams and
 /// trace untouched.
-fn ensure_baseline(driver: &Shared<Driver>) {
-    let needs = driver
-        .borrow()
-        .chaos
-        .as_ref()
-        .is_some_and(|c| c.baseline.is_none());
+fn ensure_baseline(d: &mut Execution) {
+    let needs = d.chaos.as_ref().is_some_and(|c| c.baseline.is_none());
     if !needs {
         return;
     }
-    let (cfg, workflow) = {
-        let d = driver.borrow();
-        (d.cfg.clone(), d.workflow.clone())
-    };
-    let report = Pdc::new(cfg).decide(&workflow);
-    if let Some(ctx) = driver.borrow_mut().chaos.as_mut() {
+    let report = Pdc::new(d.cfg.clone()).decide(&d.workflow);
+    if let Some(ctx) = d.chaos.as_mut() {
         ctx.baseline = Some(report);
     }
 }
@@ -777,7 +707,7 @@ fn ensure_baseline(driver: &Shared<Driver>) {
 /// duration under the baseline measurements and the *active* plan, with VM
 /// times scaled to the capacity the plan assumes. A phase that ran longer
 /// than `straggler_factor` times this is a straggler.
-fn phase_envelope_secs(d: &Driver, phase_idx: usize) -> f64 {
+fn phase_envelope_secs(d: &Execution, phase_idx: usize) -> f64 {
     let ctx = d.chaos.as_ref().expect("controller active");
     let Some(baseline) = ctx.baseline.as_ref() else {
         return 0.0;
@@ -810,127 +740,126 @@ fn phase_envelope_secs(d: &Driver, phase_idx: usize) -> f64 {
 /// placement reads from it, and then starts the phase. Re-placement never
 /// rewrites history: finished phases keep their reports and locations.
 fn replan_and_run(
-    sim: &mut Simulation,
-    driver: Shared<Driver>,
+    w: &mut W,
+    sim: &mut Simulation<W>,
     next: usize,
     reason: &'static str,
     surviving: usize,
 ) {
-    let uploads: Vec<(String, f64, u64)> = {
-        let mut d = driver.borrow_mut();
-        let d = &mut *d;
-        let ctx = d.chaos.as_mut().expect("controller active");
-        let baseline = ctx.baseline.as_ref().expect("ensured by advance_phase");
-        let report = Pdc::new(d.cfg.clone()).replan_capacity(baseline, &d.workflow, surviving);
-        let n_phases = d.workflow.phases.len();
-        let mut moved = 0usize;
-        for pi in next..n_phases {
-            for ti in 0..d.workflow.phases[pi].tasks.len() {
-                let r = TaskRef::new(pi, ti);
-                let target = report.plan.platform(r).expect("replan covers workflow");
-                if d.plan.platform(r) != Ok(target) {
-                    moved += 1;
-                }
+    let World { cloud, driver, .. } = &mut *w;
+    let d = driver.as_mut().expect("executor state installed");
+    let ctx = d.chaos.as_mut().expect("controller active");
+    let baseline = ctx.baseline.as_ref().expect("ensured by advance_phase");
+    let report = Pdc::new(d.cfg.clone()).replan_capacity(baseline, &d.workflow, surviving);
+    let n_phases = d.workflow.phases.len();
+    let mut moved = 0usize;
+    for pi in next..n_phases {
+        for ti in 0..d.workflow.phases[pi].tasks.len() {
+            let r = TaskRef::new(pi, ti);
+            let target = report.plan.platform(r).expect("replan covers workflow");
+            if d.plan.platform(r) != Ok(target) {
+                moved += 1;
             }
         }
-        d.tracer.emit(
+    }
+    d.tracer.emit(
+        sim.now(),
+        TraceEvent::Replan {
+            phase: next,
+            reason: reason.to_string(),
+            nodes_before: ctx.planned_nodes,
+            nodes_after: surviving,
+            moved,
+        },
+    );
+    ctx.planned_nodes = surviving;
+    if moved == 0 {
+        return run_phase(w, sim, next);
+    }
+    let was_serverless = d.plan.uses_serverless();
+    for pi in next..n_phases {
+        for ti in 0..d.workflow.phases[pi].tasks.len() {
+            let r = TaskRef::new(pi, ti);
+            let target = report.plan.platform(r).expect("replan covers workflow");
+            d.plan.set(r, target);
+        }
+    }
+    // Completed phases keep their historical output locations (the
+    // master copies exist and stay readable over the fabric); only
+    // future rows follow the new placement.
+    let fresh = output_locations(&d.workflow, &d.plan);
+    d.locations[next..n_phases].clone_from_slice(&fresh[next..n_phases]);
+    // A plan that newly reaches a platform needs what the static
+    // setup provisioned at time zero: cluster billing (idempotent)
+    // and the staged initial dataset for store-reading sources.
+    if d.plan.uses_cluster() {
+        cloud.cluster.start_billing(sim.now());
+    }
+    if d.plan.uses_serverless() && !was_serverless {
+        cloud.store.register_object(
+            &mut cloud.meter,
             sim.now(),
-            TraceEvent::Replan {
-                phase: next,
-                reason: reason.to_string(),
-                nodes_before: ctx.planned_nodes,
-                nodes_after: surviving,
-                moved,
+            initial_key(&d.workflow.name),
+            d.workflow.initial_input_bytes,
+        );
+    }
+    // Outputs that finished on a master but are now read by
+    // serverless consumers must migrate into the store first
+    // (master -> store over the WAN, billed PUTs).
+    let mut uploads = Vec::new();
+    for pi in next..n_phases {
+        for ti in 0..d.workflow.phases[pi].tasks.len() {
+            let r = TaskRef::new(pi, ti);
+            if d.plan.platform(r) != Ok(Platform::Serverless) {
+                continue;
+            }
+            for dep in &d.workflow.task(r).deps {
+                let p = dep.producer;
+                if p.phase >= next {
+                    continue; // not run yet: routed by `locations`
+                }
+                if d.locations[p.phase][p.task] == OutputLocation::Store {
+                    continue; // already registered at completion
+                }
+                let pt = d.workflow.task(p);
+                let key = output_key(&pt.name);
+                let ctx = d.chaos.as_mut().expect("controller active");
+                if !ctx.uploaded.insert(key.clone()) {
+                    continue; // migrated by an earlier replan
+                }
+                uploads.push((
+                    key,
+                    pt.components as f64 * pt.profile.output_bytes,
+                    pt.components as u64,
+                ));
+            }
+        }
+    }
+    if uploads.is_empty() {
+        return run_phase(w, sim, next);
+    }
+    // Barrier: the phase starts once every migration has landed.
+    let wan_bps = d.cfg.cluster.instance.wan_bps;
+    d.pending_uploads = uploads.len();
+    for (key, bytes, requests) in uploads {
+        cloud.store.write(
+            &mut cloud.meter,
+            sim,
+            bytes,
+            requests,
+            Some(wan_bps),
+            move |w: &mut W, sim, _| {
+                let cloud = &mut w.cloud;
+                cloud
+                    .store
+                    .register_object(&mut cloud.meter, sim.now(), key, bytes);
+                let d = exec(w);
+                d.pending_uploads -= 1;
+                if d.pending_uploads == 0 {
+                    run_phase(w, sim, next);
+                }
             },
         );
-        ctx.planned_nodes = surviving;
-        if moved == 0 {
-            Vec::new()
-        } else {
-            let was_serverless = d.plan.uses_serverless();
-            for pi in next..n_phases {
-                for ti in 0..d.workflow.phases[pi].tasks.len() {
-                    let r = TaskRef::new(pi, ti);
-                    let target = report.plan.platform(r).expect("replan covers workflow");
-                    d.plan.set(r, target);
-                }
-            }
-            // Completed phases keep their historical output locations (the
-            // master copies exist and stay readable over the fabric); only
-            // future rows follow the new placement.
-            let fresh = output_locations(&d.workflow, &d.plan);
-            d.locations[next..n_phases].clone_from_slice(&fresh[next..n_phases]);
-            // A plan that newly reaches a platform needs what the static
-            // setup provisioned at time zero: cluster billing (idempotent)
-            // and the staged initial dataset for store-reading sources.
-            if d.plan.uses_cluster() {
-                d.env_handles.cluster.start_billing(sim.now());
-            }
-            if d.plan.uses_serverless() && !was_serverless {
-                d.env_handles.store.register_object(
-                    sim.now(),
-                    initial_key(&d.workflow.name),
-                    d.workflow.initial_input_bytes,
-                );
-            }
-            // Outputs that finished on a master but are now read by
-            // serverless consumers must migrate into the store first
-            // (master -> store over the WAN, billed PUTs).
-            let mut uploads = Vec::new();
-            for pi in next..n_phases {
-                for ti in 0..d.workflow.phases[pi].tasks.len() {
-                    let r = TaskRef::new(pi, ti);
-                    if d.plan.platform(r) != Ok(Platform::Serverless) {
-                        continue;
-                    }
-                    for dep in &d.workflow.task(r).deps {
-                        let p = dep.producer;
-                        if p.phase >= next {
-                            continue; // not run yet: routed by `locations`
-                        }
-                        if d.locations[p.phase][p.task] == OutputLocation::Store {
-                            continue; // already registered at completion
-                        }
-                        let pt = d.workflow.task(p);
-                        let key = output_key(&pt.name);
-                        if !ctx.uploaded.insert(key.clone()) {
-                            continue; // migrated by an earlier replan
-                        }
-                        uploads.push((
-                            key,
-                            pt.components as f64 * pt.profile.output_bytes,
-                            pt.components as u64,
-                        ));
-                    }
-                }
-            }
-            uploads
-        }
-    };
-    if uploads.is_empty() {
-        return run_phase(sim, driver, next);
-    }
-    let (store, wan_bps) = {
-        let d = driver.borrow();
-        (d.env_handles.store.clone(), d.cfg.cluster.instance.wan_bps)
-    };
-    // Barrier: the phase starts once every migration has landed.
-    let pending = shared(uploads.len());
-    for (key, bytes, requests) in uploads {
-        let store2 = store.clone();
-        let driver2 = driver.clone();
-        let pending2 = pending.clone();
-        store.write(sim, bytes, requests, Some(wan_bps), move |sim, _| {
-            store2.register_object(sim.now(), key, bytes);
-            let remaining = {
-                let mut left = pending2.borrow_mut();
-                *left -= 1;
-                *left
-            };
-            if remaining == 0 {
-                run_phase(sim, driver2, next);
-            }
-        });
     }
 }
 

@@ -26,6 +26,7 @@
 //! makespan, expense, placement, and overhead decomposition (cold start,
 //! I/O, scaling, checkpoints) that the paper's evaluation figures analyse.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod analysis;
@@ -47,9 +48,9 @@ pub use cache::{
     CacheStats, PhaseProfileEntry, PlanCache, ProbeEntry, SectionStats, VmProfileEntry,
 };
 pub use chaos::ChaosSpec;
-pub use config::{CloudEnv, MashupConfig, Sizing, MEMORY_TIERS_GB};
+pub use config::{CloudEnv, MashupConfig, Sizing, World, MEMORY_TIERS_GB};
 pub use engine::{Mashup, MashupOutcome};
-pub use exec::{try_execute, try_execute_in, try_execute_with};
+pub use exec::{try_execute, try_execute_in, try_execute_with, Execution};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use mashup_analyze::{AnalysisError, Code, Diagnostic, Location, Severity};
 pub use mashup_sim::{KillReason, TraceEvent, TraceRecord, Tracer};

@@ -37,10 +37,10 @@ use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::placement::{PlacementPlan, Platform};
 use mashup_cloud::{
     run_task_on_faas, ClusterInput, ClusterOutput, ClusterTaskSpec, Expense, FaasConfig,
-    FaasRunStats, FaasTaskSpec,
+    FaasRunStats, FaasTaskSpec, VmCluster,
 };
 use mashup_dag::{Phase, Task, TaskRef, Workflow};
-use mashup_sim::{shared, SimTime, TraceEvent, Tracer};
+use mashup_sim::{SimTime, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -976,9 +976,14 @@ impl Pdc {
             tuned = c;
             &tuned
         };
-        let mut env = CloudEnv::with_seed_offset(cfg, offset);
-        env.store
-            .register_object(env.sim.now(), "probe-input", t.profile.input_bytes);
+        let mut env = CloudEnv::with_driver(cfg, offset, None);
+        let cloud = &mut env.world.cloud;
+        cloud.store.register_object(
+            &mut cloud.meter,
+            SimTime::ZERO,
+            "probe-input",
+            t.profile.input_bytes,
+        );
         let spec = FaasTaskSpec {
             label,
             components: 1,
@@ -994,7 +999,7 @@ impl Pdc {
         let stats = run_faas_batch(&mut env, spec);
         ProbeEntry {
             probe_secs: stats.makespan().as_secs(),
-            probe_busy_secs: env.faas.function_seconds(),
+            probe_busy_secs: env.world.cloud.faas.function_seconds(),
         }
     }
 
@@ -1053,9 +1058,8 @@ impl Pdc {
                 continue;
             }
             let tuned = self.cfg.clone().with_subclusters(k);
-            let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-            env.cluster.start_billing(env.sim.now());
-            let secs = shared(vec![0.0; n]);
+            let mut env = CloudEnv::with_driver(&tuned, 0x9e3779b9, vec![0.0; n]);
+            env.world.cloud.cluster.start_billing(SimTime::ZERO);
             for (ti, t) in phase.tasks.iter().enumerate() {
                 let r = TaskRef::new(phase_idx, ti);
                 let spec = ClusterTaskSpec {
@@ -1078,20 +1082,20 @@ impl Pdc {
                     // 0 at each phase start.
                     subcluster: ti % k,
                 };
-                let s2 = secs.clone();
-                env.cluster
-                    .run_task(&mut env.sim, None, spec, move |_, stats| {
-                        s2.borrow_mut()[ti] = stats.end.as_secs() - stats.start.as_secs();
-                    });
+                VmCluster::run_task(&mut env.world, &mut env.sim, spec, move |w, _, stats| {
+                    w.driver[ti] = stats.end.as_secs() - stats.start.as_secs();
+                });
             }
-            env.sim.run();
-            env.cluster.stop_billing(env.sim.now());
+            let end = env.run();
+            let cloud = &mut env.world.cloud;
+            cloud.cluster.stop_billing(&mut cloud.meter, end);
             add_expense(
                 &mut expense,
-                &env.meter
+                &cloud
+                    .meter
                     .expense(self.cfg.provider.storage.price_per_gb_month),
             );
-            for (ti, &s) in secs.borrow().iter().enumerate() {
+            for (ti, &s) in env.world.driver.iter().enumerate() {
                 task_secs[ti] = task_secs[ti].min(s);
             }
         }
@@ -1125,20 +1129,15 @@ fn phase_content_digest(phase: &Phase) -> u128 {
 /// Schedules `spec` on `env`'s FaaS platform, runs the simulation to
 /// completion, and returns the batch stats (shared by the probe and
 /// calibration paths, which only differ in how they build the spec).
-fn run_faas_batch(env: &mut CloudEnv, spec: FaasTaskSpec) -> FaasRunStats {
-    let out = shared(None);
-    let o2 = out.clone();
-    let faas = env.faas.clone();
-    let store = env.store.clone();
-    let seeds = env.seeds;
-    env.sim.schedule_now(move |sim| {
-        run_task_on_faas(sim, &faas, &store, spec, &seeds, move |_, stats| {
-            *o2.borrow_mut() = Some(stats);
+fn run_faas_batch(env: &mut CloudEnv<Option<FaasRunStats>>, spec: FaasTaskSpec) -> FaasRunStats {
+    let seeds = env.world.seeds;
+    env.sim.schedule_now(move |w, sim| {
+        run_task_on_faas(w, sim, None, spec, &seeds, |w, _, stats| {
+            w.driver = Some(stats);
         });
     });
-    env.sim.run();
-    let taken = out.borrow_mut().take();
-    taken.expect("FaaS batch completed")
+    env.run();
+    env.world.driver.take().expect("FaaS batch completed")
 }
 
 /// Hybrid boundary refinement: a serverless placement forces its VM-side
@@ -1351,9 +1350,11 @@ fn run_noop_batch(
     compute: f64,
     io_bytes: f64,
 ) -> BatchStats {
-    let mut env = CloudEnv::with_seed_offset(cfg, 0xCA11B7A7E ^ components as u64);
-    env.store
-        .register_object(env.sim.now(), "calib-input", io_bytes);
+    let mut env = CloudEnv::with_driver(cfg, 0xCA11B7A7E ^ components as u64, None);
+    let cloud = &mut env.world.cloud;
+    cloud
+        .store
+        .register_object(&mut cloud.meter, SimTime::ZERO, "calib-input", io_bytes);
     let spec = FaasTaskSpec {
         label: format!("calibration-{components}"),
         components,

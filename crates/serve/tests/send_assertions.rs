@@ -5,7 +5,8 @@
 //! execution stack stays `Send`. A reintroduced `Rc`, `RefCell`, or
 //! non-`Send` trait object anywhere in the state graph turns these into
 //! compile errors pointing at the offending type — much earlier and
-//! clearer than a trait-bound error three layers up in `par_map`.
+//! clearer than a trait-bound error three layers up in `par_map`. (The
+//! Kepler baseline's world is asserted next to it, in `mashup-baselines`.)
 
 fn assert_send<T: Send>() {}
 fn assert_send_sync<T: Send + Sync>() {}
@@ -13,9 +14,13 @@ fn assert_send_sync<T: Send + Sync>() {}
 #[test]
 fn engine_entry_points_are_send() {
     // The simulation substrate and its flight recorder.
-    assert_send::<mashup_sim::Simulation>();
+    assert_send::<mashup_sim::Simulation<()>>();
     assert_send::<mashup_sim::Tracer>();
-    assert_send::<mashup_sim::Shared<Vec<u64>>>();
+
+    // The executor's world, and the engine over it.
+    type ExecWorld = mashup_core::World<Option<mashup_core::Execution>>;
+    assert_send::<ExecWorld>();
+    assert_send::<mashup_sim::Simulation<ExecWorld>>();
 
     // The simulated cloud substrates.
     assert_send::<mashup_cloud::VmCluster>();

@@ -1,17 +1,20 @@
 //! Max-min fair-share bandwidth links.
 //!
-//! A [`SharedLink`] models a network or storage channel of fixed aggregate
-//! capacity. Concurrent transfers receive max-min fair shares (water-filling
-//! over optional per-flow caps); whenever the set of active transfers
-//! changes, progress is advanced under the old shares and the next completion
-//! is re-planned under the new ones. This is the mechanism behind every
-//! contention effect in the cloud models: master-NIC bottlenecks, S3
-//! aggregate-bandwidth saturation, and cluster-network congestion.
+//! A link models a network or storage channel of fixed aggregate capacity.
+//! Links live in an arena inside the [`Simulation`] and are addressed by a
+//! `Copy` [`LinkId`], so the components that use one (a cluster's NICs, the
+//! object store's data plane) hold only the id. Concurrent transfers
+//! receive max-min fair shares (water-filling over optional per-flow caps);
+//! whenever the set of active transfers changes, progress is advanced under
+//! the old shares and the next completion is re-planned under the new ones.
+//! This is the mechanism behind every contention effect in the cloud
+//! models: master-NIC bottlenecks, S3 aggregate-bandwidth saturation, and
+//! cluster-network congestion.
 //!
 //! **One water-fill per event.** A change to the transfer set cancels the
-//! pending completion event and reserves an engine sequence number, but the
-//! next completion is computed once per event, by a flush the engine runs
-//! after the event returns (see [`Simulation::defer`]). A burst of n
+//! pending completion event, reserves an engine sequence number and marks
+//! the link dirty; the next completion is computed once per event, when the
+//! engine flushes its dirty links after the event returns. A burst of n
 //! arrivals inside one event (a wide VM task starting every component on one
 //! NIC) costs one water-fill, one min-scan and one scheduled event, not n of
 //! each. This is exact: between the link's last change in an event and the
@@ -28,29 +31,31 @@
 //!
 //! Shares are cached per transfer and recomputed lazily: the cache is
 //! invalidated only when the transfer set (or a cap) changes, so the share
-//! consumers on a completion tick (advance, utilization trace, flush) trigger
-//! at most one water-fill pass, and the pass itself runs over a slab + sorted
-//! index vectors with no per-call allocation. The recompute walks flows in
+//! consumers on a completion tick (advance, flush) trigger at most one
+//! water-fill pass, and the pass itself runs over a slab + sorted index
+//! vectors with no per-call allocation. The recompute walks flows in
 //! exactly the order the original per-call `BTreeMap` build did (cap
 //! ascending, id breaking ties), so every floating-point operation happens
 //! in the same sequence and simulated results are bit-for-bit unchanged.
 
-use crate::engine::{Deferred, EventHandle, ReservedSeq, Simulation};
-use crate::shared::{shared, AtomicRefCell, Shared};
+use crate::engine::{EventHandle, ReservedSeq, Simulation};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
-use std::sync::Arc;
 
 /// Completion epsilon: transfers within this many bytes of done are finished.
 const EPS_BYTES: f64 = 1e-6;
 
-type DoneFn = Box<dyn FnOnce(&mut Simulation) + Send>;
+type DoneFn<W> = Box<dyn FnOnce(&mut W, &mut Simulation<W>) + Send>;
+
+/// Identifier of a fair-share link in a [`Simulation`]'s arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LinkId(u32);
 
 /// Identifier of an in-flight transfer on a particular link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransferId(u64);
 
-struct Transfer {
+struct Transfer<W> {
     id: u64,
     remaining: f64,
     /// Per-flow bandwidth cap in bytes/sec (`f64::INFINITY` when uncapped).
@@ -58,14 +63,15 @@ struct Transfer {
     /// Cached fair share in bytes/sec; valid only while `shares_dirty` is
     /// false on the owning link.
     share: f64,
-    on_done: DoneFn,
+    on_done: DoneFn<W>,
 }
 
-struct LinkState {
+/// One fair-share link of the arena.
+pub(crate) struct Link<W> {
     name: String,
     capacity: f64,
     /// Slab of transfers; `None` entries are free and listed in `free`.
-    slab: Vec<Option<Transfer>>,
+    slab: Vec<Option<Transfer<W>>>,
     free: Vec<u32>,
     /// Slot indices ordered by transfer id ascending. Ids are allocated
     /// monotonically, so arrivals append; removals shift (cheap: `u32`s).
@@ -78,21 +84,16 @@ struct LinkState {
     last_update: SimTime,
     completion_event: Option<EventHandle>,
     /// Sequence number reserved by the latest change to the transfer set;
-    /// `Some` exactly while a flush is registered with the engine.
+    /// `Some` exactly while the link is on the engine's dirty list.
     pending_flush: Option<ReservedSeq>,
     /// Callbacks of the finishing tick; kept between ticks (empty) so a
     /// tick does not allocate.
-    done_buf: Vec<DoneFn>,
+    done_buf: Vec<DoneFn<W>>,
     bytes_delivered: f64,
-    // Time series of (time, utilized fraction) for figure traces.
-    utilization_trace: Vec<(f64, f64)>,
-    trace_enabled: bool,
-    /// Flight recorder; transfer start/end instants at verbose level only.
-    tracer: Tracer,
 }
 
-impl LinkState {
-    fn transfer(&self, slot: u32) -> &Transfer {
+impl<W> Link<W> {
+    fn transfer(&self, slot: u32) -> &Transfer<W> {
         self.slab[slot as usize].as_ref().expect("live slot")
     }
 
@@ -116,7 +117,7 @@ impl LinkState {
             .unwrap_or_else(|i| i)
     }
 
-    fn insert(&mut self, t: Transfer) {
+    fn insert(&mut self, t: Transfer<W>) {
         let (id, cap) = (t.id, t.cap);
         let slot = match self.free.pop() {
             Some(s) => {
@@ -136,14 +137,14 @@ impl LinkState {
         self.shares_dirty = true;
     }
 
-    fn remove(&mut self, id: u64) -> Option<Transfer> {
+    fn remove(&mut self, id: u64) -> Option<Transfer<W>> {
         let id_pos = self.find_by_id(id)?;
         Some(self.remove_at(id_pos))
     }
 
     /// Removes the transfer at `id_pos` in `by_id`, finding its `by_cap`
     /// entry by binary search on `(cap, id)`.
-    fn remove_at(&mut self, id_pos: usize) -> Transfer {
+    fn remove_at(&mut self, id_pos: usize) -> Transfer<W> {
         let slot = self.by_id.remove(id_pos);
         let t = self.transfer(slot);
         // Search the cap index while the slot is still live.
@@ -161,7 +162,7 @@ impl LinkState {
     /// epsilon, the transfer closest to done is force-finished instead. A
     /// lone finisher (the common tick) is removed by binary search; several
     /// are removed in one `retain` pass over each index.
-    fn remove_finished(&mut self, now: SimTime, done: &mut Vec<DoneFn>) {
+    fn remove_finished(&mut self, now: SimTime, done: &mut Vec<DoneFn<W>>, tracer: &Tracer) {
         let finished = |s: &Self, slot: u32| s.transfer(slot).remaining <= EPS_BYTES;
         let first = match self.by_id.iter().position(|&slot| finished(self, slot)) {
             Some(pos) => pos,
@@ -173,24 +174,23 @@ impl LinkState {
             .any(|&slot| finished(self, slot))
         {
             let t = self.remove_at(first);
-            self.tracer.emit_verbose(now, || TraceEvent::TransferEnd {
+            tracer.emit_verbose(now, || TraceEvent::TransferEnd {
                 link: self.name.clone(),
                 id: t.id,
             });
             done.push(t.on_done);
             return;
         }
-        let LinkState {
+        let Link {
             slab,
             free,
             by_id,
             by_cap,
             shares_dirty,
-            tracer,
             name,
             ..
         } = self;
-        let live = |slab: &[Option<Transfer>], slot: u32| {
+        let live = |slab: &[Option<Transfer<W>>], slot: u32| {
             slab[slot as usize].as_ref().expect("live slot").remaining > EPS_BYTES
         };
         by_cap.retain(|&slot| live(slab, slot));
@@ -275,249 +275,181 @@ impl LinkState {
         self.bytes_delivered += residue;
         pos
     }
-
-    fn record_utilization(&mut self, now: SimTime) {
-        if self.trace_enabled {
-            self.refresh_shares();
-            // Sum in id order, matching the original `shares().values().sum()`.
-            let used: f64 = self.by_id.iter().map(|&s| self.transfer(s).share).sum();
-            let frac = if self.capacity > 0.0 {
-                used / self.capacity
-            } else {
-                0.0
-            };
-            self.utilization_trace.push((now.as_secs(), frac));
-        }
-    }
 }
 
-/// A shareable handle to a fair-share link. Cloning shares the same channel.
-#[derive(Clone)]
-pub struct SharedLink {
-    inner: Shared<LinkState>,
-}
-
-impl SharedLink {
-    /// Creates a link with `capacity_bps` aggregate bytes/sec.
-    pub fn new(name: impl Into<String>, capacity_bps: f64) -> Self {
+impl<W> Simulation<W> {
+    /// Adds a link with `capacity_bps` aggregate bytes/sec to the arena.
+    pub fn add_link(&mut self, name: impl Into<String>, capacity_bps: f64) -> LinkId {
         assert!(
             capacity_bps.is_finite() && capacity_bps > 0.0,
             "link capacity must be positive"
         );
-        SharedLink {
-            inner: shared(LinkState {
-                name: name.into(),
-                capacity: capacity_bps,
-                slab: Vec::new(),
-                free: Vec::new(),
-                by_id: Vec::new(),
-                by_cap: Vec::new(),
-                shares_dirty: false,
-                next_id: 0,
-                last_update: SimTime::ZERO,
-                completion_event: None,
-                pending_flush: None,
-                done_buf: Vec::new(),
-                bytes_delivered: 0.0,
-                utilization_trace: Vec::new(),
-                trace_enabled: false,
-                tracer: Tracer::off(),
-            }),
-        }
+        let id = LinkId(u32::try_from(self.links.len()).expect("link index overflow"));
+        self.links.push(Link {
+            name: name.into(),
+            capacity: capacity_bps,
+            slab: Vec::new(),
+            free: Vec::new(),
+            by_id: Vec::new(),
+            by_cap: Vec::new(),
+            shares_dirty: false,
+            next_id: 0,
+            last_update: SimTime::ZERO,
+            completion_event: None,
+            pending_flush: None,
+            done_buf: Vec::new(),
+            bytes_delivered: 0.0,
+        });
+        id
     }
 
-    /// Attaches a flight recorder; transfer lifecycles become verbose-level
-    /// instants carrying the link name.
-    pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.borrow_mut().tracer = tracer;
+    fn link_mut(&mut self, link: LinkId) -> &mut Link<W> {
+        &mut self.links[link.0 as usize]
     }
 
-    /// Enables recording of a `(time, utilized fraction)` trace.
-    pub fn enable_trace(&self) {
-        self.inner.borrow_mut().trace_enabled = true;
+    /// Number of in-flight transfers on `link`.
+    pub fn active_transfers(&self, link: LinkId) -> usize {
+        self.links[link.0 as usize].by_id.len()
     }
 
-    /// Returns the recorded utilization trace.
-    pub fn trace(&self) -> Vec<(f64, f64)> {
-        self.inner.borrow().utilization_trace.clone()
+    /// Total bytes `link` delivered so far (advanced to now).
+    pub fn bytes_delivered(&mut self, link: LinkId) -> f64 {
+        let now = self.now();
+        let l = self.link_mut(link);
+        l.advance(now);
+        l.bytes_delivered
     }
 
-    /// The link name (for diagnostics).
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
-    }
-
-    /// Aggregate capacity in bytes/sec.
-    pub fn capacity_bps(&self) -> f64 {
-        self.inner.borrow().capacity
-    }
-
-    /// Number of in-flight transfers.
-    pub fn active_transfers(&self) -> usize {
-        self.inner.borrow().by_id.len()
-    }
-
-    /// Total bytes delivered so far (advanced to `now`).
-    pub fn bytes_delivered(&self, now: SimTime) -> f64 {
-        let mut s = self.inner.borrow_mut();
-        s.advance(now);
-        s.bytes_delivered
-    }
-
-    /// The current fair share of every in-flight transfer, as
+    /// The current fair share of every transfer in flight on `link`, as
     /// `(transfer id, bytes/sec)` in id order. Diagnostic surface for tests
     /// and tools; forces a share refresh if the set changed.
-    pub fn current_shares(&self) -> Vec<(u64, f64)> {
-        let mut s = self.inner.borrow_mut();
-        s.refresh_shares();
-        s.by_id
+    pub fn current_shares(&mut self, link: LinkId) -> Vec<(u64, f64)> {
+        let l = self.link_mut(link);
+        l.refresh_shares();
+        l.by_id
             .iter()
             .map(|&slot| {
-                let t = s.transfer(slot);
+                let t = l.transfer(slot);
                 (t.id, t.share)
             })
             .collect()
     }
 
-    /// Starts a transfer of `bytes` with an optional per-flow cap, invoking
-    /// `on_done` when the last byte arrives. Zero-byte transfers complete at
-    /// the current instant.
+    /// Starts a transfer of `bytes` on `link` with an optional per-flow cap,
+    /// invoking `on_done` when the last byte arrives. Zero-byte transfers
+    /// complete at the current instant.
     pub fn start_transfer(
-        &self,
-        sim: &mut Simulation,
+        &mut self,
+        link: LinkId,
         bytes: f64,
         per_flow_cap: Option<f64>,
-        on_done: impl FnOnce(&mut Simulation) + Send + 'static,
+        on_done: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
     ) -> TransferId {
         assert!(bytes.is_finite() && bytes >= 0.0, "invalid transfer size");
         if bytes <= EPS_BYTES {
-            sim.schedule_now(on_done);
+            self.schedule_now(on_done);
             // Allocate an id anyway so callers can treat it uniformly.
-            let mut s = self.inner.borrow_mut();
-            let id = s.next_id;
-            s.next_id += 1;
+            let l = self.link_mut(link);
+            let id = l.next_id;
+            l.next_id += 1;
             return TransferId(id);
         }
-        let id = {
-            let mut s = self.inner.borrow_mut();
-            s.advance(sim.now());
-            let id = s.next_id;
-            s.next_id += 1;
-            s.insert(Transfer {
-                id,
-                remaining: bytes,
-                cap: per_flow_cap.unwrap_or(f64::INFINITY),
-                share: 0.0,
-                on_done: Box::new(on_done),
-            });
-            s.record_utilization(sim.now());
-            s.tracer
-                .emit_verbose(sim.now(), || TraceEvent::TransferStart {
-                    link: s.name.clone(),
-                    id,
-                    bytes,
-                });
-            id
-        };
-        self.replan(sim);
+        let now = self.now();
+        let l = &mut self.links[link.0 as usize];
+        l.advance(now);
+        let id = l.next_id;
+        l.next_id += 1;
+        l.insert(Transfer {
+            id,
+            remaining: bytes,
+            cap: per_flow_cap.unwrap_or(f64::INFINITY),
+            share: 0.0,
+            on_done: Box::new(on_done),
+        });
+        self.tracer.emit_verbose(now, || TraceEvent::TransferStart {
+            link: l.name.clone(),
+            id,
+            bytes,
+        });
+        self.replan(link);
         TransferId(id)
     }
 
     /// Cancels an in-flight transfer; its completion callback never fires.
     /// Returns the bytes that were still outstanding (0 if already finished).
-    pub fn cancel_transfer(&self, sim: &mut Simulation, id: TransferId) -> f64 {
-        let remaining = {
-            let mut s = self.inner.borrow_mut();
-            s.advance(sim.now());
-            let rem = s.remove(id.0).map(|t| t.remaining);
-            s.record_utilization(sim.now());
-            rem
-        };
+    pub fn cancel_transfer(&mut self, link: LinkId, id: TransferId) -> f64 {
+        let now = self.now();
+        let l = self.link_mut(link);
+        l.advance(now);
+        let remaining = l.remove(id.0).map(|t| t.remaining);
         if remaining.is_some() {
-            self.replan(sim);
+            self.replan(link);
         }
         remaining.unwrap_or(0.0)
     }
 
     /// Marks the next completion stale after a change to the transfer set:
     /// cancels the scheduled completion, reserves the sequence number an
-    /// event scheduled now would take, and registers one flush per event.
-    /// An empty link needs no completion: a flush registered earlier in
-    /// the event finds it empty too, unless a later change refills it and
-    /// reserves its own number.
-    fn replan(&self, sim: &mut Simulation) {
-        let first_change = {
-            let mut s = self.inner.borrow_mut();
-            if let Some(h) = s.completion_event.take() {
-                sim.cancel(h);
-            }
-            if s.by_id.is_empty() {
-                return;
-            }
-            s.pending_flush.replace(sim.reserve_seq()).is_none()
-        };
-        if first_change {
-            sim.defer(self.inner.clone());
+    /// event scheduled now would take, and puts the link on the dirty list
+    /// once per event. An empty link needs no completion: a flush due from
+    /// earlier in the event finds it empty too, unless a later change
+    /// refills it and reserves its own number.
+    fn replan(&mut self, link: LinkId) {
+        if let Some(h) = self.link_mut(link).completion_event.take() {
+            self.cancel(h);
+        }
+        if self.link_mut(link).by_id.is_empty() {
+            return;
+        }
+        let seq = self.reserve_seq();
+        if self.link_mut(link).pending_flush.replace(seq).is_none() {
+            self.dirty_links.push(link);
         }
     }
 
-    /// Schedules the next completion from the state the event left: one
-    /// water-fill, one min-scan, one event under the latest reservation.
-    fn flush(&self, sim: &mut Simulation) {
-        let next_completion: Option<(SimDuration, ReservedSeq)> = {
-            let mut s = self.inner.borrow_mut();
-            let seq = s.pending_flush.take().expect("flush registered by replan");
-            if s.by_id.is_empty() {
-                None
-            } else {
-                s.refresh_shares();
-                let dt = s
-                    .by_id
-                    .iter()
-                    .map(|&slot| {
-                        let t = s.transfer(slot);
-                        if t.share <= 0.0 {
-                            f64::INFINITY
-                        } else {
-                            t.remaining / t.share
-                        }
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                assert!(dt.is_finite(), "transfer on link '{}' starved", s.name);
-                Some((SimDuration::from_secs(dt), seq))
-            }
-        };
-        if let Some((dt, seq)) = next_completion {
-            let link = self.clone();
-            let h =
-                sim.schedule_reserved(sim.now() + dt, seq, move |sim| link.on_completion_tick(sim));
-            self.inner.borrow_mut().completion_event = Some(h);
+    /// Schedules `link`'s next completion from the state the event left:
+    /// one water-fill, one min-scan, one event under the latest reservation.
+    pub(crate) fn flush_link(&mut self, link: LinkId) {
+        let l = self.link_mut(link);
+        let seq = l
+            .pending_flush
+            .take()
+            .expect("dirty link has a reservation");
+        if l.by_id.is_empty() {
+            return;
         }
+        l.refresh_shares();
+        let dt = l
+            .by_id
+            .iter()
+            .map(|&slot| {
+                let t = l.transfer(slot);
+                if t.share <= 0.0 {
+                    f64::INFINITY
+                } else {
+                    t.remaining / t.share
+                }
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(dt.is_finite(), "transfer on link '{}' starved", l.name);
+        let at = self.now() + SimDuration::from_secs(dt);
+        let h = self.schedule_reserved(at, seq, move |w, sim| sim.on_completion_tick(w, link));
+        self.link_mut(link).completion_event = Some(h);
     }
 
-    fn on_completion_tick(&self, sim: &mut Simulation) {
+    fn on_completion_tick(&mut self, world: &mut W, link: LinkId) {
         // Advance, detach finished transfers, run their callbacks, replan.
-        let mut finished = {
-            let mut s = self.inner.borrow_mut();
-            s.completion_event = None;
-            s.advance(sim.now());
-            let mut done = std::mem::take(&mut s.done_buf);
-            s.remove_finished(sim.now(), &mut done);
-            s.record_utilization(sim.now());
-            done
-        };
+        let now = self.now();
+        let l = &mut self.links[link.0 as usize];
+        l.completion_event = None;
+        l.advance(now);
+        let mut finished = std::mem::take(&mut l.done_buf);
+        l.remove_finished(now, &mut finished, &self.tracer);
         for cb in finished.drain(..) {
-            cb(sim);
+            cb(world, self);
         }
-        self.inner.borrow_mut().done_buf = finished;
-        self.replan(sim);
-    }
-}
-
-/// A link's flush, registered by [`SharedLink::replan`].
-impl Deferred for AtomicRefCell<LinkState> {
-    fn run(self: Arc<Self>, sim: &mut Simulation) {
-        SharedLink { inner: self }.flush(sim);
+        self.link_mut(link).done_buf = finished;
+        self.replan(link);
     }
 }
 
@@ -525,36 +457,38 @@ impl Deferred for AtomicRefCell<LinkState> {
 mod tests {
     use super::*;
 
-    fn finish_times(link: &SharedLink, jobs: &[(f64, Option<f64>, f64)]) -> Vec<f64> {
-        // jobs: (bytes, cap, start_time) -> completion times in job order.
+    type Done = Vec<(usize, f64)>;
+
+    /// Runs `jobs` — `(bytes, cap, start_time)` — on a fresh link of
+    /// `capacity` and returns their completion times in job order, with the
+    /// link's delivered bytes.
+    fn finish_times(capacity: f64, jobs: &[(f64, Option<f64>, f64)]) -> (Vec<f64>, f64) {
         let mut sim = Simulation::new();
-        let out: Shared<Vec<(usize, f64)>> = shared(Vec::new());
+        let link = sim.add_link("l", capacity);
         for (i, &(bytes, cap, start)) in jobs.iter().enumerate() {
-            let link = link.clone();
-            let out = out.clone();
-            sim.schedule_at(SimTime::from_secs(start), move |sim| {
-                link.start_transfer(sim, bytes, cap, move |sim| {
-                    out.borrow_mut().push((i, sim.now().as_secs()));
+            sim.schedule_at(SimTime::from_secs(start), move |_: &mut Done, sim| {
+                sim.start_transfer(link, bytes, cap, move |out: &mut Done, sim| {
+                    out.push((i, sim.now().as_secs()));
                 });
             });
         }
-        sim.run();
-        let mut v = out.borrow().clone();
+        let mut v = Vec::new();
+        sim.run(&mut v);
+        assert_eq!(sim.active_transfers(link), 0);
         v.sort_by_key(|&(i, _)| i);
-        v.into_iter().map(|(_, t)| t).collect()
+        let times = v.into_iter().map(|(_, t)| t).collect();
+        (times, sim.bytes_delivered(link))
     }
 
     #[test]
     fn single_transfer_uses_full_capacity() {
-        let link = SharedLink::new("l", 100.0);
-        let t = finish_times(&link, &[(1000.0, None, 0.0)]);
+        let (t, _) = finish_times(100.0, &[(1000.0, None, 0.0)]);
         assert!((t[0] - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn two_equal_transfers_share_evenly() {
-        let link = SharedLink::new("l", 100.0);
-        let t = finish_times(&link, &[(500.0, None, 0.0), (500.0, None, 0.0)]);
+        let (t, _) = finish_times(100.0, &[(500.0, None, 0.0), (500.0, None, 0.0)]);
         // Each gets 50 B/s -> both complete at t=10.
         assert!((t[0] - 10.0).abs() < 1e-9);
         assert!((t[1] - 10.0).abs() < 1e-9);
@@ -562,94 +496,82 @@ mod tests {
 
     #[test]
     fn short_transfer_frees_bandwidth_for_long_one() {
-        let link = SharedLink::new("l", 100.0);
         // A: 1000 bytes, B: 100 bytes. Until B is done both run at 50 B/s.
         // B finishes at t=2 (100/50). A then has 900 bytes left at 100 B/s,
         // finishing at 2 + 9 = 11.
-        let t = finish_times(&link, &[(1000.0, None, 0.0), (100.0, None, 0.0)]);
+        let (t, _) = finish_times(100.0, &[(1000.0, None, 0.0), (100.0, None, 0.0)]);
         assert!((t[1] - 2.0).abs() < 1e-9, "B at {}", t[1]);
         assert!((t[0] - 11.0).abs() < 1e-9, "A at {}", t[0]);
     }
 
     #[test]
     fn per_flow_cap_limits_share() {
-        let link = SharedLink::new("l", 100.0);
         // Capped at 10 B/s: 100 bytes takes 10 s even though link is idle.
-        let t = finish_times(&link, &[(100.0, Some(10.0), 0.0)]);
+        let (t, _) = finish_times(100.0, &[(100.0, Some(10.0), 0.0)]);
         assert!((t[0] - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn water_filling_redistributes_capped_leftovers() {
-        let link = SharedLink::new("l", 100.0);
         // One flow capped at 20 B/s, one uncapped: uncapped gets 80 B/s.
         // capped: 200/20 = 10 s; uncapped: 800/80 = 10 s.
-        let t = finish_times(&link, &[(200.0, Some(20.0), 0.0), (800.0, None, 0.0)]);
+        let (t, _) = finish_times(100.0, &[(200.0, Some(20.0), 0.0), (800.0, None, 0.0)]);
         assert!((t[0] - 10.0).abs() < 1e-9);
         assert!((t[1] - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn late_arrival_slows_down_existing_transfer() {
-        let link = SharedLink::new("l", 100.0);
         // A: 1000 bytes at t=0, alone until t=5 (500 done). B: 250 bytes at
         // t=5; both at 50 B/s. B done at t=10. A has 250 left at t=10, full
         // speed -> done at t=12.5.
-        let t = finish_times(&link, &[(1000.0, None, 0.0), (250.0, None, 5.0)]);
+        let (t, _) = finish_times(100.0, &[(1000.0, None, 0.0), (250.0, None, 5.0)]);
         assert!((t[1] - 10.0).abs() < 1e-9, "B at {}", t[1]);
         assert!((t[0] - 12.5).abs() < 1e-9, "A at {}", t[0]);
     }
 
     #[test]
     fn zero_byte_transfer_completes_immediately() {
-        let link = SharedLink::new("l", 100.0);
-        let t = finish_times(&link, &[(0.0, None, 3.0)]);
+        let (t, _) = finish_times(100.0, &[(0.0, None, 3.0)]);
         assert!((t[0] - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn cancel_returns_outstanding_bytes_and_suppresses_callback() {
+        #[derive(Default)]
+        struct World {
+            fired: bool,
+            id: Option<TransferId>,
+        }
         let mut sim = Simulation::new();
-        let link = SharedLink::new("l", 100.0);
-        let fired = shared(false);
-        let fired2 = fired.clone();
-        let link2 = link.clone();
-        let id = shared(None);
-        let id2 = id.clone();
-        sim.schedule_at(SimTime::ZERO, move |sim| {
-            let t = link2.start_transfer(sim, 1000.0, None, move |_| {
-                *fired2.borrow_mut() = true;
-            });
-            *id2.borrow_mut() = Some(t);
+        let link = sim.add_link("l", 100.0);
+        sim.schedule_at(SimTime::ZERO, move |w: &mut World, sim| {
+            let t = sim.start_transfer(link, 1000.0, None, |w: &mut World, _| w.fired = true);
+            w.id = Some(t);
         });
-        let link3 = link.clone();
-        let id3 = id.clone();
-        sim.schedule_at(SimTime::from_secs(4.0), move |sim| {
-            let remaining = link3.cancel_transfer(sim, id3.borrow().unwrap());
+        sim.schedule_at(SimTime::from_secs(4.0), move |w: &mut World, sim| {
+            let remaining = sim.cancel_transfer(link, w.id.expect("started"));
             // 4 s at 100 B/s -> 600 bytes left.
             assert!((remaining - 600.0).abs() < 1e-9);
         });
-        sim.run();
-        assert!(!*fired.borrow());
-        assert_eq!(link.active_transfers(), 0);
+        let mut w = World::default();
+        sim.run(&mut w);
+        assert!(!w.fired);
+        assert_eq!(sim.active_transfers(link), 0);
     }
 
     #[test]
     fn bytes_delivered_accumulates() {
-        let link = SharedLink::new("l", 100.0);
-        let _ = finish_times(&link, &[(300.0, None, 0.0), (200.0, None, 1.0)]);
-        let mut sim = Simulation::new();
-        sim.run_until(Some(SimTime::from_secs(100.0)));
-        assert!((link.bytes_delivered(sim.now()) - 500.0).abs() < 1e-6);
+        let (_, delivered) = finish_times(100.0, &[(300.0, None, 0.0), (200.0, None, 1.0)]);
+        assert!((delivered - 500.0).abs() < 1e-6);
     }
 
     #[test]
     fn many_concurrent_transfers_conserve_capacity() {
         // 10 transfers of 100 bytes each on a 100 B/s link: aggregate work is
         // 1000 bytes -> exactly 10 seconds regardless of sharing pattern.
-        let link = SharedLink::new("l", 100.0);
         let jobs: Vec<(f64, Option<f64>, f64)> = (0..10).map(|_| (100.0, None, 0.0)).collect();
-        let t = finish_times(&link, &jobs);
+        let (t, _) = finish_times(100.0, &jobs);
         for ti in t {
             assert!((ti - 10.0).abs() < 1e-9);
         }
@@ -657,16 +579,15 @@ mod tests {
 
     #[test]
     fn current_shares_water_fills_caps_then_splits_the_rest() {
-        let mut sim = Simulation::new();
-        let link = SharedLink::new("l", 100.0);
-        let link2 = link.clone();
-        sim.schedule_at(SimTime::ZERO, move |sim| {
-            link2.start_transfer(sim, 1.0e6, Some(10.0), |_| {});
-            link2.start_transfer(sim, 1.0e6, None, |_| {});
-            link2.start_transfer(sim, 1.0e6, None, |_| {});
+        let mut sim = Simulation::<()>::new();
+        let link = sim.add_link("l", 100.0);
+        sim.schedule_at(SimTime::ZERO, move |_, sim| {
+            sim.start_transfer(link, 1.0e6, Some(10.0), |_, _| {});
+            sim.start_transfer(link, 1.0e6, None, |_, _| {});
+            sim.start_transfer(link, 1.0e6, None, |_, _| {});
         });
-        sim.run_until(Some(SimTime::from_secs(0.0)));
-        let shares = link.current_shares();
+        sim.run_until(&mut (), Some(SimTime::from_secs(0.0)));
+        let shares = sim.current_shares(link);
         assert_eq!(shares.len(), 3);
         // Capped flow saturates at 10; the remaining 90 splits 45/45.
         assert!((shares[0].1 - 10.0).abs() < 1e-12);
@@ -680,12 +601,10 @@ mod tests {
     fn slab_slots_are_reused_without_id_confusion() {
         // Drive enough arrival/completion churn that slots recycle, then
         // check ids remain unique and everything completes.
-        let link = SharedLink::new("l", 1000.0);
         let jobs: Vec<(f64, Option<f64>, f64)> = (0..50)
             .map(|i| (100.0, None, (i % 7) as f64 * 0.5))
             .collect();
-        let t = finish_times(&link, &jobs);
+        let (t, _) = finish_times(1000.0, &jobs);
         assert_eq!(t.len(), 50);
-        assert_eq!(link.active_transfers(), 0);
     }
 }

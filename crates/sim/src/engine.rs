@@ -1,14 +1,15 @@
 //! The discrete-event simulation core.
 //!
-//! Events are boxed `FnOnce(&mut Simulation) + Send` closures ordered by
-//! `(time, sequence-number)`. The sequence number makes simultaneous events
-//! fire in scheduling order, so a run is fully deterministic for a given
-//! seed and program order. World state lives outside the engine (typically
-//! behind [`Shared`](crate::Shared) handles captured by the event
-//! closures), which keeps the engine free of domain knowledge. Closures
-//! are `Send` so an entire simulation — queue, world handles, and all —
-//! can be built on one thread and executed on another; each run still
-//! executes single-threaded, which is where its determinism comes from.
+//! A [`Simulation<W>`] drives a world `W` that the caller owns. Events are
+//! boxed `FnOnce(&mut W, &mut Simulation<W>) + Send` closures ordered by
+//! `(time, sequence-number)`; [`run`](Simulation::run) hands each one the
+//! world and the engine in turn, so an event reaches component state
+//! through a plain `&mut` and the compiler, not a runtime cell, rules out
+//! aliasing. The sequence number makes simultaneous events fire in
+//! scheduling order, so a run is fully deterministic for a given seed and
+//! program order. Closures are `Send`, so a simulation and its world can be
+//! built on one thread and executed on another; each run still executes
+//! single-threaded, which is where its determinism comes from.
 //!
 //! Cancellation uses a slot/generation slab rather than a tombstone set: a
 //! handle names a slot plus the generation it was issued for, and cancelling
@@ -18,48 +19,48 @@
 //! workloads (a link cancelling its completion event in every event that
 //! touches it) do not accumulate unbounded garbage.
 //!
-//! **Deferred work.** [`Simulation::defer`] queues a [`Deferred`] handle
-//! whose work runs after the current event returns and before the next one
-//! is dispatched; the clock does not move in between. Paired with [`Simulation::reserve_seq`]
-//! and [`Simulation::schedule_reserved`], this lets a component coalesce
-//! many state changes inside one event into one reschedule, while the event
-//! it schedules keeps the `(at, seq)` key it would have had if scheduled
-//! eagerly at the last change: the sequence number is taken at that change,
-//! so every event scheduled after it still orders after it. Deferred work
-//! counts as pending for [`Simulation::is_idle`], and
-//! [`Simulation::run_until`] runs it before it checks a deadline or returns.
+//! **End-of-event link flush.** The engine owns the fair-share links,
+//! addressed by [`LinkId`](crate::LinkId). A link changed during an event
+//! is put on a dirty list; after the event returns and before the next one is
+//! dispatched, each dirty link plans its next completion once, under the
+//! sequence number it reserved at its last change, so the completion keeps
+//! the `(at, seq)` key an eager replan would have given it. Dirty links
+//! count as pending for [`Simulation::is_idle`], and
+//! [`Simulation::run_until`] flushes them before it checks a deadline or
+//! returns.
 
+use crate::bandwidth::Link;
+use crate::bandwidth::LinkId;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
-/// An event callback: runs at its scheduled instant with access to the engine
-/// so it can schedule follow-up events. `Send` so simulations can migrate
-/// between worker threads while parked.
-pub type EventFn = Box<dyn FnOnce(&mut Simulation) + Send>;
+/// An event callback: runs at its scheduled instant with the world and the
+/// engine, so it can update state and schedule follow-up events. `Send` so
+/// simulations can migrate between worker threads while parked.
+pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Simulation<W>) + Send>;
 
-struct Scheduled {
+struct Scheduled<W> {
     at: SimTime,
     seq: u64,
     slot: u32,
     gen: u32,
-    run: EventFn,
+    run: EventFn<W>,
 }
 
-impl PartialEq for Scheduled {
+impl<W> PartialEq for Scheduled<W> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+impl<W> Eq for Scheduled<W> {}
+impl<W> PartialOrd for Scheduled<W> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl<W> Ord for Scheduled<W> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
@@ -92,45 +93,35 @@ impl EventHandle {
     }
 }
 
-/// Work the engine runs after the current event returns and before the
-/// next one is dispatched (see [`Simulation::defer`]). Taken as a shared
-/// handle, so a component already behind an `Arc` registers itself without
-/// allocating.
-pub trait Deferred: Send + Sync {
-    /// Runs the work, at the instant it was deferred.
-    fn run(self: Arc<Self>, sim: &mut Simulation);
-}
-
 /// A sequence number taken by [`Simulation::reserve_seq`] for one event
 /// scheduled later with [`Simulation::schedule_reserved`]. Not `Clone`, so
 /// a reservation orders at most one event.
 #[derive(Debug)]
-pub struct ReservedSeq(u64);
+pub(crate) struct ReservedSeq(u64);
 
 /// Dead-entry count below which compaction is never attempted; tiny queues
 /// are cheap to scan and compacting them would thrash.
 const COMPACT_MIN_DEAD: usize = 64;
 
-/// A deterministic discrete-event simulator.
+/// A deterministic discrete-event simulator over a world `W`.
 ///
 /// # Example
 /// ```
-/// use mashup_sim::{shared, Simulation, SimDuration};
+/// use mashup_sim::{Simulation, SimDuration};
 ///
 /// let mut sim = Simulation::new();
-/// let hits = shared(0);
-/// let h = hits.clone();
-/// sim.schedule_in(SimDuration::from_secs(5.0), move |sim| {
-///     *h.borrow_mut() += 1;
+/// let mut hits = 0u32;
+/// sim.schedule_in(SimDuration::from_secs(5.0), |hits: &mut u32, sim| {
+///     *hits += 1;
 ///     assert_eq!(sim.now().as_secs(), 5.0);
 /// });
-/// sim.run();
-/// assert_eq!(*hits.borrow(), 1);
+/// sim.run(&mut hits);
+/// assert_eq!(hits, 1);
 /// ```
-pub struct Simulation {
+pub struct Simulation<W> {
     now: SimTime,
     next_seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: BinaryHeap<Reverse<Scheduled<W>>>,
     /// Same-instant fast path: events scheduled for exactly `now` land in
     /// this FIFO ring instead of the heap (O(1) instead of O(log n)), so a
     /// wide fan-out spawned within one instant doesn't pay per-event heap
@@ -139,10 +130,12 @@ pub struct Simulation {
     /// so the dispatch loop merges it with the heap by `(at, seq)` without
     /// reordering anything. A reserved sequence number lower than the
     /// ring's last one goes to the heap instead.
-    now_ring: VecDeque<Scheduled>,
-    /// Work queued by [`defer`](Self::defer) for the end of the current
-    /// event, in registration order.
-    deferred: VecDeque<Arc<dyn Deferred>>,
+    now_ring: VecDeque<Scheduled<W>>,
+    /// The fair-share links, addressed by [`LinkId`].
+    pub(crate) links: Vec<Link<W>>,
+    /// Links changed during the current event, in order of first change;
+    /// each plans its next completion once the event returns.
+    pub(crate) dirty_links: Vec<LinkId>,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
     /// Events in the heap whose generation still matches their slot.
@@ -152,17 +145,18 @@ pub struct Simulation {
     events_processed: u64,
     /// Hard cap on processed events; guards against runaway event loops.
     event_limit: u64,
-    /// Flight recorder; dispatch instants are emitted at verbose level only.
-    tracer: Tracer,
+    /// Flight recorder; dispatch instants and link transfers are emitted at
+    /// verbose level only.
+    pub(crate) tracer: Tracer,
 }
 
-impl Default for Simulation {
+impl<W> Default for Simulation<W> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Simulation {
+impl<W> Simulation<W> {
     /// Creates an empty simulation at t = 0.
     pub fn new() -> Self {
         Simulation {
@@ -170,7 +164,8 @@ impl Simulation {
             next_seq: 0,
             queue: BinaryHeap::new(),
             now_ring: VecDeque::new(),
-            deferred: VecDeque::new(),
+            links: Vec::new(),
+            dirty_links: Vec::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
@@ -182,8 +177,9 @@ impl Simulation {
     }
 
     /// Attaches a flight recorder. Verbose tracers capture one `Dispatch`
-    /// instant per processed event; flow-level tracers record nothing here
-    /// (the domain layers carry their own handles).
+    /// instant per processed event and the links' transfer lifecycles;
+    /// flow-level tracers record nothing here (the domain layers carry
+    /// their own handles).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -214,12 +210,12 @@ impl Simulation {
     pub fn schedule_at(
         &mut self,
         at: SimTime,
-        event: impl FnOnce(&mut Simulation) + Send + 'static,
+        event: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
     ) -> EventHandle {
         self.push_event(at, Box::new(event))
     }
 
-    fn push_event(&mut self, at: SimTime, run: EventFn) -> EventHandle {
+    fn push_event(&mut self, at: SimTime, run: EventFn<W>) -> EventHandle {
         let seq = self.reserve_seq();
         self.insert(at, seq, run)
     }
@@ -228,7 +224,7 @@ impl Simulation {
     /// scheduled with it later by [`schedule_reserved`](Self::schedule_reserved)
     /// orders exactly as if it had been scheduled now: after every event
     /// scheduled before this call, before every event scheduled after it.
-    pub fn reserve_seq(&mut self) -> ReservedSeq {
+    pub(crate) fn reserve_seq(&mut self) -> ReservedSeq {
         let seq = self.next_seq;
         self.next_seq += 1;
         ReservedSeq(seq)
@@ -237,16 +233,21 @@ impl Simulation {
     /// Schedules `event` at absolute time `at` under a sequence number taken
     /// earlier by [`reserve_seq`](Self::reserve_seq). Panics if `at` is in
     /// the past.
-    pub fn schedule_reserved(
+    pub(crate) fn schedule_reserved(
         &mut self,
         at: SimTime,
         seq: ReservedSeq,
-        event: impl FnOnce(&mut Simulation) + Send + 'static,
+        event: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
     ) -> EventHandle {
         self.insert(at, seq, Box::new(event))
     }
 
-    fn insert(&mut self, at: SimTime, ReservedSeq(seq): ReservedSeq, run: EventFn) -> EventHandle {
+    fn insert(
+        &mut self,
+        at: SimTime,
+        ReservedSeq(seq): ReservedSeq,
+        run: EventFn<W>,
+    ) -> EventHandle {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at:?} < {:?}",
@@ -282,7 +283,7 @@ impl Simulation {
     /// per event (consecutive sequence numbers, identical dispatch order)
     /// but amortizes slot bookkeeping, and same-instant batches bypass the
     /// heap entirely.
-    pub fn schedule_batch_at(&mut self, at: SimTime, events: impl IntoIterator<Item = EventFn>) {
+    pub fn schedule_batch_at(&mut self, at: SimTime, events: impl IntoIterator<Item = EventFn<W>>) {
         let events = events.into_iter();
         let (lower, _) = events.size_hint();
         if at == self.now {
@@ -295,19 +296,9 @@ impl Simulation {
         }
     }
 
-    /// Schedules a batch after `delay` from now (see
-    /// [`schedule_batch_at`](Self::schedule_batch_at)).
-    pub fn schedule_batch_in(
-        &mut self,
-        delay: SimDuration,
-        events: impl IntoIterator<Item = EventFn>,
-    ) {
-        self.schedule_batch_at(self.now + delay, events);
-    }
-
     /// Schedules a batch at the current instant, after all events already
     /// queued for this instant (see [`schedule_batch_at`](Self::schedule_batch_at)).
-    pub fn schedule_batch_now(&mut self, events: impl IntoIterator<Item = EventFn>) {
+    pub fn schedule_batch_now(&mut self, events: impl IntoIterator<Item = EventFn<W>>) {
         self.schedule_batch_at(self.now, events);
     }
 
@@ -315,7 +306,7 @@ impl Simulation {
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        event: impl FnOnce(&mut Simulation) + Send + 'static,
+        event: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
     ) -> EventHandle {
         self.schedule_at(self.now + delay, event)
     }
@@ -324,20 +315,9 @@ impl Simulation {
     /// already queued for this instant.
     pub fn schedule_now(
         &mut self,
-        event: impl FnOnce(&mut Simulation) + Send + 'static,
+        event: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
     ) -> EventHandle {
         self.schedule_at(self.now, event)
-    }
-
-    /// Queues `work` to run after the current event returns and before the
-    /// next event is dispatched, at the same instant; called outside the
-    /// event loop, it runs first thing in the next
-    /// [`run_until`](Self::run_until). Deferred work is not an event: it has
-    /// no sequence number, is not counted by
-    /// [`events_processed`](Self::events_processed), and cannot be
-    /// cancelled. Work runs in the order it was deferred.
-    pub fn defer(&mut self, work: Arc<dyn Deferred>) {
-        self.deferred.push_back(work);
     }
 
     /// Cancels a scheduled event. Cancelling an already-fired or already-
@@ -378,20 +358,18 @@ impl Simulation {
         self.dead = 0;
     }
 
-    /// Runs until the queue drains. Returns the final simulated time.
-    pub fn run(&mut self) -> SimTime {
-        self.run_until(None)
+    /// Runs `world` until the queue drains. Returns the final simulated time.
+    pub fn run(&mut self, world: &mut W) -> SimTime {
+        self.run_until(world, None)
     }
 
-    /// Runs until the queue drains or the clock passes `deadline`.
-    /// Events scheduled exactly at the deadline still fire. Deferred work
-    /// always runs, at the instant it was deferred, before the deadline is
+    /// Runs `world` until the queue drains or the clock passes `deadline`.
+    /// Events scheduled exactly at the deadline still fire. Dirty links
+    /// always flush, at the instant they changed, before the deadline is
     /// checked.
-    pub fn run_until(&mut self, deadline: Option<SimTime>) -> SimTime {
+    pub fn run_until(&mut self, world: &mut W, deadline: Option<SimTime>) -> SimTime {
         loop {
-            while let Some(work) = self.deferred.pop_front() {
-                work.run(self);
-            }
+            self.flush_links();
             // Merge the same-instant ring with the heap by (at, seq): both
             // are in (at, seq) order, so taking the smaller head each time
             // fires equal-time events in scheduling order whichever queue
@@ -439,7 +417,7 @@ impl Simulation {
             let events = self.events_processed;
             self.tracer
                 .emit_verbose(self.now, || TraceEvent::Dispatch { events });
-            (head.run)(self);
+            (head.run)(world, self);
         }
         if let Some(d) = deadline {
             self.now = self.now.max(d);
@@ -447,107 +425,104 @@ impl Simulation {
         self.now
     }
 
-    /// True if no events and no deferred work remain. O(1): tracked by a
+    /// Plans the next completion of every link the last event changed, in
+    /// order of first change.
+    fn flush_links(&mut self) {
+        if self.dirty_links.is_empty() {
+            return;
+        }
+        let mut dirty = std::mem::take(&mut self.dirty_links);
+        for link in dirty.drain(..) {
+            self.flush_link(link);
+        }
+        self.dirty_links = dirty;
+    }
+
+    /// True if no events and no dirty links remain. O(1): tracked by a
     /// live-event counter rather than scanning the heap for non-cancelled
     /// entries.
     pub fn is_idle(&self) -> bool {
-        self.live == 0 && self.deferred.is_empty()
+        self.live == 0 && self.dirty_links.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared::{shared, AtomicRefCell, Shared};
 
-    fn record(log: &Shared<Vec<u32>>, id: u32) -> impl FnOnce(&mut Simulation) + Send + 'static {
-        let log = log.clone();
-        move |_| log.borrow_mut().push(id)
-    }
+    type Log = Vec<u32>;
 
-    /// Deferred work that runs a closure.
-    struct Once(AtomicRefCell<Option<EventFn>>);
-
-    impl Deferred for Once {
-        fn run(self: Arc<Self>, sim: &mut Simulation) {
-            let work = self.0.borrow_mut().take().expect("deferred once");
-            work(sim);
-        }
-    }
-
-    fn once(work: impl FnOnce(&mut Simulation) + Send + 'static) -> Arc<dyn Deferred> {
-        Arc::new(Once(AtomicRefCell::new(Some(Box::new(work)))))
+    fn record(id: u32) -> impl FnOnce(&mut Log, &mut Simulation<Log>) + Send + 'static {
+        move |log, _| log.push(id)
     }
 
     #[test]
     fn events_fire_in_time_order() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        sim.schedule_at(SimTime::from_secs(3.0), record(&log, 3));
-        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 1));
-        sim.schedule_at(SimTime::from_secs(2.0), record(&log, 2));
-        let end = sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2, 3]);
+        let mut log = Vec::new();
+        sim.schedule_at(SimTime::from_secs(3.0), record(3));
+        sim.schedule_at(SimTime::from_secs(1.0), record(1));
+        sim.schedule_at(SimTime::from_secs(2.0), record(2));
+        let end = sim.run(&mut log);
+        assert_eq!(log, vec![1, 2, 3]);
         assert_eq!(end.as_secs(), 3.0);
     }
 
     #[test]
     fn simultaneous_events_fire_in_schedule_order() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
+        let mut log = Vec::new();
         for id in 0..10 {
-            sim.schedule_at(SimTime::from_secs(1.0), record(&log, id));
+            sim.schedule_at(SimTime::from_secs(1.0), record(id));
         }
-        sim.run();
-        assert_eq!(*log.borrow(), (0..10).collect::<Vec<_>>());
+        sim.run(&mut log);
+        assert_eq!(log, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn events_can_schedule_followups() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let log2 = log.clone();
-        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
-            log2.borrow_mut().push(sim.now().as_secs() as u32);
-            let log3 = log2.clone();
-            sim.schedule_in(SimDuration::from_secs(4.0), move |sim| {
-                log3.borrow_mut().push(sim.now().as_secs() as u32);
+        let mut log = Vec::new();
+        sim.schedule_at(SimTime::from_secs(1.0), |log: &mut Log, sim| {
+            log.push(sim.now().as_secs() as u32);
+            sim.schedule_in(SimDuration::from_secs(4.0), |log: &mut Log, sim| {
+                log.push(sim.now().as_secs() as u32);
             });
         });
-        let end = sim.run();
-        assert_eq!(*log.borrow(), vec![1, 5]);
+        let end = sim.run(&mut log);
+        assert_eq!(log, vec![1, 5]);
         assert_eq!(end.as_secs(), 5.0);
     }
 
     #[test]
     fn cancel_prevents_execution() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let h = sim.schedule_at(SimTime::from_secs(1.0), record(&log, 1));
-        sim.schedule_at(SimTime::from_secs(2.0), record(&log, 2));
+        let mut log = Vec::new();
+        let h = sim.schedule_at(SimTime::from_secs(1.0), record(1));
+        sim.schedule_at(SimTime::from_secs(2.0), record(2));
         sim.cancel(h);
-        sim.run();
-        assert_eq!(*log.borrow(), vec![2]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![2]);
     }
 
     #[test]
     fn run_until_deadline_pauses_and_resumes() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 1));
-        sim.schedule_at(SimTime::from_secs(10.0), record(&log, 10));
-        let t = sim.run_until(Some(SimTime::from_secs(5.0)));
+        let mut log = Vec::new();
+        sim.schedule_at(SimTime::from_secs(1.0), record(1));
+        sim.schedule_at(SimTime::from_secs(10.0), record(10));
+        let t = sim.run_until(&mut log, Some(SimTime::from_secs(5.0)));
         assert_eq!(t.as_secs(), 5.0);
-        assert_eq!(*log.borrow(), vec![1]);
+        assert_eq!(log, vec![1]);
         assert!(!sim.is_idle());
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 10]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![1, 10]);
     }
 
     #[test]
     fn deadline_advances_clock_even_when_idle() {
-        let mut sim = Simulation::new();
-        let t = sim.run_until(Some(SimTime::from_secs(7.0)));
+        let mut sim = Simulation::<()>::new();
+        let t = sim.run_until(&mut (), Some(SimTime::from_secs(7.0)));
         assert_eq!(t.as_secs(), 7.0);
         assert_eq!(sim.now().as_secs(), 7.0);
     }
@@ -555,90 +530,88 @@ mod tests {
     #[test]
     fn schedule_now_runs_after_current_instant_events() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let log2 = log.clone();
-        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
-            log2.borrow_mut().push(100);
-            let log3 = log2.clone();
-            sim.schedule_now(move |_| log3.borrow_mut().push(101));
+        let mut log = Vec::new();
+        sim.schedule_at(SimTime::from_secs(1.0), |log: &mut Log, sim| {
+            log.push(100);
+            sim.schedule_now(record(101));
         });
-        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 200));
-        sim.run();
+        sim.schedule_at(SimTime::from_secs(1.0), record(200));
+        sim.run(&mut log);
         // The follow-up runs at the same instant, but after event 200 which
         // was scheduled earlier.
-        assert_eq!(*log.borrow(), vec![100, 200, 101]);
+        assert_eq!(log, vec![100, 200, 101]);
     }
 
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_in_the_past_panics() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(5.0), |sim| {
-            sim.schedule_at(SimTime::from_secs(1.0), |_| {});
+        let mut sim = Simulation::<()>::new();
+        sim.schedule_at(SimTime::from_secs(5.0), |_, sim| {
+            sim.schedule_at(SimTime::from_secs(1.0), |_, _| {});
         });
-        sim.run();
+        sim.run(&mut ());
     }
 
     #[test]
     #[should_panic(expected = "event limit")]
     fn event_limit_detects_runaway_loops() {
         let mut sim = Simulation::new().with_event_limit(100);
-        fn rearm(sim: &mut Simulation) {
+        fn rearm(_: &mut (), sim: &mut Simulation<()>) {
             sim.schedule_in(SimDuration::from_secs(1.0), rearm);
         }
         sim.schedule_now(rearm);
-        sim.run();
+        sim.run(&mut ());
     }
 
     #[test]
     fn events_processed_counts_fired_events_only() {
-        let mut sim = Simulation::new();
-        let h = sim.schedule_at(SimTime::from_secs(1.0), |_| {});
-        sim.schedule_at(SimTime::from_secs(2.0), |_| {});
+        let mut sim = Simulation::<()>::new();
+        let h = sim.schedule_at(SimTime::from_secs(1.0), |_, _| {});
+        sim.schedule_at(SimTime::from_secs(2.0), |_, _| {});
         sim.cancel(h);
-        sim.run();
+        sim.run(&mut ());
         assert_eq!(sim.events_processed(), 1);
     }
 
     #[test]
     fn cancel_of_fired_event_is_noop_even_after_slot_reuse() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let h1 = sim.schedule_at(SimTime::from_secs(1.0), record(&log, 1));
-        sim.run();
+        let mut log = Vec::new();
+        let h1 = sim.schedule_at(SimTime::from_secs(1.0), record(1));
+        sim.run(&mut log);
         // h1's slot is free now; the next schedule reuses it with a bumped
         // generation. Cancelling the stale h1 must not kill the new event.
-        sim.schedule_at(SimTime::from_secs(2.0), record(&log, 2));
+        sim.schedule_at(SimTime::from_secs(2.0), record(2));
         sim.cancel(h1);
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![1, 2]);
     }
 
     #[test]
     fn double_cancel_is_noop_even_after_slot_reuse() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let h1 = sim.schedule_at(SimTime::from_secs(1.0), record(&log, 1));
+        let mut log = Vec::new();
+        let h1 = sim.schedule_at(SimTime::from_secs(1.0), record(1));
         sim.cancel(h1);
-        sim.schedule_at(SimTime::from_secs(2.0), record(&log, 2));
+        sim.schedule_at(SimTime::from_secs(2.0), record(2));
         sim.cancel(h1);
-        sim.run();
-        assert_eq!(*log.borrow(), vec![2]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![2]);
     }
 
     #[test]
     fn is_idle_is_exact_under_cancel_churn() {
-        let mut sim = Simulation::new();
+        let mut sim = Simulation::<()>::new();
         assert!(sim.is_idle());
         let mut handle = None;
         for _ in 0..10_000 {
             if let Some(h) = handle.take() {
                 sim.cancel(h);
             }
-            handle = Some(sim.schedule_in(SimDuration::from_secs(1.0), |_| {}));
+            handle = Some(sim.schedule_in(SimDuration::from_secs(1.0), |_, _| {}));
             assert!(!sim.is_idle());
         }
-        sim.run();
+        sim.run(&mut ());
         assert!(sim.is_idle());
         assert_eq!(sim.events_processed(), 1);
     }
@@ -646,50 +619,48 @@ mod tests {
     #[test]
     fn batch_scheduling_matches_individual_scheduling_order() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 0));
-        let batch: Vec<EventFn> = (1..=5)
-            .map(|i| Box::new(record(&log, i)) as EventFn)
+        let mut log = Vec::new();
+        sim.schedule_at(SimTime::from_secs(1.0), record(0));
+        let batch: Vec<EventFn<Log>> = (1..=5)
+            .map(|i| Box::new(record(i)) as EventFn<Log>)
             .collect();
         sim.schedule_batch_at(SimTime::from_secs(1.0), batch);
-        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 6));
-        sim.run();
-        assert_eq!(*log.borrow(), (0..=6).collect::<Vec<_>>());
+        sim.schedule_at(SimTime::from_secs(1.0), record(6));
+        sim.run(&mut log);
+        assert_eq!(log, (0..=6).collect::<Vec<_>>());
     }
 
     #[test]
     fn same_instant_batch_interleaves_with_heap_events_by_seq() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let log2 = log.clone();
+        let mut log = Vec::new();
         // At t=1 the first event batch-schedules followups at the current
         // instant (ring path); an equal-time heap event scheduled earlier
         // must still fire before the batch.
-        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
-            log2.borrow_mut().push(100);
-            let batch: Vec<EventFn> = (0..3)
-                .map(|i| Box::new(record(&log2, 300 + i)) as EventFn)
+        sim.schedule_at(SimTime::from_secs(1.0), |log: &mut Log, sim| {
+            log.push(100);
+            let batch: Vec<EventFn<Log>> = (0..3)
+                .map(|i| Box::new(record(300 + i)) as EventFn<Log>)
                 .collect();
             sim.schedule_batch_now(batch);
         });
-        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 200));
-        sim.schedule_at(SimTime::from_secs(2.0), record(&log, 400));
-        sim.run();
-        assert_eq!(*log.borrow(), vec![100, 200, 300, 301, 302, 400]);
+        sim.schedule_at(SimTime::from_secs(1.0), record(200));
+        sim.schedule_at(SimTime::from_secs(2.0), record(400));
+        sim.run(&mut log);
+        assert_eq!(log, vec![100, 200, 300, 301, 302, 400]);
     }
 
     #[test]
     fn same_instant_events_are_cancellable() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let log2 = log.clone();
-        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
-            let h = sim.schedule_now(record(&log2, 1));
-            sim.schedule_now(record(&log2, 2));
+        let mut log = Vec::new();
+        sim.schedule_at(SimTime::from_secs(1.0), |_: &mut Log, sim| {
+            let h = sim.schedule_now(record(1));
+            sim.schedule_now(record(2));
             sim.cancel(h);
         });
-        sim.run();
-        assert_eq!(*log.borrow(), vec![2]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![2]);
         assert!(sim.is_idle());
         assert_eq!(sim.events_processed(), 2);
     }
@@ -697,141 +668,134 @@ mod tests {
     #[test]
     fn compaction_retains_live_ring_entries() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let log2 = log.clone();
+        let mut log = Vec::new();
         // Inside one instant: a live ring event, then enough cancelled ones
         // to trip compaction; the survivor must still fire.
-        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
-            sim.schedule_now(record(&log2, 7));
-            let doomed: Vec<_> = (0..200).map(|_| sim.schedule_now(|_| {})).collect();
+        sim.schedule_at(SimTime::from_secs(1.0), |_: &mut Log, sim| {
+            sim.schedule_now(record(7));
+            let doomed: Vec<_> = (0..200).map(|_| sim.schedule_now(|_, _| {})).collect();
             for h in doomed {
                 sim.cancel(h);
             }
         });
-        sim.run();
-        assert_eq!(*log.borrow(), vec![7]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![7]);
     }
 
     #[test]
     fn batch_deadline_pause_preserves_pending_events() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let batch: Vec<EventFn> = vec![Box::new(record(&log, 1)), Box::new(record(&log, 2))];
+        let mut log = Vec::new();
+        let batch: Vec<EventFn<Log>> = vec![Box::new(record(1)), Box::new(record(2))];
         sim.schedule_batch_at(SimTime::from_secs(10.0), batch);
-        let t = sim.run_until(Some(SimTime::from_secs(5.0)));
+        let t = sim.run_until(&mut log, Some(SimTime::from_secs(5.0)));
         assert_eq!(t.as_secs(), 5.0);
-        assert!(log.borrow().is_empty());
+        assert!(log.is_empty());
         assert!(!sim.is_idle());
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![1, 2]);
     }
 
     #[test]
     fn compaction_keeps_live_events_and_ordering() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
+        let mut log = Vec::new();
         // Interleave survivors with a tombstone flood large enough to trip
         // compaction several times over.
         let mut doomed = Vec::new();
         for i in 0..500u32 {
-            sim.schedule_at(SimTime::from_secs(f64::from(i) + 0.5), record(&log, i));
-            doomed.push(sim.schedule_at(
-                SimTime::from_secs(f64::from(i) + 0.7),
-                record(&log, 10_000 + i),
-            ));
+            sim.schedule_at(SimTime::from_secs(f64::from(i) + 0.5), record(i));
+            doomed
+                .push(sim.schedule_at(SimTime::from_secs(f64::from(i) + 0.7), record(10_000 + i)));
         }
         for h in doomed {
             sim.cancel(h);
         }
-        sim.run();
-        assert_eq!(*log.borrow(), (0..500).collect::<Vec<_>>());
+        sim.run(&mut log);
+        assert_eq!(log, (0..500).collect::<Vec<_>>());
         assert_eq!(sim.events_processed(), 500);
     }
 
     #[test]
     fn reserved_events_order_by_seq_against_ring_and_heap_events() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let log2 = log.clone();
+        let mut log = Vec::new();
         // Heap event at t=1 with the lowest sequence number.
-        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 1));
-        sim.schedule_at(SimTime::ZERO, move |sim| {
+        sim.schedule_at(SimTime::from_secs(1.0), record(1));
+        sim.schedule_at(SimTime::ZERO, |_: &mut Log, sim| {
             let at_one = sim.reserve_seq();
-            sim.schedule_at(SimTime::from_secs(1.0), record(&log2, 3));
-            sim.schedule_now(record(&log2, 10));
+            sim.schedule_at(SimTime::from_secs(1.0), record(3));
+            sim.schedule_now(record(10));
             let at_zero = sim.reserve_seq();
-            sim.schedule_now(record(&log2, 12));
+            sim.schedule_now(record(12));
             // Scheduled last, but ordered where they were reserved: 11
             // between the two ring events at t=0, 2 between the two heap
             // events at t=1.
-            sim.schedule_reserved(sim.now(), at_zero, record(&log2, 11));
-            sim.schedule_reserved(SimTime::from_secs(1.0), at_one, record(&log2, 2));
-            let log3 = log2.clone();
-            sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
-                log3.borrow_mut().push(4);
+            sim.schedule_reserved(sim.now(), at_zero, record(11));
+            sim.schedule_reserved(SimTime::from_secs(1.0), at_one, record(2));
+            sim.schedule_at(SimTime::from_secs(1.0), |log: &mut Log, sim| {
+                log.push(4);
                 // A ring event at t=1 fires after every reserved one.
-                sim.schedule_now(record(&log3, 5));
+                sim.schedule_now(record(5));
             });
         });
-        sim.run();
-        assert_eq!(*log.borrow(), vec![10, 11, 12, 1, 2, 3, 4, 5]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![10, 11, 12, 1, 2, 3, 4, 5]);
         assert!(sim.is_idle());
     }
 
     #[test]
-    fn deferred_work_runs_between_events_and_counts_as_pending() {
+    fn dirty_links_flush_between_events_and_count_as_pending() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let log2 = log.clone();
-        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
-            log2.borrow_mut().push(1);
-            let log3 = log2.clone();
-            sim.defer(once(move |sim| {
-                assert_eq!(sim.now().as_secs(), 1.0);
-                log3.borrow_mut().push(2);
-            }));
+        let mut log = Vec::new();
+        let link = sim.add_link("l", 100.0);
+        // Scheduled before the transfer starts, at its completion instant.
+        sim.schedule_at(SimTime::from_secs(2.0), record(4));
+        sim.schedule_at(SimTime::from_secs(1.0), move |log: &mut Log, sim| {
+            log.push(1);
+            sim.start_transfer(link, 100.0, None, record(2));
+            assert!(!sim.is_idle());
         });
-        sim.schedule_at(SimTime::from_secs(1.0), record(&log, 3));
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2, 3]);
-        assert_eq!(sim.events_processed(), 2);
+        sim.schedule_at(SimTime::from_secs(1.0), record(3));
+        sim.run(&mut log);
+        // The completion keeps the sequence number of the change that
+        // planned it, so it fires after the earlier-scheduled event 4.
+        assert_eq!(log, vec![1, 3, 4, 2]);
+        assert_eq!(sim.events_processed(), 4);
 
-        // With no event queued, the deferred work alone keeps it busy.
-        sim.defer(once(record(&log, 4)));
+        // With no event queued, the dirty link alone keeps it busy.
+        sim.start_transfer(link, 100.0, None, record(5));
         assert!(!sim.is_idle());
-        sim.run();
+        sim.run(&mut log);
         assert!(sim.is_idle());
-        assert_eq!(*log.borrow(), vec![1, 2, 3, 4]);
+        assert_eq!(log, vec![1, 3, 4, 2, 5]);
+        assert_eq!(sim.now().as_secs(), 3.0);
     }
 
     #[test]
-    fn run_until_never_strands_deferred_work() {
+    fn run_until_never_strands_a_dirty_link() {
         let mut sim = Simulation::new();
-        let log = shared(Vec::new());
-        let log2 = log.clone();
-        // Work deferred by the last event before the deadline schedules an
-        // event past it; the work runs at t=1, its event waits.
-        sim.schedule_at(SimTime::from_secs(1.0), move |sim| {
-            let log3 = log2.clone();
-            sim.defer(once(move |sim| {
-                log3.borrow_mut().push(1);
-                sim.schedule_in(SimDuration::from_secs(1.0), record(&log3, 20));
-            }));
+        let mut log = Vec::new();
+        let link = sim.add_link("l", 100.0);
+        // The last event before the deadline starts a transfer that ends
+        // past it; the link flushes at t=1 and its completion waits.
+        sim.schedule_at(SimTime::from_secs(1.0), move |_: &mut Log, sim| {
+            sim.start_transfer(link, 100.0, None, record(20));
         });
-        let t = sim.run_until(Some(SimTime::from_secs(1.5)));
+        let t = sim.run_until(&mut log, Some(SimTime::from_secs(1.5)));
         assert_eq!(t.as_secs(), 1.5);
-        assert_eq!(*log.borrow(), vec![1]);
+        assert!(log.is_empty());
         assert!(!sim.is_idle());
 
-        // Deferred outside the loop with the deadline already reached: it
-        // still runs, and the pending event still waits.
-        sim.defer(once(record(&log, 2)));
-        let t = sim.run_until(Some(SimTime::from_secs(1.5)));
+        // Changed outside the loop with the deadline already reached: the
+        // link still flushes, and the pending completion still waits.
+        sim.start_transfer(link, 50.0, None, record(2));
+        let t = sim.run_until(&mut log, Some(SimTime::from_secs(1.5)));
         assert_eq!(t.as_secs(), 1.5);
-        assert_eq!(*log.borrow(), vec![1, 2]);
+        assert!(sim.dirty_links.is_empty());
 
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2, 20]);
+        sim.run(&mut log);
+        assert_eq!(log, vec![20, 2]);
         assert!(sim.is_idle());
     }
 }

@@ -5,41 +5,40 @@
 //!
 //! The engine is deliberately domain-free. It provides:
 //!
-//! * [`Simulation`] — an event loop ordered by `(time, sequence)`, so runs
-//!   are bit-for-bit reproducible for a given seed and program order, with
-//!   deferred end-of-event work and reserved sequence numbers for
-//!   components that coalesce the changes of one event;
-//! * [`Resource`] — counted capacity with FIFO admission (core slots,
-//!   concurrency caps);
-//! * [`SharedLink`] — max-min fair-share bandwidth channels, the mechanism
-//!   behind every network/storage contention effect in the paper;
+//! * [`Simulation<W>`] — an event loop ordered by `(time, sequence)` over a
+//!   world `W` the caller owns, so runs are bit-for-bit reproducible for a
+//!   given seed and program order;
+//! * fair-share links ([`Simulation::add_link`], addressed by [`LinkId`]) —
+//!   max-min bandwidth channels, the mechanism behind every
+//!   network/storage contention effect in the paper, planned once per
+//!   event by an end-of-event flush;
 //! * [`SeedSource`]/[`stream_rng`] — labelled deterministic RNG streams;
 //! * [`Tracer`] — the execution flight recorder: a zero-overhead-when-off
 //!   structured event stream (see [`trace`]) the cloud and core layers
 //!   thread through every mechanism.
 //!
-//! Domain state lives outside the engine behind [`Shared`] handles
-//! (`Arc<AtomicRefCell<..>>`, see [`shared`](crate::shared())) captured by
-//! event closures; see `mashup-cloud` for the cloud models built on top.
-//! Every engine type is `Send`: a run is built, owned, and driven by one
-//! thread at a time (that confinement is where determinism comes from),
-//! but whole runs can be sharded across worker threads — the basis of the
-//! planning service and the parallel figure sweep.
+//! **Owned world.** Domain state is a plain value: the caller builds a
+//! world, and [`Simulation::run`] lends it to each event as `&mut W`
+//! alongside the engine. No event holds a handle to shared state, so the
+//! borrow checker proves that nothing aliases it; see `mashup-cloud` for
+//! the cloud models built on top. A simulation is `Send` for any world (its events are `Send`
+//! closures), so a whole run can be built on one thread and driven on
+//! another — the basis of the planning service and the parallel figure
+//! sweep — while each run stays single-threaded, which is where its
+//! determinism comes from. The [`Tracer`] is the one handle that outlives
+//! a run; its buffer sits behind a `Mutex`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bandwidth;
 mod engine;
-mod resource;
 mod rng;
-mod shared;
 mod time;
 pub mod trace;
 
-pub use bandwidth::{SharedLink, TransferId};
-pub use engine::{Deferred, EventFn, EventHandle, ReservedSeq, Simulation};
-pub use resource::Resource;
+pub use bandwidth::{LinkId, TransferId};
+pub use engine::{EventFn, EventHandle, Simulation};
 pub use rng::{jitter_factor, stream_rng, SeedSource};
-pub use shared::{shared, AtomicRef, AtomicRefCell, AtomicRefMut, Shared};
 pub use time::{SimDuration, SimTime};
 pub use trace::{KillReason, TraceEvent, TraceRecord, Tracer};

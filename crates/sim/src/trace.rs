@@ -15,7 +15,7 @@
 //!   golden fixture consumes: function invocations, checkpoint chains,
 //!   VM component grants, store traffic, task/phase lifecycle;
 //! * **verbose** ([`Tracer::verbose`]) — adds engine-level instants (event
-//!   dispatch, resource grants, individual link transfers) for deep-dive
+//!   dispatch, individual link transfers) for deep-dive
 //!   timelines; too chatty for fixtures.
 //!
 //! Serialization is deliberately hand-rolled and stable: the compact JSONL
@@ -25,8 +25,8 @@
 //! same records into Chrome's `trace_event` JSON for `chrome://tracing` /
 //! Perfetto.
 
-use crate::shared::Shared;
 use crate::time::SimTime;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Why a function invocation was killed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,15 +65,6 @@ pub enum TraceEvent {
     Dispatch {
         /// Events processed so far, including this one.
         events: u64,
-    },
-    /// A counted resource granted one unit (verbose level only).
-    ResourceGrant {
-        /// Resource name.
-        resource: String,
-        /// Units in use after the grant.
-        in_use: usize,
-        /// Configured capacity.
-        capacity: usize,
     },
     /// A transfer started on a shared link (verbose level only).
     TransferStart {
@@ -356,16 +347,23 @@ pub struct TraceRecord {
 }
 
 struct TraceBuf {
+    /// Fixed at construction, so reading it takes no lock.
+    verbose: bool,
+    log: Mutex<TraceLog>,
+}
+
+#[derive(Default)]
+struct TraceLog {
     records: Vec<TraceRecord>,
     next_seq: u64,
-    verbose: bool,
 }
 
 /// A cheap handle to the flight recorder. Cloning shares the buffer; the
-/// default handle is off and records nothing.
+/// default handle is off and records nothing. The one simulation handle
+/// that outlives a run: callers clone it into a run and drain it after.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    buf: Option<Shared<TraceBuf>>,
+    buf: Option<Arc<TraceBuf>>,
 }
 
 impl Tracer {
@@ -374,27 +372,32 @@ impl Tracer {
         Tracer { buf: None }
     }
 
-    /// A recording tracer at flow level (domain records only).
-    pub fn new() -> Self {
+    fn with_level(verbose: bool) -> Self {
         Tracer {
-            buf: Some(crate::shared::shared(TraceBuf {
-                records: Vec::new(),
-                next_seq: 0,
-                verbose: false,
+            buf: Some(Arc::new(TraceBuf {
+                verbose,
+                log: Mutex::default(),
             })),
         }
     }
 
+    /// A recording tracer at flow level (domain records only).
+    pub fn new() -> Self {
+        Self::with_level(false)
+    }
+
     /// A recording tracer that also keeps engine-level instants (event
-    /// dispatch, resource grants, link transfers).
+    /// dispatch, link transfers).
     pub fn verbose() -> Self {
-        Tracer {
-            buf: Some(crate::shared::shared(TraceBuf {
-                records: Vec::new(),
-                next_seq: 0,
-                verbose: true,
-            })),
-        }
+        Self::with_level(true)
+    }
+
+    /// The buffer, when recording. A panic while the lock was held leaves
+    /// the log as complete as it got, so a poisoned lock is still read.
+    fn log(&self) -> Option<MutexGuard<'_, TraceLog>> {
+        self.buf
+            .as_ref()
+            .map(|b| b.log.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// True when the recorder is capturing events.
@@ -404,16 +407,15 @@ impl Tracer {
 
     /// True when engine-level instants are captured too.
     pub fn is_verbose(&self) -> bool {
-        self.buf.as_ref().is_some_and(|b| b.borrow().verbose)
+        self.buf.as_ref().is_some_and(|b| b.verbose)
     }
 
     /// Records `event` at simulated instant `now`. No-op when off.
     pub fn emit(&self, now: SimTime, event: TraceEvent) {
-        if let Some(buf) = &self.buf {
-            let mut b = buf.borrow_mut();
-            let seq = b.next_seq;
-            b.next_seq += 1;
-            b.records.push(TraceRecord {
+        if let Some(mut log) = self.log() {
+            let seq = log.next_seq;
+            log.next_seq += 1;
+            log.records.push(TraceRecord {
                 seq,
                 t_secs: now.as_secs(),
                 event,
@@ -432,7 +434,7 @@ impl Tracer {
 
     /// Number of records captured so far (0 when off).
     pub fn len(&self) -> usize {
-        self.buf.as_ref().map_or(0, |b| b.borrow().records.len())
+        self.log().map_or(0, |log| log.records.len())
     }
 
     /// True when no records have been captured.
@@ -443,16 +445,13 @@ impl Tracer {
     /// Drains and returns all captured records (empty when off). The
     /// sequence counter keeps running, so a later drain stays ordered.
     pub fn take(&self) -> Vec<TraceRecord> {
-        self.buf
-            .as_ref()
-            .map_or_else(Vec::new, |b| std::mem::take(&mut b.borrow_mut().records))
+        self.log()
+            .map_or_else(Vec::new, |mut log| std::mem::take(&mut log.records))
     }
 
     /// Clones out the captured records without draining them.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.buf
-            .as_ref()
-            .map_or_else(Vec::new, |b| b.borrow().records.clone())
+        self.log().map_or_else(Vec::new, |log| log.records.clone())
     }
 }
 
@@ -519,15 +518,6 @@ pub fn record_to_json(r: &TraceRecord) -> String {
     let line = |ev: &str| Line::new(r.seq, r.t_secs, ev);
     match &r.event {
         TraceEvent::Dispatch { events } => line("Dispatch").u("events", *events).finish(),
-        TraceEvent::ResourceGrant {
-            resource,
-            in_use,
-            capacity,
-        } => line("ResourceGrant")
-            .s("resource", resource)
-            .u("in_use", *in_use as u64)
-            .u("capacity", *capacity as u64)
-            .finish(),
         TraceEvent::TransferStart { link, id, bytes } => line("TransferStart")
             .s("link", link)
             .u("id", *id)
@@ -810,11 +800,6 @@ pub fn from_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
         let event = match ev.as_str() {
             "Dispatch" => TraceEvent::Dispatch {
                 events: req_u64(&v, "events", n)?,
-            },
-            "ResourceGrant" => TraceEvent::ResourceGrant {
-                resource: req_str(&v, "resource", n)?,
-                in_use: req_usize(&v, "in_use", n)?,
-                capacity: req_usize(&v, "capacity", n)?,
             },
             "TransferStart" => TraceEvent::TransferStart {
                 link: req_str(&v, "link", n)?,
@@ -1131,7 +1116,6 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
                     TraceEvent::Replan { .. } => "Replan",
                     TraceEvent::SpotBill { .. } => "SpotBill",
                     TraceEvent::Dispatch { .. } => "Dispatch",
-                    TraceEvent::ResourceGrant { .. } => "ResourceGrant",
                     TraceEvent::TransferStart { .. } => "TransferStart",
                     TraceEvent::TransferEnd { .. } => "TransferEnd",
                     _ => unreachable!("duration events handled above"),

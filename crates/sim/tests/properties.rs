@@ -1,25 +1,15 @@
 //! Property-based tests of the simulation engine invariants.
 
-use mashup_sim::{shared, EventHandle, Shared, TransferId};
-use mashup_sim::{Resource, SharedLink, SimDuration, SimTime, Simulation};
+use mashup_sim::{EventHandle, LinkId, SimDuration, SimTime, Simulation, TransferId};
 use proptest::prelude::*;
 
 /// The fair-share link as it was before completions were planned once per
 /// event: every arrival, cancellation and completion tick cancels the
 /// completion event, re-runs the water-fill and the min-scan, and schedules
 /// a new event. Shares are recomputed from scratch each time. This is the
-/// reference [`SharedLink`] must match bit for bit.
-#[derive(Clone)]
-struct EagerLink(Shared<EagerState>);
-
-struct EagerFlow {
-    id: u64,
-    remaining: f64,
-    cap: f64,
-    on_done: Box<dyn FnOnce(&mut Simulation) + Send>,
-}
-
-struct EagerState {
+/// reference the engine's link arena must match bit for bit. It lives in
+/// the world, as a component would.
+struct EagerLink {
     capacity: f64,
     /// In id order.
     flows: Vec<EagerFlow>,
@@ -28,9 +18,28 @@ struct EagerState {
     completion: Option<EventHandle>,
 }
 
+type Done<L> = Box<dyn FnOnce(&mut Drive<L>, &mut Simulation<Drive<L>>) + Send>;
+
+struct EagerFlow {
+    id: u64,
+    remaining: f64,
+    cap: f64,
+    on_done: Done<EagerLink>,
+}
+
 const EPS_BYTES: f64 = 1e-6;
 
-impl EagerState {
+impl EagerLink {
+    fn new(capacity: f64) -> Self {
+        EagerLink {
+            capacity,
+            flows: Vec::new(),
+            next_id: 0,
+            last_update: SimTime::ZERO,
+            completion: None,
+        }
+    }
+
     /// Max-min fair shares in `flows` order: a stable sort by cap (ids
     /// break ties), then the water-fill.
     fn shares(&self) -> Vec<f64> {
@@ -63,147 +72,132 @@ impl EagerState {
         }
         self.last_update = now;
     }
-}
 
-impl EagerLink {
-    fn new(capacity: f64) -> Self {
-        EagerLink(shared(EagerState {
-            capacity,
-            flows: Vec::new(),
-            next_id: 0,
-            last_update: SimTime::ZERO,
-            completion: None,
-        }))
-    }
-
-    fn replan(&self, sim: &mut Simulation) {
-        let dt = {
-            let mut s = self.0.borrow_mut();
-            if let Some(h) = s.completion.take() {
-                sim.cancel(h);
-            }
-            let shares = s.shares();
-            s.flows
-                .iter()
-                .zip(shares)
-                .map(|(f, share)| {
-                    if share <= 0.0 {
-                        f64::INFINITY
-                    } else {
-                        f.remaining / share
-                    }
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
+    fn replan(w: &mut Drive<EagerLink>, sim: &mut Simulation<Drive<EagerLink>>) {
+        let s = &mut w.link;
+        if let Some(h) = s.completion.take() {
+            sim.cancel(h);
+        }
+        let dt = s
+            .flows
+            .iter()
+            .zip(s.shares())
+            .map(|(f, share)| {
+                if share <= 0.0 {
+                    f64::INFINITY
+                } else {
+                    f.remaining / share
+                }
+            })
+            .fold(f64::INFINITY, f64::min);
         if dt.is_finite() {
-            let link = self.clone();
-            let h = sim.schedule_in(SimDuration::from_secs(dt), move |sim| link.tick(sim));
-            self.0.borrow_mut().completion = Some(h);
+            s.completion = Some(sim.schedule_in(SimDuration::from_secs(dt), Self::tick));
         }
     }
 
-    fn tick(&self, sim: &mut Simulation) {
-        let callbacks: Vec<_> = {
-            let mut s = self.0.borrow_mut();
-            s.completion = None;
-            s.advance(sim.now());
-            if !s.flows.is_empty() && s.flows.iter().all(|f| f.remaining > EPS_BYTES) {
-                // First minimum in id order, as `Iterator::min_by` returns.
-                let closest = (0..s.flows.len())
-                    .min_by(|&a, &b| {
-                        s.flows[a]
-                            .remaining
-                            .partial_cmp(&s.flows[b].remaining)
-                            .expect("remaining is never NaN")
-                    })
-                    .expect("non-empty");
-                s.flows[closest].remaining = 0.0;
-            }
-            let (done, left): (Vec<_>, Vec<_>) = std::mem::take(&mut s.flows)
-                .into_iter()
-                .partition(|f| f.remaining <= EPS_BYTES);
-            s.flows = left;
-            done.into_iter().map(|f| f.on_done).collect()
-        };
-        for cb in callbacks {
-            cb(sim);
+    fn tick(w: &mut Drive<EagerLink>, sim: &mut Simulation<Drive<EagerLink>>) {
+        let s = &mut w.link;
+        s.completion = None;
+        s.advance(sim.now());
+        if !s.flows.is_empty() && s.flows.iter().all(|f| f.remaining > EPS_BYTES) {
+            // First minimum in id order, as `Iterator::min_by` returns.
+            let closest = (0..s.flows.len())
+                .min_by(|&a, &b| {
+                    s.flows[a]
+                        .remaining
+                        .partial_cmp(&s.flows[b].remaining)
+                        .expect("remaining is never NaN")
+                })
+                .expect("non-empty");
+            s.flows[closest].remaining = 0.0;
         }
-        self.replan(sim);
+        let (done, left): (Vec<_>, Vec<_>) = std::mem::take(&mut s.flows)
+            .into_iter()
+            .partition(|f| f.remaining <= EPS_BYTES);
+        s.flows = left;
+        for f in done {
+            (f.on_done)(w, sim);
+        }
+        Self::replan(w, sim);
     }
 }
 
 /// The calls the differential test drives on either link.
-trait Link: Clone + Send + 'static {
+trait Link: Sized + Send + 'static {
     type Id: Copy + Send + 'static;
     fn start(
-        &self,
-        sim: &mut Simulation,
+        w: &mut Drive<Self>,
+        sim: &mut Simulation<Drive<Self>>,
         bytes: f64,
         cap: Option<f64>,
-        on_done: impl FnOnce(&mut Simulation) + Send + 'static,
+        on_done: Done<Self>,
     ) -> Self::Id;
-    fn cancel(&self, sim: &mut Simulation, id: Self::Id) -> f64;
+    fn cancel(w: &mut Drive<Self>, sim: &mut Simulation<Drive<Self>>, id: Self::Id) -> f64;
 }
 
-impl Link for SharedLink {
+impl Link for LinkId {
     type Id = TransferId;
     fn start(
-        &self,
-        sim: &mut Simulation,
+        w: &mut Drive<Self>,
+        sim: &mut Simulation<Drive<Self>>,
         bytes: f64,
         cap: Option<f64>,
-        on_done: impl FnOnce(&mut Simulation) + Send + 'static,
+        on_done: Done<Self>,
     ) -> TransferId {
-        self.start_transfer(sim, bytes, cap, on_done)
+        sim.start_transfer(w.link, bytes, cap, on_done)
     }
-    fn cancel(&self, sim: &mut Simulation, id: TransferId) -> f64 {
-        self.cancel_transfer(sim, id)
+    fn cancel(w: &mut Drive<Self>, sim: &mut Simulation<Drive<Self>>, id: TransferId) -> f64 {
+        sim.cancel_transfer(w.link, id)
     }
 }
 
 impl Link for EagerLink {
     type Id = u64;
     fn start(
-        &self,
-        sim: &mut Simulation,
+        w: &mut Drive<Self>,
+        sim: &mut Simulation<Drive<Self>>,
         bytes: f64,
         cap: Option<f64>,
-        on_done: impl FnOnce(&mut Simulation) + Send + 'static,
+        on_done: Done<Self>,
     ) -> u64 {
-        let id = {
-            let mut s = self.0.borrow_mut();
-            s.next_id += 1;
-            s.next_id - 1
-        };
+        let s = &mut w.link;
+        let id = s.next_id;
+        s.next_id += 1;
         if bytes <= EPS_BYTES {
             sim.schedule_now(on_done);
             return id;
         }
-        {
-            let mut s = self.0.borrow_mut();
-            s.advance(sim.now());
-            s.flows.push(EagerFlow {
-                id,
-                remaining: bytes,
-                cap: cap.unwrap_or(f64::INFINITY),
-                on_done: Box::new(on_done),
-            });
-        }
-        self.replan(sim);
+        s.advance(sim.now());
+        s.flows.push(EagerFlow {
+            id,
+            remaining: bytes,
+            cap: cap.unwrap_or(f64::INFINITY),
+            on_done,
+        });
+        EagerLink::replan(w, sim);
         id
     }
-    fn cancel(&self, sim: &mut Simulation, id: u64) -> f64 {
-        let removed = {
-            let mut s = self.0.borrow_mut();
-            s.advance(sim.now());
-            let pos = s.flows.iter().position(|f| f.id == id);
-            pos.map(|p| s.flows.remove(p).remaining)
-        };
+    fn cancel(w: &mut Drive<Self>, sim: &mut Simulation<Drive<Self>>, id: u64) -> f64 {
+        let s = &mut w.link;
+        s.advance(sim.now());
+        let removed = s
+            .flows
+            .iter()
+            .position(|f| f.id == id)
+            .map(|p| s.flows.remove(p).remaining);
         if removed.is_some() {
-            self.replan(sim);
+            EagerLink::replan(w, sim);
         }
         removed.unwrap_or(0.0)
     }
+}
+
+/// The differential test's world: the link under test, the log of what
+/// happened, and the ids of every flow started.
+struct Drive<L: Link> {
+    link: L,
+    log: Vec<(u64, u64)>,
+    ids: Vec<L::Id>,
 }
 
 /// Sizes and caps are drawn in these units on a link of `8 * UNIT` B/s, so
@@ -224,73 +218,65 @@ type Step = (u8, Vec<(u32, u8, u32)>, u16);
 /// successor from their callback, so arrivals also land inside completion
 /// ticks.
 fn start_flow<L: Link>(
-    link: &L,
-    sim: &mut Simulation,
-    log: &Shared<Vec<(u64, u64)>>,
-    ids: &Shared<Vec<L::Id>>,
+    w: &mut Drive<L>,
+    sim: &mut Simulation<Drive<L>>,
     label: u64,
     units: u32,
     cap: Option<f64>,
 ) {
-    let (link2, log2, ids2) = (link.clone(), log.clone(), ids.clone());
-    let id = link.start(sim, f64::from(units) * UNIT, cap, move |sim| {
-        log2.borrow_mut()
-            .push((label, sim.now().as_secs().to_bits()));
+    let on_done: Done<L> = Box::new(move |w: &mut Drive<L>, sim: &mut Simulation<Drive<L>>| {
+        w.log.push((label, sim.now().as_secs().to_bits()));
         if label < 1 << 20 && units.is_multiple_of(3) {
-            start_flow(&link2, sim, &log2, &ids2, label + (1 << 20), units / 2, cap);
+            start_flow(w, sim, label + (1 << 20), units / 2, cap);
         }
     });
-    ids.borrow_mut().push(id);
-    let log2 = log.clone();
+    let id = L::start(w, sim, f64::from(units) * UNIT, cap, on_done);
+    w.ids.push(id);
     let marker_in = SimDuration::from_secs(f64::from(units % 4) / 8.0);
-    sim.schedule_in(marker_in, move |sim| {
-        log2.borrow_mut()
+    sim.schedule_in(marker_in, move |w: &mut Drive<L>, sim| {
+        w.log
             .push((label + (1 << 40), sim.now().as_secs().to_bits()));
     });
 }
 
 /// Runs `steps` on `link` and returns every completion, cancel result and
 /// step marker in the order they happened, with bit-exact instants.
-fn drive<L: Link>(link: L, steps: &[Step]) -> Vec<(u64, u64)> {
+fn drive<L: Link>(
+    link: impl FnOnce(&mut Simulation<Drive<L>>) -> L,
+    steps: &[Step],
+) -> Vec<(u64, u64)> {
     let mut sim = Simulation::new();
-    let log: Shared<Vec<(u64, u64)>> = shared(Vec::new());
-    let ids: Shared<Vec<L::Id>> = shared(Vec::new());
+    let mut world = Drive {
+        link: link(&mut sim),
+        log: Vec::new(),
+        ids: Vec::new(),
+    };
     let mut t = 0.0;
     for (k, (gap, burst, cancel)) in steps.iter().enumerate() {
         t += f64::from(*gap) * 0.25;
-        let (link, log, ids, burst, cancel) = (
-            link.clone(),
-            log.clone(),
-            ids.clone(),
-            burst.clone(),
-            *cancel,
-        );
+        let (burst, cancel) = (burst.clone(), *cancel);
         let k = k as u64;
-        sim.schedule_at(SimTime::from_secs(t), move |sim| {
-            log.borrow_mut()
-                .push((u64::MAX - k, sim.now().as_secs().to_bits()));
-            let victim = {
-                let ids = ids.borrow();
-                (cancel < 64 && !ids.is_empty()).then(|| ids[usize::from(cancel) % ids.len()])
-            };
+        sim.schedule_at(SimTime::from_secs(t), move |w: &mut Drive<L>, sim| {
+            w.log.push((u64::MAX - k, sim.now().as_secs().to_bits()));
+            let victim = (cancel < 64 && !w.ids.is_empty())
+                .then(|| w.ids[usize::from(cancel) % w.ids.len()]);
             if let Some(id) = victim {
-                let left = link.cancel(sim, id);
-                log.borrow_mut().push((u64::MAX / 2 - k, left.to_bits()));
+                let left = L::cancel(w, sim, id);
+                w.log.push((u64::MAX / 2 - k, left.to_bits()));
             }
             for (j, &(units, capped, cap)) in burst.iter().enumerate() {
                 let cap = (capped == 0).then_some(f64::from(cap) * UNIT);
-                start_flow(&link, sim, &log, &ids, k * 100 + j as u64, units, cap);
+                start_flow(w, sim, k * 100 + j as u64, units, cap);
             }
         });
     }
-    // Pause at deadlines so deferred work meets them too.
+    // Pause at deadlines so the end-of-event flush meets them too.
     let mut deadline = 0.0;
     while !sim.is_idle() {
         deadline += 0.3;
-        sim.run_until(Some(SimTime::from_secs(deadline)));
+        sim.run_until(&mut world, Some(SimTime::from_secs(deadline)));
     }
-    let out = log.borrow().clone();
-    out
+    world.log
 }
 
 proptest! {
@@ -312,8 +298,8 @@ proptest! {
             1..20,
         )
     ) {
-        let eager = drive(EagerLink::new(8.0 * UNIT), &steps);
-        let deferred = drive(SharedLink::new("l", 8.0 * UNIT), &steps);
+        let eager = drive(|_| EagerLink::new(8.0 * UNIT), &steps);
+        let deferred = drive(|sim| sim.add_link("l", 8.0 * UNIT), &steps);
         prop_assert_eq!(deferred, eager);
     }
 }
@@ -324,15 +310,13 @@ proptest! {
     #[test]
     fn event_order_is_deterministic(times in proptest::collection::vec(0u32..1000, 1..64)) {
         let mut sim = Simulation::new();
-        let log: Shared<Vec<(f64, usize)>> = shared(Vec::new());
         for (i, &t) in times.iter().enumerate() {
-            let log = log.clone();
-            sim.schedule_at(SimTime::from_secs(t as f64), move |sim| {
-                log.borrow_mut().push((sim.now().as_secs(), i));
+            sim.schedule_at(SimTime::from_secs(t as f64), move |log: &mut Vec<(f64, usize)>, sim| {
+                log.push((sim.now().as_secs(), i));
             });
         }
-        sim.run();
-        let fired = log.borrow();
+        let mut fired = Vec::new();
+        sim.run(&mut fired);
         prop_assert_eq!(fired.len(), times.len());
         for w in fired.windows(2) {
             prop_assert!(w[0].0 <= w[1].0, "time went backwards");
@@ -340,25 +324,6 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "same-instant order violated");
             }
         }
-    }
-
-    /// Wave scheduling: n identical jobs over c slots finish in
-    /// ceil(n/c) * duration seconds.
-    #[test]
-    fn resource_wave_makespan(cap in 1usize..16, n in 1usize..64, dur in 1u32..100) {
-        let dur = dur as f64;
-        let mut sim = Simulation::new();
-        let pool = Resource::new("slots", cap);
-        for _ in 0..n {
-            let pool2 = pool.clone();
-            pool.acquire(&mut sim, move |sim| {
-                sim.schedule_in(SimDuration::from_secs(dur), move |sim| pool2.release(sim));
-            });
-        }
-        let end = sim.run();
-        let waves = n.div_ceil(cap);
-        prop_assert!((end.as_secs() - waves as f64 * dur).abs() < 1e-6,
-            "makespan {} != {} waves * {}", end.as_secs(), waves, dur);
     }
 
     /// Work conservation on a fair-share link: total bytes over a saturated
@@ -369,19 +334,15 @@ proptest! {
         let cap = 1000.0;
         let total: f64 = sizes.iter().map(|&b| b as f64).sum();
         let mut sim = Simulation::new();
-        let link = SharedLink::new("l", cap);
-        let done = shared(0usize);
+        let link = sim.add_link("l", cap);
         for &b in &sizes {
-            let done = done.clone();
-            let link2 = link.clone();
-            sim.schedule_at(SimTime::ZERO, move |sim| {
-                link2.start_transfer(sim, b as f64, None, move |_| {
-                    *done.borrow_mut() += 1;
-                });
+            sim.schedule_at(SimTime::ZERO, move |_: &mut usize, sim| {
+                sim.start_transfer(link, b as f64, None, |done: &mut usize, _| *done += 1);
             });
         }
-        let end = sim.run();
-        prop_assert_eq!(*done.borrow(), sizes.len());
+        let mut done = 0usize;
+        let end = sim.run(&mut done);
+        prop_assert_eq!(done, sizes.len());
         // The last completion is exactly when the aggregate work drains.
         prop_assert!((end.as_secs() - total / cap).abs() < 1e-6,
             "end {} != {}", end.as_secs(), total / cap);
@@ -395,64 +356,62 @@ proptest! {
         let flow_cap = 10.0;
         let bytes = bytes as f64;
         let mut sim = Simulation::new();
-        let link = SharedLink::new("l", link_cap);
-        let finishes: Shared<Vec<f64>> = shared(Vec::new());
+        let link = sim.add_link("l", link_cap);
         for _ in 0..n {
-            let f = finishes.clone();
-            let link2 = link.clone();
-            sim.schedule_at(SimTime::ZERO, move |sim| {
-                link2.start_transfer(sim, bytes, Some(flow_cap), move |sim| {
-                    f.borrow_mut().push(sim.now().as_secs());
+            sim.schedule_at(SimTime::ZERO, move |_: &mut Vec<f64>, sim| {
+                sim.start_transfer(link, bytes, Some(flow_cap), |f: &mut Vec<f64>, sim| {
+                    f.push(sim.now().as_secs());
                 });
             });
         }
-        sim.run();
-        for &t in finishes.borrow().iter() {
+        let mut finishes = Vec::new();
+        sim.run(&mut finishes);
+        for &t in &finishes {
             prop_assert!((t - bytes / flow_cap).abs() < 1e-6);
         }
     }
 
-    /// The cached share table kept by `SharedLink` is bit-for-bit identical
-    /// to a from-scratch max-min water-fill recompute after every arrival,
+    /// The cached share table kept by a link is bit-for-bit identical to a
+    /// from-scratch max-min water-fill recompute after every arrival,
     /// cancellation, and completion.
     #[test]
     fn cached_shares_match_reference_recompute(
         ops in proptest::collection::vec((0u8..4, 1u32..50_000, 0u8..2, 1u32..2_000), 1..40)
     ) {
+        type Active = std::collections::BTreeMap<u64, f64>;
         let capacity = 1000.0;
         let mut sim = Simulation::new();
-        let link = SharedLink::new("prop", capacity);
+        let link = sim.add_link("prop", capacity);
         // Transfer ids are allocated sequentially per link, so the k-th
         // arrival gets id k; track each live flow's cap under that id.
-        let active: Shared<std::collections::BTreeMap<u64, f64>> = shared(std::collections::BTreeMap::new());
-        let mut tids: Vec<(u64, mashup_sim::TransferId)> = Vec::new();
+        let mut active = Active::new();
+        let mut tids: Vec<(u64, TransferId)> = Vec::new();
         let mut next_arrival: u64 = 0;
         let mut t = 0.0f64;
         for &(kind, bytes, capped, cap) in &ops {
             t += 0.05;
-            sim.run_until(Some(SimTime::from_secs(t)));
+            sim.run_until(&mut active, Some(SimTime::from_secs(t)));
             if kind < 3 {
                 // Arrival (weighted 3:1 over cancels to keep links busy).
                 let cap = if capped == 1 { Some(cap as f64) } else { None };
                 let id = next_arrival;
                 next_arrival += 1;
-                active.borrow_mut().insert(id, cap.unwrap_or(f64::INFINITY));
-                let active2 = active.clone();
-                let tid = link.start_transfer(&mut sim, bytes as f64, cap, move |_| {
-                    active2.borrow_mut().remove(&id);
+                active.insert(id, cap.unwrap_or(f64::INFINITY));
+                let tid = sim.start_transfer(link, bytes as f64, cap, move |active: &mut Active, _| {
+                    active.remove(&id);
                 });
                 tids.push((id, tid));
             } else if let Some(&(id, tid)) = tids.get(bytes as usize % tids.len().max(1)) {
-                if active.borrow().contains_key(&id) {
-                    link.cancel_transfer(&mut sim, tid);
-                    active.borrow_mut().remove(&id);
+                if active.contains_key(&id) {
+                    sim.cancel_transfer(link, tid);
+                    active.remove(&id);
                 }
             }
             // Reference recompute: stable sort by cap (ids break ties),
             // then water-fill — the exact operation order of the original
             // per-call share rebuild.
             let mut flows: Vec<(u64, f64)> =
-                active.borrow().iter().map(|(&id, &cap)| (id, cap)).collect();
+                active.iter().map(|(&id, &cap)| (id, cap)).collect();
             flows.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("caps are never NaN"));
             let mut remaining_cap = capacity;
             let mut expected: Vec<(u64, f64)> = Vec::new();
@@ -464,7 +423,7 @@ proptest! {
                 remaining_cap -= share;
             }
             expected.sort_by_key(|&(id, _)| id);
-            let got = link.current_shares();
+            let got = sim.current_shares(link);
             prop_assert_eq!(got.len(), expected.len());
             for (&(gid, gshare), &(eid, eshare)) in got.iter().zip(expected.iter()) {
                 prop_assert_eq!(gid, eid);
@@ -475,9 +434,9 @@ proptest! {
                 );
             }
         }
-        sim.run();
-        prop_assert!(active.borrow().is_empty(), "all transfers complete or cancelled");
-        prop_assert_eq!(link.active_transfers(), 0);
+        sim.run(&mut active);
+        prop_assert!(active.is_empty(), "all transfers complete or cancelled");
+        prop_assert_eq!(sim.active_transfers(link), 0);
     }
 
     /// Two identical runs produce identical event traces (determinism).
@@ -485,16 +444,14 @@ proptest! {
     fn runs_are_reproducible(times in proptest::collection::vec(0u32..100, 1..32)) {
         let run = |times: &[u32]| -> Vec<(f64, usize)> {
             let mut sim = Simulation::new();
-            let log: Shared<Vec<(f64, usize)>> = shared(Vec::new());
             for (i, &t) in times.iter().enumerate() {
-                let log = log.clone();
-                sim.schedule_at(SimTime::from_secs(t as f64), move |sim| {
-                    log.borrow_mut().push((sim.now().as_secs(), i));
+                sim.schedule_at(SimTime::from_secs(t as f64), move |log: &mut Vec<(f64, usize)>, sim| {
+                    log.push((sim.now().as_secs(), i));
                 });
             }
-            sim.run();
-            let v = log.borrow().clone();
-            v
+            let mut log = Vec::new();
+            sim.run(&mut log);
+            log
         };
         prop_assert_eq!(run(&times), run(&times));
     }

@@ -358,6 +358,10 @@ fn run_pareto(mut argv: std::env::Args) {
     }
     let w = load_workflow(&spec);
     let cfg = MashupConfig::aws(nodes);
+    // Refuse what the sweep's planner would panic on, as `plan` does.
+    if let Err(e) = mashup::engine::preflight(&cfg, &w, None) {
+        die_diagnosed(&e);
+    }
     let started = std::time::Instant::now();
     let outcome = mashup::serve::pareto_sweep(&cfg, &w, budget);
     let wall = started.elapsed().as_secs_f64();

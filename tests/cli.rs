@@ -81,6 +81,7 @@ fn an_empty_cluster_is_refused_with_a_diagnostic() {
         }
     }
     refused(&["compare", "SRAsearch", "--nodes", "0"]);
+    refused(&["pareto", "SRAsearch", "--nodes", "0"]);
 }
 
 #[test]

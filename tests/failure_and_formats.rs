@@ -20,7 +20,7 @@ fn storage_failures_are_recovered_from_replicas() {
     let report = try_execute_in(&mut env, &cfg, &w, &plan, "faulty").expect("clean inputs");
     assert!(report.makespan_secs > 0.0);
     assert!(
-        env.store.injected_failures() > 0,
+        env.world.cloud.store.injected_failures() > 0,
         "failure injection should have fired"
     );
 
@@ -49,7 +49,10 @@ fn faas_platform_failures_are_recovered_end_to_end() {
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
     let report = try_execute_in(&mut env, &cfg, &w, &plan, "flaky-faas").expect("clean inputs");
     assert_eq!(report.tasks.len(), w.task_count());
-    assert!(env.faas.kills() > 0, "failures should have fired");
+    assert!(
+        env.world.cloud.faas.kills() > 0,
+        "failures should have fired"
+    );
 
     // Reconstruct kill -> restart span chains from the trace.
     let records = tracer.take();

@@ -1,7 +1,7 @@
 // expect: clean
-//! Every rule family suppressed by a justified escape: same-line allows,
-//! preceding-line allows, the file-scoped form, and allows on each of the
-//! three borrow rules. The analyzer must honor all of them.
+//! Every rule suppressed by a justified escape: same-line allows,
+//! preceding-line allows, and the file-scoped form. The analyzer must
+//! honor all of them.
 
 // This fixture's prints model a CLI surface; lint: allow-file(adhoc-telemetry)
 
@@ -16,30 +16,4 @@ pub fn justified_determinism_escapes() {
     let scratch = Rc::new(Vec::<u64>::new());
     println!("demo {r} {:?} {}", t0.elapsed(), scratch.len());
     eprintln!("done");
-}
-
-pub fn seeded_panic_test_overlap(c: &Shared<Plan>) {
-    let first = c.borrow_mut();
-    // intentional double borrow exercising the panic path; lint: allow(borrow-overlap)
-    let second = c.borrow();
-    observe(first.len() + second.len());
-}
-
-pub fn audited_nesting_one_way(&self) {
-    let cache = self.cache.borrow_mut();
-    let depth = self.queue.borrow().len();
-    cache.reserve(depth);
-}
-
-pub fn audited_nesting_other_way(&self) {
-    let queue = self.queue.borrow_mut();
-    // never contends: only called from the single-threaded builder; lint: allow(borrow-order)
-    let live = self.cache.borrow().live();
-    queue.retain(|t| live.contains(t));
-}
-
-pub fn guard_is_read_only_setup(w: &World, items: Vec<Task>) {
-    let plan = w.plan.borrow();
-    // workers never touch w.plan, only their own shards; lint: allow(guard-across-pool)
-    par_map(items, move |t| shard(&plan, t));
 }

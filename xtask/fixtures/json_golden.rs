@@ -1,12 +1,9 @@
-// expect: wall-clock, adhoc-telemetry, borrow-overlap
+// expect: wall-clock, adhoc-telemetry
 //! Golden input for the `--json` report format: a small, fixed set of
-//! violations (two rules on one line, plus a borrow rule, plus text that
-//! needs escaping) rendered against `json_golden.expected.json`
-//! byte-for-byte.
+//! violations (two rules on one line, with text that needs escaping)
+//! rendered against `json_golden.expected.json` byte-for-byte.
+//!
 
-pub fn report(c: &Shared<Plan>) {
+pub fn report() {
     println!("t = {:?} \"quoted\"", std::time::Instant::now());
-    let g = c.borrow_mut();
-    let h = c.borrow();
-    observe(g.len() + h.len());
 }

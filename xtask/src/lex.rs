@@ -20,8 +20,8 @@
 //! * multi-char operators the analyses care about: `::`, `->`, `=>`,
 //!   `||`, `&&` (everything else is single-char punctuation).
 //!
-//! It does **not** build an AST; `scopes` and `borrows` layer a brace
-//! tracker and a borrow-graph walk on top of the flat stream.
+//! It does **not** build an AST: the rules match token sequences in the
+//! flat stream.
 
 /// Token classification — just enough to tell identifiers from the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,11 +2,9 @@
 //!
 //! The main task is `lint`, a static-analysis pass over every crate that
 //! holds engine state. It is built on a small in-tree lexer (`lex`) — the
-//! workspace builds offline, so no `syn` — plus a brace/scope tracker
-//! (`scopes`) and a borrow-graph walk (`borrows`). Two rule families:
-//!
-//! **Determinism rules** (token-pattern matches; simulated results must be
-//! a pure function of configuration + seed):
+//! workspace builds offline, so no `syn`. Its rules are determinism rules
+//! (token-pattern matches; simulated results must be a pure function of
+//! configuration + seed):
 //!
 //! * **wall-clock** — `std::time::Instant` / `SystemTime`: simulated time
 //!   comes from the event queue (`mashup_sim::SimTime`) only.
@@ -16,18 +14,12 @@
 //!   `OsRng`: randomness must flow from the seeded `SeedSource` streams.
 //! * **adhoc-telemetry** — `println!` / `eprintln!` / `dbg!`: substrates
 //!   report through the structured `mashup_sim::Tracer`.
-//! * **no-rc** — `std::rc::Rc` pins engine state to one thread; use
-//!   `mashup_sim::Shared` (`Arc<AtomicRefCell<..>>`) or `Arc`.
+//! * **no-rc** — `std::rc::Rc` pins engine state to one thread; let the
+//!   simulated world own it, or share immutable data with `Arc`.
 //!
-//! **Borrow rules** (graph analysis over `Shared<T>` guards — the
-//! mechanized form of PR 6's hand audit; see `borrows` for the model):
-//!
-//! * **borrow-overlap** — two live guards on one cell panic at the second
-//!   borrow. Borrow momentarily, one statement at a time.
-//! * **borrow-order** — two cells nested in opposite orders across a crate
-//!   panic (or deadlock) at first contention. Keep one crate-wide order.
-//! * **guard-across-pool** — a guard live at a `par_map` / `spawn_workers`
-//!   / `spawn` / `scope` call crosses threads and panics at contention.
+//! Aliasing of simulation state needs no rule: each run's world is one
+//! owned value that the engine lends to events as `&mut`, so the compiler
+//! rejects overlapping access.
 //!
 //! A genuinely safe use is exempted by `// lint: allow(<rule>)` on the
 //! same line or the directly preceding comment line, or — for files whose
@@ -43,10 +35,8 @@
 //! This binary's own stdout/stderr is its user interface, not engine
 //! telemetry. lint: allow-file(adhoc-telemetry)
 
-mod borrows;
 mod lex;
 mod rules;
-mod scopes;
 
 use rules::Violation;
 use std::collections::BTreeSet;
@@ -69,25 +59,13 @@ const LINTED_DIRS: &[&str] = &[
     "xtask/src",
 ];
 
-/// One file's scan output: direct violations plus the borrow-order edges
-/// that feed crate-level cycle detection.
-struct FileScan {
-    violations: Vec<Violation>,
-    edges: Vec<borrows::Edge>,
-}
-
 /// Lexes and scans one file's source text.
-fn scan_source(path: &Path, source: &str) -> FileScan {
+fn scan_source(path: &Path, source: &str) -> Vec<Violation> {
     let lexed = lex::lex(source);
     let lines: Vec<&str> = source.lines().collect();
     let mut violations = Vec::new();
     rules::scan_token_rules(path, &lexed, &lines, &mut violations);
-    let fb = borrows::analyze_file(path, &lexed, &lines);
-    violations.extend(fb.violations);
-    FileScan {
-        violations,
-        edges: fb.edges,
-    }
+    violations
 }
 
 /// Recursively collects every `.rs` file under `dir`, sorted.
@@ -106,24 +84,18 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs the full lint over the workspace rooted at `root`. Borrow-order
-/// edges are unioned per linted directory (≈ per crate) before cycle
-/// detection — a lock-order discipline is a crate-level property.
+/// Runs the full lint over the workspace rooted at `root`.
 fn lint(root: &Path) -> Result<Vec<Violation>, String> {
     let mut violations = Vec::new();
     for dir in LINTED_DIRS {
         let dirp = root.join(dir);
         let mut files = Vec::new();
         collect_rs(&dirp, &mut files).map_err(|e| format!("cannot scan {dirp:?}: {e}"))?;
-        let mut edges = Vec::new();
         for f in files {
             let source =
                 std::fs::read_to_string(&f).map_err(|e| format!("cannot read {f:?}: {e}"))?;
-            let scan = scan_source(&f, &source);
-            violations.extend(scan.violations);
-            edges.extend(scan.edges);
+            violations.extend(scan_source(&f, &source));
         }
-        violations.extend(borrows::cycle_violations(&edges));
     }
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(violations)
@@ -219,13 +191,8 @@ fn selftest(root: &Path) -> Result<usize, String> {
             }
             set
         };
-        let scan = scan_source(f, &source);
-        let mut fired: BTreeSet<&str> = scan.violations.iter().map(|v| v.rule).collect();
-        fired.extend(
-            borrows::cycle_violations(&scan.edges)
-                .iter()
-                .map(|v| v.rule),
-        );
+        let mut violations = scan_source(f, &source);
+        let fired: BTreeSet<&str> = violations.iter().map(|v| v.rule).collect();
         if fired != want {
             return Err(format!(
                 "{}: expected rules {want:?}, analyzer fired {fired:?}",
@@ -234,8 +201,6 @@ fn selftest(root: &Path) -> Result<usize, String> {
         }
         // The JSON golden pins the report format byte-for-byte.
         if f.file_name().is_some_and(|n| n == "json_golden.rs") {
-            let mut violations = scan.violations;
-            violations.extend(borrows::cycle_violations(&scan.edges));
             violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
             let got = render_json(&xtask_dir, &violations);
             let golden_path = fixtures.join("json_golden.expected.json");
@@ -397,10 +362,7 @@ mod tests {
     }
 
     fn scan_str(source: &str) -> Vec<Violation> {
-        let scan = scan_source(Path::new("test.rs"), source);
-        let mut v = scan.violations;
-        v.extend(borrows::cycle_violations(&scan.edges));
-        v
+        scan_source(Path::new("test.rs"), source)
     }
 
     #[test]
@@ -413,16 +375,15 @@ mod tests {
     }
 
     #[test]
-    fn token_and_borrow_rules_combine_in_one_scan() {
-        let src = "fn f(c: &Shared<P>) {\n\
-                   let g = c.borrow();\n\
-                   let h = c.borrow();\n\
-                   println!(\"overlap\");\n\
+    fn several_rules_combine_in_one_scan() {
+        let src = "fn f() {\n\
+                   let m = HashMap::new();\n\
+                   println!(\"{m:?}\");\n\
                    }";
         let rules_hit: BTreeSet<&str> = scan_str(src).iter().map(|v| v.rule).collect();
         assert_eq!(
             rules_hit,
-            BTreeSet::from(["borrow-overlap", "adhoc-telemetry"])
+            BTreeSet::from(["hash-collections", "adhoc-telemetry"])
         );
     }
 
@@ -442,50 +403,6 @@ mod tests {
         let violations = lint(tree.path()).expect("scan succeeds");
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations.iter().all(|v| v.rule == "wall-clock"));
-    }
-
-    #[test]
-    fn borrow_order_cycles_union_across_files_in_one_crate() {
-        let tree = TempTree::new("lint-order");
-        for d in LINTED_DIRS {
-            std::fs::create_dir_all(tree.path().join(d)).expect("create temp tree");
-        }
-        // Opposite nesting orders in two *different* files of one crate.
-        std::fs::write(
-            tree.path().join("crates/sim/src/a.rs"),
-            "fn a(&self) { let g = self.cache.borrow_mut(); self.queue.borrow().len(); }\n",
-        )
-        .expect("write");
-        std::fs::write(
-            tree.path().join("crates/sim/src/b.rs"),
-            "fn b(&self) { let g = self.queue.borrow_mut(); self.cache.borrow().len(); }\n",
-        )
-        .expect("write");
-        let violations = lint(tree.path()).expect("scan succeeds");
-        assert!(
-            violations.iter().any(|v| v.rule == "borrow-order"),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn opposite_orders_in_different_crates_are_not_a_cycle() {
-        let tree = TempTree::new("lint-order-crates");
-        for d in LINTED_DIRS {
-            std::fs::create_dir_all(tree.path().join(d)).expect("create temp tree");
-        }
-        std::fs::write(
-            tree.path().join("crates/sim/src/a.rs"),
-            "fn a(&self) { let g = self.cache.borrow_mut(); self.queue.borrow().len(); }\n",
-        )
-        .expect("write");
-        std::fs::write(
-            tree.path().join("crates/cloud/src/b.rs"),
-            "fn b(&self) { let g = self.queue.borrow_mut(); self.cache.borrow().len(); }\n",
-        )
-        .expect("write");
-        let violations = lint(tree.path()).expect("scan succeeds");
-        assert_eq!(violations, Vec::new());
     }
 
     #[test]
@@ -518,7 +435,7 @@ mod tests {
         // seeded-corruption fixture must fire exactly its manifest rules,
         // and the JSON golden must match byte-for-byte.
         let n = selftest(&workspace_root()).expect("fixtures behave");
-        assert!(n >= 8, "expected the full fixture suite, found {n}");
+        assert!(n >= 4, "expected the full fixture suite, found {n}");
     }
 
     #[test]

@@ -1,15 +1,10 @@
-//! The lint's rule families and the token-pattern scan for the
-//! determinism rules.
+//! The lint's determinism rules and their token-pattern scan.
 //!
-//! The five determinism rules (wall-clock, hash-collections, ambient-rng,
+//! The five rules (wall-clock, hash-collections, ambient-rng,
 //! adhoc-telemetry, no-rc) match short *token sequences* against the
 //! lexed stream, so `"HashMap"` inside a string literal, `Instant::now`
 //! in a doc comment, and `println!` in prose can never fire — the false
-//! positives the old substring matcher produced by design. The three
-//! borrow-graph rules (borrow-overlap, borrow-order, guard-across-pool)
-//! are produced by `borrows`; this module only carries their metadata so
-//! reporting, `--rule` filtering, and the allow machinery treat all eight
-//! uniformly.
+//! positives the old substring matcher produced by design.
 
 use crate::lex::{AllowMark, Kind, Lexed};
 use std::path::{Path, PathBuf};
@@ -22,20 +17,10 @@ pub struct Violation {
     pub line: u32,
     /// Rule name (one of [`RULES`]).
     pub rule: &'static str,
-    /// Site-specific explanation (the rule's rationale for token rules,
-    /// the guard/cycle narrative for borrow rules).
+    /// Site-specific explanation (the rule's rationale).
     pub message: String,
     /// The trimmed source line, for human output.
     pub text: String,
-}
-
-/// How a rule produces findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleKind {
-    /// Token-sequence pattern match.
-    Token,
-    /// Borrow-graph analysis (see `borrows`).
-    Borrow,
 }
 
 /// One rule family.
@@ -43,8 +28,7 @@ pub struct Rule {
     /// Name used in `lint: allow(<name>)` escapes, `--rule` filters, and
     /// reports.
     pub name: &'static str,
-    pub kind: RuleKind,
-    /// Token sequences whose presence flags a site (token rules only).
+    /// Token sequences whose presence flags a site.
     /// The first element of each pattern must lex as an identifier.
     pub patterns: &'static [&'static [&'static str]],
     /// One-line rationale shown with each violation.
@@ -54,7 +38,6 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         name: "wall-clock",
-        kind: RuleKind::Token,
         patterns: &[
             &["std", "::", "time", "::", "Instant"],
             &["std", "::", "time", "::", "SystemTime"],
@@ -65,13 +48,11 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "hash-collections",
-        kind: RuleKind::Token,
         patterns: &[&["HashMap"], &["HashSet"]],
         why: "hash iteration order is randomized per process; use BTreeMap/BTreeSet",
     },
     Rule {
         name: "ambient-rng",
-        kind: RuleKind::Token,
         patterns: &[
             &["thread_rng"],
             &["rand", "::", "random"],
@@ -82,40 +63,13 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "adhoc-telemetry",
-        kind: RuleKind::Token,
         patterns: &[&["println", "!"], &["eprintln", "!"], &["dbg", "!"]],
         why: "substrates report through the structured Tracer, not ad-hoc prints",
     },
     Rule {
         name: "no-rc",
-        kind: RuleKind::Token,
         patterns: &[&["std", "::", "rc", "::", "Rc"], &["Rc", "::", "new"]],
-        why:
-            "Rc pins engine state to one thread; use mashup_sim::Shared (Arc<AtomicRefCell>) or Arc",
-    },
-    Rule {
-        name: "borrow-overlap",
-        kind: RuleKind::Borrow,
-        patterns: &[],
-        why: "two live guards on one Shared cell panic at the second borrow \
-              (AtomicRefCell borrows are all-exclusive); take momentary guards \
-              one statement at a time, or drop() the first guard",
-    },
-    Rule {
-        name: "borrow-order",
-        kind: RuleKind::Borrow,
-        patterns: &[],
-        why: "functions that nest borrows of two cells in opposite orders \
-              panic at first concurrent contention; borrow cells in one \
-              crate-wide order (or copy what you need out first)",
-    },
-    Rule {
-        name: "guard-across-pool",
-        kind: RuleKind::Borrow,
-        patterns: &[],
-        why: "a guard held across a worker-pool or thread call hands the \
-              borrow to other threads and panics at first contention; \
-              finish the borrow (or copy out) before fanning out",
+        why: "Rc pins engine state to one thread; let the world own it, or share with Arc",
     },
 ];
 
@@ -138,7 +92,7 @@ pub fn is_allowed(allows: &[AllowMark], rule: &str, line: u32) -> bool {
 /// report granularity.
 pub fn scan_token_rules(path: &Path, lexed: &Lexed, lines: &[&str], out: &mut Vec<Violation>) {
     let toks = &lexed.tokens;
-    for rule in RULES.iter().filter(|r| r.kind == RuleKind::Token) {
+    for rule in RULES {
         let mut last_line = 0u32;
         for i in 0..toks.len() {
             if toks[i].kind != Kind::Ident {
