@@ -1,20 +1,18 @@
-//! Synthetic DAG generators for the `dag_scale` benchmark.
+//! Synthetic DAG generators for the benchmark's scale-100k workload.
 //!
-//! Three canonical shapes, parameterized by total task count, built through
+//! Two canonical shapes, parameterized by total task count, built through
 //! [`from_task_graph`] so the benchmark exercises the raw-graph ingestion
 //! path (name resolution, CSR adjacency, iterative level assignment) that
 //! million-task imports hit in practice:
 //!
 //! * **chain** — `n` phases of one task each, the deepest possible DAG;
 //! * **fan-out** — one splitter, an `n − 2`-wide worker phase, one sink,
-//!   the widest possible DAG;
-//! * **diamond** — repeated 4-task blocks (`a → {b, c} → d`), mixing joins
-//!   with depth.
+//!   the widest possible DAG.
 //!
 //! Every generated task is deterministic (zero jitter), serverless-eligible
 //! (compute far above the short-task threshold, small memory), free of I/O
-//! bytes (the planner's event count, not bandwidth modeling, is what these
-//! benches measure), and carries a per-shape `code_family` so warm pools,
+//! bytes (the planner's event count, not bandwidth modeling, is what the
+//! workload measures), and carries a per-shape `code_family` so warm pools,
 //! bulk scheduling, and [`Pdc::with_probe_sharing`] can group the
 //! population — the structure diagnostic M109 warns when wide inputs lack
 //! exactly this.
@@ -30,42 +28,28 @@ pub enum Shape {
     Chain,
     /// Splitter → `n − 2` parallel workers → sink.
     FanOut,
-    /// Repeated `a → {b, c} → d` blocks chained end to end.
-    Diamond,
 }
 
 impl Shape {
-    /// All shapes, in display order.
-    pub const ALL: [Shape; 3] = [Shape::Chain, Shape::FanOut, Shape::Diamond];
-
-    /// Lowercase identifier used in bench names and the shared
+    /// Lowercase identifier used in the workflow name and the shared
     /// `code_family`.
     pub fn name(self) -> &'static str {
         match self {
             Shape::Chain => "chain",
             Shape::FanOut => "fanout",
-            Shape::Diamond => "diamond",
         }
     }
 }
 
-fn profile(shape: Shape, compute_secs: f64) -> TaskProfile {
-    TaskProfile::trivial()
-        .compute(compute_secs)
-        .family(shape.name())
-}
-
 /// The raw tasks-plus-edges form of a `shape` graph with `tasks` tasks
 /// (rounded to the shape's granularity, always ≥ the smallest instance).
-/// `edited` marks one input index whose compute time is doubled — the
-/// single-task edit the replan benches apply.
-pub fn raw_graph(shape: Shape, tasks: usize, edited: Option<usize>) -> (Vec<Task>, Vec<RawEdge>) {
-    let compute = |i: usize| if edited == Some(i) { 80.0 } else { 40.0 };
-    let task = |name: String, i: usize| Task::new(name, 1, profile(shape, compute(i)));
+pub fn raw_graph(shape: Shape, tasks: usize) -> (Vec<Task>, Vec<RawEdge>) {
+    let profile = TaskProfile::trivial().compute(40.0).family(shape.name());
+    let task = |name: String| Task::new(name, 1, profile.clone());
     match shape {
         Shape::Chain => {
             let n = tasks.max(1);
-            let tasks: Vec<Task> = (0..n).map(|i| task(format!("c{i}"), i)).collect();
+            let tasks: Vec<Task> = (0..n).map(|i| task(format!("c{i}"))).collect();
             let edges = (1..n)
                 .map(|i| {
                     RawEdge::new(
@@ -81,16 +65,16 @@ pub fn raw_graph(shape: Shape, tasks: usize, edited: Option<usize>) -> (Vec<Task
             let workers = tasks.saturating_sub(2).max(1);
             let mut out = Vec::with_capacity(workers + 2);
             let mut edges = Vec::with_capacity(2 * workers);
-            out.push(task("src".into(), 0));
+            out.push(task("src".into()));
             for i in 0..workers {
-                out.push(task(format!("w{i}"), i + 1));
+                out.push(task(format!("w{i}")));
                 edges.push(RawEdge::new(
                     "src",
                     format!("w{i}"),
                     DependencyPattern::AllToAll,
                 ));
             }
-            out.push(task("sink".into(), workers + 1));
+            out.push(task("sink".into()));
             for i in 0..workers {
                 edges.push(RawEdge::new(
                     format!("w{i}"),
@@ -100,43 +84,12 @@ pub fn raw_graph(shape: Shape, tasks: usize, edited: Option<usize>) -> (Vec<Task
             }
             (out, edges)
         }
-        Shape::Diamond => {
-            let blocks = (tasks / 4).max(1);
-            let mut out = Vec::with_capacity(blocks * 4);
-            let mut edges = Vec::with_capacity(blocks * 4 + blocks - 1);
-            for b in 0..blocks {
-                let i = b * 4;
-                out.push(task(format!("a{b}"), i));
-                out.push(task(format!("b{b}"), i + 1));
-                out.push(task(format!("c{b}"), i + 2));
-                out.push(task(format!("d{b}"), i + 3));
-                let e = |f: String, t: String| RawEdge::new(f, t, DependencyPattern::OneToOne);
-                edges.push(e(format!("a{b}"), format!("b{b}")));
-                edges.push(e(format!("a{b}"), format!("c{b}")));
-                edges.push(e(format!("b{b}"), format!("d{b}")));
-                edges.push(e(format!("c{b}"), format!("d{b}")));
-                if b > 0 {
-                    edges.push(e(format!("d{}", b - 1), format!("a{b}")));
-                }
-            }
-            (out, edges)
-        }
     }
 }
 
 /// Builds the `shape` workflow through [`from_task_graph`].
 pub fn workflow(shape: Shape, tasks: usize) -> Workflow {
-    build(shape, tasks, None)
-}
-
-/// Builds the `shape` workflow with one task's compute time doubled — the
-/// minimal content edit whose incremental replan the benches measure.
-pub fn edited_workflow(shape: Shape, tasks: usize, edited: usize) -> Workflow {
-    build(shape, tasks, Some(edited))
-}
-
-fn build(shape: Shape, tasks: usize, edited: Option<usize>) -> Workflow {
-    let (t, e) = raw_graph(shape, tasks, edited);
+    let (t, e) = raw_graph(shape, tasks);
     from_task_graph(format!("scale-{}", shape.name()), t, e, 1.0e6).expect("generated DAG is valid")
 }
 
@@ -154,24 +107,6 @@ mod tests {
         assert_eq!(f.task_count(), 100);
         assert_eq!(f.phases.len(), 3);
         assert_eq!(f.phases[1].tasks.len(), 98);
-
-        let d = workflow(Shape::Diamond, 100);
-        assert_eq!(d.task_count(), 100);
-        assert_eq!(d.phases.len(), 75); // 25 blocks × (a | b,c | d)
-    }
-
-    #[test]
-    fn edit_changes_exactly_one_task_digest() {
-        let base = workflow(Shape::Diamond, 40);
-        let edit = edited_workflow(Shape::Diamond, 40, 21); // b5
-        let mut differing = 0;
-        for (a, b) in base.task_refs().zip(edit.task_refs()) {
-            assert_eq!(a, b);
-            if base.task(a).profile.compute_secs_vm != edit.task(b).profile.compute_secs_vm {
-                differing += 1;
-            }
-        }
-        assert_eq!(differing, 1);
     }
 
     #[test]

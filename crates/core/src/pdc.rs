@@ -119,13 +119,15 @@ pub struct PdcReport {
 /// Bookkeeping from one [`Pdc::replan`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplanStats {
-    /// Phases whose task content changed and were re-profiled in isolation.
+    /// Phases with no content match in the base workflow, re-profiled in
+    /// isolation.
     pub dirty_phases: usize,
     /// Decisions carried over verbatim from the previous report.
     pub reused_decisions: usize,
     /// Tasks re-decided (re-profiled, probed, estimated) by this call.
     pub replanned_tasks: usize,
-    /// True when the structure diverged too far and a full `decide` ran.
+    /// True when `prev` did not cover the base workflow and a full
+    /// `decide` ran.
     pub full_replan: bool,
 }
 
@@ -469,148 +471,36 @@ impl Pdc {
         }
     }
 
-    /// Incrementally replans `workflow` — an edited version of `old` —
-    /// reusing `prev`, the report a `decide` (or earlier `replan`) produced
-    /// for `old`.
+    /// Incrementally plans `workflow` — an edit of `base`, from a changed
+    /// task profile to a structural rewrite such as a fusion candidate
+    /// (phases merged, dropped or appended, tasks renamed) — reusing
+    /// `prev`, the report a `decide` produced for `base`.
     ///
     /// Phases are barriered, so in the all-VM profiling passes each task's
     /// measured duration depends only on its *own phase's* content: at a
     /// phase boundary the fabric links are idle and the node loads zero,
-    /// which makes per-task times start-time-translation invariant. A phase
-    /// whose tasks are content-identical to `old`'s therefore keeps its
-    /// measured times and rule decisions verbatim — even when an upstream
-    /// phase changed — and only dirty phases are re-profiled, in isolation,
-    /// through the memoized scoped phase profiler. The plan-level
-    /// boundary-tax refinement is recomputed globally (it is cheap and
-    /// plan-dependent) after undoing any taxes baked into reused decisions.
-    ///
-    /// Falls back to a full [`decide`](Pdc::decide) when the phase
-    /// structure diverged (different phase shape, or `prev` does not match
-    /// `old`).
-    pub fn replan(
-        &self,
-        old: &Workflow,
-        prev: &PdcReport,
-        workflow: &Workflow,
-    ) -> (PdcReport, ReplanStats) {
-        let aligned = old.phases.len() == workflow.phases.len()
-            && prev.decisions.len() == old.task_count()
-            && old
-                .phases
-                .iter()
-                .zip(&workflow.phases)
-                .all(|(op, np)| op.tasks.len() == np.tasks.len());
-        if !aligned {
-            let report = self.decide(workflow);
-            let stats = ReplanStats {
-                dirty_phases: workflow.phases.len(),
-                reused_decisions: 0,
-                replanned_tasks: report.decisions.len(),
-                full_replan: true,
-            };
-            return (report, stats);
-        }
-
-        let factors = self.calibrated_factors();
-
-        let mut profiling_expense = prev.profiling_expense;
-        let mut decisions = Vec::with_capacity(workflow.task_count());
-        let mut plan = PlacementPlan::new();
-        let mut stats = ReplanStats {
-            dirty_phases: 0,
-            reused_decisions: 0,
-            replanned_tasks: 0,
-            full_replan: false,
-        };
-        // Flat id of the current phase's first decision in `prev`.
-        let mut prev_base = 0usize;
-        for (pi, (op, np)) in old.phases.iter().zip(&workflow.phases).enumerate() {
-            let clean = op
-                .tasks
-                .iter()
-                .zip(&np.tasks)
-                .all(|(a, b)| task_digest(a) == task_digest(b));
-            if clean {
-                for ti in 0..np.tasks.len() {
-                    let mut d = prev.decisions[prev_base + ti].clone();
-                    debug_assert_eq!(d.task, TaskRef::new(pi, ti));
-                    // Boundary taxes are plan-level, not task-level: strip
-                    // any flip the old refinement applied so the global
-                    // refinement below re-derives it against the new plan.
-                    if d.forced_vm_reason
-                        .as_deref()
-                        .is_some_and(|s| s.starts_with("hybrid boundary tax"))
-                    {
-                        d.forced_vm_reason = None;
-                        d.platform = Platform::Serverless;
-                    }
-                    plan.set(d.task, d.platform);
-                    decisions.push(d);
-                }
-                stats.reused_decisions += np.tasks.len();
-            } else {
-                stats.dirty_phases += 1;
-                let profile = self.phase_profile(workflow, pi);
-                add_expense(&mut profiling_expense, &profile.expense);
-                for ti in 0..np.tasks.len() {
-                    let r = TaskRef::new(pi, ti);
-                    let d = self.decide_task(workflow, r, profile.task_secs[ti], &factors);
-                    plan.set(r, d.platform);
-                    decisions.push(d);
-                }
-                stats.replanned_tasks += np.tasks.len();
-            }
-            prev_base += op.tasks.len();
-        }
-
-        if self.objective == Objective::ExecutionTime {
-            refine_boundary_taxes(
-                workflow,
-                &mut decisions,
-                &mut plan,
-                self.cfg.cluster.instance.wan_bps,
-                self.cfg.cluster.instance.master_nic_bps,
-            );
-        }
-
-        self.trace_decisions(&decisions);
-
-        let report = PdcReport {
-            factors,
-            decisions,
-            plan,
-            profiling_expense,
-            profiling_vm_makespan_secs: prev.profiling_vm_makespan_secs,
-            subclusters: prev.subclusters,
-        };
-        (report, stats)
-    }
-
-    /// Incrementally plans `workflow` — a *structural rewrite* of `base`
-    /// (e.g. a fusion candidate: phases merged or dropped, tasks renamed) —
-    /// reusing `prev`, the report a `decide` produced for `base`.
-    ///
-    /// Where [`replan`](Pdc::replan) requires the phase shape to be
-    /// unchanged, this method aligns phases **by content**: each new phase
-    /// is matched against the base workflow's phases by a digest of its
-    /// task content (names, components, profiles, initial-ingest flags —
-    /// the same content the scoped phase profiler keys by, and for the same
-    /// reason: scoped VM times are start-time-translation invariant, so a
-    /// content-identical phase keeps its measured times wherever the
-    /// rewrite moved it). Matched tasks at the base function tier reuse
-    /// their previous decisions verbatim (boundary taxes stripped, refs
-    /// rebased); matched tasks assigned a non-base tier re-run the decision
-    /// rules against their tier using the previous VM measurement (the VM
-    /// side is sizing-independent), paying only a per-(task, tier)-cached
-    /// probe; unmatched phases — the ones a fusion actually changed — are
-    /// re-profiled through the memoized scoped phase profiler.
+    /// which makes per-task times start-time-translation invariant. Phases
+    /// are therefore aligned **by content**: each new phase is matched
+    /// against the base workflow's phases by a digest of its task content
+    /// (names, components, profiles, initial-ingest flags — the same
+    /// content the scoped phase profiler keys by), so a content-identical
+    /// phase keeps its measured times wherever the edit moved it. Matched
+    /// tasks at the base function tier reuse their previous decisions
+    /// verbatim (boundary taxes stripped, refs rebased); matched tasks
+    /// assigned a non-base tier re-run the decision rules against their
+    /// tier using the previous VM measurement (the VM side is
+    /// sizing-independent), paying only a per-(task, tier)-cached probe;
+    /// unmatched phases — the ones the edit actually changed — are
+    /// re-profiled in isolation through the memoized scoped phase
+    /// profiler. The plan-level boundary-tax refinement is recomputed
+    /// globally (it is cheap and plan-dependent).
     ///
     /// This is the evaluation core of the Pareto candidate sweep
-    /// (`crate::pareto`): a sizing-only candidate re-probes nothing on a
-    /// warm cache, and a fusion candidate re-profiles exactly its fused
-    /// phases. Falls back to a full [`decide`](Pdc::decide) when `prev`
-    /// does not cover `base`.
-    pub fn replan_structural(
+    /// (`mashup_serve::pareto`): a sizing-only candidate re-probes nothing
+    /// on a warm cache, and a fusion candidate re-profiles exactly its
+    /// fused phases. Falls back to a full [`decide`](Pdc::decide) when
+    /// `prev` does not cover `base`.
+    pub fn replan(
         &self,
         base: &Workflow,
         prev: &PdcReport,
@@ -1103,14 +993,8 @@ impl Pdc {
     }
 }
 
-/// Content digest of one task (name, components, profile, dependency
-/// wiring) — the unit of phase dirtiness in [`Pdc::replan`].
-fn task_digest(t: &Task) -> u128 {
-    t.fingerprint_digest("pdc-replan-task-v1")
-}
-
 /// Content digest of one phase as the VM profiler can observe it — the
-/// phase-alignment key of [`Pdc::replan_structural`]. Deliberately matches
+/// phase-alignment key of [`Pdc::replan`]. Deliberately matches
 /// the scoped phase profiler's key material (names, components, profiles,
 /// initial-ingest flags; exact dependency refs excluded) so "matches" means
 /// "would profile identically".
@@ -1707,13 +1591,28 @@ mod tests {
     }
 
     #[test]
-    fn replan_falls_back_to_full_decide_on_structure_change() {
+    fn replan_reprofiles_only_an_appended_phase() {
         let c = cfg(4);
         let old = deep_workflow(3, 2, None);
         let new = deep_workflow(4, 2, None);
         let pdc = Pdc::new(c);
         let prev = pdc.decide(&old);
         let (report, stats) = pdc.replan(&old, &prev, &new);
+        assert!(!stats.full_replan);
+        assert_eq!(stats.dirty_phases, 1);
+        assert_eq!(stats.reused_decisions, old.task_count());
+        assert_eq!(stats.replanned_tasks, 2);
+        assert!(report.plan.covers(&new));
+    }
+
+    #[test]
+    fn replan_falls_back_to_full_decide_when_prev_does_not_cover_base() {
+        let c = cfg(4);
+        let base = deep_workflow(3, 2, None);
+        let new = deep_workflow(4, 2, None);
+        let pdc = Pdc::new(c);
+        let prev = pdc.decide(&deep_workflow(2, 2, None));
+        let (report, stats) = pdc.replan(&base, &prev, &new);
         assert!(stats.full_replan);
         assert_eq!(stats.replanned_tasks, new.task_count());
         assert_eq!(report, pdc.decide(&new));

@@ -8,11 +8,10 @@
 //!    ([`enumerate`]); each wave is fingerprint-deduplicated and
 //!    branch-and-bound pruned against the running estimate front
 //!    ([`optimistic_bounds`] / [`bound_dominated`]) before dispatch.
-//! 2. **Evaluate** — survivors are planned in parallel via
-//!    [`Pdc::replan_structural`] from the base report: phases untouched by
-//!    a candidate's fusions reuse base decisions, and every per-task,
-//!    per-tier probe lands in the shared cache, so repeated sweeps run
-//!    almost entirely warm.
+//! 2. **Evaluate** — survivors are planned in parallel via [`Pdc::replan`]
+//!    from the base report: phases untouched by a candidate's fusions
+//!    reuse base decisions, and every per-task, per-tier probe lands in
+//!    the shared cache, so repeated sweeps run almost entirely warm.
 //! 3. **Execute** — the estimate-front survivors run end to end
 //!    ([`try_execute_with`] with the candidate's sizing) and the final front is the dominance filter over
 //!    their *measured* (makespan, expense) points.
@@ -177,7 +176,7 @@ pub fn pareto_sweep_with(
             let pdc = Pdc::new(cfg.clone())
                 .with_cache(cache.clone())
                 .with_sizing(mat.sizing.clone());
-            let (report, rstats) = pdc.replan_structural(workflow, &base_report, &mat.workflow);
+            let (report, rstats) = pdc.replan(workflow, &base_report, &mat.workflow);
             let est = estimate_plan(cfg, &mat.workflow, &mat.sizing, &report);
             Evaluated {
                 cand,

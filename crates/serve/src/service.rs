@@ -21,8 +21,9 @@
 //! # Execution modes
 //!
 //! * [`PlanService::spawn_workers`] — persistent worker threads for live
-//!   serving (`mashup serve`, the load-test harness); blocked on a condvar
-//!   while idle, released by [`PlanService::shutdown`].
+//!   serving (`mashup serve`, the benchmark's serve-mix workload);
+//!   blocked on a condvar while idle, released by
+//!   [`PlanService::shutdown`].
 //! * [`PlanService::drain`] — batch mode: scoped workers process the
 //!   backlog until dry, then return. Used by tests (deterministic, no
 //!   teardown bookkeeping) and one-shot batch clients.
@@ -124,6 +125,32 @@ pub struct PlanRequest {
     /// Synthetic-generator seed (ignored for paper workflows).
     pub seed: u64,
 }
+
+/// The deterministic request mix: cycles the six workflows, three cluster
+/// sizes, and eight tenants, with every fourth request a full `Run` and
+/// the rest `Plan`. Pure in `i`, so every client and worker count replays
+/// the identical request stream.
+pub fn request_mix(i: usize) -> PlanRequest {
+    let workflow = WorkflowName::ALL[i % WorkflowName::ALL.len()];
+    PlanRequest {
+        tenant: format!("tenant-{}", i % 8),
+        workflow,
+        kind: if i % 4 == 3 {
+            RequestKind::Run
+        } else {
+            RequestKind::Plan
+        },
+        nodes: [4, 8, 16][i % 3],
+        // A fixed seed per workflow keeps the distinct-request set small
+        // (and the cache effective), mirroring a service whose tenants
+        // re-plan a stable portfolio of workflows.
+        seed: 11,
+    }
+}
+
+/// The number of consecutive `request_mix` indices that cover every
+/// distinct (workflow, kind, nodes) shape: lcm(6, 4, 3).
+pub const MIX_PERIOD: usize = 12;
 
 /// Reply status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -486,10 +513,10 @@ impl PlanService {
     }
 
     fn process(&self, job: Job) {
-        // A panicking request (an engine bug, a borrow-conflict panic) must
-        // still produce a reply: the client is blocked in `Ticket::wait` and
-        // a silently-dead worker would strand it forever. The panic is
-        // converted to a `Refused` reply and the worker keeps serving.
+        // A panicking request (an engine bug) must still produce a reply:
+        // the client is blocked in `Ticket::wait` and a silently-dead
+        // worker would strand it forever. The panic is converted to a
+        // `Refused` reply and the worker keeps serving.
         let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_request(job.id, &job.req, &self.cache)
         }))
@@ -769,5 +796,31 @@ mod tests {
         let json = serde_json::to_string(&r).expect("serialize");
         let back: PlanRequest = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(r, back);
+    }
+
+    #[test]
+    fn request_mix_is_pure_and_covers_all_workflows() {
+        for i in 0..MIX_PERIOD {
+            assert_eq!(request_mix(i), request_mix(i));
+        }
+        let mut seen: Vec<&str> = Vec::new();
+        for i in 0..MIX_PERIOD {
+            let r = request_mix(i);
+            let name = match r.workflow {
+                WorkflowName::Genome1000 => "g",
+                WorkflowName::SraSearch => "s",
+                WorkflowName::Epigenomics => "e",
+                WorkflowName::SyntheticSmall => "ss",
+                WorkflowName::SyntheticMedium => "sm",
+                WorkflowName::SyntheticLarge => "sl",
+            };
+            if !seen.contains(&name) {
+                seen.push(name);
+            }
+        }
+        assert_eq!(seen.len(), 6);
+        // Both kinds appear within one period.
+        assert!((0..MIX_PERIOD).any(|i| request_mix(i).kind == RequestKind::Run));
+        assert!((0..MIX_PERIOD).any(|i| request_mix(i).kind == RequestKind::Plan));
     }
 }

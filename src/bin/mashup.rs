@@ -11,7 +11,6 @@
 //! mashup pareto   <workflow...>   [--nodes N] [--budget N] [--jobs N] [--out FILE]
 //! mashup chaos    <workflow...>   [--nodes N] [--seed S] [--profile preemption|storage|mixed] [--horizon SECS] [--straggler-factor F] [--strategy S] [--check]
 //! mashup serve    [--workers N] [--queue-depth N]
-//! mashup load-test [--requests N,N,...] [--parallelism N] [--workers N] [--no-scaling] [--out FILE] [--csv FILE]
 //! ```
 //!
 //! Built-in workflow names load the paper's benchmarks; anything else is
@@ -167,7 +166,7 @@ fn main() {
     let _bin = argv.next();
     let Some(cmd) = argv.next() else {
         die(
-            "usage: mashup <validate|analyze|dot|plan|run|compare|trace|chaos|serve|load-test> \
+            "usage: mashup <validate|analyze|dot|plan|run|compare|trace|chaos|serve> \
              [workflow] [flags]",
         )
     };
@@ -318,7 +317,6 @@ fn main() {
         "pareto" => run_pareto(argv),
         "chaos" => run_chaos(argv),
         "serve" => run_serve(argv),
-        "load-test" => run_load_test(argv),
         other => die(&format!("unknown command '{other}'")),
     }
 }
@@ -575,12 +573,14 @@ fn run_serve(mut argv: std::env::Args) {
                 workers = argv
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n >= 1)
                     .unwrap_or_else(|| die("--workers needs a positive integer"));
             }
             "--queue-depth" => {
                 queue_depth = argv
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n >= 1)
                     .unwrap_or_else(|| die("--queue-depth needs a positive integer"));
             }
             other => die(&format!("unknown flag '{other}'")),
@@ -631,84 +631,4 @@ fn run_serve(mut argv: std::env::Args) {
             }
         }
     );
-}
-
-/// `mashup load-test`: the closed-loop sweep (see `mashup-serve`'s
-/// `loadtest` module and EXPERIMENTS.md §Planning-service load test).
-fn run_load_test(mut argv: std::env::Args) {
-    let mut request_counts: Vec<usize> = vec![1, 10, 100, 1000];
-    let mut parallelism = 100usize;
-    let mut workers = mashup::serve::jobs();
-    let mut with_scaling = true;
-    let mut out: Option<String> = None;
-    let mut csv: Option<String> = None;
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--requests" => {
-                let list = argv
-                    .next()
-                    .unwrap_or_else(|| die("--requests needs a comma-separated list"));
-                request_counts = list
-                    .split(',')
-                    .map(|v| {
-                        v.trim()
-                            .parse()
-                            .unwrap_or_else(|_| die(&format!("bad request count '{v}'")))
-                    })
-                    .collect();
-            }
-            "--parallelism" => {
-                parallelism = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--parallelism needs a positive integer"));
-            }
-            "--workers" => {
-                workers = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--workers needs a positive integer"));
-            }
-            "--no-scaling" => with_scaling = false,
-            "--out" => out = Some(argv.next().unwrap_or_else(|| die("--out needs a path"))),
-            "--csv" => csv = Some(argv.next().unwrap_or_else(|| die("--csv needs a path"))),
-            other => die(&format!("unknown flag '{other}'")),
-        }
-    }
-    let report = mashup::serve::run_sweep(&request_counts, parallelism, workers, with_scaling);
-    println!(
-        "closed-loop load test: {} cores, {} workers, up to {} clients",
-        report.host_cores, report.workers, report.parallelism
-    );
-    println!("requests  completed  rejected  throughput     p50      p95      p99");
-    for p in &report.points {
-        println!(
-            "{:>8}  {:>9}  {:>8}  {:>7.1}/s  {:>6.1}ms {:>6.1}ms {:>6.1}ms",
-            p.requests, p.completed, p.rejected, p.throughput_rps, p.p50_ms, p.p95_ms, p.p99_ms
-        );
-    }
-    if !report.scaling.is_empty() {
-        println!(
-            "\nworker scaling (warm cache, {} cores):",
-            report.host_cores
-        );
-        for s in &report.scaling {
-            println!(
-                "  {:>2} workers  {:>7.1}/s  {:>4.2}x",
-                s.workers, s.throughput_rps, s.speedup
-            );
-        }
-    }
-    if let Some(path) = &out {
-        let body = serde_json::to_string_pretty(&report)
-            .unwrap_or_else(|e| die(&format!("serialize: {e}")));
-        std::fs::write(path, body + "\n")
-            .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}")));
-        eprintln!("wrote JSON report to {path}");
-    }
-    if let Some(path) = &csv {
-        std::fs::write(path, report.to_csv())
-            .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}")));
-        eprintln!("wrote CSV report to {path}");
-    }
 }

@@ -15,7 +15,7 @@
 //!   Pegasus-like, Kepler-like, fusion, Mashup with and without its PDC)
 //!   behind one `run`;
 //! * [`serve`] — the multi-tenant planning service, shared worker pool,
-//!   and closed-loop load-test harness;
+//!   and Pareto plan search;
 //! * [`sim`] — the discrete-event substrate.
 //!
 //! ```

@@ -96,6 +96,23 @@ fn unknown_flags_fail_cleanly() {
 }
 
 #[test]
+fn zero_serve_sizes_are_refused() {
+    for flag in ["--workers", "--queue-depth"] {
+        let out = mashup()
+            .args(["serve", flag, "0"])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs a positive integer")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn missing_file_fails_cleanly() {
     let out = mashup()
         .args(["validate", "/nonexistent/wf.json"])

@@ -3,8 +3,8 @@
 //! The flat raw-graph path (`from_task_graph`) and the nested builder path
 //! are two ways of authoring the same workflow. They must agree exactly —
 //! same phases, same dependency lists, and same per-task planning
-//! fingerprints (the value the incremental PDC replanner keys its clean
-//! check on) — and the raw-graph path must stay O(V + E) at 100k tasks.
+//! fingerprints (the values the plan cache keys its stages by) — and the
+//! raw-graph path must stay O(V + E) at 100k tasks.
 
 use mashup_bench::scale::{self, Shape};
 use mashup_core::Fingerprint;
@@ -81,16 +81,15 @@ proptest! {
         // Phases and dependency lists (Task includes deps in its equality).
         prop_assert_eq!(&rebuilt, &w);
 
-        // Fingerprints: the whole workflow and each task individually, under
-        // the same tag the replanner uses for its per-task clean check.
+        // Fingerprints: the whole workflow and each task individually.
         prop_assert_eq!(
             rebuilt.fingerprint_digest("arena-prop"),
             w.fingerprint_digest("arena-prop")
         );
         for r in w.task_refs() {
             prop_assert_eq!(
-                rebuilt.task(r).fingerprint_digest("pdc-replan-task-v1"),
-                w.task(r).fingerprint_digest("pdc-replan-task-v1")
+                rebuilt.task(r).fingerprint_digest("arena-prop-task"),
+                w.task(r).fingerprint_digest("arena-prop-task")
             );
         }
 
@@ -116,7 +115,7 @@ proptest! {
 #[test]
 fn from_task_graph_builds_100k_tasks_in_bounded_time() {
     let start = Instant::now();
-    let (tasks, edges) = scale::raw_graph(Shape::FanOut, 100_000, None);
+    let (tasks, edges) = scale::raw_graph(Shape::FanOut, 100_000);
     let w = from_task_graph("smoke-100k", tasks, edges, 1.0e6).expect("valid fan-out");
     let arena = w.arena();
     let elapsed = start.elapsed();
