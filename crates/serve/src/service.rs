@@ -563,7 +563,7 @@ fn execute_request(id: u64, req: &PlanRequest, cache: &Arc<PlanCache>) -> ServeR
         panic!("injected test panic");
     }
     let workflow = req.workflow.build(req.seed);
-    let cfg = MashupConfig::aws(req.nodes.max(1));
+    let cfg = MashupConfig::aws(req.nodes);
     let base = ServeReply {
         id,
         tenant: req.tenant.clone(),
@@ -725,6 +725,29 @@ mod tests {
         assert_eq!(plan.subclusters, run.subclusters);
         assert_eq!(plan.makespan_secs, 0.0);
         assert!(run.makespan_secs > 0.0);
+    }
+
+    #[test]
+    fn a_zero_node_request_is_refused_not_planned_on_one_node() {
+        let service = PlanService::new(ServiceConfig::default());
+        let tickets: Vec<Ticket> = [RequestKind::Plan, RequestKind::Run]
+            .into_iter()
+            .map(|kind| {
+                service
+                    .submit(PlanRequest {
+                        kind,
+                        nodes: 0,
+                        ..req("t", 1)
+                    })
+                    .expect("admitted")
+            })
+            .collect();
+        service.drain(2);
+        for t in tickets {
+            let reply = t.wait();
+            assert_eq!(reply.status, ReplyStatus::Refused);
+            assert!(reply.detail.contains("M301"), "{}", reply.detail);
+        }
     }
 
     #[test]

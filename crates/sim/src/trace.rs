@@ -18,14 +18,18 @@
 //!   dispatch, individual link transfers) for deep-dive
 //!   timelines; too chatty for fixtures.
 //!
-//! Serialization is deliberately hand-rolled and stable: the compact JSONL
-//! form ([`to_jsonl`]/[`from_jsonl`]) writes one flat JSON object per record
-//! with floats in Rust's shortest round-trip formatting, so traces diff
-//! cleanly and parse back bit-identically. [`to_chrome_trace`] converts the
-//! same records into Chrome's `trace_event` JSON for `chrome://tracing` /
-//! Perfetto.
+//! The record format is stated once, in the `trace_schema!` table below:
+//! each variant name is its `ev` tag and each field names its JSONL key.
+//! The table generates the enum, [`TraceEvent::name`], and the field
+//! writer and reader behind the compact JSONL form
+//! ([`to_jsonl`]/[`from_jsonl`]). That form writes one flat JSON object
+//! per record with floats in Rust's shortest round-trip formatting, so
+//! traces diff cleanly and parse back bit-identically. [`to_chrome_trace`]
+//! converts the same records into Chrome's `trace_event` JSON for
+//! `chrome://tracing` / Perfetto.
 
 use crate::time::SimTime;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Why a function invocation was killed.
@@ -45,294 +49,445 @@ impl KillReason {
             KillReason::Injected => "injected",
         }
     }
+}
 
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "watchdog" => Some(KillReason::Watchdog),
-            "injected" => Some(KillReason::Injected),
-            _ => None,
+/// One JSONL field value: `put` writes it as JSON, `get` reads it back
+/// from the parsed value stored under `key` on line `line`.
+trait Field: Sized {
+    fn put(&self, out: &mut String);
+    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String>;
+}
+
+impl Field for f64 {
+    fn put(&self, out: &mut String) {
+        // `{:?}` is the shortest round-trip form.
+        let _ = write!(out, "{self:?}");
+    }
+    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+        v.as_f64()
+            .ok_or_else(|| format!("line {line}: field '{key}' is not a number"))
+    }
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| format!("line {line}: field '{key}' is not an integer"))
+    }
+}
+
+/// Narrower integers are written as `u64` and refuse values they cannot hold.
+macro_rules! narrow_uint_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+                <$t>::try_from(u64::get(v, key, line)?)
+                    .map_err(|_| format!("line {line}: '{key}' overflows"))
+            }
+        }
+    )*};
+}
+narrow_uint_field!(usize, u32);
+
+impl Field for bool {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+        v.as_bool()
+            .ok_or_else(|| format!("line {line}: field '{key}' is not a bool"))
+    }
+}
+
+impl Field for String {
+    fn put(&self, out: &mut String) {
+        push_escaped(self, out);
+    }
+    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("line {line}: field '{key}' is not a string"))
+    }
+}
+
+impl Field for KillReason {
+    fn put(&self, out: &mut String) {
+        push_escaped(self.as_str(), out);
+    }
+    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+        match String::get(v, key, line)?.as_str() {
+            "watchdog" => Ok(KillReason::Watchdog),
+            "injected" => Ok(KillReason::Injected),
+            _ => Err(format!("line {line}: unknown kill reason")),
         }
     }
 }
 
-/// One typed flight-recorder event.
-///
-/// Labels are plain strings because the engine is domain-free; the cloud and
-/// core layers put task names, code keys, and platform labels in them.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// Engine dispatched one event (verbose level only).
-    Dispatch {
-        /// Events processed so far, including this one.
-        events: u64,
-    },
-    /// A transfer started on a shared link (verbose level only).
-    TransferStart {
-        /// Link name.
-        link: String,
-        /// Link-local transfer id.
-        id: u64,
-        /// Transfer size in bytes.
-        bytes: f64,
-    },
-    /// A transfer finished on a shared link (verbose level only).
-    TransferEnd {
-        /// Link name.
-        link: String,
-        /// Link-local transfer id.
-        id: u64,
-    },
-    /// A function invocation was admitted and assigned a microVM.
-    FnStart {
-        /// Platform-wide invocation id.
-        id: u64,
-        /// Code identity (warm pools key on this).
-        code: String,
-        /// True for a cold start, false for a warm-pool hit.
-        cold: bool,
-        /// Start latency in seconds (cold or warm).
-        latency_secs: f64,
-        /// Instant the function body becomes runnable, seconds.
-        ready_secs: f64,
-        /// Watchdog deadline, seconds.
-        deadline_secs: f64,
-    },
-    /// A function invocation completed and was billed.
-    FnEnd {
-        /// Platform-wide invocation id.
-        id: u64,
-        /// Billed function-seconds for this invocation.
-        billed_secs: f64,
-    },
-    /// A function invocation was killed (watchdog or injected failure).
-    FnKill {
-        /// Platform-wide invocation id.
-        id: u64,
-        /// What killed it.
-        reason: KillReason,
-        /// Billed function-seconds up to the kill.
-        billed_secs: f64,
-    },
-    /// A microVM was pre-warmed into the pool (billed as a cold start).
-    FnPrewarm {
-        /// Code identity the warm entry is usable for.
-        code: String,
-        /// Billed cold-start latency, seconds.
-        latency_secs: f64,
-        /// Instant the entry becomes available, seconds.
-        warm_secs: f64,
-        /// Instant the entry expires, seconds.
-        expires_secs: f64,
-    },
-    /// A FaaS execution segment began running inside an invocation.
-    SegmentStart {
-        /// Task label (code key).
-        task: String,
-        /// Component chain id within the task.
-        chain: u32,
-        /// Invocation id hosting this segment.
-        inv: u64,
-        /// True when the segment resumes from a checkpoint.
-        resume: bool,
-        /// Memory footprint of the component, GiB.
-        mem_gb: f64,
-    },
-    /// A segment finished writing a checkpoint before the time cap.
-    Checkpoint {
-        /// Task label.
-        task: String,
-        /// Component chain id.
-        chain: u32,
-        /// Invocation id that wrote the checkpoint.
-        inv: u64,
-        /// Checkpoint size in bytes.
-        bytes: f64,
-        /// Compute seconds still owed after this checkpoint.
-        remaining_secs: f64,
-    },
-    /// A successor segment restored the chain's last checkpoint.
-    CheckpointResume {
-        /// Task label.
-        task: String,
-        /// Component chain id.
-        chain: u32,
-        /// Invocation id doing the restore.
-        inv: u64,
-        /// Compute seconds the restored state still owes.
-        remaining_secs: f64,
-    },
-    /// A VM-side component started computing on a node.
-    VmCompStart {
-        /// Task label.
-        task: String,
-        /// Sub-cluster index.
-        sub: usize,
-        /// Node index within the sub-cluster.
-        node: usize,
-        /// Components on the node after this one joined.
-        load: usize,
-        /// Memory footprint of the component, GiB.
-        mem_gb: f64,
-        /// Timeshare slowdown factor applied to this component.
-        factor: f64,
-        /// True when memory pressure (thrash) contributes to the factor.
-        thrash: bool,
-    },
-    /// A VM-side component finished computing.
-    VmCompEnd {
-        /// Task label.
-        task: String,
-        /// Sub-cluster index.
-        sub: usize,
-        /// Node index within the sub-cluster.
-        node: usize,
-    },
-    /// Cluster billing began (nodes provisioned).
-    BillingStart {
-        /// Number of nodes billed.
-        nodes: usize,
-    },
-    /// Cluster billing stopped.
-    BillingStop {
-        /// Billed node-seconds for the whole span.
-        node_seconds: f64,
-    },
-    /// An object-store read (GET batch) was issued.
-    StoreGet {
-        /// Bytes read.
-        bytes: f64,
-        /// GET requests issued (billed; doubled when retried).
-        requests: u64,
-        /// True when the primary failed and a replica served the read.
-        retried: bool,
-    },
-    /// An object-store write (PUT batch) was issued.
-    StorePut {
-        /// Bytes written.
-        bytes: f64,
-        /// PUT requests issued (each billed once per replica).
-        requests: u64,
-        /// Replication factor the requests were billed at.
-        replicas: u64,
-    },
-    /// A named object became readable in the store.
-    ObjectPut {
-        /// Object key.
-        key: String,
-        /// Object size in bytes.
-        bytes: f64,
-    },
-    /// A named object was removed from the store.
-    ObjectRemove {
-        /// Object key.
-        key: String,
-    },
-    /// A workflow phase began executing.
-    PhaseStart {
-        /// Phase index.
-        phase: usize,
-        /// Tasks in the phase.
-        tasks: usize,
-    },
-    /// A task began executing.
-    TaskStart {
-        /// Task name.
-        task: String,
-        /// Phase index.
-        phase: usize,
-        /// Platform label (`vm` or `serverless`).
-        platform: String,
-        /// Component count.
-        components: usize,
-    },
-    /// A task finished executing (all components done, outputs readable).
-    TaskEnd {
-        /// Task name.
-        task: String,
-    },
-    /// The PDC committed a placement decision for one task.
-    PdcDecision {
-        /// Task name.
-        task: String,
-        /// Profiled cluster-side time, seconds.
-        t_vm_secs: f64,
-        /// Estimated serverless time, seconds (infinite when forced to VM).
-        t_serverless_secs: f64,
-        /// Chosen platform label.
-        platform: String,
-        /// Forcing rule, or empty when the argmin decided.
-        forced: String,
-    },
-    /// A PDC profiling stage was served by the planning cache (or not).
-    PdcCache {
-        /// Stage name: `calibration`, `vm-profile`, or `probe`.
-        section: String,
-        /// True when the stage was a cache hit.
-        hit: bool,
-    },
-    /// A spot VM node was reclaimed by the provider (seeded fault plan).
-    SpotPreempt {
-        /// Fault id within the plan (retries chain to this).
-        id: u64,
-        /// Sub-cluster index of the reclaimed node.
-        sub: usize,
-        /// Node index within the sub-cluster.
-        node: usize,
-    },
-    /// A scheduled storage/network fault window became active.
-    FaultInjected {
-        /// Fault id within the plan (retries chain to this).
-        id: u64,
-        /// Fault kind: `storage-error`, `storage-latency`, or `link-degrade`.
-        kind: String,
-        /// Instant the window deactivates, seconds.
-        until_secs: f64,
-        /// Kind-specific magnitude: error probability, extra latency in
-        /// seconds, or bandwidth factor.
-        magnitude: f64,
-    },
-    /// A store operation was retried or delayed by an injected fault.
-    FaultRetry {
-        /// Id of the injected fault that hit the operation.
-        id: u64,
-        /// Operation kind: `get` or `put`.
-        op: String,
-    },
-    /// A VM component lost to a preemption restarted on a surviving node.
-    CompRetry {
-        /// Id of the preemption fault that killed the attempt.
-        id: u64,
-        /// Task label.
-        task: String,
-        /// Sub-cluster index the retry runs in.
-        sub: usize,
-        /// Surviving node the retry was placed on.
-        node: usize,
-    },
-    /// The online controller re-placed the remaining subgraph.
-    Replan {
-        /// First phase the new placement applies to.
-        phase: usize,
-        /// Trigger: `preemption` or `straggler`.
-        reason: String,
-        /// Cluster nodes the previous plan assumed.
-        nodes_before: usize,
-        /// Surviving nodes the new plan was sized for.
-        nodes_after: usize,
-        /// Tasks whose platform changed.
-        moved: usize,
-    },
-    /// Per-node spot billing settled at the end of a run (piecewise price).
-    SpotBill {
-        /// Sub-cluster index.
-        sub: usize,
-        /// Node index within the sub-cluster.
-        node: usize,
-        /// Node-seconds billed for this node (to preemption or run end).
-        node_seconds: f64,
-        /// Dollars charged across the node's price segments.
-        dollars: f64,
-    },
+/// Appends `,"key":value`.
+fn put_field<T: Field>(out: &mut String, key: &str, value: &T) {
+    let _ = write!(out, ",\"{key}\":");
+    value.put(out);
+}
+
+/// Reads the field stored under `key` in the line's object.
+fn get_field<T: Field>(v: &serde::Value, key: &str, line: usize) -> Result<T, String> {
+    let field = v
+        .get(key)
+        .ok_or_else(|| format!("line {line}: missing field '{key}'"))?;
+    T::get(field, key, line)
+}
+
+/// Declares the event enum once and derives its codec from it. Each
+/// field is `name: Type = "jsonl-key"`; fields serialize in declaration
+/// order after the record header, and decode in the same order.
+macro_rules! trace_schema {
+    (
+        $(#[$meta:meta])*
+        pub enum $enum:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident {
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty = $key:literal
+                    ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $enum {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $(
+                        $(#[$fmeta])*
+                        $field: $ty,
+                    )*
+                },
+            )*
+        }
+
+        impl $enum {
+            /// Every event tag, in table order.
+            #[cfg(test)]
+            const NAMES: &'static [&'static str] = &[$(stringify!($variant)),*];
+
+            /// The event's tag: its variant name, serialized as `ev`.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($enum::$variant { .. } => stringify!($variant),)*
+                }
+            }
+
+            /// Appends every field as `,"key":value`, in table order.
+            fn put_fields(&self, out: &mut String) {
+                match self {
+                    $($enum::$variant { $($field),* } => {
+                        $(put_field(out, $key, $field);)*
+                    })*
+                }
+            }
+
+            /// Reads the fields of the event tagged `ev` from line `line`.
+            fn get_fields(ev: &str, v: &serde::Value, line: usize) -> Result<Self, String> {
+                Ok(match ev {
+                    $(stringify!($variant) => $enum::$variant {
+                        $($field: get_field(v, $key, line)?,)*
+                    },)*
+                    other => return Err(format!("line {line}: unknown event '{other}'")),
+                })
+            }
+        }
+    };
+}
+
+trace_schema! {
+    /// One typed flight-recorder event.
+    ///
+    /// Labels are plain strings because the engine is domain-free; the cloud and
+    /// core layers put task names, code keys, and platform labels in them.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// Engine dispatched one event (verbose level only).
+        Dispatch {
+            /// Events processed so far, including this one.
+            events: u64 = "events",
+        },
+        /// A transfer started on a shared link (verbose level only).
+        TransferStart {
+            /// Link name.
+            link: String = "link",
+            /// Link-local transfer id.
+            id: u64 = "id",
+            /// Transfer size in bytes.
+            bytes: f64 = "bytes",
+        },
+        /// A transfer finished on a shared link (verbose level only).
+        TransferEnd {
+            /// Link name.
+            link: String = "link",
+            /// Link-local transfer id.
+            id: u64 = "id",
+        },
+        /// A function invocation was admitted and assigned a microVM.
+        FnStart {
+            /// Platform-wide invocation id.
+            id: u64 = "id",
+            /// Code identity (warm pools key on this).
+            code: String = "code",
+            /// True for a cold start, false for a warm-pool hit.
+            cold: bool = "cold",
+            /// Start latency in seconds (cold or warm).
+            latency_secs: f64 = "latency",
+            /// Instant the function body becomes runnable, seconds.
+            ready_secs: f64 = "ready",
+            /// Watchdog deadline, seconds.
+            deadline_secs: f64 = "deadline",
+        },
+        /// A function invocation completed and was billed.
+        FnEnd {
+            /// Platform-wide invocation id.
+            id: u64 = "id",
+            /// Billed function-seconds for this invocation.
+            billed_secs: f64 = "billed",
+        },
+        /// A function invocation was killed (watchdog or injected failure).
+        FnKill {
+            /// Platform-wide invocation id.
+            id: u64 = "id",
+            /// What killed it.
+            reason: KillReason = "reason",
+            /// Billed function-seconds up to the kill.
+            billed_secs: f64 = "billed",
+        },
+        /// A microVM was pre-warmed into the pool (billed as a cold start).
+        FnPrewarm {
+            /// Code identity the warm entry is usable for.
+            code: String = "code",
+            /// Billed cold-start latency, seconds.
+            latency_secs: f64 = "latency",
+            /// Instant the entry becomes available, seconds.
+            warm_secs: f64 = "warm",
+            /// Instant the entry expires, seconds.
+            expires_secs: f64 = "expires",
+        },
+        /// A FaaS execution segment began running inside an invocation.
+        SegmentStart {
+            /// Task label (code key).
+            task: String = "task",
+            /// Component chain id within the task.
+            chain: u32 = "chain",
+            /// Invocation id hosting this segment.
+            inv: u64 = "inv",
+            /// True when the segment resumes from a checkpoint.
+            resume: bool = "resume",
+            /// Memory footprint of the component, GiB.
+            mem_gb: f64 = "mem_gb",
+        },
+        /// A segment finished writing a checkpoint before the time cap.
+        Checkpoint {
+            /// Task label.
+            task: String = "task",
+            /// Component chain id.
+            chain: u32 = "chain",
+            /// Invocation id that wrote the checkpoint.
+            inv: u64 = "inv",
+            /// Checkpoint size in bytes.
+            bytes: f64 = "bytes",
+            /// Compute seconds still owed after this checkpoint.
+            remaining_secs: f64 = "remaining",
+        },
+        /// A successor segment restored the chain's last checkpoint.
+        CheckpointResume {
+            /// Task label.
+            task: String = "task",
+            /// Component chain id.
+            chain: u32 = "chain",
+            /// Invocation id doing the restore.
+            inv: u64 = "inv",
+            /// Compute seconds the restored state still owes.
+            remaining_secs: f64 = "remaining",
+        },
+        /// A VM-side component started computing on a node.
+        VmCompStart {
+            /// Task label.
+            task: String = "task",
+            /// Sub-cluster index.
+            sub: usize = "sub",
+            /// Node index within the sub-cluster.
+            node: usize = "node",
+            /// Components on the node after this one joined.
+            load: usize = "load",
+            /// Memory footprint of the component, GiB.
+            mem_gb: f64 = "mem_gb",
+            /// Timeshare slowdown factor applied to this component.
+            factor: f64 = "factor",
+            /// True when memory pressure (thrash) contributes to the factor.
+            thrash: bool = "thrash",
+        },
+        /// A VM-side component finished computing.
+        VmCompEnd {
+            /// Task label.
+            task: String = "task",
+            /// Sub-cluster index.
+            sub: usize = "sub",
+            /// Node index within the sub-cluster.
+            node: usize = "node",
+        },
+        /// Cluster billing began (nodes provisioned).
+        BillingStart {
+            /// Number of nodes billed.
+            nodes: usize = "nodes",
+        },
+        /// Cluster billing stopped.
+        BillingStop {
+            /// Billed node-seconds for the whole span.
+            node_seconds: f64 = "node_seconds",
+        },
+        /// An object-store read (GET batch) was issued.
+        StoreGet {
+            /// Bytes read.
+            bytes: f64 = "bytes",
+            /// GET requests issued (billed; doubled when retried).
+            requests: u64 = "requests",
+            /// True when the primary failed and a replica served the read.
+            retried: bool = "retried",
+        },
+        /// An object-store write (PUT batch) was issued.
+        StorePut {
+            /// Bytes written.
+            bytes: f64 = "bytes",
+            /// PUT requests issued (each billed once per replica).
+            requests: u64 = "requests",
+            /// Replication factor the requests were billed at.
+            replicas: u64 = "replicas",
+        },
+        /// A named object became readable in the store.
+        ObjectPut {
+            /// Object key.
+            key: String = "key",
+            /// Object size in bytes.
+            bytes: f64 = "bytes",
+        },
+        /// A named object was removed from the store.
+        ObjectRemove {
+            /// Object key.
+            key: String = "key",
+        },
+        /// A workflow phase began executing.
+        PhaseStart {
+            /// Phase index.
+            phase: usize = "phase",
+            /// Tasks in the phase.
+            tasks: usize = "tasks",
+        },
+        /// A task began executing.
+        TaskStart {
+            /// Task name.
+            task: String = "task",
+            /// Phase index.
+            phase: usize = "phase",
+            /// Platform label (`vm` or `serverless`).
+            platform: String = "platform",
+            /// Component count.
+            components: usize = "components",
+        },
+        /// A task finished executing (all components done, outputs readable).
+        TaskEnd {
+            /// Task name.
+            task: String = "task",
+        },
+        /// The PDC committed a placement decision for one task.
+        PdcDecision {
+            /// Task name.
+            task: String = "task",
+            /// Profiled cluster-side time, seconds.
+            t_vm_secs: f64 = "t_vm",
+            /// Estimated serverless time, seconds (infinite when forced to VM).
+            t_serverless_secs: f64 = "t_serverless",
+            /// Chosen platform label.
+            platform: String = "platform",
+            /// Forcing rule, or empty when the argmin decided.
+            forced: String = "forced",
+        },
+        /// A PDC profiling stage was served by the planning cache (or not).
+        PdcCache {
+            /// Stage name: `calibration`, `vm-profile`, or `probe`.
+            section: String = "section",
+            /// True when the stage was a cache hit.
+            hit: bool = "hit",
+        },
+        /// A spot VM node was reclaimed by the provider (seeded fault plan).
+        SpotPreempt {
+            /// Fault id within the plan (retries chain to this).
+            id: u64 = "id",
+            /// Sub-cluster index of the reclaimed node.
+            sub: usize = "sub",
+            /// Node index within the sub-cluster.
+            node: usize = "node",
+        },
+        /// A scheduled storage/network fault window became active.
+        FaultInjected {
+            /// Fault id within the plan (retries chain to this).
+            id: u64 = "id",
+            /// Fault kind: `storage-error`, `storage-latency`, or `link-degrade`.
+            kind: String = "kind",
+            /// Instant the window deactivates, seconds.
+            until_secs: f64 = "until",
+            /// Kind-specific magnitude: error probability, extra latency in
+            /// seconds, or bandwidth factor.
+            magnitude: f64 = "magnitude",
+        },
+        /// A store operation was retried or delayed by an injected fault.
+        FaultRetry {
+            /// Id of the injected fault that hit the operation.
+            id: u64 = "id",
+            /// Operation kind: `get` or `put`.
+            op: String = "op",
+        },
+        /// A VM component lost to a preemption restarted on a surviving node.
+        CompRetry {
+            /// Id of the preemption fault that killed the attempt.
+            id: u64 = "id",
+            /// Task label.
+            task: String = "task",
+            /// Sub-cluster index the retry runs in.
+            sub: usize = "sub",
+            /// Surviving node the retry was placed on.
+            node: usize = "node",
+        },
+        /// The online controller re-placed the remaining subgraph.
+        Replan {
+            /// First phase the new placement applies to.
+            phase: usize = "phase",
+            /// Trigger: `preemption` or `straggler`.
+            reason: String = "reason",
+            /// Cluster nodes the previous plan assumed.
+            nodes_before: usize = "nodes_before",
+            /// Surviving nodes the new plan was sized for.
+            nodes_after: usize = "nodes_after",
+            /// Tasks whose platform changed.
+            moved: usize = "moved",
+        },
+        /// Per-node spot billing settled at the end of a run (piecewise price).
+        SpotBill {
+            /// Sub-cluster index.
+            sub: usize = "sub",
+            /// Node index within the sub-cluster.
+            node: usize = "node",
+            /// Node-seconds billed for this node (to preemption or run end).
+            node_seconds: f64 = "node_seconds",
+            /// Dollars charged across the node's price segments.
+            dollars: f64 = "dollars",
+        },
+    }
 }
 
 /// One recorded event: sequence number, simulated time, payload.
@@ -448,11 +603,6 @@ impl Tracer {
         self.log()
             .map_or_else(Vec::new, |mut log| std::mem::take(&mut log.records))
     }
-
-    /// Clones out the captured records without draining them.
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.log().map_or_else(Vec::new, |log| log.records.clone())
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -469,7 +619,6 @@ fn push_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
@@ -478,266 +627,24 @@ fn push_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Flat JSON-object builder for one record line. Floats use `{:?}`
-/// (shortest round-trip), so written traces parse back bit-identically.
-struct Line(String);
-
-impl Line {
-    fn new(seq: u64, t_secs: f64, ev: &str) -> Self {
-        Line(format!("{{\"seq\":{seq},\"t\":{t_secs:?},\"ev\":\"{ev}\""))
-    }
-    fn s(mut self, key: &str, v: &str) -> Self {
-        use std::fmt::Write as _;
-        let _ = write!(self.0, ",\"{key}\":");
-        push_escaped(v, &mut self.0);
-        self
-    }
-    fn f(mut self, key: &str, v: f64) -> Self {
-        use std::fmt::Write as _;
-        let _ = write!(self.0, ",\"{key}\":{v:?}");
-        self
-    }
-    fn u(mut self, key: &str, v: u64) -> Self {
-        use std::fmt::Write as _;
-        let _ = write!(self.0, ",\"{key}\":{v}");
-        self
-    }
-    fn b(mut self, key: &str, v: bool) -> Self {
-        use std::fmt::Write as _;
-        let _ = write!(self.0, ",\"{key}\":{v}");
-        self
-    }
-    fn finish(mut self) -> String {
-        self.0.push('}');
-        self.0
-    }
+/// Appends one record's compact JSONL line (no trailing newline).
+fn push_record(r: &TraceRecord, out: &mut String) {
+    let _ = write!(
+        out,
+        "{{\"seq\":{},\"t\":{:?},\"ev\":\"{}\"",
+        r.seq,
+        r.t_secs,
+        r.event.name()
+    );
+    r.event.put_fields(out);
+    out.push('}');
 }
 
 /// Serializes one record to its compact JSONL line (no trailing newline).
-pub fn record_to_json(r: &TraceRecord) -> String {
-    let line = |ev: &str| Line::new(r.seq, r.t_secs, ev);
-    match &r.event {
-        TraceEvent::Dispatch { events } => line("Dispatch").u("events", *events).finish(),
-        TraceEvent::TransferStart { link, id, bytes } => line("TransferStart")
-            .s("link", link)
-            .u("id", *id)
-            .f("bytes", *bytes)
-            .finish(),
-        TraceEvent::TransferEnd { link, id } => {
-            line("TransferEnd").s("link", link).u("id", *id).finish()
-        }
-        TraceEvent::FnStart {
-            id,
-            code,
-            cold,
-            latency_secs,
-            ready_secs,
-            deadline_secs,
-        } => line("FnStart")
-            .u("id", *id)
-            .s("code", code)
-            .b("cold", *cold)
-            .f("latency", *latency_secs)
-            .f("ready", *ready_secs)
-            .f("deadline", *deadline_secs)
-            .finish(),
-        TraceEvent::FnEnd { id, billed_secs } => line("FnEnd")
-            .u("id", *id)
-            .f("billed", *billed_secs)
-            .finish(),
-        TraceEvent::FnKill {
-            id,
-            reason,
-            billed_secs,
-        } => line("FnKill")
-            .u("id", *id)
-            .s("reason", reason.as_str())
-            .f("billed", *billed_secs)
-            .finish(),
-        TraceEvent::FnPrewarm {
-            code,
-            latency_secs,
-            warm_secs,
-            expires_secs,
-        } => line("FnPrewarm")
-            .s("code", code)
-            .f("latency", *latency_secs)
-            .f("warm", *warm_secs)
-            .f("expires", *expires_secs)
-            .finish(),
-        TraceEvent::SegmentStart {
-            task,
-            chain,
-            inv,
-            resume,
-            mem_gb,
-        } => line("SegmentStart")
-            .s("task", task)
-            .u("chain", u64::from(*chain))
-            .u("inv", *inv)
-            .b("resume", *resume)
-            .f("mem_gb", *mem_gb)
-            .finish(),
-        TraceEvent::Checkpoint {
-            task,
-            chain,
-            inv,
-            bytes,
-            remaining_secs,
-        } => line("Checkpoint")
-            .s("task", task)
-            .u("chain", u64::from(*chain))
-            .u("inv", *inv)
-            .f("bytes", *bytes)
-            .f("remaining", *remaining_secs)
-            .finish(),
-        TraceEvent::CheckpointResume {
-            task,
-            chain,
-            inv,
-            remaining_secs,
-        } => line("CheckpointResume")
-            .s("task", task)
-            .u("chain", u64::from(*chain))
-            .u("inv", *inv)
-            .f("remaining", *remaining_secs)
-            .finish(),
-        TraceEvent::VmCompStart {
-            task,
-            sub,
-            node,
-            load,
-            mem_gb,
-            factor,
-            thrash,
-        } => line("VmCompStart")
-            .s("task", task)
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .u("load", *load as u64)
-            .f("mem_gb", *mem_gb)
-            .f("factor", *factor)
-            .b("thrash", *thrash)
-            .finish(),
-        TraceEvent::VmCompEnd { task, sub, node } => line("VmCompEnd")
-            .s("task", task)
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .finish(),
-        TraceEvent::BillingStart { nodes } => {
-            line("BillingStart").u("nodes", *nodes as u64).finish()
-        }
-        TraceEvent::BillingStop { node_seconds } => line("BillingStop")
-            .f("node_seconds", *node_seconds)
-            .finish(),
-        TraceEvent::StoreGet {
-            bytes,
-            requests,
-            retried,
-        } => line("StoreGet")
-            .f("bytes", *bytes)
-            .u("requests", *requests)
-            .b("retried", *retried)
-            .finish(),
-        TraceEvent::StorePut {
-            bytes,
-            requests,
-            replicas,
-        } => line("StorePut")
-            .f("bytes", *bytes)
-            .u("requests", *requests)
-            .u("replicas", *replicas)
-            .finish(),
-        TraceEvent::ObjectPut { key, bytes } => {
-            line("ObjectPut").s("key", key).f("bytes", *bytes).finish()
-        }
-        TraceEvent::ObjectRemove { key } => line("ObjectRemove").s("key", key).finish(),
-        TraceEvent::PhaseStart { phase, tasks } => line("PhaseStart")
-            .u("phase", *phase as u64)
-            .u("tasks", *tasks as u64)
-            .finish(),
-        TraceEvent::TaskStart {
-            task,
-            phase,
-            platform,
-            components,
-        } => line("TaskStart")
-            .s("task", task)
-            .u("phase", *phase as u64)
-            .s("platform", platform)
-            .u("components", *components as u64)
-            .finish(),
-        TraceEvent::TaskEnd { task } => line("TaskEnd").s("task", task).finish(),
-        TraceEvent::PdcDecision {
-            task,
-            t_vm_secs,
-            t_serverless_secs,
-            platform,
-            forced,
-        } => line("PdcDecision")
-            .s("task", task)
-            .f("t_vm", *t_vm_secs)
-            .f("t_serverless", *t_serverless_secs)
-            .s("platform", platform)
-            .s("forced", forced)
-            .finish(),
-        TraceEvent::PdcCache { section, hit } => line("PdcCache")
-            .s("section", section)
-            .b("hit", *hit)
-            .finish(),
-        TraceEvent::SpotPreempt { id, sub, node } => line("SpotPreempt")
-            .u("id", *id)
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .finish(),
-        TraceEvent::FaultInjected {
-            id,
-            kind,
-            until_secs,
-            magnitude,
-        } => line("FaultInjected")
-            .u("id", *id)
-            .s("kind", kind)
-            .f("until", *until_secs)
-            .f("magnitude", *magnitude)
-            .finish(),
-        TraceEvent::FaultRetry { id, op } => line("FaultRetry").u("id", *id).s("op", op).finish(),
-        TraceEvent::CompRetry {
-            id,
-            task,
-            sub,
-            node,
-        } => line("CompRetry")
-            .u("id", *id)
-            .s("task", task)
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .finish(),
-        TraceEvent::Replan {
-            phase,
-            reason,
-            nodes_before,
-            nodes_after,
-            moved,
-        } => line("Replan")
-            .u("phase", *phase as u64)
-            .s("reason", reason)
-            .u("nodes_before", *nodes_before as u64)
-            .u("nodes_after", *nodes_after as u64)
-            .u("moved", *moved as u64)
-            .finish(),
-        TraceEvent::SpotBill {
-            sub,
-            node,
-            node_seconds,
-            dollars,
-        } => line("SpotBill")
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .f("node_seconds", *node_seconds)
-            .f("dollars", *dollars)
-            .finish(),
-    }
+fn record_to_json(r: &TraceRecord) -> String {
+    let mut out = String::new();
+    push_record(r, &mut out);
+    out
 }
 
 /// Serializes records to the compact JSONL form: one record per line,
@@ -745,44 +652,10 @@ pub fn record_to_json(r: &TraceRecord) -> String {
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for r in records {
-        out.push_str(&record_to_json(r));
+        push_record(r, &mut out);
         out.push('\n');
     }
     out
-}
-
-fn req<'v>(v: &'v serde::Value, key: &str, line: usize) -> Result<&'v serde::Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("line {line}: missing field '{key}'"))
-}
-
-fn req_f64(v: &serde::Value, key: &str, line: usize) -> Result<f64, String> {
-    req(v, key, line)?
-        .as_f64()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not a number"))
-}
-
-fn req_u64(v: &serde::Value, key: &str, line: usize) -> Result<u64, String> {
-    req(v, key, line)?
-        .as_u64()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not an integer"))
-}
-
-fn req_usize(v: &serde::Value, key: &str, line: usize) -> Result<usize, String> {
-    usize::try_from(req_u64(v, key, line)?).map_err(|_| format!("line {line}: '{key}' overflows"))
-}
-
-fn req_bool(v: &serde::Value, key: &str, line: usize) -> Result<bool, String> {
-    req(v, key, line)?
-        .as_bool()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not a bool"))
-}
-
-fn req_str(v: &serde::Value, key: &str, line: usize) -> Result<String, String> {
-    Ok(req(v, key, line)?
-        .as_str()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not a string"))?
-        .to_string())
 }
 
 /// Parses the compact JSONL form back into records. Unknown event names are
@@ -796,164 +669,11 @@ pub fn from_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
         }
         let v: serde::Value =
             serde_json::from_str(raw).map_err(|e| format!("line {n}: invalid JSON: {e}"))?;
-        let ev = req_str(&v, "ev", n)?;
-        let event = match ev.as_str() {
-            "Dispatch" => TraceEvent::Dispatch {
-                events: req_u64(&v, "events", n)?,
-            },
-            "TransferStart" => TraceEvent::TransferStart {
-                link: req_str(&v, "link", n)?,
-                id: req_u64(&v, "id", n)?,
-                bytes: req_f64(&v, "bytes", n)?,
-            },
-            "TransferEnd" => TraceEvent::TransferEnd {
-                link: req_str(&v, "link", n)?,
-                id: req_u64(&v, "id", n)?,
-            },
-            "FnStart" => TraceEvent::FnStart {
-                id: req_u64(&v, "id", n)?,
-                code: req_str(&v, "code", n)?,
-                cold: req_bool(&v, "cold", n)?,
-                latency_secs: req_f64(&v, "latency", n)?,
-                ready_secs: req_f64(&v, "ready", n)?,
-                deadline_secs: req_f64(&v, "deadline", n)?,
-            },
-            "FnEnd" => TraceEvent::FnEnd {
-                id: req_u64(&v, "id", n)?,
-                billed_secs: req_f64(&v, "billed", n)?,
-            },
-            "FnKill" => TraceEvent::FnKill {
-                id: req_u64(&v, "id", n)?,
-                reason: KillReason::parse(&req_str(&v, "reason", n)?)
-                    .ok_or_else(|| format!("line {n}: unknown kill reason"))?,
-                billed_secs: req_f64(&v, "billed", n)?,
-            },
-            "FnPrewarm" => TraceEvent::FnPrewarm {
-                code: req_str(&v, "code", n)?,
-                latency_secs: req_f64(&v, "latency", n)?,
-                warm_secs: req_f64(&v, "warm", n)?,
-                expires_secs: req_f64(&v, "expires", n)?,
-            },
-            "SegmentStart" => TraceEvent::SegmentStart {
-                task: req_str(&v, "task", n)?,
-                chain: req_u64(&v, "chain", n)? as u32,
-                inv: req_u64(&v, "inv", n)?,
-                resume: req_bool(&v, "resume", n)?,
-                mem_gb: req_f64(&v, "mem_gb", n)?,
-            },
-            "Checkpoint" => TraceEvent::Checkpoint {
-                task: req_str(&v, "task", n)?,
-                chain: req_u64(&v, "chain", n)? as u32,
-                inv: req_u64(&v, "inv", n)?,
-                bytes: req_f64(&v, "bytes", n)?,
-                remaining_secs: req_f64(&v, "remaining", n)?,
-            },
-            "CheckpointResume" => TraceEvent::CheckpointResume {
-                task: req_str(&v, "task", n)?,
-                chain: req_u64(&v, "chain", n)? as u32,
-                inv: req_u64(&v, "inv", n)?,
-                remaining_secs: req_f64(&v, "remaining", n)?,
-            },
-            "VmCompStart" => TraceEvent::VmCompStart {
-                task: req_str(&v, "task", n)?,
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-                load: req_usize(&v, "load", n)?,
-                mem_gb: req_f64(&v, "mem_gb", n)?,
-                factor: req_f64(&v, "factor", n)?,
-                thrash: req_bool(&v, "thrash", n)?,
-            },
-            "VmCompEnd" => TraceEvent::VmCompEnd {
-                task: req_str(&v, "task", n)?,
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-            },
-            "BillingStart" => TraceEvent::BillingStart {
-                nodes: req_usize(&v, "nodes", n)?,
-            },
-            "BillingStop" => TraceEvent::BillingStop {
-                node_seconds: req_f64(&v, "node_seconds", n)?,
-            },
-            "StoreGet" => TraceEvent::StoreGet {
-                bytes: req_f64(&v, "bytes", n)?,
-                requests: req_u64(&v, "requests", n)?,
-                retried: req_bool(&v, "retried", n)?,
-            },
-            "StorePut" => TraceEvent::StorePut {
-                bytes: req_f64(&v, "bytes", n)?,
-                requests: req_u64(&v, "requests", n)?,
-                replicas: req_u64(&v, "replicas", n)?,
-            },
-            "ObjectPut" => TraceEvent::ObjectPut {
-                key: req_str(&v, "key", n)?,
-                bytes: req_f64(&v, "bytes", n)?,
-            },
-            "ObjectRemove" => TraceEvent::ObjectRemove {
-                key: req_str(&v, "key", n)?,
-            },
-            "PhaseStart" => TraceEvent::PhaseStart {
-                phase: req_usize(&v, "phase", n)?,
-                tasks: req_usize(&v, "tasks", n)?,
-            },
-            "TaskStart" => TraceEvent::TaskStart {
-                task: req_str(&v, "task", n)?,
-                phase: req_usize(&v, "phase", n)?,
-                platform: req_str(&v, "platform", n)?,
-                components: req_usize(&v, "components", n)?,
-            },
-            "TaskEnd" => TraceEvent::TaskEnd {
-                task: req_str(&v, "task", n)?,
-            },
-            "PdcDecision" => TraceEvent::PdcDecision {
-                task: req_str(&v, "task", n)?,
-                t_vm_secs: req_f64(&v, "t_vm", n)?,
-                t_serverless_secs: req_f64(&v, "t_serverless", n)?,
-                platform: req_str(&v, "platform", n)?,
-                forced: req_str(&v, "forced", n)?,
-            },
-            "PdcCache" => TraceEvent::PdcCache {
-                section: req_str(&v, "section", n)?,
-                hit: req_bool(&v, "hit", n)?,
-            },
-            "SpotPreempt" => TraceEvent::SpotPreempt {
-                id: req_u64(&v, "id", n)?,
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-            },
-            "FaultInjected" => TraceEvent::FaultInjected {
-                id: req_u64(&v, "id", n)?,
-                kind: req_str(&v, "kind", n)?,
-                until_secs: req_f64(&v, "until", n)?,
-                magnitude: req_f64(&v, "magnitude", n)?,
-            },
-            "FaultRetry" => TraceEvent::FaultRetry {
-                id: req_u64(&v, "id", n)?,
-                op: req_str(&v, "op", n)?,
-            },
-            "CompRetry" => TraceEvent::CompRetry {
-                id: req_u64(&v, "id", n)?,
-                task: req_str(&v, "task", n)?,
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-            },
-            "Replan" => TraceEvent::Replan {
-                phase: req_usize(&v, "phase", n)?,
-                reason: req_str(&v, "reason", n)?,
-                nodes_before: req_usize(&v, "nodes_before", n)?,
-                nodes_after: req_usize(&v, "nodes_after", n)?,
-                moved: req_usize(&v, "moved", n)?,
-            },
-            "SpotBill" => TraceEvent::SpotBill {
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-                node_seconds: req_f64(&v, "node_seconds", n)?,
-                dollars: req_f64(&v, "dollars", n)?,
-            },
-            other => return Err(format!("line {n}: unknown event '{other}'")),
-        };
+        let ev: String = get_field(&v, "ev", n)?;
+        let event = TraceEvent::get_fields(&ev, &v, n)?;
         out.push(TraceRecord {
-            seq: req_u64(&v, "seq", n)?,
-            t_secs: req_f64(&v, "t", n)?,
+            seq: get_field(&v, "seq", n)?,
+            t_secs: get_field(&v, "t", n)?,
             event,
         });
     }
@@ -982,6 +702,13 @@ impl TidMap {
     }
 }
 
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::new();
+    push_escaped(s, &mut out);
+    out
+}
+
 fn chrome_event(
     out: &mut Vec<String>,
     name: &str,
@@ -993,7 +720,6 @@ fn chrome_event(
 ) {
     let mut e = String::from("{\"name\":");
     push_escaped(name, &mut e);
-    use std::fmt::Write as _;
     // Chrome timestamps are microseconds.
     let _ = write!(
         e,
@@ -1022,7 +748,8 @@ fn chrome_event(
 /// Converts records into Chrome `trace_event` JSON (load in
 /// `chrome://tracing` or <https://ui.perfetto.dev>). Tasks, VM components,
 /// and function invocations become duration pairs on per-lane threads;
-/// everything else becomes instant markers.
+/// everything else becomes an instant marker named after its event tag,
+/// carrying the record's JSONL line as a string.
 pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
     let mut events = Vec::new();
     let mut task_tids = TidMap::new();
@@ -1037,7 +764,7 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
                     r.t_secs,
                     1,
                     tid,
-                    &[("platform", format!("{platform:?}"))],
+                    &[("platform", quoted(platform))],
                 );
             }
             TraceEvent::TaskEnd { task } => {
@@ -1088,48 +815,18 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
                     r.t_secs,
                     3,
                     id % 64,
-                    &[("kill", format!("\"{}\"", reason.as_str()))],
+                    &[("kill", quoted(reason.as_str()))],
                 );
             }
-            other => {
-                // Everything else is an instant marker named after the
-                // serialized event tag.
-                let json = record_to_json(r);
-                let tag = match other {
-                    TraceEvent::SegmentStart { .. } => "SegmentStart",
-                    TraceEvent::Checkpoint { .. } => "Checkpoint",
-                    TraceEvent::CheckpointResume { .. } => "CheckpointResume",
-                    TraceEvent::FnPrewarm { .. } => "FnPrewarm",
-                    TraceEvent::StoreGet { .. } => "StoreGet",
-                    TraceEvent::StorePut { .. } => "StorePut",
-                    TraceEvent::ObjectPut { .. } => "ObjectPut",
-                    TraceEvent::ObjectRemove { .. } => "ObjectRemove",
-                    TraceEvent::PhaseStart { .. } => "PhaseStart",
-                    TraceEvent::BillingStart { .. } => "BillingStart",
-                    TraceEvent::BillingStop { .. } => "BillingStop",
-                    TraceEvent::PdcDecision { .. } => "PdcDecision",
-                    TraceEvent::PdcCache { .. } => "PdcCache",
-                    TraceEvent::SpotPreempt { .. } => "SpotPreempt",
-                    TraceEvent::FaultInjected { .. } => "FaultInjected",
-                    TraceEvent::FaultRetry { .. } => "FaultRetry",
-                    TraceEvent::CompRetry { .. } => "CompRetry",
-                    TraceEvent::Replan { .. } => "Replan",
-                    TraceEvent::SpotBill { .. } => "SpotBill",
-                    TraceEvent::Dispatch { .. } => "Dispatch",
-                    TraceEvent::TransferStart { .. } => "TransferStart",
-                    TraceEvent::TransferEnd { .. } => "TransferEnd",
-                    _ => unreachable!("duration events handled above"),
-                };
-                chrome_event(
-                    &mut events,
-                    tag,
-                    "i",
-                    r.t_secs,
-                    0,
-                    0,
-                    &[("record", format!("{json:?}"))],
-                );
-            }
+            other => chrome_event(
+                &mut events,
+                other.name(),
+                "i",
+                r.t_secs,
+                0,
+                0,
+                &[("record", quoted(&record_to_json(r)))],
+            ),
         }
     }
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -1266,86 +963,232 @@ mod tests {
         assert!(from_jsonl("{\"seq\":0,\"t\":0.0,\"ev\":\"TaskEnd\"}").is_err());
         assert!(from_jsonl("not json").is_err());
         assert_eq!(from_jsonl("\n\n").expect("blank ok"), Vec::new());
+        // A chain id past u32 is refused, not truncated to a wrong chain.
+        let wide_chain = "{\"seq\":0,\"t\":0.0,\"ev\":\"SegmentStart\",\"task\":\"a\",\
+                          \"chain\":4294967296,\"inv\":1,\"resume\":false,\"mem_gb\":1.0}";
+        assert_eq!(
+            from_jsonl(wide_chain),
+            Err("line 1: 'chain' overflows".to_string())
+        );
     }
 
-    #[test]
-    fn chaos_events_round_trip_bit_for_bit() {
-        let t = Tracer::new();
-        t.emit(
-            SimTime::from_secs(1.0),
+    /// A label that needs JSON escaping: quotes, backslash, control
+    /// characters, and a zero-width space that Rust's `Debug` escapes.
+    const WEIRD_KEY: &str = "out:\"weird\\name\"\twith\nnewline\u{1}\u{200b}";
+
+    /// One event of every kind, in table order.
+    fn one_of_each() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::Dispatch { events: 7 },
+            TraceEvent::TransferStart {
+                link: "store".into(),
+                id: 3,
+                bytes: 1.5e6,
+            },
+            TraceEvent::TransferEnd {
+                link: "store".into(),
+                id: 3,
+            },
+            TraceEvent::FnStart {
+                id: 1,
+                code: "a".into(),
+                cold: true,
+                latency_secs: 1.25,
+                ready_secs: 1.75,
+                deadline_secs: 901.75,
+            },
+            TraceEvent::FnEnd {
+                id: 1,
+                billed_secs: 0.1,
+            },
+            TraceEvent::FnKill {
+                id: 2,
+                reason: KillReason::Watchdog,
+                billed_secs: 900.0,
+            },
+            TraceEvent::FnPrewarm {
+                code: "b".into(),
+                latency_secs: 0.3,
+                warm_secs: 2.0,
+                expires_secs: 602.0,
+            },
+            TraceEvent::SegmentStart {
+                task: "a".into(),
+                chain: u32::MAX,
+                inv: 1,
+                resume: false,
+                mem_gb: 2.5,
+            },
+            TraceEvent::Checkpoint {
+                task: "a".into(),
+                chain: 0,
+                inv: 1,
+                bytes: 1e6,
+                remaining_secs: 33.333333333333336,
+            },
+            TraceEvent::CheckpointResume {
+                task: "a".into(),
+                chain: 0,
+                inv: 4,
+                remaining_secs: 33.333333333333336,
+            },
+            TraceEvent::VmCompStart {
+                task: "v".into(),
+                sub: 1,
+                node: 2,
+                load: 3,
+                mem_gb: 0.75,
+                factor: 1.0 / 3.0,
+                thrash: true,
+            },
+            TraceEvent::VmCompEnd {
+                task: "v".into(),
+                sub: 1,
+                node: 2,
+            },
+            TraceEvent::BillingStart { nodes: 4 },
+            TraceEvent::BillingStop {
+                node_seconds: 1234.5,
+            },
+            TraceEvent::StoreGet {
+                bytes: 10.0,
+                requests: 2,
+                retried: true,
+            },
+            TraceEvent::StorePut {
+                bytes: 20.0,
+                requests: 1,
+                replicas: 3,
+            },
+            TraceEvent::ObjectPut {
+                key: WEIRD_KEY.into(),
+                bytes: 20.0,
+            },
+            TraceEvent::ObjectRemove {
+                key: WEIRD_KEY.into(),
+            },
+            TraceEvent::PhaseStart { phase: 0, tasks: 2 },
+            TraceEvent::TaskStart {
+                task: "a".into(),
+                phase: 0,
+                platform: "serverless".into(),
+                components: 2,
+            },
+            TraceEvent::TaskEnd { task: "a".into() },
+            TraceEvent::PdcDecision {
+                task: "a".into(),
+                t_vm_secs: 12.5,
+                t_serverless_secs: 9.75,
+                platform: "serverless".into(),
+                forced: String::new(),
+            },
+            TraceEvent::PdcCache {
+                section: "vm-profile".into(),
+                hit: false,
+            },
+            TraceEvent::SpotPreempt {
+                id: 0,
+                sub: 1,
+                node: 2,
+            },
             TraceEvent::FaultInjected {
                 id: 3,
                 kind: "storage-error".into(),
                 until_secs: 42.5,
                 magnitude: 0.25,
             },
-        );
-        t.emit(
-            SimTime::from_secs(2.0),
-            TraceEvent::SpotPreempt {
-                id: 0,
-                sub: 1,
-                node: 2,
-            },
-        );
-        t.emit(
-            SimTime::from_secs(2.5),
             TraceEvent::FaultRetry {
                 id: 3,
-                op: "get".into(),
+                op: "put".into(),
             },
-        );
-        t.emit(
-            SimTime::from_secs(3.0),
             TraceEvent::CompRetry {
                 id: 0,
-                task: "wide".into(),
+                task: "v".into(),
                 sub: 1,
                 node: 0,
             },
-        );
-        t.emit(
-            SimTime::from_secs(4.0),
             TraceEvent::Replan {
                 phase: 2,
-                reason: "preemption".into(),
+                reason: "straggler".into(),
                 nodes_before: 4,
-                nodes_after: 3,
-                moved: 5,
+                nodes_after: 4,
+                moved: 1,
             },
-        );
-        t.emit(
-            SimTime::from_secs(9.0),
             TraceEvent::SpotBill {
                 sub: 0,
                 node: 1,
                 node_seconds: 7.25,
                 dollars: 0.000241666666666,
             },
-        );
-        let records = t.take();
+        ]
+    }
+
+    #[test]
+    fn every_event_kind_goes_through_the_table() {
+        let records: Vec<TraceRecord> = one_of_each()
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| TraceRecord {
+                seq: i as u64,
+                t_secs: i as f64 * 0.1,
+                event,
+            })
+            .collect();
+        let names: Vec<&str> = records.iter().map(|r| r.event.name()).collect();
+        assert_eq!(names, TraceEvent::NAMES, "one record per event kind");
+
         let text = to_jsonl(&records);
         let parsed = from_jsonl(&text).expect("parse");
         assert_eq!(parsed, records);
         assert_eq!(to_jsonl(&parsed), text);
-        // Chaos records export as instant markers in the Chrome form.
-        let chrome = to_chrome_trace(&records);
-        assert!(chrome.contains("SpotPreempt"));
-        assert!(chrome.contains("Replan"));
-    }
 
-    #[test]
-    fn string_escaping_survives_round_trip() {
-        let records = vec![TraceRecord {
-            seq: 0,
-            t_secs: 1.5,
-            event: TraceEvent::ObjectPut {
-                key: "out:\"weird\\name\"\twith\nnewline".into(),
-                bytes: 7.0,
-            },
-        }];
-        let text = to_jsonl(&records);
-        assert_eq!(from_jsonl(&text).expect("parse"), records);
+        for (r, line) in records.iter().zip(text.lines()) {
+            let v: serde::Value = serde_json::from_str(line).expect("valid JSON");
+            assert_eq!(
+                v.get("ev").and_then(serde::Value::as_str),
+                Some(r.event.name())
+            );
+            let serde::Value::Object(fields) = v else {
+                panic!("not an object: {line}");
+            };
+            for i in 0..fields.len() {
+                let mut rest = fields.clone();
+                let (key, _) = rest.remove(i);
+                let cut = serde_json::to_string(&serde::Value::Object(rest)).expect("serialize");
+                assert_eq!(
+                    from_jsonl(&cut),
+                    Err(format!("line 1: missing field '{key}'")),
+                    "{cut}"
+                );
+            }
+        }
+
+        // The Chrome export is valid JSON, and every kind but the seven
+        // duration begin/end kinds becomes an instant marker named by its
+        // tag and carrying its record.
+        let chrome: serde::Value =
+            serde_json::from_str(&to_chrome_trace(&records)).expect("valid JSON");
+        let instants: Vec<&serde::Value> = chrome
+            .get("traceEvents")
+            .and_then(serde::Value::as_array)
+            .expect("traceEvents")
+            .iter()
+            .filter(|e| e.get("ph").and_then(serde::Value::as_str) == Some("i"))
+            .collect();
+        assert_eq!(instants.len(), TraceEvent::NAMES.len() - 7);
+        for e in instants {
+            let line = e
+                .get("args")
+                .and_then(|a| a.get("record"))
+                .and_then(serde::Value::as_str)
+                .expect("record arg");
+            let decoded = from_jsonl(line).expect("record parses");
+            assert!(records.contains(&decoded[0]), "{line}");
+            assert_eq!(
+                e.get("name").and_then(serde::Value::as_str),
+                Some(decoded[0].event.name())
+            );
+        }
     }
 
     #[test]

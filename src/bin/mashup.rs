@@ -166,7 +166,7 @@ fn main() {
     let _bin = argv.next();
     let Some(cmd) = argv.next() else {
         die(
-            "usage: mashup <validate|analyze|dot|plan|run|compare|trace|chaos|serve> \
+            "usage: mashup <validate|analyze|dot|plan|run|compare|trace|chaos|serve|pareto> \
              [workflow] [flags]",
         )
     };
