@@ -27,8 +27,19 @@
 //! traces diff cleanly and parse back bit-identically. [`to_chrome_trace`]
 //! converts the same records into Chrome's `trace_event` JSON for
 //! `chrome://tracing` / Perfetto.
+//!
+//! Decoding reads each line in one pass. `serde_json::scan_members` runs
+//! the vendored JSON parser over the line and leaves its members as
+//! `(key, scalar)` slots that borrow from the input; only a string with
+//! escapes is copied, and a nested member is parsed and discarded. The
+//! table's reader then matches the `ev` tag and takes each field from the
+//! slots by key, the first of a repeated key winning. So the accepted
+//! lines and every `invalid JSON: …` error are the parser's own, and a
+//! record's `String` fields are its only allocations.
 
 use crate::time::SimTime;
+use serde_json::Scalar;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -51,11 +62,15 @@ impl KillReason {
     }
 }
 
+/// One decoded JSONL line: its members in input order, keys and strings
+/// borrowed from the line unless they contained escapes.
+type Slots<'a> = [(Cow<'a, str>, Scalar<'a>)];
+
 /// One JSONL field value: `put` writes it as JSON, `get` reads it back
-/// from the parsed value stored under `key` on line `line`.
+/// from the scalar stored under `key` on line `line`.
 trait Field: Sized {
     fn put(&self, out: &mut String);
-    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String>;
+    fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String>;
 }
 
 impl Field for f64 {
@@ -63,7 +78,7 @@ impl Field for f64 {
         // `{:?}` is the shortest round-trip form.
         let _ = write!(out, "{self:?}");
     }
-    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+    fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
         v.as_f64()
             .ok_or_else(|| format!("line {line}: field '{key}' is not a number"))
     }
@@ -73,7 +88,7 @@ impl Field for u64 {
     fn put(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
-    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+    fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
         v.as_u64()
             .ok_or_else(|| format!("line {line}: field '{key}' is not an integer"))
     }
@@ -86,7 +101,7 @@ macro_rules! narrow_uint_field {
             fn put(&self, out: &mut String) {
                 let _ = write!(out, "{self}");
             }
-            fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+            fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
                 <$t>::try_from(u64::get(v, key, line)?)
                     .map_err(|_| format!("line {line}: '{key}' overflows"))
             }
@@ -97,22 +112,26 @@ narrow_uint_field!(usize, u32);
 
 impl Field for bool {
     fn put(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        out.push_str(if *self { "true" } else { "false" });
     }
-    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
+    fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
         v.as_bool()
             .ok_or_else(|| format!("line {line}: field '{key}' is not a bool"))
     }
+}
+
+/// The string under `key`, borrowed from the line.
+fn get_str<'s>(v: &'s Scalar<'_>, key: &str, line: usize) -> Result<&'s str, String> {
+    v.as_str()
+        .ok_or_else(|| format!("line {line}: field '{key}' is not a string"))
 }
 
 impl Field for String {
     fn put(&self, out: &mut String) {
         push_escaped(self, out);
     }
-    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("line {line}: field '{key}' is not a string"))
+    fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
+        get_str(v, key, line).map(str::to_string)
     }
 }
 
@@ -120,8 +139,8 @@ impl Field for KillReason {
     fn put(&self, out: &mut String) {
         push_escaped(self.as_str(), out);
     }
-    fn get(v: &serde::Value, key: &str, line: usize) -> Result<Self, String> {
-        match String::get(v, key, line)?.as_str() {
+    fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
+        match get_str(v, key, line)? {
             "watchdog" => Ok(KillReason::Watchdog),
             "injected" => Ok(KillReason::Injected),
             _ => Err(format!("line {line}: unknown kill reason")),
@@ -131,16 +150,25 @@ impl Field for KillReason {
 
 /// Appends `,"key":value`.
 fn put_field<T: Field>(out: &mut String, key: &str, value: &T) {
-    let _ = write!(out, ",\"{key}\":");
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
     value.put(out);
 }
 
-/// Reads the field stored under `key` in the line's object.
-fn get_field<T: Field>(v: &serde::Value, key: &str, line: usize) -> Result<T, String> {
-    let field = v
-        .get(key)
-        .ok_or_else(|| format!("line {line}: missing field '{key}'"))?;
-    T::get(field, key, line)
+/// The scalar stored under `key` on line `line`; the first one wins when
+/// a key repeats.
+fn slot<'s>(slots: &'s Slots<'_>, key: &str, line: usize) -> Result<&'s Scalar<'s>, String> {
+    slots
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| format!("line {line}: missing field '{key}'"))
+}
+
+/// Reads the field stored under `key` on line `line`.
+fn get_field<T: Field>(slots: &Slots<'_>, key: &str, line: usize) -> Result<T, String> {
+    T::get(slot(slots, key, line)?, key, line)
 }
 
 /// Declares the event enum once and derives its codec from it. Each
@@ -196,10 +224,10 @@ macro_rules! trace_schema {
             }
 
             /// Reads the fields of the event tagged `ev` from line `line`.
-            fn get_fields(ev: &str, v: &serde::Value, line: usize) -> Result<Self, String> {
+            fn get_fields(ev: &str, slots: &Slots<'_>, line: usize) -> Result<Self, String> {
                 Ok(match ev {
                     $(stringify!($variant) => $enum::$variant {
-                        $($field: get_field(v, $key, line)?,)*
+                        $($field: get_field(slots, $key, line)?,)*
                     },)*
                     other => return Err(format!("line {line}: unknown event '{other}'")),
                 })
@@ -410,7 +438,9 @@ trace_schema! {
             task: String = "task",
             /// Profiled cluster-side time, seconds.
             t_vm_secs: f64 = "t_vm",
-            /// Estimated serverless time, seconds (infinite when forced to VM).
+            /// Estimated serverless time, seconds; -1 when a forcing rule
+            /// placed the task on a VM without an estimate (JSON has no
+            /// infinity).
             t_serverless_secs: f64 = "t_serverless",
             /// Chosen platform label.
             platform: String = "platform",
@@ -629,13 +659,13 @@ fn push_escaped(s: &str, out: &mut String) {
 
 /// Appends one record's compact JSONL line (no trailing newline).
 fn push_record(r: &TraceRecord, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"t\":{:?},\"ev\":\"{}\"",
-        r.seq,
-        r.t_secs,
-        r.event.name()
-    );
+    out.push_str("{\"seq\":");
+    r.seq.put(out);
+    out.push_str(",\"t\":");
+    r.t_secs.put(out);
+    out.push_str(",\"ev\":\"");
+    out.push_str(r.event.name());
+    out.push('"');
     r.event.put_fields(out);
     out.push('}');
 }
@@ -660,24 +690,34 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
 
 /// Parses the compact JSONL form back into records. Unknown event names are
 /// an error, so readers notice vocabulary drift instead of skipping data.
+/// Each line is scanned once into borrowed slots (see the module doc).
 pub fn from_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut out = Vec::new();
+    // At most one record per line.
+    let mut out = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count() + 1);
+    // One slot buffer serves every line.
+    let mut slots = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let n = idx + 1;
         if raw.trim().is_empty() {
             continue;
         }
-        let v: serde::Value =
-            serde_json::from_str(raw).map_err(|e| format!("line {n}: invalid JSON: {e}"))?;
-        let ev: String = get_field(&v, "ev", n)?;
-        let event = TraceEvent::get_fields(&ev, &v, n)?;
-        out.push(TraceRecord {
-            seq: get_field(&v, "seq", n)?,
-            t_secs: get_field(&v, "t", n)?,
-            event,
-        });
+        serde_json::scan_members(raw, &mut slots)
+            .map_err(|e| format!("line {n}: invalid JSON: {e}"))?;
+        out.push(read_record(&slots, n)?);
     }
     Ok(out)
+}
+
+/// Reads one record from line `line`'s slots: the `ev` tag first, then the
+/// event's fields in table order, then the header.
+fn read_record(slots: &Slots<'_>, line: usize) -> Result<TraceRecord, String> {
+    let ev = get_str(slot(slots, "ev", line)?, "ev", line)?;
+    let event = TraceEvent::get_fields(ev, slots, line)?;
+    Ok(TraceRecord {
+        seq: get_field(slots, "seq", line)?,
+        t_secs: get_field(slots, "t", line)?,
+        event,
+    })
 }
 
 // --------------------------------------------------------------------------
@@ -1123,9 +1163,9 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn every_event_kind_goes_through_the_table() {
-        let records: Vec<TraceRecord> = one_of_each()
+    /// One record of every kind, in table order.
+    fn one_record_each() -> Vec<TraceRecord> {
+        one_of_each()
             .into_iter()
             .enumerate()
             .map(|(i, event)| TraceRecord {
@@ -1133,7 +1173,12 @@ mod tests {
                 t_secs: i as f64 * 0.1,
                 event,
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn every_event_kind_goes_through_the_table() {
+        let records = one_record_each();
         let names: Vec<&str> = records.iter().map(|r| r.event.name()).collect();
         assert_eq!(names, TraceEvent::NAMES, "one record per event kind");
 
@@ -1199,5 +1244,146 @@ mod tests {
         assert!(chrome.contains("\"ph\":\"E\""));
         assert!(chrome.contains("\"ph\":\"i\""));
         assert!(chrome.contains("\"ts\":500000.0"), "{chrome}");
+    }
+
+    /// The line decoder as it stood before the one-pass scan: a
+    /// `serde::Value` per line, each field looked up with `Value::get`
+    /// (the first of repeated keys wins; a non-object has no keys).
+    fn reference_from_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
+        let mut out = Vec::new();
+        for (idx, raw) in text.lines().enumerate() {
+            let n = idx + 1;
+            if raw.trim().is_empty() {
+                continue;
+            }
+            let v: serde::Value =
+                serde_json::from_str(raw).map_err(|e| format!("line {n}: invalid JSON: {e}"))?;
+            let slots: Vec<(Cow<str>, Scalar)> = (v.as_object().unwrap_or(&[]).iter())
+                .map(|(key, _)| {
+                    let scalar = match v.get(key) {
+                        Some(serde::Value::Null) => Scalar::Null,
+                        Some(serde::Value::Bool(b)) => Scalar::Bool(*b),
+                        Some(serde::Value::Number(x)) => Scalar::Number(*x),
+                        Some(serde::Value::String(s)) => Scalar::String(Cow::Borrowed(s)),
+                        _ => Scalar::Nested,
+                    };
+                    (Cow::Borrowed(key.as_str()), scalar)
+                })
+                .collect();
+            out.push(read_record(&slots, n)?);
+        }
+        Ok(out)
+    }
+
+    /// A line's members as `(key, raw JSON value)` pairs.
+    fn members(line: &str) -> Vec<(String, String)> {
+        let v: serde::Value = serde_json::from_str(line).expect("valid JSON");
+        (v.as_object().expect("object").iter())
+            .map(|(k, x)| (k.clone(), serde_json::to_string(x).expect("serialize")))
+            .collect()
+    }
+
+    /// Writes `members` back as one object, `pad` around every token.
+    fn object(members: &[(String, String)], pad: &str) -> String {
+        let body: Vec<String> = members
+            .iter()
+            .map(|(k, raw)| format!("{pad}{}{pad}:{pad}{raw}{pad}", quoted(k)))
+            .collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    /// `key` with every character written as a `\u` escape.
+    fn unicode_escaped(key: &str) -> String {
+        let escaped: String = key
+            .chars()
+            .map(|c| format!("\\u{:04x}", c as u32))
+            .collect();
+        format!("\"{escaped}\"")
+    }
+
+    /// Malformed and unusual variants of every `one_of_each` line.
+    fn parity_corpus() -> Vec<String> {
+        const VALUES: [&str; 10] = [
+            "null",
+            "true",
+            "\"s\"",
+            "-1",
+            "-0",
+            "1.5",
+            "1e400",
+            "4294967296",
+            "[]",
+            "{\"a\":[1]}",
+        ];
+        const EXTRA: &str = "\"extra\":{\"a\":[1,{\"b\":[null,\"\\u0041\"]}],\"c\":{}}";
+        let text = to_jsonl(&one_record_each());
+        let mut corpus = vec![text.clone(), text.replace('\n', "\r\n\r\n \t\n")];
+        for line in text.lines() {
+            corpus.extend(
+                (0..line.len())
+                    .filter(|&i| line.is_char_boundary(i))
+                    .map(|i| line[..i].to_string()),
+            );
+            let m = members(line);
+            for i in 0..m.len() {
+                let mut dropped = m.clone();
+                dropped.remove(i);
+                corpus.push(object(&dropped, ""));
+                for value in VALUES {
+                    let mut replaced = m.clone();
+                    replaced[i].1 = value.to_string();
+                    corpus.push(object(&replaced, ""));
+                    // A repeated key: the first occurrence wins.
+                    let mut repeated = m.clone();
+                    repeated.push((m[i].0.clone(), value.to_string()));
+                    corpus.push(object(&repeated, ""));
+                    repeated.insert(0, (m[i].0.clone(), value.to_string()));
+                    corpus.push(object(&repeated, ""));
+                }
+                // Escaped strings hold no bare quote, so the key is the
+                // first match.
+                let key = &m[i].0;
+                corpus.push(object(&m, "").replacen(
+                    &format!("{}:", quoted(key)),
+                    &format!("{}:", unicode_escaped(key)),
+                    1,
+                ));
+            }
+            let mut reversed = m.clone();
+            reversed.reverse();
+            corpus.push(object(&reversed, ""));
+            corpus.push(object(&m, " \t"));
+            corpus.push(format!("{}{line}\r\n", " \t".repeat(2)));
+            corpus.push(format!("{{{EXTRA},{}", &line[1..]));
+            corpus.push(format!("{},{EXTRA}}}", &line[..line.len() - 1]));
+            corpus.push(line.replacen("\"ev\":\"", "\"ev\":\"X", 1));
+            corpus.push(line.replacen("\"ev\":\"", "\"ev\":\"\\u0058", 1));
+            corpus.push(format!("[{line}]"));
+            corpus.push(format!("{line}\n\n{line}"));
+        }
+        corpus
+    }
+
+    #[test]
+    fn decoder_matches_the_value_tree_reference_on_a_malformed_corpus() {
+        let corpus = parity_corpus();
+        let (mut accepted, mut refused) = (0, 0);
+        for text in &corpus {
+            let ours = from_jsonl(text);
+            // Debug output tells -0.0 from 0.0, which `==` does not.
+            assert_eq!(
+                format!("{ours:?}"),
+                format!("{:?}", reference_from_jsonl(text)),
+                "{text:?}"
+            );
+            match ours {
+                Ok(_) => accepted += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            accepted > 500 && refused > 5000,
+            "{accepted} accepted, {refused} refused"
+        );
     }
 }

@@ -468,7 +468,7 @@ fn run_chaos(mut argv: std::env::Args) {
                 horizon = Some(
                     argv.next()
                         .and_then(|v| v.parse().ok())
-                        .filter(|&h: &f64| h > 0.0)
+                        .filter(|&h: &f64| h > 0.0 && h.is_finite())
                         .unwrap_or_else(|| die("--horizon needs positive seconds")),
                 );
             }
@@ -476,6 +476,7 @@ fn run_chaos(mut argv: std::env::Args) {
                 straggler_factor = argv
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|f: &f64| f.is_finite())
                     .unwrap_or_else(|| die("--straggler-factor needs a number"));
             }
             "--strategy" => {

@@ -96,6 +96,37 @@ fn unknown_flags_fail_cleanly() {
 }
 
 #[test]
+fn non_finite_chaos_flags_are_refused() {
+    let refused = |args: &[&str], msg: &str| {
+        let out = mashup().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+    };
+    for profile in ["preemption", "storage", "mixed"] {
+        for horizon in ["inf", "-inf", "NaN", "0", "-1"] {
+            refused(
+                &[
+                    "chaos",
+                    "SRAsearch",
+                    "--profile",
+                    profile,
+                    "--horizon",
+                    horizon,
+                ],
+                "--horizon needs positive seconds",
+            );
+        }
+    }
+    for factor in ["NaN", "inf", "-inf"] {
+        refused(
+            &["chaos", "SRAsearch", "--straggler-factor", factor],
+            "--straggler-factor needs a number",
+        );
+    }
+}
+
+#[test]
 fn zero_serve_sizes_are_refused() {
     for flag in ["--workers", "--queue-depth"] {
         let out = mashup()
