@@ -16,6 +16,11 @@
 //! fire, 2 on usage or I/O problems. CI runs `--suite` plus the checked-in
 //! example workflows to keep every shipped input analyzer-clean.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a command-line tool: its stdout and stderr are its interface"
+)]
+
 use mashup_analyze::{
     analyze_config, analyze_plan, analyze_workflow, has_errors, render_pretty, Diagnostic,
     EngineParams, PlanContext,

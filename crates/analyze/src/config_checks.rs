@@ -27,6 +27,12 @@ impl EngineParams {
     }
 }
 
+/// The largest `cluster.nodes` the M301 check accepts: 8,192 times the
+/// largest cluster any paper figure uses (128). The VM cluster allocates
+/// per-node state up front, so a larger count would abort the process on
+/// allocation instead of coming back as a diagnostic.
+const MAX_CLUSTER_NODES: usize = 1 << 20;
+
 fn config_loc(field: &str) -> Location {
     Location::Config {
         field: field.into(),
@@ -77,6 +83,12 @@ pub fn analyze_config(
             Code::NonPositiveConfig,
             config_loc("cluster.nodes"),
             "must be positive, got 0",
+        ));
+    } else if cluster.nodes > MAX_CLUSTER_NODES {
+        out.push(Diagnostic::new(
+            Code::NonPositiveConfig,
+            config_loc("cluster.nodes"),
+            format!("must be at most {MAX_CLUSTER_NODES}, got {}", cluster.nodes),
         ));
     }
     if cluster.subclusters == 0 {
@@ -259,6 +271,27 @@ mod tests {
         assert!(analyze_config(&p, &c, &EngineParams::defaults()).is_empty());
         let gcp = ProviderPreset::gcp_like();
         assert!(analyze_config(&gcp, &c, &EngineParams::defaults()).is_empty());
+    }
+
+    #[test]
+    fn oversized_clusters_fire_m301() {
+        let (p, mut c) = aws();
+        let engine = EngineParams::defaults();
+        c.nodes = MAX_CLUSTER_NODES;
+        assert!(analyze_config(&p, &c, &engine).is_empty());
+        for nodes in [MAX_CLUSTER_NODES + 1, 1 << 32, usize::MAX] {
+            c.nodes = nodes;
+            let diags = analyze_config(&p, &c, &engine);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].code, Code::NonPositiveConfig);
+            assert_eq!(
+                diags[0].location,
+                Location::Config {
+                    field: "cluster.nodes".into()
+                }
+            );
+            assert!(diags[0].message.contains("at most 1048576"), "{diags:?}");
+        }
     }
 
     #[test]

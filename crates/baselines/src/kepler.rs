@@ -16,9 +16,11 @@ use mashup_core::{
 };
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation};
-// Keyed dependency counters only: inserted in deterministic task_refs
-// order, then read/decremented by key — never order-iterated.
-// lint: allow(hash-collections)
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed dependency counters only: inserted in deterministic task_refs order, \
+              then read and decremented by key, never order-iterated"
+)]
 use std::collections::HashMap;
 
 /// Kepler's world: the cloud plus its dataflow director.
@@ -29,7 +31,7 @@ pub type KeplerWorld = World<Director>;
 pub struct Director {
     workflow: Workflow,
     /// Unfinished producer count per task.
-    /// Keyed access only; lint: allow(hash-collections)
+    #[expect(clippy::disallowed_types, reason = "keyed access only")]
     pending_deps: HashMap<TaskRef, usize>,
     reports: Vec<TaskReport>,
     remaining: usize,
@@ -51,7 +53,7 @@ pub(crate) fn run(
     let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
     preflight(cfg, workflow, Some(&plan))?;
 
-    // Keyed access only; lint: allow(hash-collections)
+    #[expect(clippy::disallowed_types, reason = "keyed access only")]
     let mut pending_deps = HashMap::new();
     for r in workflow.task_refs() {
         pending_deps.insert(r, workflow.task(r).deps.len());

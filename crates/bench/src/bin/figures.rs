@@ -14,12 +14,20 @@
 //! DIR` additionally records every strategy run as a JSONL flight-recorder
 //! trace under DIR. Output is byte-identical for any N, with the cache on
 //! or off, and with or without tracing.
+//!
+//! Keys select cells (case-insensitive): `fig2`, `fig4a`…`fig12`,
+//! `inputs`, `half`, `gcp`, `overheads`, `accuracy`, `expense`,
+//! `ablations`, and `all` (the default). `fig11search` and `fig13` run only
+//! when named. An unknown key is refused with exit status 2.
 
-// This harness's stdout IS the figure byte-stream and its stderr the
-// suite stats — prints are the product here, and the wall-clock reads
-// feed those stats only (no simulated quantity sees them).
-// lint: allow-file(adhoc-telemetry)
-// lint: allow-file(wall-clock)
+#![expect(
+    clippy::disallowed_macros,
+    reason = "stdout is the figure byte-stream and stderr the suite stats"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the host clock feeds the suite stats only; no simulated quantity reads it"
+)]
 use mashup_bench as bench;
 use serde::Serialize;
 use std::io::Write as _;
@@ -37,6 +45,65 @@ fn emit<T: Serialize>(json_dir: Option<&str>, name: &str, value: &T, rendered: S
         println!("[written {path}]\n");
     }
 }
+
+/// One selectable figure or table: its command-line key, whether the
+/// default run (no key, or `all`) includes it, and the code that computes
+/// and emits it.
+struct Cell {
+    key: &'static str,
+    default: bool,
+    run: fn(Option<&str>),
+}
+
+/// A cell whose figure is computed by `bench::$fig` and emitted under the
+/// same name.
+macro_rules! cell {
+    ($key:literal, $fig:ident, $default:literal) => {
+        Cell {
+            key: $key,
+            default: $default,
+            run: |dir| {
+                let f = bench::$fig();
+                emit(dir, stringify!($fig), &f, f.render())
+            },
+        }
+    };
+}
+
+/// Every cell, in output order. `fig11search` and `fig13` are opt-in only,
+/// deliberately NOT covered by `all`: they extend the paper rather than
+/// reproduce it, and keeping them out of the default run keeps the golden
+/// figure set byte-stable.
+const CELLS: &[Cell] = &[
+    cell!("fig2", fig02_env_choice, true),
+    cell!("fig4a", fig04a_io_overhead, true),
+    cell!("fig4b", fig04b_cold_start, true),
+    cell!("fig4c", fig04c_scaling, true),
+    cell!("fig5", fig05_objectives, true),
+    cell!("fig6", fig06_exec_time, true),
+    cell!("fig7", fig07_expense, true),
+    cell!("fig8", fig08_vm_families, true),
+    cell!("fig9", fig09_placement, true),
+    cell!("fig10", fig10_sysmetrics, true),
+    cell!("fig11", fig11_pareto, true),
+    cell!("fig11search", fig11_search, false),
+    cell!("fig12", fig12_managers, true),
+    cell!("fig13", fig13_adaptive, false),
+    cell!("inputs", text_input_sizes, true),
+    cell!("half", text_half_cluster, true),
+    cell!("gcp", text_gcp, true),
+    cell!("overheads", text_overheads, true),
+    cell!("accuracy", text_pdc_accuracy, true),
+    Cell {
+        key: "expense",
+        default: true,
+        run: |_| {
+            println!("==== expense breakdown (48 nodes) ====");
+            println!("{}", bench::expense_summary(48));
+        },
+    },
+    cell!("ablations", ablations, true),
+];
 
 fn main() {
     // Refuse bad inputs before any cell runs. The analyzer is read-only,
@@ -74,100 +141,24 @@ fn main() {
             wanted.push(a.to_lowercase());
         }
     }
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| *w != "all" && !CELLS.iter().any(|c| c.key == *w))
+    {
+        let keys: Vec<&str> = CELLS.iter().map(|c| c.key).collect();
+        eprintln!(
+            "figures: unknown figure key `{unknown}`; known keys: {}, all",
+            keys.join(", ")
+        );
+        std::process::exit(2);
+    }
     let started = Instant::now();
     let all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
-    let want = |key: &str| all || wanted.iter().any(|w| w == key);
     let dir = json_dir.as_deref();
-
-    if want("fig2") {
-        let f = bench::fig02_env_choice();
-        emit(dir, "fig02_env_choice", &f, f.render());
-    }
-    if want("fig4a") {
-        let f = bench::fig04a_io_overhead();
-        emit(dir, "fig04a_io_overhead", &f, f.render());
-    }
-    if want("fig4b") {
-        let f = bench::fig04b_cold_start();
-        emit(dir, "fig04b_cold_start", &f, f.render());
-    }
-    if want("fig4c") {
-        let f = bench::fig04c_scaling();
-        emit(dir, "fig04c_scaling", &f, f.render());
-    }
-    if want("fig5") {
-        let f = bench::fig05_objectives();
-        emit(dir, "fig05_objectives", &f, f.render());
-    }
-    if want("fig6") {
-        let f = bench::fig06_exec_time();
-        emit(dir, "fig06_exec_time", &f, f.render());
-    }
-    if want("fig7") {
-        let f = bench::fig07_expense();
-        emit(dir, "fig07_expense", &f, f.render());
-    }
-    if want("fig8") {
-        let f = bench::fig08_vm_families();
-        emit(dir, "fig08_vm_families", &f, f.render());
-    }
-    if want("fig9") {
-        let f = bench::fig09_placement();
-        emit(dir, "fig09_placement", &f, f.render());
-    }
-    if want("fig10") {
-        let f = bench::fig10_sysmetrics();
-        emit(dir, "fig10_sysmetrics", &f, f.render());
-    }
-    if want("fig11") {
-        let f = bench::fig11_pareto();
-        emit(dir, "fig11_pareto", &f, f.render());
-    }
-    // Opt-in only — deliberately NOT covered by `all`: the search overlay
-    // extends the paper rather than reproducing it, and keeping it out of
-    // the default run keeps the golden figure set byte-stable.
-    if wanted.iter().any(|w| w == "fig11search") {
-        let f = bench::fig11_search();
-        emit(dir, "fig11_search", &f, f.render());
-    }
-    if want("fig12") {
-        let f = bench::fig12_managers();
-        emit(dir, "fig12_managers", &f, f.render());
-    }
-    // Opt-in only — deliberately NOT covered by `all`: the chaos cell
-    // extends the paper rather than reproducing it, and keeping it out of
-    // the default run keeps the golden figure set byte-stable.
-    if wanted.iter().any(|w| w == "fig13") {
-        let f = bench::fig13_adaptive();
-        emit(dir, "fig13_adaptive", &f, f.render());
-    }
-    if want("inputs") {
-        let f = bench::text_input_sizes();
-        emit(dir, "text_input_sizes", &f, f.render());
-    }
-    if want("half") {
-        let f = bench::text_half_cluster();
-        emit(dir, "text_half_cluster", &f, f.render());
-    }
-    if want("gcp") {
-        let f = bench::text_gcp();
-        emit(dir, "text_gcp", &f, f.render());
-    }
-    if want("overheads") {
-        let f = bench::text_overheads();
-        emit(dir, "text_overheads", &f, f.render());
-    }
-    if want("accuracy") {
-        let f = bench::text_pdc_accuracy();
-        emit(dir, "text_pdc_accuracy", &f, f.render());
-    }
-    if want("expense") {
-        println!("==== expense breakdown (48 nodes) ====");
-        println!("{}", bench::expense_summary(48));
-    }
-    if want("ablations") {
-        let f = bench::ablations();
-        emit(dir, "ablations", &f, f.render());
+    for cell in CELLS {
+        if (all && cell.default) || wanted.iter().any(|w| w == cell.key) {
+            (cell.run)(dir);
+        }
     }
 
     // Suite-level summary: wall time plus what the planning cache did.

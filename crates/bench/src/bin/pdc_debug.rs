@@ -4,8 +4,11 @@
 //! cargo run --release -p mashup-bench --bin pdc_debug -- SRAsearch 64
 //! ```
 
-// A debugging CLI: stdout is its entire user interface.
-// lint: allow-file(adhoc-telemetry)
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a debugging CLI: stdout is its entire user interface"
+)]
+
 use mashup_core::{MashupConfig, Pdc};
 
 fn main() {

@@ -19,9 +19,10 @@ use crate::world::CloudWorld;
 use mashup_sim::trace::{KillReason, TraceEvent, Tracer};
 use mashup_sim::{SeedSource, SimDuration, SimTime, Simulation};
 use rand::Rng;
-// Both maps are keyed lookups only (never order-iterated), so hashing
-// order cannot leak into simulated results.
-// lint: allow(hash-collections)
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only, never order-iterated: hash order cannot reach results"
+)]
 use std::collections::HashMap;
 
 /// Identifier of a live invocation.
@@ -67,8 +68,10 @@ pub struct FaasPlatform {
     tokens: f64,
     last_refill: SimTime,
     // Warm microVMs per code identity: expiry instants.
-    warm_pool: HashMap<String, Vec<SimTime>>, // lint: allow(hash-collections)
-    active: HashMap<u64, ActiveInv>,          // lint: allow(hash-collections)
+    #[expect(clippy::disallowed_types, reason = "keyed lookups only")]
+    warm_pool: HashMap<String, Vec<SimTime>>,
+    #[expect(clippy::disallowed_types, reason = "keyed lookups only")]
+    active: HashMap<u64, ActiveInv>,
     next_id: u64,
     // Metrics.
     cold_starts: u64,

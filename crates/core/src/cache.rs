@@ -28,15 +28,17 @@
 use crate::pdc::ModelFactors;
 use mashup_cloud::Expense;
 use serde::{Deserialize, Serialize};
-// Shard maps are keyed by content fingerprints and never order-iterated,
-// so iteration order cannot leak into simulated results.
-// lint: allow(hash-collections)
+#[expect(
+    clippy::disallowed_types,
+    reason = "shard maps are keyed by content fingerprints and never order-iterated"
+)]
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
-// Wall-clock time feeds the hit/miss observability counters only; no
-// simulated quantity reads it.
-// lint: allow(wall-clock)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the host clock feeds the hit/miss counters only; no simulated quantity reads it"
+)]
 use std::time::Instant;
 
 const SHARDS: usize = 16;
@@ -79,16 +81,23 @@ pub struct ProbeEntry {
 
 /// One stage's map plus its counters.
 struct Section<V> {
-    shards: Vec<RwLock<HashMap<u128, V>>>, // lint: allow(hash-collections)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed by fingerprint, never iterated"
+    )]
+    shards: Vec<RwLock<HashMap<u128, V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     compute_nanos: AtomicU64,
 }
 
 impl<V: Clone> Section<V> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed by fingerprint, never iterated"
+    )]
     fn new() -> Self {
         Section {
-            // lint: allow(hash-collections)
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -106,7 +115,11 @@ impl<V: Clone> Section<V> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
         }
-        let start = Instant::now(); // lint: allow(wall-clock)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "times the compute for the counters only"
+        )]
+        let start = Instant::now();
         let v = compute();
         self.compute_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -17,7 +17,10 @@
 
 use crate::pattern::DependencyPattern;
 use crate::workflow::{TaskRef, Workflow};
-// Keyed name lookups only, never iterated; lint: allow(hash-collections)
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed name lookups only, never iterated"
+)]
 use std::collections::HashMap;
 
 /// An interned task-name symbol. Two tasks share a symbol iff their names
@@ -49,8 +52,8 @@ pub struct TaskArena {
     components: Vec<u32>,
     /// Interned name table, indexed by `Symbol`.
     names: Vec<String>,
-    /// Name → (symbol, flat id of first occurrence). Lookup-only (never
-    /// iterated); lint: allow(hash-collections)
+    /// Name → (symbol, flat id of first occurrence).
+    #[expect(clippy::disallowed_types, reason = "lookup-only, never iterated")]
     by_name: HashMap<String, (Symbol, u32)>,
     /// Consumer CSR: per-producer slice bounds into `cons_entries`.
     cons_offsets: Vec<u32>,
@@ -82,7 +85,7 @@ impl TaskArena {
         let mut symbols = Vec::with_capacity(n);
         let mut components = Vec::with_capacity(n);
         let mut names: Vec<String> = Vec::new();
-        // Lookup-only; lint: allow(hash-collections)
+        #[expect(clippy::disallowed_types, reason = "lookup-only, never iterated")]
         let mut by_name: HashMap<String, (Symbol, u32)> = HashMap::with_capacity(n);
         let mut n_edges = 0usize;
         for (pi, phase) in w.phases.iter().enumerate() {

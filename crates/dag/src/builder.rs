@@ -2,7 +2,10 @@
 
 use crate::pattern::DependencyPattern;
 use crate::workflow::{Phase, Task, TaskDep, TaskRef, Workflow};
-// Membership tests only, never iterated; lint: allow(hash-collections)
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership tests only, never iterated"
+)]
 use std::collections::HashSet;
 use std::fmt;
 
@@ -92,7 +95,10 @@ pub fn validate(w: &Workflow) -> Result<(), ValidationError> {
     if w.phases.is_empty() {
         return Err(ValidationError::EmptyWorkflow);
     }
-    // Duplicate detection via membership only; lint: allow(hash-collections)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate detection via membership only"
+    )]
     let mut names = HashSet::new();
     for (pi, phase) in w.phases.iter().enumerate() {
         if phase.tasks.is_empty() {

@@ -9,7 +9,10 @@
 use crate::builder::{validate, ValidationError};
 use crate::pattern::DependencyPattern;
 use crate::workflow::{Phase, Task, TaskDep, TaskRef, Workflow};
-// Keyed name lookups only, never iterated; lint: allow(hash-collections)
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed name lookups only, never iterated"
+)]
 use std::collections::HashMap;
 
 /// An edge in a raw task graph, named by task names.
@@ -75,7 +78,7 @@ pub fn from_task_graph(
     let n = tasks.len();
     // Borrow-keyed name index: no String clones. Later entries shadow
     // earlier duplicates (validation rejects duplicates afterwards).
-    // Lookup-only; lint: allow(hash-collections)
+    #[expect(clippy::disallowed_types, reason = "lookup-only, never iterated")]
     let mut index: HashMap<&str, usize> = HashMap::with_capacity(n);
     for (i, t) in tasks.iter().enumerate() {
         index.insert(t.name.as_str(), i);

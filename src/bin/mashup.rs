@@ -8,7 +8,7 @@
 //! mashup run      <workflow...>   [--nodes N] [--strategy mashup|wo-pdc|traditional|serverless|pegasus|kepler]
 //! mashup compare  <workflow...>   [--nodes N]
 //! mashup trace    <workflow...>   [--nodes N] [--strategy S] [--format jsonl|chrome] [--out FILE] [--verbose] [--check]
-//! mashup pareto   <workflow...>   [--nodes N] [--budget N] [--jobs N] [--out FILE]
+//! mashup pareto   <workflow...>   [--nodes N] [--budget N] [--jobs N, 0 = one per core] [--out FILE]
 //! mashup chaos    <workflow...>   [--nodes N] [--seed S] [--profile preemption|storage|mixed] [--horizon SECS] [--straggler-factor F] [--strategy S] [--check]
 //! mashup serve    [--workers N] [--queue-depth N]
 //! ```
@@ -347,7 +347,7 @@ fn run_pareto(mut argv: std::env::Args) {
                 let jobs = argv
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a positive integer"));
+                    .unwrap_or_else(|| die("--jobs needs a worker count (0 = one per core)"));
                 mashup::serve::set_jobs(jobs);
             }
             "--out" => out = Some(argv.next().unwrap_or_else(|| die("--out needs a path"))),

@@ -85,6 +85,77 @@ fn an_empty_cluster_is_refused_with_a_diagnostic() {
 }
 
 #[test]
+fn an_oversized_cluster_is_refused_with_a_diagnostic() {
+    for nodes in ["4294967296", "18446744073709551615"] {
+        for cmd in ["run", "plan", "compare", "trace", "chaos", "pareto"] {
+            let out = mashup()
+                .args([cmd, "SRAsearch", "--nodes", nodes])
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {nodes}: {stderr}");
+            assert!(stderr.contains("M301"), "{cmd} {nodes}: {stderr}");
+            assert!(
+                stderr.contains("at most 1048576"),
+                "{cmd} {nodes}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn serve_answers_the_request_after_an_oversized_cluster() {
+    use std::io::Write as _;
+    let mut child = mashup()
+        .args(["serve", "--workers", "1"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(
+            concat!(
+                r#"{"tenant":"t","kind":"Plan","workflow":"SraSearch","nodes":4294967296,"seed":0}"#,
+                "\n",
+                r#"{"tenant":"t","kind":"Plan","workflow":"SraSearch","nodes":18446744073709551615,"seed":0}"#,
+                "\n",
+                r#"{"tenant":"t","kind":"Plan","workflow":"SraSearch","nodes":8,"seed":0}"#,
+                "\n",
+            )
+            .as_bytes(),
+        )
+        .expect("write requests");
+    let out = child.wait_with_output().expect("serve exits");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let replies: Vec<&str> = stdout.lines().collect();
+    assert_eq!(replies.len(), 3, "{stdout}");
+    for refused in &replies[..2] {
+        assert!(refused.contains(r#""status":"Refused""#), "{refused}");
+        assert!(refused.contains("M301"), "{refused}");
+    }
+    assert!(replies[2].contains(r#""status":"Done""#), "{}", replies[2]);
+}
+
+#[test]
+fn pareto_jobs_text_says_zero_means_one_per_core() {
+    let out = mashup()
+        .args(["pareto", "SRAsearch", "--jobs", "-1"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--jobs needs a worker count (0 = one per core)"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn unknown_flags_fail_cleanly() {
     let out = mashup()
         .args(["plan", "SRAsearch", "--bogus"])
