@@ -9,10 +9,10 @@
 //! state-of-the-art managers with. Everything runs on the cluster; no
 //! serverless, no external storage.
 
-use mashup_cloud::{ClusterTaskSpec, VmCluster};
+use mashup_cloud::{ClusterRunStats, ClusterTaskSpec, FaasRunStats, VmCluster};
 use mashup_core::{
-    preflight, AnalysisError, CloudEnv, MashupConfig, PlacementPlan, Platform, TaskReport,
-    TraceEvent, Tracer, WorkflowReport, World,
+    preflight, AnalysisError, CloudEnv, Driver, MashupConfig, PlacementPlan, Platform, TaskReport,
+    TraceEvent, Tracer, WorkflowReport, World, WorldEvent,
 };
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation};
@@ -39,6 +39,89 @@ pub struct Director {
     subclusters: usize,
     next_sub: usize,
     tracer: Tracer,
+}
+
+/// The director's one event: fire every dependency-free task.
+pub struct Start;
+
+/// The director fires tasks as their producers finish; each cluster run is
+/// tagged with its task.
+impl Driver for Director {
+    type Event = Start;
+    type Tag = TaskRef;
+
+    fn handle(w: &mut KeplerWorld, sim: &mut Simulation<KeplerWorld>, Start: Start) {
+        let d = &w.driver;
+        let ready: Vec<TaskRef> = d
+            .workflow
+            .task_refs()
+            .filter(|r| d.workflow.task(*r).deps.is_empty())
+            .collect();
+        for r in ready {
+            spawn(w, sim, r);
+        }
+    }
+
+    /// Task `r` finished: report it and fire the consumers it was the
+    /// last producer of.
+    fn cluster_done(
+        w: &mut KeplerWorld,
+        sim: &mut Simulation<KeplerWorld>,
+        r: TaskRef,
+        stats: ClusterRunStats,
+    ) {
+        let d = &mut w.driver;
+        let t = d.workflow.task(r);
+        let name = t.name.clone();
+        d.tracer
+            .emit(sim.now(), TraceEvent::TaskEnd { task: name.clone() });
+        d.reports.push(TaskReport {
+            name,
+            platform: Platform::VmCluster,
+            phase: r.phase,
+            components: t.components,
+            start_secs: stats.start.as_secs(),
+            end_secs: stats.end.as_secs(),
+            compute_secs: stats.compute_secs,
+            io_secs: stats.io_secs,
+            cold_start_secs: 0.0,
+            scaling_secs: 0.0,
+            checkpoints: 0,
+            n_cold: 0,
+            n_warm: 0,
+        });
+        d.remaining -= 1;
+        if d.remaining == 0 {
+            d.finished_at = Some(sim.now());
+            return;
+        }
+        let newly_ready: Vec<TaskRef> = d
+            .workflow
+            .consumers(r)
+            .iter()
+            .map(|&(c, _)| c)
+            .filter(|c| {
+                let n = d
+                    .pending_deps
+                    .get_mut(c)
+                    .expect("every task has a dep count");
+                *n -= 1;
+                *n == 0
+            })
+            .collect();
+        for c in newly_ready {
+            spawn(w, sim, c);
+        }
+    }
+
+    fn faas_done(
+        _: &mut KeplerWorld,
+        _: &mut Simulation<KeplerWorld>,
+        _: TaskRef,
+        _: FaasRunStats,
+    ) {
+        unreachable!("Kepler runs everything on the cluster")
+    }
 }
 
 /// Runs the workflow with dataflow-fired task scheduling on the cluster,
@@ -73,15 +156,7 @@ pub(crate) fn run(
     env.world.cloud.cluster.start_billing(SimTime::ZERO);
 
     // Fire every dependency-free task immediately.
-    let ready: Vec<TaskRef> = workflow
-        .task_refs()
-        .filter(|r| workflow.task(*r).deps.is_empty())
-        .collect();
-    env.sim.schedule_now(move |w, sim| {
-        for r in ready {
-            spawn(w, sim, r);
-        }
-    });
+    env.sim.schedule_now(WorldEvent::Driver(Start));
     env.run();
 
     let World { cloud, driver, .. } = env.world;
@@ -124,59 +199,16 @@ fn spawn(w: &mut KeplerWorld, sim: &mut Simulation<KeplerWorld>, r: TaskRef) {
         output: mashup_cloud::ClusterOutput::Fabric,
         subcluster: sub,
     };
-    let name = t.name.clone();
     d.tracer.emit(
         sim.now(),
         TraceEvent::TaskStart {
-            task: name.clone(),
+            task: t.name.clone(),
             phase: r.phase,
             platform: "vm".into(),
             components: spec.components,
         },
     );
-    VmCluster::run_task(w, sim, spec, move |w: &mut KeplerWorld, sim, stats| {
-        let d = &mut w.driver;
-        d.tracer
-            .emit(sim.now(), TraceEvent::TaskEnd { task: name.clone() });
-        let t_components = d.workflow.task(r).components;
-        d.reports.push(TaskReport {
-            name,
-            platform: Platform::VmCluster,
-            phase: r.phase,
-            components: t_components,
-            start_secs: stats.start.as_secs(),
-            end_secs: stats.end.as_secs(),
-            compute_secs: stats.compute_secs,
-            io_secs: stats.io_secs,
-            cold_start_secs: 0.0,
-            scaling_secs: 0.0,
-            checkpoints: 0,
-            n_cold: 0,
-            n_warm: 0,
-        });
-        d.remaining -= 1;
-        if d.remaining == 0 {
-            d.finished_at = Some(sim.now());
-            return;
-        }
-        let newly_ready: Vec<TaskRef> = d
-            .workflow
-            .consumers(r)
-            .iter()
-            .map(|&(c, _)| c)
-            .filter(|c| {
-                let n = d
-                    .pending_deps
-                    .get_mut(c)
-                    .expect("every task has a dep count");
-                *n -= 1;
-                *n == 0
-            })
-            .collect();
-        for c in newly_ready {
-            spawn(w, sim, c);
-        }
-    });
+    VmCluster::run_task(w, sim, spec, r);
 }
 
 #[cfg(test)]

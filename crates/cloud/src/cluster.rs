@@ -17,16 +17,13 @@
 //! work-conserving bound.
 
 use crate::cost::CostMeter;
+use crate::event::{ev, Ev};
 use crate::pricing::InstanceType;
-use crate::world::CloudWorld;
+use crate::world::{Cloud, CloudWorld};
 use mashup_sim::trace::{TraceEvent, Tracer};
-use mashup_sim::{jitter_factor, EventFn, LinkId, SeedSource, SimDuration, SimTime, Simulation};
+use mashup_sim::{jitter_factor, LinkId, Model, SeedSource, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Completion callback handed to [`VmCluster::run_task`].
-type ClusterDoneFn<W> = Box<dyn FnOnce(&mut W, &mut Simulation<W>, ClusterRunStats) + Send>;
 
 /// Cluster shape and billing parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -193,14 +190,17 @@ struct SpotState {
     preempted: BTreeMap<(usize, usize), (SimTime, u64)>,
 }
 
-/// Per-task completion accumulator of a cluster run in flight, kept in the
-/// world's [`Cloud`](crate::Cloud) under the key its component events carry.
-pub(crate) struct ClusterRun<W> {
+/// A cluster run in flight: its spec, its completion accumulator and its
+/// driver's tag, kept in the world's [`Cloud`] under the key its component
+/// events carry. The spec is boxed so a wide phase's slab of runs stays
+/// small when it grows.
+pub(crate) struct ClusterRun<W: CloudWorld> {
+    spec: Box<ClusterTaskSpec>,
     remaining: usize,
     io_secs: f64,
     compute_secs: f64,
     start: SimTime,
-    done: ClusterDoneFn<W>,
+    tag: W::Tag,
 }
 
 /// A VM cluster: its sub-clusters' nodes and links, and its billing.
@@ -217,7 +217,7 @@ pub struct VmCluster {
 impl VmCluster {
     /// Builds a cluster, adding its links to `sim`; nodes are split
     /// round-robin across sub-clusters.
-    pub fn new<W>(cfg: ClusterConfig, sim: &mut Simulation<W>, seeds: &SeedSource) -> Self {
+    pub fn new<W: Model>(cfg: ClusterConfig, sim: &mut Simulation<W>, seeds: &SeedSource) -> Self {
         assert!(cfg.nodes >= 1, "cluster needs at least one node");
         assert!(
             cfg.subclusters >= 1 && cfg.subclusters <= cfg.nodes,
@@ -503,8 +503,9 @@ impl VmCluster {
         oversub * (1.0 + swap_coeff * pressure).min(Self::MAX_THRASH)
     }
 
-    /// Runs all components of a task on the world's cluster, invoking
-    /// `on_done` with timing stats when the last component finishes.
+    /// Runs all components of a task on the world's cluster, reporting the
+    /// timing stats to [`CloudWorld::cluster_done`] with `tag` when the last
+    /// component finishes.
     ///
     /// Per component (Algorithm 1 lines 12–14): read input through the
     /// master NIC (or the store over the WAN in hybrid mode), compute while
@@ -514,20 +515,17 @@ impl VmCluster {
         w: &mut W,
         sim: &mut Simulation<W>,
         spec: ClusterTaskSpec,
-        on_done: impl FnOnce(&mut W, &mut Simulation<W>, ClusterRunStats) + Send + 'static,
+        tag: W::Tag,
     ) {
-        let cloud = w.cloud();
-        let cluster = &cloud.cluster;
+        let Cloud {
+            cluster,
+            cluster_runs,
+            store,
+            meter,
+            ..
+        } = w.cloud();
         assert!(spec.subcluster < cluster.subs.len(), "no such subcluster");
         assert!(spec.components > 0, "task with zero components");
-
-        let run = cloud.cluster_runs.insert(ClusterRun {
-            remaining: spec.components,
-            io_secs: 0.0,
-            compute_secs: 0.0,
-            start: sim.now(),
-            done: Box::new(on_done),
-        });
 
         let sub = &cluster.subs[spec.subcluster];
         let n_nodes = sub.nodes();
@@ -540,74 +538,83 @@ impl VmCluster {
             cluster.cfg.instance.wan_bps,
             cluster.cfg.instance.node_nic_bps,
         );
-        let spec = Arc::new(spec);
         let mut rng = cluster.seeds.child(&spec.label).stream("cluster-run");
-
-        // The input branch is component-independent; when there is no input
-        // transfer, the whole fan-out fires at the current instant and can
-        // be bulk-scheduled as one batch (O(1) per component instead of a
-        // heap operation each). Dispatch order is unchanged: the batch
-        // preserves component order and nothing else is scheduled between
-        // the loop iterations it replaces.
-        let no_input = spec.input_bytes <= 0.0 || spec.input == ClusterInput::None;
-        let mut batch: Vec<EventFn<W>> = if no_input {
-            Vec::with_capacity(spec.components)
-        } else {
-            Vec::new()
+        let (components, input, input_bytes) = (spec.components, spec.input, spec.input_bytes);
+        let (io_requests, jitter) = (spec.io_requests, spec.jitter);
+        let run = cluster_runs.insert(ClusterRun {
+            spec: Box::new(spec),
+            remaining: components,
+            io_secs: 0.0,
+            compute_secs: 0.0,
+            start: sim.now(),
+            tag,
+        });
+        let mut ready = move |comp: usize| {
+            let jf = jitter_factor(&mut rng, jitter);
+            let node = u32::try_from(comp % n_nodes).expect("node index fits a u32");
+            ev::<W>(Ev::CompReady { run, node, jf })
         };
 
-        for comp in 0..spec.components {
-            let node_idx = comp % n_nodes;
-            let jf = jitter_factor(&mut rng, spec.jitter);
-
-            // --- input ---
-            let read_begin = sim.now();
-            let after_read = {
-                let spec = spec.clone();
-                move |w: &mut W, sim: &mut Simulation<W>| {
-                    w.cloud().cluster_runs.get_mut(run).io_secs +=
-                        sim.now().since(read_begin).as_secs();
-                    VmCluster::compute_component(w, sim, spec, run, node_idx, jf);
-                }
-            };
-            if no_input {
-                batch.push(Box::new(after_read));
-            } else if spec.input == ClusterInput::Wan {
-                cloud.store.read(
-                    &mut cloud.meter,
+        // The input branch is component-independent; when there is no input
+        // transfer, the whole fan-out fires at the current instant and is
+        // bulk-scheduled as one batch (O(1) per component instead of a heap
+        // operation each), in component order.
+        if input_bytes <= 0.0 || input == ClusterInput::None {
+            sim.schedule_batch_now((0..components).map(ready));
+            return;
+        }
+        for comp in 0..components {
+            let after_read = ready(comp);
+            if input == ClusterInput::Wan {
+                store.read(
+                    meter,
                     sim,
-                    spec.input_bytes,
-                    spec.io_requests,
+                    input_bytes,
+                    io_requests,
                     Some(wan_bps),
-                    move |w, sim, _| after_read(w, sim),
+                    after_read,
                 );
             } else {
-                sim.start_transfer(input_link, spec.input_bytes, Some(nic_bps), after_read);
+                sim.start_transfer(input_link, input_bytes, Some(nic_bps), after_read);
             }
-        }
-        if no_input {
-            sim.schedule_batch_now(batch);
         }
     }
 
-    /// Runs one component's compute-and-output stage on a node of
-    /// `spec.subcluster`. Without spot pools this is exactly the legacy
-    /// compute path (same state updates, same events, same order); with
-    /// them, the component lands on a surviving node, and if a preemption
+    /// A component's input landed (it was requested when the run started):
+    /// books the read time and starts the compute window.
+    pub(crate) fn on_input<W: CloudWorld>(
+        w: &mut W,
+        sim: &mut Simulation<W>,
+        run: u32,
+        preferred_node: u32,
+        jf: f64,
+    ) {
+        let a = w.cloud().cluster_runs.get_mut(run);
+        a.io_secs += sim.now().since(a.start).as_secs();
+        VmCluster::compute_component(w, sim, run, preferred_node, jf);
+    }
+
+    /// Runs one component's compute stage on a node of its run's
+    /// sub-cluster. Without spot pools the component lands on its preferred
+    /// node; with them, it lands on a surviving node, and if a preemption
     /// reclaims the node mid-window the attempt's work is lost and the
-    /// component retries on a survivor (chaining a `CompRetry` record to
-    /// the preemption's fault id).
+    /// component retries on a survivor (chaining a `CompRetry` record to the
+    /// preemption's fault id).
     fn compute_component<W: CloudWorld>(
         w: &mut W,
         sim: &mut Simulation<W>,
-        spec: Arc<ClusterTaskSpec>,
-        run: usize,
-        preferred_node: usize,
+        run: u32,
+        preferred_node: u32,
         jf: f64,
     ) {
-        let cloud = w.cloud();
-        let cluster = &mut cloud.cluster;
-        let node_idx = cluster.resolve_node(spec.subcluster, preferred_node);
+        let Cloud {
+            cluster,
+            cluster_runs,
+            ..
+        } = w.cloud();
+        let a = cluster_runs.get_mut(run);
+        let spec = &a.spec;
+        let node_idx = cluster.resolve_node(spec.subcluster, preferred_node as usize);
         // --- compute: timeshare the node ---
         let load = {
             let sub = &mut cluster.subs[spec.subcluster];
@@ -636,68 +643,103 @@ impl VmCluster {
             factor,
             thrash,
         });
-        let dur = SimDuration::from_secs(secs);
-        cloud.cluster_runs.get_mut(run).compute_secs += secs;
-        sim.schedule_in(dur, move |w: &mut W, sim| {
-            let cloud = w.cloud();
-            let cluster = &mut cloud.cluster;
-            cluster.subs[spec.subcluster].node_loads[node_idx] -= 1;
-            cluster.trace_with(sim.now(), || TraceEvent::VmCompEnd {
-                task: spec.label.clone(),
-                sub: spec.subcluster,
-                node: node_idx,
-            });
-            // Spot: the node may have been reclaimed mid-window; the
-            // attempt's work is lost and the component retries.
-            if let Some((t_pre, fault_id)) = cluster.preempted_at(spec.subcluster, node_idx) {
-                if t_pre < sim.now() {
-                    let retry_node = cluster.resolve_node(spec.subcluster, preferred_node);
-                    cluster.trace_with(sim.now(), || TraceEvent::CompRetry {
-                        id: fault_id,
-                        task: spec.label.clone(),
-                        sub: spec.subcluster,
-                        node: retry_node,
-                    });
-                    VmCluster::compute_component(w, sim, spec, run, preferred_node, jf);
-                    return;
-                }
-            }
-            // --- output ---
-            let write_begin = sim.now();
-            let finish = move |w: &mut W, sim: &mut Simulation<W>| {
-                let runs = &mut w.cloud().cluster_runs;
-                let a = runs.get_mut(run);
-                a.io_secs += sim.now().since(write_begin).as_secs();
-                a.remaining -= 1;
-                if a.remaining == 0 {
-                    let a = runs.remove(run);
-                    let stats = ClusterRunStats {
-                        start: a.start,
-                        end: sim.now(),
-                        io_secs: a.io_secs,
-                        compute_secs: a.compute_secs,
-                    };
-                    (a.done)(w, sim, stats);
-                }
-            };
-            let instance = &cluster.cfg.instance;
-            if spec.output_bytes <= 0.0 || spec.output == ClusterOutput::None {
-                sim.schedule_now(finish);
-            } else if spec.output == ClusterOutput::Wan {
-                let wan_bps = instance.wan_bps;
-                cloud.store.write(
-                    &mut cloud.meter,
-                    sim,
-                    spec.output_bytes,
-                    spec.io_requests,
-                    Some(wan_bps),
-                    move |w, sim, _| finish(w, sim),
-                );
-            } else {
-                let link = cluster.subs[spec.subcluster].fabric_link;
-                sim.start_transfer(link, spec.output_bytes, Some(instance.node_nic_bps), finish);
-            }
+        a.compute_secs += secs;
+        let done = Ev::CompDone {
+            run,
+            node: u32::try_from(node_idx).expect("node index fits a u32"),
+            preferred: preferred_node,
+            jf,
+        };
+        sim.schedule_in(SimDuration::from_secs(secs), ev::<W>(done));
+    }
+
+    /// A component's compute window on `node_idx` ended: frees the slot,
+    /// retries the component if a preemption took the node mid-window, and
+    /// otherwise starts the output write.
+    pub(crate) fn on_compute_done<W: CloudWorld>(
+        w: &mut W,
+        sim: &mut Simulation<W>,
+        run: u32,
+        node_idx: u32,
+        preferred_node: u32,
+        jf: f64,
+    ) {
+        let Cloud {
+            cluster,
+            cluster_runs,
+            store,
+            meter,
+            ..
+        } = w.cloud();
+        let spec = &cluster_runs.get(run).spec;
+        let node_idx = node_idx as usize;
+        cluster.subs[spec.subcluster].node_loads[node_idx] -= 1;
+        cluster.trace_with(sim.now(), || TraceEvent::VmCompEnd {
+            task: spec.label.clone(),
+            sub: spec.subcluster,
+            node: node_idx,
         });
+        // Spot: the node may have been reclaimed mid-window; the attempt's
+        // work is lost and the component retries.
+        if let Some((t_pre, fault_id)) = cluster.preempted_at(spec.subcluster, node_idx) {
+            if t_pre < sim.now() {
+                let retry_node = cluster.resolve_node(spec.subcluster, preferred_node as usize);
+                cluster.trace_with(sim.now(), || TraceEvent::CompRetry {
+                    id: fault_id,
+                    task: spec.label.clone(),
+                    sub: spec.subcluster,
+                    node: retry_node,
+                });
+                VmCluster::compute_component(w, sim, run, preferred_node, jf);
+                return;
+            }
+        }
+        // --- output ---
+        let finish = ev::<W>(Ev::CompOut {
+            run,
+            since: sim.now(),
+        });
+        let instance = &cluster.cfg.instance;
+        if spec.output_bytes <= 0.0 || spec.output == ClusterOutput::None {
+            sim.schedule_now(finish);
+        } else if spec.output == ClusterOutput::Wan {
+            let wan_bps = instance.wan_bps;
+            store.write(
+                meter,
+                sim,
+                spec.output_bytes,
+                spec.io_requests,
+                Some(wan_bps),
+                finish,
+            );
+        } else {
+            let link = cluster.subs[spec.subcluster].fabric_link;
+            sim.start_transfer(link, spec.output_bytes, Some(instance.node_nic_bps), finish);
+        }
+    }
+
+    /// A component's output, written from `since`, landed. The run's last
+    /// one reports the run to [`CloudWorld::cluster_done`].
+    pub(crate) fn on_output<W: CloudWorld>(
+        w: &mut W,
+        sim: &mut Simulation<W>,
+        run: u32,
+        since: SimTime,
+    ) {
+        let runs = &mut w.cloud().cluster_runs;
+        let a = runs.get_mut(run);
+        a.io_secs += sim.now().since(since).as_secs();
+        a.remaining -= 1;
+        if a.remaining == 0 {
+            let a = runs.remove(run);
+            let stats = ClusterRunStats {
+                start: a.start,
+                end: sim.now(),
+                io_secs: a.io_secs,
+                compute_secs: a.compute_secs,
+            };
+            w.cluster_done(sim, a.tag, stats);
+        }
     }
 }
 
@@ -705,9 +747,9 @@ impl VmCluster {
 mod tests {
     use super::*;
     use crate::pricing::{FaasConfig, StorageConfig};
-    use crate::world::testing::{world, World};
+    use crate::world::testing::{call, world, World};
 
-    type W = World<Vec<ClusterRunStats>>;
+    type W = World<()>;
 
     fn with_config(cfg: ClusterConfig) -> (Simulation<W>, W) {
         world(
@@ -722,17 +764,18 @@ mod tests {
         with_config(ClusterConfig::new(InstanceType::r5_large(), nodes))
     }
 
-    /// Starts `spec` at the current instant; its stats land in `w.out`.
+    /// Starts `spec` at the current instant; its stats land in
+    /// `w.clusters`.
     fn submit(sim: &mut Simulation<W>, spec: ClusterTaskSpec) {
-        sim.schedule_now(move |w: &mut W, sim| {
-            VmCluster::run_task(w, sim, spec, |w: &mut W, _, stats| w.out.push(stats));
-        });
+        sim.schedule_now(call(move |w: &mut W, sim| {
+            VmCluster::run_task(w, sim, spec, ());
+        }));
     }
 
     fn run(sim: &mut Simulation<W>, w: &mut W, spec: ClusterTaskSpec) -> ClusterRunStats {
         submit(sim, spec);
         sim.run(w);
-        w.out.pop().expect("task completed")
+        w.clusters.pop().expect("task completed")
     }
 
     fn run_on(nodes: usize, spec: ClusterTaskSpec) -> ClusterRunStats {
@@ -867,8 +910,8 @@ mod tests {
         sim.run(&mut w);
         // Each subcluster ingests 4 x 1.25 GB over its own 2.5 GB/s master:
         // 2 s each, in parallel (4 s if they shared one master).
-        assert_eq!(w.out.len(), 2);
-        for stats in &w.out {
+        assert_eq!(w.clusters.len(), 2);
+        for stats in &w.clusters {
             let e = stats.end.as_secs();
             assert!((e - 2.0).abs() < 1e-6, "end {e}");
         }
@@ -949,9 +992,12 @@ mod tests {
         // + 10 s retry -> makespan 20 s, 30 s of compute across attempts.
         let (mut sim, mut w) = cluster(2);
         w.cloud.cluster.enable_spot(Vec::new());
-        sim.schedule_at(SimTime::from_secs(5.0), |w: &mut W, sim| {
-            w.cloud.cluster.preempt_node(sim.now(), 0, 0, 0);
-        });
+        sim.schedule_at(
+            SimTime::from_secs(5.0),
+            call(|w: &mut W, sim| {
+                w.cloud.cluster.preempt_node(sim.now(), 0, 0, 0);
+            }),
+        );
         let stats = run(&mut sim, &mut w, ClusterTaskSpec::new("t", 2, 10.0));
         assert!((stats.makespan().as_secs() - 20.0).abs() < 1e-9);
         assert!((stats.compute_secs - 30.0).abs() < 1e-9);

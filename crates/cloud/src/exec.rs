@@ -9,15 +9,12 @@
 //! reached... the next set of serverless functions that start the task from
 //! its stored state is spawned").
 
+use crate::event::{ev, Ev};
 use crate::faas::Invocation;
-use crate::world::CloudWorld;
+use crate::world::{Cloud, CloudWorld};
 use mashup_sim::trace::TraceEvent;
 use mashup_sim::{jitter_factor, SeedSource, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// Completion callback fired once the last component chain finishes.
-type FaasDoneFn<W> = Box<dyn FnOnce(&mut W, &mut Simulation<W>, FaasRunStats) + Send>;
 
 /// Work description for running one task's components on FaaS.
 #[derive(Debug, Clone)]
@@ -108,73 +105,65 @@ impl FaasRunStats {
     }
 }
 
-/// Per-task accumulator of a serverless run in flight, kept in the world's
-/// [`Cloud`](crate::Cloud) under the key its invocation chains carry.
-pub(crate) struct FaasRun<W> {
+/// A serverless run in flight: its spec and platform, its stats
+/// accumulator and its driver's tag, kept in the world's [`Cloud`] under the
+/// key its chains carry. The spec is boxed so a wide phase's slab of runs
+/// stays small when it grows.
+pub(crate) struct FaasRun<W: CloudWorld> {
+    tier: Option<u32>,
+    /// The spec's label interned on the tier's platform.
+    code: u32,
+    spec: Box<FaasTaskSpec>,
     remaining: usize,
     first_start_seen: bool,
     stats: FaasRunStats,
-    done: FaasDoneFn<W>,
+    tag: W::Tag,
 }
 
-/// What every event of one task's invocation chains carries: the platform
-/// tier, the spec, and the key of the task's [`FaasRun`].
-#[derive(Clone)]
-struct Ctx {
-    tier: Option<u32>,
-    spec: Arc<FaasTaskSpec>,
-    run: usize,
+/// One component's invocation chain, kept in the world's [`Cloud`] under
+/// the key its events carry. A chain waits on one thing at a time, so one
+/// invocation, one I/O start instant and one pending amount cover it.
+pub(crate) struct Chain {
+    run: u32,
+    work: Work,
+    /// The current segment's invocation, from its admission on.
+    inv: Option<Invocation>,
+    /// When the pending store operation was issued.
+    io_begin: SimTime,
+    /// The pending step's amount: the chunk in flight for reads and
+    /// writes, the compute left past the checkpoint for `Computed` and
+    /// `CheckpointWritten`.
+    pending: f64,
 }
 
-impl Ctx {
-    fn run<'w, W: CloudWorld>(&self, w: &'w mut W) -> &'w mut FaasRun<W> {
-        w.cloud().faas_runs.get_mut(self.run)
+impl Chain {
+    fn inv(&self) -> Invocation {
+        self.inv.expect("the segment was admitted")
     }
+}
 
-    /// Completes `inv` on the task's platform, billing it now.
-    fn complete<W: CloudWorld>(&self, w: &mut W, sim: &Simulation<W>, inv: &Invocation) -> bool {
-        let (platform, _, meter) = w.cloud().serverless(self.tier);
-        platform.complete(meter, sim.now(), inv.id)
-    }
-
-    fn is_active<W: CloudWorld>(&self, w: &mut W, inv: &Invocation) -> bool {
-        w.cloud().platform(self.tier).is_active(inv.id)
-    }
-
-    fn trace_with<W: CloudWorld>(
-        &self,
-        w: &mut W,
-        sim: &Simulation<W>,
-        make: impl FnOnce() -> TraceEvent,
-    ) {
-        w.cloud().platform(self.tier).trace_with(sim.now(), make);
-    }
-
-    /// Starts a store read (`write` false) or write of `bytes` at the
-    /// per-function cap, then runs `then` with the transfer's wall time.
-    fn store_io<W: CloudWorld>(
-        &self,
-        w: &mut W,
-        sim: &mut Simulation<W>,
-        write: bool,
-        bytes: f64,
-        then: impl FnOnce(&mut W, &mut Simulation<W>, SimDuration) + Send + 'static,
-    ) {
-        let (platform, store, meter) = w.cloud().serverless(self.tier);
-        let cap = Some(platform.config().per_function_bps);
-        let requests = self.spec.io_requests;
-        if write {
-            store.write(meter, sim, bytes, requests, cap, then);
-        } else {
-            store.read(meter, sim, bytes, requests, cap, then);
-        }
-    }
+/// Where a chain resumes when its pending event fires.
+#[derive(Clone, Copy)]
+pub(crate) enum Step {
+    /// The segment's function is ready to run.
+    Ready,
+    /// The checkpointed state was re-read.
+    CheckpointRead,
+    /// An input chunk was read.
+    InputRead,
+    /// The compute window ended (at the checkpoint point if compute is
+    /// left).
+    Computed,
+    /// The checkpoint landed in the store.
+    CheckpointWritten,
+    /// An output chunk was written.
+    OutputWritten,
 }
 
 /// Runs all components of `spec` on the platform of memory tier `tier` (the
 /// base platform for `None`), exchanging data through the world's store,
-/// invoking `on_done` with aggregate stats when the last component's chain
-/// finishes.
+/// reporting aggregate stats to [`CloudWorld::faas_done`] with `tag` when
+/// the last component's chain finishes.
 ///
 /// Panics if a component's memory footprint exceeds the platform cap or if
 /// a component cannot make forward progress inside one timeout window
@@ -186,7 +175,7 @@ pub fn run_task_on_faas<W: CloudWorld>(
     tier: Option<u32>,
     spec: FaasTaskSpec,
     seeds: &SeedSource,
-    on_done: impl FnOnce(&mut W, &mut Simulation<W>, FaasRunStats) + Send + 'static,
+    tag: W::Tag,
 ) {
     let cloud = w.cloud();
     let platform = cloud.platform(tier).config();
@@ -218,8 +207,15 @@ pub fn run_task_on_faas<W: CloudWorld>(
     );
     let core_speed = platform.core_speed;
     let now = sim.now();
+    let code = cloud.platform_mut(tier).code(&spec.label);
+    let mut rng = seeds.child(&spec.label).stream("faas-run");
+    let (components, compute_secs, jitter) = (spec.components, spec.compute_secs, spec.jitter);
+    let (input_bytes, output_bytes) = (spec.input_bytes, spec.output_bytes);
     let run = cloud.faas_runs.insert(FaasRun {
-        remaining: spec.components,
+        tier,
+        code,
+        spec: Box::new(spec),
+        remaining: components,
         first_start_seen: false,
         stats: FaasRunStats {
             start: now,
@@ -235,26 +231,26 @@ pub fn run_task_on_faas<W: CloudWorld>(
             bytes_read: 0.0,
             bytes_written: 0.0,
         },
-        done: Box::new(on_done),
+        tag,
     });
-    let ctx = Ctx {
-        tier,
-        spec: Arc::new(spec),
-        run,
-    };
-    let mut rng = seeds.child(&ctx.spec.label).stream("faas-run");
-    for comp in 0..ctx.spec.components {
-        let jf = jitter_factor(&mut rng, ctx.spec.jitter);
-        let total_compute = ctx.spec.compute_secs / core_speed * jf;
+    for comp in 0..components {
+        let jf = jitter_factor(&mut rng, jitter);
         let work = Work {
             chain: comp as u32,
-            read: ctx.spec.input_bytes,
+            read: input_bytes,
             needs_ckpt_read: false,
-            compute: total_compute,
-            write: ctx.spec.output_bytes,
+            compute: compute_secs / core_speed * jf,
+            write: output_bytes,
             first_segment: true,
         };
-        run_segment(w, sim, ctx.clone(), work);
+        let chain = w.cloud().chains.insert(Chain {
+            run,
+            work,
+            inv: None,
+            io_begin: now,
+            pending: 0.0,
+        });
+        run_segment(w, sim, chain);
     }
 }
 
@@ -280,152 +276,251 @@ struct Work {
     first_segment: bool,
 }
 
-/// One invocation in a component's chain.
-fn run_segment<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, ctx: Ctx, work: Work) {
-    let label = ctx.spec.label.clone();
-    let platform = w.cloud().serverless(ctx.tier).0;
-    platform.invoke(sim, label, move |w: &mut W, sim, inv| {
-        {
-            let a = ctx.run(w);
-            if inv.cold {
-                a.stats.n_cold += 1;
-                a.stats.cold_start_secs += inv.start_latency.as_secs();
-            } else {
-                a.stats.n_warm += 1;
-            }
-            if work.first_segment {
-                if !a.first_start_seen {
-                    a.first_start_seen = true;
-                    a.stats.first_fn_start = inv.ready_at;
-                } else {
-                    a.stats.first_fn_start = a.stats.first_fn_start.min(inv.ready_at);
-                }
-                a.stats.last_fn_start = a.stats.last_fn_start.max(inv.ready_at);
-            }
-        }
-        ctx.trace_with(w, sim, || TraceEvent::SegmentStart {
-            task: ctx.spec.label.clone(),
-            chain: work.chain,
-            inv: inv.id.raw(),
-            resume: work.needs_ckpt_read,
-            mem_gb: ctx.spec.memory_gb,
-        });
-        if work.needs_ckpt_read {
-            // Resume: re-read the checkpointed state before anything else.
-            ctx.trace_with(w, sim, || TraceEvent::CheckpointResume {
-                task: ctx.spec.label.clone(),
-                chain: work.chain,
-                inv: inv.id.raw(),
-                remaining_secs: work.compute,
-            });
-            let ckpt = ctx.spec.checkpoint_bytes;
-            ctx.clone()
-                .store_io(w, sim, false, ckpt, move |w, sim, dur| {
-                    {
-                        let a = ctx.run(w);
-                        a.stats.io_secs += dur.as_secs();
-                        a.stats.bytes_read += ckpt;
-                    }
-                    read_phase(
-                        w,
-                        sim,
-                        ctx,
-                        inv,
-                        Work {
-                            needs_ckpt_read: false,
-                            ..work
-                        },
-                    );
-                });
-        } else {
-            read_phase(w, sim, ctx, inv, work);
-        }
+/// The chain `id` and the run it belongs to.
+fn chain_and_run<W: CloudWorld>(cloud: &mut Cloud<W>, id: u32) -> (&mut Chain, &mut FaasRun<W>) {
+    let chain = cloud.chains.get_mut(id);
+    let run = cloud.faas_runs.get_mut(chain.run);
+    (chain, run)
+}
+
+/// The current invocation of chain `id` and its run's platform tier.
+fn segment<W: CloudWorld>(w: &mut W, id: u32) -> (Invocation, Option<u32>) {
+    let (chain, run) = chain_and_run(w.cloud(), id);
+    (chain.inv(), run.tier)
+}
+
+/// Completes chain `id`'s invocation on its platform, billing it now.
+fn complete<W: CloudWorld>(w: &mut W, sim: &Simulation<W>, id: u32) -> bool {
+    let (inv, tier) = segment(w, id);
+    let (platform, _, meter) = w.cloud().serverless(tier);
+    platform.complete(meter, sim.now(), inv.id)
+}
+
+/// True while chain `id`'s invocation is live.
+fn is_active<W: CloudWorld>(w: &mut W, id: u32) -> bool {
+    let (inv, tier) = segment(w, id);
+    w.cloud().platform(tier).is_active(inv.id)
+}
+
+/// Emits the event `make` builds for chain `id`, on its platform's
+/// recorder, building it only when one is attached.
+fn trace_with<W: CloudWorld>(
+    w: &mut W,
+    sim: &Simulation<W>,
+    id: u32,
+    make: impl FnOnce(&FaasTaskSpec, &Chain) -> TraceEvent,
+) {
+    let cloud = w.cloud();
+    let chain = cloud.chains.get(id);
+    let run = cloud.faas_runs.get(chain.run);
+    cloud
+        .platform(run.tier)
+        .trace_with(sim.now(), || make(&run.spec, chain));
+}
+
+/// Starts a store read (`write` false) or write of `bytes` for chain `id`
+/// at the per-function cap; the chain resumes at `then` when it lands.
+fn store_io<W: CloudWorld>(
+    w: &mut W,
+    sim: &mut Simulation<W>,
+    id: u32,
+    write: bool,
+    bytes: f64,
+    then: Step,
+) {
+    let Cloud {
+        chains, faas_runs, ..
+    } = w.cloud();
+    let chain = chains.get_mut(id);
+    chain.io_begin = sim.now();
+    let run = faas_runs.get(chain.run);
+    let (tier, requests) = (run.tier, run.spec.io_requests);
+    let (platform, store, meter) = w.cloud().serverless(tier);
+    let cap = Some(platform.config().per_function_bps);
+    let done = ev::<W>(Ev::Chain {
+        chain: id,
+        step: then,
     });
+    if write {
+        store.write(meter, sim, bytes, requests, cap, done);
+    } else {
+        store.read(meter, sim, bytes, requests, cap, done);
+    }
+}
+
+/// Sets chain `id`'s remaining work.
+fn set_work<W: CloudWorld>(w: &mut W, id: u32, work: Work) {
+    w.cloud().chains.get_mut(id).work = work;
+}
+
+/// Requests the next invocation in chain `id`, for its current work.
+fn run_segment<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let tier = chain_and_run(w.cloud(), id).1.tier;
+    let delay = w.cloud().platform_mut(tier).scheduler_delay(sim.now());
+    sim.schedule_in(delay, ev::<W>(Ev::FnAdmit { chain: id }));
+}
+
+/// Chain `id`'s request cleared the scheduler: start its invocation and
+/// resume the chain when the function is ready.
+pub(crate) fn on_admit<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let Cloud {
+        chains, faas_runs, ..
+    } = w.cloud();
+    let run = faas_runs.get(chains.get(id).run);
+    let (tier, code) = (run.tier, run.code);
+    let inv = w.cloud().platform_mut(tier).start(sim, code);
+    w.cloud().chains.get_mut(id).inv = Some(inv);
+    sim.schedule_at(
+        inv.ready_at,
+        ev::<W>(Ev::Chain {
+            chain: id,
+            step: Step::Ready,
+        }),
+    );
+}
+
+/// Chain `id` resumes at `step`.
+pub(crate) fn on_step<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32, step: Step) {
+    match step {
+        Step::Ready => segment_ready(w, sim, id),
+        Step::CheckpointRead => {
+            let (chain, run) = chain_and_run(w.cloud(), id);
+            let ckpt = run.spec.checkpoint_bytes;
+            run.stats.io_secs += sim.now().since(chain.io_begin).as_secs();
+            run.stats.bytes_read += ckpt;
+            chain.work.needs_ckpt_read = false;
+            read_phase(w, sim, id);
+        }
+        Step::InputRead => input_read(w, sim, id),
+        Step::Computed => computed(w, sim, id),
+        Step::CheckpointWritten => checkpoint_written(w, sim, id),
+        Step::OutputWritten => output_written(w, sim, id),
+    }
+}
+
+/// The segment's function is ready: book its start, then re-read the
+/// checkpoint (on a resume) or go on to the reads.
+fn segment_ready<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let (chain, a) = chain_and_run(w.cloud(), id);
+    let (inv, work) = (chain.inv(), chain.work);
+    if inv.cold {
+        a.stats.n_cold += 1;
+        a.stats.cold_start_secs += inv.start_latency.as_secs();
+    } else {
+        a.stats.n_warm += 1;
+    }
+    if work.first_segment {
+        if !a.first_start_seen {
+            a.first_start_seen = true;
+            a.stats.first_fn_start = inv.ready_at;
+        } else {
+            a.stats.first_fn_start = a.stats.first_fn_start.min(inv.ready_at);
+        }
+        a.stats.last_fn_start = a.stats.last_fn_start.max(inv.ready_at);
+    }
+    trace_with(w, sim, id, |spec, c| TraceEvent::SegmentStart {
+        task: spec.label.clone(),
+        chain: c.work.chain,
+        inv: inv.id.raw(),
+        resume: c.work.needs_ckpt_read,
+        mem_gb: spec.memory_gb,
+    });
+    if work.needs_ckpt_read {
+        // Resume: re-read the checkpointed state before anything else.
+        trace_with(w, sim, id, |spec, c| TraceEvent::CheckpointResume {
+            task: spec.label.clone(),
+            chain: c.work.chain,
+            inv: inv.id.raw(),
+            remaining_secs: c.work.compute,
+        });
+        let ckpt = chain_and_run(w.cloud(), id).1.spec.checkpoint_bytes;
+        store_io(w, sim, id, false, ckpt, Step::CheckpointRead);
+    } else {
+        read_phase(w, sim, id);
+    }
 }
 
 /// Instant at which this invocation must stop useful work to leave room
 /// for a checkpoint/handover before the hard deadline.
-fn window_end(ctx: &Ctx, inv: &Invocation) -> SimTime {
-    inv.deadline - SimDuration::from_secs(ctx.spec.checkpoint_margin_secs)
+fn window_end(spec: &FaasTaskSpec, inv: &Invocation) -> SimTime {
+    inv.deadline - SimDuration::from_secs(spec.checkpoint_margin_secs)
+}
+
+/// The window budget left to chain `id`'s invocation, in seconds, and its
+/// platform's per-function bandwidth cap.
+fn budget<W: CloudWorld>(w: &mut W, sim: &Simulation<W>, id: u32) -> (f64, f64) {
+    let cloud = w.cloud();
+    let chain = cloud.chains.get(id);
+    let run = cloud.faas_runs.get(chain.run);
+    let cap = cloud.platform(run.tier).config().per_function_bps;
+    let end = window_end(&run.spec, &chain.inv());
+    (end.saturating_since(sim.now()).as_secs(), cap)
 }
 
 /// Reads as much of the remaining input as fits this window, chaining to a
 /// fresh invocation when bytes remain.
-fn read_phase<W: CloudWorld>(
-    w: &mut W,
-    sim: &mut Simulation<W>,
-    ctx: Ctx,
-    inv: Invocation,
-    work: Work,
-) {
+fn read_phase<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let work = w.cloud().chains.get(id).work;
     if work.read <= 0.0 {
-        compute_phase(w, sim, ctx, inv, work);
+        compute_phase(w, sim, id);
         return;
     }
-    let cap = w.cloud().platform(ctx.tier).config().per_function_bps;
-    let budget_secs = window_end(&ctx, &inv).saturating_since(sim.now()).as_secs();
+    let (budget_secs, cap) = budget(w, sim, id);
     let chunk = work.read.min(budget_secs * cap);
     // Analyzer-checked invariant: diagnostic M202 rejects serverless
     // placements whose resume-read alone fills the post-margin window.
     assert!(
         chunk > 0.0,
         "task '{}' cannot make read progress within the FaaS window",
-        ctx.spec.label
+        chain_and_run(w.cloud(), id).1.spec.label
     );
-    ctx.clone()
-        .store_io(w, sim, false, chunk, move |w, sim, dur| {
-            {
-                let a = ctx.run(w);
-                a.stats.io_secs += dur.as_secs();
-                a.stats.bytes_read += chunk;
-            }
-            if work.read - chunk > 1e-6 {
-                // More input than this window could take: hand the remainder to
-                // a fresh invocation (multipart continuation).
-                let alive = ctx.complete(w, sim, &inv);
-                let read_left = if alive { work.read - chunk } else { work.read };
-                run_segment(
-                    w,
-                    sim,
-                    ctx,
-                    Work {
-                        read: read_left,
-                        first_segment: false,
-                        ..work
-                    },
-                );
-            } else if ctx.is_active(w, &inv) {
-                compute_phase(w, sim, ctx, inv, Work { read: 0.0, ..work });
-            } else {
-                // Contention stretched the read past the deadline and the
-                // watchdog killed the function: redo this chunk fresh.
-                run_segment(
-                    w,
-                    sim,
-                    ctx,
-                    Work {
-                        first_segment: false,
-                        ..work
-                    },
-                );
-            }
-        });
+    w.cloud().chains.get_mut(id).pending = chunk;
+    store_io(w, sim, id, false, chunk, Step::InputRead);
+}
+
+/// An input chunk landed: chain on when input remains, compute when the
+/// function survived the read, redo the chunk fresh when it did not.
+fn input_read<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let (chain, a) = chain_and_run(w.cloud(), id);
+    let (chunk, work) = (chain.pending, chain.work);
+    a.stats.io_secs += sim.now().since(chain.io_begin).as_secs();
+    a.stats.bytes_read += chunk;
+    if work.read - chunk > 1e-6 {
+        // More input than this window could take: hand the remainder to a
+        // fresh invocation (multipart continuation).
+        let alive = complete(w, sim, id);
+        let read_left = if alive { work.read - chunk } else { work.read };
+        let next = Work {
+            read: read_left,
+            first_segment: false,
+            ..work
+        };
+        set_work(w, id, next);
+        run_segment(w, sim, id);
+    } else if is_active(w, id) {
+        set_work(w, id, Work { read: 0.0, ..work });
+        compute_phase(w, sim, id);
+    } else {
+        // Contention stretched the read past the deadline and the watchdog
+        // killed the function: redo this chunk fresh.
+        let next = Work {
+            first_segment: false,
+            ..work
+        };
+        set_work(w, id, next);
+        run_segment(w, sim, id);
+    }
 }
 
 /// Computes until done or until the checkpoint point, checkpointing and
 /// chaining when work remains.
-fn compute_phase<W: CloudWorld>(
-    w: &mut W,
-    sim: &mut Simulation<W>,
-    ctx: Ctx,
-    inv: Invocation,
-    work: Work,
-) {
+fn compute_phase<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let work = w.cloud().chains.get(id).work;
     if work.compute <= 0.0 {
-        write_phase(w, sim, ctx, inv, work);
+        write_phase(w, sim, id);
         return;
     }
-    let budget = window_end(&ctx, &inv).saturating_since(sim.now()).as_secs();
+    let (budget, _) = budget(w, sim, id);
     let (compute_now, leftover) = if work.compute <= budget {
         (work.compute, 0.0)
     } else {
@@ -433,161 +528,150 @@ fn compute_phase<W: CloudWorld>(
     };
     if compute_now <= 0.0 && leftover > 0.0 {
         // No usable window left (e.g. the reads consumed it): hand over.
-        let _ = ctx.complete(w, sim, &inv);
-        run_segment(
-            w,
-            sim,
-            ctx,
-            Work {
-                needs_ckpt_read: false,
-                first_segment: false,
-                ..work
-            },
-        );
+        let _ = complete(w, sim, id);
+        let next = Work {
+            needs_ckpt_read: false,
+            first_segment: false,
+            ..work
+        };
+        set_work(w, id, next);
+        run_segment(w, sim, id);
         return;
     }
-    ctx.run(w).stats.compute_secs += compute_now;
-    sim.schedule_in(
-        SimDuration::from_secs(compute_now),
-        move |w: &mut W, sim| {
-            if leftover > 0.0 {
-                // Checkpoint 30 s (the margin) before the limit and restart
-                // from the stored state (paper §3).
-                let write_begin = sim.now();
-                let ckpt = ctx.spec.checkpoint_bytes;
-                let segment_compute = work.compute;
-                ctx.clone().store_io(w, sim, true, ckpt, move |w, sim, _| {
-                    {
-                        let a = ctx.run(w);
-                        a.stats.io_secs += sim.now().since(write_begin).as_secs();
-                        a.stats.bytes_written += ckpt;
-                    }
-                    // The state only persists if the function survived to
-                    // finish the write; record the checkpoint at the instant
-                    // it landed (before the deadline, or the watchdog would
-                    // have killed the function first).
-                    if ctx.is_active(w, &inv) {
-                        ctx.trace_with(w, sim, || TraceEvent::Checkpoint {
-                            task: ctx.spec.label.clone(),
-                            chain: work.chain,
-                            inv: inv.id.raw(),
-                            bytes: ckpt,
-                            remaining_secs: leftover,
-                        });
-                    }
-                    let alive = ctx.complete(w, sim, &inv);
-                    let next = if alive {
-                        ctx.run(w).stats.checkpoints += 1;
-                        Work {
-                            read: 0.0,
-                            needs_ckpt_read: true,
-                            compute: leftover,
-                            first_segment: false,
-                            ..work
-                        }
-                    } else {
-                        // Killed mid-checkpoint: the state never persisted;
-                        // redo this segment's compute from the last good
-                        // checkpoint (if any).
-                        let had_ckpt = ctx.run(w).stats.checkpoints > 0;
-                        Work {
-                            read: 0.0,
-                            needs_ckpt_read: had_ckpt,
-                            compute: segment_compute,
-                            first_segment: false,
-                            ..work
-                        }
-                    };
-                    run_segment(w, sim, ctx, next);
-                });
-            } else {
-                write_phase(
-                    w,
-                    sim,
-                    ctx,
-                    inv,
-                    Work {
-                        compute: 0.0,
-                        ..work
-                    },
-                );
-            }
-        },
-    );
+    let (chain, a) = chain_and_run(w.cloud(), id);
+    a.stats.compute_secs += compute_now;
+    chain.pending = leftover;
+    let done = ev::<W>(Ev::Chain {
+        chain: id,
+        step: Step::Computed,
+    });
+    sim.schedule_in(SimDuration::from_secs(compute_now), done);
+}
+
+/// The compute window ended: checkpoint 30 s (the margin) before the limit
+/// when compute remains and restart from the stored state (paper §3), or
+/// write the output.
+fn computed<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let (chain, run) = chain_and_run(w.cloud(), id);
+    if chain.pending > 0.0 {
+        let ckpt = run.spec.checkpoint_bytes;
+        store_io(w, sim, id, true, ckpt, Step::CheckpointWritten);
+    } else {
+        chain.work.compute = 0.0;
+        write_phase(w, sim, id);
+    }
+}
+
+/// The checkpoint write landed. The state only persists if the function
+/// survived to finish it; either way the chain continues in a fresh
+/// invocation.
+fn checkpoint_written<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let (chain, a) = chain_and_run(w.cloud(), id);
+    let (leftover, work) = (chain.pending, chain.work);
+    let ckpt = a.spec.checkpoint_bytes;
+    a.stats.io_secs += sim.now().since(chain.io_begin).as_secs();
+    a.stats.bytes_written += ckpt;
+    // Record the checkpoint at the instant it landed (before the deadline,
+    // or the watchdog would have killed the function first).
+    if is_active(w, id) {
+        trace_with(w, sim, id, |spec, c| TraceEvent::Checkpoint {
+            task: spec.label.clone(),
+            chain: c.work.chain,
+            inv: c.inv().id.raw(),
+            bytes: ckpt,
+            remaining_secs: leftover,
+        });
+    }
+    let alive = complete(w, sim, id);
+    let a = chain_and_run(w.cloud(), id).1;
+    let next = if alive {
+        a.stats.checkpoints += 1;
+        Work {
+            read: 0.0,
+            needs_ckpt_read: true,
+            compute: leftover,
+            first_segment: false,
+            ..work
+        }
+    } else {
+        // Killed mid-checkpoint: the state never persisted; redo this
+        // segment's compute from the last good checkpoint (if any).
+        Work {
+            read: 0.0,
+            needs_ckpt_read: a.stats.checkpoints > 0,
+            compute: work.compute,
+            first_segment: false,
+            ..work
+        }
+    };
+    set_work(w, id, next);
+    run_segment(w, sim, id);
 }
 
 /// Writes as much of the remaining output as fits this window, chaining to
 /// a fresh invocation when bytes remain (multipart upload), and finishing
 /// the component when everything has landed.
-fn write_phase<W: CloudWorld>(
-    w: &mut W,
-    sim: &mut Simulation<W>,
-    ctx: Ctx,
-    inv: Invocation,
-    work: Work,
-) {
-    let cap = w.cloud().platform(ctx.tier).config().per_function_bps;
+fn write_phase<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let work = w.cloud().chains.get(id).work;
+    let (budget_secs, cap) = budget(w, sim, id);
     if work.write <= 0.0 {
-        let _ = ctx.complete(w, sim, &inv);
-        finish_component(w, sim, &ctx);
+        let _ = complete(w, sim, id);
+        finish_component(w, sim, id);
         return;
     }
-    let budget_secs = window_end(&ctx, &inv).saturating_since(sim.now()).as_secs();
     let chunk = work.write.min(budget_secs * cap);
     if chunk <= 0.0 {
         // Window exhausted before any bytes could move: fresh invocation.
-        let _ = ctx.complete(w, sim, &inv);
-        run_segment(
-            w,
-            sim,
-            ctx,
-            Work {
-                first_segment: false,
-                ..work
-            },
-        );
+        let _ = complete(w, sim, id);
+        let next = Work {
+            first_segment: false,
+            ..work
+        };
+        set_work(w, id, next);
+        run_segment(w, sim, id);
         return;
     }
-    let write_begin = sim.now();
-    ctx.clone().store_io(w, sim, true, chunk, move |w, sim, _| {
-        {
-            let a = ctx.run(w);
-            a.stats.io_secs += sim.now().since(write_begin).as_secs();
-            a.stats.bytes_written += chunk;
-        }
-        let alive = ctx.complete(w, sim, &inv);
-        // A killed function's part upload never lands; redo the chunk.
-        let rest = if alive {
-            work.write - chunk
-        } else {
-            work.write
-        };
-        if rest > 1e-6 {
-            run_segment(
-                w,
-                sim,
-                ctx,
-                Work {
-                    write: rest,
-                    first_segment: false,
-                    ..work
-                },
-            );
-        } else {
-            finish_component(w, sim, &ctx);
-        }
-    });
+    w.cloud().chains.get_mut(id).pending = chunk;
+    store_io(w, sim, id, true, chunk, Step::OutputWritten);
 }
 
-/// Marks one component done, firing the task callback after the last one.
-fn finish_component<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, ctx: &Ctx) {
-    let runs = &mut w.cloud().faas_runs;
-    let a = runs.get_mut(ctx.run);
+/// An output chunk landed: chain on when output remains (a killed
+/// function's part never lands and is redone), finish otherwise.
+fn output_written<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let (chain, a) = chain_and_run(w.cloud(), id);
+    let (chunk, work) = (chain.pending, chain.work);
+    a.stats.io_secs += sim.now().since(chain.io_begin).as_secs();
+    a.stats.bytes_written += chunk;
+    let alive = complete(w, sim, id);
+    let rest = if alive {
+        work.write - chunk
+    } else {
+        work.write
+    };
+    if rest > 1e-6 {
+        let next = Work {
+            write: rest,
+            first_segment: false,
+            ..work
+        };
+        set_work(w, id, next);
+        run_segment(w, sim, id);
+    } else {
+        finish_component(w, sim, id);
+    }
+}
+
+/// Marks chain `id`'s component done, reporting the run to
+/// [`CloudWorld::faas_done`] after the last one.
+fn finish_component<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
+    let cloud = w.cloud();
+    let run = cloud.chains.remove(id).run;
+    let a = cloud.faas_runs.get_mut(run);
     a.remaining -= 1;
     if a.remaining == 0 {
         a.stats.end = sim.now();
-        let a = runs.remove(ctx.run);
-        (a.done)(w, sim, a.stats);
+        let a = cloud.faas_runs.remove(run);
+        w.faas_done(sim, a.tag, a.stats);
     }
 }
 
@@ -596,9 +680,9 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::pricing::{FaasConfig, InstanceType, StorageConfig};
-    use crate::world::testing::{world, World};
+    use crate::world::testing::{call, world, World};
 
-    type W = World<Option<FaasRunStats>>;
+    type W = World<()>;
 
     fn setup(mut faas: FaasConfig, mut storage: StorageConfig) -> (Simulation<W>, W) {
         faas.cold_start_secs = (1.0, 1.0);
@@ -614,20 +698,11 @@ mod tests {
     /// Runs `spec` to completion in the world `setup` built; the world
     /// stays inspectable afterwards.
     fn run_in(sim: &mut Simulation<W>, w: &mut W, spec: FaasTaskSpec) -> FaasRunStats {
-        sim.schedule_now(move |w: &mut W, sim| {
-            run_task_on_faas(
-                w,
-                sim,
-                None,
-                spec,
-                &SeedSource::new(5),
-                |w: &mut W, _, stats| {
-                    w.out = Some(stats);
-                },
-            );
-        });
+        sim.schedule_now(call(move |w: &mut W, sim| {
+            run_task_on_faas(w, sim, None, spec, &SeedSource::new(5), ());
+        }));
         sim.run(w);
-        w.out.take().expect("task completed")
+        w.faas.pop().expect("task completed")
     }
 
     fn run(faas: FaasConfig, storage: StorageConfig, spec: FaasTaskSpec) -> FaasRunStats {

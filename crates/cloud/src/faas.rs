@@ -14,6 +14,7 @@
 //!   `exec` exists to avoid exactly this).
 
 use crate::cost::CostMeter;
+use crate::event::{ev, Ev};
 use crate::pricing::FaasConfig;
 use crate::world::CloudWorld;
 use mashup_sim::trace::{KillReason, TraceEvent, Tracer};
@@ -54,7 +55,8 @@ pub struct Invocation {
 struct ActiveInv {
     ready_at: SimTime,
     start_latency: f64,
-    code_key: String,
+    /// Interned code identity (see [`FaasPlatform::code`]).
+    code: u32,
 }
 
 /// A FaaS platform: one scheduler, one set of warm pools, one price point.
@@ -67,9 +69,12 @@ pub struct FaasPlatform {
     // Token bucket for function starts.
     tokens: f64,
     last_refill: SimTime,
-    // Warm microVMs per code identity: expiry instants.
+    /// Code identities by interned id; events and invocations carry the id.
+    codes: Vec<String>,
     #[expect(clippy::disallowed_types, reason = "keyed lookups only")]
-    warm_pool: HashMap<String, Vec<SimTime>>,
+    code_ids: HashMap<String, u32>,
+    /// Warm microVMs per code id: expiry instants.
+    warm_pool: Vec<Vec<SimTime>>,
     #[expect(clippy::disallowed_types, reason = "keyed lookups only")]
     active: HashMap<u64, ActiveInv>,
     next_id: u64,
@@ -91,7 +96,9 @@ impl FaasPlatform {
             tier: None,
             tokens: cfg.burst_capacity as f64,
             last_refill: SimTime::ZERO,
-            warm_pool: Default::default(),
+            codes: Vec::new(),
+            code_ids: Default::default(),
+            warm_pool: Vec::new(),
             active: Default::default(),
             next_id: 0,
             cold_starts: 0,
@@ -163,7 +170,22 @@ impl FaasPlatform {
     /// Number of currently warm microVMs for `code_key` (expired entries
     /// are pruned lazily, so this may overcount until the next invoke).
     pub fn warm_count(&self, code_key: &str) -> usize {
-        self.warm_pool.get(code_key).map_or(0, |v| v.len())
+        self.code_ids
+            .get(code_key)
+            .map_or(0, |&code| self.warm_pool[code as usize].len())
+    }
+
+    /// The interned id of code identity `code_key`, assigned on first use.
+    /// Invocations of one identity share a warm pool.
+    pub(crate) fn code(&mut self, code_key: &str) -> u32 {
+        if let Some(&code) = self.code_ids.get(code_key) {
+            return code;
+        }
+        let code = u32::try_from(self.codes.len()).expect("code id overflow");
+        self.codes.push(code_key.to_owned());
+        self.code_ids.insert(code_key.to_owned(), code);
+        self.warm_pool.push(Vec::new());
+        code
     }
 
     /// Consumes a scheduler token, returning the start delay from `now`.
@@ -172,7 +194,7 @@ impl FaasPlatform {
     /// that is paid down at the ramp rate, so a batch of `C` simultaneous
     /// invocations beyond the burst is staggered linearly — the Fig. 4(c)
     /// scaling-time behaviour.
-    fn scheduler_delay(&mut self, now: SimTime) -> SimDuration {
+    pub(crate) fn scheduler_delay(&mut self, now: SimTime) -> SimDuration {
         let elapsed = now.saturating_since(self.last_refill).as_secs();
         self.tokens =
             (self.tokens + elapsed * self.cfg.ramp_per_sec).min(self.cfg.burst_capacity as f64);
@@ -185,16 +207,11 @@ impl FaasPlatform {
         }
     }
 
-    /// Pops a warm microVM for `code_key` valid at time `t`, if any.
-    fn take_warm(&mut self, code_key: &str, t: SimTime) -> bool {
-        if let Some(pool) = self.warm_pool.get_mut(code_key) {
-            pool.retain(|&exp| exp > t);
-            if !pool.is_empty() {
-                pool.pop();
-                return true;
-            }
-        }
-        false
+    /// Pops a warm microVM for `code` valid at time `t`, if any.
+    fn take_warm(&mut self, code: u32, t: SimTime) -> bool {
+        let pool = &mut self.warm_pool[code as usize];
+        pool.retain(|&exp| exp > t);
+        pool.pop().is_some()
     }
 
     fn sample_cold_start(&mut self) -> f64 {
@@ -205,80 +222,78 @@ impl FaasPlatform {
         lo + self.rng.gen::<f64>() * (hi - lo)
     }
 
-    /// Requests a function for `code_key`. After the scheduler delay and
-    /// cold/warm start latency, `on_ready` fires with the [`Invocation`].
-    /// If the executor has not completed the invocation by its deadline,
-    /// the platform kills it.
-    pub fn invoke<W: CloudWorld>(
+    /// Starts an invocation of `code` whose request cleared the scheduler
+    /// (see [`scheduler_delay`](Self::scheduler_delay)): takes a warm
+    /// microVM or pays a sampled cold start, arms the timeout watchdog and
+    /// any injected failure, and returns the invocation, which is ready
+    /// to run at its `ready_at`. If the executor has not completed it by its
+    /// deadline, the platform kills it.
+    pub(crate) fn start<W: CloudWorld>(
         &mut self,
         sim: &mut Simulation<W>,
-        code_key: impl Into<String>,
-        on_ready: impl FnOnce(&mut W, &mut Simulation<W>, Invocation) + Send + 'static,
-    ) {
-        let code_key = code_key.into();
-        let sched_delay = self.scheduler_delay(sim.now());
-        let tier = self.tier;
-        sim.schedule_in(sched_delay, move |w: &mut W, sim| {
-            let platform = w.cloud().serverless(tier).0;
-            let warm = platform.take_warm(&code_key, sim.now());
-            let (latency, cold) = if warm {
-                (platform.cfg.warm_start_secs, false)
-            } else {
-                (platform.sample_cold_start(), true)
-            };
-            let ready_at = sim.now() + SimDuration::from_secs(latency);
-            if cold {
-                platform.cold_starts += 1;
-            } else {
-                platform.warm_starts += 1;
-            }
-            let id = platform.next_id;
-            platform.next_id += 1;
-            platform.active.insert(
-                id,
-                ActiveInv {
-                    ready_at,
-                    start_latency: latency,
-                    code_key: code_key.clone(),
-                },
-            );
-            platform.peak_concurrency = platform.peak_concurrency.max(platform.active.len());
-            let deadline = ready_at + SimDuration::from_secs(platform.cfg.timeout_secs);
-            let inv = Invocation {
-                id: InvocationId(id),
+        code: u32,
+    ) -> Invocation {
+        let warm = self.take_warm(code, sim.now());
+        let (latency, cold) = if warm {
+            (self.cfg.warm_start_secs, false)
+        } else {
+            (self.sample_cold_start(), true)
+        };
+        let ready_at = sim.now() + SimDuration::from_secs(latency);
+        if cold {
+            self.cold_starts += 1;
+        } else {
+            self.warm_starts += 1;
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.active.insert(
+            id,
+            ActiveInv {
                 ready_at,
-                deadline,
-                cold,
-                start_latency: SimDuration::from_secs(latency),
-            };
-            platform.trace_with(sim.now(), || TraceEvent::FnStart {
-                id,
-                code: code_key,
-                cold,
-                latency_secs: latency,
-                ready_secs: ready_at.as_secs(),
-                deadline_secs: deadline.as_secs(),
-            });
-            // Watchdog enforcing the execution time cap.
-            sim.schedule_at(deadline, move |w: &mut W, sim| {
-                let (platform, _, meter) = w.cloud().serverless(tier);
-                platform.kill_invocation(meter, sim.now(), id, KillReason::Watchdog);
-            });
-            // Transient platform failures (§3): the microVM dies at a
-            // random point of its window; the executor recovers from the
-            // last checkpoint.
-            if platform.cfg.failure_prob > 0.0
-                && platform.rng.gen::<f64>() < platform.cfg.failure_prob
-            {
-                let frac: f64 = platform.rng.gen();
-                let kill_at = ready_at + SimDuration::from_secs(platform.cfg.timeout_secs * frac);
-                sim.schedule_at(kill_at, move |w: &mut W, sim| {
-                    let (platform, _, meter) = w.cloud().serverless(tier);
-                    platform.kill_invocation(meter, sim.now(), id, KillReason::Injected);
-                });
-            }
-            sim.schedule_at(ready_at, move |w, sim| on_ready(w, sim, inv));
+                start_latency: latency,
+                code,
+            },
+        );
+        self.peak_concurrency = self.peak_concurrency.max(self.active.len());
+        let deadline = ready_at + SimDuration::from_secs(self.cfg.timeout_secs);
+        let inv = Invocation {
+            id: InvocationId(id),
+            ready_at,
+            deadline,
+            cold,
+            start_latency: SimDuration::from_secs(latency),
+        };
+        self.trace_with(sim.now(), || TraceEvent::FnStart {
+            id,
+            code: self.codes[code as usize].clone(),
+            cold,
+            latency_secs: latency,
+            ready_secs: ready_at.as_secs(),
+            deadline_secs: deadline.as_secs(),
         });
+        let tier = self.tier;
+        // Watchdog enforcing the execution time cap.
+        let watchdog = Ev::FnKill {
+            tier,
+            id,
+            reason: KillReason::Watchdog,
+        };
+        sim.schedule_at(deadline, ev::<W>(watchdog));
+        // Transient platform failures (§3): the microVM dies at a random
+        // point of its window; the executor recovers from the last
+        // checkpoint.
+        if self.cfg.failure_prob > 0.0 && self.rng.gen::<f64>() < self.cfg.failure_prob {
+            let frac: f64 = self.rng.gen();
+            let kill_at = ready_at + SimDuration::from_secs(self.cfg.timeout_secs * frac);
+            let failure = Ev::FnKill {
+                tier,
+                id,
+                reason: KillReason::Injected,
+            };
+            sim.schedule_at(kill_at, ev::<W>(failure));
+        }
+        inv
     }
 
     /// Kills a live invocation (deadline watchdog or injected failure):
@@ -325,7 +340,7 @@ impl FaasPlatform {
         let billed = inv.start_latency + now.saturating_since(inv.ready_at).as_secs();
         self.function_seconds += billed;
         let expiry = now + SimDuration::from_secs(self.cfg.keep_alive_secs);
-        self.warm_pool.entry(inv.code_key).or_default().push(expiry);
+        self.warm_pool[inv.code as usize].push(expiry);
         meter.charge_faas(billed, self.cfg.price_per_hour);
         self.trace_with(now, || TraceEvent::FnEnd {
             id: id.0,
@@ -342,37 +357,66 @@ impl FaasPlatform {
     /// Each microVM pays a cold start, billed as function time, then sits
     /// in the warm pool.
     pub fn prewarm<W: CloudWorld>(
-        &self,
+        &mut self,
         sim: &mut Simulation<W>,
-        code_key: impl Into<String>,
+        code_key: &str,
         count: usize,
     ) {
-        let code_key = code_key.into();
+        let code = self.code(code_key);
         let tier = self.tier;
         for i in 0..count {
             let sched_delay = SimDuration::from_secs(i as f64 / self.cfg.ramp_per_sec);
-            let key = code_key.clone();
-            sim.schedule_in(sched_delay, move |w: &mut W, sim| {
-                let (platform, _, meter) = w.cloud().serverless(tier);
-                let latency = platform.sample_cold_start();
-                let warm_at = sim.now() + SimDuration::from_secs(latency);
-                meter.charge_faas(latency, platform.cfg.price_per_hour);
-                platform.function_seconds += latency;
-                platform.cold_starts += 1;
-                platform.trace_with(sim.now(), || TraceEvent::FnPrewarm {
-                    code: key.clone(),
-                    latency_secs: latency,
-                    warm_secs: warm_at.as_secs(),
-                    expires_secs: warm_at.as_secs() + platform.cfg.keep_alive_secs,
-                });
-                sim.schedule_at(warm_at, move |w: &mut W, sim| {
-                    let platform = w.cloud().serverless(tier).0;
-                    let expiry = sim.now() + SimDuration::from_secs(platform.cfg.keep_alive_secs);
-                    platform.warm_pool.entry(key).or_default().push(expiry);
-                });
-            });
+            sim.schedule_in(sched_delay, ev::<W>(Ev::Prewarm { tier, code }));
         }
     }
+}
+
+/// Invocation `id` on the platform of `tier` hit its deadline or an injected
+/// failure: kill it if it is still live.
+pub(crate) fn on_kill<W: CloudWorld>(
+    w: &mut W,
+    sim: &mut Simulation<W>,
+    tier: Option<u32>,
+    id: u64,
+    reason: KillReason,
+) {
+    let (platform, _, meter) = w.cloud().serverless(tier);
+    platform.kill_invocation(meter, sim.now(), id, reason);
+}
+
+/// A pre-warm cleared the background ramp: pays and bills its cold start,
+/// then joins the warm pool when the microVM is up.
+pub(crate) fn on_prewarm<W: CloudWorld>(
+    w: &mut W,
+    sim: &mut Simulation<W>,
+    tier: Option<u32>,
+    code: u32,
+) {
+    let (platform, _, meter) = w.cloud().serverless(tier);
+    let latency = platform.sample_cold_start();
+    let warm_at = sim.now() + SimDuration::from_secs(latency);
+    meter.charge_faas(latency, platform.cfg.price_per_hour);
+    platform.function_seconds += latency;
+    platform.cold_starts += 1;
+    platform.trace_with(sim.now(), || TraceEvent::FnPrewarm {
+        code: platform.codes[code as usize].clone(),
+        latency_secs: latency,
+        warm_secs: warm_at.as_secs(),
+        expires_secs: warm_at.as_secs() + platform.cfg.keep_alive_secs,
+    });
+    sim.schedule_at(warm_at, ev::<W>(Ev::Warmed { tier, code }));
+}
+
+/// A pre-warmed microVM is up: it stays warm for the keep-alive window.
+pub(crate) fn on_warmed<W: CloudWorld>(
+    w: &mut W,
+    sim: &mut Simulation<W>,
+    tier: Option<u32>,
+    code: u32,
+) {
+    let platform = w.cloud().platform_mut(tier);
+    let expiry = sim.now() + SimDuration::from_secs(platform.cfg.keep_alive_secs);
+    platform.warm_pool[code as usize].push(expiry);
 }
 
 #[cfg(test)]
@@ -380,9 +424,9 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::pricing::{InstanceType, StorageConfig};
-    use crate::world::testing::{world, World};
+    use crate::world::testing::{call, world, World};
 
-    fn platform<T: Default>(cfg: FaasConfig) -> (Simulation<World<T>>, World<T>) {
+    fn platform<T: Default + Send + 'static>(cfg: FaasConfig) -> (Simulation<World<T>>, World<T>) {
         world(
             ClusterConfig::new(InstanceType::r5_large(), 1),
             cfg,
@@ -400,9 +444,27 @@ mod tests {
         cfg
     }
 
-    fn complete<T>(w: &mut World<T>, now: SimTime, id: InvocationId) -> bool {
+    fn complete<T: Send>(w: &mut World<T>, now: SimTime, id: InvocationId) -> bool {
         let cloud = &mut w.cloud;
         cloud.faas.complete(&mut cloud.meter, now, id)
+    }
+
+    /// Requests a base-platform function for `code` as a segment chain
+    /// does: the scheduler delay, then the start, then `on_ready` at the
+    /// ready instant.
+    fn invoke<T: Send + 'static>(
+        w: &mut World<T>,
+        sim: &mut Simulation<World<T>>,
+        code: &'static str,
+        on_ready: impl FnOnce(&mut World<T>, &mut Simulation<World<T>>, Invocation) + Send + 'static,
+    ) {
+        let delay = w.cloud.faas.scheduler_delay(sim.now());
+        let admit = call(move |w: &mut World<T>, sim| {
+            let code = w.cloud.faas.code(code);
+            let inv = w.cloud.faas.start(sim, code);
+            sim.schedule_at(inv.ready_at, call(move |w, sim| on_ready(w, sim, inv)));
+        });
+        sim.schedule_in(delay, admit);
     }
 
     /// Invokes `code` now, completes it at once, and `delay` later invokes
@@ -413,23 +475,17 @@ mod tests {
         delay: f64,
         again: &'static str,
     ) {
-        sim.schedule_now(move |w: &mut World<bool>, sim| {
-            w.cloud
-                .faas
-                .invoke(sim, code, move |w: &mut World<bool>, sim, inv| {
-                    assert!(complete(w, sim.now(), inv.id));
-                    sim.schedule_in(
-                        SimDuration::from_secs(delay),
-                        move |w: &mut World<bool>, sim| {
-                            w.cloud
-                                .faas
-                                .invoke(sim, again, |w: &mut World<bool>, _, inv2| {
-                                    w.out = inv2.cold
-                                });
-                        },
-                    );
+        sim.schedule_now(call(move |w: &mut World<bool>, sim| {
+            invoke(w, sim, code, move |w: &mut World<bool>, sim, inv| {
+                assert!(complete(w, sim.now(), inv.id));
+                let second = call(move |w: &mut World<bool>, sim| {
+                    invoke(w, sim, again, |w: &mut World<bool>, _, inv2| {
+                        w.out = inv2.cold
+                    });
                 });
-        });
+                sim.schedule_in(SimDuration::from_secs(delay), second);
+            });
+        }));
     }
 
     #[test]
@@ -438,16 +494,14 @@ mod tests {
         cfg.keep_alive_secs = 0.0; // force every start cold for exact timing
         let (mut sim, mut w) = platform::<Vec<f64>>(cfg);
         for _ in 0..5 {
-            sim.schedule_now(|w: &mut World<Vec<f64>>, sim| {
-                w.cloud
-                    .faas
-                    .invoke(sim, "task", |w: &mut World<Vec<f64>>, sim, inv| {
-                        w.out.push(inv.ready_at.as_secs());
-                        sim.schedule_now(move |w: &mut World<Vec<f64>>, sim| {
-                            assert!(complete(w, sim.now(), inv.id))
-                        });
-                    });
-            });
+            sim.schedule_now(call(|w: &mut World<Vec<f64>>, sim| {
+                invoke(w, sim, "task", |w: &mut World<Vec<f64>>, sim, inv| {
+                    w.out.push(inv.ready_at.as_secs());
+                    sim.schedule_now(call(move |w: &mut World<Vec<f64>>, sim| {
+                        assert!(complete(w, sim.now(), inv.id))
+                    }));
+                });
+            }));
         }
         sim.run(&mut w);
         // Two burst tokens start immediately (cold start 1 s), the rest are
@@ -497,13 +551,11 @@ mod tests {
         let mut cfg = fixed_cfg();
         cfg.timeout_secs = 10.0;
         let (mut sim, mut w) = platform::<()>(cfg);
-        sim.schedule_now(|w: &mut World<()>, sim| {
-            w.cloud
-                .faas
-                .invoke(sim, "slow", |_: &mut World<()>, _, _inv| {
-                    // Executor "hangs": never completes.
-                });
-        });
+        sim.schedule_now(call(|w: &mut World<()>, sim| {
+            invoke(w, sim, "slow", |_: &mut World<()>, _, _inv| {
+                // Executor "hangs": never completes.
+            });
+        }));
         sim.run(&mut w);
         assert_eq!(w.cloud.faas.kills(), 1);
         // Billed the full window: 1 s cold + 10 s timeout.
@@ -515,16 +567,18 @@ mod tests {
     fn prewarm_fills_pool_and_bills() {
         let (mut sim, mut w) = platform::<bool>(fixed_cfg());
         w.out = true;
-        sim.schedule_now(|w: &mut World<bool>, sim| w.cloud.faas.prewarm(sim, "task", 2));
+        sim.schedule_now(call(|w: &mut World<bool>, sim| {
+            w.cloud.faas.prewarm(sim, "task", 2)
+        }));
         sim.run_until(&mut w, Some(SimTime::from_secs(5.0)));
         assert_eq!(w.cloud.faas.warm_count("task"), 2);
         assert!((w.cloud.faas.function_seconds() - 2.0).abs() < 1e-9);
         // A subsequent invoke is warm.
-        sim.schedule_now(|w: &mut World<bool>, sim| {
-            w.cloud
-                .faas
-                .invoke(sim, "task", |w: &mut World<bool>, _, inv| w.out = inv.cold);
-        });
+        sim.schedule_now(call(|w: &mut World<bool>, sim| {
+            invoke(w, sim, "task", |w: &mut World<bool>, _, inv| {
+                w.out = inv.cold
+            });
+        }));
         sim.run_until(&mut w, Some(SimTime::from_secs(10.0)));
         assert!(!w.out);
     }
@@ -532,18 +586,14 @@ mod tests {
     #[test]
     fn completion_bills_duration_plus_start() {
         let (mut sim, mut w) = platform::<()>(fixed_cfg());
-        sim.schedule_now(|w: &mut World<()>, sim| {
-            w.cloud
-                .faas
-                .invoke(sim, "t", |_: &mut World<()>, sim, inv| {
-                    sim.schedule_in(
-                        SimDuration::from_secs(9.0),
-                        move |w: &mut World<()>, sim| {
-                            assert!(complete(w, sim.now(), inv.id));
-                        },
-                    );
+        sim.schedule_now(call(|w: &mut World<()>, sim| {
+            invoke(w, sim, "t", |_: &mut World<()>, sim, inv| {
+                let finish = call(move |w: &mut World<()>, sim| {
+                    assert!(complete(w, sim.now(), inv.id));
                 });
-        });
+                sim.schedule_in(SimDuration::from_secs(9.0), finish);
+            });
+        }));
         sim.run(&mut w);
         // 1 s cold start + 9 s run.
         assert!((w.cloud.faas.function_seconds() - 10.0).abs() < 1e-9);

@@ -22,6 +22,7 @@
 //! node, so every chaos run can complete (possibly slowly) rather than
 //! wedging.
 
+use crate::event::{ev, Ev};
 use crate::world::{Cloud, CloudWorld};
 use mashup_sim::{SeedSource, SimTime, Simulation};
 use rand::Rng;
@@ -455,23 +456,34 @@ impl FaultPlan {
             cloud.store.enable_chaos(self.seed);
         }
         for (id, fault) in self.faults.iter().enumerate() {
-            let id = id as u64;
+            let index = u32::try_from(cloud.faults.len()).expect("fault index overflow");
+            cloud.faults.push((id as u64, fault.clone()));
+            let edge = |end| ev::<W>(Ev::Fault { index, end });
             match *fault {
-                Fault::Preempt { at_secs, node } => {
-                    sim.schedule_at(SimTime::from_secs(at_secs), move |w: &mut W, sim| {
-                        w.cloud().cluster.preempt_flat(sim.now(), node, id);
-                    });
+                Fault::Preempt { at_secs, .. } => {
+                    sim.schedule_at(SimTime::from_secs(at_secs), edge(false));
                 }
                 _ => {
-                    let (from, until, f) = fault.store_window().expect("non-preempt fault");
-                    sim.schedule_at(SimTime::from_secs(from), move |w: &mut W, sim| {
-                        w.cloud().store.apply_fault(sim.now(), id, f, until);
-                    });
-                    sim.schedule_at(SimTime::from_secs(until), move |w: &mut W, _| {
-                        w.cloud().store.clear_fault(id);
-                    });
+                    let (from, until, _) = fault.store_window().expect("non-preempt fault");
+                    sim.schedule_at(SimTime::from_secs(from), edge(false));
+                    sim.schedule_at(SimTime::from_secs(until), edge(true));
                 }
             }
+        }
+    }
+}
+
+/// Installed fault `index` fires: a preemption reclaims its node, a storage
+/// window opens (or, at its `end`, closes).
+pub(crate) fn on_fault<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, index: u32, end: bool) {
+    let cloud = w.cloud();
+    let (id, ref fault) = cloud.faults[index as usize];
+    match *fault {
+        Fault::Preempt { node, .. } => cloud.cluster.preempt_flat(sim.now(), node, id),
+        _ if end => cloud.store.clear_fault(id),
+        _ => {
+            let (_, until, f) = fault.store_window().expect("non-preempt fault");
+            cloud.store.apply_fault(sim.now(), id, f, until);
         }
     }
 }

@@ -22,14 +22,17 @@
 //!
 //! The services are plain values grouped in a [`Cloud`], which the
 //! simulated world owns and exposes through the [`CloudWorld`] accessor.
-//! Their links live in the engine's arena; their events carry ids and find
-//! the state they name in the world each event is handed.
+//! Their links live in the engine's arena. Their events are [`CloudEvent`]
+//! values that carry ids and find the state they name in the world each
+//! event is handed; a finished run reports to the world with the tag its
+//! driver chose.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cluster;
 mod cost;
+mod event;
 mod exec;
 mod faas;
 pub mod fault;
@@ -41,6 +44,7 @@ pub use cluster::{
     ClusterConfig, ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, VmCluster,
 };
 pub use cost::{CostMeter, Expense};
+pub use event::CloudEvent;
 pub use exec::{run_task_on_faas, FaasRunStats, FaasTaskSpec};
 pub use faas::{FaasPlatform, Invocation, InvocationId};
 pub use fault::{Fault, FaultPlan, FaultProfile, StoreFault};

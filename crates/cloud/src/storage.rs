@@ -23,7 +23,7 @@ use crate::cost::CostMeter;
 use crate::fault::StoreFault;
 use crate::pricing::StorageConfig;
 use mashup_sim::trace::{TraceEvent, Tracer};
-use mashup_sim::{LinkId, SeedSource, SimDuration, SimTime, Simulation};
+use mashup_sim::{LinkId, Model, SeedSource, SimDuration, SimTime, Simulation};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -53,7 +53,7 @@ pub struct ObjectStore {
 impl ObjectStore {
     /// Creates a store with the given configuration, adding its data-plane
     /// link to `sim`.
-    pub fn new<W>(cfg: StorageConfig, sim: &mut Simulation<W>, seeds: &SeedSource) -> Self {
+    pub fn new<W: Model>(cfg: StorageConfig, sim: &mut Simulation<W>, seeds: &SeedSource) -> Self {
         ObjectStore {
             link: sim.add_link("object-store", cfg.aggregate_bps),
             rng: seeds.stream("object-store"),
@@ -133,19 +133,20 @@ impl ObjectStore {
     }
 
     /// Reads `bytes` spread over `requests` GET requests, under an optional
-    /// per-flow bandwidth cap, charging `meter`. `on_done` receives the wall
-    /// time of the read.
+    /// per-flow bandwidth cap, charging `meter`. `on_done` is handed to the
+    /// world when the last byte lands; a caller that needs the wall time
+    /// notes the instant it issued the read.
     ///
     /// With failure injection enabled, a failed first attempt retries from a
     /// replica after an extra request round trip.
-    pub fn read<W>(
+    pub fn read<W: Model>(
         &mut self,
         meter: &mut CostMeter,
         sim: &mut Simulation<W>,
         bytes: f64,
         requests: u64,
         per_flow_cap: Option<f64>,
-        on_done: impl FnOnce(&mut W, &mut Simulation<W>, SimDuration) + Send + 'static,
+        on_done: W::Event,
     ) {
         let begin = sim.now();
         self.reads += requests;
@@ -203,20 +204,21 @@ impl ObjectStore {
                 retried,
             },
         );
-        self.transfer(sim, SimDuration::from_secs(latency), bytes, cap, on_done);
+        let latency = SimDuration::from_secs(latency);
+        sim.start_transfer_in(latency, self.link, bytes, cap, on_done);
     }
 
     /// Writes `bytes` spread over `requests` PUT requests, under an optional
-    /// per-flow cap, charging `meter`. Requests are charged for every
-    /// replica.
-    pub fn write<W>(
+    /// per-flow cap, charging `meter`; `on_done` is handed to the world when
+    /// the last byte lands. Requests are charged for every replica.
+    pub fn write<W: Model>(
         &mut self,
         meter: &mut CostMeter,
         sim: &mut Simulation<W>,
         bytes: f64,
         requests: u64,
         per_flow_cap: Option<f64>,
-        on_done: impl FnOnce(&mut W, &mut Simulation<W>, SimDuration) + Send + 'static,
+        on_done: W::Event,
     ) {
         let begin = sim.now();
         self.writes += requests;
@@ -260,27 +262,8 @@ impl ObjectStore {
                 replicas: self.cfg.replicas as u64,
             },
         );
-        self.transfer(sim, SimDuration::from_secs(latency), bytes, cap, on_done);
-    }
-
-    /// Moves `bytes` over the data plane after the request `latency`, then
-    /// hands `on_done` the wall time since the request was issued.
-    fn transfer<W>(
-        &self,
-        sim: &mut Simulation<W>,
-        latency: SimDuration,
-        bytes: f64,
-        cap: Option<f64>,
-        on_done: impl FnOnce(&mut W, &mut Simulation<W>, SimDuration) + Send + 'static,
-    ) {
-        let begin = sim.now();
-        let link = self.link;
-        sim.schedule_in(latency, move |_, sim| {
-            sim.start_transfer(link, bytes, cap, move |w, sim| {
-                let wall = sim.now().since(begin);
-                on_done(w, sim, wall);
-            });
-        });
+        let latency = SimDuration::from_secs(latency);
+        sim.start_transfer_in(latency, self.link, bytes, cap, on_done);
     }
 
     /// Registers a logical object for occupancy accounting and presence
@@ -379,7 +362,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::pricing::{FaasConfig, InstanceType};
-    use crate::world::testing::{world, World};
+    use crate::world::testing::{call, world, World};
 
     type W = World<Vec<f64>>;
 
@@ -395,9 +378,9 @@ mod tests {
     /// Schedules a read (`write` false) or write now; its completion
     /// instant lands in `w.out`.
     fn submit(sim: &mut Simulation<W>, write: bool, bytes: f64, cap: Option<f64>) {
-        sim.schedule_now(move |w: &mut W, sim| {
+        sim.schedule_now(call(move |w: &mut W, sim| {
             let cloud = &mut w.cloud;
-            let done = |w: &mut W, sim: &mut Simulation<W>, _| w.out.push(sim.now().as_secs());
+            let done = call(|w: &mut W, sim| w.out.push(sim.now().as_secs()));
             if write {
                 cloud
                     .store
@@ -405,7 +388,7 @@ mod tests {
             } else {
                 cloud.store.read(&mut cloud.meter, sim, bytes, 1, cap, done);
             }
-        });
+        }));
     }
 
     #[test]
@@ -414,20 +397,7 @@ mod tests {
         cfg.aggregate_bps = 100.0;
         cfg.request_latency_secs = 1.0;
         let (mut sim, mut w) = store(cfg);
-        sim.schedule_now(|w: &mut W, sim| {
-            let cloud = &mut w.cloud;
-            cloud.store.read(
-                &mut cloud.meter,
-                sim,
-                1000.0,
-                1,
-                None,
-                |w: &mut W, sim, dur| {
-                    w.out.push(sim.now().as_secs());
-                    assert!((dur.as_secs() - 11.0).abs() < 1e-9);
-                },
-            );
-        });
+        submit(&mut sim, false, 1000.0, None);
         sim.run(&mut w);
         assert!((w.out[0] - 11.0).abs() < 1e-9);
         assert_eq!(w.cloud.store.read_requests(), 1);

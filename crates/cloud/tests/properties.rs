@@ -1,10 +1,11 @@
 //! Property-based tests of the cloud models.
 
 use mashup_cloud::{
-    run_task_on_faas, Cloud, CloudWorld, ClusterConfig, ClusterTaskSpec, FaasConfig, FaasRunStats,
-    FaasTaskSpec, InstanceType, StorageConfig, VmCluster,
+    run_task_on_faas, Cloud, CloudEvent, CloudWorld, ClusterConfig, ClusterRunStats,
+    ClusterTaskSpec, FaasConfig, FaasRunStats, FaasTaskSpec, InstanceType, StorageConfig,
+    VmCluster,
 };
-use mashup_sim::{SeedSource, Simulation};
+use mashup_sim::{Model, SeedSource, Simulation};
 use proptest::prelude::*;
 
 /// A cloud plus the stats of the task under test.
@@ -14,9 +15,40 @@ struct World {
     faas: Option<FaasRunStats>,
 }
 
+/// The cloud's events, and the start of the task under test.
+enum Event {
+    Cloud(CloudEvent),
+    Cluster(ClusterTaskSpec),
+    Faas(FaasTaskSpec, SeedSource),
+}
+
+impl From<CloudEvent> for Event {
+    fn from(e: CloudEvent) -> Self {
+        Event::Cloud(e)
+    }
+}
+
+impl Model for World {
+    type Event = Event;
+    fn handle(&mut self, event: Event, sim: &mut Simulation<Self>) {
+        match event {
+            Event::Cloud(e) => e.dispatch(self, sim),
+            Event::Cluster(spec) => VmCluster::run_task(self, sim, spec, ()),
+            Event::Faas(spec, seeds) => run_task_on_faas(self, sim, None, spec, &seeds, ()),
+        }
+    }
+}
+
 impl CloudWorld for World {
+    type Tag = ();
     fn cloud(&mut self) -> &mut Cloud<Self> {
         &mut self.cloud
+    }
+    fn cluster_done(&mut self, _: &mut Simulation<Self>, (): (), stats: ClusterRunStats) {
+        self.cluster_secs = Some(stats.makespan().as_secs());
+    }
+    fn faas_done(&mut self, _: &mut Simulation<Self>, (): (), stats: FaasRunStats) {
+        self.faas = Some(stats);
     }
 }
 
@@ -41,11 +73,7 @@ fn world(nodes: usize, seed: u64) -> (Simulation<World>, World) {
 
 fn run_cluster_task(nodes: usize, spec: ClusterTaskSpec) -> f64 {
     let (mut sim, mut w) = world(nodes, 1);
-    sim.schedule_now(move |w: &mut World, sim| {
-        VmCluster::run_task(w, sim, spec, |w: &mut World, _, stats| {
-            w.cluster_secs = Some(stats.makespan().as_secs());
-        });
-    });
+    sim.schedule_now(Event::Cluster(spec));
     sim.run(&mut w);
     w.cluster_secs.expect("completed")
 }
@@ -55,11 +83,7 @@ fn run_cluster_task(nodes: usize, spec: ClusterTaskSpec) -> f64 {
 fn faas_world(spec: FaasTaskSpec, seed: u64) -> World {
     let (mut sim, mut w) = world(1, seed);
     let seeds = SeedSource::new(seed);
-    sim.schedule_now(move |w: &mut World, sim| {
-        run_task_on_faas(w, sim, None, spec, &seeds, |w: &mut World, _, stats| {
-            w.faas = Some(stats);
-        });
-    });
+    sim.schedule_now(Event::Faas(spec, seeds));
     sim.run(&mut w);
     w
 }

@@ -2,10 +2,11 @@
 
 use crate::exec::Execution;
 use mashup_cloud::{
-    Cloud, CloudWorld, ClusterConfig, FaasConfig, FaasPlatform, InstanceType, ProviderPreset,
+    Cloud, CloudEvent, CloudWorld, ClusterConfig, ClusterRunStats, FaasConfig, FaasPlatform,
+    FaasRunStats, InstanceType, ProviderPreset,
 };
 use mashup_dag::Workflow;
-use mashup_sim::{SeedSource, SimTime, Simulation, Tracer};
+use mashup_sim::{Model, SeedSource, SimTime, Simulation, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -195,7 +196,7 @@ impl Sizing {
 /// A run's world: the cloud it simulates plus the state of whatever drives
 /// it — the executor, a profiling batch, a baseline manager. Events reach
 /// both through the `&mut World` the engine lends them.
-pub struct World<D> {
+pub struct World<D: Driver> {
     /// The cloud services.
     pub cloud: Cloud<World<D>>,
     /// Seed source for executors.
@@ -204,16 +205,80 @@ pub struct World<D> {
     pub driver: D,
 }
 
-impl<D: Send + 'static> CloudWorld for World<D> {
+/// What drives a [`World`]: its own events, and the runs it starts on the
+/// cloud, which report back with the tag it chose.
+pub trait Driver: Sized + Send + 'static {
+    /// The driver's own events (phase starts, batch starts, store uploads).
+    type Event: Send;
+
+    /// What the driver attaches to each cluster or FaaS run it starts.
+    type Tag: Send + 'static;
+
+    /// Runs one of the driver's events.
+    fn handle(w: &mut World<Self>, sim: &mut Simulation<World<Self>>, event: Self::Event);
+
+    /// The cluster run started with `tag` finished.
+    fn cluster_done(
+        w: &mut World<Self>,
+        sim: &mut Simulation<World<Self>>,
+        tag: Self::Tag,
+        stats: ClusterRunStats,
+    );
+
+    /// The FaaS run started with `tag` finished.
+    fn faas_done(
+        w: &mut World<Self>,
+        sim: &mut Simulation<World<Self>>,
+        tag: Self::Tag,
+        stats: FaasRunStats,
+    );
+}
+
+/// An event of a [`World`]: the cloud's or the driver's.
+pub enum WorldEvent<E> {
+    /// A cloud service event.
+    Cloud(CloudEvent),
+    /// A driver event.
+    Driver(E),
+}
+
+impl<E> From<CloudEvent> for WorldEvent<E> {
+    fn from(e: CloudEvent) -> Self {
+        WorldEvent::Cloud(e)
+    }
+}
+
+impl<D: Driver> Model for World<D> {
+    type Event = WorldEvent<D::Event>;
+
+    fn handle(&mut self, event: Self::Event, sim: &mut Simulation<Self>) {
+        match event {
+            WorldEvent::Cloud(e) => e.dispatch(self, sim),
+            WorldEvent::Driver(e) => D::handle(self, sim, e),
+        }
+    }
+}
+
+impl<D: Driver> CloudWorld for World<D> {
+    type Tag = D::Tag;
+
     fn cloud(&mut self) -> &mut Cloud<Self> {
         &mut self.cloud
+    }
+
+    fn cluster_done(&mut self, sim: &mut Simulation<Self>, tag: D::Tag, stats: ClusterRunStats) {
+        D::cluster_done(self, sim, tag, stats)
+    }
+
+    fn faas_done(&mut self, sim: &mut Simulation<Self>, tag: D::Tag, stats: FaasRunStats) {
+        D::faas_done(self, sim, tag, stats)
     }
 }
 
 /// One instantiated simulated environment: the engine and the world it
 /// drives. Each workflow execution gets a fresh environment so runs never
 /// contaminate each other. The default driver is the executor's.
-pub struct CloudEnv<D = Option<Execution>> {
+pub struct CloudEnv<D: Driver = Option<Execution>> {
     /// The discrete-event engine.
     pub sim: Simulation<World<D>>,
     /// The world it drives.
@@ -234,7 +299,7 @@ impl CloudEnv {
     }
 }
 
-impl<D: Send + 'static> CloudEnv<D> {
+impl<D: Driver> CloudEnv<D> {
     /// Builds an environment from `cfg` with its seed shifted by
     /// `seed_offset`, driven by `driver`.
     pub fn with_driver(cfg: &MashupConfig, seed_offset: u64, driver: D) -> Self {

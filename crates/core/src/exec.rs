@@ -16,12 +16,14 @@
 //! * the cluster bills node time for the whole run iff the plan uses it.
 
 use crate::chaos::ChaosSpec;
-use crate::config::{tier_key, CloudEnv, MashupConfig, Sizing, World};
+use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent};
 use crate::pdc::{Pdc, PdcReport};
 use crate::placement::{PlacementPlan, Platform};
 use crate::report::{TaskReport, WorkflowReport};
 use mashup_analyze::{AnalysisError, Code, Diagnostic, Location};
-use mashup_cloud::{run_task_on_faas, ClusterTaskSpec, FaasTaskSpec, VmCluster};
+use mashup_cloud::{
+    run_task_on_faas, ClusterRunStats, ClusterTaskSpec, FaasRunStats, FaasTaskSpec, VmCluster,
+};
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 use std::sync::Arc;
@@ -108,6 +110,9 @@ pub struct Execution {
     /// Store migrations a replan started that have not landed yet; the
     /// next phase starts when the last one lands.
     pending_uploads: usize,
+    /// The key and size of each migration of the latest replan, by the
+    /// index its [`ExecEvent::Uploaded`] carries; taken when it lands.
+    migrations: Vec<(String, f64)>,
     finished_at: Option<SimTime>,
     /// Online replanning controller; `None` unless the config's chaos spec
     /// turns `adaptive` on.
@@ -152,6 +157,101 @@ impl Execution {
 /// The executor state of a world mid-run.
 fn exec(w: &mut W) -> &mut Execution {
     w.driver.as_mut().expect("executor state installed")
+}
+
+/// The executor's own events.
+pub enum ExecEvent {
+    /// The run's first event: phase 0 starts. Later phases start inline at
+    /// the barrier, or when a replan's migrations land.
+    Start,
+    /// Migration `index` of a replan landed in the store; phase `phase`
+    /// starts after the last one.
+    Uploaded {
+        /// Index into the replan's migrations.
+        index: usize,
+        /// The phase waiting on them.
+        phase: usize,
+    },
+}
+
+/// The executor drives its world phase by phase; its runs are tagged with
+/// the task they execute.
+impl Driver for Option<Execution> {
+    type Event = ExecEvent;
+    type Tag = TaskRef;
+
+    fn handle(w: &mut W, sim: &mut Simulation<W>, event: ExecEvent) {
+        match event {
+            ExecEvent::Start => run_phase(w, sim, 0),
+            ExecEvent::Uploaded { index, phase } => migration_landed(w, sim, index, phase),
+        }
+    }
+
+    /// A cluster task finished: register its output in the store when it
+    /// goes there. Its output location is the one it started with: replans
+    /// rewrite only phases that have not started.
+    fn cluster_done(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, stats: ClusterRunStats) {
+        let World { cloud, driver, .. } = &mut *w;
+        let d = driver.as_ref().expect("executor state installed");
+        let t = d.workflow.task(r);
+        if d.locations[r.phase][r.task] == OutputLocation::Store {
+            cloud.store.register_object(
+                &mut cloud.meter,
+                sim.now(),
+                output_key(&t.name),
+                t.components as f64 * t.profile.output_bytes,
+            );
+        }
+        let report = TaskReport {
+            name: String::new(),
+            platform: Platform::VmCluster,
+            phase: r.phase,
+            components: t.components,
+            start_secs: stats.start.as_secs(),
+            end_secs: stats.end.as_secs(),
+            compute_secs: stats.compute_secs,
+            io_secs: stats.io_secs,
+            cold_start_secs: 0.0,
+            scaling_secs: 0.0,
+            checkpoints: 0,
+            n_cold: 0,
+            n_warm: 0,
+        };
+        finish_task(w, sim, r, report);
+    }
+
+    /// A serverless task finished: register its output in the store.
+    fn faas_done(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, stats: FaasRunStats) {
+        let World { cloud, driver, .. } = &mut *w;
+        let t = driver
+            .as_ref()
+            .expect("executor state installed")
+            .workflow
+            .task(r);
+        // Serverless outputs always live in the store.
+        cloud.store.register_object(
+            &mut cloud.meter,
+            sim.now(),
+            output_key(&t.name),
+            t.components as f64 * t.profile.output_bytes,
+        );
+        let report = TaskReport {
+            name: String::new(),
+            platform: Platform::Serverless,
+            phase: r.phase,
+            components: t.components,
+            start_secs: stats.start.as_secs(),
+            end_secs: stats.end.as_secs(),
+            compute_secs: stats.compute_secs,
+            io_secs: stats.io_secs,
+            cold_start_secs: stats.cold_start_secs,
+            scaling_secs: stats.scaling_secs(),
+            checkpoints: stats.checkpoints,
+            n_cold: stats.n_cold,
+            n_warm: stats.n_warm,
+        };
+        finish_task(w, sim, r, report);
+    }
 }
 
 /// Executes `workflow` under `plan` in a fresh environment built from
@@ -331,6 +431,7 @@ pub(crate) fn execute_in_unchecked(
         completed: Vec::with_capacity(workflow.task_count()),
         remaining_in_phase: 0,
         pending_uploads: 0,
+        migrations: Vec::new(),
         finished_at: None,
         chaos: cfg.chaos.as_ref().filter(|c| c.adaptive).map(|c| ChaosCtx {
             spec: c.clone(),
@@ -341,7 +442,7 @@ pub(crate) fn execute_in_unchecked(
         }),
     });
 
-    env.sim.schedule_now(|w, sim| run_phase(w, sim, 0));
+    env.sim.schedule_now(WorldEvent::Driver(ExecEvent::Start));
     env.run();
 
     let d = env.world.driver.take().expect("executor state installed");
@@ -427,15 +528,11 @@ fn prewarm_next_phase(w: &mut W, sim: &mut Simulation<W>, phase_idx: usize) {
         if d.plan.platform(r) != Ok(Platform::Serverless) {
             continue;
         }
-        let faas = cloud.platform(d.tier_for_task(r));
+        let faas = cloud.platform_mut(d.tier_for_task(r));
         if t.components <= faas.config().burst_capacity {
             continue;
         }
-        let key = t
-            .profile
-            .code_family
-            .clone()
-            .unwrap_or_else(|| t.name.clone());
+        let key = t.profile.code_family.as_deref().unwrap_or(&t.name);
         faas.prewarm(sim, key, t.components.min(d.cfg.prewarm_cap));
     }
 }
@@ -496,37 +593,7 @@ fn spawn_serverless(w: &mut W, sim: &mut Simulation<W>, r: TaskRef) {
     };
     trace_task_start(d, sim.now(), r, "serverless");
     let (tier, seeds) = (d.tier_for_task(r), *seeds);
-    run_task_on_faas(w, sim, tier, spec, &seeds, move |w: &mut W, sim, stats| {
-        let World { cloud, driver, .. } = &mut *w;
-        let t = driver
-            .as_ref()
-            .expect("executor state installed")
-            .workflow
-            .task(r);
-        // Serverless outputs always live in the store.
-        cloud.store.register_object(
-            &mut cloud.meter,
-            sim.now(),
-            output_key(&t.name),
-            t.components as f64 * t.profile.output_bytes,
-        );
-        let report = TaskReport {
-            name: String::new(),
-            platform: Platform::Serverless,
-            phase: r.phase,
-            components: t.components,
-            start_secs: stats.start.as_secs(),
-            end_secs: stats.end.as_secs(),
-            compute_secs: stats.compute_secs,
-            io_secs: stats.io_secs,
-            cold_start_secs: stats.cold_start_secs,
-            scaling_secs: stats.scaling_secs(),
-            checkpoints: stats.checkpoints,
-            n_cold: stats.n_cold,
-            n_warm: stats.n_warm,
-        };
-        finish_task(w, sim, r, report);
-    });
+    run_task_on_faas(w, sim, tier, spec, &seeds, r);
 }
 
 fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: usize) {
@@ -579,38 +646,7 @@ fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: 
         subcluster,
     };
     trace_task_start(d, sim.now(), r, "vm");
-    VmCluster::run_task(w, sim, spec, move |w: &mut W, sim, stats| {
-        let World { cloud, driver, .. } = &mut *w;
-        let t = driver
-            .as_ref()
-            .expect("executor state installed")
-            .workflow
-            .task(r);
-        if to_store {
-            cloud.store.register_object(
-                &mut cloud.meter,
-                sim.now(),
-                output_key(&t.name),
-                t.components as f64 * t.profile.output_bytes,
-            );
-        }
-        let report = TaskReport {
-            name: String::new(),
-            platform: Platform::VmCluster,
-            phase: r.phase,
-            components: t.components,
-            start_secs: stats.start.as_secs(),
-            end_secs: stats.end.as_secs(),
-            compute_secs: stats.compute_secs,
-            io_secs: stats.io_secs,
-            cold_start_secs: 0.0,
-            scaling_secs: 0.0,
-            checkpoints: 0,
-            n_cold: 0,
-            n_warm: 0,
-        };
-        finish_task(w, sim, r, report);
-    });
+    VmCluster::run_task(w, sim, spec, r);
 }
 
 /// Records a task's start; builds the event (and its name copy) only when
@@ -841,25 +877,32 @@ fn replan_and_run(
     // Barrier: the phase starts once every migration has landed.
     let wan_bps = d.cfg.cluster.instance.wan_bps;
     d.pending_uploads = uploads.len();
-    for (key, bytes, requests) in uploads {
+    d.migrations.clear();
+    for (index, (key, bytes, requests)) in uploads.into_iter().enumerate() {
+        d.migrations.push((key, bytes));
+        let landed = WorldEvent::Driver(ExecEvent::Uploaded { index, phase: next });
         cloud.store.write(
             &mut cloud.meter,
             sim,
             bytes,
             requests,
             Some(wan_bps),
-            move |w: &mut W, sim, _| {
-                let cloud = &mut w.cloud;
-                cloud
-                    .store
-                    .register_object(&mut cloud.meter, sim.now(), key, bytes);
-                let d = exec(w);
-                d.pending_uploads -= 1;
-                if d.pending_uploads == 0 {
-                    run_phase(w, sim, next);
-                }
-            },
+            landed,
         );
+    }
+}
+
+/// Migration `index` landed: register it; the last one starts `phase`.
+fn migration_landed(w: &mut W, sim: &mut Simulation<W>, index: usize, phase: usize) {
+    let World { cloud, driver, .. } = &mut *w;
+    let d = driver.as_mut().expect("executor state installed");
+    let (key, bytes) = std::mem::take(&mut d.migrations[index]);
+    cloud
+        .store
+        .register_object(&mut cloud.meter, sim.now(), key, bytes);
+    d.pending_uploads -= 1;
+    if d.pending_uploads == 0 {
+        run_phase(w, sim, phase);
     }
 }
 

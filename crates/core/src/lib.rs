@@ -48,7 +48,7 @@ pub use cache::{
     CacheStats, PhaseProfileEntry, PlanCache, ProbeEntry, SectionStats, VmProfileEntry,
 };
 pub use chaos::ChaosSpec;
-pub use config::{CloudEnv, MashupConfig, Sizing, World, MEMORY_TIERS_GB};
+pub use config::{CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent, MEMORY_TIERS_GB};
 pub use engine::{Mashup, MashupOutcome};
 pub use exec::{try_execute, try_execute_in, try_execute_with, Execution};
 pub use fingerprint::{Fingerprint, Fingerprinter};

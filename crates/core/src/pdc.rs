@@ -31,16 +31,16 @@
 //!   the Fig. 5 study.
 
 use crate::cache::{PhaseProfileEntry, PlanCache, ProbeEntry, VmProfileEntry};
-use crate::config::{tier_key, CloudEnv, MashupConfig, Sizing};
+use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World};
 use crate::exec::{execute_in_unchecked, phase_bases};
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::placement::{PlacementPlan, Platform};
 use mashup_cloud::{
-    run_task_on_faas, ClusterInput, ClusterOutput, ClusterTaskSpec, Expense, FaasConfig,
-    FaasRunStats, FaasTaskSpec, VmCluster,
+    run_task_on_faas, ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, Expense,
+    FaasConfig, FaasRunStats, FaasTaskSpec, VmCluster,
 };
 use mashup_dag::{Phase, Task, TaskRef, Workflow};
-use mashup_sim::{SimTime, TraceEvent, Tracer};
+use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -866,7 +866,7 @@ impl Pdc {
             tuned = c;
             &tuned
         };
-        let mut env = CloudEnv::with_driver(cfg, offset, None);
+        let mut env = CloudEnv::with_driver(cfg, offset, FaasBatch::default());
         let cloud = &mut env.world.cloud;
         cloud.store.register_object(
             &mut cloud.meter,
@@ -948,7 +948,7 @@ impl Pdc {
                 continue;
             }
             let tuned = self.cfg.clone().with_subclusters(k);
-            let mut env = CloudEnv::with_driver(&tuned, 0x9e3779b9, vec![0.0; n]);
+            let mut env = CloudEnv::with_driver(&tuned, 0x9e3779b9, PhaseTimes(vec![0.0; n]));
             env.world.cloud.cluster.start_billing(SimTime::ZERO);
             for (ti, t) in phase.tasks.iter().enumerate() {
                 let r = TaskRef::new(phase_idx, ti);
@@ -972,9 +972,7 @@ impl Pdc {
                     // 0 at each phase start.
                     subcluster: ti % k,
                 };
-                VmCluster::run_task(&mut env.world, &mut env.sim, spec, move |w, _, stats| {
-                    w.driver[ti] = stats.end.as_secs() - stats.start.as_secs();
-                });
+                VmCluster::run_task(&mut env.world, &mut env.sim, spec, ti);
             }
             let end = env.run();
             let cloud = &mut env.world.cloud;
@@ -985,7 +983,7 @@ impl Pdc {
                     .meter
                     .expense(self.cfg.provider.storage.price_per_gb_month),
             );
-            for (ti, &s) in env.world.driver.iter().enumerate() {
+            for (ti, &s) in env.world.driver.0.iter().enumerate() {
                 task_secs[ti] = task_secs[ti].min(s);
             }
         }
@@ -1010,18 +1008,72 @@ fn phase_content_digest(phase: &Phase) -> u128 {
     f.digest()
 }
 
-/// Schedules `spec` on `env`'s FaaS platform, runs the simulation to
+/// A scoped phase profile's driver: each task's wall time, by its index in
+/// the phase, which tags its cluster run.
+struct PhaseTimes(Vec<f64>);
+
+impl Driver for PhaseTimes {
+    type Event = std::convert::Infallible;
+    type Tag = usize;
+
+    fn handle(_: &mut World<Self>, _: &mut Simulation<World<Self>>, event: Self::Event) {
+        match event {}
+    }
+
+    fn cluster_done(
+        w: &mut World<Self>,
+        _: &mut Simulation<World<Self>>,
+        ti: usize,
+        stats: ClusterRunStats,
+    ) {
+        w.driver.0[ti] = stats.end.as_secs() - stats.start.as_secs();
+    }
+
+    fn faas_done(_: &mut World<Self>, _: &mut Simulation<World<Self>>, _: usize, _: FaasRunStats) {
+        unreachable!("a phase profile runs on the cluster only")
+    }
+}
+
+/// The driver of a probe or calibration batch: one FaaS run's stats, once
+/// it finished.
+#[derive(Default)]
+struct FaasBatch(Option<FaasRunStats>);
+
+impl Driver for FaasBatch {
+    type Event = std::convert::Infallible;
+    type Tag = ();
+
+    fn handle(_: &mut World<Self>, _: &mut Simulation<World<Self>>, event: Self::Event) {
+        match event {}
+    }
+
+    fn cluster_done(
+        _: &mut World<Self>,
+        _: &mut Simulation<World<Self>>,
+        (): (),
+        _: ClusterRunStats,
+    ) {
+        unreachable!("a FaaS batch runs no cluster tasks")
+    }
+
+    fn faas_done(
+        w: &mut World<Self>,
+        _: &mut Simulation<World<Self>>,
+        (): (),
+        stats: FaasRunStats,
+    ) {
+        w.driver.0 = Some(stats);
+    }
+}
+
+/// Starts `spec` on `env`'s FaaS platform, runs the simulation to
 /// completion, and returns the batch stats (shared by the probe and
 /// calibration paths, which only differ in how they build the spec).
-fn run_faas_batch(env: &mut CloudEnv<Option<FaasRunStats>>, spec: FaasTaskSpec) -> FaasRunStats {
+fn run_faas_batch(env: &mut CloudEnv<FaasBatch>, spec: FaasTaskSpec) -> FaasRunStats {
     let seeds = env.world.seeds;
-    env.sim.schedule_now(move |w, sim| {
-        run_task_on_faas(w, sim, None, spec, &seeds, |w, _, stats| {
-            w.driver = Some(stats);
-        });
-    });
+    run_task_on_faas(&mut env.world, &mut env.sim, None, spec, &seeds, ());
     env.run();
-    env.world.driver.take().expect("FaaS batch completed")
+    env.world.driver.0.take().expect("FaaS batch completed")
 }
 
 /// Hybrid boundary refinement: a serverless placement forces its VM-side
@@ -1234,7 +1286,7 @@ fn run_noop_batch(
     compute: f64,
     io_bytes: f64,
 ) -> BatchStats {
-    let mut env = CloudEnv::with_driver(cfg, 0xCA11B7A7E ^ components as u64, None);
+    let mut env = CloudEnv::with_driver(cfg, 0xCA11B7A7E ^ components as u64, FaasBatch::default());
     let cloud = &mut env.world.cloud;
     cloud
         .store

@@ -26,8 +26,14 @@
 //!
 //! A completion tick finds the finished transfers in one scan. A lone
 //! finisher, the common case, is removed by binary search on both indexes;
-//! several are removed in one `retain` pass over each. Callbacks run in id
-//! order from a buffer kept between ticks, so a tick allocates nothing.
+//! several are removed in one `retain` pass over each. A transfer's
+//! completion is a value of the world's event type; the tick hands each
+//! finished one to [`Model::handle`] inline, in id order, from a buffer kept
+//! between ticks, so a tick allocates nothing.
+//!
+//! A transfer can also start after a delay (an object store's request
+//! latency): [`Simulation::start_transfer_in`] parks its parameters in a
+//! slab and queues one engine event that starts it.
 //!
 //! Shares are cached per transfer and recomputed lazily: the cache is
 //! invalidated only when the transfer set (or a cap) changes, so the share
@@ -38,14 +44,12 @@
 //! ascending, id breaking ties), so every floating-point operation happens
 //! in the same sequence and simulated results are bit-for-bit unchanged.
 
-use crate::engine::{EventHandle, ReservedSeq, Simulation};
+use crate::engine::{EventHandle, Model, ReservedSeq, Simulation};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
 
 /// Completion epsilon: transfers within this many bytes of done are finished.
 const EPS_BYTES: f64 = 1e-6;
-
-type DoneFn<W> = Box<dyn FnOnce(&mut W, &mut Simulation<W>) + Send>;
 
 /// Identifier of a fair-share link in a [`Simulation`]'s arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,7 +59,7 @@ pub struct LinkId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransferId(u64);
 
-struct Transfer<W> {
+struct Transfer<E> {
     id: u64,
     remaining: f64,
     /// Per-flow bandwidth cap in bytes/sec (`f64::INFINITY` when uncapped).
@@ -63,15 +67,24 @@ struct Transfer<W> {
     /// Cached fair share in bytes/sec; valid only while `shares_dirty` is
     /// false on the owning link.
     share: f64,
-    on_done: DoneFn<W>,
+    /// Dispatched when the last byte arrives.
+    on_done: E,
+}
+
+/// A transfer waiting out its request latency before it joins its link.
+pub(crate) struct DelayedTransfer<E> {
+    link: LinkId,
+    bytes: f64,
+    cap: Option<f64>,
+    on_done: E,
 }
 
 /// One fair-share link of the arena.
-pub(crate) struct Link<W> {
+pub(crate) struct Link<E> {
     name: String,
     capacity: f64,
     /// Slab of transfers; `None` entries are free and listed in `free`.
-    slab: Vec<Option<Transfer<W>>>,
+    slab: Vec<Option<Transfer<E>>>,
     free: Vec<u32>,
     /// Slot indices ordered by transfer id ascending. Ids are allocated
     /// monotonically, so arrivals append; removals shift (cheap: `u32`s).
@@ -86,14 +99,14 @@ pub(crate) struct Link<W> {
     /// Sequence number reserved by the latest change to the transfer set;
     /// `Some` exactly while the link is on the engine's dirty list.
     pending_flush: Option<ReservedSeq>,
-    /// Callbacks of the finishing tick; kept between ticks (empty) so a
+    /// Completions of the finishing tick; kept between ticks (empty) so a
     /// tick does not allocate.
-    done_buf: Vec<DoneFn<W>>,
+    done_buf: Vec<E>,
     bytes_delivered: f64,
 }
 
-impl<W> Link<W> {
-    fn transfer(&self, slot: u32) -> &Transfer<W> {
+impl<E> Link<E> {
+    fn transfer(&self, slot: u32) -> &Transfer<E> {
         self.slab[slot as usize].as_ref().expect("live slot")
     }
 
@@ -117,7 +130,7 @@ impl<W> Link<W> {
             .unwrap_or_else(|i| i)
     }
 
-    fn insert(&mut self, t: Transfer<W>) {
+    fn insert(&mut self, t: Transfer<E>) {
         let (id, cap) = (t.id, t.cap);
         let slot = match self.free.pop() {
             Some(s) => {
@@ -137,14 +150,14 @@ impl<W> Link<W> {
         self.shares_dirty = true;
     }
 
-    fn remove(&mut self, id: u64) -> Option<Transfer<W>> {
+    fn remove(&mut self, id: u64) -> Option<Transfer<E>> {
         let id_pos = self.find_by_id(id)?;
         Some(self.remove_at(id_pos))
     }
 
     /// Removes the transfer at `id_pos` in `by_id`, finding its `by_cap`
     /// entry by binary search on `(cap, id)`.
-    fn remove_at(&mut self, id_pos: usize) -> Transfer<W> {
+    fn remove_at(&mut self, id_pos: usize) -> Transfer<E> {
         let slot = self.by_id.remove(id_pos);
         let t = self.transfer(slot);
         // Search the cap index while the slot is still live.
@@ -157,12 +170,12 @@ impl<W> Link<W> {
         t
     }
 
-    /// Detaches every finished transfer, appending their callbacks to
+    /// Detaches every finished transfer, appending their completions to
     /// `done` in id order. One scan finds the first; if nothing crossed the
     /// epsilon, the transfer closest to done is force-finished instead. A
     /// lone finisher (the common tick) is removed by binary search; several
     /// are removed in one `retain` pass over each index.
-    fn remove_finished(&mut self, now: SimTime, done: &mut Vec<DoneFn<W>>, tracer: &Tracer) {
+    fn remove_finished(&mut self, now: SimTime, done: &mut Vec<E>, tracer: &Tracer) {
         let finished = |s: &Self, slot: u32| s.transfer(slot).remaining <= EPS_BYTES;
         let first = match self.by_id.iter().position(|&slot| finished(self, slot)) {
             Some(pos) => pos,
@@ -190,7 +203,7 @@ impl<W> Link<W> {
             name,
             ..
         } = self;
-        let live = |slab: &[Option<Transfer<W>>], slot: u32| {
+        let live = |slab: &[Option<Transfer<E>>], slot: u32| {
             slab[slot as usize].as_ref().expect("live slot").remaining > EPS_BYTES
         };
         by_cap.retain(|&slot| live(slab, slot));
@@ -277,7 +290,7 @@ impl<W> Link<W> {
     }
 }
 
-impl<W> Simulation<W> {
+impl<W: Model> Simulation<W> {
     /// Adds a link with `capacity_bps` aggregate bytes/sec to the arena.
     pub fn add_link(&mut self, name: impl Into<String>, capacity_bps: f64) -> LinkId {
         assert!(
@@ -303,7 +316,7 @@ impl<W> Simulation<W> {
         id
     }
 
-    fn link_mut(&mut self, link: LinkId) -> &mut Link<W> {
+    fn link_mut(&mut self, link: LinkId) -> &mut Link<W::Event> {
         &mut self.links[link.0 as usize]
     }
 
@@ -336,14 +349,15 @@ impl<W> Simulation<W> {
     }
 
     /// Starts a transfer of `bytes` on `link` with an optional per-flow cap,
-    /// invoking `on_done` when the last byte arrives. Zero-byte transfers
-    /// complete at the current instant.
+    /// handing `on_done` to the world, inline in the completion tick, when
+    /// the last byte arrives. A zero-byte transfer schedules `on_done` at
+    /// the current instant instead.
     pub fn start_transfer(
         &mut self,
         link: LinkId,
         bytes: f64,
         per_flow_cap: Option<f64>,
-        on_done: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
+        on_done: W::Event,
     ) -> TransferId {
         assert!(bytes.is_finite() && bytes >= 0.0, "invalid transfer size");
         if bytes <= EPS_BYTES {
@@ -364,7 +378,7 @@ impl<W> Simulation<W> {
             remaining: bytes,
             cap: per_flow_cap.unwrap_or(f64::INFINITY),
             share: 0.0,
-            on_done: Box::new(on_done),
+            on_done,
         });
         self.tracer.emit_verbose(now, || TraceEvent::TransferStart {
             link: l.name.clone(),
@@ -433,29 +447,69 @@ impl<W> Simulation<W> {
             .fold(f64::INFINITY, f64::min);
         assert!(dt.is_finite(), "transfer on link '{}' starved", l.name);
         let at = self.now() + SimDuration::from_secs(dt);
-        let h = self.schedule_reserved(at, seq, move |w, sim| sim.on_completion_tick(w, link));
+        let h = self.schedule_reserved(at, seq, link);
         self.link_mut(link).completion_event = Some(h);
     }
 
-    fn on_completion_tick(&mut self, world: &mut W, link: LinkId) {
-        // Advance, detach finished transfers, run their callbacks, replan.
+    /// A link's planned completion: advances it, detaches the finished
+    /// transfers, hands their completions to the world, and replans.
+    pub(crate) fn on_completion_tick(&mut self, world: &mut W, link: LinkId) {
         let now = self.now();
         let l = &mut self.links[link.0 as usize];
         l.completion_event = None;
         l.advance(now);
         let mut finished = std::mem::take(&mut l.done_buf);
         l.remove_finished(now, &mut finished, &self.tracer);
-        for cb in finished.drain(..) {
-            cb(world, self);
+        for on_done in finished.drain(..) {
+            world.handle(on_done, self);
         }
         self.link_mut(link).done_buf = finished;
         self.replan(link);
+    }
+
+    /// [`start_transfer`](Self::start_transfer) after `delay`: one event,
+    /// scheduled now, starts the transfer when the delay has passed.
+    pub fn start_transfer_in(
+        &mut self,
+        delay: SimDuration,
+        link: LinkId,
+        bytes: f64,
+        per_flow_cap: Option<f64>,
+        on_done: W::Event,
+    ) {
+        let parked = Some(DelayedTransfer {
+            link,
+            bytes,
+            cap: per_flow_cap,
+            on_done,
+        });
+        let index = match self.free_delayed.pop() {
+            Some(i) => {
+                self.delayed[i as usize] = parked;
+                i
+            }
+            None => {
+                self.delayed.push(parked);
+                u32::try_from(self.delayed.len() - 1).expect("delayed transfer overflow")
+            }
+        };
+        self.schedule_transfer_start(self.now() + delay, index);
+    }
+
+    /// Starts the delayed transfer parked at `index`.
+    pub(crate) fn start_delayed_transfer(&mut self, index: u32) {
+        let t = self.delayed[index as usize]
+            .take()
+            .expect("a queued start has its transfer");
+        self.free_delayed.push(index);
+        self.start_transfer(t.link, t.bytes, t.cap, t.on_done);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testing::{call, Boxed};
 
     type Done = Vec<(usize, f64)>;
 
@@ -466,17 +520,19 @@ mod tests {
         let mut sim = Simulation::new();
         let link = sim.add_link("l", capacity);
         for (i, &(bytes, cap, start)) in jobs.iter().enumerate() {
-            sim.schedule_at(SimTime::from_secs(start), move |_: &mut Done, sim| {
-                sim.start_transfer(link, bytes, cap, move |out: &mut Done, sim| {
-                    out.push((i, sim.now().as_secs()));
-                });
-            });
+            let done = call(move |out: &mut Done, sim| out.push((i, sim.now().as_secs())));
+            sim.schedule_at(
+                SimTime::from_secs(start),
+                call(move |_: &mut Done, sim| {
+                    sim.start_transfer(link, bytes, cap, done);
+                }),
+            );
         }
-        let mut v = Vec::new();
+        let mut v = Boxed(Vec::new());
         sim.run(&mut v);
         assert_eq!(sim.active_transfers(link), 0);
-        v.sort_by_key(|&(i, _)| i);
-        let times = v.into_iter().map(|(_, t)| t).collect();
+        v.0.sort_by_key(|&(i, _)| i);
+        let times = v.0.into_iter().map(|(_, t)| t).collect();
         (times, sim.bytes_delivered(link))
     }
 
@@ -545,18 +601,24 @@ mod tests {
         }
         let mut sim = Simulation::new();
         let link = sim.add_link("l", 100.0);
-        sim.schedule_at(SimTime::ZERO, move |w: &mut World, sim| {
-            let t = sim.start_transfer(link, 1000.0, None, |w: &mut World, _| w.fired = true);
-            w.id = Some(t);
-        });
-        sim.schedule_at(SimTime::from_secs(4.0), move |w: &mut World, sim| {
-            let remaining = sim.cancel_transfer(link, w.id.expect("started"));
-            // 4 s at 100 B/s -> 600 bytes left.
-            assert!((remaining - 600.0).abs() < 1e-9);
-        });
-        let mut w = World::default();
+        sim.schedule_at(
+            SimTime::ZERO,
+            call(move |w: &mut World, sim| {
+                let fire = call(|w: &mut World, _| w.fired = true);
+                w.id = Some(sim.start_transfer(link, 1000.0, None, fire));
+            }),
+        );
+        sim.schedule_at(
+            SimTime::from_secs(4.0),
+            call(move |w: &mut World, sim| {
+                let remaining = sim.cancel_transfer(link, w.id.expect("started"));
+                // 4 s at 100 B/s -> 600 bytes left.
+                assert!((remaining - 600.0).abs() < 1e-9);
+            }),
+        );
+        let mut w = Boxed(World::default());
         sim.run(&mut w);
-        assert!(!w.fired);
+        assert!(!w.0.fired);
         assert_eq!(sim.active_transfers(link), 0);
     }
 
@@ -581,11 +643,9 @@ mod tests {
     fn current_shares_water_fills_caps_then_splits_the_rest() {
         let mut sim = Simulation::<()>::new();
         let link = sim.add_link("l", 100.0);
-        sim.schedule_at(SimTime::ZERO, move |_, sim| {
-            sim.start_transfer(link, 1.0e6, Some(10.0), |_, _| {});
-            sim.start_transfer(link, 1.0e6, None, |_, _| {});
-            sim.start_transfer(link, 1.0e6, None, |_, _| {});
-        });
+        sim.start_transfer(link, 1.0e6, Some(10.0), ());
+        sim.start_transfer(link, 1.0e6, None, ());
+        sim.start_transfer(link, 1.0e6, None, ());
         sim.run_until(&mut (), Some(SimTime::from_secs(0.0)));
         let shares = sim.current_shares(link);
         assert_eq!(shares.len(), 3);
@@ -595,6 +655,21 @@ mod tests {
         assert!((shares[2].1 - 45.0).abs() < 1e-12);
         let total: f64 = shares.iter().map(|&(_, s)| s).sum();
         assert!(total <= 100.0 + 1e-9);
+    }
+
+    #[test]
+    fn delayed_transfers_start_after_their_delay() {
+        let mut sim = Simulation::new();
+        let link = sim.add_link("l", 100.0);
+        let done = call(|out: &mut Vec<f64>, sim| out.push(sim.now().as_secs()));
+        sim.start_transfer_in(SimDuration::from_secs(2.0), link, 300.0, None, done);
+        // Zero bytes after the delay: the completion fires at its end.
+        let empty = call(|out: &mut Vec<f64>, sim| out.push(sim.now().as_secs()));
+        sim.start_transfer_in(SimDuration::from_secs(1.0), link, 0.0, None, empty);
+        let mut out = Boxed(Vec::new());
+        sim.run(&mut out);
+        assert_eq!(out.0, vec![1.0, 5.0]);
+        assert!(sim.delayed.iter().all(Option::is_none));
     }
 
     #[test]

@@ -1,21 +1,30 @@
 //! The discrete-event simulation core.
 //!
 //! A [`Simulation<W>`] drives a world `W` that the caller owns. Events are
-//! boxed `FnOnce(&mut W, &mut Simulation<W>) + Send` closures ordered by
-//! `(time, sequence-number)`; [`run`](Simulation::run) hands each one the
-//! world and the engine in turn, so an event reaches component state
-//! through a plain `&mut` and the compiler, not a runtime cell, rules out
-//! aliasing. The sequence number makes simultaneous events fire in
-//! scheduling order, so a run is fully deterministic for a given seed and
-//! program order. Closures are `Send`, so a simulation and its world can be
-//! built on one thread and executed on another; each run still executes
-//! single-threaded, which is where its determinism comes from.
+//! plain values of the world's [`Model::Event`] type, ordered by
+//! `(time, sequence-number)`; [`run`](Simulation::run) hands each one to
+//! [`Model::handle`] together with the engine, so an event reaches
+//! component state through a plain `&mut` and the compiler, not a runtime
+//! cell, rules out aliasing. The sequence number makes simultaneous events
+//! fire in scheduling order, so a run is fully deterministic for a given
+//! seed and program order. Event types are `Send`, so a simulation and its
+//! world can be built on one thread and executed on another; each run still
+//! executes single-threaded, which is where its determinism comes from.
 //!
-//! Cancellation uses a slot/generation slab rather than a tombstone set: a
+//! **Queue layout.** The binary heap and the same-instant ring hold only a
+//! 24-byte key `(time bits, seq, slot, gen)`; the event itself sits in a
+//! slot slab beside the slot's generation. The time bits are
+//! `(secs + 0.0).to_bits()` (the `+ 0.0` folds `-0.0` onto `+0.0`). For the
+//! finite non-negative instants a [`SimTime`] holds, integer order on those
+//! bits is numeric order, so keys compare as plain integers in exactly the
+//! order `(SimTime, seq)` gives. No event is boxed: scheduling one writes it
+//! into its slot, dispatching one moves it out.
+//!
+//! Cancellation uses the slab's generations rather than a tombstone set: a
 //! handle names a slot plus the generation it was issued for, and cancelling
-//! (or firing) bumps the generation so stale heap entries are recognised and
+//! (or firing) bumps the generation so stale queue keys are recognised and
 //! skipped on pop. A live-event counter makes `is_idle` O(1), and the heap is
-//! compacted in place once dead entries outnumber live ones, so cancel-heavy
+//! compacted in place once dead keys outnumber live ones, so cancel-heavy
 //! workloads (a link cancelling its completion event in every event that
 //! touches it) do not accumulate unbounded garbage.
 //!
@@ -27,51 +36,64 @@
 //! the `(at, seq)` key an eager replan would have given it. Dirty links
 //! count as pending for [`Simulation::is_idle`], and
 //! [`Simulation::run_until`] flushes them before it checks a deadline or
-//! returns.
+//! returns. Link completion ticks and delayed transfer starts are the
+//! engine's own events; they share the queue, and the sequence numbers,
+//! with the world's.
 
-use crate::bandwidth::Link;
-use crate::bandwidth::LinkId;
+use crate::bandwidth::{DelayedTransfer, Link, LinkId};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// An event callback: runs at its scheduled instant with the world and the
-/// engine, so it can update state and schedule follow-up events. `Send` so
-/// simulations can migrate between worker threads while parked.
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Simulation<W>) + Send>;
+/// A simulated world: the state a [`Simulation`] drives and the one
+/// dispatch point for its events.
+pub trait Model: Sized {
+    /// What an event is: a value naming the work to do when it fires.
+    /// `Send` so simulations can migrate between worker threads while
+    /// parked.
+    type Event: Send;
 
-struct Scheduled<W> {
-    at: SimTime,
+    /// Runs `event` at its scheduled instant; `sim` lets it update links and
+    /// schedule follow-up events.
+    fn handle(&mut self, event: Self::Event, sim: &mut Simulation<Self>);
+}
+
+/// The empty world: its events carry nothing and do nothing. Useful where
+/// only the engine's own machinery (links, the clock) is under test.
+impl Model for () {
+    type Event = ();
+
+    fn handle(&mut self, (): (), _: &mut Simulation<()>) {}
+}
+
+/// What a queue key refers to: the world's event or the engine's own.
+enum Payload<E> {
+    Model(E),
+    /// A link's planned completion.
+    LinkTick(LinkId),
+    /// A transfer whose request latency has elapsed: index into
+    /// `Simulation::delayed`.
+    TransferStart(u32),
+}
+
+/// A queue entry. Derived order is `(at, seq)` first; `seq` is unique, so
+/// `slot` and `gen` never decide.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    /// [`SimTime::to_key`] of the instant.
+    at: u64,
     seq: u64,
     slot: u32,
     gen: u32,
-    run: EventFn<W>,
-}
-
-impl<W> PartialEq for Scheduled<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<W> Eq for Scheduled<W> {}
-impl<W> PartialOrd for Scheduled<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for Scheduled<W> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Slab entry backing one event slot. The generation is bumped whenever the
 /// slot's event fires or is cancelled, so previously issued handles and stale
-/// heap entries stop matching.
-#[derive(Clone, Copy)]
-struct Slot {
+/// queue keys stop matching; the payload is present exactly while live.
+struct Slot<E> {
     gen: u32,
+    payload: Option<Payload<E>>,
 }
 
 /// Token identifying a scheduled event, usable to cancel it before it fires.
@@ -107,21 +129,30 @@ const COMPACT_MIN_DEAD: usize = 64;
 ///
 /// # Example
 /// ```
-/// use mashup_sim::{Simulation, SimDuration};
+/// use mashup_sim::{Model, SimDuration, Simulation};
+///
+/// struct Hits(u32);
+/// enum Event {
+///     Hit,
+/// }
+/// impl Model for Hits {
+///     type Event = Event;
+///     fn handle(&mut self, Event::Hit: Event, sim: &mut Simulation<Self>) {
+///         self.0 += 1;
+///         assert_eq!(sim.now().as_secs(), 5.0);
+///     }
+/// }
 ///
 /// let mut sim = Simulation::new();
-/// let mut hits = 0u32;
-/// sim.schedule_in(SimDuration::from_secs(5.0), |hits: &mut u32, sim| {
-///     *hits += 1;
-///     assert_eq!(sim.now().as_secs(), 5.0);
-/// });
+/// let mut hits = Hits(0);
+/// sim.schedule_in(SimDuration::from_secs(5.0), Event::Hit);
 /// sim.run(&mut hits);
-/// assert_eq!(hits, 1);
+/// assert_eq!(hits.0, 1);
 /// ```
-pub struct Simulation<W> {
+pub struct Simulation<W: Model> {
     now: SimTime,
     next_seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled<W>>>,
+    queue: BinaryHeap<Reverse<Key>>,
     /// Same-instant fast path: events scheduled for exactly `now` land in
     /// this FIFO ring instead of the heap (O(1) instead of O(log n)), so a
     /// wide fan-out spawned within one instant doesn't pay per-event heap
@@ -130,17 +161,21 @@ pub struct Simulation<W> {
     /// so the dispatch loop merges it with the heap by `(at, seq)` without
     /// reordering anything. A reserved sequence number lower than the
     /// ring's last one goes to the heap instead.
-    now_ring: VecDeque<Scheduled<W>>,
+    now_ring: VecDeque<Key>,
     /// The fair-share links, addressed by [`LinkId`].
-    pub(crate) links: Vec<Link<W>>,
+    pub(crate) links: Vec<Link<W::Event>>,
     /// Links changed during the current event, in order of first change;
     /// each plans its next completion once the event returns.
     pub(crate) dirty_links: Vec<LinkId>,
-    slots: Vec<Slot>,
+    /// Transfers waiting out their request latency; `None` entries are free
+    /// and listed in `free_delayed`.
+    pub(crate) delayed: Vec<Option<DelayedTransfer<W::Event>>>,
+    pub(crate) free_delayed: Vec<u32>,
+    slots: Vec<Slot<W::Event>>,
     free_slots: Vec<u32>,
-    /// Events in the heap whose generation still matches their slot.
+    /// Events in the queues whose generation still matches their slot.
     live: usize,
-    /// Stale heap entries (cancelled) awaiting skip-on-pop or compaction.
+    /// Stale queue keys (cancelled) awaiting skip-on-pop or compaction.
     dead: usize,
     events_processed: u64,
     /// Hard cap on processed events; guards against runaway event loops.
@@ -150,13 +185,13 @@ pub struct Simulation<W> {
     pub(crate) tracer: Tracer,
 }
 
-impl<W> Default for Simulation<W> {
+impl<W: Model> Default for Simulation<W> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> Simulation<W> {
+impl<W: Model> Simulation<W> {
     /// Creates an empty simulation at t = 0.
     pub fn new() -> Self {
         Simulation {
@@ -166,6 +201,8 @@ impl<W> Simulation<W> {
             now_ring: VecDeque::new(),
             links: Vec::new(),
             dirty_links: Vec::new(),
+            delayed: Vec::new(),
+            free_delayed: Vec::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
@@ -207,17 +244,14 @@ impl<W> Simulation<W> {
     }
 
     /// Schedules `event` at absolute time `at`. Panics if `at` is in the past.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        event: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
-    ) -> EventHandle {
-        self.push_event(at, Box::new(event))
+    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) -> EventHandle {
+        self.push(at, Payload::Model(event))
     }
 
-    fn push_event(&mut self, at: SimTime, run: EventFn<W>) -> EventHandle {
+    /// Schedules an engine or world payload under the next sequence number.
+    fn push(&mut self, at: SimTime, payload: Payload<W::Event>) -> EventHandle {
         let seq = self.reserve_seq();
-        self.insert(at, seq, run)
+        self.insert(at, seq, payload)
     }
 
     /// Takes the next sequence number without scheduling anything. An event
@@ -230,23 +264,28 @@ impl<W> Simulation<W> {
         ReservedSeq(seq)
     }
 
-    /// Schedules `event` at absolute time `at` under a sequence number taken
-    /// earlier by [`reserve_seq`](Self::reserve_seq). Panics if `at` is in
-    /// the past.
+    /// Schedules `link`'s completion tick at absolute time `at` under a
+    /// sequence number taken earlier by [`reserve_seq`](Self::reserve_seq).
+    /// Panics if `at` is in the past.
     pub(crate) fn schedule_reserved(
         &mut self,
         at: SimTime,
         seq: ReservedSeq,
-        event: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
+        link: LinkId,
     ) -> EventHandle {
-        self.insert(at, seq, Box::new(event))
+        self.insert(at, seq, Payload::LinkTick(link))
+    }
+
+    /// Schedules the start of delayed transfer `index` at `at`.
+    pub(crate) fn schedule_transfer_start(&mut self, at: SimTime, index: u32) {
+        self.push(at, Payload::TransferStart(index));
     }
 
     fn insert(
         &mut self,
         at: SimTime,
         ReservedSeq(seq): ReservedSeq,
-        run: EventFn<W>,
+        payload: Payload<W::Event>,
     ) -> EventHandle {
         assert!(
             at >= self.now,
@@ -254,79 +293,68 @@ impl<W> Simulation<W> {
             self.now
         );
         let slot = match self.free_slots.pop() {
-            Some(s) => s,
+            Some(s) => {
+                self.slots[s as usize].payload = Some(payload);
+                s
+            }
             None => {
                 let s = u32::try_from(self.slots.len()).expect("event slot index overflow");
-                self.slots.push(Slot { gen: 0 });
+                self.slots.push(Slot {
+                    gen: 0,
+                    payload: Some(payload),
+                });
                 s
             }
         };
         let gen = self.slots[slot as usize].gen;
-        let scheduled = Scheduled {
-            at,
+        let key = Key {
+            at: at.to_key(),
             seq,
             slot,
             gen,
-            run,
         };
         if at == self.now && self.now_ring.back().is_none_or(|last| last.seq < seq) {
-            self.now_ring.push_back(scheduled);
+            self.now_ring.push_back(key);
         } else {
-            self.queue.push(Reverse(scheduled));
+            self.queue.push(Reverse(key));
         }
         self.live += 1;
         EventHandle::new(slot, gen)
     }
 
-    /// Schedules a homogeneous batch of events at absolute time `at`, in
-    /// iteration order. Equivalent to calling [`schedule_at`](Self::schedule_at)
-    /// per event (consecutive sequence numbers, identical dispatch order)
-    /// but amortizes slot bookkeeping, and same-instant batches bypass the
-    /// heap entirely.
-    pub fn schedule_batch_at(&mut self, at: SimTime, events: impl IntoIterator<Item = EventFn<W>>) {
+    /// Schedules a batch of events at the current instant, in iteration
+    /// order, after all events already queued for this instant. Equivalent
+    /// to calling [`schedule_now`](Self::schedule_now) per event
+    /// (consecutive sequence numbers, identical dispatch order), but
+    /// reserves ring room once; a wide fan-out spawned within one instant
+    /// never touches the heap.
+    pub fn schedule_batch_now(&mut self, events: impl IntoIterator<Item = W::Event>) {
         let events = events.into_iter();
-        let (lower, _) = events.size_hint();
-        if at == self.now {
-            self.now_ring.reserve(lower);
-        } else {
-            self.queue.reserve(lower);
-        }
+        self.now_ring.reserve(events.size_hint().0);
         for event in events {
-            self.push_event(at, event);
+            self.schedule_now(event);
         }
-    }
-
-    /// Schedules a batch at the current instant, after all events already
-    /// queued for this instant (see [`schedule_batch_at`](Self::schedule_batch_at)).
-    pub fn schedule_batch_now(&mut self, events: impl IntoIterator<Item = EventFn<W>>) {
-        self.schedule_batch_at(self.now, events);
     }
 
     /// Schedules `event` after `delay` from now.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        event: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
-    ) -> EventHandle {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventHandle {
         self.schedule_at(self.now + delay, event)
     }
 
     /// Schedules `event` to run at the current instant, after all events
     /// already queued for this instant.
-    pub fn schedule_now(
-        &mut self,
-        event: impl FnOnce(&mut W, &mut Simulation<W>) + Send + 'static,
-    ) -> EventHandle {
+    pub fn schedule_now(&mut self, event: W::Event) -> EventHandle {
         self.schedule_at(self.now, event)
     }
 
-    /// Cancels a scheduled event. Cancelling an already-fired or already-
-    /// cancelled event is a no-op.
+    /// Cancels a scheduled event, dropping it. Cancelling an already-fired
+    /// or already-cancelled event is a no-op.
     pub fn cancel(&mut self, handle: EventHandle) {
         let slot = handle.slot() as usize;
         if slot >= self.slots.len() || self.slots[slot].gen != handle.gen() {
             return;
         }
+        self.slots[slot].payload = None;
         self.retire_slot(slot);
         self.live -= 1;
         self.dead += 1;
@@ -340,21 +368,20 @@ impl<W> Simulation<W> {
         self.free_slots.push(slot as u32);
     }
 
-    /// Rebuilds the queues without dead entries once they outnumber live
-    /// ones. Ordering is untouched: the heap is rebuilt from the surviving
-    /// `(at, seq)` pairs, which are totally ordered, and the ring keeps its
+    /// Rebuilds the queues without dead keys once they outnumber live ones.
+    /// Ordering is untouched: the heap is rebuilt from the surviving
+    /// `(at, seq)` keys, which are totally ordered, and the ring keeps its
     /// FIFO (= seq) order.
     fn maybe_compact(&mut self) {
         if self.dead < COMPACT_MIN_DEAD || self.dead * 2 <= self.queue.len() + self.now_ring.len() {
             return;
         }
-        let heap = std::mem::take(&mut self.queue);
-        let mut entries = heap.into_vec();
-        entries.retain(|Reverse(s)| self.slots[s.slot as usize].gen == s.gen);
-        self.queue = BinaryHeap::from(entries);
-        let mut ring = std::mem::take(&mut self.now_ring);
-        ring.retain(|s| self.slots[s.slot as usize].gen == s.gen);
-        self.now_ring = ring;
+        let slots = &self.slots;
+        let is_live = |k: &Key| slots[k.slot as usize].gen == k.gen;
+        let mut keys = std::mem::take(&mut self.queue).into_vec();
+        keys.retain(|Reverse(k)| is_live(k));
+        self.queue = BinaryHeap::from(keys);
+        self.now_ring.retain(is_live);
         self.dead = 0;
     }
 
@@ -366,8 +393,10 @@ impl<W> Simulation<W> {
     /// Runs `world` until the queue drains or the clock passes `deadline`.
     /// Events scheduled exactly at the deadline still fire. Dirty links
     /// always flush, at the instant they changed, before the deadline is
-    /// checked.
+    /// checked. The clock never moves backwards: a deadline earlier than
+    /// the current instant leaves it where it is.
     pub fn run_until(&mut self, world: &mut W, deadline: Option<SimTime>) -> SimTime {
+        let deadline_key = deadline.map(SimTime::to_key);
         loop {
             self.flush_links();
             // Merge the same-instant ring with the heap by (at, seq): both
@@ -375,7 +404,7 @@ impl<W> Simulation<W> {
             // fires equal-time events in scheduling order whichever queue
             // holds them.
             let from_ring = match (self.now_ring.front(), self.queue.peek()) {
-                (Some(r), Some(Reverse(h))) => (r.at, r.seq) < (h.at, h.seq),
+                (Some(r), Some(Reverse(h))) => r < h,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
@@ -383,28 +412,28 @@ impl<W> Simulation<W> {
             let head = if from_ring {
                 self.now_ring.pop_front().expect("ring head")
             } else {
-                let Reverse(h) = self.queue.pop().expect("heap head");
-                h
+                self.queue.pop().expect("heap head").0
             };
             if self.slots[head.slot as usize].gen != head.gen {
-                // Stale entry for a cancelled event: drop it.
+                // Stale key of a cancelled event: drop it.
                 self.dead -= 1;
                 continue;
             }
-            if let Some(d) = deadline {
-                if head.at > d {
-                    // Put it back for a later resume and stop at the deadline.
-                    if from_ring {
-                        self.now_ring.push_front(head);
-                    } else {
-                        self.queue.push(Reverse(head));
-                    }
-                    self.now = d;
-                    return self.now;
+            if deadline_key.is_some_and(|d| head.at > d) {
+                // Put it back for a later resume and stop at the deadline.
+                if from_ring {
+                    self.now_ring.push_front(head);
+                } else {
+                    self.queue.push(Reverse(head));
                 }
+                break;
             }
-            debug_assert!(head.at >= self.now, "event queue went backwards");
-            self.now = head.at;
+            debug_assert!(head.at >= self.now.to_key(), "event queue went backwards");
+            self.now = SimTime::from_key(head.at);
+            let payload = self.slots[head.slot as usize]
+                .payload
+                .take()
+                .expect("a live slot holds its event");
             self.retire_slot(head.slot as usize);
             self.live -= 1;
             self.events_processed += 1;
@@ -417,7 +446,11 @@ impl<W> Simulation<W> {
             let events = self.events_processed;
             self.tracer
                 .emit_verbose(self.now, || TraceEvent::Dispatch { events });
-            (head.run)(world, self);
+            match payload {
+                Payload::Model(event) => world.handle(event, self),
+                Payload::LinkTick(link) => self.on_completion_tick(world, link),
+                Payload::TransferStart(index) => self.start_delayed_transfer(index),
+            }
         }
         if let Some(d) = deadline {
             self.now = self.now.max(d);
@@ -446,77 +479,135 @@ impl<W> Simulation<W> {
     }
 }
 
+/// A world whose events are boxed closures, for the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{Model, Simulation};
+
+    /// Wraps the state `T` the closures see.
+    pub(crate) struct Boxed<T>(pub(crate) T);
+
+    /// A boxed closure event over [`Boxed<T>`].
+    pub(crate) type Call<T> = Box<dyn FnOnce(&mut Boxed<T>, &mut Simulation<Boxed<T>>) + Send>;
+
+    impl<T> Model for Boxed<T> {
+        type Event = Call<T>;
+
+        fn handle(&mut self, event: Call<T>, sim: &mut Simulation<Self>) {
+            event(self, sim)
+        }
+    }
+
+    /// An event running `f` on the wrapped state.
+    pub(crate) fn call<T>(
+        f: impl FnOnce(&mut T, &mut Simulation<Boxed<T>>) + Send + 'static,
+    ) -> Call<T> {
+        Box::new(move |w, sim| f(&mut w.0, sim))
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{call, Boxed, Call};
     use super::*;
 
     type Log = Vec<u32>;
+    type Sim = Simulation<Boxed<Log>>;
 
-    fn record(id: u32) -> impl FnOnce(&mut Log, &mut Simulation<Log>) + Send + 'static {
-        move |log, _| log.push(id)
+    fn record(id: u32) -> Call<Log> {
+        call(move |log: &mut Log, _| log.push(id))
+    }
+
+    fn nothing() -> Call<()> {
+        call(|_, _| {})
     }
 
     #[test]
     fn events_fire_in_time_order() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         sim.schedule_at(SimTime::from_secs(3.0), record(3));
         sim.schedule_at(SimTime::from_secs(1.0), record(1));
         sim.schedule_at(SimTime::from_secs(2.0), record(2));
         let end = sim.run(&mut log);
-        assert_eq!(log, vec![1, 2, 3]);
+        assert_eq!(log.0, vec![1, 2, 3]);
         assert_eq!(end.as_secs(), 3.0);
     }
 
     #[test]
     fn simultaneous_events_fire_in_schedule_order() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         for id in 0..10 {
             sim.schedule_at(SimTime::from_secs(1.0), record(id));
         }
         sim.run(&mut log);
-        assert_eq!(log, (0..10).collect::<Vec<_>>());
+        assert_eq!(log.0, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn events_can_schedule_followups() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
-        sim.schedule_at(SimTime::from_secs(1.0), |log: &mut Log, sim| {
-            log.push(sim.now().as_secs() as u32);
-            sim.schedule_in(SimDuration::from_secs(4.0), |log: &mut Log, sim| {
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
+        sim.schedule_at(
+            SimTime::from_secs(1.0),
+            call(|log: &mut Log, sim| {
                 log.push(sim.now().as_secs() as u32);
-            });
-        });
+                sim.schedule_in(
+                    SimDuration::from_secs(4.0),
+                    call(|log: &mut Log, sim| log.push(sim.now().as_secs() as u32)),
+                );
+            }),
+        );
         let end = sim.run(&mut log);
-        assert_eq!(log, vec![1, 5]);
+        assert_eq!(log.0, vec![1, 5]);
         assert_eq!(end.as_secs(), 5.0);
     }
 
     #[test]
     fn cancel_prevents_execution() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         let h = sim.schedule_at(SimTime::from_secs(1.0), record(1));
         sim.schedule_at(SimTime::from_secs(2.0), record(2));
         sim.cancel(h);
         sim.run(&mut log);
-        assert_eq!(log, vec![2]);
+        assert_eq!(log.0, vec![2]);
     }
 
     #[test]
     fn run_until_deadline_pauses_and_resumes() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         sim.schedule_at(SimTime::from_secs(1.0), record(1));
         sim.schedule_at(SimTime::from_secs(10.0), record(10));
         let t = sim.run_until(&mut log, Some(SimTime::from_secs(5.0)));
         assert_eq!(t.as_secs(), 5.0);
-        assert_eq!(log, vec![1]);
+        assert_eq!(log.0, vec![1]);
         assert!(!sim.is_idle());
         sim.run(&mut log);
-        assert_eq!(log, vec![1, 10]);
+        assert_eq!(log.0, vec![1, 10]);
+    }
+
+    #[test]
+    fn an_earlier_deadline_never_moves_the_clock_back() {
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
+        sim.schedule_at(SimTime::from_secs(10.0), record(10));
+        sim.schedule_at(SimTime::from_secs(20.0), record(20));
+        let t = sim.run_until(&mut log, Some(SimTime::from_secs(10.0)));
+        assert_eq!(t.as_secs(), 10.0);
+        // A deadline behind the clock returns the current instant...
+        let t = sim.run_until(&mut log, Some(SimTime::from_secs(5.0)));
+        assert_eq!(t.as_secs(), 10.0);
+        assert_eq!(sim.now().as_secs(), 10.0);
+        // ...so an event at 6 s is refused rather than firing after 10 s.
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.schedule_at(SimTime::from_secs(6.0), record(6));
+        }));
+        assert!(refused.is_err(), "6 s is in the past at 10 s");
+        sim.run(&mut log);
+        assert_eq!(log.0, vec![10, 20]);
     }
 
     #[test]
@@ -528,46 +619,70 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_keys_like_positive_zero() {
+        assert_eq!(
+            SimTime::from_secs(-0.0).to_key(),
+            SimTime::from_secs(0.0).to_key()
+        );
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
+        sim.schedule_at(SimTime::from_secs(0.0), record(0));
+        sim.schedule_at(SimTime::from_secs(-0.0), record(1));
+        sim.schedule_at(SimTime::from_secs(0.0), record(2));
+        sim.run(&mut log);
+        assert_eq!(log.0, vec![0, 1, 2]);
+        assert_eq!(sim.now().as_secs().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
     fn schedule_now_runs_after_current_instant_events() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
-        sim.schedule_at(SimTime::from_secs(1.0), |log: &mut Log, sim| {
-            log.push(100);
-            sim.schedule_now(record(101));
-        });
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
+        sim.schedule_at(
+            SimTime::from_secs(1.0),
+            call(|log: &mut Log, sim| {
+                log.push(100);
+                sim.schedule_now(record(101));
+            }),
+        );
         sim.schedule_at(SimTime::from_secs(1.0), record(200));
         sim.run(&mut log);
         // The follow-up runs at the same instant, but after event 200 which
         // was scheduled earlier.
-        assert_eq!(log, vec![100, 200, 101]);
+        assert_eq!(log.0, vec![100, 200, 101]);
     }
 
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_in_the_past_panics() {
-        let mut sim = Simulation::<()>::new();
-        sim.schedule_at(SimTime::from_secs(5.0), |_, sim| {
-            sim.schedule_at(SimTime::from_secs(1.0), |_, _| {});
-        });
-        sim.run(&mut ());
+        let mut sim = Simulation::new();
+        sim.schedule_at(
+            SimTime::from_secs(5.0),
+            call(|_: &mut (), sim| {
+                sim.schedule_at(SimTime::from_secs(1.0), nothing());
+            }),
+        );
+        sim.run(&mut Boxed(()));
     }
 
     #[test]
     #[should_panic(expected = "event limit")]
     fn event_limit_detects_runaway_loops() {
-        let mut sim = Simulation::new().with_event_limit(100);
-        fn rearm(_: &mut (), sim: &mut Simulation<()>) {
-            sim.schedule_in(SimDuration::from_secs(1.0), rearm);
+        fn rearm() -> Call<()> {
+            call(|_, sim| {
+                sim.schedule_in(SimDuration::from_secs(1.0), rearm());
+            })
         }
-        sim.schedule_now(rearm);
-        sim.run(&mut ());
+        let mut sim = Simulation::new().with_event_limit(100);
+        sim.schedule_now(rearm());
+        sim.run(&mut Boxed(()));
     }
 
     #[test]
     fn events_processed_counts_fired_events_only() {
         let mut sim = Simulation::<()>::new();
-        let h = sim.schedule_at(SimTime::from_secs(1.0), |_, _| {});
-        sim.schedule_at(SimTime::from_secs(2.0), |_, _| {});
+        let h = sim.schedule_at(SimTime::from_secs(1.0), ());
+        sim.schedule_at(SimTime::from_secs(2.0), ());
         sim.cancel(h);
         sim.run(&mut ());
         assert_eq!(sim.events_processed(), 1);
@@ -575,8 +690,8 @@ mod tests {
 
     #[test]
     fn cancel_of_fired_event_is_noop_even_after_slot_reuse() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         let h1 = sim.schedule_at(SimTime::from_secs(1.0), record(1));
         sim.run(&mut log);
         // h1's slot is free now; the next schedule reuses it with a bumped
@@ -584,19 +699,19 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(2.0), record(2));
         sim.cancel(h1);
         sim.run(&mut log);
-        assert_eq!(log, vec![1, 2]);
+        assert_eq!(log.0, vec![1, 2]);
     }
 
     #[test]
     fn double_cancel_is_noop_even_after_slot_reuse() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         let h1 = sim.schedule_at(SimTime::from_secs(1.0), record(1));
         sim.cancel(h1);
         sim.schedule_at(SimTime::from_secs(2.0), record(2));
         sim.cancel(h1);
         sim.run(&mut log);
-        assert_eq!(log, vec![2]);
+        assert_eq!(log.0, vec![2]);
     }
 
     #[test]
@@ -608,7 +723,7 @@ mod tests {
             if let Some(h) = handle.take() {
                 sim.cancel(h);
             }
-            handle = Some(sim.schedule_in(SimDuration::from_secs(1.0), |_, _| {}));
+            handle = Some(sim.schedule_in(SimDuration::from_secs(1.0), ()));
             assert!(!sim.is_idle());
         }
         sim.run(&mut ());
@@ -618,88 +733,77 @@ mod tests {
 
     #[test]
     fn batch_scheduling_matches_individual_scheduling_order() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
-        sim.schedule_at(SimTime::from_secs(1.0), record(0));
-        let batch: Vec<EventFn<Log>> = (1..=5)
-            .map(|i| Box::new(record(i)) as EventFn<Log>)
-            .collect();
-        sim.schedule_batch_at(SimTime::from_secs(1.0), batch);
-        sim.schedule_at(SimTime::from_secs(1.0), record(6));
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
+        sim.schedule_now(record(0));
+        sim.schedule_batch_now((1..=5).map(record));
+        sim.schedule_now(record(6));
         sim.run(&mut log);
-        assert_eq!(log, (0..=6).collect::<Vec<_>>());
+        assert_eq!(log.0, (0..=6).collect::<Vec<_>>());
     }
 
     #[test]
     fn same_instant_batch_interleaves_with_heap_events_by_seq() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         // At t=1 the first event batch-schedules followups at the current
         // instant (ring path); an equal-time heap event scheduled earlier
         // must still fire before the batch.
-        sim.schedule_at(SimTime::from_secs(1.0), |log: &mut Log, sim| {
-            log.push(100);
-            let batch: Vec<EventFn<Log>> = (0..3)
-                .map(|i| Box::new(record(300 + i)) as EventFn<Log>)
-                .collect();
-            sim.schedule_batch_now(batch);
-        });
+        sim.schedule_at(
+            SimTime::from_secs(1.0),
+            call(|log: &mut Log, sim| {
+                log.push(100);
+                sim.schedule_batch_now((0..3).map(|i| record(300 + i)));
+            }),
+        );
         sim.schedule_at(SimTime::from_secs(1.0), record(200));
         sim.schedule_at(SimTime::from_secs(2.0), record(400));
         sim.run(&mut log);
-        assert_eq!(log, vec![100, 200, 300, 301, 302, 400]);
+        assert_eq!(log.0, vec![100, 200, 300, 301, 302, 400]);
     }
 
     #[test]
     fn same_instant_events_are_cancellable() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
-        sim.schedule_at(SimTime::from_secs(1.0), |_: &mut Log, sim| {
-            let h = sim.schedule_now(record(1));
-            sim.schedule_now(record(2));
-            sim.cancel(h);
-        });
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
+        sim.schedule_at(
+            SimTime::from_secs(1.0),
+            call(|_: &mut Log, sim| {
+                let h = sim.schedule_now(record(1));
+                sim.schedule_now(record(2));
+                sim.cancel(h);
+            }),
+        );
         sim.run(&mut log);
-        assert_eq!(log, vec![2]);
+        assert_eq!(log.0, vec![2]);
         assert!(sim.is_idle());
         assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]
     fn compaction_retains_live_ring_entries() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         // Inside one instant: a live ring event, then enough cancelled ones
         // to trip compaction; the survivor must still fire.
-        sim.schedule_at(SimTime::from_secs(1.0), |_: &mut Log, sim| {
-            sim.schedule_now(record(7));
-            let doomed: Vec<_> = (0..200).map(|_| sim.schedule_now(|_, _| {})).collect();
-            for h in doomed {
-                sim.cancel(h);
-            }
-        });
+        sim.schedule_at(
+            SimTime::from_secs(1.0),
+            call(|_: &mut Log, sim| {
+                sim.schedule_now(record(7));
+                let doomed: Vec<_> = (0..200).map(|_| sim.schedule_now(record(0))).collect();
+                for h in doomed {
+                    sim.cancel(h);
+                }
+            }),
+        );
         sim.run(&mut log);
-        assert_eq!(log, vec![7]);
-    }
-
-    #[test]
-    fn batch_deadline_pause_preserves_pending_events() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
-        let batch: Vec<EventFn<Log>> = vec![Box::new(record(1)), Box::new(record(2))];
-        sim.schedule_batch_at(SimTime::from_secs(10.0), batch);
-        let t = sim.run_until(&mut log, Some(SimTime::from_secs(5.0)));
-        assert_eq!(t.as_secs(), 5.0);
-        assert!(log.is_empty());
-        assert!(!sim.is_idle());
-        sim.run(&mut log);
-        assert_eq!(log, vec![1, 2]);
+        assert_eq!(log.0, vec![7]);
     }
 
     #[test]
     fn compaction_keeps_live_events_and_ordering() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         // Interleave survivors with a tombstone flood large enough to trip
         // compaction several times over.
         let mut doomed = Vec::new();
@@ -712,55 +816,87 @@ mod tests {
             sim.cancel(h);
         }
         sim.run(&mut log);
-        assert_eq!(log, (0..500).collect::<Vec<_>>());
+        assert_eq!(log.0, (0..500).collect::<Vec<_>>());
         assert_eq!(sim.events_processed(), 500);
     }
 
     #[test]
-    fn reserved_events_order_by_seq_against_ring_and_heap_events() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
-        // Heap event at t=1 with the lowest sequence number.
+    fn link_ticks_keep_the_sequence_number_reserved_at_the_change() {
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
+        let link = sim.add_link("l", 100.0);
+        // The transfer ends at t=1. Its tick takes the sequence number
+        // reserved when it started, so it fires between the two events
+        // scheduled for t=1 before and after that start.
         sim.schedule_at(SimTime::from_secs(1.0), record(1));
-        sim.schedule_at(SimTime::ZERO, |_: &mut Log, sim| {
-            let at_one = sim.reserve_seq();
-            sim.schedule_at(SimTime::from_secs(1.0), record(3));
-            sim.schedule_now(record(10));
-            let at_zero = sim.reserve_seq();
-            sim.schedule_now(record(12));
-            // Scheduled last, but ordered where they were reserved: 11
-            // between the two ring events at t=0, 2 between the two heap
-            // events at t=1.
-            sim.schedule_reserved(sim.now(), at_zero, record(11));
-            sim.schedule_reserved(SimTime::from_secs(1.0), at_one, record(2));
-            sim.schedule_at(SimTime::from_secs(1.0), |log: &mut Log, sim| {
-                log.push(4);
-                // A ring event at t=1 fires after every reserved one.
-                sim.schedule_now(record(5));
-            });
-        });
+        sim.start_transfer(link, 100.0, None, record(2));
+        sim.schedule_at(SimTime::from_secs(1.0), record(3));
         sim.run(&mut log);
-        assert_eq!(log, vec![10, 11, 12, 1, 2, 3, 4, 5]);
+        assert_eq!(log.0, vec![1, 2, 3]);
+        assert!(sim.is_idle());
+    }
+
+    #[test]
+    fn same_instant_link_ticks_merge_between_ring_events_by_reserved_seq() {
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
+        // At t = 1e6 s one byte on a 1 TB/s link takes 1e-12 s, below half
+        // an ulp of the clock, so the tick is planned at `now` itself.
+        let link = sim.add_link("fast", 1e12);
+        let t = SimTime::from_secs(1e6);
+        assert_eq!(t + SimDuration::from_secs(1e-12), t);
+        sim.schedule_at(
+            t,
+            call(move |_: &mut Log, sim| {
+                sim.schedule_now(record(10));
+                sim.start_transfer(link, 1.0, None, record(11));
+                sim.schedule_now(record(12));
+            }),
+        );
+        sim.run(&mut log);
+        // The tick's reserved number lies between the two ring events', so
+        // it goes to the heap and the merge fires it between them.
+        assert_eq!(log.0, vec![10, 11, 12]);
+        assert!(sim.is_idle());
+
+        // Again at a later instant that also has heap events from before the
+        // change: 24 was scheduled ahead of every event the change makes.
+        let t = SimTime::from_secs(2e6);
+        sim.schedule_at(t, record(20));
+        sim.schedule_at(
+            t,
+            call(move |_: &mut Log, sim| {
+                sim.schedule_now(record(21));
+                sim.start_transfer(link, 1.0, None, record(22));
+                sim.schedule_now(record(23));
+            }),
+        );
+        sim.schedule_at(t, record(24));
+        sim.run(&mut log);
+        assert_eq!(log.0, vec![10, 11, 12, 20, 24, 21, 22, 23]);
         assert!(sim.is_idle());
     }
 
     #[test]
     fn dirty_links_flush_between_events_and_count_as_pending() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         let link = sim.add_link("l", 100.0);
         // Scheduled before the transfer starts, at its completion instant.
         sim.schedule_at(SimTime::from_secs(2.0), record(4));
-        sim.schedule_at(SimTime::from_secs(1.0), move |log: &mut Log, sim| {
-            log.push(1);
-            sim.start_transfer(link, 100.0, None, record(2));
-            assert!(!sim.is_idle());
-        });
+        sim.schedule_at(
+            SimTime::from_secs(1.0),
+            call(move |log: &mut Log, sim| {
+                log.push(1);
+                sim.start_transfer(link, 100.0, None, record(2));
+                assert!(!sim.is_idle());
+            }),
+        );
         sim.schedule_at(SimTime::from_secs(1.0), record(3));
         sim.run(&mut log);
         // The completion keeps the sequence number of the change that
         // planned it, so it fires after the earlier-scheduled event 4.
-        assert_eq!(log, vec![1, 3, 4, 2]);
+        assert_eq!(log.0, vec![1, 3, 4, 2]);
         assert_eq!(sim.events_processed(), 4);
 
         // With no event queued, the dirty link alone keeps it busy.
@@ -768,23 +904,26 @@ mod tests {
         assert!(!sim.is_idle());
         sim.run(&mut log);
         assert!(sim.is_idle());
-        assert_eq!(log, vec![1, 3, 4, 2, 5]);
+        assert_eq!(log.0, vec![1, 3, 4, 2, 5]);
         assert_eq!(sim.now().as_secs(), 3.0);
     }
 
     #[test]
     fn run_until_never_strands_a_dirty_link() {
-        let mut sim = Simulation::new();
-        let mut log = Vec::new();
+        let mut sim = Sim::new();
+        let mut log = Boxed(Vec::new());
         let link = sim.add_link("l", 100.0);
         // The last event before the deadline starts a transfer that ends
         // past it; the link flushes at t=1 and its completion waits.
-        sim.schedule_at(SimTime::from_secs(1.0), move |_: &mut Log, sim| {
-            sim.start_transfer(link, 100.0, None, record(20));
-        });
+        sim.schedule_at(
+            SimTime::from_secs(1.0),
+            call(move |_: &mut Log, sim| {
+                sim.start_transfer(link, 100.0, None, record(20));
+            }),
+        );
         let t = sim.run_until(&mut log, Some(SimTime::from_secs(1.5)));
         assert_eq!(t.as_secs(), 1.5);
-        assert!(log.is_empty());
+        assert!(log.0.is_empty());
         assert!(!sim.is_idle());
 
         // Changed outside the loop with the deadline already reached: the
@@ -795,7 +934,7 @@ mod tests {
         assert!(sim.dirty_links.is_empty());
 
         sim.run(&mut log);
-        assert_eq!(log, vec![20, 2]);
+        assert_eq!(log.0, vec![20, 2]);
         assert!(sim.is_idle());
     }
 }

@@ -6,8 +6,9 @@
 //! The engine is deliberately domain-free. It provides:
 //!
 //! * [`Simulation<W>`] — an event loop ordered by `(time, sequence)` over a
-//!   world `W` the caller owns, so runs are bit-for-bit reproducible for a
-//!   given seed and program order;
+//!   world `W: Model` the caller owns, so runs are bit-for-bit reproducible
+//!   for a given seed and program order. Events are values of the world's
+//!   [`Model::Event`] type, queued unboxed;
 //! * fair-share links ([`Simulation::add_link`], addressed by [`LinkId`]) —
 //!   max-min bandwidth channels, the mechanism behind every
 //!   network/storage contention effect in the paper, planned once per
@@ -18,12 +19,12 @@
 //!   thread through every mechanism.
 //!
 //! **Owned world.** Domain state is a plain value: the caller builds a
-//! world, and [`Simulation::run`] lends it to each event as `&mut W`
-//! alongside the engine. No event holds a handle to shared state, so the
-//! borrow checker proves that nothing aliases it; see `mashup-cloud` for
-//! the cloud models built on top. A simulation is `Send` for any world (its events are `Send`
-//! closures), so a whole run can be built on one thread and driven on
-//! another — the basis of the planning service and the parallel figure
+//! world, and [`Simulation::run`] hands each event to [`Model::handle`] on
+//! it, alongside the engine. No event holds a handle to shared state, so
+//! the borrow checker proves that nothing aliases it; see `mashup-cloud`
+//! for the cloud models built on top. A simulation is `Send` for any world
+//! (its event type is `Send`), so a whole run can be built on one thread
+//! and driven on another — the basis of the planning service and the parallel figure
 //! sweep — while each run stays single-threaded, which is where its
 //! determinism comes from. The [`Tracer`] is the one handle that outlives
 //! a run; its buffer sits behind a `Mutex`.
@@ -38,7 +39,7 @@ mod time;
 pub mod trace;
 
 pub use bandwidth::{LinkId, TransferId};
-pub use engine::{EventFn, EventHandle, Simulation};
+pub use engine::{EventHandle, Model, Simulation};
 pub use rng::{jitter_factor, stream_rng, SeedSource};
 pub use time::{SimDuration, SimTime};
 pub use trace::{KillReason, TraceEvent, TraceRecord, Tracer};

@@ -31,6 +31,18 @@ impl SimTime {
         self.0
     }
 
+    /// The event-queue key of this instant: its bit pattern, with `-0.0`
+    /// folded onto `+0.0`. For the finite non-negative values a `SimTime`
+    /// holds, integer order on these bits is numeric order.
+    pub(crate) fn to_key(self) -> u64 {
+        (self.0 + 0.0).to_bits()
+    }
+
+    /// The instant whose [`to_key`](Self::to_key) is `key`.
+    pub(crate) fn from_key(key: u64) -> Self {
+        SimTime(f64::from_bits(key))
+    }
+
     /// The duration elapsed since `earlier`. Panics if `earlier` is later.
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration::from_secs(self.0 - earlier.0)

@@ -1,7 +1,25 @@
 //! Property-based tests of the simulation engine invariants.
 
-use mashup_sim::{EventHandle, LinkId, SimDuration, SimTime, Simulation, TransferId};
+use mashup_sim::{EventHandle, LinkId, Model, SimDuration, SimTime, Simulation, TransferId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// A world whose events are boxed closures over `T`.
+struct Boxed<T>(T);
+
+type Call<T> = Box<dyn FnOnce(&mut Boxed<T>, &mut Simulation<Boxed<T>>) + Send>;
+
+impl<T> Model for Boxed<T> {
+    type Event = Call<T>;
+    fn handle(&mut self, event: Call<T>, sim: &mut Simulation<Self>) {
+        event(self, sim)
+    }
+}
+
+/// An event running `f` on the wrapped state.
+fn call<T>(f: impl FnOnce(&mut T, &mut Simulation<Boxed<T>>) + Send + 'static) -> Call<T> {
+    Box::new(move |w, sim| f(&mut w.0, sim))
+}
 
 /// The fair-share link as it was before completions were planned once per
 /// event: every arrival, cancellation and completion tick cancels the
@@ -91,7 +109,7 @@ impl EagerLink {
             })
             .fold(f64::INFINITY, f64::min);
         if dt.is_finite() {
-            s.completion = Some(sim.schedule_in(SimDuration::from_secs(dt), Self::tick));
+            s.completion = Some(sim.schedule_in(SimDuration::from_secs(dt), Box::new(Self::tick)));
         }
     }
 
@@ -200,6 +218,13 @@ struct Drive<L: Link> {
     ids: Vec<L::Id>,
 }
 
+impl<L: Link> Model for Drive<L> {
+    type Event = Done<L>;
+    fn handle(&mut self, event: Done<L>, sim: &mut Simulation<Self>) {
+        event(self, sim)
+    }
+}
+
 /// Sizes and caps are drawn in these units on a link of `8 * UNIT` B/s, so
 /// completions often land exactly on another event's instant, where only
 /// the `(at, seq)` order decides which fires first.
@@ -233,10 +258,13 @@ fn start_flow<L: Link>(
     let id = L::start(w, sim, f64::from(units) * UNIT, cap, on_done);
     w.ids.push(id);
     let marker_in = SimDuration::from_secs(f64::from(units % 4) / 8.0);
-    sim.schedule_in(marker_in, move |w: &mut Drive<L>, sim| {
-        w.log
-            .push((label + (1 << 40), sim.now().as_secs().to_bits()));
-    });
+    sim.schedule_in(
+        marker_in,
+        Box::new(move |w: &mut Drive<L>, sim: &mut Simulation<Drive<L>>| {
+            w.log
+                .push((label + (1 << 40), sim.now().as_secs().to_bits()));
+        }),
+    );
 }
 
 /// Runs `steps` on `link` and returns every completion, cancel result and
@@ -256,7 +284,7 @@ fn drive<L: Link>(
         t += f64::from(*gap) * 0.25;
         let (burst, cancel) = (burst.clone(), *cancel);
         let k = k as u64;
-        sim.schedule_at(SimTime::from_secs(t), move |w: &mut Drive<L>, sim| {
+        let step: Done<L> = Box::new(move |w: &mut Drive<L>, sim: &mut Simulation<Drive<L>>| {
             w.log.push((u64::MAX - k, sim.now().as_secs().to_bits()));
             let victim = (cancel < 64 && !w.ids.is_empty())
                 .then(|| w.ids[usize::from(cancel) % w.ids.len()]);
@@ -269,6 +297,7 @@ fn drive<L: Link>(
                 start_flow(w, sim, k * 100 + j as u64, units, cap);
             }
         });
+        sim.schedule_at(SimTime::from_secs(t), step);
     }
     // Pause at deadlines so the end-of-event flush meets them too.
     let mut deadline = 0.0;
@@ -311,12 +340,13 @@ proptest! {
     fn event_order_is_deterministic(times in proptest::collection::vec(0u32..1000, 1..64)) {
         let mut sim = Simulation::new();
         for (i, &t) in times.iter().enumerate() {
-            sim.schedule_at(SimTime::from_secs(t as f64), move |log: &mut Vec<(f64, usize)>, sim| {
+            sim.schedule_at(SimTime::from_secs(t as f64), call(move |log: &mut Vec<(f64, usize)>, sim| {
                 log.push((sim.now().as_secs(), i));
-            });
+            }));
         }
-        let mut fired = Vec::new();
+        let mut fired = Boxed(Vec::new());
         sim.run(&mut fired);
+        let fired = fired.0;
         prop_assert_eq!(fired.len(), times.len());
         for w in fired.windows(2) {
             prop_assert!(w[0].0 <= w[1].0, "time went backwards");
@@ -336,13 +366,13 @@ proptest! {
         let mut sim = Simulation::new();
         let link = sim.add_link("l", cap);
         for &b in &sizes {
-            sim.schedule_at(SimTime::ZERO, move |_: &mut usize, sim| {
-                sim.start_transfer(link, b as f64, None, |done: &mut usize, _| *done += 1);
-            });
+            sim.schedule_at(SimTime::ZERO, call(move |_: &mut usize, sim| {
+                sim.start_transfer(link, b as f64, None, call(|done: &mut usize, _| *done += 1));
+            }));
         }
-        let mut done = 0usize;
+        let mut done = Boxed(0usize);
         let end = sim.run(&mut done);
-        prop_assert_eq!(done, sizes.len());
+        prop_assert_eq!(done.0, sizes.len());
         // The last completion is exactly when the aggregate work drains.
         prop_assert!((end.as_secs() - total / cap).abs() < 1e-6,
             "end {} != {}", end.as_secs(), total / cap);
@@ -358,15 +388,14 @@ proptest! {
         let mut sim = Simulation::new();
         let link = sim.add_link("l", link_cap);
         for _ in 0..n {
-            sim.schedule_at(SimTime::ZERO, move |_: &mut Vec<f64>, sim| {
-                sim.start_transfer(link, bytes, Some(flow_cap), |f: &mut Vec<f64>, sim| {
-                    f.push(sim.now().as_secs());
-                });
-            });
+            sim.schedule_at(SimTime::ZERO, call(move |_: &mut Vec<f64>, sim| {
+                let done = call(|f: &mut Vec<f64>, sim| f.push(sim.now().as_secs()));
+                sim.start_transfer(link, bytes, Some(flow_cap), done);
+            }));
         }
-        let mut finishes = Vec::new();
+        let mut finishes = Boxed(Vec::new());
         sim.run(&mut finishes);
-        for &t in &finishes {
+        for &t in &finishes.0 {
             prop_assert!((t - bytes / flow_cap).abs() < 1e-6);
         }
     }
@@ -384,7 +413,7 @@ proptest! {
         let link = sim.add_link("prop", capacity);
         // Transfer ids are allocated sequentially per link, so the k-th
         // arrival gets id k; track each live flow's cap under that id.
-        let mut active = Active::new();
+        let mut active = Boxed(Active::new());
         let mut tids: Vec<(u64, TransferId)> = Vec::new();
         let mut next_arrival: u64 = 0;
         let mut t = 0.0f64;
@@ -396,22 +425,23 @@ proptest! {
                 let cap = if capped == 1 { Some(cap as f64) } else { None };
                 let id = next_arrival;
                 next_arrival += 1;
-                active.insert(id, cap.unwrap_or(f64::INFINITY));
-                let tid = sim.start_transfer(link, bytes as f64, cap, move |active: &mut Active, _| {
+                active.0.insert(id, cap.unwrap_or(f64::INFINITY));
+                let done = call(move |active: &mut Active, _| {
                     active.remove(&id);
                 });
+                let tid = sim.start_transfer(link, bytes as f64, cap, done);
                 tids.push((id, tid));
             } else if let Some(&(id, tid)) = tids.get(bytes as usize % tids.len().max(1)) {
-                if active.contains_key(&id) {
+                if active.0.contains_key(&id) {
                     sim.cancel_transfer(link, tid);
-                    active.remove(&id);
+                    active.0.remove(&id);
                 }
             }
             // Reference recompute: stable sort by cap (ids break ties),
             // then water-fill — the exact operation order of the original
             // per-call share rebuild.
             let mut flows: Vec<(u64, f64)> =
-                active.iter().map(|(&id, &cap)| (id, cap)).collect();
+                active.0.iter().map(|(&id, &cap)| (id, cap)).collect();
             flows.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("caps are never NaN"));
             let mut remaining_cap = capacity;
             let mut expected: Vec<(u64, f64)> = Vec::new();
@@ -435,7 +465,7 @@ proptest! {
             }
         }
         sim.run(&mut active);
-        prop_assert!(active.is_empty(), "all transfers complete or cancelled");
+        prop_assert!(active.0.is_empty(), "all transfers complete or cancelled");
         prop_assert_eq!(sim.active_transfers(link), 0);
     }
 
@@ -445,14 +475,174 @@ proptest! {
         let run = |times: &[u32]| -> Vec<(f64, usize)> {
             let mut sim = Simulation::new();
             for (i, &t) in times.iter().enumerate() {
-                sim.schedule_at(SimTime::from_secs(t as f64), move |log: &mut Vec<(f64, usize)>, sim| {
+                sim.schedule_at(SimTime::from_secs(t as f64), call(move |log: &mut Vec<(f64, usize)>, sim| {
                     log.push((sim.now().as_secs(), i));
-                });
+                }));
             }
-            let mut log = Vec::new();
+            let mut log = Boxed(Vec::new());
             sim.run(&mut log);
-            log
+            log.0
         };
         prop_assert_eq!(run(&times), run(&times));
+    }
+}
+
+/// The reference model of the event queue: every pending event under its
+/// `(time bits, seq)` key, with `-0.0` folded onto `+0.0` as the engine's
+/// clock does. The engine must dispatch exactly this map's first entry,
+/// every time.
+struct Queue {
+    pending: BTreeMap<(u64, u64), ()>,
+    /// The sequence number the engine gives the next event: one per
+    /// schedule call, since this world starts no transfers.
+    next_seq: u64,
+    /// Every handle issued, with the key it was issued for.
+    handles: Vec<(EventHandle, (u64, u64))>,
+    /// What the event with sequence number `s` does when it fires:
+    /// `actions[s % actions.len()]`.
+    actions: Vec<Action>,
+    fired: usize,
+}
+
+/// Follow-ups an event schedules (`(kind, gap in quarter-seconds)`: 0 is
+/// `schedule_now`, 1 `schedule_at(now + gap)`, 2 `-0.0` while the clock is
+/// at zero) and handles it cancels (by index into every handle issued).
+type Action = (Vec<(u8, u8)>, Vec<u16>);
+
+/// Above this many events, fired events schedule nothing more.
+const EVENT_BUDGET: u64 = 2_000;
+
+impl Model for Queue {
+    type Event = Box<dyn FnOnce(&mut Queue, &mut Simulation<Queue>) + Send>;
+    fn handle(&mut self, event: Self::Event, sim: &mut Simulation<Self>) {
+        event(self, sim)
+    }
+}
+
+impl Queue {
+    fn key(at: SimTime, seq: u64) -> (u64, u64) {
+        ((at.as_secs() + 0.0).to_bits(), seq)
+    }
+
+    /// Schedules one event at `at` (with `schedule_now` when `now`), in the
+    /// model and in the engine.
+    fn schedule(&mut self, sim: &mut Simulation<Queue>, at: SimTime, now: bool) {
+        let key = Self::key(at, self.next_seq);
+        self.next_seq += 1;
+        self.pending.insert(key, ());
+        let event: <Queue as Model>::Event = Box::new(move |w: &mut Queue, sim| w.fire(sim, key));
+        let handle = if now {
+            sim.schedule_now(event)
+        } else {
+            sim.schedule_at(at, event)
+        };
+        self.handles.push((handle, key));
+    }
+
+    /// Cancels the `pick`-th handle issued (fired or not), in both.
+    fn cancel(&mut self, sim: &mut Simulation<Queue>, pick: u16) {
+        if self.handles.is_empty() {
+            return;
+        }
+        let (handle, key) = self.handles[usize::from(pick) % self.handles.len()];
+        sim.cancel(handle);
+        self.pending.remove(&key);
+    }
+
+    /// Schedules `spawn` relative to the clock, then cancels `cancel`.
+    fn apply(&mut self, sim: &mut Simulation<Queue>, spawn: &[(u8, u8)], cancel: &[u16]) {
+        for &(kind, gap) in spawn {
+            let now = sim.now();
+            match kind % 3 {
+                0 => self.schedule(sim, now, true),
+                2 if now.as_secs() == 0.0 => self.schedule(sim, SimTime::from_secs(-0.0), false),
+                _ => {
+                    let at = now + SimDuration::from_secs(f64::from(gap % 8) * 0.25);
+                    self.schedule(sim, at, false);
+                }
+            }
+        }
+        for &pick in cancel {
+            self.cancel(sim, pick);
+        }
+    }
+
+    fn fire(&mut self, sim: &mut Simulation<Queue>, key: (u64, u64)) {
+        let (first, ()) = self.pending.pop_first().expect("the model has it pending");
+        assert_eq!(first, key, "dispatched out of (time, seq) order");
+        assert_eq!(sim.now().as_secs(), f64::from_bits(key.0));
+        self.fired += 1;
+        if self.next_seq < EVENT_BUDGET {
+            let (spawn, cancel) = self.actions[key.1 as usize % self.actions.len()].clone();
+            self.apply(sim, &spawn, &cancel);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The queue against a `BTreeMap` model: every dispatch is the model's
+    /// first `(time bits, seq)` entry, across same-instant events scheduled
+    /// from inside events (`schedule_now` and `schedule_at(now)`), `-0.0`
+    /// instants, cancels of pending, fired and already cancelled events,
+    /// cancel floods that compact the heap and the ring, and `run_until`
+    /// resumes whose deadlines land on event instants.
+    #[test]
+    fn queue_dispatches_in_model_order(
+        actions in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..3, 0u8..8), 0..4),
+                proptest::collection::vec(0u16..512, 0..3),
+            ),
+            1..16,
+        ),
+        // One top-level step per resume: events scheduled and handles
+        // cancelled from outside the loop, whether to flood the queue with
+        // 200 events and cancel all but ten (past the compaction threshold
+        // of 64 dead keys), and how far, in quarter-seconds, the next
+        // deadline lies.
+        resumes in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..3, 0u8..8), 0..6),
+                proptest::collection::vec(0u16..512, 0..4),
+                any::<bool>(),
+                0u8..6,
+            ),
+            1..12,
+        ),
+    ) {
+        let mut sim = Simulation::new();
+        let mut queue = Queue {
+            pending: BTreeMap::new(),
+            next_seq: 0,
+            handles: Vec::new(),
+            actions,
+            fired: 0,
+        };
+        let mut deadline = 0.0;
+        for (spawn, cancel, flood, gap) in &resumes {
+            queue.apply(&mut sim, spawn, cancel);
+            if *flood {
+                let first = queue.handles.len();
+                let flood_spawn: Vec<(u8, u8)> = (0..200u8).map(|i| (i % 3, i % 7 + 1)).collect();
+                queue.apply(&mut sim, &flood_spawn, &[]);
+                for i in first + 10..queue.handles.len() {
+                    let (handle, key) = queue.handles[i];
+                    sim.cancel(handle);
+                    queue.pending.remove(&key);
+                }
+            }
+            deadline += f64::from(*gap) * 0.25;
+            let t = sim.run_until(&mut queue, Some(SimTime::from_secs(deadline)));
+            prop_assert_eq!(t.as_secs(), deadline);
+            if let Some((&(at, _), ())) = queue.pending.first_key_value() {
+                prop_assert!(f64::from_bits(at) > deadline, "an event due by the deadline is still pending");
+            }
+        }
+        sim.run(&mut queue);
+        prop_assert!(queue.pending.is_empty(), "{} events never fired", queue.pending.len());
+        prop_assert!(sim.is_idle());
+        prop_assert_eq!(sim.events_processed(), queue.fired as u64);
     }
 }

@@ -122,7 +122,10 @@ fn parse_args(mut rest: std::env::Args) -> Args {
                     Some("time") => Objective::ExecutionTime,
                     Some("expense") => Objective::Expense,
                     Some("both") => Objective::Both,
-                    other => die(&format!("unknown objective {other:?}")),
+                    Some(other) => die(&format!(
+                        "unknown objective '{other}' (expected time, expense or both)"
+                    )),
+                    None => die("--objective needs a value"),
                 };
             }
             "--strategy" => {
@@ -134,7 +137,10 @@ fn parse_args(mut rest: std::env::Args) -> Args {
                 args.format = match rest.next().as_deref() {
                     Some("jsonl") => "jsonl".into(),
                     Some("chrome") => "chrome".into(),
-                    other => die(&format!("unknown trace format {other:?}")),
+                    Some(other) => die(&format!(
+                        "unknown trace format '{other}' (expected jsonl or chrome)"
+                    )),
+                    None => die("--format needs a value"),
                 };
             }
             "--out" => {

@@ -167,6 +167,32 @@ fn unknown_flags_fail_cleanly() {
 }
 
 #[test]
+fn bad_objective_and_format_values_are_named_plainly() {
+    let refused = |args: &[&str], msg: &str| {
+        let out = mashup().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("mashup: {msg}"), "{args:?}");
+    };
+    refused(
+        &["plan", "SRAsearch", "--objective", "nope"],
+        "unknown objective 'nope' (expected time, expense or both)",
+    );
+    refused(
+        &["plan", "SRAsearch", "--objective"],
+        "--objective needs a value",
+    );
+    refused(
+        &["trace", "SRAsearch", "--format", "nope"],
+        "unknown trace format 'nope' (expected jsonl or chrome)",
+    );
+    refused(
+        &["trace", "SRAsearch", "--format"],
+        "--format needs a value",
+    );
+}
+
+#[test]
 fn non_finite_chaos_flags_are_refused() {
     let refused = |args: &[&str], msg: &str| {
         let out = mashup().args(args).output().expect("binary runs");
