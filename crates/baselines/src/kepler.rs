@@ -22,6 +22,7 @@ use mashup_sim::{SimTime, Simulation};
               then read and decremented by key, never order-iterated"
 )]
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Kepler's world: the cloud plus its dataflow director.
 pub type KeplerWorld = World<Director>;
@@ -48,7 +49,8 @@ pub struct Start;
 /// tagged with its task.
 impl Driver for Director {
     type Event = Start;
-    type Tag = TaskRef;
+    type ClusterTag = TaskRef;
+    type FaasTag = Infallible;
 
     fn handle(w: &mut KeplerWorld, sim: &mut Simulation<KeplerWorld>, Start: Start) {
         let d = &w.driver;
@@ -117,10 +119,10 @@ impl Driver for Director {
     fn faas_done(
         _: &mut KeplerWorld,
         _: &mut Simulation<KeplerWorld>,
-        _: TaskRef,
+        tag: Infallible,
         _: FaasRunStats,
     ) {
-        unreachable!("Kepler runs everything on the cluster")
+        match tag {}
     }
 }
 

@@ -200,7 +200,7 @@ pub(crate) struct ClusterRun<W: CloudWorld> {
     io_secs: f64,
     compute_secs: f64,
     start: SimTime,
-    tag: W::Tag,
+    tag: W::ClusterTag,
 }
 
 /// A VM cluster: its sub-clusters' nodes and links, and its billing.
@@ -515,7 +515,7 @@ impl VmCluster {
         w: &mut W,
         sim: &mut Simulation<W>,
         spec: ClusterTaskSpec,
-        tag: W::Tag,
+        tag: W::ClusterTag,
     ) {
         let Cloud {
             cluster,

@@ -117,7 +117,7 @@ pub(crate) struct FaasRun<W: CloudWorld> {
     remaining: usize,
     first_start_seen: bool,
     stats: FaasRunStats,
-    tag: W::Tag,
+    tag: W::FaasTag,
 }
 
 /// One component's invocation chain, kept in the world's [`Cloud`] under
@@ -175,7 +175,7 @@ pub fn run_task_on_faas<W: CloudWorld>(
     tier: Option<u32>,
     spec: FaasTaskSpec,
     seeds: &SeedSource,
-    tag: W::Tag,
+    tag: W::FaasTag,
 ) {
     let cloud = w.cloud();
     let platform = cloud.platform(tier).config();

@@ -10,7 +10,9 @@
 //! them (`From<CloudEvent>`) and hands them back to
 //! [`CloudEvent::dispatch`]. A finished cluster or FaaS run reports to the
 //! world through [`CloudWorld::cluster_done`] / [`CloudWorld::faas_done`],
-//! with the tag its driver chose when it started the run.
+//! with the tag its driver chose when it started the run. Cluster and FaaS
+//! runs carry tags of their own types, so a world that never starts one
+//! kind names it `Infallible` and its hook is `match tag {}`.
 
 use crate::cluster::{ClusterConfig, ClusterRun, ClusterRunStats, VmCluster};
 use crate::cost::CostMeter;
@@ -26,20 +28,28 @@ use std::collections::BTreeMap;
 /// A simulated world that owns a [`Cloud`]: the one accessor every cloud
 /// mechanism goes through, and the two places finished runs report to.
 pub trait CloudWorld: Model<Event: From<CloudEvent>> + Send + 'static {
-    /// What a driver attaches to a run it starts, to recognise the run when
-    /// it finishes (the executor's task ref, for example).
-    type Tag: Send + 'static;
+    /// What a driver attaches to a cluster run it starts, to recognise the
+    /// run when it finishes (the executor's task ref, for example).
+    type ClusterTag: Send + 'static;
+
+    /// What a driver attaches to a FaaS run it starts.
+    type FaasTag: Send + 'static;
 
     /// The world's cloud services.
     fn cloud(&mut self) -> &mut Cloud<Self>;
 
     /// The last component of the cluster run started with `tag` finished,
     /// inside the event that finished it.
-    fn cluster_done(&mut self, sim: &mut Simulation<Self>, tag: Self::Tag, stats: ClusterRunStats);
+    fn cluster_done(
+        &mut self,
+        sim: &mut Simulation<Self>,
+        tag: Self::ClusterTag,
+        stats: ClusterRunStats,
+    );
 
     /// The last component chain of the FaaS run started with `tag`
     /// finished, inside the event that finished it.
-    fn faas_done(&mut self, sim: &mut Simulation<Self>, tag: Self::Tag, stats: FaasRunStats);
+    fn faas_done(&mut self, sim: &mut Simulation<Self>, tag: Self::FaasTag, stats: FaasRunStats);
 }
 
 /// The cloud services of one run, owned by its world `W`.
@@ -233,7 +243,8 @@ pub(crate) mod testing {
     }
 
     impl<T: Send + 'static> CloudWorld for World<T> {
-        type Tag = ();
+        type ClusterTag = ();
+        type FaasTag = ();
 
         fn cloud(&mut self) -> &mut Cloud<Self> {
             &mut self.cloud

@@ -6,6 +6,7 @@ use mashup_cloud::{
     FaasRunStats, InstanceType, StorageConfig, VmCluster,
 };
 use mashup_sim::{Model, SeedSource, Simulation};
+use std::convert::Infallible;
 
 struct World {
     cloud: Cloud<World>,
@@ -37,7 +38,8 @@ impl Model for World {
 }
 
 impl CloudWorld for World {
-    type Tag = ();
+    type ClusterTag = ();
+    type FaasTag = Infallible;
     fn cloud(&mut self) -> &mut Cloud<Self> {
         &mut self.cloud
     }
@@ -47,8 +49,8 @@ impl CloudWorld for World {
             None => self.done_at = Some(sim.now().as_secs()),
         }
     }
-    fn faas_done(&mut self, _: &mut Simulation<Self>, (): (), _: FaasRunStats) {
-        unreachable!("the chain runs on the cluster only")
+    fn faas_done(&mut self, _: &mut Simulation<Self>, tag: Infallible, _: FaasRunStats) {
+        match tag {}
     }
 }
 

@@ -40,7 +40,8 @@ impl Model for World {
 }
 
 impl CloudWorld for World {
-    type Tag = ();
+    type ClusterTag = ();
+    type FaasTag = ();
     fn cloud(&mut self) -> &mut Cloud<Self> {
         &mut self.cloud
     }

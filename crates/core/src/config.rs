@@ -211,8 +211,11 @@ pub trait Driver: Sized + Send + 'static {
     /// The driver's own events (phase starts, batch starts, store uploads).
     type Event: Send;
 
-    /// What the driver attaches to each cluster or FaaS run it starts.
-    type Tag: Send + 'static;
+    /// What the driver attaches to each cluster run it starts.
+    type ClusterTag: Send + 'static;
+
+    /// What the driver attaches to each FaaS run it starts.
+    type FaasTag: Send + 'static;
 
     /// Runs one of the driver's events.
     fn handle(w: &mut World<Self>, sim: &mut Simulation<World<Self>>, event: Self::Event);
@@ -221,7 +224,7 @@ pub trait Driver: Sized + Send + 'static {
     fn cluster_done(
         w: &mut World<Self>,
         sim: &mut Simulation<World<Self>>,
-        tag: Self::Tag,
+        tag: Self::ClusterTag,
         stats: ClusterRunStats,
     );
 
@@ -229,7 +232,7 @@ pub trait Driver: Sized + Send + 'static {
     fn faas_done(
         w: &mut World<Self>,
         sim: &mut Simulation<World<Self>>,
-        tag: Self::Tag,
+        tag: Self::FaasTag,
         stats: FaasRunStats,
     );
 }
@@ -260,17 +263,23 @@ impl<D: Driver> Model for World<D> {
 }
 
 impl<D: Driver> CloudWorld for World<D> {
-    type Tag = D::Tag;
+    type ClusterTag = D::ClusterTag;
+    type FaasTag = D::FaasTag;
 
     fn cloud(&mut self) -> &mut Cloud<Self> {
         &mut self.cloud
     }
 
-    fn cluster_done(&mut self, sim: &mut Simulation<Self>, tag: D::Tag, stats: ClusterRunStats) {
+    fn cluster_done(
+        &mut self,
+        sim: &mut Simulation<Self>,
+        tag: D::ClusterTag,
+        stats: ClusterRunStats,
+    ) {
         D::cluster_done(self, sim, tag, stats)
     }
 
-    fn faas_done(&mut self, sim: &mut Simulation<Self>, tag: D::Tag, stats: FaasRunStats) {
+    fn faas_done(&mut self, sim: &mut Simulation<Self>, tag: D::FaasTag, stats: FaasRunStats) {
         D::faas_done(self, sim, tag, stats)
     }
 }

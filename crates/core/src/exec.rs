@@ -178,7 +178,8 @@ pub enum ExecEvent {
 /// the task they execute.
 impl Driver for Option<Execution> {
     type Event = ExecEvent;
-    type Tag = TaskRef;
+    type ClusterTag = TaskRef;
+    type FaasTag = TaskRef;
 
     fn handle(w: &mut W, sim: &mut Simulation<W>, event: ExecEvent) {
         match event {

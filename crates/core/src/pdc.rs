@@ -45,6 +45,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// What the optimizer minimizes (Fig. 5 ablation; the paper's default is
@@ -1013,8 +1014,9 @@ fn phase_content_digest(phase: &Phase) -> u128 {
 struct PhaseTimes(Vec<f64>);
 
 impl Driver for PhaseTimes {
-    type Event = std::convert::Infallible;
-    type Tag = usize;
+    type Event = Infallible;
+    type ClusterTag = usize;
+    type FaasTag = Infallible;
 
     fn handle(_: &mut World<Self>, _: &mut Simulation<World<Self>>, event: Self::Event) {
         match event {}
@@ -1029,8 +1031,13 @@ impl Driver for PhaseTimes {
         w.driver.0[ti] = stats.end.as_secs() - stats.start.as_secs();
     }
 
-    fn faas_done(_: &mut World<Self>, _: &mut Simulation<World<Self>>, _: usize, _: FaasRunStats) {
-        unreachable!("a phase profile runs on the cluster only")
+    fn faas_done(
+        _: &mut World<Self>,
+        _: &mut Simulation<World<Self>>,
+        tag: Infallible,
+        _: FaasRunStats,
+    ) {
+        match tag {}
     }
 }
 
@@ -1040,8 +1047,9 @@ impl Driver for PhaseTimes {
 struct FaasBatch(Option<FaasRunStats>);
 
 impl Driver for FaasBatch {
-    type Event = std::convert::Infallible;
-    type Tag = ();
+    type Event = Infallible;
+    type ClusterTag = Infallible;
+    type FaasTag = ();
 
     fn handle(_: &mut World<Self>, _: &mut Simulation<World<Self>>, event: Self::Event) {
         match event {}
@@ -1050,10 +1058,10 @@ impl Driver for FaasBatch {
     fn cluster_done(
         _: &mut World<Self>,
         _: &mut Simulation<World<Self>>,
-        (): (),
+        tag: Infallible,
         _: ClusterRunStats,
     ) {
-        unreachable!("a FaaS batch runs no cluster tasks")
+        match tag {}
     }
 
     fn faas_done(

@@ -31,6 +31,34 @@
 //! finished one to [`Model::handle`] inline, in id order, from a buffer kept
 //! between ticks, so a tick allocates nothing.
 //!
+//! **Same-instant cascades.** A tick fires exactly at a planned completion,
+//! so a transfer that has not crossed the completion epsilon there holds
+//! only floating-point error: advancing by `remaining / share` can round to
+//! a step below one ulp of the clock. The tick force-finishes the transfer
+//! closest to done (the first minimum in id order). Late in a long run,
+//! hundreds of transfers on one link can be due within one ulp (the
+//! sub-cluster fabric links of an all-VM 1000Genome run), and the link
+//! finishes them one forced tick at a time, all at that instant, each
+//! after the events the previous tick's completions scheduled. Without
+//! help each such tick scans for finished transfers, scans for the
+//! smallest residue, and its flush reruns the water-fill and the min-scan:
+//! about 2·F² flow visits for F transfers. Since the clock has not moved,
+//! the residues have not either, so the second force-finish at one instant
+//! sorts the live transfers once by `(remaining, id)`, the order the
+//! min-scan picks in, and later ticks pop from that order without a scan.
+//! While the order holds, a flush plans the next tick in O(1): no share is
+//! below `min(smallest cap, capacity / n)` less the water-fill's rounding (a
+//! relative `(n + ln n + 2)·2⁻⁵³`, below 1e-9 for n ≤ 2²⁰), so if the
+//! head's `remaining` over that floor, added to now, still gives now, the
+//! min-scan would give now as well (division and addition round
+//! monotonically). The tick is scheduled at now under the reserved
+//! sequence number, and the shares stay dirty until something needs them:
+//! they depend only on the transfer set. Any insert, any cancel and any
+//! advance that moves the clock drops the order. A cascade thus costs one
+//! sort plus O(1) per tick; residues, completions and `TransferEnd` records
+//! come in the order the scans gave. Debug builds also run the water-fill
+//! and min-scan beside each shortcut and assert that they plan now.
+//!
 //! A transfer can also start after a delay (an object store's request
 //! latency): [`Simulation::start_transfer_in`] parks its parameters in a
 //! slab and queues one engine event that starts it.
@@ -93,6 +121,14 @@ pub(crate) struct Link<E> {
     by_cap: Vec<u32>,
     /// Set whenever the transfer set changes; cleared by `refresh_shares`.
     shares_dirty: bool,
+    /// A same-instant cascade's force-finish order: every live transfer's
+    /// `(remaining bits, id)`, descending, so the next to finish is last.
+    /// Valid while non-empty; any insert, any cancel and any advance that
+    /// moves the clock empties it.
+    cascade: Vec<(u64, u64)>,
+    /// The instant of the latest force-finish; a second one at the same
+    /// instant sorts the cascade order.
+    forced_at: Option<SimTime>,
     next_id: u64,
     last_update: SimTime,
     completion_event: Option<EventHandle>,
@@ -148,10 +184,12 @@ impl<E> Link<E> {
         let pos = self.cap_position(cap, id);
         self.by_cap.insert(pos, slot);
         self.shares_dirty = true;
+        self.cascade.clear();
     }
 
     fn remove(&mut self, id: u64) -> Option<Transfer<E>> {
         let id_pos = self.find_by_id(id)?;
+        self.cascade.clear();
         Some(self.remove_at(id_pos))
     }
 
@@ -174,25 +212,24 @@ impl<E> Link<E> {
     /// `done` in id order. One scan finds the first; if nothing crossed the
     /// epsilon, the transfer closest to done is force-finished instead. A
     /// lone finisher (the common tick) is removed by binary search; several
-    /// are removed in one `retain` pass over each index.
+    /// are removed in one `retain` pass over each index. In a cascade
+    /// nothing has moved since the order was sorted, so nothing crossed the
+    /// epsilon either: the tick pops the order's head without a scan.
     fn remove_finished(&mut self, now: SimTime, done: &mut Vec<E>, tracer: &Tracer) {
+        if let Some(pos) = self.pop_cascade() {
+            return self.detach(pos, now, done, tracer);
+        }
         let finished = |s: &Self, slot: u32| s.transfer(slot).remaining <= EPS_BYTES;
         let first = match self.by_id.iter().position(|&slot| finished(self, slot)) {
             Some(pos) => pos,
             None if self.by_id.is_empty() => return,
-            None => self.force_finish_closest(),
+            None => self.force_finish_closest(now),
         };
         if !self.by_id[first + 1..]
             .iter()
             .any(|&slot| finished(self, slot))
         {
-            let t = self.remove_at(first);
-            tracer.emit_verbose(now, || TraceEvent::TransferEnd {
-                link: self.name.clone(),
-                id: t.id,
-            });
-            done.push(t.on_done);
-            return;
+            return self.detach(first, now, done, tracer);
         }
         let Link {
             slab,
@@ -223,6 +260,17 @@ impl<E> Link<E> {
         *shares_dirty = true;
     }
 
+    /// Removes the transfer at `id_pos` in `by_id` and hands over its
+    /// completion.
+    fn detach(&mut self, id_pos: usize, now: SimTime, done: &mut Vec<E>, tracer: &Tracer) {
+        let t = self.remove_at(id_pos);
+        tracer.emit_verbose(now, || TraceEvent::TransferEnd {
+            link: self.name.clone(),
+            id: t.id,
+        });
+        done.push(t.on_done);
+    }
+
     /// Recomputes max-min fair shares (water-filling with per-flow caps) if
     /// the transfer set changed since the last pass. The sum of shares never
     /// exceeds capacity. Flows are visited cap-ascending with id breaking
@@ -251,6 +299,7 @@ impl<E> Link<E> {
     fn advance(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_update).as_secs();
         if dt > 0.0 && !self.by_id.is_empty() {
+            self.cascade.clear();
             self.refresh_shares();
             let mut delivered = 0.0;
             for i in 0..self.by_id.len() {
@@ -271,7 +320,25 @@ impl<E> Link<E> {
     /// clock, which would loop forever). Force-finishes the transfer closest
     /// to done (first minimum in id order, as `Iterator::min_by`
     /// guarantees) and returns its position in `by_id`.
-    fn force_finish_closest(&mut self) -> usize {
+    ///
+    /// The second force-finish at one instant starts a cascade (see the
+    /// module docs): it sorts the live transfers by `(remaining, id)` once,
+    /// the order the min-scan picks in, and takes the head.
+    fn force_finish_closest(&mut self, now: SimTime) -> usize {
+        if self.forced_at.replace(now) == Some(now) {
+            let Link {
+                slab,
+                by_id,
+                cascade,
+                ..
+            } = self;
+            cascade.extend(by_id.iter().map(|&slot| {
+                let t = slab[slot as usize].as_ref().expect("live slot");
+                (t.remaining.to_bits(), t.id)
+            }));
+            sort_cascade(cascade);
+            return self.pop_cascade().expect("non-empty");
+        }
         let pos = (0..self.by_id.len())
             .min_by(|&a, &b| {
                 self.transfer(self.by_id[a])
@@ -280,14 +347,86 @@ impl<E> Link<E> {
                     .expect("remaining is never NaN")
             })
             .expect("non-empty");
+        self.finish_residue(pos);
+        pos
+    }
+
+    /// Force-finishes the head of the cascade order, if there is one, and
+    /// returns its position in `by_id`.
+    fn pop_cascade(&mut self) -> Option<usize> {
+        let (_, id) = self.cascade.pop()?;
+        let pos = self.find_by_id(id).expect("live transfer");
+        self.finish_residue(pos);
+        Some(pos)
+    }
+
+    /// Finishes the transfer at `pos` in `by_id`, counting its residue as
+    /// delivered.
+    fn finish_residue(&mut self, pos: usize) {
         let t = self.slab[self.by_id[pos] as usize]
             .as_mut()
             .expect("live slot");
-        let residue = t.remaining;
+        self.bytes_delivered += t.remaining;
         t.remaining = 0.0;
-        self.bytes_delivered += residue;
-        pos
     }
+
+    /// Whether a cascade's next tick is due at `now` again, decided in
+    /// O(1) from a floor under every share (see the module docs). The
+    /// shares stay dirty.
+    fn cascade_due_now(&mut self, now: SimTime) -> bool {
+        let Some(&(remaining, _)) = self.cascade.last() else {
+            return false;
+        };
+        let n = self.by_cap.len();
+        if n > 1 << 20 {
+            return false;
+        }
+        let min_cap = self.transfer(self.by_cap[0]).cap;
+        let floor = min_cap.min(self.capacity / n as f64 * (1.0 - 1e-9));
+        let now = now.as_secs();
+        // A cap of zero starves its flow; the full path reports that.
+        let due = floor > 0.0 && now + f64::from_bits(remaining) / floor == now;
+        #[cfg(debug_assertions)]
+        if due {
+            let dt = self.next_completion_secs();
+            assert!(
+                now + dt == now,
+                "cascade bound missed on link '{}'",
+                self.name
+            );
+            self.shares_dirty = true;
+        }
+        due
+    }
+
+    /// Seconds until the next transfer completes under fresh shares: one
+    /// water-fill and one min-scan.
+    fn next_completion_secs(&mut self) -> f64 {
+        self.refresh_shares();
+        let dt = self
+            .by_id
+            .iter()
+            .map(|&slot| {
+                let t = self.transfer(slot);
+                if t.share <= 0.0 {
+                    f64::INFINITY
+                } else {
+                    t.remaining / t.share
+                }
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(dt.is_finite(), "transfer on link '{}' starved", self.name);
+        dt
+    }
+}
+
+/// Sorts a cascade's `(remaining bits, id)` keys descending. Every residue
+/// in a cascade is above the completion epsilon, and the bits of positive
+/// floats order as their values, so this is `(remaining, id)` order, the
+/// order the min-scan picks in. Not generic, so one copy serves every
+/// world's links.
+fn sort_cascade(keys: &mut [(u64, u64)]) {
+    keys.sort_unstable_by(|a, b| b.cmp(a));
 }
 
 impl<W: Model> Simulation<W> {
@@ -306,6 +445,8 @@ impl<W: Model> Simulation<W> {
             by_id: Vec::new(),
             by_cap: Vec::new(),
             shares_dirty: false,
+            cascade: Vec::new(),
+            forced_at: None,
             next_id: 0,
             last_update: SimTime::ZERO,
             completion_event: None,
@@ -423,7 +564,9 @@ impl<W: Model> Simulation<W> {
 
     /// Schedules `link`'s next completion from the state the event left:
     /// one water-fill, one min-scan, one event under the latest reservation.
+    /// A cascade tick due at the same instant skips both.
     pub(crate) fn flush_link(&mut self, link: LinkId) {
+        let now = self.now();
         let l = self.link_mut(link);
         let seq = l
             .pending_flush
@@ -432,21 +575,11 @@ impl<W: Model> Simulation<W> {
         if l.by_id.is_empty() {
             return;
         }
-        l.refresh_shares();
-        let dt = l
-            .by_id
-            .iter()
-            .map(|&slot| {
-                let t = l.transfer(slot);
-                if t.share <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    t.remaining / t.share
-                }
-            })
-            .fold(f64::INFINITY, f64::min);
-        assert!(dt.is_finite(), "transfer on link '{}' starved", l.name);
-        let at = self.now() + SimDuration::from_secs(dt);
+        let at = if l.cascade_due_now(now) {
+            now
+        } else {
+            now + SimDuration::from_secs(l.next_completion_secs())
+        };
         let h = self.schedule_reserved(at, seq, link);
         self.link_mut(link).completion_event = Some(h);
     }
@@ -509,7 +642,7 @@ impl<W: Model> Simulation<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testing::{call, Boxed};
+    use crate::engine::testing::{call, Boxed, Call};
 
     type Done = Vec<(usize, f64)>;
 
@@ -681,5 +814,135 @@ mod tests {
             .collect();
         let (t, _) = finish_times(1000.0, &jobs);
         assert_eq!(t.len(), 50);
+    }
+
+    /// What the cascade test's world saw, in order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        /// Transfer `i` completed at the instant with these bits, in the
+        /// engine event with this count.
+        Done(usize, u64, u64),
+        /// The same-instant event transfer `i`'s completion scheduled.
+        After(usize),
+    }
+
+    #[derive(Default)]
+    struct Cascade {
+        seen: Vec<Seen>,
+        ids: Vec<TransferId>,
+        cancelled: Option<f64>,
+    }
+
+    /// Transfers in the cascade.
+    const CASCADE_N: usize = 330;
+    /// The transfer the 100th completion starts.
+    const LATE: usize = CASCADE_N;
+    /// The transfer the 200th completion cancels.
+    const CANCELLED: usize = CASCADE_N - 1;
+
+    /// The uncapped group's completion order in the cascade test.
+    const UNCAPPED_ORDER: [usize; 109] = [
+        86, 89, 92, 95, 98, 101, 80, 83, 104, 107, 110, 113, 74, 77, 116, 119, 122, 125, 68, 71,
+        128, 131, 134, 62, 65, 137, 140, 143, 56, 59, 146, 149, 152, 50, 53, 155, 158, 41, 44, 47,
+        161, 164, 167, 35, 38, 170, 173, 17, 20, 23, 26, 29, 32, 176, 179, 182, 185, 8, 11, 14,
+        188, 2, 5, 191, 194, 197, 200, 203, 206, 209, 212, 215, 218, 221, 224, 227, 230, 233, 236,
+        239, 242, 245, 248, 251, 254, 257, 260, 263, 266, 269, 272, 275, 278, 281, 284, 287, 290,
+        293, 296, 299, 302, 305, 308, 314, 317, 320, 323, 326, 311,
+    ];
+
+    /// Transfer `i`'s completion: log it, schedule a same-instant event,
+    /// and start or cancel a transfer at the 100th and 200th completion.
+    fn cascade_done(link: LinkId, i: usize) -> Call<Cascade> {
+        call(move |w: &mut Cascade, sim| {
+            let now = sim.now().as_secs().to_bits();
+            w.seen.push(Seen::Done(i, now, sim.events_processed()));
+            sim.schedule_now(call(move |w: &mut Cascade, _| w.seen.push(Seen::After(i))));
+            let completed = w
+                .seen
+                .iter()
+                .filter(|s| matches!(s, Seen::Done(..)))
+                .count();
+            if completed == 100 {
+                let late = sim.start_transfer(link, 1.0e12, None, cascade_done(link, LATE));
+                w.ids.push(late);
+            }
+            if completed == 200 {
+                w.cancelled = Some(sim.cancel_transfer(link, w.ids[CANCELLED]));
+            }
+        })
+    }
+
+    /// 330 transfers in three groups (capped at half and a quarter of the
+    /// fair share, and uncapped) all finish 7.3 s after they start at
+    /// t = 31,234.5 s. Their residues there are floating-point error, so
+    /// the link finishes them one forced tick at a time, all at one
+    /// instant. Pins the order (residue, then id), the instants, the
+    /// same-instant events the handlers schedule, the delivered bytes to
+    /// the bit, and a transfer started and one cancelled mid-cascade.
+    #[test]
+    fn same_instant_cascade_finishes_in_residue_then_id_order() {
+        let (capacity, t0, dur) = (1.0e12, 31_234.5, 7.3);
+        let mut sim = Simulation::new();
+        sim.set_tracer(Tracer::verbose());
+        let link = sim.add_link("l", capacity);
+        let fair = capacity / CASCADE_N as f64;
+        let caps = [Some(fair * 0.5), Some(fair * 0.25), None];
+        let capped: f64 = (0..CASCADE_N).filter_map(|i| caps[i % 3]).sum();
+        let uncapped = (capacity - capped) / (CASCADE_N / 3) as f64;
+        sim.schedule_at(
+            SimTime::from_secs(t0),
+            call(move |w: &mut Cascade, sim| {
+                for i in 0..CASCADE_N {
+                    let cap = caps[i % 3];
+                    let bytes = cap.unwrap_or(uncapped) * dur;
+                    let id = sim.start_transfer(link, bytes, cap, cascade_done(link, i));
+                    w.ids.push(id);
+                }
+            }),
+        );
+        let mut w = Boxed(Cascade::default());
+        sim.run(&mut w);
+        let w = w.0;
+
+        // Every completion is followed by the event it scheduled, before
+        // the next completion.
+        let done: Vec<(usize, u64, u64)> = w
+            .seen
+            .chunks(2)
+            .map(|pair| match *pair {
+                [Seen::Done(i, at, ev), Seen::After(j)] if i == j => (i, at, ev),
+                _ => panic!("completion not followed by its event: {pair:?}"),
+            })
+            .collect();
+        let (cascade, late) = done.split_at(CASCADE_N - 1);
+        // The capped groups have one residue each, so each finishes in id
+        // order: quarter-capped, then half-capped. The uncapped shares
+        // differ in their last bits, so their residues do too: that group
+        // finishes in residue order, ids breaking ties. The cancelled
+        // transfer (329) never finishes.
+        let mut expected: Vec<usize> = (1..CASCADE_N).step_by(3).collect();
+        expected.extend((0..CASCADE_N).step_by(3));
+        expected.extend(UNCAPPED_ORDER);
+        let order: Vec<usize> = cascade.iter().map(|&(i, ..)| i).collect();
+        assert_eq!(order, expected);
+        // One instant, one engine event per completion.
+        let instant = (t0 + dur).to_bits();
+        assert!(cascade.iter().all(|&(_, at, _)| at == instant));
+        assert!(cascade.windows(2).all(|p| p[0].2 < p[1].2));
+        assert_eq!(late, [(LATE, 0x40de_82b3_3333_3333, 660)]);
+        assert_eq!(w.cancelled.map(f64::to_bits), Some(0x3f75_4800_0000_0000));
+        assert_eq!(sim.bytes_delivered(link).to_bits(), 0x429e_31fa_34df_ffde);
+        // The verbose trace ends transfers in the same order.
+        let ends: Vec<u64> = sim
+            .tracer()
+            .take()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::TransferEnd { id, .. } => Some(id),
+                _ => None,
+            })
+            .collect();
+        let ids: Vec<u64> = done.iter().map(|&(i, ..)| i as u64).collect();
+        assert_eq!(ends, ids);
     }
 }

@@ -16,16 +16,38 @@
 //!
 //! then review the fixture diff like any other code change.
 
+use mashup_baselines::Strategy;
 use mashup_cloud::{Fault, FaultPlan};
-use mashup_core::{ChaosSpec, Mashup, MashupConfig, Tracer};
+use mashup_core::{ChaosSpec, Fingerprinter, Mashup, MashupConfig, Tracer};
 use mashup_sim::trace::{from_jsonl, to_jsonl};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn golden_path(name: &str) -> PathBuf {
+    fixture_path(&format!("{name}.jsonl"))
+}
+
+fn fixture_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/trace_fixtures/golden")
-        .join(format!("{name}.jsonl"))
+        .join(file)
+}
+
+/// With `MASHUP_BLESS_TRACES` set, writes `actual` as the fixture at
+/// `path` and returns `None`; otherwise returns the committed fixture.
+fn bless_or_read(path: &Path, actual: &str) -> Option<String> {
+    if std::env::var_os("MASHUP_BLESS_TRACES").is_some() {
+        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create fixture dir");
+        std::fs::write(path, actual).expect("write fixture");
+        return None;
+    }
+    Some(std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {}: {e}\n(run `MASHUP_BLESS_TRACES=1 cargo test --test trace_golden` \
+             to record fixtures)",
+            path.display()
+        )
+    }))
 }
 
 fn record(workflow: &mashup_dag::Workflow) -> String {
@@ -75,19 +97,9 @@ fn check_golden(name: &str, workflow: &mashup_dag::Workflow) {
 }
 
 fn check_golden_bytes(name: &str, actual: String) {
-    let path = golden_path(name);
-    if std::env::var_os("MASHUP_BLESS_TRACES").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create fixture dir");
-        std::fs::write(&path, &actual).expect("write fixture");
+    let Some(golden) = bless_or_read(&golden_path(name), &actual) else {
         return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e}\n(run `MASHUP_BLESS_TRACES=1 cargo test --test trace_golden` \
-             to record fixtures)",
-            path.display()
-        )
-    });
+    };
     // The serialized form must round-trip through the parser losslessly.
     let parsed = from_jsonl(&actual).expect("trace parses");
     assert_eq!(
@@ -115,6 +127,54 @@ fn srasearch_trace_matches_golden() {
 #[test]
 fn epigenomics_trace_matches_golden() {
     check_golden("epigenomics", &epigenomics::workflow());
+}
+
+// --- verbose digest: engine dispatches and link transfer lifecycles ----
+//
+// The flow-level goldens above record neither `Dispatch` nor
+// `TransferStart`/`TransferEnd`. The verbose stream does, so it pins the
+// engine's event order and the order in which a link finishes transfers
+// due at one instant. A full verbose trace is megabytes, so the fixture
+// holds a 128-bit fingerprint of its JSONL.
+
+/// The fingerprint of the verbose JSONL trace `run` records, in hex.
+fn verbose_digest(run: impl FnOnce(&Tracer)) -> String {
+    let tracer = Tracer::verbose();
+    run(&tracer);
+    let mut f = Fingerprinter::new("verbose-trace-v1");
+    f.write_str(&to_jsonl(&tracer.take()));
+    format!("{:032x}\n", f.digest())
+}
+
+/// 1000Genome at 8 nodes: the Mashup run, and the all-VM run at two
+/// sub-clusters (one of the PDC's profiling splits). The all-VM run's
+/// fabric links each finish over 600 transfers due at one instant, one
+/// forced tick at a time; the Mashup run's own execution has no such
+/// cascade.
+#[test]
+fn genome1000_verbose_trace_matches_golden_digest() {
+    let workflow = genome1000::workflow();
+    let cfg = MashupConfig::aws(8);
+    let mashup = verbose_digest(|tracer| {
+        Mashup::new(cfg.clone())
+            .with_tracer(tracer.clone())
+            .run(&workflow);
+    });
+    let all_vm = verbose_digest(|tracer| {
+        let split = cfg.clone().with_subclusters(2);
+        Strategy::Traditional
+            .run(&split, &workflow, tracer, None)
+            .expect("all-VM run");
+    });
+    let actual = format!("mashup {mashup}all-vm-2 {all_vm}");
+    let Some(golden) = bless_or_read(&fixture_path("genome1000_8_verbose.digest"), &actual) else {
+        return;
+    };
+    assert_eq!(
+        golden, actual,
+        "verbose trace drifted from the golden digest (bless with MASHUP_BLESS_TRACES=1 \
+         if the change is intentional)"
+    );
 }
 
 // --- chaos goldens: seeded fault schedules replay byte-for-byte ---------
