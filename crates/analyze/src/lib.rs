@@ -17,10 +17,11 @@
 //! Every check **collects** findings rather than bailing at the first one,
 //! and every error-level condition mirrors (never exceeds) an assertion the
 //! executor would otherwise hit mid-simulation. The engine wires these in
-//! via `mashup_core::preflight`, refusing error-diagnosed inputs with a
-//! typed [`AnalysisError`]. Analysis is read-only over its inputs — it
-//! draws no randomness and mutates nothing, so enabling it cannot perturb
-//! simulated results.
+//! through `mashup_core::CheckedWorkflow`, refusing error-diagnosed inputs
+//! with a typed [`AnalysisError`], and its planners place a task serverless
+//! only when [`PlanContext::misfits`] finds nothing. Analysis is read-only
+//! over its inputs — it draws no randomness and mutates nothing, so
+//! enabling it cannot perturb simulated results.
 
 #![warn(missing_docs)]
 
@@ -32,7 +33,7 @@ mod workflow_checks;
 
 pub use config_checks::{analyze_config, EngineParams};
 pub use diag::{has_errors, into_result, AnalysisError, Code, Diagnostic, Location, Severity};
-pub use plan_checks::{analyze_plan, PlanContext};
+pub use plan_checks::{analyze_plan, analyze_plan_by_task, FaasMisfit, PlanContext};
 pub use render::{render_json, render_pretty};
 pub use workflow_checks::analyze_workflow;
 

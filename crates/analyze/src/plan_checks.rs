@@ -2,13 +2,17 @@
 //!
 //! Each error here corresponds to an assertion the hybrid executor would
 //! otherwise hit mid-simulation; the conditions deliberately mirror the
-//! runtime model (`MashupConfig::margin_for`, the FaaS window chaining of
-//! `mashup_cloud::run_task_on_faas`, and the executor's output-location
-//! routing) so the analyzer is exactly as strict as execution — never more.
+//! runtime model (the checkpoint margin of [`PlanContext::margin_for`], the
+//! FaaS window chaining of `mashup_cloud::run_task_on_faas`, and the
+//! executor's output-location routing) so the analyzer is exactly as strict
+//! as execution — never more. The per-task conditions are one predicate,
+//! [`PlanContext::misfits`], which the planners also place by.
 
 use crate::diag::{Code, Diagnostic, Location};
 use mashup_cloud::FaasConfig;
-use mashup_dag::{PlacementPlan, Platform, TaskRef, Workflow};
+use mashup_dag::{PlacementPlan, Platform, Task, TaskRef, Workflow};
+use std::borrow::Cow;
+use std::fmt;
 
 /// Environment facts the plan checks need (a slice of the engine config, so
 /// `mashup-analyze` does not depend on `mashup-core`).
@@ -22,20 +26,143 @@ pub struct PlanContext<'a> {
     pub checkpoint_margin_secs: f64,
 }
 
+/// Why a task cannot run in a function, with the numbers that decided it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaasMisfit {
+    /// M203: a component needs more memory than the function has.
+    Memory {
+        /// GiB one component needs.
+        need_gb: f64,
+        /// GiB the function has.
+        cap_gb: f64,
+    },
+    /// M202: the task's checkpoint margin consumes the whole timeout.
+    NoWindow {
+        /// The task's checkpoint margin, seconds.
+        margin_secs: f64,
+        /// The function's timeout, seconds.
+        timeout_secs: f64,
+    },
+    /// M202: a component must chain across invocations, but re-reading its
+    /// checkpoint consumes every resumed window.
+    NoProgress {
+        /// Worst-case compute of one component, seconds.
+        worst_secs: f64,
+        /// The timeout less the checkpoint margin, seconds.
+        window_secs: f64,
+        /// The checkpoint each resumed invocation re-reads, bytes.
+        checkpoint_bytes: f64,
+    },
+}
+
+impl fmt::Display for FaasMisfit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FaasMisfit::Memory { need_gb, cap_gb } => write!(
+                f,
+                "component needs {need_gb:.2} GiB but the function cap is {cap_gb:.2} GiB"
+            ),
+            FaasMisfit::NoWindow {
+                margin_secs,
+                timeout_secs,
+            } => write!(
+                f,
+                "checkpoint margin {margin_secs:.0}s consumes the whole {timeout_secs:.0}s FaaS \
+                 timeout"
+            ),
+            FaasMisfit::NoProgress {
+                worst_secs,
+                window_secs,
+                checkpoint_bytes,
+            } => write!(
+                f,
+                "component needs ~{worst_secs:.0}s (> {window_secs:.0}s window) so it must \
+                 chain, but re-reading the {checkpoint_bytes:.0}-byte checkpoint consumes \
+                 every resumed window"
+            ),
+        }
+    }
+}
+
+impl FaasMisfit {
+    /// The diagnostic that reports this misfit for the task at `loc`.
+    pub fn diagnostic(self, loc: Location) -> Diagnostic {
+        let (code, help) = match self {
+            FaasMisfit::Memory { .. } => (
+                Code::FaasMemoryExceeded,
+                "place the task on the VM cluster or raise faas.memory_gb",
+            ),
+            FaasMisfit::NoWindow { .. } => (
+                Code::FaasWindowInfeasible,
+                "shrink checkpoint_bytes or checkpoint_margin_secs, or run on the VM cluster",
+            ),
+            FaasMisfit::NoProgress { .. } => (
+                Code::FaasWindowInfeasible,
+                "no forward progress is possible; place the task on the VM cluster",
+            ),
+        };
+        Diagnostic::new(code, loc, self.to_string()).with_help(help)
+    }
+}
+
 impl PlanContext<'_> {
-    /// The effective checkpoint margin for a task — mirrors
-    /// `MashupConfig::margin_for` (at least the configured margin, widened
-    /// so the checkpoint write fits with 20 % headroom).
-    fn margin_for(&self, checkpoint_bytes: f64) -> f64 {
+    /// The effective checkpoint margin for a task: at least the configured
+    /// margin, widened so the checkpoint write (at the per-function
+    /// bandwidth) fits with 20 % headroom.
+    pub fn margin_for(&self, checkpoint_bytes: f64) -> f64 {
         self.checkpoint_margin_secs
             .max(checkpoint_bytes / self.faas.per_function_bps * 1.2)
+    }
+
+    /// Why `t` cannot run in this function: M203, then M202. Empty when it
+    /// can, which is the one condition under which a planner may place it
+    /// serverless.
+    pub fn misfits(&self, t: &Task) -> impl Iterator<Item = FaasMisfit> {
+        let p = &t.profile;
+        let memory = (p.memory_gb > self.faas.memory_gb).then_some(FaasMisfit::Memory {
+            need_gb: p.memory_gb,
+            cap_gb: self.faas.memory_gb,
+        });
+        // M202: can the component finish inside the timeout window,
+        // possibly chaining across invocations via checkpoints?
+        let margin = self.margin_for(p.checkpoint_bytes);
+        let window = self.faas.timeout_secs - margin;
+        let worst = p.compute_secs_serverless() / self.faas.core_speed * (1.0 + p.runtime_jitter);
+        let resume_read = p.checkpoint_bytes / self.faas.per_function_bps;
+        let window = if window <= 0.0 {
+            Some(FaasMisfit::NoWindow {
+                margin_secs: margin,
+                timeout_secs: self.faas.timeout_secs,
+            })
+        } else if worst > window && window - resume_read <= 0.0 {
+            Some(FaasMisfit::NoProgress {
+                worst_secs: worst,
+                window_secs: window,
+                checkpoint_bytes: p.checkpoint_bytes,
+            })
+        } else {
+            None
+        };
+        memory.into_iter().chain(window)
     }
 }
 
 /// Runs every M2xx check of `plan` against `w`, collecting all findings.
 pub fn analyze_plan(w: &Workflow, plan: &PlacementPlan, ctx: &PlanContext<'_>) -> Vec<Diagnostic> {
+    analyze_plan_by_task(w, plan, ctx, |_| Cow::Borrowed(ctx.faas))
+}
+
+/// [`analyze_plan`] where each serverless task runs in its own function,
+/// `faas_of(flat id)` in place of `ctx.faas`: say the memory tier a
+/// per-task sizing assigns it.
+pub fn analyze_plan_by_task<'f>(
+    w: &Workflow,
+    plan: &PlacementPlan,
+    ctx: &PlanContext<'_>,
+    faas_of: impl Fn(usize) -> Cow<'f, FaasConfig>,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for r in w.task_refs() {
+    for (flat, r) in w.task_refs().enumerate() {
         let t = w.task(r);
         let loc = Location::Task {
             phase: r.phase,
@@ -53,59 +180,13 @@ pub fn analyze_plan(w: &Workflow, plan: &PlacementPlan, ctx: &PlanContext<'_>) -
             );
             continue;
         };
-        if platform != Platform::Serverless {
-            continue;
-        }
-        if t.profile.memory_gb > ctx.faas.memory_gb {
-            out.push(
-                Diagnostic::new(
-                    Code::FaasMemoryExceeded,
-                    loc.clone(),
-                    format!(
-                        "component needs {:.2} GiB but the function cap is {:.2} GiB",
-                        t.profile.memory_gb, ctx.faas.memory_gb
-                    ),
-                )
-                .with_help("place the task on the VM cluster or raise faas.memory_gb"),
-            );
-        }
-        // M202: can the component finish inside the timeout window, possibly
-        // chaining across invocations via checkpoints?
-        let bps = ctx.faas.per_function_bps;
-        let margin = ctx.margin_for(t.profile.checkpoint_bytes);
-        let window = ctx.faas.timeout_secs - margin;
-        if window <= 0.0 {
-            out.push(
-                Diagnostic::new(
-                    Code::FaasWindowInfeasible,
-                    loc,
-                    format!(
-                        "checkpoint margin {margin:.0}s consumes the whole {:.0}s FaaS timeout",
-                        ctx.faas.timeout_secs
-                    ),
-                )
-                .with_help(
-                    "shrink checkpoint_bytes or checkpoint_margin_secs, or run on the VM cluster",
-                ),
-            );
-            continue;
-        }
-        let compute = t.profile.compute_secs_serverless() / ctx.faas.core_speed;
-        let worst = compute * (1.0 + t.profile.runtime_jitter);
-        let resume_read = t.profile.checkpoint_bytes / bps;
-        if worst > window && window - resume_read <= 0.0 {
-            out.push(
-                Diagnostic::new(
-                    Code::FaasWindowInfeasible,
-                    loc,
-                    format!(
-                        "component needs ~{worst:.0}s (> {window:.0}s window) so it must chain, \
-                         but re-reading the {:.0}-byte checkpoint consumes every resumed window",
-                        t.profile.checkpoint_bytes
-                    ),
-                )
-                .with_help("no forward progress is possible; place the task on the VM cluster"),
-            );
+        if platform == Platform::Serverless {
+            let faas = faas_of(flat);
+            let task_ctx = PlanContext {
+                faas: &faas,
+                ..ctx.clone()
+            };
+            out.extend(task_ctx.misfits(t).map(|m| m.diagnostic(loc.clone())));
         }
     }
     // M204: hybrid-boundary staging volume. Mirrors the executor's output

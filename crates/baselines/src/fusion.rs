@@ -11,7 +11,8 @@
 //! search measures hybrid placement against.
 
 use mashup_core::{
-    try_execute_with, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport,
+    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer,
+    WorkflowReport,
 };
 use mashup_dag::{fusable_pairs, fuse, FusionCandidate, TaskRef, Workflow};
 
@@ -51,8 +52,9 @@ pub fn maximal_fusion(workflow: &Workflow) -> Workflow {
 }
 
 /// Runs the maximally fused workflow entirely on the serverless platform.
-/// A fused task whose memory footprint exceeds the function cap is refused
-/// (diagnostic M203): such a workflow has no serverless fusion execution.
+/// The fused workflow is a new one, so it is checked in turn. A fused task
+/// whose memory footprint exceeds the function cap is refused (diagnostic
+/// M203): such a workflow has no serverless fusion execution.
 pub(crate) fn run(
     cfg: &MashupConfig,
     workflow: &Workflow,
@@ -60,9 +62,9 @@ pub(crate) fn run(
 ) -> Result<WorkflowReport, AnalysisError> {
     let mut cfg = cfg.clone();
     cfg.prewarm = false;
-    let fused = maximal_fusion(workflow);
+    let fused = CheckedWorkflow::new(maximal_fusion(workflow))?;
     let plan = PlacementPlan::uniform(&fused, Platform::Serverless);
-    try_execute_with(&cfg, &fused, &plan, None, "fusion", tracer)
+    execute(&cfg, &fused, &plan, None, "fusion", tracer)
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 
 use mashup_cloud::{ClusterRunStats, ClusterTaskSpec, FaasRunStats, VmCluster};
 use mashup_core::{
-    preflight, AnalysisError, CloudEnv, Driver, MashupConfig, PlacementPlan, Platform, TaskReport,
-    TraceEvent, Tracer, WorkflowReport, World, WorldEvent,
+    AnalysisError, CheckedWorkflow, CloudEnv, Driver, MashupConfig, PlacementPlan, Platform,
+    TaskReport, TraceEvent, Tracer, WorkflowReport, World, WorldEvent,
 };
-use mashup_dag::{TaskRef, Workflow};
+use mashup_dag::TaskRef;
 use mashup_sim::{SimTime, Simulation};
 #[expect(
     clippy::disallowed_types,
@@ -30,7 +30,7 @@ pub type KeplerWorld = World<Director>;
 /// The dataflow director's state: which tasks still wait on producers, and
 /// the reports of finished ones.
 pub struct Director {
-    workflow: Workflow,
+    workflow: CheckedWorkflow<'static>,
     /// Unfinished producer count per task.
     #[expect(clippy::disallowed_types, reason = "keyed access only")]
     pending_deps: HashMap<TaskRef, usize>,
@@ -128,15 +128,15 @@ impl Driver for Director {
 
 /// Runs the workflow with dataflow-fired task scheduling on the cluster,
 /// recording into `tracer` (task start/end events carry the firing order).
-/// Kepler has no executor entry of its own, so it checks its all-VM plan
-/// before it builds an environment.
+/// Kepler runs its own director instead of the executor, so it checks its
+/// config and all-VM plan itself before it builds an environment.
 pub(crate) fn run(
     cfg: &MashupConfig,
-    workflow: &Workflow,
+    workflow: &CheckedWorkflow,
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
     let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
-    preflight(cfg, workflow, Some(&plan))?;
+    workflow.check(cfg, Some(&plan), None)?;
 
     #[expect(clippy::disallowed_types, reason = "keyed access only")]
     let mut pending_deps = HashMap::new();
@@ -144,7 +144,7 @@ pub(crate) fn run(
         pending_deps.insert(r, workflow.task(r).deps.len());
     }
     let director = Director {
-        workflow: workflow.clone(),
+        workflow: workflow.to_shared(),
         pending_deps,
         reports: Vec::new(),
         remaining: workflow.task_count(),
@@ -217,7 +217,7 @@ fn spawn(w: &mut KeplerWorld, sim: &mut Simulation<KeplerWorld>, r: TaskRef) {
 mod tests {
     use super::*;
     use crate::Strategy;
-    use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
+    use mashup_dag::{DependencyPattern, Task, TaskProfile, Workflow, WorkflowBuilder};
 
     /// Phase 1 has a fast task A and a slow task B; phase 2's C depends
     /// only on A. Kepler starts C when A finishes; the phase-barriered

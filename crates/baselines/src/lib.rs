@@ -21,9 +21,10 @@
 //! Every strategy returns the same [`mashup_core::WorkflowReport`], so the
 //! bench harness and the CLI compare them uniformly, and records into the
 //! [`mashup_core::Tracer`] it is given — a traced run is always
-//! byte-identical to an untraced one. Inputs the analyzer refuses come
-//! back as a typed [`mashup_core::AnalysisError`] before any environment is
-//! built.
+//! byte-identical to an untraced one. Each takes a
+//! [`mashup_core::CheckedWorkflow`], and a config or plan the analyzer
+//! refuses comes back as a typed [`mashup_core::AnalysisError`] before any
+//! environment is built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +48,7 @@ fn run_untraced(
     cfg: &mashup_core::MashupConfig,
     workflow: &mashup_dag::Workflow,
 ) -> mashup_core::WorkflowReport {
-    strategy
-        .run(cfg, workflow, &mashup_core::Tracer::off(), None)
+    mashup_core::CheckedWorkflow::borrowed(workflow)
+        .and_then(|w| strategy.run(cfg, &w, &mashup_core::Tracer::off(), None))
         .expect("clean inputs")
 }

@@ -18,7 +18,8 @@
 //! engine alike. It is serverless-agnostic: everything runs on the cluster.
 
 use mashup_core::{
-    try_execute_with, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport,
+    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer,
+    WorkflowReport,
 };
 use mashup_dag::{DependencyPattern, Task, TaskDep, Workflow};
 
@@ -132,9 +133,9 @@ pub(crate) fn run(
     workflow: &Workflow,
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
-    let clustered = cluster_tasks(workflow, cfg.cluster.total_slots());
+    let clustered = CheckedWorkflow::new(cluster_tasks(workflow, cfg.cluster.total_slots()))?;
     let plan = PlacementPlan::uniform(&clustered, Platform::VmCluster);
-    let mut report = try_execute_with(cfg, &clustered, &plan, None, "pegasus", tracer)?;
+    let mut report = execute(cfg, &clustered, &plan, None, "pegasus", tracer)?;
     report.workflow = workflow.name.clone();
     Ok(report)
 }

@@ -11,14 +11,14 @@
 //! falling back to a VM.
 
 use mashup_core::{
-    try_execute_with, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport,
+    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer,
+    WorkflowReport,
 };
-use mashup_dag::Workflow;
 
 /// Runs the workflow entirely on the serverless platform.
 pub(crate) fn run(
     cfg: &MashupConfig,
-    workflow: &Workflow,
+    workflow: &CheckedWorkflow,
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
     // Pre-warming is one of Mashup's §3 mitigations, not part of the naive
@@ -26,7 +26,7 @@ pub(crate) fn run(
     let mut cfg = cfg.clone();
     cfg.prewarm = false;
     let plan = PlacementPlan::uniform(workflow, Platform::Serverless);
-    try_execute_with(&cfg, workflow, &plan, None, "serverless-only", tracer)
+    execute(&cfg, workflow, &plan, None, "serverless-only", tracer)
 }
 
 #[cfg(test)]
@@ -34,7 +34,7 @@ mod tests {
     use super::*;
     use crate::Strategy;
     use mashup_core::Code;
-    use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, WorkflowBuilder};
+    use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, Workflow, WorkflowBuilder};
 
     fn wf(long: bool) -> Workflow {
         let mut b = WorkflowBuilder::new("w");
@@ -74,6 +74,7 @@ mod tests {
     fn oversized_memory_is_refused() {
         let mut w = wf(false);
         w.phases[0].tasks[0].profile.memory_gb = 32.0;
+        let w = CheckedWorkflow::new(w).expect("clean workflow");
         let err = run(&MashupConfig::aws(4), &w, &Tracer::off()).unwrap_err();
         assert!(err.errors().all(|d| d.code == Code::FaasMemoryExceeded));
         assert_eq!(err.errors().count(), 1);

@@ -3,10 +3,9 @@
 
 use crate::{fusion, kepler, pegasus, serverless_only, traditional};
 use mashup_core::{
-    plan_without_pdc, try_execute_with, AnalysisError, Mashup, MashupConfig, PlanCache, Tracer,
-    WorkflowReport,
+    execute, plan_without_pdc, AnalysisError, CheckedWorkflow, Mashup, MashupConfig, PlanCache,
+    Tracer, WorkflowReport,
 };
-use mashup_dag::Workflow;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -64,12 +63,14 @@ impl Strategy {
     /// `cache` memoizes Mashup's profiling stages; the other strategies
     /// ignore it.
     ///
-    /// Every strategy checks its inputs before it builds an environment
-    /// and refuses error-diagnosed ones with a typed [`AnalysisError`].
+    /// The workflow arrives checked. Every strategy checks its config and
+    /// plan before it builds an environment, and refuses error-diagnosed
+    /// ones with a typed [`AnalysisError`]; fusion and Pegasus also check
+    /// the workflow their rewrite produces.
     pub fn run(
         self,
         cfg: &MashupConfig,
-        workflow: &Workflow,
+        workflow: &CheckedWorkflow,
         tracer: &Tracer,
         cache: Option<Arc<PlanCache>>,
     ) -> Result<WorkflowReport, AnalysisError> {
@@ -82,14 +83,14 @@ impl Strategy {
             Strategy::Kepler => kepler::run(cfg, workflow, tracer),
             Strategy::MashupWithoutPdc => {
                 let plan = plan_without_pdc(cfg, workflow);
-                try_execute_with(cfg, workflow, &plan, None, "mashup-wo-pdc", tracer)
+                execute(cfg, workflow, &plan, None, "mashup-wo-pdc", tracer)
             }
             Strategy::Mashup => {
                 let mut engine = Mashup::new(cfg.clone()).with_tracer(tracer.clone());
                 if let Some(cache) = cache {
                     engine = engine.with_cache(cache);
                 }
-                engine.try_run(workflow).map(|outcome| outcome.report)
+                engine.run_checked(workflow).map(|outcome| outcome.report)
             }
         }
     }
@@ -99,7 +100,7 @@ impl Strategy {
 mod tests {
     use super::*;
     use mashup_core::{Code, Platform};
-    use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
+    use mashup_dag::{DependencyPattern, Task, TaskProfile, Workflow, WorkflowBuilder};
 
     fn wf() -> Workflow {
         let mut b = WorkflowBuilder::new("mix");
@@ -136,7 +137,7 @@ mod tests {
 
     #[test]
     fn every_strategy_refuses_an_empty_cluster() {
-        let w = wf();
+        let w = CheckedWorkflow::new(wf()).expect("clean workflow");
         for s in Strategy::ALL {
             let err = s
                 .run(&MashupConfig::aws(0), &w, &Tracer::off(), None)

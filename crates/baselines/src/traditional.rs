@@ -12,18 +12,18 @@
 //! over sub-cluster splits and keeping the best.
 
 use mashup_core::{
-    try_execute_with, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport,
+    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer,
+    WorkflowReport,
 };
-use mashup_dag::Workflow;
 
 /// Runs the workflow entirely on the configured VM cluster.
 pub(crate) fn run(
     cfg: &MashupConfig,
-    workflow: &Workflow,
+    workflow: &CheckedWorkflow,
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
     let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
-    try_execute_with(cfg, workflow, &plan, None, "traditional", tracer)
+    execute(cfg, workflow, &plan, None, "traditional", tracer)
 }
 
 /// Runs the traditional baseline under each sub-cluster split that fits
@@ -36,7 +36,7 @@ pub(crate) fn run(
 /// execution being deterministic — reproduces the winning report exactly.
 pub(crate) fn run_tuned(
     cfg: &MashupConfig,
-    workflow: &Workflow,
+    workflow: &CheckedWorkflow,
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
     // Sets the field directly: the analyzer, not an assertion, refuses a
@@ -68,7 +68,7 @@ pub(crate) fn run_tuned(
 mod tests {
     use super::*;
     use crate::Strategy;
-    use mashup_dag::{Task, TaskProfile, WorkflowBuilder};
+    use mashup_dag::{Task, TaskProfile, Workflow, WorkflowBuilder};
 
     fn contended_workflow() -> Workflow {
         // Two parallel ingest-heavy phase-0 tasks that fight over one

@@ -12,7 +12,7 @@
 //! with each chain's spans merged.
 
 use mashup_baselines::maximal_fusion;
-use mashup_core::{try_execute_with, MashupConfig, PlacementPlan, Platform, Tracer};
+use mashup_core::{execute, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer};
 use mashup_dag::{DependencyPattern, Task, TaskProfile, Workflow, WorkflowBuilder};
 use mashup_sim::TraceEvent;
 use proptest::prelude::*;
@@ -89,17 +89,16 @@ proptest! {
         computes in collection::vec(1u32..=16, 5),
     ) {
         let cfg = overhead_free_cfg();
-        let w = pipeline(len, comps, slowdown, &computes);
-        let fused = maximal_fusion(&w);
+        let w = CheckedWorkflow::new(pipeline(len, comps, slowdown, &computes)).expect("clean");
+        let fused = CheckedWorkflow::new(maximal_fusion(&w)).expect("fusion checks clean");
         prop_assert_eq!(fused.task_count(), 1, "a pipeline collapses fully");
 
         let tr_u = Tracer::new();
         let tr_f = Tracer::new();
         let plan_u = PlacementPlan::uniform(&w, Platform::Serverless);
         let plan_f = PlacementPlan::uniform(&fused, Platform::Serverless);
-        let r_u = try_execute_with(&cfg, &w, &plan_u, None, "pipe", &tr_u).expect("clean inputs");
-        let r_f =
-            try_execute_with(&cfg, &fused, &plan_f, None, "pipe", &tr_f).expect("clean inputs");
+        let r_u = execute(&cfg, &w, &plan_u, None, "pipe", &tr_u).expect("clean inputs");
+        let r_f = execute(&cfg, &fused, &plan_f, None, "pipe", &tr_f).expect("clean inputs");
 
         // Time and expense, bit for bit.
         prop_assert_eq!(

@@ -106,13 +106,6 @@ const CELLS: &[Cell] = &[
 ];
 
 fn main() {
-    // Refuse bad inputs before any cell runs. The analyzer is read-only,
-    // so a clean pass leaves every simulated result untouched (and prints
-    // nothing — figures output must stay byte-identical across runs).
-    if let Err(report) = bench::preflight_paper_inputs() {
-        eprintln!("figures: static analysis refused the paper inputs\n{report}");
-        std::process::exit(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_dir: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();

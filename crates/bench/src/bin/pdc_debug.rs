@@ -36,7 +36,6 @@ fn main() {
             d.probe_secs,
             d.platform,
             d.forced_vm_reason
-                .as_deref()
                 .map(|r| format!("  [{r}]"))
                 .unwrap_or_default()
         );

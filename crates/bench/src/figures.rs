@@ -4,8 +4,10 @@
 use crate::strategies::{run_strategy, Strategy};
 use crate::sweep::par_map;
 use crate::table::{f1, pct, usd, Table};
-use mashup_core::{improvement_pct, Mashup, MashupConfig, Objective, Platform};
-use mashup_dag::{Task, TaskProfile, Workflow, WorkflowBuilder};
+use mashup_core::{
+    improvement_pct, CheckedWorkflow, Mashup, MashupConfig, Objective, PlanCache, Platform,
+};
+use mashup_dag::{Task, TaskProfile, WorkflowBuilder};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use serde::Serialize;
 
@@ -15,12 +17,15 @@ pub const CLUSTER_SIZES: [usize; 8] = [2, 4, 8, 16, 32, 48, 64, 96];
 /// The cluster size of the paper's single-size comparisons (Figs. 8, 12).
 pub const DEFAULT_NODES: usize = 48;
 
-fn paper_workflows() -> Vec<Workflow> {
-    vec![
-        genome1000::workflow(),
-        srasearch::workflow(),
-        epigenomics::workflow(),
+/// The paper's workflows, each checked once for the cells that plan it.
+fn paper_workflows() -> Vec<CheckedWorkflow<'static>> {
+    [
+        genome1000::workflow,
+        srasearch::workflow,
+        epigenomics::workflow,
     ]
+    .map(|build| CheckedWorkflow::new(build()).expect("the paper's workflows check clean"))
+    .into()
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +294,7 @@ pub struct Fig05 {
 /// Regenerates Fig. 5: Mashup on SRAsearch under the three optimization
 /// objectives (execution time / expense / both).
 pub fn fig05_objectives() -> Fig05 {
-    let w = srasearch::workflow();
+    let w = CheckedWorkflow::new(srasearch::workflow()).expect("SRAsearch checks clean");
     let cfg = MashupConfig::aws(DEFAULT_NODES);
     let outcomes: Vec<(String, f64, f64)> = par_map(
         vec![
@@ -307,7 +312,10 @@ pub fn fig05_objectives() -> Fig05 {
             } else {
                 mashup_core::Tracer::off()
             };
-            let o = engine.with_tracer(tracer.clone()).run(&w);
+            let o = engine
+                .with_tracer(tracer.clone())
+                .run_checked(&w)
+                .expect("the paper's configs pass the analyzer");
             if tracer.is_on() {
                 crate::trace_dir::write_trace(
                     &o.report.workflow,
@@ -566,7 +574,9 @@ pub fn fig09_placement() -> Fig09 {
             }
             Some(si) => {
                 let n = CLUSTER_SIZES[si];
-                let pdc = crate::plan_cache::cached_pdc(MashupConfig::aws(n)).decide(w);
+                let pdc = crate::plan_cache::cached_pdc(MashupConfig::aws(n))
+                    .plan(w)
+                    .expect("the paper's configs pass the analyzer");
                 (
                     format!("{n} nodes"),
                     w.task_refs()
@@ -878,10 +888,9 @@ pub fn fig11_search() -> Fig11Search {
     let mut front = Vec::new();
     let mut dominated_workflows = Vec::new();
     for w in &wfs {
-        let outcome = match crate::plan_cache::plan_cache() {
-            Some(cache) => mashup_serve::pareto_sweep_with(&cfg, w, BUDGET, cache),
-            None => mashup_serve::pareto_sweep(&cfg, w, BUDGET),
-        };
+        let cache = crate::plan_cache::plan_cache().unwrap_or_else(|| PlanCache::new().into());
+        let outcome = mashup_serve::pareto_sweep_with(&cfg, w, BUDGET, cache)
+            .expect("the paper's configs pass the analyzer");
         let covered = strategies.iter().filter(|s| s.workflow == w.name).all(|s| {
             outcome.front.iter().any(|f| {
                 f.makespan_secs <= s.makespan_secs && f.expense_dollars <= s.expense_dollars
@@ -1275,7 +1284,9 @@ pub fn text_pdc_accuracy() -> TextPdcAccuracy {
     let mut total = 0usize;
     for w in paper_workflows() {
         let cfg = MashupConfig::aws(DEFAULT_NODES);
-        let pdc = crate::plan_cache::cached_pdc(cfg.clone()).decide(&w);
+        let pdc = crate::plan_cache::cached_pdc(cfg.clone())
+            .plan(&w)
+            .expect("the paper's configs pass the analyzer");
         let vm = run_strategy(&cfg, &w, Strategy::TraditionalTuned);
         for d in &pdc.decisions {
             if d.forced_vm_reason.is_some() {

@@ -18,7 +18,6 @@ pub mod ablations;
 pub mod chaos;
 pub mod figures;
 pub mod plan_cache;
-pub mod preflight;
 pub mod scale;
 pub mod strategies;
 pub mod sweep;
@@ -29,7 +28,6 @@ pub use ablations::{ablations, AblationRow, Ablations};
 pub use chaos::{fig13_adaptive, Fig13, Fig13Row};
 pub use figures::*;
 pub use plan_cache::{plan_cache, plan_cache_enabled, plan_cache_stats, set_plan_cache_enabled};
-pub use preflight::preflight_paper_inputs;
 pub use strategies::{run_strategy, run_strategy_traced, Strategy};
 pub use sweep::{jobs, par_map, set_jobs};
 pub use trace_dir::{set_trace_dir, trace_dir};

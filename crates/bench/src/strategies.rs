@@ -3,7 +3,7 @@
 //! cache and trace directory applied.
 
 pub use mashup_baselines::Strategy;
-use mashup_core::{MashupConfig, Tracer, WorkflowReport};
+use mashup_core::{CheckedWorkflow, MashupConfig, Tracer, WorkflowReport};
 use mashup_dag::Workflow;
 
 /// Runs `strategy` on `workflow` under `cfg` and returns its report.
@@ -24,7 +24,7 @@ pub fn run_strategy(cfg: &MashupConfig, workflow: &Workflow, strategy: Strategy)
     report
 }
 
-/// Runs `strategy` on `workflow` under `cfg`, recording the execution into
+/// [`CheckedWorkflow::borrowed`], then [`Strategy::run`] recording into
 /// `tracer` (pass `Tracer::off()` for an unrecorded run). Mashup memoizes
 /// its profiling in the harness's plan cache while that is enabled.
 ///
@@ -36,8 +36,8 @@ pub fn run_strategy_traced(
     strategy: Strategy,
     tracer: &Tracer,
 ) -> WorkflowReport {
-    strategy
-        .run(cfg, workflow, tracer, crate::plan_cache::plan_cache())
+    CheckedWorkflow::borrowed(workflow)
+        .and_then(|w| strategy.run(cfg, &w, tracer, crate::plan_cache::plan_cache()))
         .unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -194,8 +194,8 @@ pub fn run_task_on_faas<W: CloudWorld>(
     // A checkpoint written after the margin point must land before the
     // deadline, or the watchdog kills the function mid-checkpoint.
     // Analyzer-checked invariant: the engine widens the margin to cover the
-    // checkpoint write (`MashupConfig::margin_for`), and diagnostics M302 /
-    // M202 reject margins that devour the timeout window.
+    // checkpoint write (`mashup_analyze::PlanContext::margin_for`), and
+    // diagnostics M302 / M202 reject margins that devour the timeout window.
     assert!(
         spec.checkpoint_bytes / platform.per_function_bps <= spec.checkpoint_margin_secs,
         "task '{}': checkpoint of {} bytes cannot be written within the \

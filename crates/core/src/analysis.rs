@@ -1,18 +1,19 @@
-//! Engine-side wiring of the `mashup-analyze` diagnostics.
-//!
-//! [`preflight`] runs every applicable check family over an input bundle
-//! and refuses error-diagnosed inputs with a typed [`AnalysisError`] —
-//! turning what used to be panics deep inside the simulator into an
-//! up-front, fully-enumerated report. Analysis is read-only: it draws no
+//! Engine-side wiring of the `mashup-analyze` diagnostics: each workflow is
+//! checked once, into the [`CheckedWorkflow`] every planning and execution
+//! entry takes, and each entry checks its own config and plan
+//! ([`CheckedWorkflow::check`]). Analysis is read-only: it draws no
 //! randomness and touches no simulation state, so gating on it cannot
 //! perturb simulated results.
 
-use crate::config::MashupConfig;
+use crate::config::{MashupConfig, Sizing};
 use mashup_analyze::{
-    analyze_config, analyze_plan, analyze_workflow, into_result, AnalysisError, Diagnostic,
-    EngineParams, PlanContext,
+    analyze_config, analyze_plan_by_task, analyze_workflow, into_result, AnalysisError, Diagnostic,
+    EngineParams,
 };
 use mashup_dag::{PlacementPlan, Workflow};
+use std::borrow::Cow;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The engine knobs the analyzer's config checks consume.
 pub fn engine_params(cfg: &MashupConfig) -> EngineParams {
@@ -23,30 +24,111 @@ pub fn engine_params(cfg: &MashupConfig) -> EngineParams {
     }
 }
 
-/// Runs the M1xx workflow and M3xx config checks — plus the M2xx plan
-/// checks when a plan is supplied — and partitions the findings: `Ok` is
-/// the (possibly empty) warning list, `Err` carries everything when any
-/// error-level diagnostic fired.
+/// A workflow the M1xx checks accepted, with their warnings; only its
+/// constructors run them. It carries no config: the checks never read one,
+/// and the config changes between passes over one workflow (sub-cluster
+/// splits, memory tiers). Dereferences to the [`Workflow`].
+#[derive(Debug, Clone)]
+pub struct CheckedWorkflow<'w> {
+    workflow: Held<'w>,
+    warnings: Vec<Diagnostic>,
+}
+
+/// Shared with every run, or borrowed from a caller that keeps it (runs
+/// then copy it once).
+#[derive(Debug, Clone)]
+enum Held<'w> {
+    Shared(Arc<Workflow>),
+    Borrowed(&'w Workflow),
+}
+
+impl CheckedWorkflow<'static> {
+    /// Runs the M1xx workflow checks: `Err` carries every finding when an
+    /// error-level one fired.
+    pub fn new(workflow: impl Into<Arc<Workflow>>) -> Result<Self, AnalysisError> {
+        Self::checked(Held::Shared(workflow.into()))
+    }
+}
+
+impl<'w> CheckedWorkflow<'w> {
+    /// [`CheckedWorkflow::new`] over a workflow the caller keeps: nothing
+    /// is copied until a run needs its own handle ([`Self::to_shared`]).
+    pub fn borrowed(workflow: &'w Workflow) -> Result<Self, AnalysisError> {
+        Self::checked(Held::Borrowed(workflow))
+    }
+
+    fn checked(workflow: Held<'w>) -> Result<Self, AnalysisError> {
+        let mut checked = CheckedWorkflow {
+            workflow,
+            warnings: Vec::new(),
+        };
+        checked.warnings = into_result(analyze_workflow(&checked))?;
+        Ok(checked)
+    }
+
+    /// This workflow with a shared handle: the same `Arc` when it has one,
+    /// else one copy.
+    pub fn to_shared(&self) -> CheckedWorkflow<'static> {
+        let workflow = match &self.workflow {
+            Held::Shared(w) => Arc::clone(w),
+            Held::Borrowed(w) => Arc::new((*w).clone()),
+        };
+        CheckedWorkflow {
+            workflow: Held::Shared(workflow),
+            warnings: self.warnings.clone(),
+        }
+    }
+
+    /// The M3xx checks of `cfg`, plus the M2xx checks of `plan` if given
+    /// (against each task's memory tier under a `sizing`). `Ok` carries
+    /// every warning, this workflow's first.
+    pub fn check(
+        &self,
+        cfg: &MashupConfig,
+        plan: Option<&PlacementPlan>,
+        sizing: Option<&Sizing>,
+    ) -> Result<Vec<Diagnostic>, AnalysisError> {
+        let mut diags = self.warnings.clone();
+        diags.extend(analyze_config(
+            &cfg.provider,
+            &cfg.cluster,
+            &engine_params(cfg),
+        ));
+        if let Some(plan) = plan {
+            let ctx = cfg.plan_context();
+            diags.extend(analyze_plan_by_task(
+                self,
+                plan,
+                &ctx,
+                |flat| match sizing {
+                    None => Cow::Borrowed(ctx.faas),
+                    Some(s) => Cow::Owned(cfg.faas_tier(s.tier(flat))),
+                },
+            ));
+        }
+        into_result(diags)
+    }
+}
+
+impl Deref for CheckedWorkflow<'_> {
+    type Target = Workflow;
+
+    fn deref(&self) -> &Workflow {
+        match &self.workflow {
+            Held::Shared(w) => w,
+            Held::Borrowed(w) => w,
+        }
+    }
+}
+
+/// [`CheckedWorkflow::borrowed`], then [`CheckedWorkflow::check`] of `cfg`
+/// and `plan`, for callers that hold a bare workflow.
 pub fn preflight(
     cfg: &MashupConfig,
     workflow: &Workflow,
     plan: Option<&PlacementPlan>,
 ) -> Result<Vec<Diagnostic>, AnalysisError> {
-    let mut diags = analyze_workflow(workflow);
-    diags.extend(analyze_config(
-        &cfg.provider,
-        &cfg.cluster,
-        &engine_params(cfg),
-    ));
-    if let Some(plan) = plan {
-        let ctx = PlanContext {
-            faas: &cfg.provider.faas,
-            wan_bps: cfg.cluster.instance.wan_bps,
-            checkpoint_margin_secs: cfg.checkpoint_margin_secs,
-        };
-        diags.extend(analyze_plan(workflow, plan, &ctx));
-    }
-    into_result(diags)
+    CheckedWorkflow::borrowed(workflow)?.check(cfg, plan, None)
 }
 
 #[cfg(test)]
@@ -87,5 +169,19 @@ mod tests {
         cfg.checkpoint_margin_secs = 1e9;
         let err = preflight(&cfg, &wf(), None).unwrap_err();
         assert!(err.errors().any(|d| d.code == Code::MarginExceedsTimeout));
+    }
+
+    #[test]
+    fn a_shared_handle_is_copied_at_most_once() {
+        let w = Arc::new(wf());
+        let shared = |c: &CheckedWorkflow| match &c.to_shared().workflow {
+            Held::Shared(w) => Arc::clone(w),
+            Held::Borrowed(_) => unreachable!("to_shared always shares"),
+        };
+        let checked = CheckedWorkflow::new(w.clone()).expect("clean");
+        assert!(Arc::ptr_eq(&shared(&checked), &w));
+        let borrowed = CheckedWorkflow::borrowed(&w).expect("clean");
+        assert!(!Arc::ptr_eq(&shared(&borrowed), &w));
+        assert_eq!(*shared(&borrowed), *w);
     }
 }

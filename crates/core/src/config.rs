@@ -1,6 +1,7 @@
 //! Mashup engine configuration and the simulated cloud environment.
 
 use crate::exec::Execution;
+use mashup_analyze::PlanContext;
 use mashup_cloud::{
     Cloud, CloudEvent, CloudWorld, ClusterConfig, ClusterRunStats, FaasConfig, FaasPlatform,
     FaasRunStats, InstanceType, ProviderPreset,
@@ -112,12 +113,15 @@ impl MashupConfig {
         self
     }
 
-    /// The effective checkpoint margin for a task with `checkpoint_bytes`
-    /// of state: at least the configured margin, widened so the checkpoint
-    /// write (at the per-function bandwidth) fits with 20 % headroom.
-    pub fn margin_for(&self, checkpoint_bytes: f64) -> f64 {
-        let write_secs = checkpoint_bytes / self.provider.faas.per_function_bps;
-        self.checkpoint_margin_secs.max(write_secs * 1.2)
+    /// What the plan checks and the planners read of this config: the base
+    /// function, the WAN bandwidth and the configured checkpoint margin
+    /// (widened per task by [`PlanContext::margin_for`]).
+    pub fn plan_context(&self) -> PlanContext<'_> {
+        PlanContext {
+            faas: &self.provider.faas,
+            wan_bps: self.cluster.instance.wan_bps,
+            checkpoint_margin_secs: self.checkpoint_margin_secs,
+        }
     }
 
     /// Derives the FaaS configuration for a `gb` memory tier from the
@@ -390,9 +394,9 @@ mod tests {
     #[test]
     fn margin_widens_for_large_checkpoints() {
         let cfg = MashupConfig::aws(4);
-        assert_eq!(cfg.margin_for(0.0), 30.0);
+        assert_eq!(cfg.plan_context().margin_for(0.0), 30.0);
         // 5 GB at 50 MB/s = 100 s -> margin 120 s.
-        let m = cfg.margin_for(5.0e9);
+        let m = cfg.plan_context().margin_for(5.0e9);
         assert!((m - 120.0).abs() < 1e-9);
     }
 

@@ -1,19 +1,20 @@
 //! The top-level Mashup engine: PDC + hybrid execution in one call.
 
+use crate::analysis::CheckedWorkflow;
 use crate::cache::PlanCache;
 use crate::config::MashupConfig;
-use crate::exec::try_execute_with;
+use crate::exec::execute;
 use crate::pdc::{Objective, Pdc, PdcReport};
 use crate::report::WorkflowReport;
 use mashup_analyze::AnalysisError;
 use mashup_dag::Workflow;
 use mashup_sim::Tracer;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// The result of a full Mashup run: the PDC's reasoning plus the hybrid
 /// execution it drove.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MashupOutcome {
     /// The PDC's calibration, per-task decisions, and profiling costs.
     pub pdc: PdcReport,
@@ -25,16 +26,18 @@ pub struct MashupOutcome {
 ///
 /// # Example
 /// ```
-/// use mashup_core::{Mashup, MashupConfig};
+/// use mashup_core::{CheckedWorkflow, Mashup, MashupConfig};
 /// use mashup_dag::{Task, TaskProfile, WorkflowBuilder};
 ///
 /// let mut b = WorkflowBuilder::new("demo");
 /// b.initial_input_bytes(1.0e6);
 /// b.begin_phase();
 /// b.add_task(Task::new("wide", 64, TaskProfile::trivial().compute(5.0)));
-/// let workflow = b.build().expect("valid");
+/// let workflow = CheckedWorkflow::new(b.build().expect("valid")).expect("clean workflow");
 ///
-/// let outcome = Mashup::new(MashupConfig::aws(2)).run(&workflow);
+/// let outcome = Mashup::new(MashupConfig::aws(2))
+///     .run_checked(&workflow)
+///     .expect("clean config");
 /// assert!(outcome.report.makespan_secs > 0.0);
 /// ```
 pub struct Mashup {
@@ -82,28 +85,27 @@ impl Mashup {
         &self.cfg
     }
 
-    /// Full pipeline: PDC profiling + decision, then hybrid execution on
-    /// the VM configuration the PDC found best.
-    ///
-    /// Panics when the analyzer refuses the inputs; use [`Mashup::try_run`]
-    /// for a typed refusal.
-    pub fn run(&self, workflow: &Workflow) -> MashupOutcome {
-        self.try_run(workflow).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Mashup::run`], but refuses error-diagnosed inputs with a
-    /// typed [`AnalysisError`] instead of panicking mid-simulation.
-    pub fn try_run(&self, workflow: &Workflow) -> Result<MashupOutcome, AnalysisError> {
+    /// Full pipeline: PDC profiling + decision ([`Pdc::plan`]), then
+    /// hybrid execution ([`execute`]) on the VM configuration the PDC found
+    /// best. Refuses error-diagnosed inputs with a typed [`AnalysisError`]
+    /// before any simulation runs.
+    pub fn run_checked(&self, workflow: &CheckedWorkflow) -> Result<MashupOutcome, AnalysisError> {
         let mut pdc = Pdc::new(self.cfg.clone())
             .with_objective(self.objective)
             .with_tracer(self.tracer.clone());
         if let Some(cache) = &self.cache {
             pdc = pdc.with_cache(cache.clone());
         }
-        let pdc = pdc.try_decide(workflow)?;
+        let pdc = pdc.plan(workflow)?;
         let tuned = self.cfg.clone().with_subclusters(pdc.subclusters);
-        let report = try_execute_with(&tuned, workflow, &pdc.plan, None, "mashup", &self.tracer)?;
+        let report = execute(&tuned, workflow, &pdc.plan, None, "mashup", &self.tracer)?;
         Ok(MashupOutcome { pdc, report })
+    }
+
+    /// [`CheckedWorkflow::borrowed`], then [`Mashup::run_checked`], for
+    /// callers that hold a bare workflow.
+    pub fn try_run(&self, workflow: &Workflow) -> Result<MashupOutcome, AnalysisError> {
+        self.run_checked(&CheckedWorkflow::borrowed(workflow)?)
     }
 }
 
@@ -138,7 +140,7 @@ mod tests {
     fn mashup_beats_or_matches_both_pure_strategies_on_small_clusters() {
         let w = wf();
         let cfg = MashupConfig::aws(2);
-        let outcome = Mashup::new(cfg.clone()).run(&w);
+        let outcome = Mashup::new(cfg.clone()).try_run(&w).expect("clean inputs");
         let traditional = crate::exec::try_execute(
             &cfg,
             &w,
@@ -158,7 +160,9 @@ mod tests {
     #[test]
     fn outcome_contains_consistent_plan() {
         let w = wf();
-        let outcome = Mashup::new(MashupConfig::aws(2)).run(&w);
+        let outcome = Mashup::new(MashupConfig::aws(2))
+            .try_run(&w)
+            .expect("clean inputs");
         assert!(outcome.pdc.plan.covers(&w));
         assert_eq!(outcome.report.plan, outcome.pdc.plan);
         assert_eq!(outcome.report.strategy, "mashup");
@@ -167,12 +171,13 @@ mod tests {
 
     #[test]
     fn cached_runs_match_uncached_runs_exactly() {
-        let w = wf();
         let cfg = MashupConfig::aws(2);
-        let uncached = Mashup::new(cfg.clone()).run(&w);
+        let w = CheckedWorkflow::new(wf()).expect("clean workflow");
+        let run = |m: Mashup| m.run_checked(&w).expect("clean inputs");
+        let uncached = run(Mashup::new(cfg.clone()));
         let cache = Arc::new(PlanCache::new());
-        let cold = Mashup::new(cfg.clone()).with_cache(cache.clone()).run(&w);
-        let warm = Mashup::new(cfg).with_cache(cache.clone()).run(&w);
+        let cold = run(Mashup::new(cfg.clone()).with_cache(cache.clone()));
+        let warm = run(Mashup::new(cfg).with_cache(cache.clone()));
         assert_eq!(uncached, cold);
         assert_eq!(uncached, warm);
         let stats = cache.stats();

@@ -15,18 +15,18 @@
 //!   phase runs (§3's prefetching mitigation);
 //! * the cluster bills node time for the whole run iff the plan uses it.
 
+use crate::analysis::CheckedWorkflow;
 use crate::chaos::ChaosSpec;
 use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent};
 use crate::pdc::{Pdc, PdcReport};
 use crate::placement::{PlacementPlan, Platform};
 use crate::report::{TaskReport, WorkflowReport};
-use mashup_analyze::{AnalysisError, Code, Diagnostic, Location};
+use mashup_analyze::AnalysisError;
 use mashup_cloud::{
     run_task_on_faas, ClusterRunStats, ClusterTaskSpec, FaasRunStats, FaasTaskSpec, VmCluster,
 };
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
-use std::sync::Arc;
 
 /// The executor's world.
 type W = World<Option<Execution>>;
@@ -89,10 +89,10 @@ pub(crate) fn phase_bases(w: &Workflow) -> Vec<usize> {
 /// the executor's [`World`] (see [`CloudEnv`]).
 pub struct Execution {
     cfg: MashupConfig,
-    /// The executor's copy of the workflow. It carries no arena index, and
-    /// building one cost ~15% of a 100k-task run, so flat ids come from
-    /// `phase_base` instead.
-    workflow: Arc<Workflow>,
+    /// The workflow, shared with the caller. It need not carry an arena
+    /// index, and building one cost ~15% of a 100k-task run, so flat ids
+    /// come from `phase_base` instead.
+    workflow: CheckedWorkflow<'static>,
     /// See [`phase_bases`].
     phase_base: Vec<usize>,
     plan: PlacementPlan,
@@ -258,138 +258,80 @@ impl Driver for Option<Execution> {
 /// Executes `workflow` under `plan` in a fresh environment built from
 /// `cfg`, returning the full report. `strategy` labels the report.
 ///
-/// Refuses error-diagnosed inputs with a typed [`AnalysisError`] before
-/// any environment is built.
+/// Checks `cfg` (M3xx) and `plan` (M2xx) first and refuses error-diagnosed
+/// inputs with a typed [`AnalysisError`] before any environment is built.
+///
+/// With a `sizing`, each serverless task runs on the memory tier it assigns
+/// (see [`Sizing`]) and is checked against that tier's function:
+/// per-tier FaaS platforms are provisioned up front, each with its own warm
+/// pools and price point, and the executor routes every invocation,
+/// pre-warm, and burst-capacity read through the task's tier. A sizing
+/// that keeps every task at the provider's base tier reproduces the
+/// unsized run bit-for-bit. `tracer` is attached to every mechanism once
+/// the tiers exist; emission never touches simulated state.
+pub fn execute(
+    cfg: &MashupConfig,
+    workflow: &CheckedWorkflow,
+    plan: &PlacementPlan,
+    sizing: Option<&Sizing>,
+    strategy: &str,
+    tracer: &Tracer,
+) -> Result<WorkflowReport, AnalysisError> {
+    workflow.check(cfg, Some(plan), sizing)?;
+    let mut env = CloudEnv::new(cfg);
+    if let Some(sizing) = sizing {
+        env.provision_tiers(cfg, sizing);
+    }
+    env.attach_tracer(tracer.clone());
+    let workflow = workflow.to_shared();
+    Ok(execute_in_unchecked(&mut env, cfg, &workflow, plan, sizing, strategy).0)
+}
+
+/// [`execute`], unsized, in a caller-provided environment (tests inject
+/// failure-laden stores through it).
+pub fn execute_in(
+    env: &mut CloudEnv,
+    cfg: &MashupConfig,
+    workflow: &CheckedWorkflow,
+    plan: &PlacementPlan,
+    strategy: &str,
+) -> Result<WorkflowReport, AnalysisError> {
+    workflow.check(cfg, Some(plan), None)?;
+    let workflow = workflow.to_shared();
+    Ok(execute_in_unchecked(env, cfg, &workflow, plan, None, strategy).0)
+}
+
+/// [`CheckedWorkflow::borrowed`], then [`execute`] unsized and unrecorded,
+/// for callers that hold a bare workflow.
 pub fn try_execute(
     cfg: &MashupConfig,
     workflow: &Workflow,
     plan: &PlacementPlan,
     strategy: &str,
 ) -> Result<WorkflowReport, AnalysisError> {
-    try_execute_with(cfg, workflow, plan, None, strategy, &Tracer::off())
-}
-
-/// [`try_execute`] with an optional memory-tier `sizing` and a flight
-/// recorder.
-///
-/// With a sizing, each serverless task runs on the memory tier it assigns
-/// (see [`Sizing`]): per-tier FaaS platforms are provisioned up front, each
-/// with its own warm pools and price point, and the executor routes every
-/// invocation, pre-warm, and burst-capacity read through the task's tier.
-/// A sizing that keeps every task at the provider's base tier reproduces
-/// the unsized run bit-for-bit. `tracer` is attached to every mechanism
-/// once the tiers exist; emission never touches simulated state.
-pub fn try_execute_with(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    sizing: Option<&Sizing>,
-    strategy: &str,
-    tracer: &Tracer,
-) -> Result<WorkflowReport, AnalysisError> {
-    match sizing {
-        Some(sizing) => preflight_sized(cfg, workflow, plan, sizing)?,
-        None => {
-            crate::analysis::preflight(cfg, workflow, Some(plan))?;
-        }
-    }
-    let mut env = CloudEnv::new(cfg);
-    if let Some(sizing) = sizing {
-        env.provision_tiers(cfg, sizing);
-    }
-    env.attach_tracer(tracer.clone());
-    Ok(execute_in_unchecked(
-        &mut env,
+    execute(
         cfg,
-        &Arc::new(workflow.clone()),
+        &CheckedWorkflow::borrowed(workflow)?,
         plan,
-        sizing,
+        None,
         strategy,
+        &Tracer::off(),
     )
-    .0)
 }
 
-/// The preflight gate for sized runs. The standard checks run with the
-/// function cap lifted to the sizing's largest tier (M203 against the base
-/// cap would falsely refuse tasks a bigger tier accommodates); the cap is
-/// then enforced per task against the tier the sizing actually assigns.
-/// The M202 window check keeps the base tier's core speed — slower tiers
-/// stretch compute, but the checkpoint-chaining runtime absorbs that.
-fn preflight_sized(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    sizing: &Sizing,
-) -> Result<(), AnalysisError> {
-    assert_eq!(
-        sizing.tiers_gb.len(),
-        workflow.task_count(),
-        "sizing must assign a tier to every task of '{}'",
-        workflow.name
-    );
-    let mut lifted = cfg.clone();
-    let max_tier = sizing
-        .distinct_tiers()
-        .last()
-        .copied()
-        .unwrap_or(cfg.provider.faas.memory_gb);
-    lifted.provider.faas.memory_gb = lifted.provider.faas.memory_gb.max(max_tier);
-    crate::analysis::preflight(&lifted, workflow, Some(plan))?;
-    let mut diags = Vec::new();
-    for r in workflow.task_refs() {
-        if plan.platform(r) != Ok(Platform::Serverless) {
-            continue;
-        }
-        let t = workflow.task(r);
-        let flat = workflow.arena().flat(r).expect("ref comes from task_refs");
-        let tier = sizing.tier(flat);
-        if t.profile.memory_gb > tier {
-            diags.push(
-                Diagnostic::new(
-                    Code::FaasMemoryExceeded,
-                    Location::Task {
-                        phase: r.phase,
-                        task: r.task,
-                        name: t.name.clone(),
-                    },
-                    format!(
-                        "component needs {:.2} GiB but its sizing tier is {tier:.2} GiB",
-                        t.profile.memory_gb
-                    ),
-                )
-                .with_help("assign a larger memory tier or place the task on the VM cluster"),
-            );
-        }
-    }
-    mashup_analyze::into_result(diags)?;
-    Ok(())
-}
-
-/// [`try_execute`] in a caller-provided environment (lets the PDC reuse
-/// one environment across probes, and tests inject failure-laden stores).
-pub fn try_execute_in(
-    env: &mut CloudEnv,
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-) -> Result<WorkflowReport, AnalysisError> {
-    crate::analysis::preflight(cfg, workflow, Some(plan))?;
-    Ok(execute_in_unchecked(env, cfg, &Arc::new(workflow.clone()), plan, None, strategy).0)
-}
-
-/// The executor proper. Callers arrive through the preflight gate, so the
-/// plan covers the workflow (M201), every serverless task fits the function
-/// memory cap (M203) and the checkpoint-chaining window (M202), and every
-/// profile field is finite and in range (M105). The run shares
-/// `workflow`, so a caller running several passes clones it once.
+/// The executor proper. Callers arrive with a [`CheckedWorkflow`] and a
+/// plan they checked, so the plan covers the workflow (M201), every
+/// serverless task fits its function's memory cap (M203) and the
+/// checkpoint-chaining window (M202), and every profile field is finite and
+/// in range (M105). The run shares `workflow`, so a caller running several
+/// passes copies it at most once.
 ///
 /// Returns the report and, for each entry of its `tasks`, the task it
 /// describes.
 pub(crate) fn execute_in_unchecked(
     env: &mut CloudEnv,
     cfg: &MashupConfig,
-    workflow: &Arc<Workflow>,
+    workflow: &CheckedWorkflow<'static>,
     plan: &PlacementPlan,
     sizing: Option<&Sizing>,
     strategy: &str,
@@ -422,7 +364,7 @@ pub(crate) fn execute_in_unchecked(
 
     env.world.driver = Some(Execution {
         cfg: cfg.clone(),
-        workflow: Arc::clone(workflow),
+        workflow: workflow.clone(),
         phase_base: phase_bases(workflow),
         plan: plan.clone(),
         sizing: sizing.cloned(),
@@ -590,7 +532,7 @@ fn spawn_serverless(w: &mut W, sim: &mut Simulation<W>, r: TaskRef) {
         checkpoint_bytes: t.profile.checkpoint_bytes,
         jitter: t.profile.runtime_jitter,
         memory_gb: t.profile.memory_gb,
-        checkpoint_margin_secs: d.cfg.margin_for(t.profile.checkpoint_bytes),
+        checkpoint_margin_secs: d.cfg.plan_context().margin_for(t.profile.checkpoint_bytes),
     };
     trace_task_start(d, sim.now(), r, "serverless");
     let (tier, seeds) = (d.tier_for_task(r), *seeds);
@@ -724,8 +666,9 @@ fn advance_phase(w: &mut W, sim: &mut Simulation<W>, next: usize) {
     }
 }
 
-/// Computes the controller's baseline PDC report on first use. `Pdc::new`
-/// strips the chaos spec, and the decide runs in its own profiling
+/// Computes the controller's baseline PDC report on first use, from inputs
+/// the run already checked. `Pdc::new` strips the chaos spec, and the
+/// planner runs in its own profiling
 /// environments, so the baseline reflects the advertised (fault-free)
 /// platform behaviour and leaves the production run's RNG streams and
 /// trace untouched.
@@ -734,7 +677,7 @@ fn ensure_baseline(d: &mut Execution) {
     if !needs {
         return;
     }
-    let report = Pdc::new(d.cfg.clone()).decide(&d.workflow);
+    let report = Pdc::new(d.cfg.clone()).plan_unchecked(&d.workflow);
     if let Some(ctx) = d.chaos.as_mut() {
         ctx.baseline = Some(report);
     }
@@ -935,45 +878,47 @@ mod tests {
         MashupConfig::aws(nodes)
     }
 
-    fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, s: &str) -> WorkflowReport {
+    fn run(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, s: &str) -> WorkflowReport {
         try_execute(cfg, w, plan, s).expect("clean inputs")
     }
 
-    fn execute_traced(
+    fn run_traced(
         cfg: &MashupConfig,
         w: &Workflow,
         plan: &PlacementPlan,
         s: &str,
         tracer: &Tracer,
     ) -> WorkflowReport {
-        try_execute_with(cfg, w, plan, None, s, tracer).expect("clean inputs")
+        let w = CheckedWorkflow::borrowed(w).expect("clean workflow");
+        execute(cfg, &w, plan, None, s, tracer).expect("clean inputs")
     }
 
-    fn try_execute_sized(
+    fn try_run_sized(
         cfg: &MashupConfig,
         w: &Workflow,
         plan: &PlacementPlan,
         sizing: &Sizing,
         s: &str,
     ) -> Result<WorkflowReport, AnalysisError> {
-        try_execute_with(cfg, w, plan, Some(sizing), s, &Tracer::off())
+        let w = CheckedWorkflow::borrowed(w)?;
+        execute(cfg, &w, plan, Some(sizing), s, &Tracer::off())
     }
 
-    fn execute_sized(
+    fn run_sized(
         cfg: &MashupConfig,
         w: &Workflow,
         plan: &PlacementPlan,
         sizing: &Sizing,
         s: &str,
     ) -> WorkflowReport {
-        try_execute_sized(cfg, w, plan, sizing, s).expect("clean inputs")
+        try_run_sized(cfg, w, plan, sizing, s).expect("clean inputs")
     }
 
     #[test]
     fn all_vm_plan_runs_without_storage() {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let report = execute(&cfg(8), &w, &plan, "traditional");
+        let report = run(&cfg(8), &w, &plan, "traditional");
         assert_eq!(report.tasks.len(), 2);
         assert!(report.makespan_secs > 0.0);
         // Pure VM: no serverless or storage expense.
@@ -990,7 +935,7 @@ mod tests {
     fn all_serverless_plan_bills_no_vm() {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-        let report = execute(&cfg(8), &w, &plan, "serverless-only");
+        let report = run(&cfg(8), &w, &plan, "serverless-only");
         assert_eq!(report.expense.vm_dollars, 0.0);
         assert!(report.expense.faas_dollars > 0.0);
         assert!(report.expense.storage_dollars > 0.0);
@@ -1005,7 +950,7 @@ mod tests {
         let w = two_phase_workflow();
         let mut plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         plan.set(TaskRef::new(0, 0), Platform::Serverless);
-        let report = execute(&cfg(8), &w, &plan, "hybrid");
+        let report = run(&cfg(8), &w, &plan, "hybrid");
         // Both platforms billed.
         assert!(report.expense.vm_dollars > 0.0);
         assert!(report.expense.faas_dollars > 0.0);
@@ -1024,7 +969,7 @@ mod tests {
         let w = two_phase_workflow();
         let mut plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         plan.set(TaskRef::new(1, 0), Platform::Serverless);
-        let report = execute(&cfg(8), &w, &plan, "hybrid");
+        let report = run(&cfg(8), &w, &plan, "hybrid");
         let wide = report.task("wide").expect("exists");
         // The VM producer wrote its output to the store over the WAN.
         assert_eq!(wide.platform, Platform::VmCluster);
@@ -1036,8 +981,8 @@ mod tests {
     fn larger_cluster_shrinks_vm_makespan() {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let small = execute(&cfg(2), &w, &plan, "traditional");
-        let large = execute(&cfg(32), &w, &plan, "traditional");
+        let small = run(&cfg(2), &w, &plan, "traditional");
+        let large = run(&cfg(32), &w, &plan, "traditional");
         assert!(large.makespan_secs < small.makespan_secs);
     }
 
@@ -1045,8 +990,8 @@ mod tests {
     fn deterministic_across_runs() {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-        let a = execute(&cfg(4), &w, &plan, "s");
-        let b = execute(&cfg(4), &w, &plan, "s");
+        let a = run(&cfg(4), &w, &plan, "s");
+        let b = run(&cfg(4), &w, &plan, "s");
         assert_eq!(a.makespan_secs, b.makespan_secs);
         assert_eq!(a.expense, b.expense);
     }
@@ -1059,7 +1004,7 @@ mod tests {
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         let run = |cfg: &MashupConfig| {
             let tracer = Tracer::new();
-            let report = execute_traced(cfg, &w, &plan, "t", &tracer);
+            let report = run_traced(cfg, &w, &plan, "t", &tracer);
             (report, tracer.take())
         };
         let (base_report, base_trace) = run(&cfg(4));
@@ -1089,7 +1034,7 @@ mod tests {
         });
         let chaotic = cfg(4).with_chaos(ChaosSpec::new(fp).with_adaptive(true));
         let tracer = Tracer::new();
-        let report = execute_traced(&chaotic, &w, &plan, "adaptive", &tracer);
+        let report = run_traced(&chaotic, &w, &plan, "adaptive", &tracer);
         let records = tracer.take();
         assert_eq!(report.tasks.len(), 2);
         let replan = records
@@ -1134,7 +1079,7 @@ mod tests {
                 .with_straggler_factor(1.5),
         );
         let tracer = Tracer::new();
-        let report = execute_traced(&chaotic, &w, &plan, "adaptive", &tracer);
+        let report = run_traced(&chaotic, &w, &plan, "adaptive", &tracer);
         let records = tracer.take();
         assert_eq!(report.tasks.len(), 2);
         assert!(
@@ -1176,8 +1121,8 @@ mod tests {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let cfg = cfg(4);
-        let plain = execute(&cfg, &w, &plan, "s");
-        let sized = execute_sized(&cfg, &w, &plan, &crate::Sizing::base(&cfg, &w), "s");
+        let plain = run(&cfg, &w, &plan, "s");
+        let sized = run_sized(&cfg, &w, &plan, &crate::Sizing::base(&cfg, &w), "s");
         assert_eq!(plain, sized);
     }
 
@@ -1186,11 +1131,11 @@ mod tests {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let cfg = cfg(4);
-        let base = execute(&cfg, &w, &plan, "s");
-        let big = execute_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 8.0), "s");
+        let base = run(&cfg, &w, &plan, "s");
+        let big = run_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 8.0), "s");
         // sqrt(8/3) faster cores shrink every component's compute time.
         assert!(big.task("wide").unwrap().compute_secs < base.task("wide").unwrap().compute_secs);
-        let small = execute_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 0.5), "s");
+        let small = run_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 0.5), "s");
         assert!(small.task("wide").unwrap().compute_secs > base.task("wide").unwrap().compute_secs);
         // The 0.5 GB tier bills at a sixth of the base rate; even with the
         // slower cores (sqrt(6) longer busy time) it comes out cheaper here.
@@ -1205,8 +1150,8 @@ mod tests {
         let flat_wide = w.arena().flat_by_name("wide").expect("exists");
         let mut sizing = crate::Sizing::base(&cfg, &w);
         sizing.tiers_gb[flat_wide] = 8.0;
-        let mixed = execute_sized(&cfg, &w, &plan, &sizing, "s");
-        let base = execute(&cfg, &w, &plan, "s");
+        let mixed = run_sized(&cfg, &w, &plan, &sizing, "s");
+        let base = run(&cfg, &w, &plan, "s");
         // The resized task sped up; the base-tier task is untouched (its
         // platform, pools, and seed streams are the unsized ones).
         assert!(mixed.task("wide").unwrap().compute_secs < base.task("wide").unwrap().compute_secs);
@@ -1225,11 +1170,11 @@ mod tests {
         let cfg = cfg(4);
         // 1.5 GiB fits the 2 GB tier but not the 1 GB tier.
         let err =
-            try_execute_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 1.0), "s").unwrap_err();
+            try_run_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 1.0), "s").unwrap_err();
         assert!(err
             .errors()
             .all(|d| d.code == mashup_analyze::Code::FaasMemoryExceeded));
-        assert!(try_execute_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 2.0), "s").is_ok());
+        assert!(try_run_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 2.0), "s").is_ok());
     }
 
     #[test]
@@ -1242,8 +1187,8 @@ mod tests {
             }
         }
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let a = execute(&cfg(4).with_seed(1), &w, &plan, "s");
-        let b = execute(&cfg(4).with_seed(2), &w, &plan, "s");
+        let a = run(&cfg(4).with_seed(1), &w, &plan, "s");
+        let b = run(&cfg(4).with_seed(2), &w, &plan, "s");
         assert_ne!(a.makespan_secs, b.makespan_secs);
     }
 }

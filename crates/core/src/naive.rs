@@ -3,8 +3,8 @@
 //! "The base design is to place all tasks with more components than the
 //! number of available cluster nodes on the serverless platform." No
 //! profiling, no estimates — just the component-count threshold (plus the
-//! hard memory constraint, since oversized components cannot run in a
-//! function at all).
+//! hard constraints of the plan checks: a task over the function's memory
+//! cap or timeout window cannot run in a function at all).
 
 use crate::config::MashupConfig;
 use crate::placement::{PlacementPlan, Platform};
@@ -13,9 +13,10 @@ use mashup_dag::Workflow;
 /// Builds the w/o-PDC plan: `components > cluster nodes` ⇒ serverless.
 pub fn plan_without_pdc(cfg: &MashupConfig, workflow: &Workflow) -> PlacementPlan {
     let mut plan = PlacementPlan::new();
+    let ctx = cfg.plan_context();
     for r in workflow.task_refs() {
         let t = workflow.task(r);
-        let fits = t.profile.memory_gb <= cfg.provider.faas.memory_gb;
+        let fits = ctx.misfits(t).next().is_none();
         let platform = if fits && t.components > cfg.cluster.nodes {
             Platform::Serverless
         } else {
@@ -37,6 +38,11 @@ mod tests {
         b.add_task(Task::new("narrow", 4, TaskProfile::trivial()));
         b.add_task(Task::new("wide", 100, TaskProfile::trivial()));
         b.add_task(Task::new("fat", 100, TaskProfile::trivial().memory(10.0)));
+        b.add_task(Task::new(
+            "stuck",
+            100,
+            TaskProfile::trivial().checkpoint(1e11),
+        ));
         b.build().expect("valid")
     }
 
@@ -50,8 +56,9 @@ mod tests {
         };
         assert_eq!(by_name("narrow"), Platform::VmCluster);
         assert_eq!(by_name("wide"), Platform::Serverless);
-        // Memory cap always wins.
+        // The plan checks always win: memory cap and timeout window.
         assert_eq!(by_name("fat"), Platform::VmCluster);
+        assert_eq!(by_name("stuck"), Platform::VmCluster);
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //! executing front survivors lives in `mashup-serve`'s sweep driver, so the
 //! search core stays cheap to test exhaustively.
 
+use crate::analysis::CheckedWorkflow;
 use crate::config::{tier_key, MashupConfig, Sizing};
 use crate::fingerprint::Fingerprinter;
 use crate::pdc::PdcReport;
 use crate::placement::Platform;
+use mashup_analyze::AnalysisError;
 use mashup_dag::{fusable_pairs, fuse, FusionCandidate, TaskRef, Workflow};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -26,8 +28,9 @@ use std::collections::BTreeMap;
 /// menu (the provider's base tier is always on the menu).
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
-    /// The base (unfused) workflow.
-    pub base: Workflow,
+    /// The base (unfused) workflow, shared with every sizing-only
+    /// candidate.
+    pub base: CheckedWorkflow<'static>,
     /// Fusable producer/consumer pairs of `base`, phase-major producer
     /// order (the enumeration and fingerprint order).
     pub pairs: Vec<FusionCandidate>,
@@ -39,7 +42,7 @@ pub struct SearchSpace {
 
 impl SearchSpace {
     /// Builds the space for `workflow` under `cfg`'s provider.
-    pub fn new(cfg: &MashupConfig, workflow: &Workflow) -> Self {
+    pub fn new(cfg: &MashupConfig, workflow: &CheckedWorkflow) -> Self {
         let base_gb = cfg.provider.faas.memory_gb;
         let mut tiers: Vec<f64> = crate::config::MEMORY_TIERS_GB.to_vec();
         if !tiers.iter().any(|&t| tier_key(t) == tier_key(base_gb)) {
@@ -51,7 +54,7 @@ impl SearchSpace {
             .position(|&t| tier_key(t) == tier_key(base_gb))
             .expect("base tier is on the menu");
         SearchSpace {
-            base: workflow.clone(),
+            base: workflow.to_shared(),
             pairs: fusable_pairs(workflow),
             tiers,
             base_tier,
@@ -115,14 +118,15 @@ impl Candidate {
     }
 }
 
-/// A candidate made concrete: the fused workflow and its per-task sizing,
-/// plus a fingerprint of the *materialized* configuration (two candidates
-/// that alias to the same fused workflow and sizing — e.g. a tier override
-/// on either side of a fused pair — share a fingerprint).
+/// A candidate made concrete: the checked (possibly fused) workflow and its
+/// per-task sizing, plus a fingerprint of the *materialized* configuration
+/// (two candidates that alias to the same fused workflow and sizing — e.g.
+/// a tier override on either side of a fused pair — share a fingerprint).
 #[derive(Debug, Clone)]
 pub struct Materialized {
-    /// The (possibly fused) workflow to plan and execute.
-    pub workflow: Workflow,
+    /// The workflow to plan and execute: the base's shared handle, or a
+    /// fused workflow checked in its own right.
+    pub workflow: CheckedWorkflow<'static>,
     /// Memory tier per flat task of `workflow`.
     pub sizing: Sizing,
     /// Dedupe key over the fused structure and tier assignment.
@@ -130,15 +134,22 @@ pub struct Materialized {
 }
 
 /// Builds the concrete workflow + sizing for `cand`. Candidates produced by
-/// [`enumerate`] always materialize (their fusion subsets are disjoint by
-/// construction); a merged task takes the largest tier assigned to any of
-/// its constituents.
-pub fn materialize(space: &SearchSpace, cfg: &MashupConfig, cand: &Candidate) -> Materialized {
+/// [`enumerate`] always fuse (their fusion subsets are disjoint by
+/// construction), but a fused workflow is new, so it is checked and may be
+/// refused; a merged task takes the largest tier assigned to any of its
+/// constituents.
+pub fn materialize(
+    space: &SearchSpace,
+    cfg: &MashupConfig,
+    cand: &Candidate,
+) -> Result<Materialized, AnalysisError> {
     let pairs: Vec<FusionCandidate> = cand.fusion.iter().map(|&i| space.pairs[i]).collect();
     let workflow = if pairs.is_empty() {
         space.base.clone()
     } else {
-        fuse(&space.base, &pairs).expect("enumerated fusion subsets are disjoint")
+        CheckedWorkflow::new(
+            fuse(&space.base, &pairs).expect("enumerated fusion subsets are disjoint"),
+        )?
     };
     let mut sizing = Sizing::base(cfg, &workflow);
     let mut merged: BTreeMap<usize, f64> = BTreeMap::new();
@@ -160,11 +171,11 @@ pub fn materialize(space: &SearchSpace, cfg: &MashupConfig, cand: &Candidate) ->
         f.write_str(workflow.arena().name(flat));
         f.write_u64(tier_key(sizing.tier(flat)) as u64);
     }
-    Materialized {
+    Ok(Materialized {
         workflow,
         sizing,
         fingerprint: f.digest(),
-    }
+    })
 }
 
 /// Where a base task landed in the fused workflow.
@@ -461,9 +472,14 @@ mod tests {
         MashupConfig::aws(4)
     }
 
+    fn space() -> SearchSpace {
+        let w = CheckedWorkflow::new(pipeline()).expect("clean workflow");
+        SearchSpace::new(&cfg(), &w)
+    }
+
     #[test]
     fn space_has_the_pipeline_pairs_and_the_base_tier() {
-        let space = SearchSpace::new(&cfg(), &pipeline());
+        let space = space();
         assert_eq!(space.pairs.len(), 2);
         assert_eq!(space.tiers[space.base_tier], 3.0);
         assert!(space.nominal_size() > 100.0);
@@ -471,7 +487,7 @@ mod tests {
 
     #[test]
     fn enumeration_is_radius_ordered_and_budgeted() {
-        let space = SearchSpace::new(&cfg(), &pipeline());
+        let space = space();
         let all = enumerate(&space, usize::MAX);
         assert_eq!(all[0], Candidate::base());
         // Radii never decrease.
@@ -494,14 +510,14 @@ mod tests {
 
     #[test]
     fn materialize_applies_fusion_and_tier_overrides() {
-        let space = SearchSpace::new(&cfg(), &pipeline());
+        let space = space();
         let flat_c = space.base.arena().flat_by_name("C").expect("exists");
         let big = space.tiers.len() - 1;
         let cand = Candidate {
             fusion: vec![0],
             tier_devs: vec![(flat_c, big)],
         };
-        let m = materialize(&space, &cfg(), &cand);
+        let m = materialize(&space, &cfg(), &cand).expect("fusion checks clean");
         assert_eq!(m.workflow.task_count(), 2);
         assert!(m.workflow.arena().flat_by_name("A+B").is_some());
         let fused_c = m.workflow.arena().flat_by_name("C").expect("survives");
@@ -511,7 +527,7 @@ mod tests {
 
     #[test]
     fn aliasing_candidates_share_a_fingerprint() {
-        let space = SearchSpace::new(&cfg(), &pipeline());
+        let space = space();
         let a = space.base.arena().flat_by_name("A").expect("exists");
         let b = space.base.arena().flat_by_name("B").expect("exists");
         let big = space.tiers.len() - 1;
@@ -523,7 +539,8 @@ mod tests {
                 fusion: vec![0],
                 tier_devs: vec![(a, big)],
             },
-        );
+        )
+        .expect("clean candidate");
         let via_b = materialize(
             &space,
             &cfg(),
@@ -531,7 +548,8 @@ mod tests {
                 fusion: vec![0],
                 tier_devs: vec![(b, big)],
             },
-        );
+        )
+        .expect("clean candidate");
         assert_eq!(via_a.fingerprint, via_b.fingerprint);
         // Unfused, they are different configurations.
         let solo_a = materialize(
@@ -541,7 +559,8 @@ mod tests {
                 fusion: vec![],
                 tier_devs: vec![(a, big)],
             },
-        );
+        )
+        .expect("clean candidate");
         let solo_b = materialize(
             &space,
             &cfg(),
@@ -549,8 +568,12 @@ mod tests {
                 fusion: vec![],
                 tier_devs: vec![(b, big)],
             },
-        );
+        )
+        .expect("clean candidate");
         assert_ne!(solo_a.fingerprint, solo_b.fingerprint);
+        // Sizing-only candidates share the base workflow; fused ones do not.
+        assert!(std::ptr::eq(&*solo_a.workflow, &*space.base));
+        assert!(!std::ptr::eq(&*via_a.workflow, &*space.base));
     }
 
     #[test]

@@ -30,11 +30,13 @@
 //! * alternative objectives (expense, or equal weight on both) reproduce
 //!   the Fig. 5 study.
 
+use crate::analysis::CheckedWorkflow;
 use crate::cache::{PhaseProfileEntry, PlanCache, ProbeEntry, VmProfileEntry};
 use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World};
 use crate::exec::{execute_in_unchecked, phase_bases};
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::placement::{PlacementPlan, Platform};
+use mashup_analyze::{AnalysisError, FaasMisfit, PlanContext};
 use mashup_cloud::{
     run_task_on_faas, ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, Expense,
     FaasConfig, FaasRunStats, FaasTaskSpec, VmCluster,
@@ -76,7 +78,7 @@ pub struct ModelFactors {
 }
 
 /// The PDC's record for one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TaskDecision {
     /// Task location in the DAG.
     pub task: TaskRef,
@@ -93,13 +95,72 @@ pub struct TaskDecision {
     /// Busy function-seconds of the probe (for expense estimation).
     pub probe_busy_secs: f64,
     /// Set when a rule forced the task to the cluster.
-    pub forced_vm_reason: Option<String>,
+    pub forced_vm_reason: Option<ForcedVm>,
     /// The chosen platform.
     pub platform: Platform,
 }
 
+/// The Algorithm 1 rule that forced a task to the cluster, with the numbers
+/// it compared. Its `Display` is the reason `mashup plan` prints.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ForcedVm {
+    /// The task cannot run in its function tier at all: a component is
+    /// over the memory cap (M203), or no timeout window fits it (M202).
+    Misfit(FaasMisfit),
+    /// Too short to amortize a function start, and not the recurring,
+    /// highly concurrent kind the warm-pool exception keeps serverless.
+    ShortTask {
+        /// One component's serverless runtime on its tier, seconds.
+        runtime_secs: f64,
+        /// The short-task threshold, seconds.
+        threshold_secs: f64,
+    },
+    /// Going serverless moves more data over the WAN than it saves
+    /// (the plan-level boundary refinement).
+    BoundaryTax {
+        /// Extra WAN data-movement seconds the placement causes.
+        tax_secs: f64,
+        /// Seconds the serverless estimate saves over the cluster.
+        gain_secs: f64,
+    },
+}
+
+impl std::fmt::Display for ForcedVm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ForcedVm::Misfit(FaasMisfit::Memory { need_gb, cap_gb }) => {
+                write!(f, "memory {need_gb} GiB exceeds function cap {cap_gb} GiB")
+            }
+            ForcedVm::Misfit(window) => write!(f, "{window}"),
+            ForcedVm::ShortTask {
+                runtime_secs,
+                threshold_secs,
+            } => write!(
+                f,
+                "short-running ({runtime_secs:.2} s < {threshold_secs} s) without the \
+                 recurring-task exception"
+            ),
+            ForcedVm::BoundaryTax {
+                tax_secs,
+                gain_secs,
+            } => write!(
+                f,
+                "hybrid boundary tax ({tax_secs:.1} s of extra WAN data movement) outweighs \
+                 the serverless gain ({gain_secs:.1} s)"
+            ),
+        }
+    }
+}
+
+/// Serialized as its `Display` text, the form reports have always carried.
+impl Serialize for ForcedVm {
+    fn to_value(&self) -> serde::Value {
+        self.to_string().to_value()
+    }
+}
+
 /// The PDC's full output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PdcReport {
     /// Calibrated model factors.
     pub factors: ModelFactors,
@@ -259,20 +320,25 @@ impl Pdc {
         }
     }
 
-    /// Like [`Pdc::decide`], but refuses error-diagnosed inputs (M1xx
-    /// workflow and M3xx config checks) with a typed
-    /// [`AnalysisError`](mashup_analyze::AnalysisError) before any
+    /// Runs the M3xx checks of this PDC's config, then both profiling steps,
+    /// and produces the placement plan. A refusal comes back before any
     /// profiling simulation runs.
-    pub fn try_decide(
-        &self,
-        workflow: &Workflow,
-    ) -> Result<PdcReport, mashup_analyze::AnalysisError> {
-        crate::analysis::preflight(&self.cfg, workflow, None)?;
-        Ok(self.decide(workflow))
+    pub fn plan(&self, workflow: &CheckedWorkflow) -> Result<PdcReport, AnalysisError> {
+        workflow.check(&self.cfg, None, None)?;
+        Ok(self.plan_unchecked(workflow))
     }
 
-    /// Runs both profiling steps and produces the placement plan.
+    /// [`CheckedWorkflow::borrowed`], then [`Pdc::plan`], for callers that
+    /// hold a bare workflow. Panics with the analyzer's message when it
+    /// refuses the inputs.
     pub fn decide(&self, workflow: &Workflow) -> PdcReport {
+        CheckedWorkflow::borrowed(workflow)
+            .and_then(|w| self.plan(&w))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Pdc::plan`] on a config the caller already checked.
+    pub(crate) fn plan_unchecked(&self, workflow: &CheckedWorkflow) -> PdcReport {
         // Step 0: calibrate platform factors with no-op micro-batches.
         let factors = self.calibrated_factors();
 
@@ -355,24 +421,32 @@ impl Pdc {
     ) -> TaskDecision {
         let t = workflow.task(r);
         let faas_cfg = self.task_faas_cfg(workflow, r);
+        let decision = |est, probe: ProbeEntry, forced_vm_reason, platform| TaskDecision {
+            task: r,
+            name: t.name.clone(),
+            components: t.components,
+            t_vm_secs: t_vm,
+            t_serverless_est_secs: est,
+            probe_secs: probe.probe_secs,
+            probe_busy_secs: probe.probe_busy_secs,
+            forced_vm_reason,
+            platform,
+        };
+        let forced = |probe, rule| decision(f64::INFINITY, probe, Some(rule), Platform::VmCluster);
 
-        // Memory rule: components oversized for their function tier can
-        // never run serverless.
-        if t.profile.memory_gb > faas_cfg.memory_gb {
-            return TaskDecision {
-                task: r,
-                name: t.name.clone(),
-                components: t.components,
-                t_vm_secs: t_vm,
-                t_serverless_est_secs: f64::INFINITY,
+        // Memory and window rules: a task the plan checks would refuse on
+        // its function tier (M203, M202) never runs serverless, and is never
+        // probed there.
+        let ctx = PlanContext {
+            faas: &faas_cfg,
+            ..self.cfg.plan_context()
+        };
+        if let Some(misfit) = ctx.misfits(t).next() {
+            let unprobed = ProbeEntry {
                 probe_secs: 0.0,
                 probe_busy_secs: 0.0,
-                forced_vm_reason: Some(format!(
-                    "memory {} GiB exceeds function cap {} GiB",
-                    t.profile.memory_gb, faas_cfg.memory_gb
-                )),
-                platform: Platform::VmCluster,
             };
+            return forced(unprobed, ForcedVm::Misfit(misfit));
         }
 
         let probe = match &self.cache {
@@ -388,57 +462,35 @@ impl Pdc {
             }
             None => self.run_probe(workflow, r, &faas_cfg),
         };
-        let (probe_secs, probe_busy_secs) = (probe.probe_secs, probe.probe_busy_secs);
 
         // Short-task rule with the recurring/warm-pool exception.
         let single_runtime = t.profile.compute_secs_serverless() / faas_cfg.core_speed;
         let short = single_runtime < self.cfg.short_task_threshold_secs;
         let exception = t.profile.recurring && t.components > factors.burst;
         if short && !exception {
-            return TaskDecision {
-                task: r,
-                name: t.name.clone(),
-                components: t.components,
-                t_vm_secs: t_vm,
-                t_serverless_est_secs: f64::INFINITY,
-                probe_secs,
-                probe_busy_secs,
-                forced_vm_reason: Some(format!(
-                    "short-running ({single_runtime:.2} s < {} s) without the \
-                     recurring-task exception",
-                    self.cfg.short_task_threshold_secs
-                )),
-                platform: Platform::VmCluster,
+            let rule = ForcedVm::ShortTask {
+                runtime_secs: single_runtime,
+                threshold_secs: self.cfg.short_task_threshold_secs,
             };
+            return forced(probe, rule);
         }
 
         let est = estimate_serverless_time(
             factors,
             t.components,
-            probe_secs,
+            probe.probe_secs,
             t.profile.io_bytes(),
             self.cfg.conservative_cold_start_secs,
         );
-
         let platform = self.choose(
             factors,
             t_vm,
             est,
             t.components,
-            probe_busy_secs,
+            probe.probe_busy_secs,
             faas_cfg.price_per_hour,
         );
-        TaskDecision {
-            task: r,
-            name: t.name.clone(),
-            components: t.components,
-            t_vm_secs: t_vm,
-            t_serverless_est_secs: est,
-            probe_secs,
-            probe_busy_secs,
-            forced_vm_reason: None,
-            platform,
-        }
+        decision(est, probe, None, platform)
     }
 
     /// Decision provenance, recorded after the boundary refinement so each
@@ -466,7 +518,10 @@ impl Pdc {
                         Platform::Serverless => "serverless".to_string(),
                         Platform::VmCluster => "vm".to_string(),
                     },
-                    forced: d.forced_vm_reason.clone().unwrap_or_default(),
+                    forced: d
+                        .forced_vm_reason
+                        .map(|f| f.to_string())
+                        .unwrap_or_default(),
                 },
             );
         }
@@ -499,13 +554,13 @@ impl Pdc {
     /// This is the evaluation core of the Pareto candidate sweep
     /// (`mashup_serve::pareto`): a sizing-only candidate re-probes nothing
     /// on a warm cache, and a fusion candidate re-profiles exactly its
-    /// fused phases. Falls back to a full [`decide`](Pdc::decide) when
-    /// `prev` does not cover `base`.
+    /// fused phases. Falls back to a full [`plan`](Pdc::plan) when `prev`
+    /// does not cover `base`; `prev`'s planning checked the config.
     pub fn replan(
         &self,
         base: &Workflow,
         prev: &PdcReport,
-        workflow: &Workflow,
+        workflow: &CheckedWorkflow,
     ) -> (PdcReport, ReplanStats) {
         // Flat offset of each base phase's first decision in `prev`.
         let mut base_starts = Vec::with_capacity(base.phases.len());
@@ -515,7 +570,7 @@ impl Pdc {
             acc += p.tasks.len();
         }
         if prev.decisions.len() != acc {
-            let report = self.decide(workflow);
+            let report = self.plan_unchecked(workflow);
             let stats = ReplanStats {
                 dirty_phases: workflow.phases.len(),
                 reused_decisions: 0,
@@ -556,10 +611,7 @@ impl Pdc {
                             // Boundary taxes are plan-level: strip any flip
                             // the old refinement applied so the global
                             // refinement below re-derives it.
-                            if d.forced_vm_reason
-                                .as_deref()
-                                .is_some_and(|s| s.starts_with("hybrid boundary tax"))
-                            {
+                            if let Some(ForcedVm::BoundaryTax { .. }) = d.forced_vm_reason {
                                 d.forced_vm_reason = None;
                                 d.platform = Platform::Serverless;
                             }
@@ -642,10 +694,7 @@ impl Pdc {
             let c = workflow.task(d.task).components as f64;
             let scale = (c / surviving as f64).max(1.0) / (c / nodes as f64).max(1.0);
             d.t_vm_secs = prev_d.t_vm_secs * scale;
-            if d.forced_vm_reason
-                .as_deref()
-                .is_some_and(|s| s.starts_with("hybrid boundary tax"))
-            {
+            if let Some(ForcedVm::BoundaryTax { .. }) = d.forced_vm_reason {
                 d.forced_vm_reason = None;
                 d.platform = Platform::Serverless;
             }
@@ -688,17 +737,15 @@ impl Pdc {
     /// production runs) — the PDC keeps the best VM configuration as the
     /// cluster-side baseline (§3 "Optimal VM configuration").
     ///
-    /// Per-run work happens once: the analyzer checks the first pass only
-    /// (the passes differ only in `cluster.subclusters`, which this loop
-    /// keeps within `1..=nodes`, the one M3xx bound that reads it), and
-    /// every pass shares one copy of the workflow.
-    ///
-    /// Panics when the analyzer refuses the inputs, with the message
-    /// [`try_execute_in`](crate::try_execute_in) would have returned.
-    fn run_vm_profile(&self, workflow: &Workflow) -> VmProfileEntry {
+    /// The passes run unchecked: the workflow is checked, the all-VM plan
+    /// covers it, and they differ from the checked config only in
+    /// `cluster.subclusters`, which this loop keeps within `1..=nodes`, the
+    /// one M3xx bound that reads it. Every pass shares one handle on the
+    /// workflow.
+    fn run_vm_profile(&self, workflow: &CheckedWorkflow) -> VmProfileEntry {
         let mut expense = Expense::default();
         let vm_plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
-        let shared_workflow = Arc::new(workflow.clone());
+        let shared_workflow = workflow.to_shared();
         let mut best: Option<(usize, crate::report::WorkflowReport)> = None;
         // Per-task best VM time across the splits, indexed by flat task id
         // (phase-major, matching `Workflow::task_refs`): a task's
@@ -713,10 +760,6 @@ impl Pdc {
                 continue;
             }
             let tuned = self.cfg.clone().with_subclusters(k);
-            if k == 1 {
-                crate::analysis::preflight(&tuned, workflow, Some(&vm_plan))
-                    .unwrap_or_else(|e| panic!("{e}"));
-            }
             let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
             let (report, completed) = execute_in_unchecked(
                 &mut env,
@@ -802,7 +845,11 @@ impl Pdc {
         t.profile.fingerprint(&mut f);
         faas_cfg.fingerprint(&mut f);
         self.cfg.provider.storage.fingerprint(&mut f);
-        f.write_f64(self.cfg.margin_for(t.profile.checkpoint_bytes));
+        f.write_f64(
+            self.cfg
+                .plan_context()
+                .margin_for(t.profile.checkpoint_bytes),
+        );
         f.digest()
     }
 
@@ -885,7 +932,10 @@ impl Pdc {
             checkpoint_bytes: t.profile.checkpoint_bytes,
             jitter: t.profile.runtime_jitter,
             memory_gb: t.profile.memory_gb,
-            checkpoint_margin_secs: self.cfg.margin_for(t.profile.checkpoint_bytes),
+            checkpoint_margin_secs: self
+                .cfg
+                .plan_context()
+                .margin_for(t.profile.checkpoint_bytes),
         };
         let stats = run_faas_batch(&mut env, spec);
         ProbeEntry {
@@ -1132,10 +1182,10 @@ fn refine_boundary_taxes(
             if tax > gain {
                 plan.set(r, Platform::VmCluster);
                 d.platform = Platform::VmCluster;
-                d.forced_vm_reason = Some(format!(
-                    "hybrid boundary tax ({tax:.1} s of extra WAN data movement) \
-                     outweighs the serverless gain ({gain:.1} s)"
-                ));
+                d.forced_vm_reason = Some(ForcedVm::BoundaryTax {
+                    tax_secs: tax,
+                    gain_secs: gain,
+                });
                 flipped = true;
                 // The flip changes the taxes of r's producers and consumers
                 // — and of *their* consumers/producers, because the
@@ -1327,6 +1377,10 @@ mod tests {
         MashupConfig::aws(nodes)
     }
 
+    fn checked(w: &Workflow) -> CheckedWorkflow<'_> {
+        CheckedWorkflow::borrowed(w).expect("clean workflow")
+    }
+
     #[test]
     fn calibration_recovers_platform_constants() {
         let c = cfg(4);
@@ -1495,11 +1549,15 @@ mod tests {
         let report = Pdc::new(cfg(2)).decide(&w);
         let d = &report.decisions[0];
         assert_eq!(d.platform, Platform::VmCluster);
-        assert!(d
-            .forced_vm_reason
-            .as_deref()
-            .expect("forced")
-            .contains("memory"));
+        let reason = d.forced_vm_reason.expect("forced");
+        assert!(matches!(
+            reason,
+            ForcedVm::Misfit(FaasMisfit::Memory { .. })
+        ));
+        assert_eq!(
+            reason.to_string(),
+            "memory 16 GiB exceeds function cap 3 GiB"
+        );
     }
 
     #[test]
@@ -1602,7 +1660,7 @@ mod tests {
         let new = deep_workflow(4, 3, Some(TaskRef::new(2, 1)));
         let pdc = Pdc::new(c);
         let prev = pdc.decide(&old);
-        let (incremental, stats) = pdc.replan(&old, &prev, &new);
+        let (incremental, stats) = pdc.replan(&old, &prev, &checked(&new));
         let cold = pdc.decide(&new);
         assert!(!stats.full_replan);
         assert_eq!(stats.dirty_phases, 1);
@@ -1630,7 +1688,7 @@ mod tests {
         let before = cache.stats();
         assert_eq!(before.phase_profiles.misses, 0);
 
-        let (_, stats) = pdc.replan(&old, &prev, &new);
+        let (_, stats) = pdc.replan(&old, &prev, &checked(&new));
         let after = cache.stats();
         assert_eq!(stats.dirty_phases, 1);
         // One scoped phase profile computed; calibration came from the
@@ -1643,7 +1701,7 @@ mod tests {
         assert_eq!(after.probes.misses, before.probes.misses + 1);
 
         // Replanning the same edit again is pure cache replay.
-        let (_, stats2) = pdc.replan(&old, &prev, &new);
+        let (_, stats2) = pdc.replan(&old, &prev, &checked(&new));
         let again = cache.stats();
         assert_eq!(stats2.dirty_phases, 1);
         assert_eq!(again.phase_profiles.misses, after.phase_profiles.misses);
@@ -1657,7 +1715,7 @@ mod tests {
         let new = deep_workflow(4, 2, None);
         let pdc = Pdc::new(c);
         let prev = pdc.decide(&old);
-        let (report, stats) = pdc.replan(&old, &prev, &new);
+        let (report, stats) = pdc.replan(&old, &prev, &checked(&new));
         assert!(!stats.full_replan);
         assert_eq!(stats.dirty_phases, 1);
         assert_eq!(stats.reused_decisions, old.task_count());
@@ -1672,10 +1730,52 @@ mod tests {
         let new = deep_workflow(4, 2, None);
         let pdc = Pdc::new(c);
         let prev = pdc.decide(&deep_workflow(2, 2, None));
-        let (report, stats) = pdc.replan(&base, &prev, &new);
+        let (report, stats) = pdc.replan(&base, &prev, &checked(&new));
         assert!(stats.full_replan);
         assert_eq!(stats.replanned_tasks, new.task_count());
         assert_eq!(report, pdc.decide(&new));
+    }
+
+    #[test]
+    fn decide_is_plan_on_the_checked_workflow() {
+        for w in [
+            deep_workflow(3, 2, None),
+            mashup_workflows::srasearch::workflow(),
+        ] {
+            let pdc = Pdc::new(cfg(4));
+            let planned = pdc.plan(&CheckedWorkflow::new(w.clone()).expect("clean workflow"));
+            assert_eq!(Ok(pdc.decide(&w)), planned, "{}", w.name);
+        }
+    }
+
+    #[test]
+    fn window_rule_forces_vm_without_a_probe() {
+        // A 1e11-byte checkpoint needs a 2400 s margin against the 900 s
+        // timeout (M202): the task can never run in a function, so the PDC
+        // must not probe it there.
+        let mut b = mashup_dag::WorkflowBuilder::new("stuck");
+        b.initial_input_bytes(1e6);
+        b.begin_phase();
+        b.add_task(mashup_dag::Task::new(
+            "stuck",
+            64,
+            mashup_dag::TaskProfile::trivial()
+                .compute(10.0)
+                .checkpoint(1e11),
+        ));
+        let w = b.build().expect("valid");
+        let d = &Pdc::new(cfg(2)).decide(&w).decisions[0];
+        assert_eq!(d.platform, Platform::VmCluster);
+        assert_eq!(d.probe_secs, 0.0);
+        let reason = d.forced_vm_reason.expect("forced");
+        assert!(matches!(
+            reason,
+            ForcedVm::Misfit(FaasMisfit::NoWindow { .. })
+        ));
+        assert_eq!(
+            reason.to_string(),
+            "checkpoint margin 2400s consumes the whole 900s FaaS timeout"
+        );
     }
 
     #[test]

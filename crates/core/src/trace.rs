@@ -571,7 +571,8 @@ fn check_fault_attrib(records: &[TraceRecord], out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::try_execute_with;
+    use crate::analysis::CheckedWorkflow;
+    use crate::exec::execute;
     use crate::placement::{PlacementPlan, Platform};
     use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
     use mashup_sim::Tracer;
@@ -595,6 +596,16 @@ mod tests {
         b.build().expect("valid")
     }
 
+    fn run_traced(
+        cfg: &MashupConfig,
+        w: &Workflow,
+        plan: &PlacementPlan,
+        tracer: &Tracer,
+    ) -> WorkflowReport {
+        let w = CheckedWorkflow::borrowed(w).expect("clean workflow");
+        execute(cfg, &w, plan, None, "test", tracer).expect("clean inputs")
+    }
+
     fn traced(
         plan_platform: Platform,
     ) -> (MashupConfig, Workflow, WorkflowReport, Vec<TraceRecord>) {
@@ -602,8 +613,7 @@ mod tests {
         let w = wf();
         let plan = PlacementPlan::uniform(&w, plan_platform);
         let tracer = Tracer::new();
-        let report =
-            try_execute_with(&cfg, &w, &plan, None, "test", &tracer).expect("clean inputs");
+        let report = run_traced(&cfg, &w, &plan, &tracer);
         let records = tracer.take();
         (cfg, w, report, records)
     }
@@ -698,8 +708,7 @@ mod tests {
         let w = wf();
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         let tracer = Tracer::new();
-        let report =
-            try_execute_with(&cfg, &w, &plan, None, "test", &tracer).expect("clean inputs");
+        let report = run_traced(&cfg, &w, &plan, &tracer);
         (cfg, w, report, tracer.take())
     }
 
@@ -800,8 +809,7 @@ mod tests {
         let w = b.build().expect("valid");
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let tracer = Tracer::new();
-        let report =
-            try_execute_with(&shortened, &w, &plan, None, "test", &tracer).expect("clean inputs");
+        let report = run_traced(&shortened, &w, &plan, &tracer);
         let mut records = tracer.take();
         assert!(
             records

@@ -1,7 +1,9 @@
 //! Integration tests of hybrid-execution semantics: pre-warming, boundary
 //! refinement, store billing, and checkpoint-margin widening.
 
-use mashup_core::{try_execute, MashupConfig, Pdc, PlacementPlan, Platform, WorkflowReport};
+use mashup_core::{
+    try_execute, ForcedVm, MashupConfig, Pdc, PlacementPlan, Platform, WorkflowReport,
+};
 use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, Workflow, WorkflowBuilder};
 
 fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, label: &str) -> WorkflowReport {
@@ -130,7 +132,10 @@ fn boundary_tax_flips_marginal_serverless_wins_back_to_vm() {
         // Either the raw comparison kept it on VM, or the refinement
         // flipped it and said why.
         if let Some(reason) = &d.forced_vm_reason {
-            assert!(reason.contains("boundary"), "unexpected reason: {reason}");
+            assert!(
+                matches!(reason, ForcedVm::BoundaryTax { .. }),
+                "unexpected reason: {reason}"
+            );
         }
     } else {
         // If it stayed serverless the gain must genuinely exceed the tax.
@@ -162,7 +167,7 @@ fn large_checkpoints_widen_the_margin_instead_of_dying() {
     ));
     let w = b.build().expect("valid");
     let cfg = MashupConfig::aws(2);
-    assert!(cfg.margin_for(4.0e9) > 30.0);
+    assert!(cfg.plan_context().margin_for(4.0e9) > 30.0);
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
     let report = execute(&cfg, &w, &plan, "big-state");
     let t = report.task("heavy").expect("ran");

@@ -1,15 +1,15 @@
 //! Property-based tests of the Mashup engine invariants.
 
 use mashup_core::{
-    estimate_serverless_time, fit_gamma, try_execute, try_execute_with, MashupConfig, ModelFactors,
-    Pdc, PlacementPlan, PlanCache, Platform, Tracer, WorkflowReport,
+    estimate_serverless_time, execute, fit_gamma, try_execute, CheckedWorkflow, MashupConfig,
+    ModelFactors, Pdc, PlacementPlan, PlanCache, Platform, Tracer, WorkflowReport,
 };
 use mashup_dag::Workflow;
 use mashup_workflows::{generate, SyntheticConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, label: &str) -> WorkflowReport {
+fn run(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, label: &str) -> WorkflowReport {
     try_execute(cfg, w, plan, label).expect("clean inputs")
 }
 
@@ -20,7 +20,8 @@ fn execute_traced(
     label: &str,
     tracer: &Tracer,
 ) -> WorkflowReport {
-    try_execute_with(cfg, w, plan, None, label, tracer).expect("clean inputs")
+    let w = CheckedWorkflow::borrowed(w).expect("clean workflow");
+    execute(cfg, &w, plan, None, label, tracer).expect("clean inputs")
 }
 
 fn small_synthetic(seed: u64) -> mashup_dag::Workflow {
@@ -95,7 +96,7 @@ proptest! {
                 continue;
             }
             let plan = PlacementPlan::uniform(&w, platform);
-            let report = execute(&cfg, &w, &plan, "prop");
+            let report = run(&cfg, &w, &plan, "prop");
             prop_assert_eq!(report.tasks.len(), w.task_count());
             let last_end = report.tasks.iter().map(|t| t.end_secs).fold(0.0f64, f64::max);
             prop_assert!((report.makespan_secs - last_end).abs() < 1e-6);
@@ -117,8 +118,8 @@ proptest! {
         let w = small_synthetic(seed);
         let cfg = MashupConfig::aws(4);
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let a = execute(&cfg, &w, &plan, "a");
-        let b = execute(&cfg, &w, &plan, "b");
+        let a = run(&cfg, &w, &plan, "a");
+        let b = run(&cfg, &w, &plan, "b");
         prop_assert_eq!(a.makespan_secs, b.makespan_secs);
         prop_assert_eq!(a.expense, b.expense);
     }
@@ -157,7 +158,7 @@ proptest! {
                 continue;
             }
             let plan = PlacementPlan::uniform(&w, platform);
-            let untraced = execute(&cfg, &w, &plan, "prop");
+            let untraced = run(&cfg, &w, &plan, "prop");
             let flow = Tracer::new();
             let traced = execute_traced(&cfg, &w, &plan, "prop", &flow);
             let verbose = Tracer::verbose();
@@ -181,8 +182,8 @@ proptest! {
         let base = MashupConfig::aws(4);
         let mut doubled = base.clone();
         doubled.cluster.instance.price_per_hour *= 2.0;
-        let a = execute(&base, &w, &plan, "a");
-        let b = execute(&doubled, &w, &plan, "b");
+        let a = run(&base, &w, &plan, "a");
+        let b = run(&doubled, &w, &plan, "b");
         prop_assert!((b.expense.vm_dollars - 2.0 * a.expense.vm_dollars).abs() < 1e-9);
         prop_assert_eq!(a.makespan_secs, b.makespan_secs);
     }

@@ -13,8 +13,12 @@
 //!    reuse base decisions, and every per-task, per-tier probe lands in
 //!    the shared cache, so repeated sweeps run almost entirely warm.
 //! 3. **Execute** — the estimate-front survivors run end to end
-//!    ([`try_execute_with`] with the candidate's sizing) and the final front is the dominance filter over
-//!    their *measured* (makespan, expense) points.
+//!    ([`execute`] with the candidate's sizing) and the final front is the
+//!    dominance filter over their *measured* (makespan, expense) points.
+//!
+//! The base workflow arrives checked, sizing-only candidates share it, and
+//! each fused workflow is checked once when it is materialized, before the
+//! PDC profiles it.
 //!
 //! Pruning consults only completed waves and `par_map` merges in input
 //! order, so the outcome is bit-identical at any `--jobs` count.
@@ -24,8 +28,8 @@ use mashup_core::pareto::{
     Candidate, Materialized, SearchSpace,
 };
 use mashup_core::{
-    try_execute_with, CacheStats, Fingerprinter, MashupConfig, Pdc, PdcReport, PlanCache, Platform,
-    ReplanStats, Tracer,
+    execute, AnalysisError, CacheStats, CheckedWorkflow, Fingerprinter, MashupConfig, Pdc,
+    PdcReport, PlanCache, Platform, ReplanStats, Tracer,
 };
 use mashup_dag::Workflow;
 use serde::{Deserialize, Serialize};
@@ -60,7 +64,8 @@ pub struct SweepStats {
     /// Dropped before dispatch: materialized to an already-seen
     /// configuration.
     pub deduped: usize,
-    /// Dropped before dispatch: optimistic bound dominated by the front.
+    /// Dropped before dispatch: optimistic bound dominated by the front,
+    /// or a fused workflow the checks refuse.
     pub pruned: usize,
     /// Dropped after planning: the PDC mapped the candidate to an execution
     /// already scheduled (same placement, same tiers on serverless tasks —
@@ -118,25 +123,30 @@ fn exec_fingerprint(e: &Evaluated) -> u128 {
     f.digest()
 }
 
-/// Runs a sweep with a fresh cache. See [`pareto_sweep_with`].
+/// [`CheckedWorkflow::borrowed`], then [`pareto_sweep_with`] on a fresh
+/// cache, for callers that hold a bare workflow. Panics with the analyzer's
+/// message when it refuses the inputs.
 pub fn pareto_sweep(cfg: &MashupConfig, workflow: &Workflow, budget: usize) -> SweepOutcome {
-    pareto_sweep_with(cfg, workflow, budget, Arc::new(PlanCache::new()))
+    CheckedWorkflow::borrowed(workflow)
+        .and_then(|w| pareto_sweep_with(cfg, &w, budget, Arc::new(PlanCache::new())))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Searches `workflow`'s fusion × sizing space under `cfg`, evaluating at
 /// most `budget` candidates (must be ≥ 1: the first candidate is always
 /// the unmodified engine, so the front is never empty), reusing `cache`
 /// across stages — and across repeated sweeps, which then run warm.
+/// Refuses a config the analyzer rejects before any profiling runs.
 pub fn pareto_sweep_with(
     cfg: &MashupConfig,
-    workflow: &Workflow,
+    workflow: &CheckedWorkflow,
     budget: usize,
     cache: Arc<PlanCache>,
-) -> SweepOutcome {
+) -> Result<SweepOutcome, AnalysisError> {
     assert!(budget >= 1, "a sweep needs at least the base candidate");
     let space = SearchSpace::new(cfg, workflow);
     let base_pdc = Pdc::new(cfg.clone()).with_cache(cache.clone());
-    let base_report = base_pdc.decide(workflow);
+    let base_report = base_pdc.plan(workflow)?;
 
     let mut stats = SweepStats::default();
     let mut waves: Vec<Vec<Candidate>> = Vec::new();
@@ -159,7 +169,10 @@ pub fn pareto_sweep_with(
         let batch: Vec<(Candidate, Materialized)> = wave
             .into_iter()
             .filter_map(|c| {
-                let m = materialize(&space, cfg, &c);
+                let Ok(m) = materialize(&space, cfg, &c) else {
+                    stats.pruned += 1;
+                    return None;
+                };
                 if !seen.insert(m.fingerprint) {
                     stats.deduped += 1;
                     return None;
@@ -222,7 +235,7 @@ pub fn pareto_sweep_with(
         .map(|(e, _)| e)
         .collect();
     let executed: Vec<FrontPoint> = crate::par_map(survivors, |e| {
-        let report = try_execute_with(
+        let report = execute(
             cfg,
             &e.mat.workflow,
             &e.report.plan,
@@ -230,7 +243,7 @@ pub fn pareto_sweep_with(
             "pareto",
             &Tracer::off(),
         )
-        .expect("planned candidates pass the sized preflight");
+        .expect("planned candidates pass the sized plan checks");
         FrontPoint {
             label: e.cand.describe(&space),
             makespan_secs: report.makespan_secs,
@@ -266,7 +279,7 @@ pub fn pareto_sweep_with(
             .then_with(|| a.label.cmp(&b.label))
     });
     stats.cache = cache.stats();
-    SweepOutcome { front, stats }
+    Ok(SweepOutcome { front, stats })
 }
 
 #[cfg(test)]
@@ -339,9 +352,10 @@ mod tests {
 
     #[test]
     fn shared_cache_keeps_insertions_bounded_and_reruns_warm() {
-        let w = &paper_workflows()[1];
+        let w = &CheckedWorkflow::new(paper_workflows().swap_remove(1)).expect("clean workflow");
         let cache = Arc::new(PlanCache::new());
-        let cold = pareto_sweep_with(&small_cfg(), w, 25, cache.clone());
+        let sweep = || pareto_sweep_with(&small_cfg(), w, 25, cache.clone()).expect("clean config");
+        let cold = sweep();
         let after_cold = cache.stats();
         // Dedupe before dispatch: the probe section can hold at most one
         // entry per (task, tier) pair ever dispatched, never more than the
@@ -356,7 +370,7 @@ mod tests {
         );
         // A second identical sweep is answered from the cache: no new
         // entries anywhere, plenty of fresh hits.
-        let warm = pareto_sweep_with(&small_cfg(), w, 25, cache.clone());
+        let warm = sweep();
         let after_warm = cache.stats();
         assert_eq!(after_cold.probes.entries, after_warm.probes.entries);
         assert_eq!(after_cold.vm_profile.entries, after_warm.vm_profile.entries);

@@ -158,12 +158,14 @@ mod tests {
     #[test]
     fn whole_engine_runs_shard_across_workers() {
         // The motivating use: complete simulated runs on worker threads.
-        use mashup_core::{Mashup, MashupConfig};
+        use mashup_core::{CheckedWorkflow, Mashup, MashupConfig};
         let _guard = JobsGuard::lock();
         let w = mashup_workflows::generate(&mashup_workflows::SyntheticConfig::default(), 7);
+        let w = CheckedWorkflow::new(w).expect("clean workflow");
         set_jobs(4);
         let reports = par_map(vec![2usize, 4, 8], |nodes| {
-            Mashup::new(MashupConfig::aws(nodes)).run(&w).report
+            let engine = Mashup::new(MashupConfig::aws(nodes));
+            engine.run_checked(&w).expect("clean config").report
         });
         assert_eq!(reports.len(), 3);
         for r in &reports {

@@ -28,7 +28,7 @@
 //!   backlog until dry, then return. Used by tests (deterministic, no
 //!   teardown bookkeeping) and one-shot batch clients.
 
-use mashup_core::{CacheStats, Mashup, MashupConfig, Pdc, PlanCache};
+use mashup_core::{CacheStats, CheckedWorkflow, Mashup, MashupConfig, Pdc, PlanCache};
 use mashup_dag::{Platform, Workflow};
 use mashup_workflows::{generate, SyntheticConfig};
 use serde::{Deserialize, Serialize};
@@ -577,44 +577,37 @@ fn execute_request(id: u64, req: &PlanRequest, cache: &Arc<PlanCache>) -> ServeR
         subclusters: 0,
         detail: String::new(),
     };
-    match req.kind {
-        RequestKind::Plan => match Pdc::new(cfg)
+    let reply = CheckedWorkflow::new(workflow).and_then(|w| match req.kind {
+        RequestKind::Plan => {
+            Pdc::new(cfg)
+                .with_cache(cache.clone())
+                .plan(&w)
+                .map(|pdc| ServeReply {
+                    profiling_expense_dollars: pdc.profiling_expense.total(),
+                    serverless_tasks: pdc.plan.count(Platform::Serverless),
+                    vm_tasks: pdc.plan.count(Platform::VmCluster),
+                    subclusters: pdc.subclusters,
+                    ..base.clone()
+                })
+        }
+        RequestKind::Run => Mashup::new(cfg)
             .with_cache(cache.clone())
-            .try_decide(&workflow)
-        {
-            Ok(pdc) => ServeReply {
-                profiling_expense_dollars: pdc.profiling_expense.total(),
-                serverless_tasks: pdc.plan.count(Platform::Serverless),
-                vm_tasks: pdc.plan.count(Platform::VmCluster),
-                subclusters: pdc.subclusters,
-                ..base
-            },
-            Err(e) => ServeReply {
-                status: ReplyStatus::Refused,
-                detail: e.to_string(),
-                ..base
-            },
-        },
-        RequestKind::Run => match Mashup::new(cfg)
-            .with_cache(cache.clone())
-            .try_run(&workflow)
-        {
-            Ok(outcome) => ServeReply {
+            .run_checked(&w)
+            .map(|outcome| ServeReply {
                 makespan_secs: outcome.report.makespan_secs,
                 expense_dollars: outcome.report.expense.total(),
                 profiling_expense_dollars: outcome.pdc.profiling_expense.total(),
                 serverless_tasks: outcome.report.plan.count(Platform::Serverless),
                 vm_tasks: outcome.report.plan.count(Platform::VmCluster),
                 subclusters: outcome.pdc.subclusters,
-                ..base
-            },
-            Err(e) => ServeReply {
-                status: ReplyStatus::Refused,
-                detail: e.to_string(),
-                ..base
-            },
-        },
-    }
+                ..base.clone()
+            }),
+    });
+    reply.unwrap_or_else(|e| ServeReply {
+        status: ReplyStatus::Refused,
+        detail: e.to_string(),
+        ..base
+    })
 }
 
 #[cfg(test)]

@@ -17,6 +17,8 @@ fn main() {
         "Epigenomics" => epigenomics::workflow(),
         _ => srasearch::workflow(),
     };
+    // Checked once; every run below reuses the result.
+    let workflow = CheckedWorkflow::new(workflow).expect("the workflow passes the analyzer");
     println!("cost landscape for {}\n", workflow.name);
     println!(
         "{:>5}  {:>12} {:>9}   {:>12} {:>9}   {:>7} {:>7}",
@@ -26,8 +28,11 @@ fn main() {
         let cfg = MashupConfig::aws(nodes);
         let trad = Strategy::TraditionalTuned
             .run(&cfg, &workflow, &Tracer::off(), None)
-            .expect("the workflow passes the analyzer");
-        let mashup = Mashup::new(cfg).run(&workflow).report;
+            .expect("the cluster passes the analyzer");
+        let mashup = Mashup::new(cfg)
+            .run_checked(&workflow)
+            .expect("the cluster passes the analyzer")
+            .report;
         println!(
             "{:>5}  {:>11.0}s {:>9.4}   {:>11.0}s {:>9.4}   {:>6.1}% {:>6.1}%",
             nodes,
@@ -48,7 +53,10 @@ fn main() {
         ("expense", Objective::Expense),
         ("both", Objective::Both),
     ] {
-        let r = Mashup::new(cfg.clone()).with_objective(obj).run(&workflow);
+        let r = Mashup::new(cfg.clone())
+            .with_objective(obj)
+            .run_checked(&workflow)
+            .expect("the cluster passes the analyzer");
         println!(
             "  minimize {:<8} -> {:>8.0}s  ${:.4}  ({} of {} tasks serverless)",
             label,

@@ -32,12 +32,15 @@ fn main() {
     std::fs::write("/tmp/custom_workflow.dot", &dot).expect("write dot file");
     println!("DAG written to /tmp/custom_workflow.dot (render with graphviz)");
 
-    // 3. Run Mashup vs the baselines on a small cluster.
+    // 3. Check it once, then run Mashup vs the baselines on a small cluster.
+    let workflow = CheckedWorkflow::new(workflow).expect("the workflow passes the analyzer");
     let cfg = MashupConfig::aws(4);
-    let outcome = Mashup::new(cfg.clone()).run(&workflow);
+    let outcome = Mashup::new(cfg.clone())
+        .run_checked(&workflow)
+        .expect("the cluster passes the analyzer");
     let run = |s: Strategy| {
         s.run(&cfg, &workflow, &Tracer::off(), None)
-            .expect("the workflow passes the analyzer")
+            .expect("the cluster passes the analyzer")
     };
     let traditional = run(Strategy::TraditionalTuned);
     let serverless = run(Strategy::ServerlessOnly);

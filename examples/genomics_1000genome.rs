@@ -13,7 +13,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(16);
     let cfg = MashupConfig::aws(nodes);
-    let workflow = genome1000::workflow();
+    let workflow =
+        CheckedWorkflow::new(genome1000::workflow()).expect("1000Genome passes the analyzer");
     println!(
         "1000Genome: {} tasks, {} components, {} phases, on {} nodes\n",
         workflow.task_count(),
@@ -24,19 +25,20 @@ fn main() {
 
     let run = |s: Strategy| {
         s.run(&cfg, &workflow, &Tracer::off(), None)
-            .expect("1000Genome passes the analyzer")
+            .expect("the cluster passes the analyzer")
     };
     let traditional = run(Strategy::TraditionalTuned);
     let serverless = run(Strategy::ServerlessOnly);
     let pegasus = run(Strategy::Pegasus);
     let kepler = run(Strategy::Kepler);
-    let mashup = Mashup::new(cfg).run(&workflow);
+    let mashup = Mashup::new(cfg)
+        .run_checked(&workflow)
+        .expect("the cluster passes the analyzer");
 
     println!("=== Placement chosen by Mashup's PDC ===");
     for d in &mashup.pdc.decisions {
         let reason = d
             .forced_vm_reason
-            .as_deref()
             .map(|r| format!(" (forced: {r})"))
             .unwrap_or_default();
         println!("  {:<18} -> {}{}", d.name, d.platform, reason);

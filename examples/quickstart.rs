@@ -33,13 +33,18 @@ fn main() {
             .memory(2.0),
     ));
     b.depend(merge, extract, DependencyPattern::AllToAll);
-    let workflow = b.build().expect("workflow is valid");
+    // The static checks run once, here; planners and strategies take the
+    // checked workflow instead of checking it again.
+    let workflow = CheckedWorkflow::new(b.build().expect("workflow is valid"))
+        .expect("the workflow passes the analyzer");
 
     // 2. Pick an environment: 4 r5.large-like nodes + a Lambda-like platform.
     let cfg = MashupConfig::aws(4);
 
     // 3. Let Mashup's PDC profile the workflow and choose placements.
-    let outcome = Mashup::new(cfg.clone()).run(&workflow);
+    let outcome = Mashup::new(cfg.clone())
+        .run_checked(&workflow)
+        .expect("the cluster passes the analyzer");
     println!("=== PDC decisions ===");
     for d in &outcome.pdc.decisions {
         println!(
@@ -51,7 +56,7 @@ fn main() {
     // 4. Compare with the traditional all-VM execution.
     let traditional = Strategy::Traditional
         .run(&cfg, &workflow, &Tracer::off(), None)
-        .expect("the workflow passes the analyzer");
+        .expect("its all-VM plan passes the analyzer");
     println!("\n=== Results ===");
     println!(
         "  traditional cluster : {:>8.1}s  ${:.4}",

@@ -39,6 +39,12 @@ fn load_workflow(spec: &str) -> Workflow {
     }
 }
 
+/// Loads a workflow and checks it once for every pass that plans or runs
+/// it, exiting with the rendered diagnostics on a refusal.
+fn load_checked(spec: &str) -> CheckedWorkflow<'static> {
+    CheckedWorkflow::new(load_workflow(spec)).unwrap_or_else(|e| die_diagnosed(&e))
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("mashup: {msg}");
     std::process::exit(1)
@@ -74,7 +80,7 @@ fn strategy_named(name: &str) -> Strategy {
 fn run_or_die(
     strategy: Strategy,
     cfg: &MashupConfig,
-    w: &Workflow,
+    w: &CheckedWorkflow,
     tracer: &Tracer,
 ) -> WorkflowReport {
     strategy
@@ -196,9 +202,9 @@ fn main() {
         }
         "analyze" => {
             let args = parse_args(argv);
-            let w = load_workflow(&args.workflow);
+            let w = load_checked(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
-            match mashup::engine::preflight(&cfg, &w, None) {
+            match w.check(&cfg, None, None) {
                 Ok(warnings) => {
                     print!("{}", render_pretty(&warnings));
                 }
@@ -207,7 +213,7 @@ fn main() {
         }
         "plan" => {
             let args = parse_args(argv);
-            let w = load_workflow(&args.workflow);
+            let w = load_checked(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
             // --probe-sharing collapses serverless probes across tasks of
             // the same code family — one probe per family instead of one
@@ -215,7 +221,7 @@ fn main() {
             let pdc = Pdc::new(cfg)
                 .with_objective(args.objective)
                 .with_probe_sharing(args.probe_sharing)
-                .try_decide(&w)
+                .plan(&w)
                 .unwrap_or_else(|e| die_diagnosed(&e));
             println!(
                 "plan for '{}' on {} nodes ({} sub-clusters):",
@@ -224,7 +230,6 @@ fn main() {
             for d in &pdc.decisions {
                 let reason = d
                     .forced_vm_reason
-                    .as_deref()
                     .map(|r| format!("  [{r}]"))
                     .unwrap_or_default();
                 println!(
@@ -239,7 +244,7 @@ fn main() {
         }
         "run" => {
             let args = parse_args(argv);
-            let w = load_workflow(&args.workflow);
+            let w = load_checked(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
             let strategy = strategy_named(&args.strategy);
             let report = run_or_die(strategy, &cfg, &w, &Tracer::off());
@@ -259,7 +264,7 @@ fn main() {
         }
         "trace" => {
             let args = parse_args(argv);
-            let w = load_workflow(&args.workflow);
+            let w = load_checked(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
             let tracer = if args.verbose {
                 Tracer::verbose()
@@ -299,7 +304,7 @@ fn main() {
         }
         "compare" => {
             let args = parse_args(argv);
-            let w = load_workflow(&args.workflow);
+            let w = load_checked(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
             println!("'{}' on {} nodes:", w.name, args.nodes);
             let reports: Vec<(Strategy, WorkflowReport)> = STRATEGIES
@@ -360,14 +365,11 @@ fn run_pareto(mut argv: std::env::Args) {
             other => die(&format!("unknown flag '{other}'")),
         }
     }
-    let w = load_workflow(&spec);
+    let w = load_checked(&spec);
     let cfg = MashupConfig::aws(nodes);
-    // Refuse what the sweep's planner would panic on, as `plan` does.
-    if let Err(e) = mashup::engine::preflight(&cfg, &w, None) {
-        die_diagnosed(&e);
-    }
     let started = std::time::Instant::now();
-    let outcome = mashup::serve::pareto_sweep(&cfg, &w, budget);
+    let outcome = mashup::serve::pareto_sweep_with(&cfg, &w, budget, Default::default())
+        .unwrap_or_else(|e| die_diagnosed(&e));
     let wall = started.elapsed().as_secs_f64();
     println!(
         "Pareto front for '{}' on {nodes} nodes (budget {budget} candidates):",
@@ -494,7 +496,7 @@ fn run_chaos(mut argv: std::env::Args) {
             other => die(&format!("unknown flag '{other}'")),
         }
     }
-    let w = load_workflow(&spec);
+    let w = load_checked(&spec);
     let cfg = MashupConfig::aws(nodes);
     let strategy = strategy_named(&strategy);
     let run = |cfg: &MashupConfig, tracer: &Tracer| run_or_die(strategy, cfg, &w, tracer);

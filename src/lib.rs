@@ -21,12 +21,16 @@
 //! ```
 //! use mashup::prelude::*;
 //!
-//! let workflow = mashup::workflows::srasearch::workflow();
+//! // Check the workflow once; every planner and strategy takes the result.
+//! let workflow = CheckedWorkflow::new(mashup::workflows::srasearch::workflow())
+//!     .expect("the paper's workflows pass the analyzer");
 //! let cfg = MashupConfig::aws(4);
-//! let outcome = Mashup::new(cfg.clone()).run(&workflow);
+//! let outcome = Mashup::new(cfg.clone())
+//!     .run_checked(&workflow)
+//!     .expect("a 4-node cluster passes the config checks");
 //! let baseline = Strategy::Traditional
 //!     .run(&cfg, &workflow, &Tracer::off(), None)
-//!     .expect("the paper's workflows pass the analyzer");
+//!     .expect("and so does its all-VM plan");
 //! assert!(outcome.report.makespan_secs < baseline.makespan_secs);
 //! ```
 
@@ -47,8 +51,8 @@ pub mod prelude {
     pub use mashup_baselines::Strategy;
     pub use mashup_cloud::{Fault, FaultPlan, FaultProfile};
     pub use mashup_core::{
-        improvement_pct, ChaosSpec, Mashup, MashupConfig, MashupOutcome, Objective, Pdc,
-        PlacementPlan, Platform, TraceEvent, TraceRecord, Tracer, WorkflowReport,
+        improvement_pct, ChaosSpec, CheckedWorkflow, Mashup, MashupConfig, MashupOutcome,
+        Objective, Pdc, PlacementPlan, Platform, TraceEvent, TraceRecord, Tracer, WorkflowReport,
     };
     pub use mashup_dag::{
         DependencyPattern, Task, TaskProfile, TaskRef, Workflow, WorkflowBuilder,

@@ -262,3 +262,39 @@ fn json_workflow_round_trips_through_the_cli() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("404 components"));
 }
+
+/// A task whose checkpoint margin swallows the FaaS timeout (M202) is
+/// placed on the VM cluster by every planner instead of being probed or
+/// run in a function; only the serverless-only strategy refuses it.
+#[test]
+fn a_window_bound_task_is_planned_onto_the_vm_cluster() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/analyze_fixtures/window_bound_workflow.json"
+    );
+    let run = |args: &[&str]| {
+        let out = mashup().args(args).output().expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stdout, stderr)
+    };
+    let (code, stdout, stderr) = run(&["plan", fixture]);
+    assert_eq!(code, Some(0), "plan: {stderr}");
+    let dock = stdout
+        .lines()
+        .find(|l| l.contains("Dock"))
+        .expect("Dock decided");
+    assert!(dock.contains("-> VM"), "{dock}");
+    for args in [
+        &["run", fixture][..],
+        &["run", fixture, "--strategy", "wo-pdc"],
+        &["pareto", fixture, "--budget", "20"],
+        &["trace", fixture, "--check"],
+    ] {
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    }
+    let (code, _, stderr) = run(&["run", fixture, "--strategy", "serverless"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("M202"), "{stderr}");
+}

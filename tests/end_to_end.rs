@@ -8,8 +8,8 @@ fn small_cfg() -> MashupConfig {
 }
 
 fn run(strategy: Strategy, cfg: &MashupConfig, w: &Workflow) -> WorkflowReport {
-    strategy
-        .run(cfg, w, &Tracer::off(), None)
+    CheckedWorkflow::borrowed(w)
+        .and_then(|w| strategy.run(cfg, &w, &Tracer::off(), None))
         .expect("paper workflows pass the analyzer")
 }
 
@@ -22,7 +22,9 @@ fn mashup_beats_traditional_on_every_paper_workflow() {
     ] {
         let cfg = small_cfg();
         let traditional = run(Strategy::TraditionalTuned, &cfg, &w);
-        let outcome = Mashup::new(cfg).run(&w);
+        let outcome = Mashup::new(cfg)
+            .try_run(&w)
+            .expect("paper workflows pass the analyzer");
         assert!(
             outcome.report.makespan_secs < traditional.makespan_secs,
             "{}: mashup {:.0}s vs traditional {:.0}s",
@@ -46,7 +48,10 @@ fn hybrid_beats_both_pure_strategies_on_1000genome() {
     // The Fig. 11 "best of both worlds" claim at a small cluster size.
     let cfg = small_cfg();
     let w = genome1000::workflow();
-    let mashup = Mashup::new(cfg.clone()).run(&w).report;
+    let mashup = Mashup::new(cfg.clone())
+        .try_run(&w)
+        .expect("paper workflows pass the analyzer")
+        .report;
     let vm = run(Strategy::TraditionalTuned, &cfg, &w);
     let sl = run(Strategy::ServerlessOnly, &cfg, &w);
     assert!(mashup.makespan_secs <= vm.makespan_secs);
@@ -57,7 +62,10 @@ fn hybrid_beats_both_pure_strategies_on_1000genome() {
 fn pdc_beats_or_matches_the_naive_threshold_plan() {
     for w in [genome1000::workflow(), srasearch::workflow()] {
         let cfg = small_cfg();
-        let with_pdc = Mashup::new(cfg.clone()).run(&w).report;
+        let with_pdc = Mashup::new(cfg.clone())
+            .try_run(&w)
+            .expect("paper workflows pass the analyzer")
+            .report;
         let without = run(Strategy::MashupWithoutPdc, &cfg, &w);
         assert!(
             with_pdc.makespan_secs <= without.makespan_secs * 1.02,
@@ -73,7 +81,9 @@ fn pdc_beats_or_matches_the_naive_threshold_plan() {
 fn reports_are_internally_consistent() {
     let cfg = small_cfg();
     let w = srasearch::workflow();
-    let outcome = Mashup::new(cfg).run(&w);
+    let outcome = Mashup::new(cfg)
+        .try_run(&w)
+        .expect("paper workflows pass the analyzer");
     let r = &outcome.report;
     assert_eq!(r.tasks.len(), w.task_count());
     // The makespan is the completion of the last task.
@@ -103,8 +113,12 @@ fn reports_are_internally_consistent() {
 #[test]
 fn runs_are_reproducible_across_invocations() {
     let w = epigenomics::workflow();
-    let a = Mashup::new(small_cfg()).run(&w);
-    let b = Mashup::new(small_cfg()).run(&w);
+    let a = Mashup::new(small_cfg())
+        .try_run(&w)
+        .expect("paper workflows pass the analyzer");
+    let b = Mashup::new(small_cfg())
+        .try_run(&w)
+        .expect("paper workflows pass the analyzer");
     assert_eq!(a.report.makespan_secs, b.report.makespan_secs);
     assert_eq!(a.report.expense, b.report.expense);
     assert_eq!(a.pdc.plan, b.pdc.plan);
@@ -150,11 +164,13 @@ fn objectives_trade_time_for_expense() {
     let w = srasearch::workflow();
     let time = Mashup::new(cfg.clone())
         .with_objective(Objective::ExecutionTime)
-        .run(&w)
+        .try_run(&w)
+        .expect("paper workflows pass the analyzer")
         .report;
     let expense = Mashup::new(cfg)
         .with_objective(Objective::Expense)
-        .run(&w)
+        .try_run(&w)
+        .expect("paper workflows pass the analyzer")
         .report;
     // The time objective never loses on time; the expense objective never
     // loses on dollars.

@@ -2,8 +2,8 @@
 //! format round trips, and the GCP-like provider preset.
 
 use mashup::engine::{
-    try_execute, try_execute_in, CloudEnv, KillReason, MashupConfig, PlacementPlan, Platform,
-    TraceEvent, Tracer,
+    execute_in, try_execute, CheckedWorkflow, CloudEnv, KillReason, MashupConfig, PlacementPlan,
+    Platform, TraceEvent, Tracer,
 };
 use mashup::prelude::*;
 use std::collections::HashMap;
@@ -12,12 +12,12 @@ use std::collections::HashMap;
 fn storage_failures_are_recovered_from_replicas() {
     // Run a serverless workflow with a high GET failure probability: every
     // failed read retries from a replica; the run completes, just slower.
-    let w = srasearch::workflow();
+    let w = CheckedWorkflow::new(srasearch::workflow()).expect("clean workflow");
     let mut cfg = MashupConfig::aws(4);
     cfg.provider.storage.get_failure_prob = 0.2;
     let mut env = CloudEnv::new(&cfg);
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-    let report = try_execute_in(&mut env, &cfg, &w, &plan, "faulty").expect("clean inputs");
+    let report = execute_in(&mut env, &cfg, &w, &plan, "faulty").expect("clean inputs");
     assert!(report.makespan_secs > 0.0);
     assert!(
         env.world.cloud.store.injected_failures() > 0,
@@ -37,7 +37,7 @@ fn faas_platform_failures_are_recovered_end_to_end() {
     // retries must carry every task to completion. The flight recorder
     // proves the recovery mechanism actually ran: every killed invocation
     // must be followed by a fresh invocation of the same (task, chain).
-    let w = srasearch::workflow();
+    let w = CheckedWorkflow::new(srasearch::workflow()).expect("clean workflow");
     let mut cfg = MashupConfig::aws(4);
     // High enough that some kills land inside the (short) invocation
     // windows for this RNG stream; the property under test is recovery,
@@ -47,7 +47,7 @@ fn faas_platform_failures_are_recovered_end_to_end() {
     let tracer = Tracer::new();
     env.attach_tracer(tracer.clone());
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-    let report = try_execute_in(&mut env, &cfg, &w, &plan, "flaky-faas").expect("clean inputs");
+    let report = execute_in(&mut env, &cfg, &w, &plan, "flaky-faas").expect("clean inputs");
     assert_eq!(report.tasks.len(), w.task_count());
     assert!(
         env.world.cloud.faas.kills() > 0,
@@ -120,19 +120,21 @@ fn dot_export_names_every_task() {
 #[test]
 fn gcp_like_provider_preserves_the_trends() {
     // The §5 portability claim: trends survive provider constants changing.
-    let w = srasearch::workflow();
+    let w = CheckedWorkflow::new(srasearch::workflow()).expect("clean workflow");
     let cfg = MashupConfig::gcp(8);
     let traditional = Strategy::TraditionalTuned
         .run(&cfg, &w, &Tracer::off(), None)
         .expect("clean inputs");
-    let outcome = Mashup::new(cfg).run(&w);
+    let outcome = Mashup::new(cfg).run_checked(&w).expect("clean inputs");
     assert!(outcome.report.makespan_secs < traditional.makespan_secs);
 }
 
 #[test]
 fn reports_serialize_to_json() {
     let w = srasearch::workflow();
-    let outcome = Mashup::new(MashupConfig::aws(4)).run(&w);
+    let outcome = Mashup::new(MashupConfig::aws(4))
+        .try_run(&w)
+        .expect("clean inputs");
     let json = serde_json::to_string(&outcome).expect("serialize outcome");
     assert!(json.contains("FasterQ-Dump"));
     let summary: serde_json::Value = serde_json::from_str(&json).expect("parse");
@@ -151,7 +153,9 @@ fn synthetic_workflows_run_end_to_end() {
     for seed in [1u64, 7, 23] {
         let cfg = SyntheticConfigFixture::small();
         let w = mashup::workflows::generate(&cfg, seed);
-        let outcome = Mashup::new(MashupConfig::aws(4)).run(&w);
+        let outcome = Mashup::new(MashupConfig::aws(4))
+            .try_run(&w)
+            .expect("clean inputs");
         assert_eq!(outcome.report.tasks.len(), w.task_count());
         assert!(outcome.pdc.plan.covers(&w));
     }

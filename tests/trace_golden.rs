@@ -18,7 +18,7 @@
 
 use mashup_baselines::Strategy;
 use mashup_cloud::{Fault, FaultPlan};
-use mashup_core::{ChaosSpec, Fingerprinter, Mashup, MashupConfig, Tracer};
+use mashup_core::{ChaosSpec, CheckedWorkflow, Fingerprinter, Mashup, MashupConfig, Tracer};
 use mashup_sim::trace::{from_jsonl, to_jsonl};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use std::path::{Path, PathBuf};
@@ -54,7 +54,8 @@ fn record(workflow: &mashup_dag::Workflow) -> String {
     let tracer = Tracer::new();
     Mashup::new(MashupConfig::aws(4))
         .with_tracer(tracer.clone())
-        .run(workflow);
+        .try_run(workflow)
+        .expect("clean inputs");
     to_jsonl(&tracer.take())
 }
 
@@ -62,7 +63,8 @@ fn record_chaos(workflow: &mashup_dag::Workflow, chaos: ChaosSpec) -> String {
     let tracer = Tracer::new();
     Mashup::new(MashupConfig::aws(4).with_chaos(chaos))
         .with_tracer(tracer.clone())
-        .run(workflow);
+        .try_run(workflow)
+        .expect("clean inputs");
     to_jsonl(&tracer.take())
 }
 
@@ -153,12 +155,13 @@ fn verbose_digest(run: impl FnOnce(&Tracer)) -> String {
 /// cascade.
 #[test]
 fn genome1000_verbose_trace_matches_golden_digest() {
-    let workflow = genome1000::workflow();
+    let workflow = CheckedWorkflow::new(genome1000::workflow()).expect("clean workflow");
     let cfg = MashupConfig::aws(8);
     let mashup = verbose_digest(|tracer| {
         Mashup::new(cfg.clone())
             .with_tracer(tracer.clone())
-            .run(&workflow);
+            .run_checked(&workflow)
+            .expect("clean inputs");
     });
     let all_vm = verbose_digest(|tracer| {
         let split = cfg.clone().with_subclusters(2);

@@ -1,19 +1,19 @@
 //! The PDC's VM profiling passes against a reference built the plain way.
 //!
-//! `Pdc::decide` profiles the workflow on the all-VM cluster once per
-//! candidate sub-cluster split (k = 1, 2, 4). It checks the inputs once,
-//! shares one workflow copy across the passes and indexes each pass's
-//! task times by flat id. The reference here runs three fully checked
-//! `try_execute_in` passes and maps every report back through
+//! `Pdc::plan` profiles a checked workflow on the all-VM cluster once per
+//! candidate sub-cluster split (k = 1, 2, 4). It shares one workflow copy
+//! across the passes, runs them unchecked and indexes each pass's task
+//! times by flat id. The reference here runs three `execute_in` passes,
+//! each checking its config and plan, and maps every report back through
 //! `flat_by_name`; every field the profiling stage produces must match it
-//! bit for bit. The remaining tests pin the refusal behaviour of the
-//! single check and the naming of reports built after the event loop.
+//! bit for bit. The remaining tests pin where refusals happen and the
+//! naming of reports built after the event loop.
 
 use mashup_bench::scale::{self, Shape};
 use mashup_cloud::{Expense, Fault, FaultPlan};
 use mashup_core::{
-    preflight, try_execute_in, ChaosSpec, CloudEnv, MashupConfig, Pdc, PlacementPlan, PlanCache,
-    Platform, TraceEvent, Tracer, WorkflowReport,
+    execute, execute_in, preflight, ChaosSpec, CheckedWorkflow, CloudEnv, MashupConfig, Pdc,
+    PlacementPlan, PlanCache, Platform, TraceEvent, Tracer, WorkflowReport,
 };
 use mashup_dag::Workflow;
 use mashup_workflows::{epigenomics, genome1000, srasearch};
@@ -31,6 +31,7 @@ struct Profile {
 
 /// The profiling passes as three independent, fully checked executions.
 fn reference(cfg: &MashupConfig, w: &Workflow) -> Profile {
+    let checked = CheckedWorkflow::borrowed(w).expect("clean workflow");
     let vm_plan = PlacementPlan::uniform(w, Platform::VmCluster);
     let mut expense = Expense::default();
     let mut best_task_vm = vec![f64::INFINITY; w.task_count()];
@@ -41,8 +42,8 @@ fn reference(cfg: &MashupConfig, w: &Workflow) -> Profile {
         }
         let tuned = cfg.clone().with_subclusters(k);
         let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-        let report =
-            try_execute_in(&mut env, &tuned, w, &vm_plan, "pdc-profiling").expect("clean workflow");
+        let report = execute_in(&mut env, &tuned, &checked, &vm_plan, "pdc-profiling")
+            .expect("clean config and plan");
         expense.vm_dollars += report.expense.vm_dollars;
         expense.faas_dollars += report.expense.faas_dollars;
         expense.storage_dollars += report.expense.storage_dollars;
@@ -157,23 +158,28 @@ fn decide_on_a_refused_workflow_panics_with_the_analyzer_message() {
 }
 
 #[test]
-fn try_decide_refuses_before_any_profiling_pass() {
-    let cfg = MashupConfig::aws(8);
+fn plan_refuses_before_any_profiling_pass() {
+    // The workflow checks refuse before a planner can be called at all.
     let w = refused_workflow();
+    let err = CheckedWorkflow::borrowed(&w).expect_err("typed refusal");
+    assert_eq!(err, preflight(&MashupConfig::aws(8), &w, None).unwrap_err());
+    // The planner's own config checks refuse before any profiling stage.
+    let cfg = MashupConfig::aws(0);
+    let w = CheckedWorkflow::new(srasearch::workflow()).expect("clean workflow");
     let cache = Arc::new(PlanCache::new());
     let err = Pdc::new(cfg.clone())
         .with_cache(cache.clone())
-        .try_decide(&w)
+        .plan(&w)
         .expect_err("typed refusal");
-    assert_eq!(err, preflight(&cfg, &w, None).unwrap_err());
+    assert_eq!(err, w.check(&cfg, None, None).unwrap_err());
     assert_eq!(cache.stats().misses(), 0, "no profiling stage ran");
 }
 
 #[test]
 fn adaptive_replan_keeps_report_names_in_completion_order() {
-    let w = srasearch::workflow();
+    let w = CheckedWorkflow::new(srasearch::workflow()).expect("clean workflow");
     let cfg = MashupConfig::aws(8);
-    let plan = Pdc::new(cfg.clone()).decide(&w).plan;
+    let plan = Pdc::new(cfg.clone()).plan(&w).expect("clean config").plan;
     let mut faults = FaultPlan::empty(7);
     faults.faults.push(Fault::Preempt {
         at_secs: 5.0,
@@ -181,8 +187,7 @@ fn adaptive_replan_keeps_report_names_in_completion_order() {
     });
     let chaotic = cfg.with_chaos(ChaosSpec::new(faults).with_adaptive(true));
     let tracer = Tracer::new();
-    let report = mashup_core::try_execute_with(&chaotic, &w, &plan, None, "adaptive", &tracer)
-        .expect("clean inputs");
+    let report = execute(&chaotic, &w, &plan, None, "adaptive", &tracer).expect("clean inputs");
     let records = tracer.take();
     assert!(
         records
