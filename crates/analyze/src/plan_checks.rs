@@ -164,7 +164,8 @@ pub fn analyze_plan_by_task<'f>(
     let mut out = Vec::new();
     for (flat, r) in w.task_refs().enumerate() {
         let t = w.task(r);
-        let loc = Location::Task {
+        // Built per finding: most tasks have none.
+        let loc = || Location::Task {
             phase: r.phase,
             task: r.task,
             name: t.name.clone(),
@@ -173,7 +174,7 @@ pub fn analyze_plan_by_task<'f>(
             out.push(
                 Diagnostic::new(
                     Code::UnassignedTask,
-                    loc,
+                    loc(),
                     "plan assigns no platform to this task",
                 )
                 .with_help("every task needs a VM-cluster or serverless assignment"),
@@ -186,7 +187,7 @@ pub fn analyze_plan_by_task<'f>(
                 faas: &faas,
                 ..ctx.clone()
             };
-            out.extend(task_ctx.misfits(t).map(|m| m.diagnostic(loc.clone())));
+            out.extend(task_ctx.misfits(t).map(|m| m.diagnostic(loc())));
         }
     }
     // M204: hybrid-boundary staging volume. Mirrors the executor's output
@@ -199,20 +200,12 @@ pub fn analyze_plan_by_task<'f>(
         // producer's consumer list for every dependency edge, which is
         // quadratic on wide fan-outs (each of n workers re-checks the
         // splitter's n consumers).
-        let in_store: Vec<Vec<bool>> = w
-            .phases
-            .iter()
-            .enumerate()
-            .map(|(pi, phase)| {
-                (0..phase.tasks.len())
-                    .map(|ti| {
-                        let r = TaskRef::new(pi, ti);
-                        serverless(r) || w.consumers(r).iter().any(|&(c, _)| serverless(c))
-                    })
-                    .collect()
-            })
+        let in_store: Vec<bool> = w
+            .task_refs()
+            .map(|r| serverless(r) || w.consumers(r).iter().any(|&(c, _)| serverless(c)))
             .collect();
-        let in_store = |r: TaskRef| in_store[r.phase][r.task];
+        let arena = w.arena();
+        let in_store = |r: TaskRef| arena.flat(r).is_some_and(|flat| in_store[flat]);
         let mut boundary_bytes = 0.0;
         for r in w.task_refs() {
             if serverless(r) {

@@ -7,6 +7,11 @@
 use crate::diag::{Code, Diagnostic, Location};
 use mashup_dag::{fusable_pairs, Workflow};
 use std::collections::BTreeSet;
+#[expect(
+    clippy::disallowed_types,
+    reason = "duplicate-name detection by membership only, never iterated"
+)]
+use std::collections::HashSet;
 
 fn task_loc(w: &Workflow, phase: usize, task: usize) -> Location {
     Location::Task {
@@ -45,7 +50,11 @@ pub fn analyze_workflow(w: &Workflow) -> Vec<Diagnostic> {
         ));
         return out;
     }
-    let mut names: BTreeSet<&str> = BTreeSet::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate-name detection by membership only, never iterated"
+    )]
+    let mut names: HashSet<&str> = HashSet::with_capacity(w.task_count());
     for (pi, phase) in w.phases.iter().enumerate() {
         if phase.tasks.is_empty() {
             out.push(Diagnostic::new(
@@ -55,29 +64,30 @@ pub fn analyze_workflow(w: &Workflow) -> Vec<Diagnostic> {
             ));
         }
         for (ti, task) in phase.tasks.iter().enumerate() {
-            let loc = task_loc(w, pi, ti);
+            // Built per finding: most tasks have none.
+            let loc = || task_loc(w, pi, ti);
             if task.components == 0 {
                 out.push(Diagnostic::new(
                     Code::ZeroComponents,
-                    loc.clone(),
+                    loc(),
                     "task declares zero components",
                 ));
             }
             if !names.insert(task.name.as_str()) {
                 out.push(Diagnostic::new(
                     Code::DuplicateTaskName,
-                    loc.clone(),
+                    loc(),
                     format!("task name '{}' is already used", task.name),
                 ));
             }
             if let Err(detail) = task.profile.validate() {
-                out.push(Diagnostic::new(Code::BadProfile, loc.clone(), detail));
+                out.push(Diagnostic::new(Code::BadProfile, loc(), detail));
             }
             if pi > 0 && task.deps.is_empty() {
                 out.push(
                     Diagnostic::new(
                         Code::OrphanTask,
-                        loc.clone(),
+                        loc(),
                         "task is beyond phase 0 but depends on nothing",
                     )
                     .with_help("add a dependency on an earlier phase or move the task to phase 0"),
@@ -91,7 +101,7 @@ pub fn analyze_workflow(w: &Workflow) -> Vec<Diagnostic> {
                 if !exists {
                     out.push(Diagnostic::new(
                         Code::DanglingReference,
-                        loc.clone(),
+                        loc(),
                         format!("dependency references nonexistent task {}", dep.producer),
                     ));
                     continue;
@@ -105,7 +115,7 @@ pub fn analyze_workflow(w: &Workflow) -> Vec<Diagnostic> {
                     out.push(
                         Diagnostic::new(
                             Code::NotEarlierPhase,
-                            loc.clone(),
+                            loc(),
                             format!(
                                 "dependency on {} ('{}') is not in an earlier phase",
                                 dep.producer, producer.name
@@ -115,7 +125,7 @@ pub fn analyze_workflow(w: &Workflow) -> Vec<Diagnostic> {
                     );
                 } else if let Err(detail) = dep.pattern.check(producer.components, task.components)
                 {
-                    out.push(Diagnostic::new(Code::PatternMismatch, loc.clone(), detail));
+                    out.push(Diagnostic::new(Code::PatternMismatch, loc(), detail));
                 }
             }
             // M108: the task reads bytes nobody provides. Advisory — the
@@ -127,7 +137,7 @@ pub fn analyze_workflow(w: &Workflow) -> Vec<Diagnostic> {
                         out.push(
                             Diagnostic::new(
                                 Code::MissingConsumerData,
-                                loc.clone(),
+                                loc(),
                                 format!(
                                     "initial task reads {:.0} bytes/component but the workflow \
                                      declares no initial input dataset",
@@ -141,7 +151,7 @@ pub fn analyze_workflow(w: &Workflow) -> Vec<Diagnostic> {
                     out.push(
                         Diagnostic::new(
                             Code::MissingConsumerData,
-                            loc.clone(),
+                            loc(),
                             format!(
                                 "task reads {:.0} bytes/component but every producer declares \
                                  zero output bytes",
@@ -159,12 +169,20 @@ pub fn analyze_workflow(w: &Workflow) -> Vec<Diagnostic> {
         // still runs, but at 10^5-wide phases the grouped forms are what
         // keep planning and simulation fast.
         if phase.tasks.len() > SCALE_WIDTH_THRESHOLD {
-            let identities: BTreeSet<&str> = phase
-                .tasks
-                .iter()
-                .map(|t| t.profile.code_family.as_deref().unwrap_or(t.name.as_str()))
-                .collect();
+            fn identity(t: &mashup_dag::Task) -> &str {
+                t.profile.code_family.as_deref().unwrap_or(t.name.as_str())
+            }
+            // Count only as far as the threshold: the full count is needed
+            // only for the message of a finding.
+            let mut identities: BTreeSet<&str> = BTreeSet::new();
+            for t in &phase.tasks {
+                identities.insert(identity(t));
+                if identities.len() > SCALE_WIDTH_THRESHOLD {
+                    break;
+                }
+            }
             if identities.len() > SCALE_WIDTH_THRESHOLD {
+                identities.extend(phase.tasks.iter().map(identity));
                 out.push(
                     Diagnostic::new(
                         Code::ScaleStructure,

@@ -108,7 +108,7 @@ mod tests {
         // their rewired dependency on the merged task.
         let fused = maximal_fusion(&wf());
         assert_eq!(fused.task_count(), 3);
-        assert!(fused.arena().flat_by_name("A+B").is_some());
+        assert!(fused.flat_by_name("A+B").is_some());
         // A straight pipeline collapses completely.
         let mut b = WorkflowBuilder::new("pipe");
         b.initial_input_bytes(1e6);

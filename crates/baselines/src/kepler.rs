@@ -182,9 +182,12 @@ fn spawn(w: &mut KeplerWorld, sim: &mut Simulation<KeplerWorld>, r: TaskRef) {
     let d = &mut w.driver;
     let sub = d.next_sub % d.subclusters;
     d.next_sub += 1;
-    let t = d.workflow.task(r);
+    // The spec borrows its label from the workflow while `w` is lent to
+    // the cluster.
+    let wf = d.workflow.shared();
+    let t = wf.task(r);
     let spec = ClusterTaskSpec {
-        label: t.name.clone(),
+        label: &t.name,
         components: t.components,
         compute_secs: t.profile.compute_secs_vm,
         input_bytes: t.profile.input_bytes,

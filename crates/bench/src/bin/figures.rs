@@ -12,8 +12,10 @@
 //! `--jobs N` sets the scenario-sweep worker count (default: one per core);
 //! `--no-plan-cache` disables the shared PDC profiling cache; `--trace-dir
 //! DIR` additionally records every strategy run as a JSONL flight-recorder
-//! trace under DIR. Output is byte-identical for any N, with the cache on
-//! or off, and with or without tracing.
+//! trace under DIR, named by figure, workflow, strategy and a digest of its
+//! content, so the directory is the same on every run. Output is
+//! byte-identical for any N, with the cache on or off, and with or without
+//! tracing.
 //!
 //! Keys select cells (case-insensitive): `fig2`, `fig4a`…`fig12`,
 //! `inputs`, `half`, `gcp`, `overheads`, `accuracy`, `expense`,
@@ -150,6 +152,7 @@ fn main() {
     let dir = json_dir.as_deref();
     for cell in CELLS {
         if (all && cell.default) || wanted.iter().any(|w| w == cell.key) {
+            bench::set_trace_scope(cell.key);
             (cell.run)(dir);
         }
     }

@@ -30,4 +30,4 @@ pub use figures::*;
 pub use plan_cache::{plan_cache, plan_cache_enabled, plan_cache_stats, set_plan_cache_enabled};
 pub use strategies::{run_strategy, run_strategy_traced, Strategy};
 pub use sweep::{jobs, par_map, set_jobs};
-pub use trace_dir::{set_trace_dir, trace_dir};
+pub use trace_dir::{set_trace_dir, set_trace_scope, trace_dir};

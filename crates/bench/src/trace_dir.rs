@@ -3,17 +3,20 @@
 //! When a trace directory is set (`--trace-dir` in the `figures` binary),
 //! every [`crate::run_strategy`] call records its execution and writes one
 //! deterministic JSONL trace file into the directory. File names are
-//! `<workflow>__<strategy>__<n>.jsonl` where `n` is a process-wide counter,
-//! so parallel sweep workers (`--jobs N`) never collide. Recording never
+//! `<scope>__<workflow>__<strategy>__<digest>.jsonl`: the scope is the
+//! figure being computed ([`set_trace_scope`]) and the digest is taken over
+//! the trace itself, so a name depends on neither the worker count nor the
+//! order in which parallel sweep workers (`--jobs N`) finish, and two runs
+//! share a name only when they wrote the same bytes. Recording never
 //! perturbs results — traced and untraced runs are byte-identical
 //! (`tests/determinism.rs` enforces this on the figure outputs).
 
+use mashup_core::Fingerprinter;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 static DIR: OnceLock<PathBuf> = OnceLock::new();
-static COUNTER: AtomicU64 = AtomicU64::new(0);
+static SCOPE: Mutex<&str> = Mutex::new("");
 
 /// Directs all subsequent [`crate::run_strategy`] calls to record their
 /// executions as JSONL files under `dir` (created if missing). Can only be
@@ -28,16 +31,35 @@ pub fn trace_dir() -> Option<&'static Path> {
     DIR.get().map(PathBuf::as_path)
 }
 
+/// Names the figure the next traces belong to: their file names start
+/// with it. The `figures` binary computes one figure at a time and sets
+/// the scope before each.
+pub fn set_trace_scope(scope: &'static str) {
+    *SCOPE.lock().unwrap_or_else(|e| e.into_inner()) = scope;
+}
+
 /// Writes `records` as one JSONL file for (`workflow`, `strategy`) under
 /// the configured directory. No-op when tracing is off.
 pub(crate) fn write_trace(workflow: &str, strategy: &str, records: &[mashup_core::TraceRecord]) {
     let Some(dir) = trace_dir() else { return };
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let name = format!("{}__{}__{n}.jsonl", sanitize(workflow), sanitize(strategy));
+    let body = mashup_sim::trace::to_jsonl(records);
+    let mut f = Fingerprinter::new("trace-file");
+    f.write_str(&body);
+    let scope = *SCOPE.lock().unwrap_or_else(|e| e.into_inner());
+    let name = format!(
+        "{}{}__{}__{:016x}.jsonl",
+        if scope.is_empty() {
+            String::new()
+        } else {
+            format!("{}__", sanitize(scope))
+        },
+        sanitize(workflow),
+        sanitize(strategy),
+        f.digest() as u64
+    );
     let path = dir.join(name);
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
-    std::fs::write(&path, mashup_sim::trace::to_jsonl(records))
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
 fn sanitize(s: &str) -> String {

@@ -95,10 +95,12 @@ pub enum ClusterOutput {
 }
 
 /// Work description for running one task's components on the cluster.
+/// It borrows its label: a run reads the label when it starts (to seed its
+/// random stream) and keeps a copy only when a recorder is attached.
 #[derive(Debug, Clone)]
-pub struct ClusterTaskSpec {
+pub struct ClusterTaskSpec<'a> {
     /// Label for diagnostics (usually the task name).
-    pub label: String,
+    pub label: &'a str,
     /// Number of components to run.
     pub components: usize,
     /// Per-component compute seconds on a reference core.
@@ -124,11 +126,11 @@ pub struct ClusterTaskSpec {
     pub subcluster: usize,
 }
 
-impl ClusterTaskSpec {
+impl<'a> ClusterTaskSpec<'a> {
     /// A minimal spec with the given label, component count, and compute.
-    pub fn new(label: impl Into<String>, components: usize, compute_secs: f64) -> Self {
+    pub fn new(label: &'a str, components: usize, compute_secs: f64) -> Self {
         ClusterTaskSpec {
-            label: label.into(),
+            label,
             components,
             compute_secs,
             input_bytes: 0.0,
@@ -192,10 +194,13 @@ struct SpotState {
 
 /// A cluster run in flight: its spec, its completion accumulator and its
 /// driver's tag, kept in the world's [`Cloud`] under the key its component
-/// events carry. The spec is boxed so a wide phase's slab of runs stays
-/// small when it grows.
+/// events carry.
 pub(crate) struct ClusterRun<W: CloudWorld> {
-    spec: Box<ClusterTaskSpec>,
+    /// The spec, its label moved to `label`.
+    spec: ClusterTaskSpec<'static>,
+    /// The spec's label, copied only when a recorder is attached: trace
+    /// records are its one reader after the run starts.
+    label: String,
     remaining: usize,
     io_secs: f64,
     compute_secs: f64,
@@ -514,7 +519,7 @@ impl VmCluster {
     pub fn run_task<W: CloudWorld>(
         w: &mut W,
         sim: &mut Simulation<W>,
-        spec: ClusterTaskSpec,
+        spec: ClusterTaskSpec<'_>,
         tag: W::ClusterTag,
     ) {
         let Cloud {
@@ -538,11 +543,17 @@ impl VmCluster {
             cluster.cfg.instance.wan_bps,
             cluster.cfg.instance.node_nic_bps,
         );
-        let mut rng = cluster.seeds.child(&spec.label).stream("cluster-run");
+        let mut rng = cluster.seeds.child(spec.label).stream("cluster-run");
         let (components, input, input_bytes) = (spec.components, spec.input, spec.input_bytes);
         let (io_requests, jitter) = (spec.io_requests, spec.jitter);
+        let label = if cluster.tracer.is_on() {
+            spec.label.to_owned()
+        } else {
+            String::new()
+        };
         let run = cluster_runs.insert(ClusterRun {
-            spec: Box::new(spec),
+            spec: ClusterTaskSpec { label: "", ..spec },
+            label,
             remaining: components,
             io_secs: 0.0,
             compute_secs: 0.0,
@@ -613,7 +624,7 @@ impl VmCluster {
             ..
         } = w.cloud();
         let a = cluster_runs.get_mut(run);
-        let spec = &a.spec;
+        let (spec, label) = (&a.spec, &a.label);
         let node_idx = cluster.resolve_node(spec.subcluster, preferred_node as usize);
         // --- compute: timeshare the node ---
         let load = {
@@ -635,7 +646,7 @@ impl VmCluster {
             load as f64 * spec.memory_gb > instance.memory_gb && spec.contention_coeff > 0.0;
         let secs = spec.compute_secs / instance.core_speed * factor * jf;
         cluster.trace_with(sim.now(), || TraceEvent::VmCompStart {
-            task: spec.label.clone(),
+            task: label.clone(),
             sub: spec.subcluster,
             node: node_idx,
             load,
@@ -671,11 +682,11 @@ impl VmCluster {
             meter,
             ..
         } = w.cloud();
-        let spec = &cluster_runs.get(run).spec;
+        let ClusterRun { spec, label, .. } = cluster_runs.get(run);
         let node_idx = node_idx as usize;
         cluster.subs[spec.subcluster].node_loads[node_idx] -= 1;
         cluster.trace_with(sim.now(), || TraceEvent::VmCompEnd {
-            task: spec.label.clone(),
+            task: label.clone(),
             sub: spec.subcluster,
             node: node_idx,
         });
@@ -686,7 +697,7 @@ impl VmCluster {
                 let retry_node = cluster.resolve_node(spec.subcluster, preferred_node as usize);
                 cluster.trace_with(sim.now(), || TraceEvent::CompRetry {
                     id: fault_id,
-                    task: spec.label.clone(),
+                    task: label.clone(),
                     sub: spec.subcluster,
                     node: retry_node,
                 });
@@ -766,19 +777,19 @@ mod tests {
 
     /// Starts `spec` at the current instant; its stats land in
     /// `w.clusters`.
-    fn submit(sim: &mut Simulation<W>, spec: ClusterTaskSpec) {
+    fn submit(sim: &mut Simulation<W>, spec: ClusterTaskSpec<'static>) {
         sim.schedule_now(call(move |w: &mut W, sim| {
             VmCluster::run_task(w, sim, spec, ());
         }));
     }
 
-    fn run(sim: &mut Simulation<W>, w: &mut W, spec: ClusterTaskSpec) -> ClusterRunStats {
+    fn run(sim: &mut Simulation<W>, w: &mut W, spec: ClusterTaskSpec<'static>) -> ClusterRunStats {
         submit(sim, spec);
         sim.run(w);
         w.clusters.pop().expect("task completed")
     }
 
-    fn run_on(nodes: usize, spec: ClusterTaskSpec) -> ClusterRunStats {
+    fn run_on(nodes: usize, spec: ClusterTaskSpec<'static>) -> ClusterRunStats {
         let (mut sim, mut w) = cluster(nodes);
         run(&mut sim, &mut w, spec)
     }
@@ -901,7 +912,7 @@ mod tests {
         let (mut sim, mut w) =
             with_config(ClusterConfig::new(InstanceType::r5_large(), 4).with_subclusters(2));
         for sub in 0..2 {
-            let mut spec = ClusterTaskSpec::new(format!("t{sub}"), 4, 0.0);
+            let mut spec = ClusterTaskSpec::new(["t0", "t1"][sub], 4, 0.0);
             spec.input_bytes = 1.25e9;
             spec.input = ClusterInput::Master;
             spec.subcluster = sub;

@@ -16,11 +16,13 @@ use mashup_sim::trace::TraceEvent;
 use mashup_sim::{jitter_factor, SeedSource, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
 
-/// Work description for running one task's components on FaaS.
+/// Work description for running one task's components on FaaS. It
+/// borrows its label: a run interns the label on its platform when it
+/// starts (its code identity) and reads it back from there.
 #[derive(Debug, Clone)]
-pub struct FaasTaskSpec {
+pub struct FaasTaskSpec<'a> {
     /// Code identity: invocations of the same label share a warm pool.
-    pub label: String,
+    pub label: &'a str,
     /// Number of components (one function chain each).
     pub components: usize,
     /// Per-component compute seconds *inside a serverless function* on a
@@ -42,11 +44,11 @@ pub struct FaasTaskSpec {
     pub checkpoint_margin_secs: f64,
 }
 
-impl FaasTaskSpec {
+impl<'a> FaasTaskSpec<'a> {
     /// A minimal spec with the given label, component count, and compute.
-    pub fn new(label: impl Into<String>, components: usize, compute_secs: f64) -> Self {
+    pub fn new(label: &'a str, components: usize, compute_secs: f64) -> Self {
         FaasTaskSpec {
-            label: label.into(),
+            label,
             components,
             compute_secs,
             input_bytes: 0.0,
@@ -107,13 +109,14 @@ impl FaasRunStats {
 
 /// A serverless run in flight: its spec and platform, its stats
 /// accumulator and its driver's tag, kept in the world's [`Cloud`] under the
-/// key its chains carry. The spec is boxed so a wide phase's slab of runs
-/// stays small when it grows.
+/// key its chains carry.
 pub(crate) struct FaasRun<W: CloudWorld> {
     tier: Option<u32>,
-    /// The spec's label interned on the tier's platform.
+    /// The spec's label interned on the tier's platform, where trace
+    /// records read it.
     code: u32,
-    spec: Box<FaasTaskSpec>,
+    /// The spec, its label replaced by `code`.
+    spec: FaasTaskSpec<'static>,
     remaining: usize,
     first_start_seen: bool,
     stats: FaasRunStats,
@@ -173,7 +176,7 @@ pub fn run_task_on_faas<W: CloudWorld>(
     w: &mut W,
     sim: &mut Simulation<W>,
     tier: Option<u32>,
-    spec: FaasTaskSpec,
+    spec: FaasTaskSpec<'_>,
     seeds: &SeedSource,
     tag: W::FaasTag,
 ) {
@@ -207,14 +210,14 @@ pub fn run_task_on_faas<W: CloudWorld>(
     );
     let core_speed = platform.core_speed;
     let now = sim.now();
-    let code = cloud.platform_mut(tier).code(&spec.label);
-    let mut rng = seeds.child(&spec.label).stream("faas-run");
+    let code = cloud.platform_mut(tier).code(spec.label);
+    let mut rng = seeds.child(spec.label).stream("faas-run");
     let (components, compute_secs, jitter) = (spec.components, spec.compute_secs, spec.jitter);
     let (input_bytes, output_bytes) = (spec.input_bytes, spec.output_bytes);
     let run = cloud.faas_runs.insert(FaasRun {
         tier,
         code,
-        spec: Box::new(spec),
+        spec: FaasTaskSpec { label: "", ..spec },
         remaining: components,
         first_start_seen: false,
         stats: FaasRunStats {
@@ -302,20 +305,28 @@ fn is_active<W: CloudWorld>(w: &mut W, id: u32) -> bool {
     w.cloud().platform(tier).is_active(inv.id)
 }
 
-/// Emits the event `make` builds for chain `id`, on its platform's
-/// recorder, building it only when one is attached.
+/// Emits the event `make` builds for chain `id` from its run's label and
+/// spec, on its platform's recorder, building it only when one is attached.
 fn trace_with<W: CloudWorld>(
     w: &mut W,
     sim: &Simulation<W>,
     id: u32,
-    make: impl FnOnce(&FaasTaskSpec, &Chain) -> TraceEvent,
+    make: impl FnOnce(&str, &FaasTaskSpec, &Chain) -> TraceEvent,
 ) {
     let cloud = w.cloud();
     let chain = cloud.chains.get(id);
     let run = cloud.faas_runs.get(chain.run);
-    cloud
-        .platform(run.tier)
-        .trace_with(sim.now(), || make(&run.spec, chain));
+    let platform = cloud.platform(run.tier);
+    platform.trace_with(sim.now(), || {
+        make(platform.code_label(run.code), &run.spec, chain)
+    });
+}
+
+/// Chain `id`'s task label, read back from its platform.
+fn label<W: CloudWorld>(w: &mut W, id: u32) -> &str {
+    let cloud = w.cloud();
+    let run = cloud.faas_runs.get(cloud.chains.get(id).run);
+    cloud.platform(run.tier).code_label(run.code)
 }
 
 /// Starts a store read (`write` false) or write of `bytes` for chain `id`
@@ -418,8 +429,8 @@ fn segment_ready<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
         }
         a.stats.last_fn_start = a.stats.last_fn_start.max(inv.ready_at);
     }
-    trace_with(w, sim, id, |spec, c| TraceEvent::SegmentStart {
-        task: spec.label.clone(),
+    trace_with(w, sim, id, |label, spec, c| TraceEvent::SegmentStart {
+        task: label.to_owned(),
         chain: c.work.chain,
         inv: inv.id.raw(),
         resume: c.work.needs_ckpt_read,
@@ -427,8 +438,8 @@ fn segment_ready<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
     });
     if work.needs_ckpt_read {
         // Resume: re-read the checkpointed state before anything else.
-        trace_with(w, sim, id, |spec, c| TraceEvent::CheckpointResume {
-            task: spec.label.clone(),
+        trace_with(w, sim, id, |label, _, c| TraceEvent::CheckpointResume {
+            task: label.to_owned(),
             chain: c.work.chain,
             inv: inv.id.raw(),
             remaining_secs: c.work.compute,
@@ -442,7 +453,7 @@ fn segment_ready<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
 
 /// Instant at which this invocation must stop useful work to leave room
 /// for a checkpoint/handover before the hard deadline.
-fn window_end(spec: &FaasTaskSpec, inv: &Invocation) -> SimTime {
+fn window_end(spec: &FaasTaskSpec<'_>, inv: &Invocation) -> SimTime {
     inv.deadline - SimDuration::from_secs(spec.checkpoint_margin_secs)
 }
 
@@ -472,7 +483,7 @@ fn read_phase<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32) {
     assert!(
         chunk > 0.0,
         "task '{}' cannot make read progress within the FaaS window",
-        chain_and_run(w.cloud(), id).1.spec.label
+        label(w, id)
     );
     w.cloud().chains.get_mut(id).pending = chunk;
     store_io(w, sim, id, false, chunk, Step::InputRead);
@@ -574,8 +585,8 @@ fn checkpoint_written<W: CloudWorld>(w: &mut W, sim: &mut Simulation<W>, id: u32
     // Record the checkpoint at the instant it landed (before the deadline,
     // or the watchdog would have killed the function first).
     if is_active(w, id) {
-        trace_with(w, sim, id, |spec, c| TraceEvent::Checkpoint {
-            task: spec.label.clone(),
+        trace_with(w, sim, id, |label, _, c| TraceEvent::Checkpoint {
+            task: label.to_owned(),
             chain: c.work.chain,
             inv: c.inv().id.raw(),
             bytes: ckpt,
@@ -697,7 +708,7 @@ mod tests {
 
     /// Runs `spec` to completion in the world `setup` built; the world
     /// stays inspectable afterwards.
-    fn run_in(sim: &mut Simulation<W>, w: &mut W, spec: FaasTaskSpec) -> FaasRunStats {
+    fn run_in(sim: &mut Simulation<W>, w: &mut W, spec: FaasTaskSpec<'static>) -> FaasRunStats {
         sim.schedule_now(call(move |w: &mut W, sim| {
             run_task_on_faas(w, sim, None, spec, &SeedSource::new(5), ());
         }));
@@ -705,7 +716,7 @@ mod tests {
         w.faas.pop().expect("task completed")
     }
 
-    fn run(faas: FaasConfig, storage: StorageConfig, spec: FaasTaskSpec) -> FaasRunStats {
+    fn run(faas: FaasConfig, storage: StorageConfig, spec: FaasTaskSpec<'static>) -> FaasRunStats {
         let (mut sim, mut w) = setup(faas, storage);
         run_in(&mut sim, &mut w, spec)
     }

@@ -188,6 +188,11 @@ impl FaasPlatform {
         code
     }
 
+    /// The code identity behind interned id `code`.
+    pub(crate) fn code_label(&self, code: u32) -> &str {
+        &self.codes[code as usize]
+    }
+
     /// Consumes a scheduler token, returning the start delay from `now`.
     ///
     /// The bucket may go negative: concurrent requests accumulate *debt*

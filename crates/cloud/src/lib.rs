@@ -49,5 +49,5 @@ pub use exec::{run_task_on_faas, FaasRunStats, FaasTaskSpec};
 pub use faas::{FaasPlatform, Invocation, InvocationId};
 pub use fault::{Fault, FaultPlan, FaultProfile, StoreFault};
 pub use pricing::{FaasConfig, InstanceType, ProviderPreset, StorageConfig};
-pub use storage::ObjectStore;
+pub use storage::{ObjectKey, ObjectStore};
 pub use world::{Cloud, CloudWorld};

@@ -14,7 +14,9 @@
 //! * **keyed objects** — executors register logical objects
 //!   ([`ObjectStore::register_object`]) so occupancy cost is metered and
 //!   consumers can assert their producers' data exists
-//!   ([`ObjectStore::assert_present`]), catching scheduling bugs.
+//!   ([`ObjectStore::assert_present`]), catching scheduling bugs. An
+//!   object's key is an id ([`ObjectKey`]); its text is rendered only for
+//!   trace records and for the order in which occupancy settles.
 //!
 //! GET failure injection exercises the replica-recovery path: a failed
 //! attempt retries from a replica after an extra round trip.
@@ -22,10 +24,35 @@
 use crate::cost::CostMeter;
 use crate::fault::StoreFault;
 use crate::pricing::StorageConfig;
+use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::trace::{TraceEvent, Tracer};
 use mashup_sim::{LinkId, Model, SeedSource, SimDuration, SimTime, Simulation};
 use rand::Rng;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// A logical object the store accounts for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ObjectKey {
+    /// The run's staged input dataset.
+    Input,
+    /// The output of a task of the workflow the store's objects are named
+    /// after (see [`ObjectStore::name_objects`]).
+    Output(TaskRef),
+}
+
+/// Compares two key texts, each given as a prefix and a rest, as the
+/// strings their concatenations spell.
+fn text_order(a: (&str, &str), b: (&str, &str)) -> Ordering {
+    if a.0 == b.0 {
+        a.1.cmp(b.1)
+    } else {
+        a.0.bytes()
+            .chain(a.1.bytes())
+            .cmp(b.0.bytes().chain(b.1.bytes()))
+    }
+}
 
 /// Chaos fault machinery: active windows plus a dedicated RNG stream, so
 /// injected error draws never perturb the store's native failure stream.
@@ -39,7 +66,12 @@ pub struct ObjectStore {
     cfg: StorageConfig,
     /// The data-plane link in the simulation's arena.
     link: LinkId,
-    objects: BTreeMap<String, (f64, SimTime)>, // bytes, put time (ordered for deterministic settlement)
+    /// Registered objects' bytes and put time.
+    objects: BTreeMap<ObjectKey, (f64, SimTime)>,
+    /// The text of [`ObjectKey::Input`].
+    input_name: String,
+    /// The workflow whose tasks [`ObjectKey::Output`] keys name.
+    tasks: Option<Arc<Workflow>>,
     bytes_stored: f64,
     peak_bytes: f64,
     reads: u64,
@@ -59,6 +91,8 @@ impl ObjectStore {
             rng: seeds.stream("object-store"),
             cfg,
             objects: BTreeMap::new(),
+            input_name: String::new(),
+            tasks: None,
             bytes_stored: 0.0,
             peak_bytes: 0.0,
             reads: 0,
@@ -266,16 +300,40 @@ impl ObjectStore {
         sim.start_transfer_in(latency, self.link, bytes, cap, on_done);
     }
 
+    /// Names this run's objects: `input` is the text of
+    /// [`ObjectKey::Input`], and the output of task `r` of `tasks` is
+    /// `out:{name}`.
+    pub fn name_objects(&mut self, input: impl Into<String>, tasks: Option<Arc<Workflow>>) {
+        self.input_name = input.into();
+        self.tasks = tasks;
+    }
+
+    /// The text of `key` as a prefix and a rest.
+    fn key_parts(&self, key: ObjectKey) -> (&str, &str) {
+        match key {
+            ObjectKey::Input => (&self.input_name, ""),
+            ObjectKey::Output(r) => {
+                let w = self.tasks.as_ref().expect("output keys name a workflow");
+                ("out:", &w.task(r).name)
+            }
+        }
+    }
+
+    /// The text of `key`, as trace records print it.
+    fn key_text(&self, key: ObjectKey) -> String {
+        let (prefix, rest) = self.key_parts(key);
+        format!("{prefix}{rest}")
+    }
+
     /// Registers a logical object for occupancy accounting and presence
     /// checks. Overwriting an existing key first settles its occupancy.
     pub fn register_object(
         &mut self,
         meter: &mut CostMeter,
         now: SimTime,
-        key: impl Into<String>,
+        key: ObjectKey,
         bytes: f64,
     ) {
-        let key = key.into();
         if let Some((old_bytes, put_at)) = self.objects.remove(&key) {
             self.bytes_stored -= old_bytes;
             let held = now.saturating_since(put_at).as_secs();
@@ -283,51 +341,51 @@ impl ObjectStore {
         }
         self.bytes_stored += bytes;
         self.peak_bytes = self.peak_bytes.max(self.bytes_stored);
-        self.tracer.emit(
-            now,
-            TraceEvent::ObjectPut {
-                key: key.clone(),
-                bytes,
-            },
-        );
+        if self.tracer.is_on() {
+            let key = self.key_text(key);
+            self.tracer.emit(now, TraceEvent::ObjectPut { key, bytes });
+        }
         self.objects.insert(key, (bytes, now));
     }
 
     /// Removes a logical object, settling its occupancy charge.
-    pub fn remove_object(&mut self, meter: &mut CostMeter, now: SimTime, key: &str) {
-        if let Some((bytes, put_at)) = self.objects.remove(key) {
-            self.bytes_stored -= bytes;
-            let held = now.saturating_since(put_at).as_secs();
-            meter.charge_storage_occupancy(bytes * self.cfg.replicas as f64, held);
-            self.tracer.emit(
-                now,
-                TraceEvent::ObjectRemove {
-                    key: key.to_string(),
-                },
-            );
+    pub fn remove_object(&mut self, meter: &mut CostMeter, now: SimTime, key: ObjectKey) {
+        let Some((bytes, put_at)) = self.objects.remove(&key) else {
+            return;
+        };
+        self.bytes_stored -= bytes;
+        let held = now.saturating_since(put_at).as_secs();
+        meter.charge_storage_occupancy(bytes * self.cfg.replicas as f64, held);
+        if self.tracer.is_on() {
+            let key = self.key_text(key);
+            self.tracer.emit(now, TraceEvent::ObjectRemove { key });
         }
     }
 
     /// Panics unless `key` was registered — consumers call this to assert
     /// their producers' outputs exist (a scheduling-order sanity check).
-    pub fn assert_present(&self, key: &str) {
+    pub fn assert_present(&self, key: ObjectKey) {
         assert!(
-            self.objects.contains_key(key),
-            "object '{key}' read before it was written: executor scheduling bug"
+            self.contains(key),
+            "object '{}' read before it was written: executor scheduling bug",
+            self.key_text(key)
         );
     }
 
     /// True if the logical object exists.
-    pub fn contains(&self, key: &str) -> bool {
-        self.objects.contains_key(key)
+    pub fn contains(&self, key: ObjectKey) -> bool {
+        self.objects.contains_key(&key)
     }
 
-    /// Settles occupancy charges for everything still stored, as of `now`.
-    /// Call once at the end of a run.
+    /// Settles occupancy charges for everything still stored, as of `now`,
+    /// in the byte order of the keys' text: occupancy is a floating-point
+    /// sum, so its order is part of the result. Call once at the end of a
+    /// run.
     pub fn finalize(&mut self, meter: &mut CostMeter, now: SimTime) {
-        let keys: Vec<String> = self.objects.keys().cloned().collect();
-        for k in keys {
-            self.remove_object(meter, now, &k);
+        let mut keys: Vec<ObjectKey> = self.objects.keys().copied().collect();
+        keys.sort_by(|&a, &b| text_order(self.key_parts(a), self.key_parts(b)));
+        for key in keys {
+            self.remove_object(meter, now, key);
         }
     }
 
@@ -430,17 +488,29 @@ mod tests {
         }
     }
 
+    /// A one-phase workflow of one-component tasks with these names.
+    fn named(names: &[&str]) -> Arc<Workflow> {
+        let tasks = names
+            .iter()
+            .map(|&n| mashup_dag::Task::new(n, 1, mashup_dag::TaskProfile::trivial()))
+            .collect();
+        Arc::new(Workflow::new("w", vec![mashup_dag::Phase { tasks }], 0.0))
+    }
+
     #[test]
     fn occupancy_charged_on_remove_and_finalize() {
         let mut cfg = StorageConfig::s3_like();
         cfg.replicas = 2;
         let (_, mut w) = store(cfg.clone());
         let (s, meter) = (&mut w.cloud.store, &mut w.cloud.meter);
-        s.register_object(meter, SimTime::ZERO, "a", 1e9);
-        s.register_object(meter, SimTime::ZERO, "b", 1e9);
+        s.name_objects("initial:w", Some(named(&["b"])));
+        let b = ObjectKey::Output(TaskRef::new(0, 0));
+        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, 1e9);
+        s.register_object(meter, SimTime::ZERO, b, 1e9);
         assert_eq!(s.bytes_stored(), 2e9);
-        s.remove_object(meter, SimTime::from_secs(3600.0), "a");
+        s.remove_object(meter, SimTime::from_secs(3600.0), ObjectKey::Input);
         assert_eq!(s.bytes_stored(), 1e9);
+        assert!(!s.contains(ObjectKey::Input) && s.contains(b));
         s.finalize(meter, SimTime::from_secs(3600.0));
         assert_eq!(s.bytes_stored(), 0.0);
         // 2 objects * 1 GB * 1 h * 2 replicas.
@@ -452,19 +522,68 @@ mod tests {
     }
 
     #[test]
+    fn finalize_settles_in_key_text_order() {
+        // Names sort differently from their ids, and the input's text sorts
+        // between two outputs. The sizes make the occupancy sum depend on
+        // its order: 1e16 + 1 rounds back to 1e16, 1 + 1 + 1e16 does not.
+        let names = ["z", "a", "b"];
+        let bytes = [1e16, 1.0, 1.0];
+        let (input, input_bytes) = ("out:m", 4.0);
+        let mut cfg = StorageConfig::s3_like();
+        cfg.replicas = 1;
+        let (_, mut w) = store(cfg.clone());
+        let (s, meter) = (&mut w.cloud.store, &mut w.cloud.meter);
+        s.name_objects(input, Some(named(&names)));
+        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, input_bytes);
+        for (task, &b) in bytes.iter().enumerate() {
+            s.register_object(
+                meter,
+                SimTime::ZERO,
+                ObjectKey::Output(TaskRef::new(0, task)),
+                b,
+            );
+        }
+        s.finalize(meter, SimTime::from_secs(1.0));
+        let got = meter.expense(cfg.price_per_gb_month).storage_dollars;
+
+        // The same objects settled the way a string-keyed store does.
+        let by_text: BTreeMap<String, f64> = names
+            .iter()
+            .map(|n| format!("out:{n}"))
+            .zip(bytes)
+            .chain([(input.to_string(), input_bytes)])
+            .collect();
+        let settle = |order: &mut dyn Iterator<Item = f64>| {
+            let mut m = CostMeter::new();
+            order.for_each(|b| m.charge_storage_occupancy(b, 1.0));
+            m.expense(cfg.price_per_gb_month).storage_dollars
+        };
+        let want = settle(&mut by_text.values().copied());
+        assert_eq!(got.to_bits(), want.to_bits());
+        // Settling by id would give a different sum.
+        let by_id = settle(&mut [input_bytes].into_iter().chain(bytes));
+        assert_ne!(by_id.to_bits(), want.to_bits());
+    }
+
+    #[test]
     fn overwrite_settles_old_occupancy() {
         let (_, mut w) = store(StorageConfig::s3_like());
         let (s, meter) = (&mut w.cloud.store, &mut w.cloud.meter);
-        s.register_object(meter, SimTime::ZERO, "k", 100.0);
-        s.register_object(meter, SimTime::from_secs(10.0), "k", 300.0);
+        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, 100.0);
+        s.register_object(meter, SimTime::from_secs(10.0), ObjectKey::Input, 300.0);
         assert_eq!(s.bytes_stored(), 300.0);
     }
 
     #[test]
-    #[should_panic(expected = "scheduling bug")]
+    #[should_panic(expected = "object 'out:b' read before it was written: executor scheduling bug")]
     fn assert_present_catches_missing_objects() {
-        let (_, w) = store(StorageConfig::s3_like());
-        w.cloud.store.assert_present("nope");
+        let (_, mut w) = store(StorageConfig::s3_like());
+        w.cloud
+            .store
+            .name_objects("initial:w", Some(named(&["a", "b"])));
+        w.cloud
+            .store
+            .assert_present(ObjectKey::Output(TaskRef::new(0, 1)));
     }
 
     #[test]

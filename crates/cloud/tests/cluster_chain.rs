@@ -11,14 +11,14 @@ use std::convert::Infallible;
 struct World {
     cloud: Cloud<World>,
     /// The merge task, started when the wide task finishes.
-    merge: Option<ClusterTaskSpec>,
+    merge: Option<ClusterTaskSpec<'static>>,
     done_at: Option<f64>,
 }
 
 /// The cloud's events, and the start of the chain's first task.
 enum Event {
     Cloud(CloudEvent),
-    Start(ClusterTaskSpec),
+    Start(ClusterTaskSpec<'static>),
 }
 
 impl From<CloudEvent> for Event {

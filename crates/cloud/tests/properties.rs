@@ -18,8 +18,8 @@ struct World {
 /// The cloud's events, and the start of the task under test.
 enum Event {
     Cloud(CloudEvent),
-    Cluster(ClusterTaskSpec),
-    Faas(FaasTaskSpec, SeedSource),
+    Cluster(ClusterTaskSpec<'static>),
+    Faas(FaasTaskSpec<'static>, SeedSource),
 }
 
 impl From<CloudEvent> for Event {
@@ -72,7 +72,7 @@ fn world(nodes: usize, seed: u64) -> (Simulation<World>, World) {
     (sim, world)
 }
 
-fn run_cluster_task(nodes: usize, spec: ClusterTaskSpec) -> f64 {
+fn run_cluster_task(nodes: usize, spec: ClusterTaskSpec<'static>) -> f64 {
     let (mut sim, mut w) = world(nodes, 1);
     sim.schedule_now(Event::Cluster(spec));
     sim.run(&mut w);
@@ -81,7 +81,7 @@ fn run_cluster_task(nodes: usize, spec: ClusterTaskSpec) -> f64 {
 
 /// Runs `spec` on the FaaS side of a fresh world seeded with `seed`,
 /// returning the world for inspection.
-fn faas_world(spec: FaasTaskSpec, seed: u64) -> World {
+fn faas_world(spec: FaasTaskSpec<'static>, seed: u64) -> World {
     let (mut sim, mut w) = world(1, seed);
     let seeds = SeedSource::new(seed);
     sim.schedule_now(Event::Faas(spec, seeds));
@@ -89,7 +89,7 @@ fn faas_world(spec: FaasTaskSpec, seed: u64) -> World {
     w
 }
 
-fn run_faas_task(spec: FaasTaskSpec) -> FaasRunStats {
+fn run_faas_task(spec: FaasTaskSpec<'static>) -> FaasRunStats {
     faas_world(spec, 2).faas.expect("completed")
 }
 

@@ -69,13 +69,18 @@ impl<'w> CheckedWorkflow<'w> {
     /// This workflow with a shared handle: the same `Arc` when it has one,
     /// else one copy.
     pub fn to_shared(&self) -> CheckedWorkflow<'static> {
-        let workflow = match &self.workflow {
+        CheckedWorkflow {
+            workflow: Held::Shared(self.shared()),
+            warnings: self.warnings.clone(),
+        }
+    }
+
+    /// The workflow's shared handle: the same `Arc` when it has one, else
+    /// one copy.
+    pub fn shared(&self) -> Arc<Workflow> {
+        match &self.workflow {
             Held::Shared(w) => Arc::clone(w),
             Held::Borrowed(w) => Arc::new((*w).clone()),
-        };
-        CheckedWorkflow {
-            workflow: Held::Shared(workflow),
-            warnings: self.warnings.clone(),
         }
     }
 

@@ -23,23 +23,14 @@ use crate::placement::{PlacementPlan, Platform};
 use crate::report::{TaskReport, WorkflowReport};
 use mashup_analyze::AnalysisError;
 use mashup_cloud::{
-    run_task_on_faas, ClusterRunStats, ClusterTaskSpec, FaasRunStats, FaasTaskSpec, VmCluster,
+    run_task_on_faas, ClusterRunStats, ClusterTaskSpec, FaasRunStats, FaasTaskSpec, ObjectKey,
+    VmCluster,
 };
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 
 /// The executor's world.
 type W = World<Option<Execution>>;
-
-/// The storage key under which a task's output is registered.
-fn output_key(task_name: &str) -> String {
-    format!("out:{task_name}")
-}
-
-/// The storage key of the staged initial dataset.
-fn initial_key(workflow: &str) -> String {
-    format!("initial:{workflow}")
-}
 
 /// Where a task's output lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,21 +41,22 @@ enum OutputLocation {
     Store,
 }
 
-/// Computes each task's output location under `plan` (see module docs).
-/// Walks the dependency lists rather than the consumer index, so it never
-/// builds an arena on the executor's workflow copy.
-fn output_locations(w: &Workflow, plan: &PlacementPlan) -> Vec<Vec<OutputLocation>> {
-    let mut locs: Vec<Vec<OutputLocation>> = w
-        .phases
-        .iter()
-        .map(|p| vec![OutputLocation::Master; p.tasks.len()])
-        .collect();
-    for r in w.task_refs() {
+/// Computes each task's output location under `plan` (see module docs),
+/// by flat id (`phase_base`, see [`phase_bases`]). Walks the dependency
+/// lists rather than the consumer index, so it never builds an arena on the
+/// executor's workflow copy.
+fn output_locations(
+    w: &Workflow,
+    phase_base: &[usize],
+    plan: &PlacementPlan,
+) -> Vec<OutputLocation> {
+    let mut locs = vec![OutputLocation::Master; w.task_count()];
+    for (flat, r) in w.task_refs().enumerate() {
         // Full coverage is guaranteed by diagnostic M201.
         if plan.platform(r).expect("plan covers workflow") == Platform::Serverless {
-            locs[r.phase][r.task] = OutputLocation::Store;
+            locs[flat] = OutputLocation::Store;
             for dep in &w.task(r).deps {
-                locs[dep.producer.phase][dep.producer.task] = OutputLocation::Store;
+                locs[phase_base[dep.producer.phase] + dep.producer.task] = OutputLocation::Store;
             }
         }
     }
@@ -99,7 +91,8 @@ pub struct Execution {
     /// Per-task memory tiers for a sized run; `None` runs every serverless
     /// task on the base platform (the original engine, byte-identical).
     sizing: Option<Sizing>,
-    locations: Vec<Vec<OutputLocation>>,
+    /// Each task's output location, by flat id.
+    locations: Vec<OutputLocation>,
     tracer: Tracer,
     /// Finished tasks' reports in completion order, unnamed: names are
     /// filled in from `completed` once the event loop is over.
@@ -111,8 +104,8 @@ pub struct Execution {
     /// next phase starts when the last one lands.
     pending_uploads: usize,
     /// The key and size of each migration of the latest replan, by the
-    /// index its [`ExecEvent::Uploaded`] carries; taken when it lands.
-    migrations: Vec<(String, f64)>,
+    /// index its [`ExecEvent::Uploaded`] carries.
+    migrations: Vec<(ObjectKey, f64)>,
     finished_at: Option<SimTime>,
     /// Online replanning controller; `None` unless the config's chaos spec
     /// turns `adaptive` on.
@@ -134,8 +127,8 @@ struct ChaosCtx {
     baseline: Option<PdcReport>,
     /// When the currently-running phase started.
     phase_started: SimTime,
-    /// Store keys already migrated master -> store by earlier replans.
-    uploaded: std::collections::BTreeSet<String>,
+    /// Tasks whose outputs earlier replans migrated master -> store.
+    uploaded: std::collections::BTreeSet<TaskRef>,
 }
 
 impl Execution {
@@ -151,6 +144,11 @@ impl Execution {
         self.sizing
             .as_ref()
             .map(|sizing| tier_key(sizing.tier(self.flat(r))))
+    }
+
+    /// Where task `r`'s output lands.
+    fn location(&self, r: TaskRef) -> OutputLocation {
+        self.locations[self.flat(r)]
     }
 }
 
@@ -195,11 +193,11 @@ impl Driver for Option<Execution> {
         let World { cloud, driver, .. } = &mut *w;
         let d = driver.as_ref().expect("executor state installed");
         let t = d.workflow.task(r);
-        if d.locations[r.phase][r.task] == OutputLocation::Store {
+        if d.location(r) == OutputLocation::Store {
             cloud.store.register_object(
                 &mut cloud.meter,
                 sim.now(),
-                output_key(&t.name),
+                ObjectKey::Output(r),
                 t.components as f64 * t.profile.output_bytes,
             );
         }
@@ -233,7 +231,7 @@ impl Driver for Option<Execution> {
         cloud.store.register_object(
             &mut cloud.meter,
             sim.now(),
-            output_key(&t.name),
+            ObjectKey::Output(r),
             t.components as f64 * t.profile.output_bytes,
         );
         let report = TaskReport {
@@ -284,7 +282,9 @@ pub fn execute(
     }
     env.attach_tracer(tracer.clone());
     let workflow = workflow.to_shared();
-    Ok(execute_in_unchecked(&mut env, cfg, &workflow, plan, sizing, strategy).0)
+    let (report, completed) =
+        execute_in_unchecked(&mut env, cfg, &workflow, plan, sizing, strategy);
+    Ok(named(report, &completed, &workflow))
 }
 
 /// [`execute`], unsized, in a caller-provided environment (tests inject
@@ -298,7 +298,20 @@ pub fn execute_in(
 ) -> Result<WorkflowReport, AnalysisError> {
     workflow.check(cfg, Some(plan), None)?;
     let workflow = workflow.to_shared();
-    Ok(execute_in_unchecked(env, cfg, &workflow, plan, None, strategy).0)
+    let (report, completed) = execute_in_unchecked(env, cfg, &workflow, plan, None, strategy);
+    Ok(named(report, &completed, &workflow))
+}
+
+/// Fills in the name of each task report, `completed` giving the task
+/// behind each. Names are allocated only after the event loop: built while
+/// it ran, long-lived name strings interleave with the loop's short-lived
+/// allocations and fragment the heap (at 100k tasks every later layer, DAG
+/// build included, measured about 20% slower).
+fn named(mut report: WorkflowReport, completed: &[TaskRef], w: &Workflow) -> WorkflowReport {
+    for (task, &r) in report.tasks.iter_mut().zip(completed) {
+        task.name = w.task(r).name.clone();
+    }
+    report
 }
 
 /// [`CheckedWorkflow::borrowed`], then [`execute`] unsized and unrecorded,
@@ -326,8 +339,8 @@ pub fn try_execute(
 /// in range (M105). The run shares `workflow`, so a caller running several
 /// passes copies it at most once.
 ///
-/// Returns the report and, for each entry of its `tasks`, the task it
-/// describes.
+/// Returns the report, its task reports unnamed (see [`named`]), and, for
+/// each entry of its `tasks`, the task it describes.
 pub(crate) fn execute_in_unchecked(
     env: &mut CloudEnv,
     cfg: &MashupConfig,
@@ -336,7 +349,12 @@ pub(crate) fn execute_in_unchecked(
     sizing: Option<&Sizing>,
     strategy: &str,
 ) -> (WorkflowReport, Vec<TaskRef>) {
-    let locations = output_locations(workflow, plan);
+    let phase_base = phase_bases(workflow);
+    let locations = output_locations(workflow, &phase_base, plan);
+    env.world.cloud.store.name_objects(
+        format!("initial:{}", workflow.name),
+        Some(workflow.shared()),
+    );
 
     // Install the seeded fault schedule before billing starts: spot pools
     // must wrap the whole billing window for piecewise settlement.
@@ -357,7 +375,7 @@ pub(crate) fn execute_in_unchecked(
         cloud.store.register_object(
             &mut cloud.meter,
             now,
-            initial_key(&workflow.name),
+            ObjectKey::Input,
             workflow.initial_input_bytes,
         );
     }
@@ -365,7 +383,7 @@ pub(crate) fn execute_in_unchecked(
     env.world.driver = Some(Execution {
         cfg: cfg.clone(),
         workflow: workflow.clone(),
-        phase_base: phase_bases(workflow),
+        phase_base,
         plan: plan.clone(),
         sizing: sizing.cloned(),
         locations,
@@ -399,14 +417,7 @@ pub(crate) fn execute_in_unchecked(
     }
     cloud.store.finalize(&mut cloud.meter, finished_at);
 
-    // Names are allocated only now, after the event loop. Built while it
-    // ran, long-lived name strings interleave with the loop's short-lived
-    // allocations and fragment the heap: at 100k tasks every later layer,
-    // DAG build included, measured about 20% slower.
-    let (mut tasks, completed) = (d.reports, d.completed);
-    for (report, &r) in tasks.iter_mut().zip(&completed) {
-        report.name = workflow.task(r).name.clone();
-    }
+    let (tasks, completed) = (d.reports, d.completed);
     let report = WorkflowReport {
         workflow: workflow.name.clone(),
         strategy: strategy.into(),
@@ -504,31 +515,26 @@ fn spawn_serverless(w: &mut W, sim: &mut Simulation<W>, r: TaskRef) {
         driver,
     } = w;
     let d = driver.as_ref().expect("executor state installed");
-    let wf = &d.workflow;
+    // The spec borrows its label from a handle of its own while `w` is
+    // lent to the platform.
+    let wf = d.workflow.shared();
     let t = wf.task(r);
     // Statelessness sanity check: everything this task reads must
     // already sit in the store.
     if t.deps.is_empty() {
-        cloud.store.assert_present(&initial_key(&wf.name));
+        cloud.store.assert_present(ObjectKey::Input);
     } else {
         for dep in &t.deps {
-            cloud
-                .store
-                .assert_present(&output_key(&wf.task(dep.producer).name));
+            cloud.store.assert_present(ObjectKey::Output(dep.producer));
         }
     }
-    let label = t
-        .profile
-        .code_family
-        .clone()
-        .unwrap_or_else(|| t.name.clone());
     let spec = FaasTaskSpec {
-        label,
+        label: t.profile.code_family.as_deref().unwrap_or(&t.name),
         components: t.components,
         compute_secs: t.profile.compute_secs_serverless(),
         input_bytes: t.profile.input_bytes,
         output_bytes: t.profile.output_bytes,
-        io_requests: input_requests(wf, r),
+        io_requests: input_requests(&wf, r),
         checkpoint_bytes: t.profile.checkpoint_bytes,
         jitter: t.profile.runtime_jitter,
         memory_gb: t.profile.memory_gb,
@@ -542,9 +548,11 @@ fn spawn_serverless(w: &mut W, sim: &mut Simulation<W>, r: TaskRef) {
 fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: usize) {
     let World { cloud, driver, .. } = w;
     let d = driver.as_ref().expect("executor state installed");
-    let wf = &d.workflow;
+    // The spec borrows its label from a handle of its own while `w` is
+    // lent to the platform.
+    let wf = d.workflow.shared();
     let t = wf.task(r);
-    let to_store = d.locations[r.phase][r.task] == OutputLocation::Store;
+    let to_store = d.location(r) == OutputLocation::Store;
     // Input routing: phase-0 tasks ingest the initial dataset from the
     // sub-cluster master (Algorithm 1 line 12); later phases pull from
     // other workers over the fabric — or from the store over the WAN
@@ -552,13 +560,11 @@ fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: 
     let from_store = t
         .deps
         .iter()
-        .any(|dep| d.locations[dep.producer.phase][dep.producer.task] == OutputLocation::Store);
+        .any(|dep| d.location(dep.producer) == OutputLocation::Store);
     if from_store {
         for dep in &t.deps {
-            if d.locations[dep.producer.phase][dep.producer.task] == OutputLocation::Store {
-                cloud
-                    .store
-                    .assert_present(&output_key(&wf.task(dep.producer).name));
+            if d.location(dep.producer) == OutputLocation::Store {
+                cloud.store.assert_present(ObjectKey::Output(dep.producer));
             }
         }
     }
@@ -575,12 +581,12 @@ fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: 
         mashup_cloud::ClusterOutput::Fabric
     };
     let spec = ClusterTaskSpec {
-        label: t.name.clone(),
+        label: &t.name,
         components: t.components,
         compute_secs: t.profile.compute_secs_vm,
         input_bytes: t.profile.input_bytes,
         output_bytes: t.profile.output_bytes,
-        io_requests: input_requests(wf, r),
+        io_requests: input_requests(&wf, r),
         contention_coeff: t.profile.vm_local_contention,
         memory_gb: t.profile.memory_gb,
         jitter: t.profile.runtime_jitter,
@@ -767,8 +773,9 @@ fn replan_and_run(
     // Completed phases keep their historical output locations (the
     // master copies exist and stay readable over the fabric); only
     // future rows follow the new placement.
-    let fresh = output_locations(&d.workflow, &d.plan);
-    d.locations[next..n_phases].clone_from_slice(&fresh[next..n_phases]);
+    let fresh = output_locations(&d.workflow, &d.phase_base, &d.plan);
+    let from = d.phase_base[next];
+    d.locations[from..].copy_from_slice(&fresh[from..]);
     // A plan that newly reaches a platform needs what the static
     // setup provisioned at time zero: cluster billing (idempotent)
     // and the staged initial dataset for store-reading sources.
@@ -779,7 +786,7 @@ fn replan_and_run(
         cloud.store.register_object(
             &mut cloud.meter,
             sim.now(),
-            initial_key(&d.workflow.name),
+            ObjectKey::Input,
             d.workflow.initial_input_bytes,
         );
     }
@@ -798,17 +805,16 @@ fn replan_and_run(
                 if p.phase >= next {
                     continue; // not run yet: routed by `locations`
                 }
-                if d.locations[p.phase][p.task] == OutputLocation::Store {
+                if d.location(p) == OutputLocation::Store {
                     continue; // already registered at completion
                 }
                 let pt = d.workflow.task(p);
-                let key = output_key(&pt.name);
                 let ctx = d.chaos.as_mut().expect("controller active");
-                if !ctx.uploaded.insert(key.clone()) {
+                if !ctx.uploaded.insert(p) {
                     continue; // migrated by an earlier replan
                 }
                 uploads.push((
-                    key,
+                    ObjectKey::Output(p),
                     pt.components as f64 * pt.profile.output_bytes,
                     pt.components as u64,
                 ));
@@ -840,7 +846,7 @@ fn replan_and_run(
 fn migration_landed(w: &mut W, sim: &mut Simulation<W>, index: usize, phase: usize) {
     let World { cloud, driver, .. } = &mut *w;
     let d = driver.as_mut().expect("executor state installed");
-    let (key, bytes) = std::mem::take(&mut d.migrations[index]);
+    let (key, bytes) = d.migrations[index];
     cloud
         .store
         .register_object(&mut cloud.meter, sim.now(), key, bytes);
@@ -1103,17 +1109,16 @@ mod tests {
     #[test]
     fn output_locations_follow_the_placement() {
         let w = two_phase_workflow();
+        let base = phase_bases(&w);
         // All VM: everything stays on the master.
         let vm = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let locs = output_locations(&w, &vm);
-        assert_eq!(locs[0][0], OutputLocation::Master);
-        assert_eq!(locs[1][0], OutputLocation::Master);
+        let locs = output_locations(&w, &base, &vm);
+        assert_eq!(locs, [OutputLocation::Master; 2]);
         // Serverless consumer forces the producer's output into the store.
         let mut hybrid = PlacementPlan::uniform(&w, Platform::VmCluster);
         hybrid.set(TaskRef::new(1, 0), Platform::Serverless);
-        let locs = output_locations(&w, &hybrid);
-        assert_eq!(locs[0][0], OutputLocation::Store);
-        assert_eq!(locs[1][0], OutputLocation::Store);
+        let locs = output_locations(&w, &base, &hybrid);
+        assert_eq!(locs, [OutputLocation::Store; 2]);
     }
 
     #[test]
@@ -1147,7 +1152,7 @@ mod tests {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let cfg = cfg(4);
-        let flat_wide = w.arena().flat_by_name("wide").expect("exists");
+        let flat_wide = w.flat_by_name("wide").expect("exists");
         let mut sizing = crate::Sizing::base(&cfg, &w);
         sizing.tiers_gb[flat_wide] = 8.0;
         let mixed = run_sized(&cfg, &w, &plan, &sizing, "s");

@@ -142,7 +142,7 @@ impl Fingerprint for Task {
         for d in &self.deps {
             f.write_usize(d.producer.phase);
             f.write_usize(d.producer.task);
-            f.write_str(&format!("{:?}", d.pattern));
+            f.write_str(d.pattern.name());
         }
     }
 }

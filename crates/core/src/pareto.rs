@@ -107,7 +107,7 @@ impl Candidate {
             ));
         }
         for &(flat, ti) in &self.tier_devs {
-            let name = space.base.arena().name(flat);
+            let name = &space.base.task(space.base.arena().task_ref(flat)).name;
             parts.push(format!("size[{}:{}GB]", name, space.tiers[ti]));
         }
         if parts.is_empty() {
@@ -168,7 +168,7 @@ pub fn materialize(
     f.write_str(&workflow.name);
     f.write_usize(workflow.task_count());
     for flat in 0..workflow.task_count() {
-        f.write_str(workflow.arena().name(flat));
+        f.write_str(&workflow.task(workflow.arena().task_ref(flat)).name);
         f.write_u64(tier_key(sizing.tier(flat)) as u64);
     }
     Ok(Materialized {
@@ -200,7 +200,6 @@ fn fused_flat_of(
         })
         .unwrap_or_else(|| space.base.task(r).name.clone());
     fused
-        .arena()
         .flat_by_name(&name)
         .expect("fused workflow contains every surviving task")
 }
@@ -511,7 +510,7 @@ mod tests {
     #[test]
     fn materialize_applies_fusion_and_tier_overrides() {
         let space = space();
-        let flat_c = space.base.arena().flat_by_name("C").expect("exists");
+        let flat_c = space.base.flat_by_name("C").expect("exists");
         let big = space.tiers.len() - 1;
         let cand = Candidate {
             fusion: vec![0],
@@ -519,8 +518,8 @@ mod tests {
         };
         let m = materialize(&space, &cfg(), &cand).expect("fusion checks clean");
         assert_eq!(m.workflow.task_count(), 2);
-        assert!(m.workflow.arena().flat_by_name("A+B").is_some());
-        let fused_c = m.workflow.arena().flat_by_name("C").expect("survives");
+        assert!(m.workflow.flat_by_name("A+B").is_some());
+        let fused_c = m.workflow.flat_by_name("C").expect("survives");
         assert_eq!(m.sizing.tier(fused_c), 8.0);
         assert!(!m.sizing.is_base(&cfg()));
     }
@@ -528,8 +527,8 @@ mod tests {
     #[test]
     fn aliasing_candidates_share_a_fingerprint() {
         let space = space();
-        let a = space.base.arena().flat_by_name("A").expect("exists");
-        let b = space.base.arena().flat_by_name("B").expect("exists");
+        let a = space.base.flat_by_name("A").expect("exists");
+        let b = space.base.flat_by_name("B").expect("exists");
         let big = space.tiers.len() - 1;
         // With (A→B) fused, sizing A or B lands on the same merged task.
         let via_a = materialize(

@@ -39,7 +39,7 @@ use crate::placement::{PlacementPlan, Platform};
 use mashup_analyze::{AnalysisError, FaasMisfit, PlanContext};
 use mashup_cloud::{
     run_task_on_faas, ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, Expense,
-    FaasConfig, FaasRunStats, FaasTaskSpec, VmCluster,
+    FaasConfig, FaasRunStats, FaasTaskSpec, ObjectKey, VmCluster,
 };
 use mashup_dag::{Phase, Task, TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
@@ -919,11 +919,11 @@ impl Pdc {
         cloud.store.register_object(
             &mut cloud.meter,
             SimTime::ZERO,
-            "probe-input",
+            ObjectKey::Input,
             t.profile.input_bytes,
         );
         let spec = FaasTaskSpec {
-            label,
+            label: &label,
             components: 1,
             compute_secs: t.profile.compute_secs_serverless(),
             input_bytes: t.profile.input_bytes,
@@ -1004,7 +1004,7 @@ impl Pdc {
             for (ti, t) in phase.tasks.iter().enumerate() {
                 let r = TaskRef::new(phase_idx, ti);
                 let spec = ClusterTaskSpec {
-                    label: t.name.clone(),
+                    label: &t.name,
                     components: t.components,
                     compute_secs: t.profile.compute_secs_vm,
                     input_bytes: t.profile.input_bytes,
@@ -1348,9 +1348,9 @@ fn run_noop_batch(
     let cloud = &mut env.world.cloud;
     cloud
         .store
-        .register_object(&mut cloud.meter, SimTime::ZERO, "calib-input", io_bytes);
+        .register_object(&mut cloud.meter, SimTime::ZERO, ObjectKey::Input, io_bytes);
     let spec = FaasTaskSpec {
-        label: format!("calibration-{components}"),
+        label: &format!("calibration-{components}"),
         components,
         compute_secs: compute,
         input_bytes: io_bytes,

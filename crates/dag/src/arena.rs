@@ -1,39 +1,22 @@
-//! Arena/SoA view of a workflow: flat task table, interned names, and CSR
-//! edge storage in both directions.
+//! Arena/SoA view of a workflow: flat task table and CSR edge storage in
+//! both directions.
 //!
 //! The nested `Phase { Vec<Task> }` object graph is the right shape for
 //! authoring and for the serde wire format, but traversal-heavy code (the
 //! PDC planner, the boundary-tax refinement, graph derivation) wants flat
-//! integer ids, O(1) name lookup, and contiguous adjacency slices. The
+//! integer ids and contiguous adjacency slices. The
 //! [`TaskArena`] provides exactly that as *derived* state: it is built once
 //! per workflow (lazily, cached in a `OnceLock`) and never serialized, so
 //! the wire format and all goldens stay byte-identical.
 //!
 //! Tasks are numbered flat in phase-major order (`flat = phase_start +
 //! task`), matching [`Workflow::task_refs`](crate::Workflow::task_refs)
-//! iteration order. Names are interned to [`Symbol`]s (`u32`), with the
-//! first occurrence winning for duplicate names — the same task a linear
-//! name scan would have found.
+//! iteration order. The arena holds no names: code inside the planner and
+//! the executor identifies a task by its flat id, and reads the name from
+//! the task only where a report, a diagnostic or a trace record prints it.
 
 use crate::pattern::DependencyPattern;
 use crate::workflow::{TaskRef, Workflow};
-#[expect(
-    clippy::disallowed_types,
-    reason = "keyed name lookups only, never iterated"
-)]
-use std::collections::HashMap;
-
-/// An interned task-name symbol. Two tasks share a symbol iff their names
-/// are equal. Valid only for the arena that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(u32);
-
-impl Symbol {
-    /// The symbol's dense index into the arena's name table.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// Flat structure-of-arrays view over a workflow's tasks and edges.
 ///
@@ -46,15 +29,8 @@ pub struct TaskArena {
     phase_starts: Vec<u32>,
     /// Per-flat-id `TaskRef` (phase-major order).
     refs: Vec<TaskRef>,
-    /// Per-flat-id interned name.
-    symbols: Vec<Symbol>,
     /// Per-flat-id component count.
     components: Vec<u32>,
-    /// Interned name table, indexed by `Symbol`.
-    names: Vec<String>,
-    /// Name → (symbol, flat id of first occurrence).
-    #[expect(clippy::disallowed_types, reason = "lookup-only, never iterated")]
-    by_name: HashMap<String, (Symbol, u32)>,
     /// Consumer CSR: per-producer slice bounds into `cons_entries`.
     cons_offsets: Vec<u32>,
     /// All reverse edges grouped by producer; within a producer, consumers
@@ -82,27 +58,12 @@ impl TaskArena {
         let n = acc as usize;
 
         let mut refs = Vec::with_capacity(n);
-        let mut symbols = Vec::with_capacity(n);
         let mut components = Vec::with_capacity(n);
-        let mut names: Vec<String> = Vec::new();
-        #[expect(clippy::disallowed_types, reason = "lookup-only, never iterated")]
-        let mut by_name: HashMap<String, (Symbol, u32)> = HashMap::with_capacity(n);
         let mut n_edges = 0usize;
         for (pi, phase) in w.phases.iter().enumerate() {
             for (ti, t) in phase.tasks.iter().enumerate() {
-                let flat = refs.len() as u32;
                 refs.push(TaskRef::new(pi, ti));
                 components.push(u32::try_from(t.components).unwrap_or(u32::MAX));
-                let sym = match by_name.get(&t.name) {
-                    Some(&(sym, _)) => sym,
-                    None => {
-                        let sym = Symbol(names.len() as u32);
-                        names.push(t.name.clone());
-                        by_name.insert(t.name.clone(), (sym, flat));
-                        sym
-                    }
-                };
-                symbols.push(sym);
                 n_edges += t.deps.len();
             }
         }
@@ -143,10 +104,7 @@ impl TaskArena {
         TaskArena {
             phase_starts,
             refs,
-            symbols,
             components,
-            names,
-            by_name,
             cons_offsets,
             cons_entries,
             prod_offsets,
@@ -157,11 +115,6 @@ impl TaskArena {
     /// Number of tasks.
     pub fn task_count(&self) -> usize {
         self.refs.len()
-    }
-
-    /// Number of distinct task names.
-    pub fn symbol_count(&self) -> usize {
-        self.names.len()
     }
 
     /// Flat id for a task reference, or `None` if out of range.
@@ -177,37 +130,9 @@ impl TaskArena {
         self.refs[flat]
     }
 
-    /// Interned name symbol of a task. Panics if out of range.
-    pub fn symbol(&self, flat: usize) -> Symbol {
-        self.symbols[flat]
-    }
-
     /// Component count of a task. Panics if out of range.
     pub fn components(&self, flat: usize) -> usize {
         self.components[flat] as usize
-    }
-
-    /// The name behind a symbol.
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
-    }
-
-    /// Name of a task. Panics if out of range.
-    pub fn name(&self, flat: usize) -> &str {
-        self.resolve(self.symbols[flat])
-    }
-
-    /// O(1) name lookup: the first task with the given name, as the old
-    /// linear scan would have found it.
-    pub fn lookup(&self, name: &str) -> Option<(TaskRef, Symbol)> {
-        self.by_name
-            .get(name)
-            .map(|&(sym, flat)| (self.refs[flat as usize], sym))
-    }
-
-    /// Flat id of the first task with the given name.
-    pub fn flat_by_name(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).map(|&(_, flat)| flat as usize)
     }
 
     /// The tasks that consume `producer`'s output, with patterns, in phase
@@ -259,7 +184,6 @@ mod tests {
         for (i, r) in w.task_refs().enumerate() {
             assert_eq!(arena.flat(r), Some(i));
             assert_eq!(arena.task_ref(i), r);
-            assert_eq!(arena.name(i), w.task(r).name);
             assert_eq!(arena.components(i), w.task(r).components);
         }
         assert_eq!(arena.flat(TaskRef::new(9, 0)), None);
@@ -282,8 +206,8 @@ mod tests {
     }
 
     #[test]
-    fn interning_dedups_names_first_occurrence_wins() {
-        // Duplicate names are invalid workflows but the arena must still be
+    fn name_lookup_keeps_the_first_occurrence() {
+        // Duplicate names are invalid workflows but lookups must still be
         // well-defined for diagnostics: the first occurrence wins.
         let w = Workflow::new(
             "dup",
@@ -295,20 +219,19 @@ mod tests {
             }],
             0.0,
         );
-        let arena = w.arena();
-        assert_eq!(arena.symbol_count(), 1);
-        assert_eq!(arena.symbol(0), arena.symbol(1));
-        assert_eq!(arena.lookup("X").map(|(r, _)| r), Some(TaskRef::new(0, 0)));
-        assert_eq!(arena.flat_by_name("X"), Some(0));
+        let (r, t) = w.task_by_name("X").expect("found");
+        assert_eq!((r, t.components), (TaskRef::new(0, 0), 1));
+        assert_eq!(w.flat_by_name("X"), Some(0));
     }
 
     #[test]
-    fn symbols_resolve_round_trip() {
+    fn name_lookup_agrees_with_flat_ids() {
         let w = layered();
-        let arena = w.arena();
-        let (r, sym) = arena.lookup("D").expect("found");
+        let (r, t) = w.task_by_name("D").expect("found");
         assert_eq!(r, TaskRef::new(1, 1));
-        assert_eq!(arena.resolve(sym), "D");
-        assert!(arena.lookup("missing").is_none());
+        assert_eq!(t.name, "D");
+        assert_eq!(w.flat_by_name("D"), w.arena().flat(r));
+        assert!(w.task_by_name("missing").is_none());
+        assert!(w.flat_by_name("missing").is_none());
     }
 }

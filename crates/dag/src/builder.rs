@@ -99,7 +99,7 @@ pub fn validate(w: &Workflow) -> Result<(), ValidationError> {
         clippy::disallowed_types,
         reason = "duplicate detection via membership only"
     )]
-    let mut names = HashSet::new();
+    let mut names: HashSet<&str> = HashSet::with_capacity(w.task_count());
     for (pi, phase) in w.phases.iter().enumerate() {
         if phase.tasks.is_empty() {
             return Err(ValidationError::EmptyPhase(pi));
@@ -108,7 +108,7 @@ pub fn validate(w: &Workflow) -> Result<(), ValidationError> {
             if task.components == 0 {
                 return Err(ValidationError::ZeroComponents(task.name.clone()));
             }
-            if !names.insert(task.name.clone()) {
+            if !names.insert(&task.name) {
                 return Err(ValidationError::DuplicateTaskName(task.name.clone()));
             }
             if let Err(detail) = task.profile.validate() {

@@ -141,6 +141,12 @@ pub fn fusable_pairs(w: &Workflow) -> Vec<FusionCandidate> {
     for producer in w.task_refs() {
         let consumers = w.consumers(producer);
         if let [(consumer, _)] = consumers {
+            // A consumer with several dependencies is never fusable; skip
+            // it before `check_fusable` formats the reason (a fan-in sink
+            // would otherwise cost one `format!` per producer).
+            if w.task(*consumer).deps.len() != 1 {
+                continue;
+            }
             let pair = FusionCandidate {
                 producer,
                 consumer: *consumer,

@@ -29,7 +29,7 @@ mod placement;
 mod profile;
 mod workflow;
 
-pub use arena::{Symbol, TaskArena};
+pub use arena::TaskArena;
 pub use builder::{validate, ValidationError, WorkflowBuilder};
 pub use dot::to_dot;
 pub use fusion::{fusable_pairs, fuse, FusionCandidate, FusionError};

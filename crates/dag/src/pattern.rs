@@ -28,6 +28,16 @@ pub enum DependencyPattern {
 }
 
 impl DependencyPattern {
+    /// The variant's name, as `{:?}` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            DependencyPattern::OneToOne => "OneToOne",
+            DependencyPattern::AllToAll => "AllToAll",
+            DependencyPattern::FanOutBlocks => "FanOutBlocks",
+            DependencyPattern::FanInBlocks => "FanInBlocks",
+        }
+    }
+
     /// Checks the component-count compatibility rule for this pattern.
     pub fn check(&self, producer: usize, consumer: usize) -> Result<(), String> {
         if producer == 0 || consumer == 0 {
@@ -80,6 +90,14 @@ impl DependencyPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_match_debug_output() {
+        use DependencyPattern::*;
+        for p in [OneToOne, AllToAll, FanOutBlocks, FanInBlocks] {
+            assert_eq!(p.name(), format!("{p:?}"));
+        }
+    }
 
     #[test]
     fn one_to_one_maps_identity() {

@@ -40,16 +40,23 @@ impl std::error::Error for UnassignedTask {}
 
 /// A complete task-to-platform assignment for one workflow.
 ///
-/// Stored as a dense per-phase table indexed by `(phase, task)` — plan
-/// lookups sit on the executor's and PDC's hot paths, and the table shape
-/// is a canonical function of the assignment set, so derived equality is
-/// exact. Serialized as a list of `(task, platform)` pairs (JSON maps need
-/// string keys, and `TaskRef` is a struct) — the same wire format the
-/// `BTreeMap` representation produced.
+/// Stored as one flat phase-major table (the numbering of
+/// [`TaskArena`](crate::TaskArena)) — plan lookups sit on the executor's and
+/// PDC's hot paths, and one table is one allocation however many phases the
+/// workflow has. Each phase's row is as long as the workflow's phase (for
+/// [`uniform`](Self::uniform)) or as its highest assigned task (for
+/// [`set`](Self::set)), so the table is a canonical function of the
+/// assignment set and derived equality is exact. Serialized as a list of
+/// `(task, platform)` pairs (JSON maps need string keys, and `TaskRef` is a
+/// struct) — the same wire format the `BTreeMap` representation produced.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 #[serde(from = "Vec<(TaskRef, Platform)>", into = "Vec<(TaskRef, Platform)>")]
 pub struct PlacementPlan {
-    assignments: Vec<Vec<Option<Platform>>>,
+    /// Index into `slots` of each phase's first task; a phase's row ends
+    /// where the next one starts (the last at `slots.len()`).
+    starts: Vec<usize>,
+    /// Per-task assignment, phase-major.
+    slots: Vec<Option<Platform>>,
 }
 
 impl From<Vec<(TaskRef, Platform)>> for PlacementPlan {
@@ -71,41 +78,59 @@ impl From<PlacementPlan> for Vec<(TaskRef, Platform)> {
 impl PlacementPlan {
     /// An empty plan.
     pub fn new() -> Self {
-        PlacementPlan {
-            assignments: Vec::new(),
-        }
+        PlacementPlan::default()
     }
 
     /// A plan putting every task of `w` on `platform`, pre-sized from the
     /// workflow's phase shape.
     pub fn uniform(w: &Workflow, platform: Platform) -> Self {
+        let mut starts = Vec::with_capacity(w.phases.len());
+        let mut n = 0;
+        for p in &w.phases {
+            starts.push(n);
+            n += p.tasks.len();
+        }
         PlacementPlan {
-            assignments: w
-                .phases
-                .iter()
-                .map(|p| vec![Some(platform); p.tasks.len()])
-                .collect(),
+            starts,
+            slots: vec![Some(platform); n],
         }
     }
 
-    /// Assigns a task, growing the table as needed.
+    /// The slot range of phase `phase`'s row (which must exist).
+    fn row(&self, phase: usize) -> std::ops::Range<usize> {
+        let end = self
+            .starts
+            .get(phase + 1)
+            .copied()
+            .unwrap_or(self.slots.len());
+        self.starts[phase]..end
+    }
+
+    /// Assigns a task, growing the table as needed. Assigning in
+    /// phase-major order only ever appends.
     pub fn set(&mut self, task: TaskRef, platform: Platform) {
-        if task.phase >= self.assignments.len() {
-            self.assignments.resize(task.phase + 1, Vec::new());
+        if task.phase >= self.starts.len() {
+            self.starts.resize(task.phase + 1, self.slots.len());
         }
-        let row = &mut self.assignments[task.phase];
+        let row = self.row(task.phase);
         if task.task >= row.len() {
-            row.resize(task.task + 1, None);
+            let grow = task.task + 1 - row.len();
+            self.slots
+                .splice(row.end..row.end, std::iter::repeat_n(None, grow));
+            for start in &mut self.starts[task.phase + 1..] {
+                *start += grow;
+            }
         }
-        row[task.task] = Some(platform);
+        self.slots[row.start + task.task] = Some(platform);
     }
 
     /// The platform of `task`, or [`UnassignedTask`] when the plan never
     /// assigned it.
     pub fn platform(&self, task: TaskRef) -> Result<Platform, UnassignedTask> {
-        self.assignments
-            .get(task.phase)
-            .and_then(|row| row.get(task.task).copied().flatten())
+        (task.phase < self.starts.len())
+            .then(|| self.row(task.phase))
+            .filter(|row| task.task < row.len())
+            .and_then(|row| self.slots[row.start + task.task])
             .ok_or(UnassignedTask(task))
     }
 
@@ -116,23 +141,24 @@ impl PlacementPlan {
 
     /// Number of tasks assigned to `platform`.
     pub fn count(&self, platform: Platform) -> usize {
-        self.iter().filter(|&(_, p)| p == platform).count()
+        self.slots.iter().filter(|&&p| p == Some(platform)).count()
     }
 
     /// True if at least one task runs on the VM cluster.
     pub fn uses_cluster(&self) -> bool {
-        self.count(Platform::VmCluster) > 0
+        self.slots.contains(&Some(Platform::VmCluster))
     }
 
     /// True if at least one task runs serverless.
     pub fn uses_serverless(&self) -> bool {
-        self.count(Platform::Serverless) > 0
+        self.slots.contains(&Some(Platform::Serverless))
     }
 
     /// Iterates over `(task, platform)` in task order.
     pub fn iter(&self) -> impl Iterator<Item = (TaskRef, Platform)> + '_ {
-        self.assignments.iter().enumerate().flat_map(|(pi, row)| {
-            row.iter()
+        (0..self.starts.len()).flat_map(move |pi| {
+            self.slots[self.row(pi)]
+                .iter()
                 .enumerate()
                 .filter_map(move |(ti, p)| p.map(|p| (TaskRef::new(pi, ti), p)))
         })
@@ -207,6 +233,27 @@ mod tests {
                 (TaskRef::new(1, 2), Platform::Serverless),
             ]
         );
+    }
+
+    #[test]
+    fn growing_an_earlier_row_keeps_later_rows() {
+        let mut plan = PlacementPlan::new();
+        plan.set(TaskRef::new(2, 0), Platform::Serverless);
+        plan.set(TaskRef::new(0, 1), Platform::VmCluster);
+        plan.set(TaskRef::new(1, 0), Platform::Serverless);
+        plan.set(TaskRef::new(0, 0), Platform::Serverless);
+        assert_eq!(
+            plan.iter().collect::<Vec<_>>(),
+            vec![
+                (TaskRef::new(0, 0), Platform::Serverless),
+                (TaskRef::new(0, 1), Platform::VmCluster),
+                (TaskRef::new(1, 0), Platform::Serverless),
+                (TaskRef::new(2, 0), Platform::Serverless),
+            ]
+        );
+        assert!(plan.platform(TaskRef::new(1, 1)).is_err());
+        assert!(plan.platform(TaskRef::new(3, 0)).is_err());
+        assert_eq!(plan, PlacementPlan::from(plan.iter().collect::<Vec<_>>()));
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub struct Workflow {
     /// Size of the initial input dataset in bytes (informational; initial
     /// tasks additionally declare per-component input bytes).
     pub initial_input_bytes: f64,
-    /// Lazily-built arena index (flat task table, interned names, CSR edges
+    /// Lazily-built arena index (flat task table and CSR edges
     /// in both directions). Built on the first [`arena`](Workflow::arena) /
     /// [`consumers`](Workflow::consumers) call (or eagerly by the builder);
     /// semantic fields must not be mutated after that point — clone the
@@ -166,8 +166,7 @@ impl Workflow {
     }
 
     /// The arena/SoA index over this workflow's tasks and edges, built on
-    /// first use: flat ids, interned name symbols, O(1) name lookup, and
-    /// CSR consumer/producer adjacency.
+    /// first use: flat ids and CSR consumer/producer adjacency.
     pub fn arena(&self) -> &TaskArena {
         self.arena_cache.get_or_init(|| TaskArena::build(self))
     }
@@ -183,10 +182,20 @@ impl Workflow {
         &self.phases[r.phase].tasks[r.task]
     }
 
-    /// Looks up a task by name via the arena's interned-name table (O(1);
-    /// the first occurrence wins, as the old linear scan did).
+    /// The first task with the given name, by a scan in phase order. Names
+    /// are for reports and tools; planning and execution use flat ids.
     pub fn task_by_name(&self, name: &str) -> Option<(TaskRef, &Task)> {
-        self.arena().lookup(name).map(|(r, _)| (r, self.task(r)))
+        self.task_refs()
+            .map(|r| (r, self.task(r)))
+            .find(|(_, t)| t.name == name)
+    }
+
+    /// Flat id (see [`TaskArena`]) of the first task with the given name.
+    pub fn flat_by_name(&self, name: &str) -> Option<usize> {
+        self.phases
+            .iter()
+            .flat_map(|p| &p.tasks)
+            .position(|t| t.name == name)
     }
 
     /// Iterates over all task references in phase order.

@@ -114,7 +114,7 @@ fn exec_fingerprint(e: &Evaluated) -> u128 {
     for r in w.task_refs() {
         let flat = w.arena().flat(r).expect("in range");
         let serverless = e.report.plan.platform(r) == Ok(Platform::Serverless);
-        f.write_str(w.arena().name(flat));
+        f.write_str(&w.task(r).name);
         f.write_bool(serverless);
         if serverless {
             f.write_f64(e.mat.sizing.tier(flat));

@@ -22,8 +22,27 @@
 //! (serverless-only), `pegasus` and `kepler`. `compare` runs all but
 //! `wo-pdc`. Every command refuses inputs the analyzer rejects with its
 //! rendered diagnostics and exit status 1.
+//!
+//! Output goes through one fallible writer: when the reader closes stdout
+//! early (`mashup trace … | head -1`), the command stops quietly.
 
 use mashup::prelude::*;
+use std::io::{self, Write};
+
+/// `print!` through the fallible writer: a failed write returns its error
+/// from the enclosing command instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(io::stdout(), $($arg)*)?
+    };
+}
+
+/// `println!` through the fallible writer (see [`out!`]).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*)?
+    };
+}
 
 fn load_workflow(spec: &str) -> Workflow {
     match spec {
@@ -161,8 +180,8 @@ fn parse_args(mut rest: std::env::Args) -> Args {
     args
 }
 
-fn print_report(label: &str, r: &WorkflowReport) {
-    println!(
+fn print_report(label: &str, r: &WorkflowReport) -> io::Result<()> {
+    outln!(
         "{:<12} {:>10.1}s   ${:<8.4} (vm ${:.4} + faas ${:.4} + storage ${:.4})",
         label,
         r.makespan_secs,
@@ -171,9 +190,22 @@ fn print_report(label: &str, r: &WorkflowReport) {
         r.expense.faas_dollars,
         r.expense.storage_dollars
     );
+    Ok(())
 }
 
 fn main() {
+    if let Err(e) = cli() {
+        // The reader closed stdout (`mashup … | head`): stop quietly, as
+        // pipelines expect.
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        die(&format!("cannot write to stdout: {e}"));
+    }
+}
+
+/// Runs the command the arguments name.
+fn cli() -> io::Result<()> {
     let mut argv = std::env::args();
     let _bin = argv.next();
     let Some(cmd) = argv.next() else {
@@ -186,7 +218,7 @@ fn main() {
         "validate" => {
             let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
             let w = load_workflow(&spec);
-            println!(
+            outln!(
                 "'{}' is valid: {} tasks, {} components, {} phases, peak width {}",
                 w.name,
                 w.task_count(),
@@ -198,7 +230,7 @@ fn main() {
         "dot" => {
             let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
             let w = load_workflow(&spec);
-            print!("{}", mashup::dag::to_dot(&w));
+            out!("{}", mashup::dag::to_dot(&w));
         }
         "analyze" => {
             let args = parse_args(argv);
@@ -206,7 +238,7 @@ fn main() {
             let cfg = MashupConfig::aws(args.nodes);
             match w.check(&cfg, None, None) {
                 Ok(warnings) => {
-                    print!("{}", render_pretty(&warnings));
+                    out!("{}", render_pretty(&warnings));
                 }
                 Err(e) => die_diagnosed(&e),
             }
@@ -223,21 +255,28 @@ fn main() {
                 .with_probe_sharing(args.probe_sharing)
                 .plan(&w)
                 .unwrap_or_else(|e| die_diagnosed(&e));
-            println!(
+            outln!(
                 "plan for '{}' on {} nodes ({} sub-clusters):",
-                w.name, args.nodes, pdc.subclusters
+                w.name,
+                args.nodes,
+                pdc.subclusters
             );
             for d in &pdc.decisions {
                 let reason = d
                     .forced_vm_reason
                     .map(|r| format!("  [{r}]"))
                     .unwrap_or_default();
-                println!(
+                outln!(
                     "  {:<20} C={:<5} T_vm={:>9.1}s  T_sl≈{:>9.1}s  -> {}{}",
-                    d.name, d.components, d.t_vm_secs, d.t_serverless_est_secs, d.platform, reason
+                    d.name,
+                    d.components,
+                    d.t_vm_secs,
+                    d.t_serverless_est_secs,
+                    d.platform,
+                    reason
                 );
             }
-            println!(
+            outln!(
                 "profiling cost: ${:.4} (amortized over production runs)",
                 pdc.profiling_expense.total()
             );
@@ -248,9 +287,9 @@ fn main() {
             let cfg = MashupConfig::aws(args.nodes);
             let strategy = strategy_named(&args.strategy);
             let report = run_or_die(strategy, &cfg, &w, &Tracer::off());
-            print_report(&args.strategy, &report);
+            print_report(&args.strategy, &report)?;
             for t in &report.tasks {
-                println!(
+                outln!(
                     "  {:<20} {:<10} {:>8.1}s  (cold {:>5.1}s, io {:>7.1}s, {} ckpts)",
                     t.name,
                     t.platform.to_string(),
@@ -260,7 +299,7 @@ fn main() {
                     t.checkpoints
                 );
             }
-            println!("\n{}", report.render_gantt(60));
+            outln!("\n{}", report.render_gantt(60));
         }
         "trace" => {
             let args = parse_args(argv);
@@ -288,7 +327,7 @@ fn main() {
                         args.format
                     );
                 }
-                None => print!("{body}"),
+                None => out!("{body}"),
             }
             if args.check {
                 let violations = mashup::engine::trace::check(&cfg, &w, &report, &records);
@@ -306,35 +345,36 @@ fn main() {
             let args = parse_args(argv);
             let w = load_checked(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
-            println!("'{}' on {} nodes:", w.name, args.nodes);
-            let reports: Vec<(Strategy, WorkflowReport)> = STRATEGIES
-                .iter()
-                .filter(|(_, s)| *s != Strategy::MashupWithoutPdc)
-                .map(|&(name, s)| {
-                    let report = run_or_die(s, &cfg, &w, &Tracer::off());
-                    print_report(name, &report);
-                    (s, report)
-                })
-                .collect();
+            outln!("'{}' on {} nodes:", w.name, args.nodes);
+            let mut reports: Vec<(Strategy, WorkflowReport)> = Vec::new();
+            for &(name, s) in &STRATEGIES {
+                if s == Strategy::MashupWithoutPdc {
+                    continue;
+                }
+                let report = run_or_die(s, &cfg, &w, &Tracer::off());
+                print_report(name, &report)?;
+                reports.push((s, report));
+            }
             let report = |s: Strategy| &reports.iter().find(|(r, _)| *r == s).expect("compared").1;
             let (traditional, mashup) =
                 (report(Strategy::TraditionalTuned), report(Strategy::Mashup));
-            println!(
+            outln!(
                 "\nmashup vs traditional: {:.1}% time, {:.1}% expense",
                 improvement_pct(mashup.makespan_secs, traditional.makespan_secs),
                 improvement_pct(mashup.expense.total(), traditional.expense.total())
             );
         }
-        "pareto" => run_pareto(argv),
-        "chaos" => run_chaos(argv),
-        "serve" => run_serve(argv),
+        "pareto" => run_pareto(argv)?,
+        "chaos" => run_chaos(argv)?,
+        "serve" => run_serve(argv)?,
         other => die(&format!("unknown command '{other}'")),
     }
+    Ok(())
 }
 
 /// `mashup pareto`: search the fusion × right-sizing plan space and print
 /// the time/expense Pareto front (see `mashup-serve`'s `pareto` module).
-fn run_pareto(mut argv: std::env::Args) {
+fn run_pareto(mut argv: std::env::Args) -> io::Result<()> {
     let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
     let mut nodes = 8usize;
     let mut budget = 200usize;
@@ -371,15 +411,17 @@ fn run_pareto(mut argv: std::env::Args) {
     let outcome = mashup::serve::pareto_sweep_with(&cfg, &w, budget, Default::default())
         .unwrap_or_else(|e| die_diagnosed(&e));
     let wall = started.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "Pareto front for '{}' on {nodes} nodes (budget {budget} candidates):",
         w.name
     );
-    println!("{:<44} {:>10} {:>11}", "candidate", "makespan", "expense");
+    outln!("{:<44} {:>10} {:>11}", "candidate", "makespan", "expense");
     for p in &outcome.front {
-        println!(
+        outln!(
             "{:<44} {:>9.1}s  ${:<10.4}",
-            p.label, p.makespan_secs, p.expense_dollars
+            p.label,
+            p.makespan_secs,
+            p.expense_dollars
         );
     }
     let s = &outcome.stats;
@@ -434,6 +476,7 @@ fn run_pareto(mut argv: std::env::Args) {
             .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}")));
         eprintln!("wrote JSON front to {path}");
     }
+    Ok(())
 }
 
 /// `mashup chaos`: executes the workflow three times — fault-free, then
@@ -443,7 +486,7 @@ fn run_pareto(mut argv: std::env::Args) {
 /// traces through the trace-invariant oracle and exits nonzero on any
 /// violation. Everything is derived from the seed: rerunning the command
 /// reproduces every fault, retry, and replan bit-identically.
-fn run_chaos(mut argv: std::env::Args) {
+fn run_chaos(mut argv: std::env::Args) -> io::Result<()> {
     let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
     let mut nodes = 16usize;
     let mut seed = 1u64;
@@ -510,7 +553,7 @@ fn run_chaos(mut argv: std::env::Args) {
         _ => FaultProfile::preemption(horizon),
     };
     let plan = FaultPlan::generate(seed, &prof, nodes, cfg.cluster.instance.price_per_hour);
-    println!(
+    outln!(
         "'{}' on {nodes} nodes, {profile} faults (seed {seed}, horizon {horizon:.0}s): \
          {} scheduled",
         w.name,
@@ -530,17 +573,17 @@ fn run_chaos(mut argv: std::env::Args) {
     let a_report = run(&adaptive_cfg, &a_tracer);
     let a_records = a_tracer.take();
 
-    print_report("fault-free", &base);
-    print_report("static", &s_report);
-    print_report("adaptive", &a_report);
-    println!(
+    print_report("fault-free", &base)?;
+    print_report("static", &s_report)?;
+    print_report("adaptive", &a_report)?;
+    outln!(
         "adaptive vs static: {:.1}% time, {:.1}% expense",
         improvement_pct(a_report.makespan_secs, s_report.makespan_secs),
         improvement_pct(a_report.expense.total(), s_report.expense.total())
     );
     for (label, records) in [("static", &s_records), ("adaptive", &a_records)] {
         let count = |f: fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.event)).count();
-        println!(
+        outln!(
             "{label:<9} preemptions {}, fault windows {}, comp retries {}, \
              storage retries {}, replans {}",
             count(|e| matches!(e, TraceEvent::SpotPreempt { .. })),
@@ -566,13 +609,14 @@ fn run_chaos(mut argv: std::env::Args) {
         }
         eprintln!("trace check: all invariants hold on both chaos traces");
     }
+    Ok(())
 }
 
 /// `mashup serve`: JSONL planning service over stdio. Each stdin line is a
 /// `PlanRequest`; replies are written to stdout as JSONL in submission
 /// order. Admission rejections and parse errors go to stderr; the process
 /// exits once stdin closes and the backlog drains.
-fn run_serve(mut argv: std::env::Args) {
+fn run_serve(mut argv: std::env::Args) -> io::Result<()> {
     use mashup::serve::{PlanRequest, PlanService, ServiceConfig, Ticket};
     let mut workers = mashup::serve::jobs();
     let mut queue_depth = ServiceConfig::default().queue_depth;
@@ -617,7 +661,7 @@ fn run_serve(mut argv: std::env::Args) {
     }
     for t in tickets {
         let reply = t.wait();
-        println!(
+        outln!(
             "{}",
             serde_json::to_string(&reply).unwrap_or_else(|e| die(&format!("serialize: {e}")))
         );
@@ -640,4 +684,5 @@ fn run_serve(mut argv: std::env::Args) {
             }
         }
     );
+    Ok(())
 }

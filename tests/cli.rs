@@ -298,3 +298,40 @@ fn a_window_bound_task_is_planned_onto_the_vm_cluster() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("M202"), "{stderr}");
 }
+
+/// A reader that closes stdout early (`mashup … | head -1`) ends the
+/// command quietly: no panic, no exit status 101.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/analyze_fixtures/window_bound_workflow.json"
+    );
+    // The verbose trace far outgrows a pipe buffer, so the writer is still
+    // writing when the reader goes away after one line; the short run
+    // report finds its reader gone before its first line.
+    for (args, read) in [
+        (&["trace", "SRAsearch", "--nodes", "4", "--verbose"][..], 1),
+        (&["run", fixture, "--strategy", "wo-pdc"], 0),
+    ] {
+        let mut child = mashup()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
+        for _ in 0..read {
+            let mut line = String::new();
+            stdout.read_line(&mut line).expect("one line");
+            assert!(!line.is_empty(), "{args:?}: no output");
+        }
+        drop(stdout);
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -4,8 +4,8 @@
 //! candidate sub-cluster split (k = 1, 2, 4). It shares one workflow copy
 //! across the passes, runs them unchecked and indexes each pass's task
 //! times by flat id. The reference here runs three `execute_in` passes,
-//! each checking its config and plan, and maps every report back through
-//! `flat_by_name`; every field the profiling stage produces must match it
+//! each checking its config and plan, and maps every report back to a flat
+//! id by task name; every field the profiling stage produces must match it
 //! bit for bit. The remaining tests pin where refusals happen and the
 //! naming of reports built after the event loop.
 
@@ -17,6 +17,7 @@ use mashup_core::{
 };
 use mashup_dag::Workflow;
 use mashup_workflows::{epigenomics, genome1000, srasearch};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -36,6 +37,11 @@ fn reference(cfg: &MashupConfig, w: &Workflow) -> Profile {
     let mut expense = Expense::default();
     let mut best_task_vm = vec![f64::INFINITY; w.task_count()];
     let mut best: Option<(usize, WorkflowReport)> = None;
+    let flat_of: BTreeMap<&str, usize> = w
+        .task_refs()
+        .enumerate()
+        .map(|(flat, r)| (w.task(r).name.as_str(), flat))
+        .collect();
     for k in [1usize, 2, 4] {
         if k > cfg.cluster.nodes {
             continue;
@@ -48,7 +54,7 @@ fn reference(cfg: &MashupConfig, w: &Workflow) -> Profile {
         expense.faas_dollars += report.expense.faas_dollars;
         expense.storage_dollars += report.expense.storage_dollars;
         for t in &report.tasks {
-            let flat = w.arena().flat_by_name(&t.name).expect("task exists");
+            let flat = flat_of[t.name.as_str()];
             best_task_vm[flat] = best_task_vm[flat].min(t.makespan_secs());
         }
         if best
