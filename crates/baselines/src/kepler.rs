@@ -9,7 +9,9 @@
 //! state-of-the-art managers with. Everything runs on the cluster; no
 //! serverless, no external storage.
 
-use mashup_cloud::{ClusterRunStats, ClusterTaskSpec, FaasRunStats, VmCluster};
+use mashup_cloud::{
+    ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, FaasRunStats, VmCluster,
+};
 use mashup_core::{
     AnalysisError, CheckedWorkflow, CloudEnv, Driver, MashupConfig, PlacementPlan, Platform,
     TaskReport, TraceEvent, Tracer, WorkflowReport, World, WorldEvent,
@@ -25,12 +27,13 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 
 /// Kepler's world: the cloud plus its dataflow director.
-pub type KeplerWorld = World<Director>;
+pub type KeplerWorld<'w> = World<Director<'w>>;
 
 /// The dataflow director's state: which tasks still wait on producers, and
 /// the reports of finished ones.
-pub struct Director {
-    workflow: CheckedWorkflow<'static>,
+pub struct Director<'w> {
+    /// The caller's workflow.
+    workflow: &'w CheckedWorkflow<'w>,
     /// Unfinished producer count per task.
     #[expect(clippy::disallowed_types, reason = "keyed access only")]
     pending_deps: HashMap<TaskRef, usize>,
@@ -47,12 +50,12 @@ pub struct Start;
 
 /// The director fires tasks as their producers finish; each cluster run is
 /// tagged with its task.
-impl Driver for Director {
+impl<'w> Driver for Director<'w> {
     type Event = Start;
     type ClusterTag = TaskRef;
     type FaasTag = Infallible;
 
-    fn handle(w: &mut KeplerWorld, sim: &mut Simulation<KeplerWorld>, Start: Start) {
+    fn handle(w: &mut KeplerWorld<'w>, sim: &mut Simulation<KeplerWorld<'w>>, Start: Start) {
         let d = &w.driver;
         let ready: Vec<TaskRef> = d
             .workflow
@@ -67,8 +70,8 @@ impl Driver for Director {
     /// Task `r` finished: report it and fire the consumers it was the
     /// last producer of.
     fn cluster_done(
-        w: &mut KeplerWorld,
-        sim: &mut Simulation<KeplerWorld>,
+        w: &mut KeplerWorld<'w>,
+        sim: &mut Simulation<KeplerWorld<'w>>,
         r: TaskRef,
         stats: ClusterRunStats,
     ) {
@@ -117,8 +120,8 @@ impl Driver for Director {
     }
 
     fn faas_done(
-        _: &mut KeplerWorld,
-        _: &mut Simulation<KeplerWorld>,
+        _: &mut KeplerWorld<'w>,
+        _: &mut Simulation<KeplerWorld<'w>>,
         tag: Infallible,
         _: FaasRunStats,
     ) {
@@ -144,7 +147,7 @@ pub(crate) fn run(
         pending_deps.insert(r, workflow.task(r).deps.len());
     }
     let director = Director {
-        workflow: workflow.to_shared(),
+        workflow,
         pending_deps,
         reports: Vec::new(),
         remaining: workflow.task_count(),
@@ -165,7 +168,9 @@ pub(crate) fn run(
     let mut cloud = cloud;
     let finished_at = driver.finished_at.expect("kepler run completed");
     cloud.cluster.stop_billing(&mut cloud.meter, finished_at);
-    cloud.store.finalize(&mut cloud.meter, finished_at);
+    cloud
+        .store
+        .finalize(&mut cloud.meter, finished_at, workflow);
 
     Ok(WorkflowReport {
         workflow: workflow.name.clone(),
@@ -178,32 +183,17 @@ pub(crate) fn run(
     })
 }
 
-fn spawn(w: &mut KeplerWorld, sim: &mut Simulation<KeplerWorld>, r: TaskRef) {
+fn spawn<'w>(w: &mut KeplerWorld<'w>, sim: &mut Simulation<KeplerWorld<'w>>, r: TaskRef) {
     let d = &mut w.driver;
     let sub = d.next_sub % d.subclusters;
     d.next_sub += 1;
-    // The spec borrows its label from the workflow while `w` is lent to
-    // the cluster.
-    let wf = d.workflow.shared();
-    let t = wf.task(r);
-    let spec = ClusterTaskSpec {
-        label: &t.name,
-        components: t.components,
-        compute_secs: t.profile.compute_secs_vm,
-        input_bytes: t.profile.input_bytes,
-        output_bytes: t.profile.output_bytes,
-        io_requests: 1,
-        contention_coeff: t.profile.vm_local_contention,
-        memory_gb: t.profile.memory_gb,
-        jitter: t.profile.runtime_jitter,
-        input: if t.deps.is_empty() {
-            mashup_cloud::ClusterInput::Master
-        } else {
-            mashup_cloud::ClusterInput::Fabric
-        },
-        output: mashup_cloud::ClusterOutput::Fabric,
-        subcluster: sub,
+    let t = d.workflow.task(r);
+    let input = if t.deps.is_empty() {
+        ClusterInput::Master
+    } else {
+        ClusterInput::Fabric
     };
+    let spec = ClusterTaskSpec::of_task(t, 1, input, ClusterOutput::Fabric, sub);
     d.tracer.emit(
         sim.now(),
         TraceEvent::TaskStart {

@@ -32,7 +32,7 @@ const TARGET_JOB_SECS: f64 = 45.0;
 const DATA_REUSE_FRACTION: f64 = 0.5;
 
 /// Transforms a workflow by Pegasus-style horizontal clustering: components
-/// of short tasks are grouped into jobs of roughly [`TARGET_JOB_SECS`].
+/// of short tasks are grouped into jobs of roughly 45 s of compute.
 ///
 /// Grouping changes component counts, so dependency patterns are rewritten
 /// to `AllToAll` (precedence-preserving; Pegasus tracks file-level

@@ -9,8 +9,8 @@
 //! fault comes from the schedule and every run is bit-reproducible, so
 //! the cell regenerates byte-identically.
 
+use crate::par_map;
 use crate::strategies::{run_strategy, Strategy};
-use crate::sweep::par_map;
 use crate::table::{f1, pct, usd, Table};
 use mashup_cloud::{Fault, FaultPlan};
 use mashup_core::{improvement_pct, ChaosSpec, MashupConfig};

@@ -1,8 +1,8 @@
 //! One harness function per paper table/figure. See `EXPERIMENTS.md` for
 //! paper-vs-measured numbers.
 
+use crate::par_map;
 use crate::strategies::{run_strategy, Strategy};
-use crate::sweep::par_map;
 use crate::table::{f1, pct, usd, Table};
 use mashup_core::{
     improvement_pct, CheckedWorkflow, Mashup, MashupConfig, Objective, PlanCache, Platform,
@@ -1300,20 +1300,20 @@ pub fn text_pdc_accuracy() -> TextPdcAccuracy {
             if d.forced_vm_reason.is_some() {
                 continue;
             }
-            let (_, task) = w.task_by_name(&d.name).expect("exists");
+            let task = w.task(d.task);
             let actual = isolated_serverless_secs(task, &cfg);
             let accuracy = (1.0 - (d.t_serverless_est_secs - actual).abs() / actual.max(1e-12))
                 .max(0.0)
                 * 100.0;
             rows.push((
                 w.name.clone(),
-                d.name.clone(),
+                task.name.clone(),
                 d.t_serverless_est_secs,
                 actual,
                 accuracy,
             ));
             // Exhaustive optimum from the two uniform runs.
-            let vm_actual = vm.task(&d.name).expect("ran").makespan_secs();
+            let vm_actual = vm.task(&task.name).expect("ran").makespan_secs();
             let optimal = if actual < vm_actual {
                 Platform::Serverless
             } else {

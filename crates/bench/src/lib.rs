@@ -20,14 +20,13 @@ pub mod figures;
 pub mod plan_cache;
 pub mod scale;
 pub mod strategies;
-pub mod sweep;
 pub mod table;
 pub mod trace_dir;
 
 pub use ablations::{ablations, AblationRow, Ablations};
 pub use chaos::{fig13_adaptive, Fig13, Fig13Row};
 pub use figures::*;
+pub use mashup_serve::pool::{jobs, par_map, set_jobs};
 pub use plan_cache::{plan_cache, plan_cache_enabled, plan_cache_stats, set_plan_cache_enabled};
 pub use strategies::{run_strategy, run_strategy_traced, Strategy};
-pub use sweep::{jobs, par_map, set_jobs};
 pub use trace_dir::{set_trace_dir, set_trace_scope, trace_dir};

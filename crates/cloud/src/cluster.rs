@@ -20,6 +20,7 @@ use crate::cost::CostMeter;
 use crate::event::{ev, Ev};
 use crate::pricing::InstanceType;
 use crate::world::{Cloud, CloudWorld};
+use mashup_dag::Task;
 use mashup_sim::trace::{TraceEvent, Tracer};
 use mashup_sim::{jitter_factor, LinkId, Model, SeedSource, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
@@ -54,12 +55,6 @@ impl ClusterConfig {
     pub fn with_subclusters(mut self, k: usize) -> Self {
         assert!(k >= 1 && k <= self.nodes, "invalid subcluster count");
         self.subclusters = k;
-        self
-    }
-
-    /// Builder-style: sets the provisioning latency.
-    pub fn with_provisioning(mut self, secs: f64) -> Self {
-        self.provision_secs = secs;
         self
     }
 
@@ -142,6 +137,31 @@ impl<'a> ClusterTaskSpec<'a> {
             input: ClusterInput::Fabric,
             output: ClusterOutput::Fabric,
             subcluster: 0,
+        }
+    }
+
+    /// The spec of task `t`'s components, labelled with its name, with the
+    /// request count, routing and sub-cluster the caller chose.
+    pub fn of_task(
+        t: &'a Task,
+        io_requests: u64,
+        input: ClusterInput,
+        output: ClusterOutput,
+        subcluster: usize,
+    ) -> Self {
+        ClusterTaskSpec {
+            label: &t.name,
+            components: t.components,
+            compute_secs: t.profile.compute_secs_vm,
+            input_bytes: t.profile.input_bytes,
+            output_bytes: t.profile.output_bytes,
+            io_requests,
+            contention_coeff: t.profile.vm_local_contention,
+            memory_gb: t.profile.memory_gb,
+            jitter: t.profile.runtime_jitter,
+            input,
+            output,
+            subcluster,
         }
     }
 }
@@ -274,11 +294,6 @@ impl VmCluster {
             price_trace,
             preempted: BTreeMap::new(),
         });
-    }
-
-    /// True when spot pools are enabled.
-    pub fn spot_enabled(&self) -> bool {
-        self.spot.is_some()
     }
 
     /// Reclaims a spot node given a flat cluster-wide index (clamped into

@@ -15,8 +15,10 @@
 //!   ([`ObjectStore::register_object`]) so occupancy cost is metered and
 //!   consumers can assert their producers' data exists
 //!   ([`ObjectStore::assert_present`]), catching scheduling bugs. An
-//!   object's key is an id ([`ObjectKey`]); its text is rendered only for
-//!   trace records and for the order in which occupancy settles.
+//!   object's key is an id ([`ObjectKey`]); its text is rendered from the
+//!   run's workflow, which the calls that need it take, only for trace
+//!   records, a failed presence check and the order in which occupancy
+//!   settles.
 //!
 //! GET failure injection exercises the replica-recovery path: a failed
 //! attempt retries from a replica after an extra round trip.
@@ -28,29 +30,32 @@ use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::trace::{TraceEvent, Tracer};
 use mashup_sim::{LinkId, Model, SeedSource, SimDuration, SimTime, Simulation};
 use rand::Rng;
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// A logical object the store accounts for.
+/// A logical object the store accounts for, in a run of one workflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ObjectKey {
-    /// The run's staged input dataset.
+    /// The run's staged input dataset: `initial:{workflow}`.
     Input,
-    /// The output of a task of the workflow the store's objects are named
-    /// after (see [`ObjectStore::name_objects`]).
+    /// The output of a task of the run's workflow: `out:{task}`.
     Output(TaskRef),
 }
 
-/// Compares two key texts, each given as a prefix and a rest, as the
-/// strings their concatenations spell.
-fn text_order(a: (&str, &str), b: (&str, &str)) -> Ordering {
-    if a.0 == b.0 {
-        a.1.cmp(b.1)
-    } else {
-        a.0.bytes()
-            .chain(a.1.bytes())
-            .cmp(b.0.bytes().chain(b.1.bytes()))
+impl ObjectKey {
+    /// The text of this key in a run of `w`, as a prefix and a rest. The
+    /// two prefixes differ in their first byte, so comparing these pairs
+    /// orders keys as their whole texts do.
+    fn parts(self, w: &Workflow) -> (&'static str, &str) {
+        match self {
+            ObjectKey::Input => ("initial:", &w.name),
+            ObjectKey::Output(r) => ("out:", &w.task(r).name),
+        }
+    }
+
+    /// The text of this key in a run of `w`, as trace records print it.
+    fn text(self, w: &Workflow) -> String {
+        let (prefix, rest) = self.parts(w);
+        format!("{prefix}{rest}")
     }
 }
 
@@ -68,14 +73,9 @@ pub struct ObjectStore {
     link: LinkId,
     /// Registered objects' bytes and put time.
     objects: BTreeMap<ObjectKey, (f64, SimTime)>,
-    /// The text of [`ObjectKey::Input`].
-    input_name: String,
-    /// The workflow whose tasks [`ObjectKey::Output`] keys name.
-    tasks: Option<Arc<Workflow>>,
     bytes_stored: f64,
     peak_bytes: f64,
     reads: u64,
-    writes: u64,
     injected_failures: u64,
     tracer: Tracer,
     chaos: Option<StoreChaos>,
@@ -91,12 +91,9 @@ impl ObjectStore {
             rng: seeds.stream("object-store"),
             cfg,
             objects: BTreeMap::new(),
-            input_name: String::new(),
-            tasks: None,
             bytes_stored: 0.0,
             peak_bytes: 0.0,
             reads: 0,
-            writes: 0,
             injected_failures: 0,
             tracer: Tracer::off(),
             chaos: None,
@@ -255,7 +252,6 @@ impl ObjectStore {
         on_done: W::Event,
     ) {
         let begin = sim.now();
-        self.writes += requests;
         meter.charge_storage_requests(requests * self.cfg.replicas as u64, self.cfg.price_per_put);
         // Injected chaos windows. A failed PUT is retried against the same
         // replica set after an extra round trip; providers do not bill the
@@ -300,39 +296,16 @@ impl ObjectStore {
         sim.start_transfer_in(latency, self.link, bytes, cap, on_done);
     }
 
-    /// Names this run's objects: `input` is the text of
-    /// [`ObjectKey::Input`], and the output of task `r` of `tasks` is
-    /// `out:{name}`.
-    pub fn name_objects(&mut self, input: impl Into<String>, tasks: Option<Arc<Workflow>>) {
-        self.input_name = input.into();
-        self.tasks = tasks;
-    }
-
-    /// The text of `key` as a prefix and a rest.
-    fn key_parts(&self, key: ObjectKey) -> (&str, &str) {
-        match key {
-            ObjectKey::Input => (&self.input_name, ""),
-            ObjectKey::Output(r) => {
-                let w = self.tasks.as_ref().expect("output keys name a workflow");
-                ("out:", &w.task(r).name)
-            }
-        }
-    }
-
-    /// The text of `key`, as trace records print it.
-    fn key_text(&self, key: ObjectKey) -> String {
-        let (prefix, rest) = self.key_parts(key);
-        format!("{prefix}{rest}")
-    }
-
-    /// Registers a logical object for occupancy accounting and presence
-    /// checks. Overwriting an existing key first settles its occupancy.
+    /// Registers a logical object of a run of `w` for occupancy
+    /// accounting and presence checks. Overwriting an existing key first
+    /// settles its occupancy.
     pub fn register_object(
         &mut self,
         meter: &mut CostMeter,
         now: SimTime,
         key: ObjectKey,
         bytes: f64,
+        w: &Workflow,
     ) {
         if let Some((old_bytes, put_at)) = self.objects.remove(&key) {
             self.bytes_stored -= old_bytes;
@@ -342,14 +315,21 @@ impl ObjectStore {
         self.bytes_stored += bytes;
         self.peak_bytes = self.peak_bytes.max(self.bytes_stored);
         if self.tracer.is_on() {
-            let key = self.key_text(key);
+            let key = key.text(w);
             self.tracer.emit(now, TraceEvent::ObjectPut { key, bytes });
         }
         self.objects.insert(key, (bytes, now));
     }
 
-    /// Removes a logical object, settling its occupancy charge.
-    pub fn remove_object(&mut self, meter: &mut CostMeter, now: SimTime, key: ObjectKey) {
+    /// Removes a logical object of a run of `w`, settling its occupancy
+    /// charge.
+    pub fn remove_object(
+        &mut self,
+        meter: &mut CostMeter,
+        now: SimTime,
+        key: ObjectKey,
+        w: &Workflow,
+    ) {
         let Some((bytes, put_at)) = self.objects.remove(&key) else {
             return;
         };
@@ -357,18 +337,19 @@ impl ObjectStore {
         let held = now.saturating_since(put_at).as_secs();
         meter.charge_storage_occupancy(bytes * self.cfg.replicas as f64, held);
         if self.tracer.is_on() {
-            let key = self.key_text(key);
+            let key = key.text(w);
             self.tracer.emit(now, TraceEvent::ObjectRemove { key });
         }
     }
 
-    /// Panics unless `key` was registered — consumers call this to assert
-    /// their producers' outputs exist (a scheduling-order sanity check).
-    pub fn assert_present(&self, key: ObjectKey) {
+    /// Panics unless `key` of a run of `w` was registered — consumers call
+    /// this to assert their producers' outputs exist (a scheduling-order
+    /// sanity check).
+    pub fn assert_present(&self, key: ObjectKey, w: &Workflow) {
         assert!(
             self.contains(key),
             "object '{}' read before it was written: executor scheduling bug",
-            self.key_text(key)
+            key.text(w)
         );
     }
 
@@ -378,14 +359,14 @@ impl ObjectStore {
     }
 
     /// Settles occupancy charges for everything still stored, as of `now`,
-    /// in the byte order of the keys' text: occupancy is a floating-point
-    /// sum, so its order is part of the result. Call once at the end of a
-    /// run.
-    pub fn finalize(&mut self, meter: &mut CostMeter, now: SimTime) {
+    /// in the byte order of the keys' text in a run of `w`: occupancy is a
+    /// floating-point sum, so its order is part of the result. Call once at
+    /// the end of a run.
+    pub fn finalize(&mut self, meter: &mut CostMeter, now: SimTime, w: &Workflow) {
         let mut keys: Vec<ObjectKey> = self.objects.keys().copied().collect();
-        keys.sort_by(|&a, &b| text_order(self.key_parts(a), self.key_parts(b)));
+        keys.sort_by(|&a, &b| a.parts(w).cmp(&b.parts(w)));
         for key in keys {
-            self.remove_object(meter, now, key);
+            self.remove_object(meter, now, key, w);
         }
     }
 
@@ -402,11 +383,6 @@ impl ObjectStore {
     /// GET requests issued.
     pub fn read_requests(&self) -> u64 {
         self.reads
-    }
-
-    /// PUT requests issued.
-    pub fn write_requests(&self) -> u64 {
-        self.writes
     }
 
     /// Number of injected GET failures recovered from replicas.
@@ -489,12 +465,12 @@ mod tests {
     }
 
     /// A one-phase workflow of one-component tasks with these names.
-    fn named(names: &[&str]) -> Arc<Workflow> {
+    fn named(names: &[&str]) -> Workflow {
         let tasks = names
             .iter()
             .map(|&n| mashup_dag::Task::new(n, 1, mashup_dag::TaskProfile::trivial()))
             .collect();
-        Arc::new(Workflow::new("w", vec![mashup_dag::Phase { tasks }], 0.0))
+        Workflow::new("w", vec![mashup_dag::Phase { tasks }], 0.0)
     }
 
     #[test]
@@ -503,15 +479,15 @@ mod tests {
         cfg.replicas = 2;
         let (_, mut w) = store(cfg.clone());
         let (s, meter) = (&mut w.cloud.store, &mut w.cloud.meter);
-        s.name_objects("initial:w", Some(named(&["b"])));
+        let wf = named(&["b"]);
         let b = ObjectKey::Output(TaskRef::new(0, 0));
-        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, 1e9);
-        s.register_object(meter, SimTime::ZERO, b, 1e9);
+        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, 1e9, &wf);
+        s.register_object(meter, SimTime::ZERO, b, 1e9, &wf);
         assert_eq!(s.bytes_stored(), 2e9);
-        s.remove_object(meter, SimTime::from_secs(3600.0), ObjectKey::Input);
+        s.remove_object(meter, SimTime::from_secs(3600.0), ObjectKey::Input, &wf);
         assert_eq!(s.bytes_stored(), 1e9);
         assert!(!s.contains(ObjectKey::Input) && s.contains(b));
-        s.finalize(meter, SimTime::from_secs(3600.0));
+        s.finalize(meter, SimTime::from_secs(3600.0), &wf);
         assert_eq!(s.bytes_stored(), 0.0);
         // 2 objects * 1 GB * 1 h * 2 replicas.
         let month = 30.0 * 24.0 * 3600.0;
@@ -523,27 +499,24 @@ mod tests {
 
     #[test]
     fn finalize_settles_in_key_text_order() {
-        // Names sort differently from their ids, and the input's text sorts
-        // between two outputs. The sizes make the occupancy sum depend on
-        // its order: 1e16 + 1 rounds back to 1e16, 1 + 1 + 1e16 does not.
-        let names = ["z", "a", "b"];
-        let bytes = [1e16, 1.0, 1.0];
-        let (input, input_bytes) = ("out:m", 4.0);
+        // Names sort differently from their ids; one is a prefix of
+        // another, and one sorts before the input's text once the prefixes
+        // are stripped. The sizes make the occupancy sum depend on its
+        // order: 1e16 + 1 rounds back to 1e16, 1 + 1 + 1e16 does not.
+        let names = ["z", "a", "ab", "b"];
+        let bytes = [1e16, 1.0, 1.0, 1.0];
+        let wf = named(&names);
+        let (input, input_bytes) = ("initial:w", 4.0);
         let mut cfg = StorageConfig::s3_like();
         cfg.replicas = 1;
         let (_, mut w) = store(cfg.clone());
         let (s, meter) = (&mut w.cloud.store, &mut w.cloud.meter);
-        s.name_objects(input, Some(named(&names)));
-        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, input_bytes);
         for (task, &b) in bytes.iter().enumerate() {
-            s.register_object(
-                meter,
-                SimTime::ZERO,
-                ObjectKey::Output(TaskRef::new(0, task)),
-                b,
-            );
+            let key = ObjectKey::Output(TaskRef::new(0, task));
+            s.register_object(meter, SimTime::ZERO, key, b, &wf);
         }
-        s.finalize(meter, SimTime::from_secs(1.0));
+        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, input_bytes, &wf);
+        s.finalize(meter, SimTime::from_secs(1.0), &wf);
         let got = meter.expense(cfg.price_per_gb_month).storage_dollars;
 
         // The same objects settled the way a string-keyed store does.
@@ -563,27 +536,35 @@ mod tests {
         // Settling by id would give a different sum.
         let by_id = settle(&mut [input_bytes].into_iter().chain(bytes));
         assert_ne!(by_id.to_bits(), want.to_bits());
+        // So would settling the input last, in registration order.
+        let input_last = settle(&mut bytes.into_iter().chain([input_bytes]));
+        assert_ne!(input_last.to_bits(), want.to_bits());
     }
 
     #[test]
     fn overwrite_settles_old_occupancy() {
         let (_, mut w) = store(StorageConfig::s3_like());
         let (s, meter) = (&mut w.cloud.store, &mut w.cloud.meter);
-        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, 100.0);
-        s.register_object(meter, SimTime::from_secs(10.0), ObjectKey::Input, 300.0);
+        let wf = named(&["a"]);
+        s.register_object(meter, SimTime::ZERO, ObjectKey::Input, 100.0, &wf);
+        s.register_object(
+            meter,
+            SimTime::from_secs(10.0),
+            ObjectKey::Input,
+            300.0,
+            &wf,
+        );
         assert_eq!(s.bytes_stored(), 300.0);
     }
 
     #[test]
     #[should_panic(expected = "object 'out:b' read before it was written: executor scheduling bug")]
     fn assert_present_catches_missing_objects() {
-        let (_, mut w) = store(StorageConfig::s3_like());
+        let (_, w) = store(StorageConfig::s3_like());
+        let wf = named(&["a", "b"]);
         w.cloud
             .store
-            .name_objects("initial:w", Some(named(&["a", "b"])));
-        w.cloud
-            .store
-            .assert_present(ObjectKey::Output(TaskRef::new(0, 1)));
+            .assert_present(ObjectKey::Output(TaskRef::new(0, 1)), &wf);
     }
 
     #[test]

@@ -27,13 +27,13 @@ use std::collections::BTreeMap;
 
 /// A simulated world that owns a [`Cloud`]: the one accessor every cloud
 /// mechanism goes through, and the two places finished runs report to.
-pub trait CloudWorld: Model<Event: From<CloudEvent>> + Send + 'static {
+pub trait CloudWorld: Model<Event: From<CloudEvent>> + Send {
     /// What a driver attaches to a cluster run it starts, to recognise the
     /// run when it finishes (the executor's task ref, for example).
-    type ClusterTag: Send + 'static;
+    type ClusterTag: Send;
 
     /// What a driver attaches to a FaaS run it starts.
-    type FaasTag: Send + 'static;
+    type FaasTag: Send;
 
     /// The world's cloud services.
     fn cloud(&mut self) -> &mut Cloud<Self>;

@@ -13,7 +13,6 @@ use mashup_analyze::{
 use mashup_dag::{PlacementPlan, Workflow};
 use std::borrow::Cow;
 use std::ops::Deref;
-use std::sync::Arc;
 
 /// The engine knobs the analyzer's config checks consume.
 pub fn engine_params(cfg: &MashupConfig) -> EngineParams {
@@ -25,63 +24,38 @@ pub fn engine_params(cfg: &MashupConfig) -> EngineParams {
 }
 
 /// A workflow the M1xx checks accepted, with their warnings; only its
-/// constructors run them. It carries no config: the checks never read one,
-/// and the config changes between passes over one workflow (sub-cluster
-/// splits, memory tiers). Dereferences to the [`Workflow`].
+/// constructors run them. It owns its workflow or borrows it from a caller
+/// that keeps it; either way every run borrows it, so nothing is copied.
+/// It carries no config: the checks never read one, and the config changes
+/// between passes over one workflow (sub-cluster splits, memory tiers).
+/// Dereferences to the [`Workflow`].
 #[derive(Debug, Clone)]
 pub struct CheckedWorkflow<'w> {
-    workflow: Held<'w>,
+    workflow: Cow<'w, Workflow>,
     warnings: Vec<Diagnostic>,
-}
-
-/// Shared with every run, or borrowed from a caller that keeps it (runs
-/// then copy it once).
-#[derive(Debug, Clone)]
-enum Held<'w> {
-    Shared(Arc<Workflow>),
-    Borrowed(&'w Workflow),
 }
 
 impl CheckedWorkflow<'static> {
     /// Runs the M1xx workflow checks: `Err` carries every finding when an
     /// error-level one fired.
-    pub fn new(workflow: impl Into<Arc<Workflow>>) -> Result<Self, AnalysisError> {
-        Self::checked(Held::Shared(workflow.into()))
+    pub fn new(workflow: Workflow) -> Result<Self, AnalysisError> {
+        Self::checked(Cow::Owned(workflow))
     }
 }
 
 impl<'w> CheckedWorkflow<'w> {
-    /// [`CheckedWorkflow::new`] over a workflow the caller keeps: nothing
-    /// is copied until a run needs its own handle ([`Self::to_shared`]).
+    /// [`CheckedWorkflow::new`] over a workflow the caller keeps.
     pub fn borrowed(workflow: &'w Workflow) -> Result<Self, AnalysisError> {
-        Self::checked(Held::Borrowed(workflow))
+        Self::checked(Cow::Borrowed(workflow))
     }
 
-    fn checked(workflow: Held<'w>) -> Result<Self, AnalysisError> {
+    fn checked(workflow: Cow<'w, Workflow>) -> Result<Self, AnalysisError> {
         let mut checked = CheckedWorkflow {
             workflow,
             warnings: Vec::new(),
         };
         checked.warnings = into_result(analyze_workflow(&checked))?;
         Ok(checked)
-    }
-
-    /// This workflow with a shared handle: the same `Arc` when it has one,
-    /// else one copy.
-    pub fn to_shared(&self) -> CheckedWorkflow<'static> {
-        CheckedWorkflow {
-            workflow: Held::Shared(self.shared()),
-            warnings: self.warnings.clone(),
-        }
-    }
-
-    /// The workflow's shared handle: the same `Arc` when it has one, else
-    /// one copy.
-    pub fn shared(&self) -> Arc<Workflow> {
-        match &self.workflow {
-            Held::Shared(w) => Arc::clone(w),
-            Held::Borrowed(w) => Arc::new((*w).clone()),
-        }
     }
 
     /// The M3xx checks of `cfg`, plus the M2xx checks of `plan` if given
@@ -119,10 +93,7 @@ impl Deref for CheckedWorkflow<'_> {
     type Target = Workflow;
 
     fn deref(&self) -> &Workflow {
-        match &self.workflow {
-            Held::Shared(w) => w,
-            Held::Borrowed(w) => w,
-        }
+        &self.workflow
     }
 }
 
@@ -174,19 +145,5 @@ mod tests {
         cfg.checkpoint_margin_secs = 1e9;
         let err = preflight(&cfg, &wf(), None).unwrap_err();
         assert!(err.errors().any(|d| d.code == Code::MarginExceedsTimeout));
-    }
-
-    #[test]
-    fn a_shared_handle_is_copied_at_most_once() {
-        let w = Arc::new(wf());
-        let shared = |c: &CheckedWorkflow| match &c.to_shared().workflow {
-            Held::Shared(w) => Arc::clone(w),
-            Held::Borrowed(_) => unreachable!("to_shared always shares"),
-        };
-        let checked = CheckedWorkflow::new(w.clone()).expect("clean");
-        assert!(Arc::ptr_eq(&shared(&checked), &w));
-        let borrowed = CheckedWorkflow::borrowed(&w).expect("clean");
-        assert!(!Arc::ptr_eq(&shared(&borrowed), &w));
-        assert_eq!(*shared(&borrowed), *w);
     }
 }

@@ -211,15 +211,15 @@ pub struct World<D: Driver> {
 
 /// What drives a [`World`]: its own events, and the runs it starts on the
 /// cloud, which report back with the tag it chose.
-pub trait Driver: Sized + Send + 'static {
+pub trait Driver: Sized + Send {
     /// The driver's own events (phase starts, batch starts, store uploads).
     type Event: Send;
 
     /// What the driver attaches to each cluster run it starts.
-    type ClusterTag: Send + 'static;
+    type ClusterTag: Send;
 
     /// What the driver attaches to each FaaS run it starts.
-    type FaasTag: Send + 'static;
+    type FaasTag: Send;
 
     /// Runs one of the driver's events.
     fn handle(w: &mut World<Self>, sim: &mut Simulation<World<Self>>, event: Self::Event);
@@ -290,15 +290,15 @@ impl<D: Driver> CloudWorld for World<D> {
 
 /// One instantiated simulated environment: the engine and the world it
 /// drives. Each workflow execution gets a fresh environment so runs never
-/// contaminate each other. The default driver is the executor's.
-pub struct CloudEnv<D: Driver = Option<Execution>> {
+/// contaminate each other. [`CloudEnv::new`] builds one for the executor.
+pub struct CloudEnv<D: Driver> {
     /// The discrete-event engine.
     pub sim: Simulation<World<D>>,
     /// The world it drives.
     pub world: World<D>,
 }
 
-impl CloudEnv {
+impl CloudEnv<Option<Execution<'_>>> {
     /// Builds a fresh environment from `cfg`.
     pub fn new(cfg: &MashupConfig) -> Self {
         Self::with_driver(cfg, 0, None)

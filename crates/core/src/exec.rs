@@ -29,8 +29,8 @@ use mashup_cloud::{
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 
-/// The executor's world.
-type W = World<Option<Execution>>;
+/// The executor's world over a workflow borrowed for `'w`.
+type W<'w> = World<Option<Execution<'w>>>;
 
 /// Where a task's output lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,51 +42,29 @@ enum OutputLocation {
 }
 
 /// Computes each task's output location under `plan` (see module docs),
-/// by flat id (`phase_base`, see [`phase_bases`]). Walks the dependency
-/// lists rather than the consumer index, so it never builds an arena on the
-/// executor's workflow copy.
-fn output_locations(
-    w: &Workflow,
-    phase_base: &[usize],
-    plan: &PlacementPlan,
-) -> Vec<OutputLocation> {
+/// by flat id.
+fn output_locations(w: &Workflow, plan: &PlacementPlan) -> Vec<OutputLocation> {
+    let arena = w.arena();
     let mut locs = vec![OutputLocation::Master; w.task_count()];
     for (flat, r) in w.task_refs().enumerate() {
         // Full coverage is guaranteed by diagnostic M201.
         if plan.platform(r).expect("plan covers workflow") == Platform::Serverless {
             locs[flat] = OutputLocation::Store;
-            for dep in &w.task(r).deps {
-                locs[phase_base[dep.producer.phase] + dep.producer.task] = OutputLocation::Store;
+            for &(producer, _) in arena.producers(flat) {
+                locs[producer as usize] = OutputLocation::Store;
             }
         }
     }
     locs
 }
 
-/// Flat id of each phase's first task: task `r` has flat id
-/// `base[r.phase] + r.task`, the phase-major numbering of `TaskArena`.
-pub(crate) fn phase_bases(w: &Workflow) -> Vec<usize> {
-    w.phases
-        .iter()
-        .scan(0, |next, p| {
-            let base = *next;
-            *next += p.tasks.len();
-            Some(base)
-        })
-        .collect()
-}
-
 /// The executor's state during a run: the plan it follows, where each
 /// output lives, and the reports of finished tasks. It is the driver of
 /// the executor's [`World`] (see [`CloudEnv`]).
-pub struct Execution {
+pub struct Execution<'w> {
     cfg: MashupConfig,
-    /// The workflow, shared with the caller. It need not carry an arena
-    /// index, and building one cost ~15% of a 100k-task run, so flat ids
-    /// come from `phase_base` instead.
-    workflow: CheckedWorkflow<'static>,
-    /// See [`phase_bases`].
-    phase_base: Vec<usize>,
+    /// The caller's workflow.
+    workflow: &'w CheckedWorkflow<'w>,
     plan: PlacementPlan,
     /// Per-task memory tiers for a sized run; `None` runs every serverless
     /// task on the base platform (the original engine, byte-identical).
@@ -131,10 +109,10 @@ struct ChaosCtx {
     uploaded: std::collections::BTreeSet<TaskRef>,
 }
 
-impl Execution {
-    /// Task `r`'s flat id (see [`phase_bases`]).
+impl Execution<'_> {
+    /// Task `r`'s flat id in the workflow's arena.
     fn flat(&self, r: TaskRef) -> usize {
-        self.phase_base[r.phase] + r.task
+        self.workflow.arena().flat(r).expect("task ref in workflow")
     }
 
     /// The memory tier whose platform a task runs on: its sizing-assigned
@@ -153,7 +131,7 @@ impl Execution {
 }
 
 /// The executor state of a world mid-run.
-fn exec(w: &mut W) -> &mut Execution {
+fn exec<'a, 'w>(w: &'a mut W<'w>) -> &'a mut Execution<'w> {
     w.driver.as_mut().expect("executor state installed")
 }
 
@@ -174,12 +152,12 @@ pub enum ExecEvent {
 
 /// The executor drives its world phase by phase; its runs are tagged with
 /// the task they execute.
-impl Driver for Option<Execution> {
+impl<'w> Driver for Option<Execution<'w>> {
     type Event = ExecEvent;
     type ClusterTag = TaskRef;
     type FaasTag = TaskRef;
 
-    fn handle(w: &mut W, sim: &mut Simulation<W>, event: ExecEvent) {
+    fn handle(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, event: ExecEvent) {
         match event {
             ExecEvent::Start => run_phase(w, sim, 0),
             ExecEvent::Uploaded { index, phase } => migration_landed(w, sim, index, phase),
@@ -189,7 +167,12 @@ impl Driver for Option<Execution> {
     /// A cluster task finished: register its output in the store when it
     /// goes there. Its output location is the one it started with: replans
     /// rewrite only phases that have not started.
-    fn cluster_done(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, stats: ClusterRunStats) {
+    fn cluster_done(
+        w: &mut W<'w>,
+        sim: &mut Simulation<W<'w>>,
+        r: TaskRef,
+        stats: ClusterRunStats,
+    ) {
         let World { cloud, driver, .. } = &mut *w;
         let d = driver.as_ref().expect("executor state installed");
         let t = d.workflow.task(r);
@@ -199,6 +182,7 @@ impl Driver for Option<Execution> {
                 sim.now(),
                 ObjectKey::Output(r),
                 t.components as f64 * t.profile.output_bytes,
+                d.workflow,
             );
         }
         let report = TaskReport {
@@ -220,19 +204,17 @@ impl Driver for Option<Execution> {
     }
 
     /// A serverless task finished: register its output in the store.
-    fn faas_done(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, stats: FaasRunStats) {
+    fn faas_done(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, stats: FaasRunStats) {
         let World { cloud, driver, .. } = &mut *w;
-        let t = driver
-            .as_ref()
-            .expect("executor state installed")
-            .workflow
-            .task(r);
+        let wf = driver.as_ref().expect("executor state installed").workflow;
+        let t = wf.task(r);
         // Serverless outputs always live in the store.
         cloud.store.register_object(
             &mut cloud.meter,
             sim.now(),
             ObjectKey::Output(r),
             t.components as f64 * t.profile.output_bytes,
+            wf,
         );
         let report = TaskReport {
             name: String::new(),
@@ -281,25 +263,22 @@ pub fn execute(
         env.provision_tiers(cfg, sizing);
     }
     env.attach_tracer(tracer.clone());
-    let workflow = workflow.to_shared();
-    let (report, completed) =
-        execute_in_unchecked(&mut env, cfg, &workflow, plan, sizing, strategy);
-    Ok(named(report, &completed, &workflow))
+    let (report, completed) = execute_in_unchecked(&mut env, cfg, workflow, plan, sizing, strategy);
+    Ok(named(report, &completed, workflow))
 }
 
 /// [`execute`], unsized, in a caller-provided environment (tests inject
 /// failure-laden stores through it).
-pub fn execute_in(
-    env: &mut CloudEnv,
+pub fn execute_in<'w>(
+    env: &mut CloudEnv<Option<Execution<'w>>>,
     cfg: &MashupConfig,
-    workflow: &CheckedWorkflow,
+    workflow: &'w CheckedWorkflow,
     plan: &PlacementPlan,
     strategy: &str,
 ) -> Result<WorkflowReport, AnalysisError> {
     workflow.check(cfg, Some(plan), None)?;
-    let workflow = workflow.to_shared();
-    let (report, completed) = execute_in_unchecked(env, cfg, &workflow, plan, None, strategy);
-    Ok(named(report, &completed, &workflow))
+    let (report, completed) = execute_in_unchecked(env, cfg, workflow, plan, None, strategy);
+    Ok(named(report, &completed, workflow))
 }
 
 /// Fills in the name of each task report, `completed` giving the task
@@ -336,25 +315,20 @@ pub fn try_execute(
 /// plan they checked, so the plan covers the workflow (M201), every
 /// serverless task fits its function's memory cap (M203) and the
 /// checkpoint-chaining window (M202), and every profile field is finite and
-/// in range (M105). The run shares `workflow`, so a caller running several
-/// passes copies it at most once.
+/// in range (M105). The run borrows `workflow`, and takes flat ids from its
+/// arena.
 ///
 /// Returns the report, its task reports unnamed (see [`named`]), and, for
 /// each entry of its `tasks`, the task it describes.
-pub(crate) fn execute_in_unchecked(
-    env: &mut CloudEnv,
+pub(crate) fn execute_in_unchecked<'w>(
+    env: &mut CloudEnv<Option<Execution<'w>>>,
     cfg: &MashupConfig,
-    workflow: &CheckedWorkflow<'static>,
+    workflow: &'w CheckedWorkflow,
     plan: &PlacementPlan,
     sizing: Option<&Sizing>,
     strategy: &str,
 ) -> (WorkflowReport, Vec<TaskRef>) {
-    let phase_base = phase_bases(workflow);
-    let locations = output_locations(workflow, &phase_base, plan);
-    env.world.cloud.store.name_objects(
-        format!("initial:{}", workflow.name),
-        Some(workflow.shared()),
-    );
+    let locations = output_locations(workflow, plan);
 
     // Install the seeded fault schedule before billing starts: spot pools
     // must wrap the whole billing window for piecewise settlement.
@@ -377,13 +351,13 @@ pub(crate) fn execute_in_unchecked(
             now,
             ObjectKey::Input,
             workflow.initial_input_bytes,
+            workflow,
         );
     }
 
     env.world.driver = Some(Execution {
         cfg: cfg.clone(),
-        workflow: workflow.clone(),
-        phase_base,
+        workflow,
         plan: plan.clone(),
         sizing: sizing.cloned(),
         locations,
@@ -415,7 +389,9 @@ pub(crate) fn execute_in_unchecked(
     if used_cluster {
         cloud.cluster.stop_billing(&mut cloud.meter, finished_at);
     }
-    cloud.store.finalize(&mut cloud.meter, finished_at);
+    cloud
+        .store
+        .finalize(&mut cloud.meter, finished_at, workflow);
 
     let (tasks, completed) = (d.reports, d.completed);
     let report = WorkflowReport {
@@ -430,7 +406,7 @@ pub(crate) fn execute_in_unchecked(
     (report, completed)
 }
 
-fn run_phase(w: &mut W, sim: &mut Simulation<W>, phase_idx: usize) {
+fn run_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
     let d = exec(w);
     if phase_idx >= d.workflow.phases.len() {
         d.finished_at = Some(sim.now());
@@ -468,7 +444,7 @@ fn run_phase(w: &mut W, sim: &mut Simulation<W>, phase_idx: usize) {
     }
 }
 
-fn prewarm_next_phase(w: &mut W, sim: &mut Simulation<W>, phase_idx: usize) {
+fn prewarm_next_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
     // Pre-warming targets each task's own platform: warm pools live per
     // tier (a 0.5 GB microVM cannot serve a 2 GB function), so both the
     // burst threshold and the warm-up go to the tier's platform.
@@ -508,24 +484,24 @@ pub(crate) fn input_requests(w: &Workflow, r: TaskRef) -> u64 {
         .max(1)
 }
 
-fn spawn_serverless(w: &mut W, sim: &mut Simulation<W>, r: TaskRef) {
+fn spawn_serverless<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef) {
     let World {
         cloud,
         seeds,
         driver,
     } = w;
     let d = driver.as_ref().expect("executor state installed");
-    // The spec borrows its label from a handle of its own while `w` is
-    // lent to the platform.
-    let wf = d.workflow.shared();
+    let wf = d.workflow;
     let t = wf.task(r);
     // Statelessness sanity check: everything this task reads must
     // already sit in the store.
     if t.deps.is_empty() {
-        cloud.store.assert_present(ObjectKey::Input);
+        cloud.store.assert_present(ObjectKey::Input, wf);
     } else {
         for dep in &t.deps {
-            cloud.store.assert_present(ObjectKey::Output(dep.producer));
+            cloud
+                .store
+                .assert_present(ObjectKey::Output(dep.producer), wf);
         }
     }
     let spec = FaasTaskSpec {
@@ -534,7 +510,7 @@ fn spawn_serverless(w: &mut W, sim: &mut Simulation<W>, r: TaskRef) {
         compute_secs: t.profile.compute_secs_serverless(),
         input_bytes: t.profile.input_bytes,
         output_bytes: t.profile.output_bytes,
-        io_requests: input_requests(&wf, r),
+        io_requests: input_requests(wf, r),
         checkpoint_bytes: t.profile.checkpoint_bytes,
         jitter: t.profile.runtime_jitter,
         memory_gb: t.profile.memory_gb,
@@ -545,12 +521,10 @@ fn spawn_serverless(w: &mut W, sim: &mut Simulation<W>, r: TaskRef) {
     run_task_on_faas(w, sim, tier, spec, &seeds, r);
 }
 
-fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: usize) {
+fn spawn_on_cluster<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, subcluster: usize) {
     let World { cloud, driver, .. } = w;
     let d = driver.as_ref().expect("executor state installed");
-    // The spec borrows its label from a handle of its own while `w` is
-    // lent to the platform.
-    let wf = d.workflow.shared();
+    let wf = d.workflow;
     let t = wf.task(r);
     let to_store = d.location(r) == OutputLocation::Store;
     // Input routing: phase-0 tasks ingest the initial dataset from the
@@ -564,7 +538,9 @@ fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: 
     if from_store {
         for dep in &t.deps {
             if d.location(dep.producer) == OutputLocation::Store {
-                cloud.store.assert_present(ObjectKey::Output(dep.producer));
+                cloud
+                    .store
+                    .assert_present(ObjectKey::Output(dep.producer), wf);
             }
         }
     }
@@ -580,20 +556,7 @@ fn spawn_on_cluster(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, subcluster: 
     } else {
         mashup_cloud::ClusterOutput::Fabric
     };
-    let spec = ClusterTaskSpec {
-        label: &t.name,
-        components: t.components,
-        compute_secs: t.profile.compute_secs_vm,
-        input_bytes: t.profile.input_bytes,
-        output_bytes: t.profile.output_bytes,
-        io_requests: input_requests(&wf, r),
-        contention_coeff: t.profile.vm_local_contention,
-        memory_gb: t.profile.memory_gb,
-        jitter: t.profile.runtime_jitter,
-        input,
-        output,
-        subcluster,
-    };
+    let spec = ClusterTaskSpec::of_task(t, input_requests(wf, r), input, output, subcluster);
     trace_task_start(d, sim.now(), r, "vm");
     VmCluster::run_task(w, sim, spec, r);
 }
@@ -615,7 +578,7 @@ fn trace_task_start(d: &Execution, now: SimTime, r: TaskRef, platform: &str) {
     }
 }
 
-fn finish_task(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, report: TaskReport) {
+fn finish_task<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, report: TaskReport) {
     let d = exec(w);
     if d.tracer.is_on() {
         d.tracer.emit(
@@ -637,7 +600,7 @@ fn finish_task(w: &mut W, sim: &mut Simulation<W>, r: TaskRef, report: TaskRepor
 /// controller (when one is active) a chance to replan the remaining
 /// subgraph. Without a controller this is exactly [`run_phase`]: no events
 /// fire, no randomness is drawn.
-fn advance_phase(w: &mut W, sim: &mut Simulation<W>, next: usize) {
+fn advance_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, next: usize) {
     let surviving = w.cloud.cluster.surviving_nodes();
     let d = exec(w);
     let trigger = match d.chaos.as_ref() {
@@ -683,7 +646,7 @@ fn ensure_baseline(d: &mut Execution) {
     if !needs {
         return;
     }
-    let report = Pdc::new(d.cfg.clone()).plan_unchecked(&d.workflow);
+    let report = Pdc::new(d.cfg.clone()).plan_unchecked(d.workflow);
     if let Some(ctx) = d.chaos.as_mut() {
         ctx.baseline = Some(report);
     }
@@ -725,9 +688,9 @@ fn phase_envelope_secs(d: &Execution, phase_idx: usize) -> f64 {
 /// placement, migrates to the store any master-resident outputs the new
 /// placement reads from it, and then starts the phase. Re-placement never
 /// rewrites history: finished phases keep their reports and locations.
-fn replan_and_run(
-    w: &mut W,
-    sim: &mut Simulation<W>,
+fn replan_and_run<'w>(
+    w: &mut W<'w>,
+    sim: &mut Simulation<W<'w>>,
     next: usize,
     reason: &'static str,
     surviving: usize,
@@ -736,7 +699,7 @@ fn replan_and_run(
     let d = driver.as_mut().expect("executor state installed");
     let ctx = d.chaos.as_mut().expect("controller active");
     let baseline = ctx.baseline.as_ref().expect("ensured by advance_phase");
-    let report = Pdc::new(d.cfg.clone()).replan_capacity(baseline, &d.workflow, surviving);
+    let report = Pdc::new(d.cfg.clone()).replan_capacity(baseline, d.workflow, surviving);
     let n_phases = d.workflow.phases.len();
     let mut moved = 0usize;
     for pi in next..n_phases {
@@ -773,8 +736,8 @@ fn replan_and_run(
     // Completed phases keep their historical output locations (the
     // master copies exist and stay readable over the fabric); only
     // future rows follow the new placement.
-    let fresh = output_locations(&d.workflow, &d.phase_base, &d.plan);
-    let from = d.phase_base[next];
+    let fresh = output_locations(d.workflow, &d.plan);
+    let from = d.flat(TaskRef::new(next, 0));
     d.locations[from..].copy_from_slice(&fresh[from..]);
     // A plan that newly reaches a platform needs what the static
     // setup provisioned at time zero: cluster billing (idempotent)
@@ -788,6 +751,7 @@ fn replan_and_run(
             sim.now(),
             ObjectKey::Input,
             d.workflow.initial_input_bytes,
+            d.workflow,
         );
     }
     // Outputs that finished on a master but are now read by
@@ -843,13 +807,13 @@ fn replan_and_run(
 }
 
 /// Migration `index` landed: register it; the last one starts `phase`.
-fn migration_landed(w: &mut W, sim: &mut Simulation<W>, index: usize, phase: usize) {
+fn migration_landed<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, index: usize, phase: usize) {
     let World { cloud, driver, .. } = &mut *w;
     let d = driver.as_mut().expect("executor state installed");
     let (key, bytes) = d.migrations[index];
     cloud
         .store
-        .register_object(&mut cloud.meter, sim.now(), key, bytes);
+        .register_object(&mut cloud.meter, sim.now(), key, bytes, d.workflow);
     d.pending_uploads -= 1;
     if d.pending_uploads == 0 {
         run_phase(w, sim, phase);
@@ -1109,15 +1073,14 @@ mod tests {
     #[test]
     fn output_locations_follow_the_placement() {
         let w = two_phase_workflow();
-        let base = phase_bases(&w);
         // All VM: everything stays on the master.
         let vm = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let locs = output_locations(&w, &base, &vm);
+        let locs = output_locations(&w, &vm);
         assert_eq!(locs, [OutputLocation::Master; 2]);
         // Serverless consumer forces the producer's output into the store.
         let mut hybrid = PlacementPlan::uniform(&w, Platform::VmCluster);
         hybrid.set(TaskRef::new(1, 0), Platform::Serverless);
-        let locs = output_locations(&w, &base, &hybrid);
+        let locs = output_locations(&w, &hybrid);
         assert_eq!(locs, [OutputLocation::Store; 2]);
     }
 

@@ -27,10 +27,10 @@ use std::collections::BTreeMap;
 /// The search space of one workflow: its fusable pairs and the memory-tier
 /// menu (the provider's base tier is always on the menu).
 #[derive(Debug, Clone)]
-pub struct SearchSpace {
-    /// The base (unfused) workflow, shared with every sizing-only
+pub struct SearchSpace<'w> {
+    /// The base (unfused) workflow, borrowed by every sizing-only
     /// candidate.
-    pub base: CheckedWorkflow<'static>,
+    pub base: &'w CheckedWorkflow<'w>,
     /// Fusable producer/consumer pairs of `base`, phase-major producer
     /// order (the enumeration and fingerprint order).
     pub pairs: Vec<FusionCandidate>,
@@ -40,9 +40,9 @@ pub struct SearchSpace {
     pub base_tier: usize,
 }
 
-impl SearchSpace {
+impl<'w> SearchSpace<'w> {
     /// Builds the space for `workflow` under `cfg`'s provider.
-    pub fn new(cfg: &MashupConfig, workflow: &CheckedWorkflow) -> Self {
+    pub fn new(cfg: &MashupConfig, workflow: &'w CheckedWorkflow) -> Self {
         let base_gb = cfg.provider.faas.memory_gb;
         let mut tiers: Vec<f64> = crate::config::MEMORY_TIERS_GB.to_vec();
         if !tiers.iter().any(|&t| tier_key(t) == tier_key(base_gb)) {
@@ -54,7 +54,7 @@ impl SearchSpace {
             .position(|&t| tier_key(t) == tier_key(base_gb))
             .expect("base tier is on the menu");
         SearchSpace {
-            base: workflow.to_shared(),
+            base: workflow,
             pairs: fusable_pairs(workflow),
             tiers,
             base_tier,
@@ -123,14 +123,24 @@ impl Candidate {
 /// (two candidates that alias to the same fused workflow and sizing — e.g.
 /// a tier override on either side of a fused pair — share a fingerprint).
 #[derive(Debug, Clone)]
-pub struct Materialized {
-    /// The workflow to plan and execute: the base's shared handle, or a
-    /// fused workflow checked in its own right.
-    pub workflow: CheckedWorkflow<'static>,
-    /// Memory tier per flat task of `workflow`.
+pub struct Materialized<'w> {
+    /// The base workflow, which a sizing-only candidate plans.
+    base: &'w CheckedWorkflow<'w>,
+    /// The fused workflow, checked in its own right; `None` for a
+    /// sizing-only candidate. Boxed because a sweep holds up to its budget
+    /// of candidates at once, and a checked workflow is ~250 bytes inline.
+    fused: Option<Box<CheckedWorkflow<'static>>>,
+    /// Memory tier per flat task of [`Materialized::workflow`].
     pub sizing: Sizing,
     /// Dedupe key over the fused structure and tier assignment.
     pub fingerprint: u128,
+}
+
+impl<'w> Materialized<'w> {
+    /// The workflow to plan and execute: the fused one, else the base.
+    pub fn workflow(&self) -> &CheckedWorkflow<'w> {
+        self.fused.as_deref().unwrap_or(self.base)
+    }
 }
 
 /// Builds the concrete workflow + sizing for `cand`. Candidates produced by
@@ -138,23 +148,23 @@ pub struct Materialized {
 /// construction), but a fused workflow is new, so it is checked and may be
 /// refused; a merged task takes the largest tier assigned to any of its
 /// constituents.
-pub fn materialize(
-    space: &SearchSpace,
+pub fn materialize<'w>(
+    space: &SearchSpace<'w>,
     cfg: &MashupConfig,
     cand: &Candidate,
-) -> Result<Materialized, AnalysisError> {
+) -> Result<Materialized<'w>, AnalysisError> {
     let pairs: Vec<FusionCandidate> = cand.fusion.iter().map(|&i| space.pairs[i]).collect();
-    let workflow = if pairs.is_empty() {
-        space.base.clone()
+    let fused = if pairs.is_empty() {
+        None
     } else {
-        CheckedWorkflow::new(
-            fuse(&space.base, &pairs).expect("enumerated fusion subsets are disjoint"),
-        )?
+        let fused = fuse(space.base, &pairs).expect("enumerated fusion subsets are disjoint");
+        Some(Box::new(CheckedWorkflow::new(fused)?))
     };
-    let mut sizing = Sizing::base(cfg, &workflow);
+    let workflow = fused.as_deref().unwrap_or(space.base);
+    let mut sizing = Sizing::base(cfg, workflow);
     let mut merged: BTreeMap<usize, f64> = BTreeMap::new();
     for &(flat, ti) in &cand.tier_devs {
-        let fused_flat = fused_flat_of(space, cand, flat, &workflow);
+        let fused_flat = fused_flat_of(space, cand, flat, workflow);
         let gb = space.tiers[ti];
         merged
             .entry(fused_flat)
@@ -172,7 +182,8 @@ pub fn materialize(
         f.write_u64(tier_key(sizing.tier(flat)) as u64);
     }
     Ok(Materialized {
-        workflow,
+        base: space.base,
+        fused,
         sizing,
         fingerprint: f.digest(),
     })
@@ -471,14 +482,14 @@ mod tests {
         MashupConfig::aws(4)
     }
 
-    fn space() -> SearchSpace {
-        let w = CheckedWorkflow::new(pipeline()).expect("clean workflow");
-        SearchSpace::new(&cfg(), &w)
+    fn checked() -> CheckedWorkflow<'static> {
+        CheckedWorkflow::new(pipeline()).expect("clean workflow")
     }
 
     #[test]
     fn space_has_the_pipeline_pairs_and_the_base_tier() {
-        let space = space();
+        let w = checked();
+        let space = SearchSpace::new(&cfg(), &w);
         assert_eq!(space.pairs.len(), 2);
         assert_eq!(space.tiers[space.base_tier], 3.0);
         assert!(space.nominal_size() > 100.0);
@@ -486,7 +497,8 @@ mod tests {
 
     #[test]
     fn enumeration_is_radius_ordered_and_budgeted() {
-        let space = space();
+        let w = checked();
+        let space = SearchSpace::new(&cfg(), &w);
         let all = enumerate(&space, usize::MAX);
         assert_eq!(all[0], Candidate::base());
         // Radii never decrease.
@@ -509,7 +521,8 @@ mod tests {
 
     #[test]
     fn materialize_applies_fusion_and_tier_overrides() {
-        let space = space();
+        let w = checked();
+        let space = SearchSpace::new(&cfg(), &w);
         let flat_c = space.base.flat_by_name("C").expect("exists");
         let big = space.tiers.len() - 1;
         let cand = Candidate {
@@ -517,16 +530,17 @@ mod tests {
             tier_devs: vec![(flat_c, big)],
         };
         let m = materialize(&space, &cfg(), &cand).expect("fusion checks clean");
-        assert_eq!(m.workflow.task_count(), 2);
-        assert!(m.workflow.flat_by_name("A+B").is_some());
-        let fused_c = m.workflow.flat_by_name("C").expect("survives");
+        assert_eq!(m.workflow().task_count(), 2);
+        assert!(m.workflow().flat_by_name("A+B").is_some());
+        let fused_c = m.workflow().flat_by_name("C").expect("survives");
         assert_eq!(m.sizing.tier(fused_c), 8.0);
         assert!(!m.sizing.is_base(&cfg()));
     }
 
     #[test]
     fn aliasing_candidates_share_a_fingerprint() {
-        let space = space();
+        let w = checked();
+        let space = SearchSpace::new(&cfg(), &w);
         let a = space.base.flat_by_name("A").expect("exists");
         let b = space.base.flat_by_name("B").expect("exists");
         let big = space.tiers.len() - 1;
@@ -571,8 +585,8 @@ mod tests {
         .expect("clean candidate");
         assert_ne!(solo_a.fingerprint, solo_b.fingerprint);
         // Sizing-only candidates share the base workflow; fused ones do not.
-        assert!(std::ptr::eq(&*solo_a.workflow, &*space.base));
-        assert!(!std::ptr::eq(&*via_a.workflow, &*space.base));
+        assert!(std::ptr::eq(solo_a.workflow(), space.base));
+        assert!(!std::ptr::eq(via_a.workflow(), space.base));
     }
 
     #[test]

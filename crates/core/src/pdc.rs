@@ -33,13 +33,13 @@
 use crate::analysis::CheckedWorkflow;
 use crate::cache::{PhaseProfileEntry, PlanCache, ProbeEntry, VmProfileEntry};
 use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World};
-use crate::exec::{execute_in_unchecked, phase_bases};
+use crate::exec::execute_in_unchecked;
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::placement::{PlacementPlan, Platform};
 use mashup_analyze::{AnalysisError, FaasMisfit, PlanContext};
 use mashup_cloud::{
     run_task_on_faas, ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, Expense,
-    FaasConfig, FaasRunStats, FaasTaskSpec, ObjectKey, VmCluster,
+    FaasConfig, FaasRunStats, FaasTaskSpec, VmCluster,
 };
 use mashup_dag::{Phase, Task, TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
@@ -82,8 +82,6 @@ pub struct ModelFactors {
 pub struct TaskDecision {
     /// Task location in the DAG.
     pub task: TaskRef,
-    /// Task name.
-    pub name: String,
     /// Component count.
     pub components: usize,
     /// Measured cluster execution time of the whole task, seconds.
@@ -254,7 +252,7 @@ impl Pdc {
     }
 
     /// Builder-style: memoizes the profiling stages in `cache`. Reports are
-    /// bit-identical with or without a cache (see [`crate::cache`]).
+    /// bit-identical with or without a cache (see [`PlanCache`]).
     pub fn with_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -380,7 +378,7 @@ impl Pdc {
             );
         }
 
-        self.trace_decisions(&decisions);
+        self.trace_decisions(workflow, &decisions);
 
         PdcReport {
             factors,
@@ -423,7 +421,6 @@ impl Pdc {
         let faas_cfg = self.task_faas_cfg(workflow, r);
         let decision = |est, probe: ProbeEntry, forced_vm_reason, platform| TaskDecision {
             task: r,
-            name: t.name.clone(),
             components: t.components,
             t_vm_secs: t_vm,
             t_serverless_est_secs: est,
@@ -497,7 +494,7 @@ impl Pdc {
     /// record carries the task's *final* platform and reason. Forced
     /// decisions never estimated a serverless time; their infinite sentinel
     /// is recorded as -1 (JSON has no infinity).
-    fn trace_decisions(&self, decisions: &[TaskDecision]) {
+    fn trace_decisions(&self, workflow: &Workflow, decisions: &[TaskDecision]) {
         if !self.tracer.is_on() {
             // Skip building the per-decision events (two string clones
             // each): at 10^6 decisions the dead allocations are material.
@@ -507,7 +504,7 @@ impl Pdc {
             self.tracer.emit(
                 SimTime::ZERO,
                 TraceEvent::PdcDecision {
-                    task: d.name.clone(),
+                    task: workflow.task(d.task).name.clone(),
                     t_vm_secs: d.t_vm_secs,
                     t_serverless_secs: if d.t_serverless_est_secs.is_finite() {
                         d.t_serverless_est_secs
@@ -650,7 +647,7 @@ impl Pdc {
             );
         }
 
-        self.trace_decisions(&decisions);
+        self.trace_decisions(workflow, &decisions);
 
         let report = PdcReport {
             factors,
@@ -740,12 +737,11 @@ impl Pdc {
     /// The passes run unchecked: the workflow is checked, the all-VM plan
     /// covers it, and they differ from the checked config only in
     /// `cluster.subclusters`, which this loop keeps within `1..=nodes`, the
-    /// one M3xx bound that reads it. Every pass shares one handle on the
-    /// workflow.
+    /// one M3xx bound that reads it. Every pass borrows the workflow.
     fn run_vm_profile(&self, workflow: &CheckedWorkflow) -> VmProfileEntry {
         let mut expense = Expense::default();
         let vm_plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
-        let shared_workflow = workflow.to_shared();
+        let arena = workflow.arena();
         let mut best: Option<(usize, crate::report::WorkflowReport)> = None;
         // Per-task best VM time across the splits, indexed by flat task id
         // (phase-major, matching `Workflow::task_refs`): a task's
@@ -754,24 +750,17 @@ impl Pdc {
         // configuration") — the all-in-one run can be polluted by
         // co-scheduled siblings thrashing the same nodes.
         let mut best_task_vm = vec![f64::INFINITY; workflow.task_count()];
-        let phase_base = phase_bases(workflow);
         for k in [1usize, 2, 4] {
             if k > self.cfg.cluster.nodes {
                 continue;
             }
             let tuned = self.cfg.clone().with_subclusters(k);
             let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-            let (report, completed) = execute_in_unchecked(
-                &mut env,
-                &tuned,
-                &shared_workflow,
-                &vm_plan,
-                None,
-                "pdc-profiling",
-            );
+            let (report, completed) =
+                execute_in_unchecked(&mut env, &tuned, workflow, &vm_plan, None, "pdc-profiling");
             add_expense(&mut expense, &report.expense);
             for (t, r) in report.tasks.iter().zip(&completed) {
-                let e = &mut best_task_vm[phase_base[r.phase] + r.task];
+                let e = &mut best_task_vm[arena.flat(*r).expect("task ref in workflow")];
                 *e = e.min(t.makespan_secs());
             }
             // Hysteresis: a finer split must be clearly (≥5 %) better —
@@ -915,13 +904,6 @@ impl Pdc {
             &tuned
         };
         let mut env = CloudEnv::with_driver(cfg, offset, FaasBatch::default());
-        let cloud = &mut env.world.cloud;
-        cloud.store.register_object(
-            &mut cloud.meter,
-            SimTime::ZERO,
-            ObjectKey::Input,
-            t.profile.input_bytes,
-        );
         let spec = FaasTaskSpec {
             label: &label,
             components: 1,
@@ -1002,27 +984,17 @@ impl Pdc {
             let mut env = CloudEnv::with_driver(&tuned, 0x9e3779b9, PhaseTimes(vec![0.0; n]));
             env.world.cloud.cluster.start_billing(SimTime::ZERO);
             for (ti, t) in phase.tasks.iter().enumerate() {
-                let r = TaskRef::new(phase_idx, ti);
-                let spec = ClusterTaskSpec {
-                    label: &t.name,
-                    components: t.components,
-                    compute_secs: t.profile.compute_secs_vm,
-                    input_bytes: t.profile.input_bytes,
-                    output_bytes: t.profile.output_bytes,
-                    io_requests: crate::exec::input_requests(workflow, r),
-                    contention_coeff: t.profile.vm_local_contention,
-                    memory_gb: t.profile.memory_gb,
-                    jitter: t.profile.runtime_jitter,
-                    input: if t.deps.is_empty() {
-                        ClusterInput::Master
-                    } else {
-                        ClusterInput::Fabric
-                    },
-                    output: ClusterOutput::Fabric,
-                    // The full pass hands out sub-clusters round-robin from
-                    // 0 at each phase start.
-                    subcluster: ti % k,
+                let input = if t.deps.is_empty() {
+                    ClusterInput::Master
+                } else {
+                    ClusterInput::Fabric
                 };
+                let io_requests =
+                    crate::exec::input_requests(workflow, TaskRef::new(phase_idx, ti));
+                // The full pass hands out sub-clusters round-robin from 0 at
+                // each phase start.
+                let spec =
+                    ClusterTaskSpec::of_task(t, io_requests, input, ClusterOutput::Fabric, ti % k);
                 VmCluster::run_task(&mut env.world, &mut env.sim, spec, ti);
             }
             let end = env.run();
@@ -1345,10 +1317,6 @@ fn run_noop_batch(
     io_bytes: f64,
 ) -> BatchStats {
     let mut env = CloudEnv::with_driver(cfg, 0xCA11B7A7E ^ components as u64, FaasBatch::default());
-    let cloud = &mut env.world.cloud;
-    cloud
-        .store
-        .register_object(&mut cloud.meter, SimTime::ZERO, ObjectKey::Input, io_bytes);
     let spec = FaasTaskSpec {
         label: &format!("calibration-{components}"),
         components,
@@ -1672,7 +1640,7 @@ mod tests {
         // threshold here).
         for (a, b) in incremental.decisions.iter().zip(&cold.decisions) {
             assert_eq!(a.task, b.task);
-            assert_eq!(a.platform, b.platform, "task {}", a.name);
+            assert_eq!(a.platform, b.platform, "task {}", new.task(a.task).name);
         }
         assert!(incremental.plan.covers(&new));
     }

@@ -126,7 +126,7 @@ fn boundary_tax_flips_marginal_serverless_wins_back_to_vm() {
     let d = pdc
         .decisions
         .iter()
-        .find(|d| d.name == "consumer")
+        .find(|d| w.task(d.task).name == "consumer")
         .expect("decided");
     if d.platform == Platform::VmCluster {
         // Either the raw comparison kept it on VM, or the refinement
@@ -145,7 +145,7 @@ fn boundary_tax_flips_marginal_serverless_wins_back_to_vm() {
     let p = pdc
         .decisions
         .iter()
-        .find(|d| d.name == "producer")
+        .find(|d| w.task(d.task).name == "producer")
         .expect("decided");
     assert_eq!(p.platform, Platform::VmCluster);
 }

@@ -16,7 +16,7 @@
 //!    ([`execute`] with the candidate's sizing) and the final front is the
 //!    dominance filter over their *measured* (makespan, expense) points.
 //!
-//! The base workflow arrives checked, sizing-only candidates share it, and
+//! The base workflow arrives checked, sizing-only candidates borrow it, and
 //! each fused workflow is checked once when it is materialized, before the
 //! PDC profiles it.
 //!
@@ -95,9 +95,9 @@ pub struct SweepOutcome {
     pub stats: SweepStats,
 }
 
-struct Evaluated {
+struct Evaluated<'w> {
     cand: Candidate,
-    mat: Materialized,
+    mat: Materialized<'w>,
     report: PdcReport,
     rstats: ReplanStats,
     est: (f64, f64),
@@ -106,9 +106,9 @@ struct Evaluated {
 /// What an evaluated candidate's execution actually depends on: the fused
 /// structure, each task's platform, and — only for serverless tasks — the
 /// memory tier.
-fn exec_fingerprint(e: &Evaluated) -> u128 {
+fn exec_fingerprint(e: &Evaluated<'_>) -> u128 {
     let mut f = Fingerprinter::new("pareto-exec-v1");
-    let w = &e.mat.workflow;
+    let w = e.mat.workflow();
     f.write_str(&w.name);
     f.write_usize(w.task_count());
     for r in w.task_refs() {
@@ -177,7 +177,7 @@ pub fn pareto_sweep_with(
                     stats.deduped += 1;
                     return None;
                 }
-                let lb = optimistic_bounds(cfg, &m.workflow, &m.sizing);
+                let lb = optimistic_bounds(cfg, m.workflow(), &m.sizing);
                 if bound_dominated(&front, lb) {
                     stats.pruned += 1;
                     return None;
@@ -189,8 +189,8 @@ pub fn pareto_sweep_with(
             let pdc = Pdc::new(cfg.clone())
                 .with_cache(cache.clone())
                 .with_sizing(mat.sizing.clone());
-            let (report, rstats) = pdc.replan(workflow, &base_report, &mat.workflow);
-            let est = estimate_plan(cfg, &mat.workflow, &mat.sizing, &report);
+            let (report, rstats) = pdc.replan(workflow, &base_report, mat.workflow());
+            let est = estimate_plan(cfg, mat.workflow(), &mat.sizing, &report);
             Evaluated {
                 cand,
                 mat,
@@ -237,7 +237,7 @@ pub fn pareto_sweep_with(
     let executed: Vec<FrontPoint> = crate::par_map(survivors, |e| {
         let report = execute(
             cfg,
-            &e.mat.workflow,
+            e.mat.workflow(),
             &e.report.plan,
             Some(&e.mat.sizing),
             "pareto",

@@ -3,9 +3,8 @@
 //! Every unit of work the workspace parallelizes — a figure-sweep scenario,
 //! a planning-service request — is one *whole* simulated run. Runs are
 //! internally single-threaded and deterministic (seeded event queue), and
-//! since the `Rc<RefCell<..>>` → [`mashup_sim::Shared`] migration they are
-//! `Send`, so the natural parallelism is one run per worker thread with no
-//! synchronization inside a run.
+//! each run owns its world, which is `Send`, so the natural parallelism is
+//! one run per worker thread with no synchronization inside a run.
 //!
 //! [`par_map`] farms a work list over `std::thread::scope` workers and
 //! returns results **in input order**, so output is byte-identical whatever

@@ -18,7 +18,8 @@ fn engine_entry_points_are_send() {
     assert_send::<mashup_sim::Tracer>();
 
     // The executor's world, and the engine over it.
-    type ExecWorld = mashup_core::World<Option<mashup_core::Execution>>;
+    type Exec = Option<mashup_core::Execution<'static>>;
+    type ExecWorld = mashup_core::World<Exec>;
     assert_send::<ExecWorld>();
     assert_send::<mashup_sim::Simulation<ExecWorld>>();
 
@@ -29,7 +30,7 @@ fn engine_entry_points_are_send() {
     assert_send::<mashup_cloud::CostMeter>();
 
     // The engine facade and its environment.
-    assert_send::<mashup_core::CloudEnv>();
+    assert_send::<mashup_core::CloudEnv<Exec>>();
     assert_send::<mashup_core::Mashup>();
     assert_send::<mashup_core::Pdc>();
     assert_send::<mashup_core::MashupOutcome>();

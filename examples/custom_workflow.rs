@@ -46,7 +46,7 @@ fn main() {
     let serverless = run(Strategy::ServerlessOnly);
     println!("\nplacements:");
     for d in &outcome.pdc.decisions {
-        println!("  {:<8} -> {}", d.name, d.platform);
+        println!("  {:<8} -> {}", workflow.task(d.task).name, d.platform);
     }
     println!("\nresults on 4 nodes:");
     for (label, r) in [

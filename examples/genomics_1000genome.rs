@@ -41,7 +41,12 @@ fn main() {
             .forced_vm_reason
             .map(|r| format!(" (forced: {r})"))
             .unwrap_or_default();
-        println!("  {:<18} -> {}{}", d.name, d.platform, reason);
+        println!(
+            "  {:<18} -> {}{}",
+            workflow.task(d.task).name,
+            d.platform,
+            reason
+        );
     }
 
     println!("\n=== Makespan and expense ===");

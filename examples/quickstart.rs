@@ -49,7 +49,11 @@ fn main() {
     for d in &outcome.pdc.decisions {
         println!(
             "  {:<10} C={:<4} T_vm={:>8.1}s  T_serverless≈{:>8.1}s  -> {}",
-            d.name, d.components, d.t_vm_secs, d.t_serverless_est_secs, d.platform
+            workflow.task(d.task).name,
+            d.components,
+            d.t_vm_secs,
+            d.t_serverless_est_secs,
+            d.platform
         );
     }
 

@@ -261,17 +261,25 @@ fn cli() -> io::Result<()> {
                 args.nodes,
                 pdc.subclusters
             );
+            let f = &pdc.factors;
+            outln!(
+                "calibrated factors: alpha={:.4}, beta={:.2}, store={:.2e} B/s",
+                f.alpha,
+                f.beta,
+                f.store_bps
+            );
             for d in &pdc.decisions {
                 let reason = d
                     .forced_vm_reason
                     .map(|r| format!("  [{r}]"))
                     .unwrap_or_default();
                 outln!(
-                    "  {:<20} C={:<5} T_vm={:>9.1}s  T_sl≈{:>9.1}s  -> {}{}",
-                    d.name,
+                    "  {:<20} C={:<5} T_vm={:>9.1}s  T_sl≈{:>9.1}s  probe={:>8.1}s  -> {}{}",
+                    w.task(d.task).name,
                     d.components,
                     d.t_vm_secs,
                     d.t_serverless_est_secs,
+                    d.probe_secs,
                     d.platform,
                     reason
                 );

@@ -52,7 +52,7 @@ fn allocs() -> u64 {
 }
 
 /// The budget: allocations per task across the three calls.
-const BUDGET_PER_TASK: f64 = 15.0;
+const BUDGET_PER_TASK: f64 = 2.0;
 const TASKS: usize = 10_000;
 
 /// Allocations per task of each call, in order, for one cold run.
