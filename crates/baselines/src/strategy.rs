@@ -60,8 +60,8 @@ impl Strategy {
     /// Runs this strategy on `workflow` under `cfg`, recording the
     /// execution into `tracer` (pass `Tracer::off()` for an unrecorded
     /// run; a recorded run is byte-identical to an unrecorded one).
-    /// `cache` memoizes Mashup's profiling stages; the other strategies
-    /// ignore it.
+    /// `cache` memoizes Mashup's profiling stages (with `None`, in a cache
+    /// of the run's own); the other strategies ignore it.
     ///
     /// The workflow arrives checked. Every strategy checks its config and
     /// plan before it builds an environment, and refuses error-diagnosed
@@ -85,13 +85,11 @@ impl Strategy {
                 let plan = plan_without_pdc(cfg, workflow);
                 execute(cfg, workflow, &plan, None, "mashup-wo-pdc", tracer)
             }
-            Strategy::Mashup => {
-                let mut engine = Mashup::new(cfg.clone()).with_tracer(tracer.clone());
-                if let Some(cache) = cache {
-                    engine = engine.with_cache(cache);
-                }
-                engine.run_checked(workflow).map(|outcome| outcome.report)
-            }
+            Strategy::Mashup => Mashup::new(cfg.clone())
+                .with_cache(cache.unwrap_or_default())
+                .with_tracer(tracer.clone())
+                .run_checked(workflow)
+                .map(|outcome| outcome.report),
         }
     }
 }

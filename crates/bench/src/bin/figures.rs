@@ -10,12 +10,12 @@
 //! ```
 //!
 //! `--jobs N` sets the scenario-sweep worker count (default: one per core);
-//! `--no-plan-cache` disables the shared PDC profiling cache; `--trace-dir
-//! DIR` additionally records every strategy run as a JSONL flight-recorder
-//! trace under DIR, named by figure, workflow, strategy and a digest of its
-//! content, so the directory is the same on every run. Output is
-//! byte-identical for any N, with the cache on or off, and with or without
-//! tracing.
+//! `--no-plan-cache` gives each run a fresh PDC profiling cache instead of
+//! the shared one; `--trace-dir DIR` additionally records every strategy
+//! run as a JSONL flight-recorder trace under DIR, named by figure,
+//! workflow, node count, strategy and a digest of its content. Figures and
+//! trace directories alike are byte-identical for any N and with the cache
+//! shared or not, and figures also with or without tracing.
 //!
 //! Keys select cells (case-insensitive): `fig2`, `fig4a`…`fig12`,
 //! `inputs`, `half`, `gcp`, `overheads`, `accuracy`, `expense`,
@@ -184,7 +184,7 @@ fn main() {
             s.calibration.compute_secs, s.vm_profile.compute_secs, s.probes.compute_secs,
         );
     } else {
-        eprintln!("[plan-cache] disabled (--no-plan-cache)");
+        eprintln!("[plan-cache] not shared (--no-plan-cache)");
     }
     eprintln!("[figures] total wall time {wall:.2}s");
 }

@@ -4,9 +4,7 @@
 use crate::par_map;
 use crate::strategies::{run_strategy, Strategy};
 use crate::table::{f1, pct, usd, Table};
-use mashup_core::{
-    improvement_pct, CheckedWorkflow, Mashup, MashupConfig, Objective, PlanCache, Platform,
-};
+use mashup_core::{improvement_pct, CheckedWorkflow, Mashup, MashupConfig, Objective, Platform};
 use mashup_dag::{Task, TaskProfile, WorkflowBuilder};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use serde::Serialize;
@@ -296,32 +294,26 @@ pub struct Fig05 {
 pub fn fig05_objectives() -> Fig05 {
     let w = CheckedWorkflow::new(srasearch::workflow()).expect("SRAsearch checks clean");
     let cfg = MashupConfig::aws(DEFAULT_NODES);
-    let traced = crate::trace_dir::trace_dir().is_some();
     let objectives = vec![
         ("time", Objective::ExecutionTime),
         ("expense", Objective::Expense),
         ("both", Objective::Both),
     ];
     let run = |(label, obj): (&str, Objective)| {
-        let mut engine = Mashup::new(cfg.clone()).with_objective(obj);
-        if let Some(cache) = crate::plan_cache::plan_cache() {
-            engine = engine.with_cache(cache);
-        }
-        let tracer = if traced {
+        let tracer = if crate::trace_dir().is_some() {
             mashup_core::Tracer::new()
         } else {
             mashup_core::Tracer::off()
         };
-        let o = engine
+        let o = Mashup::new(cfg.clone())
+            .with_objective(obj)
+            .with_cache(crate::plan_cache())
             .with_tracer(tracer.clone())
             .run_checked(&w)
             .expect("the paper's configs pass the analyzer");
         if tracer.is_on() {
-            crate::trace_dir::write_trace(
-                &o.report.workflow,
-                &format!("mashup-{label}"),
-                &tracer.take(),
-            );
+            let label = format!("mashup-{label}");
+            crate::trace_dir::write_trace(&cfg, &o.report.workflow, &label, &tracer.take());
         }
         (
             label.to_string(),
@@ -329,15 +321,7 @@ pub fn fig05_objectives() -> Fig05 {
             o.report.expense.total(),
         )
     };
-    // The three objectives share their profiling stages through the plan
-    // cache, and each trace records which of them hit it. On the pool the
-    // first to finish a stage would miss, whichever it was; a traced pass
-    // runs them in order, so its traces are the same on every run.
-    let outcomes: Vec<(String, f64, f64)> = if traced {
-        objectives.into_iter().map(run).collect()
-    } else {
-        par_map(objectives, run)
-    };
+    let outcomes: Vec<(String, f64, f64)> = par_map(objectives, run);
     let max_t = outcomes.iter().map(|o| o.1).fold(0.0, f64::max).max(1e-12);
     let max_e = outcomes.iter().map(|o| o.2).fold(0.0, f64::max).max(1e-12);
     Fig05 {
@@ -896,8 +880,7 @@ pub fn fig11_search() -> Fig11Search {
     let mut front = Vec::new();
     let mut dominated_workflows = Vec::new();
     for w in &wfs {
-        let cache = crate::plan_cache::plan_cache().unwrap_or_else(|| PlanCache::new().into());
-        let outcome = mashup_serve::pareto_sweep_with(&cfg, w, BUDGET, cache)
+        let outcome = mashup_serve::pareto_sweep_with(&cfg, w, BUDGET, crate::plan_cache())
             .expect("the paper's configs pass the analyzer");
         let covered = strategies.iter().filter(|s| s.workflow == w.name).all(|s| {
             outcome.front.iter().any(|f| {

@@ -4,10 +4,10 @@
 //! placement maps, the accuracy table, the ablations) shares one
 //! [`PlanCache`] so profiling work memoized by one cell is reused by every
 //! other cell — across `--jobs N` workers too, since the cache is
-//! concurrent. The cache is enabled by default and can be switched off
-//! (`--no-plan-cache` in the `figures` binary) to measure the uncached
-//! planning cost or to double-check that memoization does not perturb
-//! results: cached and uncached runs are bit-identical by construction
+//! concurrent. Sharing is the default; switched off (`--no-plan-cache` in
+//! the `figures` binary) each run gets a fresh cache of its own, which
+//! measures the unshared planning cost and is the reference that sharing
+//! never changes a result: reports and traces are bit-identical either way
 //! (see `mashup_core::cache`), and `tests/determinism.rs` enforces it.
 
 use mashup_core::{CacheStats, MashupConfig, Pdc, PlanCache};
@@ -17,33 +17,30 @@ use std::sync::{Arc, OnceLock};
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static CACHE: OnceLock<Arc<PlanCache>> = OnceLock::new();
 
-/// Enables or disables the shared planning cache for subsequent runs.
+/// Enables or disables sharing the planning cache for subsequent runs.
 /// Disabling does not clear already-stored entries; it only makes
-/// [`plan_cache`] return `None` so planners compute from scratch.
+/// [`plan_cache`] hand out a fresh cache per call.
 pub fn set_plan_cache_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// True when the shared planning cache is enabled.
+/// True when the planning cache is shared.
 pub fn plan_cache_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// The shared planning cache, or `None` when disabled.
-pub fn plan_cache() -> Option<Arc<PlanCache>> {
-    if !plan_cache_enabled() {
-        return None;
+/// The shared planning cache, or a fresh one when sharing is disabled.
+pub fn plan_cache() -> Arc<PlanCache> {
+    if plan_cache_enabled() {
+        CACHE.get_or_init(Arc::default).clone()
+    } else {
+        Arc::default()
     }
-    Some(CACHE.get_or_init(|| Arc::new(PlanCache::new())).clone())
 }
 
-/// A planner over `cfg`, wired to the shared cache when it is enabled.
+/// A planner over `cfg`, wired to [`plan_cache`].
 pub fn cached_pdc(cfg: MashupConfig) -> Pdc {
-    let pdc = Pdc::new(cfg);
-    match plan_cache() {
-        Some(cache) => pdc.with_cache(cache),
-        None => pdc,
-    }
+    Pdc::new(cfg).with_cache(plan_cache())
 }
 
 /// Snapshot of the shared cache's counters (zeros if it was never used).
@@ -59,13 +56,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_cache_returns_none_and_reenabling_restores_it() {
+    fn disabled_sharing_hands_out_fresh_caches_and_reenabling_restores_it() {
         // Note: the flag is process-global, so restore it before exiting.
         set_plan_cache_enabled(false);
-        assert!(plan_cache().is_none());
+        assert!(!Arc::ptr_eq(&plan_cache(), &plan_cache()), "fresh caches");
         set_plan_cache_enabled(true);
-        let a = plan_cache().expect("enabled");
-        let b = plan_cache().expect("enabled");
-        assert!(Arc::ptr_eq(&a, &b), "same shared instance");
+        assert!(
+            Arc::ptr_eq(&plan_cache(), &plan_cache()),
+            "same shared instance"
+        );
     }
 }

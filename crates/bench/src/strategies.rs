@@ -19,14 +19,15 @@ pub fn run_strategy(cfg: &MashupConfig, workflow: &Workflow, strategy: Strategy)
     };
     let report = run_strategy_traced(cfg, workflow, strategy, &tracer);
     if tracer.is_on() {
-        crate::trace_dir::write_trace(&report.workflow, strategy.label(), &tracer.take());
+        let records = tracer.take();
+        crate::trace_dir::write_trace(cfg, &report.workflow, strategy.label(), &records);
     }
     report
 }
 
 /// [`CheckedWorkflow::borrowed`], then [`Strategy::run`] recording into
 /// `tracer` (pass `Tracer::off()` for an unrecorded run). Mashup memoizes
-/// its profiling in the harness's plan cache while that is enabled.
+/// its profiling in the harness's [plan cache](crate::plan_cache()).
 ///
 /// Panics with the analyzer's message when it refuses the inputs; the
 /// harness only runs inputs it has preflighted.
@@ -37,7 +38,7 @@ pub fn run_strategy_traced(
     tracer: &Tracer,
 ) -> WorkflowReport {
     CheckedWorkflow::borrowed(workflow)
-        .and_then(|w| strategy.run(cfg, &w, tracer, crate::plan_cache::plan_cache()))
+        .and_then(|w| strategy.run(cfg, &w, tracer, Some(crate::plan_cache())))
         .unwrap_or_else(|e| panic!("{e}"))
 }
 

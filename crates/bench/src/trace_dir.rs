@@ -3,15 +3,17 @@
 //! When a trace directory is set (`--trace-dir` in the `figures` binary),
 //! every [`crate::run_strategy`] call records its execution and writes one
 //! deterministic JSONL trace file into the directory. File names are
-//! `<scope>__<workflow>__<strategy>__<digest>.jsonl`: the scope is the
-//! figure being computed ([`set_trace_scope`]) and the digest is taken over
-//! the trace itself, so a name depends on neither the worker count nor the
-//! order in which parallel sweep workers (`--jobs N`) finish, and two runs
-//! share a name only when they wrote the same bytes. Recording never
+//! `<scope>__<workflow>__n<nodes>__<strategy>__<digest>.jsonl`: the scope
+//! is the figure being computed ([`set_trace_scope`]), the configured node
+//! count tells the cells of a cluster-size sweep apart (a report's own
+//! `cluster_nodes` reads 0 for a run that never used the cluster), and the
+//! digest is taken over the trace itself, so a name depends on neither the
+//! worker count nor the order in which parallel sweep workers (`--jobs N`)
+//! finish, and two runs share a name only when they wrote the same bytes. Recording never
 //! perturbs results — traced and untraced runs are byte-identical
 //! (`tests/determinism.rs` enforces this on the figure outputs).
 
-use mashup_core::Fingerprinter;
+use mashup_core::{Fingerprinter, MashupConfig, TraceRecord};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
@@ -38,22 +40,29 @@ pub fn set_trace_scope(scope: &'static str) {
     *SCOPE.lock().unwrap_or_else(|e| e.into_inner()) = scope;
 }
 
-/// Writes `records` as one JSONL file for (`workflow`, `strategy`) under
-/// the configured directory. No-op when tracing is off.
-pub(crate) fn write_trace(workflow: &str, strategy: &str, records: &[mashup_core::TraceRecord]) {
+/// Writes `records` as one JSONL file for (`workflow`, `strategy`) on
+/// `cfg`'s cluster under the configured directory. No-op when tracing is
+/// off.
+pub(crate) fn write_trace(
+    cfg: &MashupConfig,
+    workflow: &str,
+    strategy: &str,
+    records: &[TraceRecord],
+) {
     let Some(dir) = trace_dir() else { return };
     let body = mashup_sim::trace::to_jsonl(records);
     let mut f = Fingerprinter::new("trace-file");
     f.write_str(&body);
     let scope = *SCOPE.lock().unwrap_or_else(|e| e.into_inner());
     let name = format!(
-        "{}{}__{}__{:016x}.jsonl",
+        "{}{}__n{}__{}__{:016x}.jsonl",
         if scope.is_empty() {
             String::new()
         } else {
             format!("{}__", sanitize(scope))
         },
         sanitize(workflow),
+        cfg.cluster.nodes,
         sanitize(strategy),
         f.digest() as u64
     );

@@ -13,13 +13,19 @@
 //!   VM expense is accrued at charge time) + seed;
 //! * **probes** — seed + task phase/name/profile + FaaS/storage behaviour +
 //!   checkpoint margin — *not* the cluster, so node-count sweeps reuse all
-//!   probes, and *not* prices, so pricing sweeps reuse everything.
+//!   probes, and *not* prices, so pricing sweeps reuse everything;
+//! * **phase profiles** — seed + cluster shape + the phase's content
+//!   digest (incremental replans).
 //!
-//! Memoization is pure: the same key always maps to the same stored value
-//! (the profiling simulations are seed-deterministic), values are cloned
-//! out, and every decision step downstream of the cached stages is
-//! recomputed per call — so reports are bit-identical with the cache on,
-//! off, or shared between any number of sweep workers.
+//! Every planner memoizes through one: `Pdc::new` and `Mashup::new` make a
+//! cache of their own, `with_cache` shares one. Memoization is pure: the
+//! same key always maps to the same stored value (the profiling
+//! simulations are seed-deterministic), values are cloned out, and every
+//! decision step downstream of the cached stages is recomputed per call —
+//! so reports are bit-identical whether a cache is private, cold, warm, or
+//! shared between any number of sweep workers. Nor does the flight
+//! recorder see the cache: traces record the run, not which stages were
+//! reused, so they are as reproducible as the reports.
 //!
 //! The cache is sharded (`RwLock` per shard, keyed by the low fingerprint
 //! bits) and shared across threads behind an `Arc`; hit/miss/entry counts
@@ -34,7 +40,7 @@ use serde::{Deserialize, Serialize};
 )]
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{OnceLock, RwLock};
 #[expect(
     clippy::disallowed_types,
     reason = "the host clock feeds the hit/miss counters only; no simulated quantity reads it"
@@ -81,28 +87,37 @@ pub struct ProbeEntry {
 
 /// One stage's map plus its counters.
 struct Section<V> {
+    /// Allocated on the first lookup: every planner starts with a private
+    /// cache, which costs nothing when a shared one replaces it.
     #[expect(
         clippy::disallowed_types,
         reason = "keyed by fingerprint, never iterated"
     )]
-    shards: Vec<RwLock<HashMap<u128, V>>>,
+    shards: OnceLock<Vec<RwLock<HashMap<u128, V>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     compute_nanos: AtomicU64,
 }
 
 impl<V: Clone> Section<V> {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed by fingerprint, never iterated"
-    )]
     fn new() -> Self {
         Section {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compute_nanos: AtomicU64::new(0),
         }
+    }
+
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed by fingerprint, never iterated"
+    )]
+    fn shard(&self, key: u128) -> &RwLock<HashMap<u128, V>> {
+        let shards = self
+            .shards
+            .get_or_init(|| (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect());
+        &shards[key as usize % SHARDS]
     }
 
     /// Returns the cached value for `key`, computing and inserting it on a
@@ -110,7 +125,7 @@ impl<V: Clone> Section<V> {
     /// simulation); on a concurrent race the first inserted value wins —
     /// harmless, because equal keys always compute equal values.
     fn get_or_compute(&self, key: u128, compute: impl FnOnce() -> V) -> V {
-        let shard = &self.shards[key as usize % SHARDS];
+        let shard = self.shard(key);
         if let Some(v) = shard.read().expect("cache shard lock").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
@@ -136,11 +151,12 @@ impl<V: Clone> Section<V> {
         SectionStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().expect("cache shard lock").len() as u64)
-                .sum(),
+            entries: self.shards.get().map_or(0, |shards| {
+                shards
+                    .iter()
+                    .map(|s| s.read().expect("cache shard lock").len() as u64)
+                    .sum()
+            }),
             compute_secs: self.compute_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
         }
     }

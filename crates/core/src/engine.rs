@@ -43,17 +43,18 @@ pub struct MashupOutcome {
 pub struct Mashup {
     cfg: MashupConfig,
     objective: Objective,
-    cache: Option<Arc<PlanCache>>,
+    cache: Arc<PlanCache>,
     tracer: Tracer,
 }
 
 impl Mashup {
-    /// Creates an engine optimizing execution time (the paper's default).
+    /// Creates an engine optimizing execution time (the paper's default),
+    /// memoizing the PDC's profiling stages in a cache of its own.
     pub fn new(cfg: MashupConfig) -> Self {
         Mashup {
             cfg,
             objective: Objective::ExecutionTime,
-            cache: None,
+            cache: Arc::default(),
             tracer: Tracer::off(),
         }
     }
@@ -76,7 +77,7 @@ impl Mashup {
     /// Builder-style: memoizes the PDC's profiling stages in `cache`
     /// (shareable across engines and threads; see [`PlanCache`]).
     pub fn with_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
     }
 
@@ -90,13 +91,11 @@ impl Mashup {
     /// best. Refuses error-diagnosed inputs with a typed [`AnalysisError`]
     /// before any simulation runs.
     pub fn run_checked(&self, workflow: &CheckedWorkflow) -> Result<MashupOutcome, AnalysisError> {
-        let mut pdc = Pdc::new(self.cfg.clone())
+        let pdc = Pdc::new(self.cfg.clone())
             .with_objective(self.objective)
-            .with_tracer(self.tracer.clone());
-        if let Some(cache) = &self.cache {
-            pdc = pdc.with_cache(cache.clone());
-        }
-        let pdc = pdc.plan(workflow)?;
+            .with_cache(self.cache.clone())
+            .with_tracer(self.tracer.clone())
+            .plan(workflow)?;
         let tuned = self.cfg.clone().with_subclusters(pdc.subclusters);
         let report = execute(&tuned, workflow, &pdc.plan, None, "mashup", &self.tracer)?;
         Ok(MashupOutcome { pdc, report })
@@ -171,13 +170,23 @@ mod tests {
 
     #[test]
     fn cached_runs_match_uncached_runs_exactly() {
+        // Reports and traces alike: a trace records the run, never whether
+        // the cache computed or reused a profiling stage.
         let cfg = MashupConfig::aws(2);
         let w = CheckedWorkflow::new(wf()).expect("clean workflow");
-        let run = |m: Mashup| m.run_checked(&w).expect("clean inputs");
+        let run = |m: Mashup| {
+            let tracer = Tracer::new();
+            let outcome = m
+                .with_tracer(tracer.clone())
+                .run_checked(&w)
+                .expect("clean inputs");
+            (outcome, tracer.take())
+        };
         let uncached = run(Mashup::new(cfg.clone()));
         let cache = Arc::new(PlanCache::new());
         let cold = run(Mashup::new(cfg.clone()).with_cache(cache.clone()));
         let warm = run(Mashup::new(cfg).with_cache(cache.clone()));
+        assert!(!uncached.1.is_empty(), "the recorder saw the run");
         assert_eq!(uncached, cold);
         assert_eq!(uncached, warm);
         let stats = cache.stats();

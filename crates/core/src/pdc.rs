@@ -45,7 +45,6 @@ use mashup_dag::{Phase, Task, TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -195,14 +194,15 @@ pub struct ReplanStats {
 pub struct Pdc {
     cfg: MashupConfig,
     objective: Objective,
-    cache: Option<Arc<PlanCache>>,
+    cache: Arc<PlanCache>,
     tracer: Tracer,
     probe_sharing: bool,
     sizing: Option<Sizing>,
 }
 
 impl Pdc {
-    /// Creates a PDC optimizing execution time (the paper's default).
+    /// Creates a PDC optimizing execution time (the paper's default),
+    /// memoizing its profiling stages in a cache of its own.
     ///
     /// Any chaos spec on `cfg` is stripped: profiling and probe
     /// environments model the provider's *advertised* behaviour, never the
@@ -213,36 +213,21 @@ impl Pdc {
         Pdc {
             cfg,
             objective: Objective::ExecutionTime,
-            cache: None,
+            cache: Arc::default(),
             tracer: Tracer::off(),
             probe_sharing: false,
             sizing: None,
         }
     }
 
-    /// Builder-style: records decision provenance (per-task argmin inputs
-    /// and cache hit/miss records) into `tracer`. Planning happens before
-    /// simulated time starts, so every record lands at t = 0. The profiling
-    /// environments themselves stay untraced.
+    /// Builder-style: records decision provenance (each task's argmin
+    /// inputs and outcome) into `tracer`. Planning happens before simulated
+    /// time starts, so every record lands at t = 0. The profiling
+    /// environments themselves stay untraced, and so does the cache: a
+    /// trace never shows whether a stage was computed or reused.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
-    }
-
-    /// Records whether a memoized profiling stage was served from the cache
-    /// (`compute` never ran) or computed fresh. The section name is only
-    /// formatted when a recorder is attached: a cold 100k-task decide
-    /// would otherwise build 100k dead probe labels.
-    fn trace_cache(&self, section: std::fmt::Arguments<'_>, computed: bool) {
-        if self.tracer.is_on() {
-            self.tracer.emit(
-                SimTime::ZERO,
-                TraceEvent::PdcCache {
-                    section: section.to_string(),
-                    hit: !computed,
-                },
-            );
-        }
     }
 
     /// Builder-style: changes the optimization objective.
@@ -251,10 +236,11 @@ impl Pdc {
         self
     }
 
-    /// Builder-style: memoizes the profiling stages in `cache`. Reports are
-    /// bit-identical with or without a cache (see [`PlanCache`]).
+    /// Builder-style: memoizes the profiling stages in `cache`, shared
+    /// with other planners. Reports are bit-identical whichever cache a
+    /// planner uses and however warm it is (see [`PlanCache`]).
     pub fn with_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
     }
 
@@ -342,18 +328,9 @@ impl Pdc {
 
         // Step 1: full VM profiling passes across candidate sub-cluster
         // splits (memoized on workflow + cluster shape + seed).
-        let vm = match &self.cache {
-            Some(c) => {
-                let computed = Cell::new(false);
-                let v = c.vm_profile(self.vm_profile_key(workflow), || {
-                    computed.set(true);
-                    self.run_vm_profile(workflow)
-                });
-                self.trace_cache(format_args!("vm-profile"), computed.get());
-                v
-            }
-            None => self.run_vm_profile(workflow),
-        };
+        let vm = self.cache.vm_profile(self.vm_profile_key(workflow), || {
+            self.run_vm_profile(workflow)
+        });
 
         // Step 2: single-component serverless probes + decisions. Flat ids
         // are phase-major (see `TaskArena`), matching both the `task_refs`
@@ -390,20 +367,10 @@ impl Pdc {
         }
     }
 
-    /// Calibration factors, memoized when a cache is attached.
+    /// Calibration factors, memoized.
     fn calibrated_factors(&self) -> ModelFactors {
-        match &self.cache {
-            Some(c) => {
-                let computed = Cell::new(false);
-                let f = c.calibration(self.calibration_key(), || {
-                    computed.set(true);
-                    calibrate(&self.cfg)
-                });
-                self.trace_cache(format_args!("calibration"), computed.get());
-                f
-            }
-            None => calibrate(&self.cfg),
-        }
+        self.cache
+            .calibration(self.calibration_key(), || calibrate(&self.cfg))
     }
 
     /// Decides one task from its measured cluster-side time `t_vm`: the
@@ -446,19 +413,9 @@ impl Pdc {
             return forced(unprobed, ForcedVm::Misfit(misfit));
         }
 
-        let probe = match &self.cache {
-            Some(c) => {
-                let computed = Cell::new(false);
-                let p = c.probe(self.probe_key(r, t, &faas_cfg), || {
-                    computed.set(true);
-                    self.run_probe(workflow, r, &faas_cfg)
-                });
-                let ident = self.probe_identity(t).unwrap_or(&t.name);
-                self.trace_cache(format_args!("probe:{ident}"), computed.get());
-                p
-            }
-            None => self.run_probe(workflow, r, &faas_cfg),
-        };
+        let probe = self.cache.probe(self.probe_key(r, t, &faas_cfg), || {
+            self.run_probe(workflow, r, &faas_cfg)
+        });
 
         // Short-task rule with the recurring/warm-pool exception.
         let single_runtime = t.profile.compute_secs_serverless() / faas_cfg.core_speed;
@@ -926,41 +883,22 @@ impl Pdc {
         }
     }
 
-    /// Scoped phase profile, memoized when a cache is attached.
+    /// Scoped phase profile, memoized.
     fn phase_profile(&self, workflow: &Workflow, phase_idx: usize) -> PhaseProfileEntry {
-        match &self.cache {
-            Some(c) => {
-                let computed = Cell::new(false);
-                let e = c.phase_profile(self.phase_profile_key(workflow, phase_idx), || {
-                    computed.set(true);
-                    self.run_phase_profile(workflow, phase_idx)
-                });
-                self.trace_cache(format_args!("phase-profile:{phase_idx}"), computed.get());
-                e
-            }
-            None => self.run_phase_profile(workflow, phase_idx),
-        }
+        let key = self.phase_profile_key(&workflow.phases[phase_idx]);
+        self.cache
+            .phase_profile(key, || self.run_phase_profile(workflow, phase_idx))
     }
 
     /// Cache key for one scoped phase profile: seed + cluster shape + the
-    /// phase's task content the all-VM passes can observe — name (the
-    /// jitter stream label), components, profile, and whether the task
-    /// ingests the initial dataset (deps empty ⇒ master NIC, else fabric).
-    /// The phase *index* is deliberately absent: scoped times are
-    /// start-time-translation invariant, so identical phases share one
-    /// entry wherever they sit.
-    fn phase_profile_key(&self, workflow: &Workflow, phase_idx: usize) -> u128 {
-        let mut f = Fingerprinter::new("pdc-phase-profile-v1");
+    /// phase's [content digest](phase_content_digest). The phase *index*
+    /// is deliberately absent: scoped times are start-time-translation
+    /// invariant, so identical phases share one entry wherever they sit.
+    fn phase_profile_key(&self, phase: &Phase) -> u128 {
+        let mut f = Fingerprinter::new("pdc-phase-profile-v2");
         f.write_u64(self.cfg.seed);
         self.cfg.cluster.fingerprint(&mut f);
-        let phase = &workflow.phases[phase_idx];
-        f.write_usize(phase.tasks.len());
-        for t in &phase.tasks {
-            f.write_str(&t.name);
-            f.write_usize(t.components);
-            t.profile.fingerprint(&mut f);
-            f.write_bool(t.deps.is_empty());
-        }
+        f.write_bytes(&phase_content_digest(phase).to_le_bytes());
         f.digest()
     }
 
@@ -1014,11 +952,12 @@ impl Pdc {
     }
 }
 
-/// Content digest of one phase as the VM profiler can observe it — the
-/// phase-alignment key of [`Pdc::replan`]. Deliberately matches
-/// the scoped phase profiler's key material (names, components, profiles,
-/// initial-ingest flags; exact dependency refs excluded) so "matches" means
-/// "would profile identically".
+/// Content digest of one phase as the all-VM passes can observe it: each
+/// task's name (the jitter stream label), components, profile, and whether
+/// it ingests the initial dataset (deps empty ⇒ master NIC, else fabric);
+/// exact dependency refs excluded. It aligns phases in [`Pdc::replan`] and
+/// keys the scoped phase profiler, so "matches" means "would profile
+/// identically".
 fn phase_content_digest(phase: &Phase) -> u128 {
     let mut f = Fingerprinter::new("pdc-structural-phase-v1");
     f.write_usize(phase.tasks.len());

@@ -125,8 +125,9 @@ proptest! {
     }
 
     /// The planning cache is invisible to results: for any synthetic
-    /// workflow, an uncached decision, a cold cached decision, and a warm
-    /// cached decision (every stage a hit) produce the same `PdcReport`.
+    /// workflow, a decision on a planner's own cache, a cold shared-cache
+    /// decision, and a warm one (every stage a hit) produce the same
+    /// `PdcReport`.
     #[test]
     fn cached_pdc_reports_are_bit_identical_to_uncached(seed in 0u64..20) {
         let w = small_synthetic(seed);

@@ -447,13 +447,6 @@ trace_schema! {
             /// Forcing rule, or empty when the argmin decided.
             forced: String = "forced",
         },
-        /// A PDC profiling stage was served by the planning cache (or not).
-        PdcCache {
-            /// Stage name: `calibration`, `vm-profile`, or `probe`.
-            section: String = "section",
-            /// True when the stage was a cache hit.
-            hit: bool = "hit",
-        },
         /// A spot VM node was reclaimed by the provider (seeded fault plan).
         SpotPreempt {
             /// Fault id within the plan (retries chain to this).
@@ -1121,10 +1114,6 @@ mod tests {
                 t_serverless_secs: 9.75,
                 platform: "serverless".into(),
                 forced: String::new(),
-            },
-            TraceEvent::PdcCache {
-                section: "vm-profile".into(),
-                hit: false,
             },
             TraceEvent::SpotPreempt {
                 id: 0,

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! mashup validate <workflow.json>
-//! mashup analyze  <workflow.json|1000Genome|SRAsearch|Epigenomics> [--nodes N]
+//! mashup analyze  <workflow...>   [--plan plan.json] [--nodes N] [--provider aws|gcp] [--json]
+//! mashup analyze  --suite         [--json]
 //! mashup dot      <workflow.json>
 //! mashup plan     <workflow.json|1000Genome|SRAsearch|Epigenomics> [--nodes N] [--objective time|expense|both] [--probe-sharing]
 //! mashup run      <workflow...>   [--nodes N] [--strategy mashup|wo-pdc|traditional|serverless|pegasus|kepler]
@@ -21,7 +22,8 @@
 //! the PDC), `traditional` (the tuned all-VM cluster), `serverless`
 //! (serverless-only), `pegasus` and `kepler`. `compare` runs all but
 //! `wo-pdc`. Every command refuses inputs the analyzer rejects with its
-//! rendered diagnostics and exit status 1.
+//! rendered diagnostics and exit status 1; `analyze` prints every finding,
+//! errors included, and exits 1 when an error fired.
 //!
 //! Output goes through one fallible writer: when the reader closes stdout
 //! early (`mashup trace … | head -1`), the command stops quietly.
@@ -44,24 +46,34 @@ macro_rules! outln {
     };
 }
 
-fn load_workflow(spec: &str) -> Workflow {
+/// Loads a built-in workflow by name, or reads the JSON file `spec` and
+/// parses it with `parse`.
+fn load_workflow(spec: &str, parse: fn(&str) -> Result<Workflow, String>) -> Workflow {
     match spec {
         "1000Genome" => genome1000::workflow(),
         "SRAsearch" => srasearch::workflow(),
         "Epigenomics" => epigenomics::workflow(),
         path => {
-            let json = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("cannot read '{path}': {e}")));
-            mashup::dag::from_json(&json)
-                .unwrap_or_else(|e| die(&format!("invalid workflow '{path}': {e}")))
+            parse(&read(path)).unwrap_or_else(|e| die(&format!("invalid workflow '{path}': {e}")))
         }
     }
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read '{path}': {e}")))
+}
+
+/// Parses a workflow without structural validation: reporting what is
+/// wrong with it is `analyze`'s job.
+fn unvalidated(json: &str) -> Result<Workflow, String> {
+    serde_json::from_str(json).map_err(|e| e.to_string())
 }
 
 /// Loads a workflow and checks it once for every pass that plans or runs
 /// it, exiting with the rendered diagnostics on a refusal.
 fn load_checked(spec: &str) -> CheckedWorkflow<'static> {
-    CheckedWorkflow::new(load_workflow(spec)).unwrap_or_else(|e| die_diagnosed(&e))
+    CheckedWorkflow::new(load_workflow(spec, mashup::dag::from_json))
+        .unwrap_or_else(|e| die_diagnosed(&e))
 }
 
 fn die(msg: &str) -> ! {
@@ -217,7 +229,7 @@ fn cli() -> io::Result<()> {
     match cmd.as_str() {
         "validate" => {
             let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
-            let w = load_workflow(&spec);
+            let w = load_workflow(&spec, mashup::dag::from_json);
             outln!(
                 "'{}' is valid: {} tasks, {} components, {} phases, peak width {}",
                 w.name,
@@ -229,20 +241,10 @@ fn cli() -> io::Result<()> {
         }
         "dot" => {
             let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
-            let w = load_workflow(&spec);
+            let w = load_workflow(&spec, mashup::dag::from_json);
             out!("{}", mashup::dag::to_dot(&w));
         }
-        "analyze" => {
-            let args = parse_args(argv);
-            let w = load_checked(&args.workflow);
-            let cfg = MashupConfig::aws(args.nodes);
-            match w.check(&cfg, None, None) {
-                Ok(warnings) => {
-                    out!("{}", render_pretty(&warnings));
-                }
-                Err(e) => die_diagnosed(&e),
-            }
-        }
+        "analyze" => run_analyze(argv)?,
         "plan" => {
             let args = parse_args(argv);
             let w = load_checked(&args.workflow);
@@ -376,6 +378,110 @@ fn cli() -> io::Result<()> {
         "chaos" => run_chaos(argv)?,
         "serve" => run_serve(argv)?,
         other => die(&format!("unknown command '{other}'")),
+    }
+    Ok(())
+}
+
+/// `mashup analyze`: the analyzer's findings on the config and on each
+/// target workflow, or with `--suite` on the paper workflows and six
+/// synthetic samples, plus a placement plan's if `--plan` names one. CI
+/// runs `--suite` to keep every shipped input analyzer-clean.
+fn run_analyze(mut argv: std::env::Args) -> io::Result<()> {
+    use mashup::analyze::{analyze_config, analyze_plan, analyze_workflow, has_errors};
+    let mut specs = Vec::new();
+    let mut plan: Option<PlacementPlan> = None;
+    let mut cfg: fn(usize) -> MashupConfig = MashupConfig::aws;
+    let mut nodes = 8usize;
+    let mut json = false;
+    let mut suite = false;
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--plan" => {
+                let path = argv.next().unwrap_or_else(|| die("--plan needs a path"));
+                plan = Some(
+                    serde_json::from_str(&read(&path))
+                        .unwrap_or_else(|e| die(&format!("invalid plan '{path}': {e}"))),
+                );
+            }
+            "--nodes" => {
+                nodes = argv
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| die("--nodes needs a positive integer"));
+            }
+            "--provider" => {
+                cfg = match argv.next().as_deref() {
+                    Some("aws") => MashupConfig::aws,
+                    Some("gcp") => MashupConfig::gcp,
+                    other => die(&format!("unknown provider {other:?} (expected aws or gcp)")),
+                };
+            }
+            "--json" => json = true,
+            "--suite" => suite = true,
+            flag if flag.starts_with("--") => die(&format!("unknown flag '{flag}'")),
+            spec => specs.push(spec.to_string()),
+        }
+    }
+    if specs.is_empty() && !suite {
+        die("missing workflow (or --suite)");
+    }
+    let cfg = cfg(nodes);
+    let mut targets = Vec::new();
+    if suite {
+        let synthetic = (0..6).map(|seed| {
+            mashup::workflows::generate(&mashup::workflows::SyntheticConfig::default(), seed)
+        });
+        for w in mashup::workflows::paper_workflows()
+            .into_iter()
+            .chain(synthetic)
+        {
+            targets.push((w.name.clone(), w));
+        }
+    }
+    for spec in specs {
+        let w = load_workflow(&spec, unvalidated);
+        targets.push((spec, w));
+    }
+
+    /// One `--json` output element: a target plus its findings.
+    #[derive(serde::Serialize)]
+    struct Section {
+        target: String,
+        diagnostics: Vec<Diagnostic>,
+    }
+    // Config checks run once, not per workflow.
+    let config = analyze_config(
+        &cfg.provider,
+        &cfg.cluster,
+        &mashup::engine::engine_params(&cfg),
+    );
+    let mut sections = vec![Section {
+        target: "config".into(),
+        diagnostics: config,
+    }];
+    for (target, w) in targets {
+        let mut diagnostics = analyze_workflow(&w);
+        if let Some(plan) = &plan {
+            diagnostics.extend(analyze_plan(&w, plan, &cfg.plan_context()));
+        }
+        sections.push(Section {
+            target,
+            diagnostics,
+        });
+    }
+    let errors = sections.iter().any(|s| has_errors(&s.diagnostics));
+    if json {
+        let body = serde_json::to_string_pretty(&sections)
+            .unwrap_or_else(|e| die(&format!("serialize: {e}")));
+        outln!("{body}");
+    } else {
+        for s in &sections {
+            out!("== {}\n{}", s.target, render_pretty(&s.diagnostics));
+        }
+    }
+    if errors {
+        io::stdout().flush()?;
+        std::process::exit(1);
     }
     Ok(())
 }

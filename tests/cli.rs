@@ -42,6 +42,31 @@ fn plan_prints_decisions() {
     assert!(stdout.contains("profiling cost"));
 }
 
+#[test]
+fn analyze_prints_every_finding_and_fails_on_errors() {
+    let suite = mashup()
+        .args(["analyze", "--suite"])
+        .output()
+        .expect("binary runs");
+    assert!(suite.status.success());
+    let stdout = String::from_utf8_lossy(&suite.stdout);
+    assert!(stdout.starts_with("== config\n"));
+    assert!(stdout.contains("== SRAsearch\n") && stdout.contains("== synthetic-5\n"));
+
+    // Loaded without structural validation, so every M1xx finding shows.
+    let bad = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/analyze_fixtures/bad_workflow.json"
+    );
+    let out = mashup()
+        .args(["analyze", bad, "SRAsearch", "--json"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("M102") && stdout.contains("\"SRAsearch\""));
+}
+
 /// Every strategy name the CLI accepts.
 const STRATEGIES: [&str; 6] = [
     "mashup",

@@ -16,7 +16,7 @@ use std::sync::{Mutex, MutexGuard};
 /// are process-wide, and the test harness runs tests on parallel threads.
 /// Every test that sets one holds this lock, so no test flips a setting
 /// while another runs: the chaos matrix, say, must never see the cache
-/// switched back on halfway through.
+/// switched off halfway through.
 static GLOBAL_SETTINGS: Mutex<()> = Mutex::new(());
 
 fn global_settings() -> MutexGuard<'static, ()> {
@@ -64,9 +64,9 @@ fn chaos_replay_is_bit_identical_across_job_counts() {
     // come only from the seeded schedule and each scenario owns its
     // Simulation, so the full report *and* the full flow-level trace must
     // be bit-identical whatever thread interleaving the pool picks. The
-    // plan cache is off for the matrix: which cell warms a cache section
-    // first is a worker-count-dependent race, and the flight recorder
-    // honestly reports hit/miss — the only admissible trace difference.
+    // serial reference gives every cell a fresh plan cache; the pooled
+    // runs share one, so which cell warms a stage first is a race that
+    // must show in neither the reports nor the traces.
     fn run_matrix() -> Vec<String> {
         let cells: Vec<(u64, usize)> = (0..2u64)
             .flat_map(|s| (0..3).map(move |w| (s, w)))
@@ -94,12 +94,12 @@ fn chaos_replay_is_bit_identical_across_job_counts() {
     bench::set_plan_cache_enabled(false);
     bench::set_jobs(1);
     let serial = run_matrix();
+    bench::set_plan_cache_enabled(true);
     bench::set_jobs(4);
     let four = run_matrix();
     bench::set_jobs(16);
     let sixteen = run_matrix();
     bench::set_jobs(0);
-    bench::set_plan_cache_enabled(true);
     assert_eq!(serial, four, "chaos replay depends on --jobs 4");
     assert_eq!(serial, sixteen, "chaos replay depends on --jobs 16");
 }
@@ -120,8 +120,16 @@ fn figure_json_is_byte_identical_with_tracing_enabled() {
     let traced = serde_json::to_string_pretty(&bench::fig05_objectives()).expect("serialize");
     bench::set_jobs(0);
     assert_eq!(untraced, traced, "fig05 JSON depends on tracing");
-    let written = std::fs::read_dir(&dir).expect("trace dir exists").count();
-    assert!(written > 0, "tracing enabled but no trace files written");
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("trace dir exists")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    // One file per objective, named by workflow, node count and strategy.
+    for objective in ["time", "expense", "both"] {
+        let stem = format!("SRAsearch__n48__mashup-{objective}__");
+        let found = names.iter().any(|n| n.to_string_lossy().starts_with(&stem));
+        assert!(found, "no {stem}* trace among {names:?}");
+    }
 }
 
 #[test]
