@@ -2,14 +2,17 @@
 //! the PDC itself, checkpointing across the FaaS cap, the warm-pool
 //! exception for recurring tasks, pre-warming, and sub-cluster splits.
 
-use crate::strategies::{run_strategy, Strategy};
+use crate::figures::checked;
+use crate::strategies::{grid, run_cells, RunCell, Strategy};
 use crate::table::{pct, Table};
 use mashup_core::{
-    improvement_pct, try_execute, MashupConfig, PlacementPlan, Platform, WorkflowReport,
+    improvement_pct, try_execute, CheckedWorkflow, MashupConfig, PlacementPlan, Platform,
+    WorkflowReport,
 };
 use mashup_dag::{Task, TaskProfile, Workflow, WorkflowBuilder};
 use mashup_workflows::{epigenomics, srasearch};
 use serde::Serialize;
+use std::sync::Arc;
 
 /// Executes a fixed plan; every ablation builds inputs the analyzer accepts.
 fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, label: &str) -> WorkflowReport {
@@ -48,21 +51,17 @@ fn row(mechanism: &str, workload: &str, with_secs: f64, without_secs: f64) -> Ab
     }
 }
 
-/// Ablation 1 — the PDC: full Mashup vs the component-count threshold.
-fn ablate_pdc() -> Vec<AblationRow> {
-    let mut rows = Vec::new();
-    for w in [srasearch::workflow(), epigenomics::workflow()] {
-        let cfg = MashupConfig::aws(8);
-        let with = run_strategy(&cfg, &w, Strategy::Mashup);
-        let without = run_strategy(&cfg, &w, Strategy::MashupWithoutPdc);
-        rows.push(row(
-            "pdc",
-            &w.name,
-            with.makespan_secs,
-            without.makespan_secs,
-        ));
-    }
-    rows
+/// The PDC ablation's strategies: full Mashup, then the component-count
+/// threshold.
+const PDC: [Strategy; 2] = [Strategy::Mashup, Strategy::MashupWithoutPdc];
+
+/// Ablation 1 — the PDC: full Mashup vs the component-count threshold,
+/// from each workflow's [`PDC`] runs on 8 nodes.
+fn ablate_pdc(wfs: &[CheckedWorkflow], reports: &[Arc<WorkflowReport>]) -> Vec<AblationRow> {
+    wfs.iter()
+        .zip(reports.chunks(PDC.len()))
+        .map(|(w, runs)| row("pdc", &w.name, runs[0].makespan_secs, runs[1].makespan_secs))
+        .collect()
 }
 
 /// Ablation 2 — checkpointing: an over-cap task with a sane checkpoint
@@ -169,41 +168,47 @@ fn ablate_warm_family() -> Vec<AblationRow> {
     }]
 }
 
-/// Ablation 5 — sub-cluster splits on the traditional baseline. Run at 48
-/// nodes: splitting halves each task's node share, so it only pays off
-/// once the cluster is big enough that isolation beats width (on small
-/// clusters it is rightly harmful — which is exactly why the PDC's split
-/// search uses measured makespans).
-fn ablate_subclusters() -> Vec<AblationRow> {
-    let w = srasearch::workflow();
-    let cfg = MashupConfig::aws(48);
-    let single = run_strategy(&cfg, &w, Strategy::Traditional);
-    let split = {
-        let tuned = cfg.clone().with_subclusters(2);
-        run_strategy(&tuned, &w, Strategy::Traditional)
-    };
-    vec![row(
+/// Ablation 5 — sub-cluster splits on the traditional baseline, from
+/// traditional runs on one 48-node cluster and on two 24-node halves:
+/// splitting halves each task's node share, so it only pays off once the
+/// cluster is big enough that isolation beats width (on small clusters it
+/// is rightly harmful — which is exactly why the PDC's split search uses
+/// measured makespans).
+fn ablate_subclusters(
+    w: &Workflow,
+    single: &WorkflowReport,
+    split: &WorkflowReport,
+) -> AblationRow {
+    row(
         "two-sub-cluster split",
         &w.name,
         split.makespan_secs,
         single.makespan_secs,
-    )]
+    )
 }
 
-/// Runs every ablation. Each study is an independent set of simulations,
-/// so they fan out over the sweep workers; row order stays fixed.
+/// Runs every ablation, rows in a fixed order. The strategy runs of
+/// ablations 1 and 5 are one grid of cells on the pool; the fixed-plan
+/// runs of ablations 2–4 execute here.
 pub fn ablations() -> Ablations {
-    let studies: Vec<fn() -> Vec<AblationRow>> = vec![
-        ablate_pdc,
-        ablate_checkpointing,
-        ablate_prewarm,
-        ablate_warm_family,
-        ablate_subclusters,
-    ];
-    let rows = crate::par_map(studies, |study| study())
-        .into_iter()
-        .flatten()
-        .collect();
+    let wfs = [srasearch::workflow(), epigenomics::workflow()].map(checked);
+    let sra = &wfs[0];
+    let at48 = MashupConfig::aws(48);
+    let mut cells = grid(&wfs, &[MashupConfig::aws(8)], &PDC);
+    cells.push(RunCell::new(at48.clone(), sra, Strategy::Traditional));
+    cells.push(RunCell::new(
+        at48.with_subclusters(2),
+        sra,
+        Strategy::Traditional,
+    ));
+    let reports = run_cells(&cells);
+    let (pdc, split) = reports.split_at(wfs.len() * PDC.len());
+
+    let mut rows = ablate_pdc(&wfs, pdc);
+    rows.extend(ablate_checkpointing());
+    rows.extend(ablate_prewarm());
+    rows.extend(ablate_warm_family());
+    rows.push(ablate_subclusters(sra, &split[0], &split[1]));
     Ablations { rows }
 }
 

@@ -10,12 +10,16 @@
 //! ```
 //!
 //! `--jobs N` sets the scenario-sweep worker count (default: one per core);
-//! `--no-plan-cache` gives each run a fresh PDC profiling cache instead of
-//! the shared one; `--trace-dir DIR` additionally records every strategy
+//! `--no-plan-cache` makes runs share nothing: each gets a fresh PDC
+//! profiling cache instead of the shared one, and the run memo, which
+//! otherwise runs each distinct strategy cell once per pass, is neither
+//! read nor written; `--trace-dir DIR` additionally records every strategy
 //! run as a JSONL flight-recorder trace under DIR, named by figure,
-//! workflow, node count, strategy and a digest of its content. Figures and
-//! trace directories alike are byte-identical for any N and with the cache
-//! shared or not, and figures also with or without tracing.
+//! workflow, node count, strategy and a digest of its content (a cell the
+//! memo answers copies its first run's file). Figures and trace
+//! directories alike are byte-identical for any N and with sharing on or
+//! off, and figures also with or without tracing. Stderr ends with the
+//! cache counters and the strategy runs executed of those requested.
 //!
 //! Keys select cells (case-insensitive): `fig2`, `fig4a`…`fig12`,
 //! `inputs`, `half`, `gcp`, `overheads`, `accuracy`, `expense`,
@@ -186,5 +190,10 @@ fn main() {
     } else {
         eprintln!("[plan-cache] not shared (--no-plan-cache)");
     }
+    let runs = bench::run_stats();
+    eprintln!(
+        "[runs] {} strategy runs executed of {} requested",
+        runs.executed, runs.requested
+    );
     eprintln!("[figures] total wall time {wall:.2}s");
 }

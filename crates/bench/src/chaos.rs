@@ -9,8 +9,8 @@
 //! fault comes from the schedule and every run is bit-reproducible, so
 //! the cell regenerates byte-identically.
 
-use crate::par_map;
-use crate::strategies::{run_strategy, Strategy};
+use crate::figures::checked;
+use crate::strategies::{grid, run_cells, RunCell, Strategy};
 use crate::table::{f1, pct, usd, Table};
 use mashup_cloud::{Fault, FaultPlan};
 use mashup_core::{improvement_pct, ChaosSpec, MashupConfig};
@@ -70,42 +70,53 @@ fn preempt_plan(k: usize, at_secs: f64) -> FaultPlan {
 /// reclaimed-node count, the makespan/expense of the static Mashup plan vs
 /// the replanning controller under the identical fault schedule.
 pub fn fig13_adaptive() -> Fig13 {
-    let wfs = vec![
+    let wfs = [
         genome1000::workflow(),
         srasearch::workflow(),
         epigenomics::workflow(),
-    ];
+    ]
+    .map(checked);
     // Fault-free reference runs size each workflow's reclaim instant.
-    let baselines = par_map(wfs.clone(), |w| {
-        run_strategy(&MashupConfig::aws(CHAOS_NODES), &w, Strategy::Mashup)
-    });
-    let cells: Vec<(usize, usize)> = (0..wfs.len())
-        .flat_map(|wi| PREEMPT_SWEEP.iter().map(move |&k| (wi, k)))
+    let fault_free = [MashupConfig::aws(CHAOS_NODES)];
+    let baselines = run_cells(&grid(&wfs, &fault_free, &[Strategy::Mashup]));
+    // Per (workflow, reclaimed count): the static run, then the adaptive
+    // one. Strike during the first quarter: enough of the run remains for
+    // replanning to matter.
+    let sweep: Vec<(usize, usize, f64)> = (0..wfs.len())
+        .flat_map(|wi| {
+            let at = baselines[wi].makespan_secs * 0.25;
+            PREEMPT_SWEEP.map(|k| (wi, k, at))
+        })
         .collect();
-    let rows = par_map(cells, |(wi, k)| {
-        let w = &wfs[wi];
-        let base = &baselines[wi];
-        // Strike during the first quarter: enough of the run remains for
-        // replanning to matter.
-        let at = base.makespan_secs * 0.25;
-        let plan = preempt_plan(k, at);
-        let static_cfg = MashupConfig::aws(CHAOS_NODES).with_chaos(ChaosSpec::new(plan.clone()));
-        let adaptive_cfg =
-            MashupConfig::aws(CHAOS_NODES).with_chaos(ChaosSpec::new(plan).with_adaptive(true));
-        let s = run_strategy(&static_cfg, w, Strategy::Mashup);
-        let a = run_strategy(&adaptive_cfg, w, Strategy::Mashup);
-        Fig13Row {
-            workflow: w.name.clone(),
-            preempted_nodes: k,
-            preempt_at_secs: at,
-            fault_free_makespan_secs: base.makespan_secs,
-            static_makespan_secs: s.makespan_secs,
-            adaptive_makespan_secs: a.makespan_secs,
-            time_improvement_pct: improvement_pct(a.makespan_secs, s.makespan_secs),
-            static_expense_dollars: s.expense.total(),
-            adaptive_expense_dollars: a.expense.total(),
-        }
-    });
+    let cells: Vec<RunCell> = sweep
+        .iter()
+        .flat_map(|&(wi, k, at)| {
+            let spec = ChaosSpec::new(preempt_plan(k, at));
+            [spec.clone(), spec.with_adaptive(true)].map(|chaos| {
+                let cfg = MashupConfig::aws(CHAOS_NODES).with_chaos(chaos);
+                RunCell::new(cfg, &wfs[wi], Strategy::Mashup)
+            })
+        })
+        .collect();
+    let reports = run_cells(&cells);
+    let rows = sweep
+        .iter()
+        .zip(reports.chunks(2))
+        .map(|(&(wi, k, at), runs)| {
+            let (s, a) = (&runs[0], &runs[1]);
+            Fig13Row {
+                workflow: wfs[wi].name.clone(),
+                preempted_nodes: k,
+                preempt_at_secs: at,
+                fault_free_makespan_secs: baselines[wi].makespan_secs,
+                static_makespan_secs: s.makespan_secs,
+                adaptive_makespan_secs: a.makespan_secs,
+                time_improvement_pct: improvement_pct(a.makespan_secs, s.makespan_secs),
+                static_expense_dollars: s.expense.total(),
+                adaptive_expense_dollars: a.expense.total(),
+            }
+        })
+        .collect();
     Fig13 {
         nodes: CHAOS_NODES,
         rows,

@@ -2,10 +2,13 @@
 //! paper-vs-measured numbers.
 
 use crate::par_map;
-use crate::strategies::{run_strategy, Strategy};
+use crate::strategies::{grid, run_cells, RunCell, Strategy};
 use crate::table::{f1, pct, usd, Table};
-use mashup_core::{improvement_pct, CheckedWorkflow, Mashup, MashupConfig, Objective, Platform};
-use mashup_dag::{Task, TaskProfile, WorkflowBuilder};
+use mashup_core::{
+    improvement_pct, CheckedWorkflow, Mashup, MashupConfig, Objective, Platform, TaskDecision,
+    WorkflowReport,
+};
+use mashup_dag::{Task, TaskProfile, Workflow, WorkflowBuilder};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use serde::Serialize;
 
@@ -15,6 +18,12 @@ pub const CLUSTER_SIZES: [usize; 8] = [2, 4, 8, 16, 32, 48, 64, 96];
 /// The cluster size of the paper's single-size comparisons (Figs. 8, 12).
 pub const DEFAULT_NODES: usize = 48;
 
+/// Runs the M1xx checks once for every cell that runs `w`; the harness
+/// builds only workflows that pass them.
+pub(crate) fn checked(w: Workflow) -> CheckedWorkflow<'static> {
+    CheckedWorkflow::new(w).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// The paper's workflows, each checked once for the cells that plan it.
 fn paper_workflows() -> Vec<CheckedWorkflow<'static>> {
     [
@@ -22,8 +31,17 @@ fn paper_workflows() -> Vec<CheckedWorkflow<'static>> {
         srasearch::workflow,
         epigenomics::workflow,
     ]
-    .map(|build| CheckedWorkflow::new(build()).expect("the paper's workflows check clean"))
+    .map(|build| checked(build()))
     .into()
+}
+
+/// The paper's workflows that `targets` (workflow, task) name, in paper
+/// order.
+fn named_paper_workflows(targets: &[(&str, &str)]) -> Vec<CheckedWorkflow<'static>> {
+    paper_workflows()
+        .into_iter()
+        .filter(|w| targets.iter().any(|(wf, _)| *wf == w.name))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -53,10 +71,13 @@ pub struct Fig02 {
 /// Regenerates Fig. 2: per-task SRAsearch execution time on serverless vs a
 /// 4-node vs a 64-node cluster (as % of each task's max).
 pub fn fig02_env_choice() -> Fig02 {
-    let w = srasearch::workflow();
-    let sl = run_strategy(&MashupConfig::aws(4), &w, Strategy::ServerlessOnly);
-    let vm4 = run_strategy(&MashupConfig::aws(4), &w, Strategy::Traditional);
-    let vm64 = run_strategy(&MashupConfig::aws(64), &w, Strategy::Traditional);
+    let w = checked(srasearch::workflow());
+    let reports = run_cells(&[
+        RunCell::new(MashupConfig::aws(4), &w, Strategy::ServerlessOnly),
+        RunCell::new(MashupConfig::aws(4), &w, Strategy::Traditional),
+        RunCell::new(MashupConfig::aws(64), &w, Strategy::Traditional),
+    ]);
+    let (sl, vm4, vm64) = (&reports[0], &reports[1], &reports[2]);
     let rows = w
         .task_refs()
         .map(|r| {
@@ -148,37 +169,31 @@ pub fn fig04b_cold_start() -> Fig04ab {
     }
 }
 
+/// One row per (workflow, task) target, in the order requested, from a
+/// serverless-only run of each named workflow on 4 nodes.
 fn overhead_rows(
     targets: &[(&str, &str)],
     metric: impl Fn(&mashup_core::TaskReport) -> f64,
 ) -> Vec<OverheadRow> {
-    let mut rows = Vec::new();
-    for w in paper_workflows() {
-        let wanted: Vec<&str> = targets
-            .iter()
-            .filter(|(wf, _)| *wf == w.name)
-            .map(|(_, t)| *t)
-            .collect();
-        if wanted.is_empty() {
-            continue;
-        }
-        let report = run_strategy(&MashupConfig::aws(4), &w, Strategy::ServerlessOnly);
-        for task in wanted {
-            let tr = report.task(task).expect("task ran");
-            rows.push(OverheadRow {
+    let wfs = named_paper_workflows(targets);
+    let reports = run_cells(&grid(
+        &wfs,
+        &[MashupConfig::aws(4)],
+        &[Strategy::ServerlessOnly],
+    ));
+    targets
+        .iter()
+        .map(|&(wf, task)| {
+            let wi = wfs
+                .iter()
+                .position(|w| w.name == wf)
+                .expect("paper workflow");
+            OverheadRow {
                 task: task.to_string(),
-                share_pct: metric(tr) * 100.0,
-            });
-        }
-    }
-    // Preserve the order requested.
-    rows.sort_by_key(|r| {
-        targets
-            .iter()
-            .position(|(_, t)| *t == r.task)
-            .expect("requested task")
-    });
-    rows
+                share_pct: metric(reports[wi].task(task).expect("task ran")) * 100.0,
+            }
+        })
+        .collect()
 }
 
 impl Fig04ab {
@@ -231,20 +246,29 @@ pub fn fig04c_scaling() -> Fig04c {
             ),
         ]
     };
-    let mut series = Vec::new();
-    for (name, profile) in profiles {
-        let mut points = Vec::new();
-        for &c in &counts {
-            let mut b = WorkflowBuilder::new(format!("scaling-{name}-{c}"));
-            b.initial_input_bytes(profile.input_bytes * c as f64);
-            b.begin_phase();
-            b.add_task(Task::new(name.clone(), c, profile.clone()));
-            let w = b.build().expect("valid");
-            let report = run_strategy(&MashupConfig::aws(4), &w, Strategy::ServerlessOnly);
-            points.push(report.tasks[0].scaling_secs);
-        }
-        series.push((name, points));
-    }
+    // One single-task workflow per (profile, component count).
+    let wfs: Vec<CheckedWorkflow> = profiles
+        .iter()
+        .flat_map(|(name, profile)| {
+            counts.iter().map(move |&c| {
+                let mut b = WorkflowBuilder::new(format!("scaling-{name}-{c}"));
+                b.initial_input_bytes(profile.input_bytes * c as f64);
+                b.begin_phase();
+                b.add_task(Task::new(name.clone(), c, profile.clone()));
+                checked(b.build().expect("valid"))
+            })
+        })
+        .collect();
+    let reports = run_cells(&grid(
+        &wfs,
+        &[MashupConfig::aws(4)],
+        &[Strategy::ServerlessOnly],
+    ));
+    let series = profiles
+        .into_iter()
+        .zip(reports.chunks(counts.len()))
+        .map(|((name, _), runs)| (name, runs.iter().map(|r| r.tasks[0].scaling_secs).collect()))
+        .collect();
     Fig04c {
         components: counts,
         series,
@@ -382,32 +406,23 @@ pub fn fig07_expense() -> SweepResult {
     })
 }
 
-fn sweep(
-    metric: &str,
-    score: impl Fn(&mashup_core::WorkflowReport, &mashup_core::WorkflowReport) -> f64 + Sync,
-) -> SweepResult {
-    // Every (workflow, size) cell is an independent pair of simulations;
-    // fan the whole grid out and regroup in order afterwards.
+/// The tuned traditional baseline and Mashup under each config, in that
+/// order: the pair every improvement figure scores.
+const VERSUS: [Strategy; 2] = [Strategy::TraditionalTuned, Strategy::Mashup];
+
+/// Scores Mashup against the tuned baseline for each workflow at each
+/// cluster size. Figs. 6 and 7 declare the same cells, so the second of
+/// them to run executes none.
+fn sweep(metric: &str, score: impl Fn(&WorkflowReport, &WorkflowReport) -> f64) -> SweepResult {
     let workflows = paper_workflows();
-    let cells: Vec<(usize, usize)> = (0..workflows.len())
-        .flat_map(|wi| (0..CLUSTER_SIZES.len()).map(move |si| (wi, si)))
-        .collect();
-    let points = par_map(cells, |(wi, si)| {
-        let w = &workflows[wi];
-        let cfg = MashupConfig::aws(CLUSTER_SIZES[si]);
-        let base = run_strategy(&cfg, w, Strategy::TraditionalTuned);
-        let mashup = run_strategy(&cfg, w, Strategy::Mashup);
-        score(&mashup, &base)
-    });
+    let configs = CLUSTER_SIZES.map(MashupConfig::aws);
+    let reports = run_cells(&grid(&workflows, &configs, &VERSUS));
     let series = workflows
         .iter()
-        .enumerate()
-        .map(|(wi, w)| {
-            let start = wi * CLUSTER_SIZES.len();
-            (
-                w.name.clone(),
-                points[start..start + CLUSTER_SIZES.len()].to_vec(),
-            )
+        .zip(reports.chunks(configs.len() * VERSUS.len()))
+        .map(|(w, runs)| {
+            let points = runs.chunks(VERSUS.len()).map(|p| score(&p[1], &p[0]));
+            (w.name.clone(), points.collect())
         })
         .collect();
     SweepResult {
@@ -475,28 +490,31 @@ pub struct Fig08 {
 /// Regenerates Fig. 8: Mashup with the cheap (m5-like) and expensive
 /// (r5b-like) VM families on a 48-node cluster.
 pub fn fig08_vm_families() -> Fig08 {
-    let mut cells = Vec::new();
-    for w in [genome1000::workflow(), srasearch::workflow()] {
-        for (family, cfg) in [
-            ("cheap (m5)", MashupConfig::aws_cheap(DEFAULT_NODES)),
-            (
-                "expensive (r5b)",
-                MashupConfig::aws_expensive(DEFAULT_NODES),
-            ),
-        ] {
-            cells.push((w.clone(), family, cfg));
-        }
-    }
-    let rows = par_map(cells, |(w, family, cfg)| {
-        let base = run_strategy(&cfg, &w, Strategy::TraditionalTuned);
-        let mashup = run_strategy(&cfg, &w, Strategy::Mashup);
-        Fig08Row {
-            workflow: w.name.clone(),
-            family: family.into(),
-            time_improvement_pct: improvement_pct(mashup.makespan_secs, base.makespan_secs),
-            expense_improvement_pct: improvement_pct(mashup.expense.total(), base.expense.total()),
-        }
-    });
+    let wfs = [genome1000::workflow(), srasearch::workflow()].map(checked);
+    let families = ["cheap (m5)", "expensive (r5b)"];
+    let configs = [
+        MashupConfig::aws_cheap(DEFAULT_NODES),
+        MashupConfig::aws_expensive(DEFAULT_NODES),
+    ];
+    let reports = run_cells(&grid(&wfs, &configs, &VERSUS));
+    let labels = wfs
+        .iter()
+        .flat_map(|w| families.map(|f| (w.name.clone(), f)));
+    let rows = labels
+        .zip(reports.chunks(VERSUS.len()))
+        .map(|((workflow, family), p)| {
+            let (base, mashup) = (&p[0], &p[1]);
+            Fig08Row {
+                workflow,
+                family: family.into(),
+                time_improvement_pct: improvement_pct(mashup.makespan_secs, base.makespan_secs),
+                expense_improvement_pct: improvement_pct(
+                    mashup.expense.total(),
+                    base.expense.total(),
+                ),
+            }
+        })
+        .collect();
     Fig08 { rows }
 }
 
@@ -659,20 +677,18 @@ pub fn fig10_sysmetrics() -> Fig10 {
         ("Epigenomics", "FastQSplit"),
     ];
     let nodes = 96usize;
+    let cfg = MashupConfig::aws(nodes);
+    let wfs = named_paper_workflows(&targets);
+    let reports = run_cells(&grid(
+        &wfs,
+        std::slice::from_ref(&cfg),
+        &[Strategy::Traditional, Strategy::ServerlessOnly],
+    ));
     let mut tasks = Vec::new();
-    for w in paper_workflows() {
-        let wanted: Vec<&str> = targets
-            .iter()
-            .filter(|(wf, _)| *wf == w.name)
-            .map(|(_, t)| *t)
-            .collect();
-        if wanted.is_empty() {
-            continue;
-        }
-        let cfg = MashupConfig::aws(nodes);
-        let vm = run_strategy(&cfg, &w, Strategy::Traditional);
-        let sl = run_strategy(&cfg, &w, Strategy::ServerlessOnly);
-        for name in wanted {
+    for (w, runs) in wfs.iter().zip(reports.chunks(2)) {
+        let (vm, sl) = (&runs[0], &runs[1]);
+        let wanted = targets.iter().filter(|(wf, _)| *wf == w.name);
+        for &(_, name) in wanted {
             let (_, task) = w.task_by_name(name).expect("exists");
             let vm_t = vm.task(name).expect("ran");
             let sl_t = sl.task(name).expect("ran");
@@ -746,29 +762,27 @@ pub struct Fig11 {
     pub points: Vec<Fig11Point>,
 }
 
+/// Fig. 11's strategies, each with the label its points carry.
+const FIG11: [(&str, Strategy); 3] = [
+    ("serverless", Strategy::ServerlessOnly),
+    ("vm-cluster", Strategy::TraditionalTuned),
+    ("mashup", Strategy::Mashup),
+];
+
 /// Regenerates Fig. 11: the time-vs-expense scatter of serverless-only,
 /// VM cluster, and Mashup for each workflow (smaller is better). Uses a
 /// 16-node cluster — the mid-size regime where the hybrid's
 /// best-of-both-worlds effect is clearest on our substrate.
 pub fn fig11_pareto() -> Fig11 {
     let wfs = paper_workflows();
-    const STRATS: [(&str, Strategy); 3] = [
-        ("serverless", Strategy::ServerlessOnly),
-        ("vm-cluster", Strategy::TraditionalTuned),
-        ("mashup", Strategy::Mashup),
-    ];
-    let cells: Vec<(usize, usize)> = (0..wfs.len())
-        .flat_map(|wi| (0..STRATS.len()).map(move |si| (wi, si)))
-        .collect();
-    let reports = par_map(cells, |(wi, si)| {
-        run_strategy(&MashupConfig::aws(16), &wfs[wi], STRATS[si].1)
-    });
+    let strategies = FIG11.map(|(_, s)| s);
+    let reports = run_cells(&grid(&wfs, &[MashupConfig::aws(16)], &strategies));
     let mut points = Vec::new();
-    for (wi, w) in wfs.iter().enumerate() {
-        let entries: Vec<_> = STRATS
-            .iter()
-            .enumerate()
-            .map(|(si, &(label, _))| (label, &reports[wi * STRATS.len() + si]))
+    for (w, runs) in wfs.iter().zip(reports.chunks(FIG11.len())) {
+        let entries: Vec<_> = FIG11
+            .map(|(label, _)| label)
+            .into_iter()
+            .zip(runs)
             .collect();
         let max_t = entries
             .iter()
@@ -848,30 +862,21 @@ pub struct Fig11Search {
 /// a reproduction, so it stays out of the default golden set.
 pub fn fig11_search() -> Fig11Search {
     const BUDGET: usize = 200;
-    const STRATS: [(&str, Strategy); 3] = [
-        ("serverless", Strategy::ServerlessOnly),
-        ("vm-cluster", Strategy::TraditionalTuned),
-        ("mashup", Strategy::Mashup),
-    ];
     let cfg = MashupConfig::aws(16);
     let wfs = paper_workflows();
-    let cells: Vec<(usize, usize)> = (0..wfs.len())
-        .flat_map(|wi| (0..STRATS.len()).map(move |si| (wi, si)))
-        .collect();
-    let reports = par_map(cells, |(wi, si)| run_strategy(&cfg, &wfs[wi], STRATS[si].1));
-    let strategies: Vec<Fig11SearchPoint> = (0..wfs.len())
-        .flat_map(|wi| {
-            let reports = &reports;
-            let wfs = &wfs;
-            (0..STRATS.len()).map(move |si| {
-                let r = &reports[wi * STRATS.len() + si];
-                Fig11SearchPoint {
-                    workflow: wfs[wi].name.clone(),
-                    label: STRATS[si].0.into(),
-                    makespan_secs: r.makespan_secs,
-                    expense_dollars: r.expense.total(),
-                }
-            })
+    let reports = run_cells(&grid(
+        &wfs,
+        std::slice::from_ref(&cfg),
+        &FIG11.map(|(_, s)| s),
+    ));
+    let labels = wfs.iter().flat_map(|w| FIG11.map(|(l, _)| (&w.name, l)));
+    let strategies: Vec<Fig11SearchPoint> = labels
+        .zip(&reports)
+        .map(|((workflow, label), r)| Fig11SearchPoint {
+            workflow: workflow.clone(),
+            label: label.into(),
+            makespan_secs: r.makespan_secs,
+            expense_dollars: r.expense.total(),
         })
         .collect();
 
@@ -973,26 +978,22 @@ pub struct Fig12 {
 /// cluster, as improvement over the plain traditional execution.
 pub fn fig12_managers() -> Fig12 {
     let wfs = paper_workflows();
-    const STRATS: [Strategy; 4] = [
+    let strategies = [
         Strategy::Traditional,
         Strategy::Kepler,
         Strategy::Pegasus,
         Strategy::Mashup,
     ];
-    let cells: Vec<(usize, usize)> = (0..wfs.len())
-        .flat_map(|wi| (0..STRATS.len()).map(move |si| (wi, si)))
-        .collect();
-    let reports = par_map(cells, |(wi, si)| {
-        run_strategy(&MashupConfig::aws(DEFAULT_NODES), &wfs[wi], STRATS[si])
-    });
+    let reports = run_cells(&grid(
+        &wfs,
+        &[MashupConfig::aws(DEFAULT_NODES)],
+        &strategies,
+    ));
     let mut rows = Vec::new();
     let mut time_over = Vec::new();
     let mut cost_over = Vec::new();
-    for (wi, w) in wfs.iter().enumerate() {
-        let base = &reports[wi * STRATS.len()];
-        let kepler = &reports[wi * STRATS.len() + 1];
-        let pegasus = &reports[wi * STRATS.len() + 2];
-        let mashup = &reports[wi * STRATS.len() + 3];
+    for (w, runs) in wfs.iter().zip(reports.chunks(strategies.len())) {
+        let (base, kepler, pegasus, mashup) = (&runs[0], &runs[1], &runs[2], &runs[3]);
         for (engine, r) in [("kepler", kepler), ("pegasus", pegasus), ("mashup", mashup)] {
             rows.push(Fig12Row {
                 workflow: w.name.clone(),
@@ -1051,17 +1052,21 @@ pub struct TextInputSizes {
 /// Regenerates the §5 input-size study: SRAsearch at four representative
 /// input scales (~5–8.4 TB).
 pub fn text_input_sizes() -> TextInputSizes {
-    let rows = par_map(mashup_workflows::INPUT_SCALES.to_vec(), |scale| {
-        let w = srasearch::workflow_scaled(scale);
-        let cfg = MashupConfig::aws(DEFAULT_NODES);
-        let base = run_strategy(&cfg, &w, Strategy::TraditionalTuned);
-        let mashup = run_strategy(&cfg, &w, Strategy::Mashup);
-        (
-            scale,
-            improvement_pct(mashup.makespan_secs, base.makespan_secs),
-            improvement_pct(mashup.expense.total(), base.expense.total()),
-        )
-    });
+    let scales = mashup_workflows::INPUT_SCALES;
+    let wfs = scales.map(|scale| checked(srasearch::workflow_scaled(scale)));
+    let reports = run_cells(&grid(&wfs, &[MashupConfig::aws(DEFAULT_NODES)], &VERSUS));
+    let rows = scales
+        .into_iter()
+        .zip(reports.chunks(VERSUS.len()))
+        .map(|(scale, p)| {
+            let (base, mashup) = (&p[0], &p[1]);
+            (
+                scale,
+                improvement_pct(mashup.makespan_secs, base.makespan_secs),
+                improvement_pct(mashup.expense.total(), base.expense.total()),
+            )
+        })
+        .collect();
     TextInputSizes { rows }
 }
 
@@ -1092,9 +1097,12 @@ pub struct TextHalfCluster {
 /// Regenerates the §5 claim that Mashup on a 48-node cluster beats a 96-node
 /// traditional execution of SRAsearch on both time and cost.
 pub fn text_half_cluster() -> TextHalfCluster {
-    let w = srasearch::workflow();
-    let mashup = run_strategy(&MashupConfig::aws(48), &w, Strategy::Mashup);
-    let traditional = run_strategy(&MashupConfig::aws(96), &w, Strategy::TraditionalTuned);
+    let w = checked(srasearch::workflow());
+    let reports = run_cells(&[
+        RunCell::new(MashupConfig::aws(48), &w, Strategy::Mashup),
+        RunCell::new(MashupConfig::aws(96), &w, Strategy::TraditionalTuned),
+    ]);
+    let (mashup, traditional) = (&reports[0], &reports[1]);
     TextHalfCluster {
         mashup_half_secs: mashup.makespan_secs,
         traditional_full_secs: traditional.makespan_secs,
@@ -1130,13 +1138,18 @@ pub struct TextGcp {
 /// Regenerates the §5 portability study: Mashup (and Mashup w/o the
 /// profiling PDC) on a GCP-like provider with 16 nodes.
 pub fn text_gcp() -> TextGcp {
-    let rows = [genome1000::workflow(), srasearch::workflow()]
-        .into_iter()
-        .map(|w| {
-            let cfg = MashupConfig::gcp(16);
-            let base = run_strategy(&cfg, &w, Strategy::TraditionalTuned);
-            let with = run_strategy(&cfg, &w, Strategy::Mashup);
-            let without = run_strategy(&cfg, &w, Strategy::MashupWithoutPdc);
+    let wfs = [genome1000::workflow(), srasearch::workflow()].map(checked);
+    let strategies = [
+        Strategy::TraditionalTuned,
+        Strategy::Mashup,
+        Strategy::MashupWithoutPdc,
+    ];
+    let reports = run_cells(&grid(&wfs, &[MashupConfig::gcp(16)], &strategies));
+    let rows = wfs
+        .iter()
+        .zip(reports.chunks(strategies.len()))
+        .map(|(w, runs)| {
+            let (base, with, without) = (&runs[0], &runs[1], &runs[2]);
             (
                 w.name.clone(),
                 improvement_pct(with.makespan_secs, base.makespan_secs),
@@ -1180,13 +1193,21 @@ pub struct TextOverheads {
 /// Regenerates the §5 overhead analysis: how much cold-start, I/O, and
 /// scaling time the PDC removes, and how much worse serverless-only is.
 pub fn text_overheads() -> TextOverheads {
+    let wfs = paper_workflows();
+    let strategies = [
+        Strategy::Mashup,
+        Strategy::MashupWithoutPdc,
+        Strategy::ServerlessOnly,
+    ];
+    let reports = run_cells(&grid(
+        &wfs,
+        &[MashupConfig::aws(DEFAULT_NODES)],
+        &strategies,
+    ));
     let mut vs_wo_pdc = Vec::new();
     let mut multiples = Vec::new();
-    for w in paper_workflows() {
-        let cfg = MashupConfig::aws(DEFAULT_NODES);
-        let mashup = run_strategy(&cfg, &w, Strategy::Mashup);
-        let wo = run_strategy(&cfg, &w, Strategy::MashupWithoutPdc);
-        let sl = run_strategy(&cfg, &w, Strategy::ServerlessOnly);
+    for (w, runs) in wfs.iter().zip(reports.chunks(strategies.len())) {
+        let (mashup, wo, sl) = (&runs[0], &runs[1], &runs[2]);
         let red = |ours: f64, base: f64| {
             if base <= 0.0 {
                 0.0
@@ -1250,9 +1271,9 @@ pub struct TextPdcAccuracy {
     pub mean_accuracy_pct: f64,
 }
 
-/// Measures a task's serverless execution time in isolation (its own
-/// single-task workflow), matching the scope of the PDC's Eq. 1 estimate.
-fn isolated_serverless_secs(task: &Task, cfg: &MashupConfig) -> f64 {
+/// A task alone in a workflow of its own, matching the scope of the PDC's
+/// Eq. 1 estimate.
+fn isolated(task: &Task) -> CheckedWorkflow<'static> {
     let mut b = WorkflowBuilder::new(format!("isolated-{}", task.name));
     b.initial_input_bytes(task.profile.input_bytes * task.components as f64);
     b.begin_phase();
@@ -1261,8 +1282,7 @@ fn isolated_serverless_secs(task: &Task, cfg: &MashupConfig) -> f64 {
         task.components,
         task.profile.clone(),
     ));
-    let w = b.build().expect("valid");
-    run_strategy(cfg, &w, Strategy::ServerlessOnly).tasks[0].makespan_secs()
+    checked(b.build().expect("valid"))
 }
 
 /// Regenerates the §5 accuracy analysis: the PDC's serverless estimates
@@ -1270,48 +1290,69 @@ fn isolated_serverless_secs(task: &Task, cfg: &MashupConfig) -> f64 {
 /// estimate's scope), plus agreement with the per-task optimum from
 /// exhaustive (both-platform) measurement.
 pub fn text_pdc_accuracy() -> TextPdcAccuracy {
+    let wfs = paper_workflows();
+    let cfg = MashupConfig::aws(DEFAULT_NODES);
+    // Every decision the PDC estimated (forced ones never were), by
+    // workflow.
+    let estimated: Vec<(usize, TaskDecision)> = wfs
+        .iter()
+        .enumerate()
+        .flat_map(|(wi, w)| {
+            let pdc = crate::plan_cache::cached_pdc(cfg.clone())
+                .plan(w)
+                .expect("the paper's configs pass the analyzer");
+            pdc.decisions
+                .into_iter()
+                .filter(|d| d.forced_vm_reason.is_none())
+                .map(move |d| (wi, d))
+        })
+        .collect();
+    let alone: Vec<CheckedWorkflow> = estimated
+        .iter()
+        .map(|(wi, d)| isolated(wfs[*wi].task(d.task)))
+        .collect();
+    let mut cells = grid(
+        &wfs,
+        std::slice::from_ref(&cfg),
+        &[Strategy::TraditionalTuned],
+    );
+    cells.extend(grid(
+        &alone,
+        std::slice::from_ref(&cfg),
+        &[Strategy::ServerlessOnly],
+    ));
+    let reports = run_cells(&cells);
+    let (vm, alone) = reports.split_at(wfs.len());
+
     let mut rows = Vec::new();
     let mut agree = 0usize;
-    let mut total = 0usize;
-    for w in paper_workflows() {
-        let cfg = MashupConfig::aws(DEFAULT_NODES);
-        let pdc = crate::plan_cache::cached_pdc(cfg.clone())
-            .plan(&w)
-            .expect("the paper's configs pass the analyzer");
-        let vm = run_strategy(&cfg, &w, Strategy::TraditionalTuned);
-        for d in &pdc.decisions {
-            if d.forced_vm_reason.is_some() {
-                continue;
-            }
-            let task = w.task(d.task);
-            let actual = isolated_serverless_secs(task, &cfg);
-            let accuracy = (1.0 - (d.t_serverless_est_secs - actual).abs() / actual.max(1e-12))
-                .max(0.0)
-                * 100.0;
-            rows.push((
-                w.name.clone(),
-                task.name.clone(),
-                d.t_serverless_est_secs,
-                actual,
-                accuracy,
-            ));
-            // Exhaustive optimum from the two uniform runs.
-            let vm_actual = vm.task(&task.name).expect("ran").makespan_secs();
-            let optimal = if actual < vm_actual {
-                Platform::Serverless
-            } else {
-                Platform::VmCluster
-            };
-            total += 1;
-            if optimal == d.platform {
-                agree += 1;
-            }
+    for ((wi, d), alone) in estimated.iter().zip(alone) {
+        let (w, task) = (&wfs[*wi], wfs[*wi].task(d.task));
+        let actual = alone.tasks[0].makespan_secs();
+        let accuracy =
+            (1.0 - (d.t_serverless_est_secs - actual).abs() / actual.max(1e-12)).max(0.0) * 100.0;
+        rows.push((
+            w.name.clone(),
+            task.name.clone(),
+            d.t_serverless_est_secs,
+            actual,
+            accuracy,
+        ));
+        // Exhaustive optimum from the two uniform runs.
+        let vm_actual = vm[*wi].task(&task.name).expect("ran").makespan_secs();
+        let optimal = if actual < vm_actual {
+            Platform::Serverless
+        } else {
+            Platform::VmCluster
+        };
+        if optimal == d.platform {
+            agree += 1;
         }
     }
     let mean = rows.iter().map(|r| r.4).sum::<f64>() / rows.len().max(1) as f64;
     TextPdcAccuracy {
         rows,
-        placement_agreement_pct: agree as f64 / total.max(1) as f64 * 100.0,
+        placement_agreement_pct: agree as f64 / estimated.len().max(1) as f64 * 100.0,
         mean_accuracy_pct: mean,
     }
 }
@@ -1341,15 +1382,16 @@ impl TextPdcAccuracy {
 
 /// Expense breakdown rows for context (used by the figures binary).
 pub fn expense_summary(nodes: usize) -> String {
+    let wfs = paper_workflows();
+    let strategies = [
+        Strategy::TraditionalTuned,
+        Strategy::ServerlessOnly,
+        Strategy::Mashup,
+    ];
+    let reports = run_cells(&grid(&wfs, &[MashupConfig::aws(nodes)], &strategies));
     let mut t = Table::new(&["workflow", "strategy", "makespan", "vm", "faas", "storage"]);
-    for w in paper_workflows() {
-        let cfg = MashupConfig::aws(nodes);
-        for s in [
-            Strategy::TraditionalTuned,
-            Strategy::ServerlessOnly,
-            Strategy::Mashup,
-        ] {
-            let r = run_strategy(&cfg, &w, s);
+    for (w, runs) in wfs.iter().zip(reports.chunks(strategies.len())) {
+        for (s, r) in strategies.iter().zip(runs) {
             t.row(vec![
                 w.name.clone(),
                 s.label().into(),

@@ -28,5 +28,7 @@ pub use chaos::{fig13_adaptive, Fig13, Fig13Row};
 pub use figures::*;
 pub use mashup_serve::pool::{jobs, par_map, set_jobs};
 pub use plan_cache::{plan_cache, plan_cache_enabled, plan_cache_stats, set_plan_cache_enabled};
-pub use strategies::{run_strategy, run_strategy_traced, Strategy};
+pub use strategies::{
+    run_cells, run_stats, run_strategy, run_strategy_traced, RunCell, RunStats, Strategy,
+};
 pub use trace_dir::{set_trace_dir, set_trace_scope, trace_dir};

@@ -5,10 +5,12 @@
 //! [`PlanCache`] so profiling work memoized by one cell is reused by every
 //! other cell — across `--jobs N` workers too, since the cache is
 //! concurrent. Sharing is the default; switched off (`--no-plan-cache` in
-//! the `figures` binary) each run gets a fresh cache of its own, which
-//! measures the unshared planning cost and is the reference that sharing
-//! never changes a result: reports and traces are bit-identical either way
-//! (see `mashup_core::cache`), and `tests/determinism.rs` enforces it.
+//! the `figures` binary) runs share nothing: each gets a fresh cache of
+//! its own, and the run memo of [`crate::run_cells`] is neither read nor
+//! written, so every strategy run executes. That measures the unshared
+//! cost and is the reference that sharing never changes a result: reports
+//! and traces are bit-identical either way (see `mashup_core::cache`), and
+//! `tests/determinism.rs` enforces it.
 
 use mashup_core::{CacheStats, MashupConfig, Pdc, PlanCache};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,14 +19,15 @@ use std::sync::{Arc, OnceLock};
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static CACHE: OnceLock<Arc<PlanCache>> = OnceLock::new();
 
-/// Enables or disables sharing the planning cache for subsequent runs.
-/// Disabling does not clear already-stored entries; it only makes
-/// [`plan_cache`] hand out a fresh cache per call.
+/// Enables or disables sharing the planning cache and the run memo for
+/// subsequent runs. Disabling clears no stored entries; it makes
+/// [`plan_cache`] hand out a fresh cache per call and [`crate::run_cells`]
+/// bypass its memo.
 pub fn set_plan_cache_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// True when the planning cache is shared.
+/// True when the planning cache and the run memo are shared.
 pub fn plan_cache_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }

@@ -1,8 +1,9 @@
 //! Optional flight-recorder output for harness runs.
 //!
 //! When a trace directory is set (`--trace-dir` in the `figures` binary),
-//! every [`crate::run_strategy`] call records its execution and writes one
-//! deterministic JSONL trace file into the directory. File names are
+//! every strategy run of [`crate::run_cells`] records its execution and
+//! writes one deterministic JSONL trace file into the directory; a cell
+//! the run memo answers copies the file its first run wrote. File names are
 //! `<scope>__<workflow>__n<nodes>__<strategy>__<digest>.jsonl`: the scope
 //! is the figure being computed ([`set_trace_scope`]), the configured node
 //! count tells the cells of a cluster-size sweep apart (a report's own
@@ -20,7 +21,7 @@ use std::sync::{Mutex, OnceLock};
 static DIR: OnceLock<PathBuf> = OnceLock::new();
 static SCOPE: Mutex<&str> = Mutex::new("");
 
-/// Directs all subsequent [`crate::run_strategy`] calls to record their
+/// Directs all subsequent [`crate::run_cells`] runs to record their
 /// executions as JSONL files under `dir` (created if missing). Can only be
 /// set once per process; later calls are ignored.
 pub fn set_trace_dir(dir: &Path) {
@@ -40,35 +41,68 @@ pub fn set_trace_scope(scope: &'static str) {
     *SCOPE.lock().unwrap_or_else(|e| e.into_inner()) = scope;
 }
 
+/// A trace file one run wrote: the scope it was written under and its name
+/// without that scope's prefix.
+#[derive(Debug)]
+pub(crate) struct TraceFile {
+    scope: &'static str,
+    name: String,
+}
+
+impl TraceFile {
+    /// Copies the file under the current scope's name, so a run the memo
+    /// answers leaves the file its own run would have written. No-op when
+    /// the file is already there.
+    pub(crate) fn copy_to_current_scope(&self) {
+        let Some(dir) = trace_dir() else { return };
+        let from = dir.join(scoped(self.scope, &self.name));
+        let to = dir.join(scoped(current_scope(), &self.name));
+        if from != to {
+            std::fs::copy(&from, &to)
+                .unwrap_or_else(|e| panic!("copy {} to {}: {e}", from.display(), to.display()));
+        }
+    }
+}
+
+fn current_scope() -> &'static str {
+    *SCOPE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn scoped(scope: &str, name: &str) -> String {
+    if scope.is_empty() {
+        name.to_owned()
+    } else {
+        format!("{}__{name}", sanitize(scope))
+    }
+}
+
 /// Writes `records` as one JSONL file for (`workflow`, `strategy`) on
-/// `cfg`'s cluster under the configured directory. No-op when tracing is
-/// off.
+/// `cfg`'s cluster under the configured directory, and says which file.
+/// No-op when tracing is off.
 pub(crate) fn write_trace(
     cfg: &MashupConfig,
     workflow: &str,
     strategy: &str,
     records: &[TraceRecord],
-) {
-    let Some(dir) = trace_dir() else { return };
+) -> Option<TraceFile> {
+    let dir = trace_dir()?;
     let body = mashup_sim::trace::to_jsonl(records);
     let mut f = Fingerprinter::new("trace-file");
     f.write_str(&body);
-    let scope = *SCOPE.lock().unwrap_or_else(|e| e.into_inner());
-    let name = format!(
-        "{}{}__n{}__{}__{:016x}.jsonl",
-        if scope.is_empty() {
-            String::new()
-        } else {
-            format!("{}__", sanitize(scope))
-        },
-        sanitize(workflow),
-        cfg.cluster.nodes,
-        sanitize(strategy),
-        f.digest() as u64
-    );
-    let path = dir.join(name);
+    let file = TraceFile {
+        scope: current_scope(),
+        name: format!(
+            "{}__n{}__{}__{:016x}.jsonl",
+            sanitize(workflow),
+            cfg.cluster.nodes,
+            sanitize(strategy),
+            f.digest() as u64
+        ),
+    };
+    let path = dir.join(scoped(file.scope, &file.name));
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
     std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    Some(file)
 }
 
 fn sanitize(s: &str) -> String {

@@ -200,6 +200,28 @@ pub struct Pdc {
     sizing: Option<Sizing>,
 }
 
+/// The probe keys' config prefix — tag, seed, one tier's FaaS config and
+/// the storage config — hashed once per tier in a plan and cloned for each
+/// task, not rehashed for each of them.
+#[derive(Default)]
+struct ProbeKeys {
+    prefixes: Vec<(FaasConfig, Fingerprinter)>,
+}
+
+impl ProbeKeys {
+    fn prefix(&mut self, cfg: &MashupConfig, faas_cfg: &FaasConfig) -> Fingerprinter {
+        if let Some((_, f)) = self.prefixes.iter().find(|(c, _)| c == faas_cfg) {
+            return f.clone();
+        }
+        let mut f = Fingerprinter::new("pdc-probe-v2");
+        f.write_u64(cfg.seed);
+        faas_cfg.fingerprint(&mut f);
+        cfg.provider.storage.fingerprint(&mut f);
+        self.prefixes.push((faas_cfg.clone(), f.clone()));
+        f
+    }
+}
+
 impl Pdc {
     /// Creates a PDC optimizing execution time (the paper's default),
     /// memoizing its profiling stages in a cache of its own.
@@ -337,8 +359,10 @@ impl Pdc {
         // order and the profile vector's layout.
         let mut decisions = Vec::with_capacity(workflow.task_count());
         let mut plan = PlacementPlan::new();
+        let mut probe_keys = ProbeKeys::default();
         for (flat, r) in workflow.task_refs().enumerate() {
-            let d = self.decide_task(workflow, r, vm.best_task_vm[flat], &factors);
+            let t_vm = vm.best_task_vm[flat];
+            let d = self.decide_task(workflow, r, t_vm, &factors, &mut probe_keys);
             plan.set(r, d.platform);
             decisions.push(d);
         }
@@ -376,13 +400,15 @@ impl Pdc {
     /// Decides one task from its measured cluster-side time `t_vm`: the
     /// memory and short-task rules, the (cached) serverless probe, the
     /// Eq. 1 estimate, and the objective argmin — shared verbatim by
-    /// [`decide`](Pdc::decide) and [`replan`](Pdc::replan).
+    /// [`decide`](Pdc::decide) and [`replan`](Pdc::replan). `probe_keys`
+    /// lives for one plan.
     fn decide_task(
         &self,
         workflow: &Workflow,
         r: TaskRef,
         t_vm: f64,
         factors: &ModelFactors,
+        probe_keys: &mut ProbeKeys,
     ) -> TaskDecision {
         let t = workflow.task(r);
         let faas_cfg = self.task_faas_cfg(workflow, r);
@@ -413,9 +439,10 @@ impl Pdc {
             return forced(unprobed, ForcedVm::Misfit(misfit));
         }
 
-        let probe = self.cache.probe(self.probe_key(r, t, &faas_cfg), || {
-            self.run_probe(workflow, r, &faas_cfg)
-        });
+        let key = self.probe_key(probe_keys, r, t, &faas_cfg);
+        let probe = self
+            .cache
+            .probe(key, || self.run_probe(workflow, r, &faas_cfg));
 
         // Short-task rule with the recurring/warm-pool exception.
         let single_runtime = t.profile.compute_secs_serverless() / faas_cfg.core_speed;
@@ -546,6 +573,7 @@ impl Pdc {
         let mut profiling_expense = prev.profiling_expense;
         let mut decisions = Vec::with_capacity(workflow.task_count());
         let mut plan = PlacementPlan::new();
+        let mut probe_keys = ProbeKeys::default();
         let mut stats = ReplanStats {
             dirty_phases: 0,
             reused_decisions: 0,
@@ -573,7 +601,8 @@ impl Pdc {
                             d
                         } else {
                             stats.replanned_tasks += 1;
-                            self.decide_task(workflow, r, prev_d.t_vm_secs, &factors)
+                            let t_vm = prev_d.t_vm_secs;
+                            self.decide_task(workflow, r, t_vm, &factors, &mut probe_keys)
                         };
                         plan.set(r, d.platform);
                         decisions.push(d);
@@ -585,7 +614,8 @@ impl Pdc {
                     add_expense(&mut profiling_expense, &profile.expense);
                     for ti in 0..np.tasks.len() {
                         let r = TaskRef::new(pi, ti);
-                        let d = self.decide_task(workflow, r, profile.task_secs[ti], &factors);
+                        let t_vm = profile.task_secs[ti];
+                        let d = self.decide_task(workflow, r, t_vm, &factors, &mut probe_keys);
                         plan.set(r, d.platform);
                         decisions.push(d);
                     }
@@ -774,9 +804,15 @@ impl Pdc {
     /// node-count sweeps reuse every probe. `faas_cfg` is the task's tier
     /// config (fingerprinted, so each memory tier keys its own probe —
     /// which is what lets a sizing sweep share probes across candidates).
-    fn probe_key(&self, r: TaskRef, t: &Task, faas_cfg: &FaasConfig) -> u128 {
-        let mut f = Fingerprinter::new("pdc-probe-v1");
-        f.write_u64(self.cfg.seed);
+    /// The config part of the key comes hashed from `probe_keys`.
+    fn probe_key(
+        &self,
+        probe_keys: &mut ProbeKeys,
+        r: TaskRef,
+        t: &Task,
+        faas_cfg: &FaasConfig,
+    ) -> u128 {
+        let mut f = probe_keys.prefix(&self.cfg, faas_cfg);
         match self.probe_identity(t) {
             Some(family) => {
                 // Sentinel phase: no real task ref carries usize::MAX.
@@ -789,8 +825,6 @@ impl Pdc {
             }
         }
         t.profile.fingerprint(&mut f);
-        faas_cfg.fingerprint(&mut f);
-        self.cfg.provider.storage.fingerprint(&mut f);
         f.write_f64(
             self.cfg
                 .plan_context()

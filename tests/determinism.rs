@@ -7,14 +7,15 @@
 use mashup_bench as bench;
 use mashup_bench::{run_strategy, run_strategy_traced, Strategy};
 use mashup_cloud::{FaultPlan, FaultProfile};
-use mashup_core::{ChaosSpec, MashupConfig, Tracer};
+use mashup_core::{ChaosSpec, CheckedWorkflow, MashupConfig, Tracer};
 use mashup_sim::trace::to_jsonl;
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use std::sync::{Mutex, MutexGuard};
 
-/// The pool's worker count, the plan-cache switch and the trace directory
-/// are process-wide, and the test harness runs tests on parallel threads.
-/// Every test that sets one holds this lock, so no test flips a setting
+/// The pool's worker count, the plan-cache switch, the trace directory and
+/// the run memo with its counters are process-wide, and the test harness
+/// runs tests on parallel threads. Every test that sets one or reads the
+/// counters holds this lock, so no test flips a setting or runs a cell
 /// while another runs: the chaos matrix, say, must never see the cache
 /// switched off halfway through.
 static GLOBAL_SETTINGS: Mutex<()> = Mutex::new(());
@@ -39,6 +40,7 @@ const GOLDEN_MAKESPANS: [(&str, f64); 3] = [
 
 #[test]
 fn mashup_makespans_match_seed_goldens_bit_for_bit() {
+    let _settings = global_settings();
     for (name, golden) in GOLDEN_MAKESPANS {
         let w = match name {
             "1000Genome" => genome1000::workflow(),
@@ -46,6 +48,7 @@ fn mashup_makespans_match_seed_goldens_bit_for_bit() {
             "Epigenomics" => epigenomics::workflow(),
             _ => unreachable!(),
         };
+        let w = CheckedWorkflow::new(w).expect("the paper's workflows check clean");
         let r = run_strategy(&MashupConfig::aws(4), &w, Strategy::Mashup);
         assert_eq!(
             r.makespan_secs.to_bits(),
@@ -136,15 +139,20 @@ fn figure_json_is_byte_identical_with_tracing_enabled() {
 fn figure_json_is_byte_identical_across_job_counts() {
     // fig05 runs three full Mashup plans; fig08 covers two workflows and
     // two VM families. Together they exercise the sweep fan-out both below
-    // and above the worker count.
+    // and above the worker count. The serial reference shares nothing, so
+    // the run memo cannot hand the parallel side the reference's own
+    // reports; the run counter shows the parallel side ran fig08's cells.
     let _settings = global_settings();
     let serial = {
         bench::set_jobs(1);
+        bench::set_plan_cache_enabled(false);
         (
             serde_json::to_string_pretty(&bench::fig05_objectives()).expect("serialize"),
             serde_json::to_string_pretty(&bench::fig08_vm_families()).expect("serialize"),
         )
     };
+    bench::set_plan_cache_enabled(true);
+    let before = bench::run_stats();
     let parallel = {
         bench::set_jobs(3);
         (
@@ -152,17 +160,22 @@ fn figure_json_is_byte_identical_across_job_counts() {
             serde_json::to_string_pretty(&bench::fig08_vm_families()).expect("serialize"),
         )
     };
+    let executed = bench::run_stats().executed - before.executed;
     bench::set_jobs(0);
     assert_eq!(serial.0, parallel.0, "fig05 JSON depends on --jobs");
     assert_eq!(serial.1, parallel.1, "fig08 JSON depends on --jobs");
+    assert_eq!(executed, 8, "fig08's 8 cells did not all run at --jobs 3");
 }
 
 #[test]
 fn figure_json_is_byte_identical_with_plan_cache_on_and_off() {
     // fig05 plans three Mashup objectives (VM profiling + probes shared via
-    // the cache); the accuracy table plans every paper workflow. Both must
-    // serialize identically whether the planning cache is on or off —
-    // memoization is a pure performance layer.
+    // the cache); the accuracy table plans every paper workflow and runs
+    // its strategy cells through the run memo. Both must serialize
+    // identically whether the planning cache and the memo are on or off —
+    // memoization is a pure performance layer. The run counter shows that
+    // the first shared pass ran every cell it asked for and that the warm
+    // pass took every one from the memo.
     let _settings = global_settings();
     bench::set_jobs(1);
     bench::set_plan_cache_enabled(false);
@@ -171,16 +184,32 @@ fn figure_json_is_byte_identical_with_plan_cache_on_and_off() {
         serde_json::to_string_pretty(&bench::text_pdc_accuracy()).expect("serialize"),
     );
     bench::set_plan_cache_enabled(true);
+    let before = bench::run_stats();
     let cached = (
         serde_json::to_string_pretty(&bench::fig05_objectives()).expect("serialize"),
         serde_json::to_string_pretty(&bench::text_pdc_accuracy()).expect("serialize"),
     );
+    let between = bench::run_stats();
     // Run the cached variant twice so the second pass is all warm hits.
     let warm = (
         serde_json::to_string_pretty(&bench::fig05_objectives()).expect("serialize"),
         serde_json::to_string_pretty(&bench::text_pdc_accuracy()).expect("serialize"),
     );
+    let after = bench::run_stats();
     bench::set_jobs(0);
+    let requested = between.requested - before.requested;
+    assert!(requested > 0, "the accuracy table runs no cells");
+    assert_eq!(
+        between.executed - before.executed,
+        requested,
+        "the first shared pass did not run every cell"
+    );
+    assert_eq!(
+        after.requested - between.requested,
+        requested,
+        "the warm pass asked for other cells"
+    );
+    assert_eq!(after.executed, between.executed, "the warm pass ran cells");
     assert_eq!(uncached.0, cached.0, "fig05 JSON depends on the plan cache");
     assert_eq!(
         uncached.1, cached.1,
