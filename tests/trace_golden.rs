@@ -180,6 +180,38 @@ fn genome1000_verbose_trace_matches_golden_digest() {
     );
 }
 
+/// Kepler, verbose, on the three paper workflows at 4 nodes, and on
+/// SRAsearch at 8 nodes in two sub-clusters: the second pins which
+/// sub-cluster each dataflow-fired VM task takes.
+#[test]
+fn kepler_verbose_trace_matches_golden_digest() {
+    let kepler = |cfg: &MashupConfig, w: mashup_dag::Workflow| {
+        let workflow = CheckedWorkflow::new(w).expect("clean workflow");
+        verbose_digest(|tracer| {
+            Strategy::Kepler
+                .run(cfg, &workflow, tracer, None)
+                .expect("kepler run");
+        })
+    };
+    let aws4 = MashupConfig::aws(4);
+    let split = MashupConfig::aws(8).with_subclusters(2);
+    let actual = format!(
+        "1000genome {}srasearch {}epigenomics {}srasearch-8-2 {}",
+        kepler(&aws4, genome1000::workflow()),
+        kepler(&aws4, srasearch::workflow()),
+        kepler(&aws4, epigenomics::workflow()),
+        kepler(&split, srasearch::workflow()),
+    );
+    let Some(golden) = bless_or_read(&fixture_path("kepler_verbose.digest"), &actual) else {
+        return;
+    };
+    assert_eq!(
+        golden, actual,
+        "Kepler's verbose trace drifted from the golden digest (bless with \
+         MASHUP_BLESS_TRACES=1 if the change is intentional)"
+    );
+}
+
 // --- chaos goldens: seeded fault schedules replay byte-for-byte ---------
 //
 // Reclaim instants / fault windows sit in each workflow's first quarter
