@@ -11,8 +11,8 @@
 //! search measures hybrid placement against.
 
 use mashup_core::{
-    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer,
-    WorkflowReport,
+    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Release,
+    Tracer, WorkflowReport,
 };
 use mashup_dag::{fusable_pairs, fuse, FusionCandidate, TaskRef, Workflow};
 
@@ -64,7 +64,15 @@ pub(crate) fn run(
     cfg.prewarm = false;
     let fused = CheckedWorkflow::new(maximal_fusion(workflow))?;
     let plan = PlacementPlan::uniform(&fused, Platform::Serverless);
-    execute(&cfg, &fused, &plan, None, "fusion", tracer)
+    execute(
+        &cfg,
+        &fused,
+        &plan,
+        None,
+        Release::PhaseBarrier,
+        "fusion",
+        tracer,
+    )
 }
 
 #[cfg(test)]

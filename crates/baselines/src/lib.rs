@@ -12,16 +12,19 @@
 //! * [`Strategy::Pegasus`] — Pegasus-like: task clustering
 //!   ([`cluster_tasks`]) + data reuse on VMs;
 //! * [`Strategy::Kepler`] — Kepler-like: dataflow-fired task pipelining on
-//!   VMs;
+//!   VMs, an all-VM plan that the one executor releases by
+//!   [`mashup_core::Release::Dataflow`];
 //! * [`Strategy::Fusion`] — Costless-like: greedy function fusion to a
 //!   fixpoint ([`maximal_fusion`]), then everything on FaaS;
 //! * [`Strategy::MashupWithoutPdc`] and [`Strategy::Mashup`] — the paper's
 //!   system without and with its Placement Decision Controller.
 //!
-//! Every strategy returns the same [`mashup_core::WorkflowReport`], so the
-//! bench harness and the CLI compare them uniformly, and records into the
-//! [`mashup_core::Tracer`] it is given — a traced run is always
-//! byte-identical to an untraced one. Each takes a
+//! Every strategy executes its plan through the one executor,
+//! [`mashup_core::execute`], and returns the same
+//! [`mashup_core::WorkflowReport`], so the bench harness and the CLI
+//! compare them uniformly. Each records into the [`mashup_core::Tracer`] it
+//! is given — a traced run is always byte-identical to an untraced one.
+//! Each takes a
 //! [`mashup_core::CheckedWorkflow`], and a config or plan the analyzer
 //! refuses comes back as a typed [`mashup_core::AnalysisError`] before any
 //! environment is built.
@@ -30,14 +33,12 @@
 #![warn(missing_docs)]
 
 mod fusion;
-mod kepler;
 mod pegasus;
 mod serverless_only;
 mod strategy;
 mod traditional;
 
 pub use fusion::maximal_fusion;
-pub use kepler::{Director, KeplerWorld};
 pub use pegasus::cluster_tasks;
 pub use strategy::Strategy;
 

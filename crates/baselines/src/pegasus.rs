@@ -18,8 +18,8 @@
 //! engine alike. It is serverless-agnostic: everything runs on the cluster.
 
 use mashup_core::{
-    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer,
-    WorkflowReport,
+    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Release,
+    Tracer, WorkflowReport,
 };
 use mashup_dag::{DependencyPattern, Task, TaskDep, Workflow};
 
@@ -135,7 +135,15 @@ pub(crate) fn run(
 ) -> Result<WorkflowReport, AnalysisError> {
     let clustered = CheckedWorkflow::new(cluster_tasks(workflow, cfg.cluster.total_slots()))?;
     let plan = PlacementPlan::uniform(&clustered, Platform::VmCluster);
-    let mut report = execute(cfg, &clustered, &plan, None, "pegasus", tracer)?;
+    let mut report = execute(
+        cfg,
+        &clustered,
+        &plan,
+        None,
+        Release::PhaseBarrier,
+        "pegasus",
+        tracer,
+    )?;
     report.workflow = workflow.name.clone();
     Ok(report)
 }

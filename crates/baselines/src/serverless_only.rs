@@ -11,8 +11,8 @@
 //! falling back to a VM.
 
 use mashup_core::{
-    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer,
-    WorkflowReport,
+    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Release,
+    Tracer, WorkflowReport,
 };
 
 /// Runs the workflow entirely on the serverless platform.
@@ -26,7 +26,15 @@ pub(crate) fn run(
     let mut cfg = cfg.clone();
     cfg.prewarm = false;
     let plan = PlacementPlan::uniform(workflow, Platform::Serverless);
-    execute(&cfg, workflow, &plan, None, "serverless-only", tracer)
+    execute(
+        &cfg,
+        workflow,
+        &plan,
+        None,
+        Release::PhaseBarrier,
+        "serverless-only",
+        tracer,
+    )
 }
 
 #[cfg(test)]

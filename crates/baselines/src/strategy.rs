@@ -1,10 +1,10 @@
 //! The strategy registry: every execution strategy the paper compares,
 //! dispatched from one place.
 
-use crate::{fusion, kepler, pegasus, serverless_only, traditional};
+use crate::{fusion, pegasus, serverless_only, traditional};
 use mashup_core::{
-    execute, plan_without_pdc, AnalysisError, CheckedWorkflow, Mashup, MashupConfig, PlanCache,
-    Tracer, WorkflowReport,
+    execute, plan_without_pdc, AnalysisError, CheckedWorkflow, Mashup, MashupConfig, PlacementPlan,
+    PlanCache, Platform, Release, Tracer, WorkflowReport,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -22,7 +22,13 @@ pub enum Strategy {
     Fusion,
     /// Pegasus-like: task clustering + data reuse on VMs.
     Pegasus,
-    /// Kepler-like: dataflow-fired pipelining on VMs.
+    /// Kepler-like (Altintas et al., SSDBM 2004): its dataflow director
+    /// fires an actor as soon as its inputs are available instead of at a
+    /// global phase barrier. On a VM cluster that is task-level pipelining,
+    /// the scheduling optimization the paper credits the state-of-the-art
+    /// managers with: a task starts the moment its producers finish, while
+    /// its producers' siblings may still run. An all-VM plan under
+    /// [`Release::Dataflow`]; no serverless, no external storage.
     Kepler,
     /// Hybrid with the component-count threshold (no profiling).
     MashupWithoutPdc,
@@ -80,10 +86,29 @@ impl Strategy {
             Strategy::ServerlessOnly => serverless_only::run(cfg, workflow, tracer),
             Strategy::Fusion => fusion::run(cfg, workflow, tracer),
             Strategy::Pegasus => pegasus::run(cfg, workflow, tracer),
-            Strategy::Kepler => kepler::run(cfg, workflow, tracer),
+            Strategy::Kepler => {
+                let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
+                execute(
+                    cfg,
+                    workflow,
+                    &plan,
+                    None,
+                    Release::Dataflow,
+                    "kepler",
+                    tracer,
+                )
+            }
             Strategy::MashupWithoutPdc => {
                 let plan = plan_without_pdc(cfg, workflow);
-                execute(cfg, workflow, &plan, None, "mashup-wo-pdc", tracer)
+                execute(
+                    cfg,
+                    workflow,
+                    &plan,
+                    None,
+                    Release::PhaseBarrier,
+                    "mashup-wo-pdc",
+                    tracer,
+                )
             }
             Strategy::Mashup => Mashup::new(cfg.clone())
                 .with_cache(cache.unwrap_or_default())
@@ -97,7 +122,7 @@ impl Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mashup_core::{Code, Platform};
+    use mashup_core::Code;
     use mashup_dag::{DependencyPattern, Task, TaskProfile, Workflow, WorkflowBuilder};
 
     fn wf() -> Workflow {
@@ -131,6 +156,62 @@ mod tests {
         assert_eq!(wide.platform, Platform::Serverless);
         let merge = report.task("merge").expect("exists");
         assert_eq!(merge.platform, Platform::VmCluster);
+    }
+
+    /// Phase 1 has a fast task A and a slow task B; phase 2's C depends
+    /// only on A. Kepler starts C when A finishes; the phase-barriered
+    /// traditional engine waits for B too.
+    fn pipelined_workflow() -> Workflow {
+        let mut b = WorkflowBuilder::new("pipeline");
+        b.initial_input_bytes(1e6);
+        b.begin_phase();
+        let a = b.add_task(Task::new("fast", 1, TaskProfile::trivial().compute(5.0)));
+        b.add_task(Task::new("slow", 1, TaskProfile::trivial().compute(100.0)));
+        b.begin_phase();
+        let c = b.add_task(Task::new(
+            "after-fast",
+            1,
+            TaskProfile::trivial().compute(50.0),
+        ));
+        b.depend(c, a, DependencyPattern::OneToOne);
+        b.build().expect("valid")
+    }
+
+    #[test]
+    fn kepler_pipelines_across_phase_barriers() {
+        let w = pipelined_workflow();
+        let cfg = MashupConfig::aws(4);
+        let kepler = crate::run_untraced(Strategy::Kepler, &cfg, &w);
+        let traditional = crate::run_untraced(Strategy::Traditional, &cfg, &w);
+        // Kepler: after-fast starts at 5 s, everything done at 100 s.
+        // Traditional: after-fast starts at 100 s, done at 150 s.
+        assert!(
+            kepler.makespan_secs < traditional.makespan_secs,
+            "kepler {} vs traditional {}",
+            kepler.makespan_secs,
+            traditional.makespan_secs
+        );
+        let c = kepler.task("after-fast").expect("exists");
+        assert!(c.start_secs < 10.0, "started at {}", c.start_secs);
+    }
+
+    #[test]
+    fn kepler_respects_dependencies() {
+        let w = pipelined_workflow();
+        let r = crate::run_untraced(Strategy::Kepler, &MashupConfig::aws(4), &w);
+        let fast = r.task("fast").expect("exists");
+        let after = r.task("after-fast").expect("exists");
+        assert!(after.start_secs >= fast.end_secs - 1e-9);
+        assert_eq!(r.tasks.len(), 3);
+    }
+
+    #[test]
+    fn kepler_bills_vm_only() {
+        let w = pipelined_workflow();
+        let r = crate::run_untraced(Strategy::Kepler, &MashupConfig::aws(4), &w);
+        assert!(r.expense.vm_dollars > 0.0);
+        assert_eq!(r.expense.faas_dollars, 0.0);
+        assert_eq!(r.expense.storage_dollars, 0.0);
     }
 
     #[test]

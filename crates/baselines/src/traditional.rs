@@ -12,8 +12,8 @@
 //! over sub-cluster splits and keeping the best.
 
 use mashup_core::{
-    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer,
-    WorkflowReport,
+    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Release,
+    Tracer, WorkflowReport,
 };
 
 /// Runs the workflow entirely on the configured VM cluster.
@@ -23,7 +23,15 @@ pub(crate) fn run(
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
     let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
-    execute(cfg, workflow, &plan, None, "traditional", tracer)
+    execute(
+        cfg,
+        workflow,
+        &plan,
+        None,
+        Release::PhaseBarrier,
+        "traditional",
+        tracer,
+    )
 }
 
 /// Runs the traditional baseline under each sub-cluster split that fits

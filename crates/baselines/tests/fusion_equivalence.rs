@@ -12,7 +12,9 @@
 //! with each chain's spans merged.
 
 use mashup_baselines::maximal_fusion;
-use mashup_core::{execute, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Tracer};
+use mashup_core::{
+    execute, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Release, Tracer,
+};
 use mashup_dag::{DependencyPattern, Task, TaskProfile, Workflow, WorkflowBuilder};
 use mashup_sim::TraceEvent;
 use proptest::prelude::*;
@@ -97,8 +99,8 @@ proptest! {
         let tr_f = Tracer::new();
         let plan_u = PlacementPlan::uniform(&w, Platform::Serverless);
         let plan_f = PlacementPlan::uniform(&fused, Platform::Serverless);
-        let r_u = execute(&cfg, &w, &plan_u, None, "pipe", &tr_u).expect("clean inputs");
-        let r_f = execute(&cfg, &fused, &plan_f, None, "pipe", &tr_f).expect("clean inputs");
+        let r_u = execute(&cfg, &w, &plan_u, None, Release::PhaseBarrier, "pipe", &tr_u).expect("clean inputs");
+        let r_f = execute(&cfg, &fused, &plan_f, None, Release::PhaseBarrier, "pipe", &tr_f).expect("clean inputs");
 
         // Time and expense, bit for bit.
         prop_assert_eq!(

@@ -12,7 +12,7 @@
 //! worker count nor the order in which parallel sweep workers (`--jobs N`)
 //! finish, and two runs share a name only when they wrote the same bytes. Recording never
 //! perturbs results — traced and untraced runs are byte-identical
-//! (`tests/determinism.rs` enforces this on the figure outputs).
+//! (`tests/figures_traced.rs` enforces this on the figure outputs).
 
 use mashup_core::{Fingerprinter, MashupConfig, TraceRecord};
 use std::path::{Path, PathBuf};

@@ -30,6 +30,9 @@
 //! The cache is sharded (`RwLock` per shard, keyed by the low fingerprint
 //! bits) and shared across threads behind an `Arc`; hit/miss/entry counts
 //! and per-stage compute time are tracked for the `figures` summary line.
+//! Each key is computed once, however many workers miss it at once: the
+//! first inserts the key's entry and computes it, the others wait for that
+//! value, so the counters do not depend on the worker count either.
 
 use crate::pdc::ModelFactors;
 use mashup_cloud::Expense;
@@ -40,7 +43,7 @@ use serde::{Deserialize, Serialize};
 )]
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 #[expect(
     clippy::disallowed_types,
     reason = "the host clock feeds the hit/miss counters only; no simulated quantity reads it"
@@ -85,15 +88,22 @@ pub struct ProbeEntry {
     pub probe_busy_secs: f64,
 }
 
+/// One stage's value for one key: set once, by the first lookup that
+/// missed it, while later lookups of the key wait on it.
+type Entry<V> = Arc<OnceLock<V>>;
+
+/// One shard of a stage's map.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed by fingerprint, never iterated"
+)]
+type Shard<V> = RwLock<HashMap<u128, Entry<V>>>;
+
 /// One stage's map plus its counters.
 struct Section<V> {
     /// Allocated on the first lookup: every planner starts with a private
     /// cache, which costs nothing when a shared one replaces it.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed by fingerprint, never iterated"
-    )]
-    shards: OnceLock<Vec<RwLock<HashMap<u128, V>>>>,
+    shards: OnceLock<Vec<Shard<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     compute_nanos: AtomicU64,
@@ -113,38 +123,51 @@ impl<V: Clone> Section<V> {
         clippy::disallowed_types,
         reason = "keyed by fingerprint, never iterated"
     )]
-    fn shard(&self, key: u128) -> &RwLock<HashMap<u128, V>> {
+    fn shard(&self, key: u128) -> &Shard<V> {
         let shards = self
             .shards
             .get_or_init(|| (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect());
         &shards[key as usize % SHARDS]
     }
 
-    /// Returns the cached value for `key`, computing and inserting it on a
-    /// miss. The computation runs *outside* the shard lock (it is a whole
-    /// simulation); on a concurrent race the first inserted value wins —
-    /// harmless, because equal keys always compute equal values.
+    /// Returns the cached value for `key`, computing it on a miss. The
+    /// key's entry is inserted under the shard's write lock, and the
+    /// computation (a whole simulation) runs outside it, through the entry:
+    /// a concurrent lookup of the same key waits for that one value instead
+    /// of simulating again, and counts as a hit.
     fn get_or_compute(&self, key: u128, compute: impl FnOnce() -> V) -> V {
         let shard = self.shard(key);
-        if let Some(v) = shard.read().expect("cache shard lock").get(&key) {
+        let read = shard.read().expect("cache shard lock");
+        if let Some(v) = read.get(&key).and_then(|entry| entry.get()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
         }
-        #[expect(
-            clippy::disallowed_types,
-            reason = "times the compute for the counters only"
-        )]
-        let start = Instant::now();
-        let v = compute();
-        self.compute_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        shard
-            .write()
-            .expect("cache shard lock")
-            .entry(key)
-            .or_insert(v)
-            .clone()
+        drop(read);
+        let entry = Arc::clone(
+            shard
+                .write()
+                .expect("cache shard lock")
+                .entry(key)
+                .or_default(),
+        );
+        let mut computed = false;
+        let v = entry
+            .get_or_init(|| {
+                computed = true;
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "times the compute for the counters only"
+                )]
+                let start = Instant::now();
+                let v = compute();
+                self.compute_nanos
+                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                v
+            })
+            .clone();
+        let counter = if computed { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        v
     }
 
     fn stats(&self) -> SectionStats {
@@ -358,6 +381,31 @@ mod tests {
         for k in 0..50u128 {
             assert_eq!(cache.probe(k, || unreachable!()).probe_secs, (k * 2) as f64);
         }
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_compute_it_once() {
+        const THREADS: usize = 4;
+        let cache = PlanCache::new();
+        let computes = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    cache.calibration(9, || {
+                        computes.fetch_add(1, Ordering::Relaxed);
+                        // Long enough that every other thread misses the
+                        // key while this one still computes it.
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        factors(0.5)
+                    })
+                });
+            }
+        });
+        assert_eq!(computes.load(Ordering::Relaxed), 1);
+        let s = cache.stats().calibration;
+        assert_eq!((s.misses, s.hits, s.entries), (1, THREADS as u64 - 1, 1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::analysis::CheckedWorkflow;
 use crate::cache::PlanCache;
 use crate::config::MashupConfig;
-use crate::exec::execute;
+use crate::exec::{execute, Release};
 use crate::pdc::{Objective, Pdc, PdcReport};
 use crate::report::WorkflowReport;
 use mashup_analyze::AnalysisError;
@@ -97,7 +97,15 @@ impl Mashup {
             .with_tracer(self.tracer.clone())
             .plan(workflow)?;
         let tuned = self.cfg.clone().with_subclusters(pdc.subclusters);
-        let report = execute(&tuned, workflow, &pdc.plan, None, "mashup", &self.tracer)?;
+        let report = execute(
+            &tuned,
+            workflow,
+            &pdc.plan,
+            None,
+            Release::PhaseBarrier,
+            "mashup",
+            &self.tracer,
+        )?;
         Ok(MashupOutcome { pdc, report })
     }
 

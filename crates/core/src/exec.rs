@@ -1,8 +1,9 @@
 //! The hybrid workflow executor.
 //!
-//! Executes a workflow phase by phase (the DAG's precedence order), running
-//! each task on the platform its [`PlacementPlan`] assigns, and routing
-//! inter-platform data through the object store:
+//! Executes a workflow in the DAG's precedence order, releasing tasks by
+//! the run's [`Release`] rule: phase by phase, or each task as its last
+//! producer ends. It runs each task on the platform its [`PlacementPlan`]
+//! assigns, and routes inter-platform data through the object store:
 //!
 //! * a task's output lives on the cluster **master** when both it and all
 //!   of its consumers run on the cluster, and in the **object store**
@@ -11,8 +12,9 @@
 //! * initial input is staged in the store whenever any task runs
 //!   serverless (the "S3 bucket maintained during execution" of §4, whose
 //!   occupancy is billed);
-//! * serverless tasks of the *next* phase are pre-warmed while the current
-//!   phase runs (§3's prefetching mitigation);
+//! * under [`Release::PhaseBarrier`], serverless tasks of the *next* phase
+//!   are pre-warmed while the current phase runs (§3's prefetching
+//!   mitigation);
 //! * the cluster bills node time for the whole run iff the plan uses it.
 
 use crate::analysis::CheckedWorkflow;
@@ -31,6 +33,23 @@ use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 
 /// The executor's world over a workflow borrowed for `'w`.
 type W<'w> = World<Option<Execution<'w>>>;
+
+/// When the executor starts a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Release {
+    /// Algorithm 1: a phase starts once every task of the phase before it
+    /// has ended. VM tasks take sub-clusters round-robin within a phase,
+    /// the next phase's serverless tasks are pre-warmed while a phase
+    /// runs, and the chaos controller may replan at each barrier.
+    PhaseBarrier,
+    /// Kepler's dataflow director: a task starts the moment its last
+    /// producer ends, whatever its siblings are doing. VM tasks take
+    /// sub-clusters round-robin over the whole run, in firing order. With
+    /// no phases to cross there is no `PhaseStart` record, no pre-warm,
+    /// and no barrier for the chaos controller to replan at; the config's
+    /// fault plan is still installed.
+    Dataflow,
+}
 
 /// Where a task's output lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +88,7 @@ pub struct Execution<'w> {
     /// Per-task memory tiers for a sized run; `None` runs every serverless
     /// task on the base platform (the original engine, byte-identical).
     sizing: Option<Sizing>,
+    release: Release,
     /// Each task's output location, by flat id.
     locations: Vec<OutputLocation>,
     tracer: Tracer,
@@ -77,7 +97,16 @@ pub struct Execution<'w> {
     reports: Vec<TaskReport>,
     /// The task behind each entry of `reports`.
     completed: Vec<TaskRef>,
-    remaining_in_phase: usize,
+    /// Tasks that must end before the next release: the running phase's
+    /// under [`Release::PhaseBarrier`], the whole run's under
+    /// [`Release::Dataflow`].
+    remaining: usize,
+    /// Under [`Release::Dataflow`], each task's producers that have not
+    /// ended yet, by flat id; empty under [`Release::PhaseBarrier`].
+    waiting: Vec<u32>,
+    /// VM tasks started since the sub-cluster round robin began: in the
+    /// running phase, or in the run under [`Release::Dataflow`].
+    next_sub: usize,
     /// Store migrations a replan started that have not landed yet; the
     /// next phase starts when the last one lands.
     pending_uploads: usize,
@@ -137,8 +166,10 @@ fn exec<'a, 'w>(w: &'a mut W<'w>) -> &'a mut Execution<'w> {
 
 /// The executor's own events.
 pub enum ExecEvent {
-    /// The run's first event: phase 0 starts. Later phases start inline at
-    /// the barrier, or when a replan's migrations land.
+    /// The run's first event: phase 0 starts, or under
+    /// [`Release::Dataflow`] every task without producers. Later phases
+    /// start inline at the barrier, or when a replan's migrations land;
+    /// dataflow tasks start inline as their last producer ends.
     Start,
     /// Migration `index` of a replan landed in the store; phase `phase`
     /// starts after the last one.
@@ -150,8 +181,8 @@ pub enum ExecEvent {
     },
 }
 
-/// The executor drives its world phase by phase; its runs are tagged with
-/// the task they execute.
+/// The executor drives its world by its release rule; its runs are tagged
+/// with the task they execute.
 impl<'w> Driver for Option<Execution<'w>> {
     type Event = ExecEvent;
     type ClusterTag = TaskRef;
@@ -159,7 +190,15 @@ impl<'w> Driver for Option<Execution<'w>> {
 
     fn handle(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, event: ExecEvent) {
         match event {
-            ExecEvent::Start => run_phase(w, sim, 0),
+            ExecEvent::Start => match exec(w).release {
+                Release::PhaseBarrier => run_phase(w, sim, 0),
+                Release::Dataflow => {
+                    let wf = exec(w).workflow;
+                    for r in wf.task_refs().filter(|&r| wf.task(r).deps.is_empty()) {
+                        spawn(w, sim, r);
+                    }
+                }
+            },
             ExecEvent::Uploaded { index, phase } => migration_landed(w, sim, index, phase),
         }
     }
@@ -236,7 +275,8 @@ impl<'w> Driver for Option<Execution<'w>> {
 }
 
 /// Executes `workflow` under `plan` in a fresh environment built from
-/// `cfg`, returning the full report. `strategy` labels the report.
+/// `cfg`, releasing tasks by `release`, and returns the full report.
+/// `strategy` labels the report.
 ///
 /// Checks `cfg` (M3xx) and `plan` (M2xx) first and refuses error-diagnosed
 /// inputs with a typed [`AnalysisError`] before any environment is built.
@@ -254,6 +294,7 @@ pub fn execute(
     workflow: &CheckedWorkflow,
     plan: &PlacementPlan,
     sizing: Option<&Sizing>,
+    release: Release,
     strategy: &str,
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
@@ -263,12 +304,13 @@ pub fn execute(
         env.provision_tiers(cfg, sizing);
     }
     env.attach_tracer(tracer.clone());
-    let (report, completed) = execute_in_unchecked(&mut env, cfg, workflow, plan, sizing, strategy);
+    let (report, completed) =
+        execute_in_unchecked(&mut env, cfg, workflow, plan, sizing, release, strategy);
     Ok(named(report, &completed, workflow))
 }
 
-/// [`execute`], unsized, in a caller-provided environment (tests inject
-/// failure-laden stores through it).
+/// [`execute`], unsized and phase by phase, in a caller-provided
+/// environment (tests inject failure-laden stores through it).
 pub fn execute_in<'w>(
     env: &mut CloudEnv<Option<Execution<'w>>>,
     cfg: &MashupConfig,
@@ -277,7 +319,15 @@ pub fn execute_in<'w>(
     strategy: &str,
 ) -> Result<WorkflowReport, AnalysisError> {
     workflow.check(cfg, Some(plan), None)?;
-    let (report, completed) = execute_in_unchecked(env, cfg, workflow, plan, None, strategy);
+    let (report, completed) = execute_in_unchecked(
+        env,
+        cfg,
+        workflow,
+        plan,
+        None,
+        Release::PhaseBarrier,
+        strategy,
+    );
     Ok(named(report, &completed, workflow))
 }
 
@@ -293,8 +343,8 @@ fn named(mut report: WorkflowReport, completed: &[TaskRef], w: &Workflow) -> Wor
     report
 }
 
-/// [`CheckedWorkflow::borrowed`], then [`execute`] unsized and unrecorded,
-/// for callers that hold a bare workflow.
+/// [`CheckedWorkflow::borrowed`], then [`execute`] unsized, unrecorded and
+/// phase by phase, for callers that hold a bare workflow.
 pub fn try_execute(
     cfg: &MashupConfig,
     workflow: &Workflow,
@@ -306,6 +356,7 @@ pub fn try_execute(
         &CheckedWorkflow::borrowed(workflow)?,
         plan,
         None,
+        Release::PhaseBarrier,
         strategy,
         &Tracer::off(),
     )
@@ -326,9 +377,18 @@ pub(crate) fn execute_in_unchecked<'w>(
     workflow: &'w CheckedWorkflow,
     plan: &PlacementPlan,
     sizing: Option<&Sizing>,
+    release: Release,
     strategy: &str,
 ) -> (WorkflowReport, Vec<TaskRef>) {
     let locations = output_locations(workflow, plan);
+    let (remaining, waiting) = match release {
+        Release::PhaseBarrier => (0, Vec::new()),
+        Release::Dataflow => {
+            let arena = workflow.arena();
+            let producers = (0..arena.task_count()).map(|f| arena.producers(f).len() as u32);
+            (arena.task_count(), producers.collect())
+        }
+    };
 
     // Install the seeded fault schedule before billing starts: spot pools
     // must wrap the whole billing window for piecewise settlement.
@@ -360,11 +420,14 @@ pub(crate) fn execute_in_unchecked<'w>(
         workflow,
         plan: plan.clone(),
         sizing: sizing.cloned(),
+        release,
         locations,
         tracer: env.sim.tracer().clone(),
         reports: Vec::with_capacity(workflow.task_count()),
         completed: Vec::with_capacity(workflow.task_count()),
-        remaining_in_phase: 0,
+        remaining,
+        waiting,
+        next_sub: 0,
         pending_uploads: 0,
         migrations: Vec::new(),
         finished_at: None,
@@ -413,7 +476,8 @@ fn run_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
         return;
     }
     let n_tasks = d.workflow.phases[phase_idx].tasks.len();
-    d.remaining_in_phase = n_tasks;
+    d.remaining = n_tasks;
+    d.next_sub = 0;
     if let Some(ctx) = d.chaos.as_mut() {
         ctx.phase_started = sim.now();
     }
@@ -426,20 +490,22 @@ fn run_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
     );
 
     prewarm_next_phase(w, sim, phase_idx);
-
-    // Round-robin sub-cluster assignment for the phase's VM tasks.
-    let mut next_sub = 0usize;
     for ti in 0..n_tasks {
-        let r = TaskRef::new(phase_idx, ti);
-        let d = exec(w);
-        // Full coverage is guaranteed by diagnostic M201.
-        match d.plan.platform(r).expect("plan covers workflow") {
-            Platform::Serverless => spawn_serverless(w, sim, r),
-            Platform::VmCluster => {
-                let sub = next_sub % d.cfg.cluster.subclusters;
-                next_sub += 1;
-                spawn_on_cluster(w, sim, r, sub);
-            }
+        spawn(w, sim, TaskRef::new(phase_idx, ti));
+    }
+}
+
+/// Starts task `r` on its platform. A VM task takes the next sub-cluster
+/// of the round robin.
+fn spawn<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef) {
+    let d = exec(w);
+    // Full coverage is guaranteed by diagnostic M201.
+    match d.plan.platform(r).expect("plan covers workflow") {
+        Platform::Serverless => spawn_serverless(w, sim, r),
+        Platform::VmCluster => {
+            let sub = d.next_sub % d.cfg.cluster.subclusters;
+            d.next_sub += 1;
+            spawn_on_cluster(w, sim, r, sub);
         }
     }
 }
@@ -590,9 +656,23 @@ fn finish_task<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, repor
     }
     d.reports.push(report);
     d.completed.push(r);
-    d.remaining_in_phase -= 1;
-    if d.remaining_in_phase == 0 {
-        advance_phase(w, sim, r.phase + 1);
+    d.remaining -= 1;
+    match d.release {
+        Release::PhaseBarrier if d.remaining == 0 => advance_phase(w, sim, r.phase + 1),
+        Release::PhaseBarrier => {}
+        Release::Dataflow if d.remaining == 0 => d.finished_at = Some(sim.now()),
+        Release::Dataflow => {
+            // Start each consumer `r` was the last producer of.
+            let wf = d.workflow;
+            for &(c, _) in wf.consumers(r) {
+                let d = exec(w);
+                let flat = d.flat(c);
+                d.waiting[flat] -= 1;
+                if d.waiting[flat] == 0 {
+                    spawn(w, sim, c);
+                }
+            }
+        }
     }
 }
 
@@ -860,7 +940,7 @@ mod tests {
         tracer: &Tracer,
     ) -> WorkflowReport {
         let w = CheckedWorkflow::borrowed(w).expect("clean workflow");
-        execute(cfg, &w, plan, None, s, tracer).expect("clean inputs")
+        execute(cfg, &w, plan, None, Release::PhaseBarrier, s, tracer).expect("clean inputs")
     }
 
     fn try_run_sized(
@@ -871,7 +951,15 @@ mod tests {
         s: &str,
     ) -> Result<WorkflowReport, AnalysisError> {
         let w = CheckedWorkflow::borrowed(w)?;
-        execute(cfg, &w, plan, Some(sizing), s, &Tracer::off())
+        execute(
+            cfg,
+            &w,
+            plan,
+            Some(sizing),
+            Release::PhaseBarrier,
+            s,
+            &Tracer::off(),
+        )
     }
 
     fn run_sized(
@@ -1059,6 +1147,49 @@ mod tests {
             )),
             "a 30 s/op latency spike must blow the phase envelope"
         );
+    }
+
+    /// A pure chain, one task per phase, on one sub-cluster: a task's last
+    /// producer is the whole phase before it, so releasing it when that
+    /// producer ends is releasing it at the barrier. Both rules must give
+    /// the same report bit for bit, on either platform. The tasks stay
+    /// under the burst capacity, so no phase pre-warms the next.
+    #[test]
+    fn dataflow_release_of_a_chain_replays_the_phase_barrier_run() {
+        let mut b = WorkflowBuilder::new("chain");
+        b.initial_input_bytes(1.0e8);
+        let mut producer = None;
+        for i in 0..4 {
+            b.begin_phase();
+            let profile = TaskProfile::trivial()
+                .compute(20.0 + i as f64)
+                .io(1.0e7, 1.0e7);
+            let t = b.add_task(Task::new(format!("step{i}"), 8, profile));
+            if let Some(p) = producer {
+                b.depend(t, p, DependencyPattern::OneToOne);
+            }
+            producer = Some(t);
+        }
+        let w = b.build().expect("valid");
+        let checked = CheckedWorkflow::borrowed(&w).expect("clean workflow");
+        let cfg = cfg(4).with_subclusters(1);
+        let mut hybrid = PlacementPlan::uniform(&w, Platform::VmCluster);
+        hybrid.set(TaskRef::new(1, 0), Platform::Serverless);
+        for plan in [PlacementPlan::uniform(&w, Platform::VmCluster), hybrid] {
+            let run = |release| {
+                let report = execute(
+                    &cfg,
+                    &checked,
+                    &plan,
+                    None,
+                    release,
+                    "chain",
+                    &Tracer::off(),
+                );
+                format!("{:?}", report.expect("clean inputs"))
+            };
+            assert_eq!(run(Release::Dataflow), run(Release::PhaseBarrier));
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use cache::{
 pub use chaos::ChaosSpec;
 pub use config::{CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent, MEMORY_TIERS_GB};
 pub use engine::{Mashup, MashupOutcome};
-pub use exec::{execute, execute_in, try_execute, Execution};
+pub use exec::{execute, execute_in, try_execute, Execution, Release};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use mashup_analyze::{AnalysisError, Code, Diagnostic, Location, Severity};
 pub use mashup_sim::{KillReason, TraceEvent, TraceRecord, Tracer};

@@ -33,7 +33,7 @@
 use crate::analysis::CheckedWorkflow;
 use crate::cache::{PhaseProfileEntry, PlanCache, ProbeEntry, VmProfileEntry};
 use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World};
-use crate::exec::execute_in_unchecked;
+use crate::exec::{execute_in_unchecked, Release};
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::placement::{PlacementPlan, Platform};
 use mashup_analyze::{AnalysisError, FaasMisfit, PlanContext};
@@ -743,8 +743,15 @@ impl Pdc {
             }
             let tuned = self.cfg.clone().with_subclusters(k);
             let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-            let (report, completed) =
-                execute_in_unchecked(&mut env, &tuned, workflow, &vm_plan, None, "pdc-profiling");
+            let (report, completed) = execute_in_unchecked(
+                &mut env,
+                &tuned,
+                workflow,
+                &vm_plan,
+                None,
+                Release::PhaseBarrier,
+                "pdc-profiling",
+            );
             add_expense(&mut expense, &report.expense);
             for (t, r) in report.tasks.iter().zip(&completed) {
                 let e = &mut best_task_vm[arena.flat(*r).expect("task ref in workflow")];

@@ -572,7 +572,7 @@ fn check_fault_attrib(records: &[TraceRecord], out: &mut Vec<Violation>) {
 mod tests {
     use super::*;
     use crate::analysis::CheckedWorkflow;
-    use crate::exec::execute;
+    use crate::exec::{execute, Release};
     use crate::placement::{PlacementPlan, Platform};
     use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
     use mashup_sim::Tracer;
@@ -603,7 +603,7 @@ mod tests {
         tracer: &Tracer,
     ) -> WorkflowReport {
         let w = CheckedWorkflow::borrowed(w).expect("clean workflow");
-        execute(cfg, &w, plan, None, "test", tracer).expect("clean inputs")
+        execute(cfg, &w, plan, None, Release::PhaseBarrier, "test", tracer).expect("clean inputs")
     }
 
     fn traced(

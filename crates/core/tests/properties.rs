@@ -2,7 +2,7 @@
 
 use mashup_core::{
     estimate_serverless_time, execute, fit_gamma, try_execute, CheckedWorkflow, MashupConfig,
-    ModelFactors, Pdc, PlacementPlan, PlanCache, Platform, Tracer, WorkflowReport,
+    ModelFactors, Pdc, PlacementPlan, PlanCache, Platform, Release, Tracer, WorkflowReport,
 };
 use mashup_dag::Workflow;
 use mashup_workflows::{generate, SyntheticConfig};
@@ -21,7 +21,7 @@ fn execute_traced(
     tracer: &Tracer,
 ) -> WorkflowReport {
     let w = CheckedWorkflow::borrowed(w).expect("clean workflow");
-    execute(cfg, &w, plan, None, label, tracer).expect("clean inputs")
+    execute(cfg, &w, plan, None, Release::PhaseBarrier, label, tracer).expect("clean inputs")
 }
 
 fn small_synthetic(seed: u64) -> mashup_dag::Workflow {

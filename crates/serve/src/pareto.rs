@@ -29,7 +29,7 @@ use mashup_core::pareto::{
 };
 use mashup_core::{
     execute, AnalysisError, CacheStats, CheckedWorkflow, Fingerprinter, MashupConfig, Pdc,
-    PdcReport, PlanCache, Platform, ReplanStats, Tracer,
+    PdcReport, PlanCache, Platform, Release, ReplanStats, Tracer,
 };
 use mashup_dag::Workflow;
 use serde::{Deserialize, Serialize};
@@ -240,6 +240,7 @@ pub fn pareto_sweep_with(
             e.mat.workflow(),
             &e.report.plan,
             Some(&e.mat.sizing),
+            Release::PhaseBarrier,
             "pareto",
             &Tracer::off(),
         )

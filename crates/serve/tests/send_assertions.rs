@@ -5,8 +5,9 @@
 //! execution stack stays `Send`. A reintroduced `Rc`, `RefCell`, or
 //! non-`Send` trait object anywhere in the state graph turns these into
 //! compile errors pointing at the offending type — much earlier and
-//! clearer than a trait-bound error three layers up in `par_map`. (The
-//! Kepler baseline's world is asserted next to it, in `mashup-baselines`.)
+//! clearer than a trait-bound error three layers up in `par_map`. Every
+//! strategy, Kepler's dataflow runs included, executes in the executor's
+//! world, so asserting that world covers them all.
 
 fn assert_send<T: Send>() {}
 fn assert_send_sync<T: Send + Sync>() {}

@@ -6,7 +6,9 @@
 //! function only where that gate would accept it.
 
 use mashup::analyze::{has_errors, Code};
-use mashup::engine::{execute, plan_without_pdc, preflight, try_execute, Sizing, MEMORY_TIERS_GB};
+use mashup::engine::{
+    execute, plan_without_pdc, preflight, try_execute, Release, Sizing, MEMORY_TIERS_GB,
+};
 use mashup::prelude::{Strategy, *};
 use mashup_workflows::{generate, SyntheticConfig};
 use proptest::prelude::*;
@@ -123,7 +125,15 @@ proptest! {
         let tuned = cfg.with_subclusters(report.subclusters);
         let checked = w.check(&tuned, Some(&report.plan), sizing.as_ref());
         prop_assert!(checked.is_ok(), "PDC plan refused: {checked:?}");
-        let run = execute(&tuned, &w, &report.plan, sizing.as_ref(), "prop", &Tracer::off());
+        let run = execute(
+            &tuned,
+            &w,
+            &report.plan,
+            sizing.as_ref(),
+            Release::PhaseBarrier,
+            "prop",
+            &Tracer::off(),
+        );
         prop_assert!(run.is_ok_and(|r| r.makespan_secs > 0.0));
     }
 }

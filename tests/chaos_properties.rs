@@ -11,9 +11,9 @@
 //! failing case shrinks to a reproducible (seed, profile, workflow).
 
 use mashup_bench::{run_strategy_traced, Strategy};
-use mashup_cloud::{FaultPlan, FaultProfile};
+use mashup_cloud::{Fault, FaultPlan, FaultProfile};
 use mashup_core::trace::check;
-use mashup_core::{ChaosSpec, MashupConfig, Tracer};
+use mashup_core::{ChaosSpec, MashupConfig, TraceEvent, Tracer};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use proptest::prelude::*;
 
@@ -66,6 +66,30 @@ fn assert_chaos_run_clean(cfg: &MashupConfig, w: &mashup_dag::Workflow, strategy
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Kepler runs through the one executor, so the config's fault plan
+/// reaches it: a node reclaimed mid-run shows in its trace, and the trace
+/// still holds every invariant.
+#[test]
+fn kepler_honours_the_fault_plan() {
+    let mut plan = FaultPlan::empty(5);
+    plan.faults.push(Fault::Preempt {
+        at_secs: 1000.0,
+        node: 1,
+    });
+    let cfg = MashupConfig::aws(4).with_chaos(ChaosSpec::new(plan));
+    let w = srasearch::workflow();
+    let tracer = Tracer::new();
+    let report = run_strategy_traced(&cfg, &w, Strategy::Kepler, &tracer);
+    let records = tracer.take();
+    assert!(
+        records
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::SpotPreempt { .. })),
+        "the preemption never reached the Kepler run"
+    );
+    assert_eq!(check(&cfg, &w, &report, &records), []);
 }
 
 proptest! {

@@ -12,12 +12,13 @@ use mashup_sim::trace::to_jsonl;
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use std::sync::{Mutex, MutexGuard};
 
-/// The pool's worker count, the plan-cache switch, the trace directory and
-/// the run memo with its counters are process-wide, and the test harness
-/// runs tests on parallel threads. Every test that sets one or reads the
-/// counters holds this lock, so no test flips a setting or runs a cell
-/// while another runs: the chaos matrix, say, must never see the cache
-/// switched off halfway through.
+/// The pool's worker count, the plan-cache switch and the run memo with its
+/// counters are process-wide, and the test harness runs tests on parallel
+/// threads. Every test that sets one or reads the counters holds this lock,
+/// so no test flips a setting or runs a cell while another runs: the chaos
+/// matrix, say, must never see the cache switched off halfway through. (The
+/// trace directory, which cannot be unset, has `tests/figures_traced.rs` to
+/// itself.)
 static GLOBAL_SETTINGS: Mutex<()> = Mutex::new(());
 
 fn global_settings() -> MutexGuard<'static, ()> {
@@ -105,34 +106,6 @@ fn chaos_replay_is_bit_identical_across_job_counts() {
     bench::set_jobs(0);
     assert_eq!(serial, four, "chaos replay depends on --jobs 4");
     assert_eq!(serial, sixteen, "chaos replay depends on --jobs 16");
-}
-
-#[test]
-fn figure_json_is_byte_identical_with_tracing_enabled() {
-    // The flight recorder is a pure observer: enabling `--trace-dir` must
-    // not move a single byte of figure output. fig05 runs three full Mashup
-    // plans, so this covers the PDC, the hybrid executor, and both
-    // platforms. (The trace directory is process-global and write-only, so
-    // recording the untraced reference first is the only ordering that
-    // works inside one test binary.)
-    let _settings = global_settings();
-    bench::set_jobs(1);
-    let untraced = serde_json::to_string_pretty(&bench::fig05_objectives()).expect("serialize");
-    let dir = std::env::temp_dir().join(format!("mashup-trace-test-{}", std::process::id()));
-    bench::set_trace_dir(&dir);
-    let traced = serde_json::to_string_pretty(&bench::fig05_objectives()).expect("serialize");
-    bench::set_jobs(0);
-    assert_eq!(untraced, traced, "fig05 JSON depends on tracing");
-    let names: Vec<_> = std::fs::read_dir(&dir)
-        .expect("trace dir exists")
-        .map(|e| e.expect("dir entry").file_name())
-        .collect();
-    // One file per objective, named by workflow, node count and strategy.
-    for objective in ["time", "expense", "both"] {
-        let stem = format!("SRAsearch__n48__mashup-{objective}__");
-        let found = names.iter().any(|n| n.to_string_lossy().starts_with(&stem));
-        assert!(found, "no {stem}* trace among {names:?}");
-    }
 }
 
 #[test]

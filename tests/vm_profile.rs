@@ -13,7 +13,7 @@ use mashup_bench::scale::{self, Shape};
 use mashup_cloud::{Expense, Fault, FaultPlan};
 use mashup_core::{
     execute, execute_in, preflight, ChaosSpec, CheckedWorkflow, CloudEnv, MashupConfig, Pdc,
-    PlacementPlan, PlanCache, Platform, TraceEvent, Tracer, WorkflowReport,
+    PlacementPlan, PlanCache, Platform, Release, TraceEvent, Tracer, WorkflowReport,
 };
 use mashup_dag::Workflow;
 use mashup_workflows::{epigenomics, genome1000, srasearch};
@@ -193,7 +193,16 @@ fn adaptive_replan_keeps_report_names_in_completion_order() {
     });
     let chaotic = cfg.with_chaos(ChaosSpec::new(faults).with_adaptive(true));
     let tracer = Tracer::new();
-    let report = execute(&chaotic, &w, &plan, None, "adaptive", &tracer).expect("clean inputs");
+    let report = execute(
+        &chaotic,
+        &w,
+        &plan,
+        None,
+        Release::PhaseBarrier,
+        "adaptive",
+        &tracer,
+    )
+    .expect("clean inputs");
     let records = tracer.take();
     assert!(
         records
