@@ -62,6 +62,13 @@ impl ClusterConfig {
     pub fn total_slots(&self) -> usize {
         self.nodes * self.instance.cores
     }
+
+    /// The node counts of the `k` sub-clusters the nodes split into, in
+    /// sub-cluster order: `nodes / k` each, the first `nodes % k` one more.
+    pub fn subcluster_nodes(&self, k: usize) -> impl Iterator<Item = usize> {
+        let (per_sub, leftover) = (self.nodes / k, self.nodes % k);
+        (0..k).map(move |s| per_sub + usize::from(s < leftover))
+    }
 }
 
 /// Where a cluster task's input comes from.
@@ -248,15 +255,8 @@ impl VmCluster {
             cfg.subclusters >= 1 && cfg.subclusters <= cfg.nodes,
             "invalid subcluster split"
         );
-        let per_sub = cfg.nodes / cfg.subclusters;
-        let mut leftover = cfg.nodes % cfg.subclusters;
         let mut subs = Vec::with_capacity(cfg.subclusters);
-        for s in 0..cfg.subclusters {
-            let mut n = per_sub;
-            if leftover > 0 {
-                n += 1;
-                leftover -= 1;
-            }
+        for (s, n) in cfg.subcluster_nodes(cfg.subclusters).enumerate() {
             let fabric_bps =
                 (n as f64 * cfg.instance.node_nic_bps / 2.0).max(cfg.instance.node_nic_bps);
             subs.push(SubCluster {

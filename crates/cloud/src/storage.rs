@@ -52,6 +52,23 @@ impl ObjectKey {
         }
     }
 
+    /// This key's slot in the store's registry for a run of `w`: 0 for the
+    /// input, one past its flat id for a task's output.
+    fn slot(self, w: &Workflow) -> usize {
+        match self {
+            ObjectKey::Input => 0,
+            ObjectKey::Output(r) => 1 + w.arena().flat(r).expect("task of the run's workflow"),
+        }
+    }
+
+    /// The key in `slot` of the registry for a run of `w`.
+    fn of_slot(slot: usize, w: &Workflow) -> Self {
+        match slot {
+            0 => ObjectKey::Input,
+            s => ObjectKey::Output(w.arena().task_ref(s - 1)),
+        }
+    }
+
     /// The text of this key in a run of `w`, as trace records print it.
     fn text(self, w: &Workflow) -> String {
         let (prefix, rest) = self.parts(w);
@@ -71,8 +88,10 @@ pub struct ObjectStore {
     cfg: StorageConfig,
     /// The data-plane link in the simulation's arena.
     link: LinkId,
-    /// Registered objects' bytes and put time.
-    objects: BTreeMap<ObjectKey, (f64, SimTime)>,
+    /// Registered objects' bytes and put time, by [slot](ObjectKey::slot):
+    /// sized once per run, at the first registration, to the workflow's
+    /// task count plus the input.
+    objects: Vec<Option<(f64, SimTime)>>,
     bytes_stored: f64,
     peak_bytes: f64,
     reads: u64,
@@ -90,7 +109,7 @@ impl ObjectStore {
             link: sim.add_link("object-store", cfg.aggregate_bps),
             rng: seeds.stream("object-store"),
             cfg,
-            objects: BTreeMap::new(),
+            objects: Vec::new(),
             bytes_stored: 0.0,
             peak_bytes: 0.0,
             reads: 0,
@@ -307,7 +326,11 @@ impl ObjectStore {
         bytes: f64,
         w: &Workflow,
     ) {
-        if let Some((old_bytes, put_at)) = self.objects.remove(&key) {
+        let slot = key.slot(w);
+        if self.objects.len() <= slot {
+            self.objects.resize(w.task_count() + 1, None);
+        }
+        if let Some((old_bytes, put_at)) = self.objects[slot].take() {
             self.bytes_stored -= old_bytes;
             let held = now.saturating_since(put_at).as_secs();
             meter.charge_storage_occupancy(old_bytes * self.cfg.replicas as f64, held);
@@ -318,7 +341,7 @@ impl ObjectStore {
             let key = key.text(w);
             self.tracer.emit(now, TraceEvent::ObjectPut { key, bytes });
         }
-        self.objects.insert(key, (bytes, now));
+        self.objects[slot] = Some((bytes, now));
     }
 
     /// Removes a logical object of a run of `w`, settling its occupancy
@@ -330,7 +353,7 @@ impl ObjectStore {
         key: ObjectKey,
         w: &Workflow,
     ) {
-        let Some((bytes, put_at)) = self.objects.remove(&key) else {
+        let Some((bytes, put_at)) = self.objects.get_mut(key.slot(w)).and_then(Option::take) else {
             return;
         };
         self.bytes_stored -= bytes;
@@ -347,15 +370,15 @@ impl ObjectStore {
     /// sanity check).
     pub fn assert_present(&self, key: ObjectKey, w: &Workflow) {
         assert!(
-            self.contains(key),
+            self.contains(key, w),
             "object '{}' read before it was written: executor scheduling bug",
             key.text(w)
         );
     }
 
-    /// True if the logical object exists.
-    pub fn contains(&self, key: ObjectKey) -> bool {
-        self.objects.contains_key(&key)
+    /// True if the logical object of a run of `w` exists.
+    pub fn contains(&self, key: ObjectKey, w: &Workflow) -> bool {
+        self.objects.get(key.slot(w)).is_some_and(Option::is_some)
     }
 
     /// Settles occupancy charges for everything still stored, as of `now`,
@@ -363,7 +386,13 @@ impl ObjectStore {
     /// floating-point sum, so its order is part of the result. Call once at
     /// the end of a run.
     pub fn finalize(&mut self, meter: &mut CostMeter, now: SimTime, w: &Workflow) {
-        let mut keys: Vec<ObjectKey> = self.objects.keys().copied().collect();
+        let mut keys: Vec<ObjectKey> = self
+            .objects
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| o.is_some())
+            .map(|(slot, _)| ObjectKey::of_slot(slot, w))
+            .collect();
         keys.sort_by(|&a, &b| a.parts(w).cmp(&b.parts(w)));
         for key in keys {
             self.remove_object(meter, now, key, w);
@@ -486,7 +515,7 @@ mod tests {
         assert_eq!(s.bytes_stored(), 2e9);
         s.remove_object(meter, SimTime::from_secs(3600.0), ObjectKey::Input, &wf);
         assert_eq!(s.bytes_stored(), 1e9);
-        assert!(!s.contains(ObjectKey::Input) && s.contains(b));
+        assert!(!s.contains(ObjectKey::Input, &wf) && s.contains(b, &wf));
         s.finalize(meter, SimTime::from_secs(3600.0), &wf);
         assert_eq!(s.bytes_stored(), 0.0);
         // 2 objects * 1 GB * 1 h * 2 replicas.

@@ -41,7 +41,7 @@ use mashup_cloud::{
     run_task_on_faas, ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, Expense,
     FaasConfig, FaasRunStats, FaasTaskSpec, VmCluster,
 };
-use mashup_dag::{Phase, Task, TaskRef, Workflow};
+use mashup_dag::{Phase, Task, TaskProfile, TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -200,26 +200,75 @@ pub struct Pdc {
     sizing: Option<Sizing>,
 }
 
-/// The probe keys' config prefix — tag, seed, one tier's FaaS config and
-/// the storage config — hashed once per tier in a plan and cloned for each
-/// task, not rehashed for each of them.
+/// The candidate sub-cluster splits of the VM profiling passes, in the
+/// order they run; a split larger than the cluster is skipped.
+const SPLITS: [usize; 3] = [1, 2, 4];
+
+/// The largest split: the most sub-clusters a profiling pass has.
+const MAX_SPLIT: usize = SPLITS[SPLITS.len() - 1];
+
+/// The probe keys of one plan over a workflow borrowed for `'w`. The keys'
+/// config prefix — tag, seed, one tier's FaaS config and the storage
+/// config — is hashed once per tier and cloned for each task, not rehashed
+/// for each of them.
+///
+/// Under probe sharing a key is a function of the task's tier and profile
+/// alone (the code family is part of the profile), so consecutive tasks
+/// with one tier and bit-equal profiles have one key: a run of them, such
+/// as one family's wide phase, derives it once.
 #[derive(Default)]
-struct ProbeKeys {
+struct ProbeKeys<'w> {
     prefixes: Vec<(FaasConfig, Fingerprinter)>,
+    /// The last shared probe's tier (an index into `prefixes`), profile
+    /// and key.
+    last_shared: Option<(usize, &'w TaskProfile, u128)>,
 }
 
-impl ProbeKeys {
-    fn prefix(&mut self, cfg: &MashupConfig, faas_cfg: &FaasConfig) -> Fingerprinter {
-        if let Some((_, f)) = self.prefixes.iter().find(|(c, _)| c == faas_cfg) {
-            return f.clone();
+impl ProbeKeys<'_> {
+    /// The index of `faas_cfg`'s prefix, hashed on its first use.
+    fn tier(&mut self, cfg: &MashupConfig, faas_cfg: &FaasConfig) -> usize {
+        if let Some(i) = self.prefixes.iter().position(|(c, _)| c == faas_cfg) {
+            return i;
         }
         let mut f = Fingerprinter::new("pdc-probe-v2");
         f.write_u64(cfg.seed);
         faas_cfg.fingerprint(&mut f);
         cfg.provider.storage.fingerprint(&mut f);
-        self.prefixes.push((faas_cfg.clone(), f.clone()));
-        f
+        self.prefixes.push((faas_cfg.clone(), f));
+        self.prefixes.len() - 1
     }
+}
+
+/// Whether two profiles are equal bit for bit, floats compared by bit
+/// pattern as their fingerprints hash them (so `0.0` and `-0.0` differ).
+fn same_profile_bits(a: &TaskProfile, b: &TaskProfile) -> bool {
+    // Destructured without `..`: a new profile field fails to compile here
+    // until it is compared.
+    let TaskProfile {
+        compute_secs_vm,
+        serverless_slowdown,
+        input_bytes,
+        output_bytes,
+        memory_gb,
+        vm_local_contention,
+        runtime_jitter,
+        recurring,
+        checkpoint_bytes,
+        code_family,
+    } = a;
+    let floats = [
+        (compute_secs_vm, b.compute_secs_vm),
+        (serverless_slowdown, b.serverless_slowdown),
+        (input_bytes, b.input_bytes),
+        (output_bytes, b.output_bytes),
+        (memory_gb, b.memory_gb),
+        (vm_local_contention, b.vm_local_contention),
+        (runtime_jitter, b.runtime_jitter),
+        (checkpoint_bytes, b.checkpoint_bytes),
+    ];
+    floats.iter().all(|(x, y)| x.to_bits() == y.to_bits())
+        && *recurring == b.recurring
+        && *code_family == b.code_family
 }
 
 impl Pdc {
@@ -402,13 +451,13 @@ impl Pdc {
     /// Eq. 1 estimate, and the objective argmin — shared verbatim by
     /// [`decide`](Pdc::decide) and [`replan`](Pdc::replan). `probe_keys`
     /// lives for one plan.
-    fn decide_task(
+    fn decide_task<'w>(
         &self,
-        workflow: &Workflow,
+        workflow: &'w Workflow,
         r: TaskRef,
         t_vm: f64,
         factors: &ModelFactors,
-        probe_keys: &mut ProbeKeys,
+        probe_keys: &mut ProbeKeys<'w>,
     ) -> TaskDecision {
         let t = workflow.task(r);
         let faas_cfg = self.task_faas_cfg(workflow, r);
@@ -464,7 +513,6 @@ impl Pdc {
             self.cfg.conservative_cold_start_secs,
         );
         let platform = self.choose(
-            factors,
             t_vm,
             est,
             t.components,
@@ -686,7 +734,6 @@ impl Pdc {
                 let t = workflow.task(d.task);
                 let faas_cfg = self.task_faas_cfg(workflow, d.task);
                 d.platform = self.choose(
-                    &prev.factors,
                     d.t_vm_secs,
                     d.t_serverless_est_secs,
                     t.components,
@@ -725,11 +772,19 @@ impl Pdc {
     /// covers it, and they differ from the checked config only in
     /// `cluster.subclusters`, which this loop keeps within `1..=nodes`, the
     /// one M3xx bound that reads it. Every pass borrows the workflow.
+    ///
+    /// When [`splits_tie`](Pdc::splits_tie) holds for every phase, only the
+    /// first pass runs: each later split would reproduce it bit for bit, so
+    /// its makespan and expense are folded in again for each of them, in
+    /// split order, and its task times already are the minimum (`min` is
+    /// idempotent).
     fn run_vm_profile(&self, workflow: &CheckedWorkflow) -> VmProfileEntry {
         let mut expense = Expense::default();
         let vm_plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
         let arena = workflow.arena();
-        let mut best: Option<(usize, crate::report::WorkflowReport)> = None;
+        let replay = self.splits_tie(&workflow.phases);
+        let mut first: Option<(f64, Expense)> = None;
+        let mut best: Option<(usize, f64)> = None;
         // Per-task best VM time across the splits, indexed by flat task id
         // (phase-major, matching `Workflow::task_refs`): a task's
         // cluster-side potential is what the *best-configured* cluster
@@ -737,43 +792,103 @@ impl Pdc {
         // configuration") — the all-in-one run can be polluted by
         // co-scheduled siblings thrashing the same nodes.
         let mut best_task_vm = vec![f64::INFINITY; workflow.task_count()];
-        for k in [1usize, 2, 4] {
+        for k in SPLITS {
             if k > self.cfg.cluster.nodes {
                 continue;
             }
-            let tuned = self.cfg.clone().with_subclusters(k);
-            let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-            let (report, completed) = execute_in_unchecked(
-                &mut env,
-                &tuned,
-                workflow,
-                &vm_plan,
-                None,
-                Release::PhaseBarrier,
-                "pdc-profiling",
-            );
-            add_expense(&mut expense, &report.expense);
-            for (t, r) in report.tasks.iter().zip(&completed) {
-                let e = &mut best_task_vm[arena.flat(*r).expect("task ref in workflow")];
-                *e = e.min(t.makespan_secs());
-            }
+            let (makespan, pass_expense) = match first {
+                Some(pass) if replay => pass,
+                _ => {
+                    let tuned = self.cfg.clone().with_subclusters(k);
+                    let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
+                    let (report, completed) = execute_in_unchecked(
+                        &mut env,
+                        &tuned,
+                        workflow,
+                        &vm_plan,
+                        None,
+                        Release::PhaseBarrier,
+                        "pdc-profiling",
+                    );
+                    for (t, r) in report.tasks.iter().zip(&completed) {
+                        let e = &mut best_task_vm[arena.flat(*r).expect("task ref in workflow")];
+                        *e = e.min(t.makespan_secs());
+                    }
+                    (report.makespan_secs, report.expense)
+                }
+            };
+            first.get_or_insert((makespan, pass_expense));
+            add_expense(&mut expense, &pass_expense);
             // Hysteresis: a finer split must be clearly (≥5 %) better —
             // splitting halves every task's node share, so a near-tie is
             // noise, not signal.
-            let better = best
-                .as_ref()
-                .is_none_or(|(_, b)| report.makespan_secs < b.makespan_secs * 0.95);
-            if better {
-                best = Some((k, report));
+            if best.is_none_or(|(_, b)| makespan < b * 0.95) {
+                best = Some((k, makespan));
             }
         }
-        let (subclusters, vm_report) = best.expect("single-cluster split always runs");
+        let (subclusters, vm_makespan_secs) = best.expect("single-cluster split always runs");
         VmProfileEntry {
             best_task_vm,
             subclusters,
-            vm_makespan_secs: vm_report.makespan_secs,
+            vm_makespan_secs,
             expense,
         }
+    }
+
+    /// Whether every candidate sub-cluster split (k = 1, 2, 4, up to the
+    /// node count) provably profiles `phases` exactly as the first split
+    /// does. The VM profiling passes, and the scoped phase profile of
+    /// [`replan`](Pdc::replan), then run that split alone and replay it
+    /// for the others. It holds when in every phase:
+    ///
+    /// * no task moves cluster bytes (`input_bytes` and `output_bytes`
+    ///   ≤ 0), so `VmCluster::run_task` releases every component at the
+    ///   phase start without touching a link, and each output lands at once;
+    /// * under every split k ≤ nodes, with the real, uneven sub-cluster
+    ///   sizes and the passes' round robin (task `ti` on sub-cluster
+    ///   `ti % k`), no node holds more components than it has cores, and no
+    ///   task's `memory_gb` times its node's load exceeds the node's RAM.
+    ///
+    /// Then every component's timeshare factor is exactly 1 under every
+    /// split, so each component computes for `compute / core_speed × jitter`
+    /// whichever node it lands on; the jitter streams are keyed by task
+    /// name, not node, and the events are scheduled in the same order at
+    /// the same instants. Every pass therefore gives the same task times,
+    /// makespan and expense, bit for bit. Cheap to refuse: a phase fails at
+    /// its first overloaded node.
+    pub fn splits_tie(&self, phases: &[Phase]) -> bool {
+        let cluster = &self.cfg.cluster;
+        let (cores, node_gb) = (cluster.instance.cores, cluster.instance.memory_gb);
+        let moves_bytes =
+            |t: &Task| !(t.profile.input_bytes <= 0.0 && t.profile.output_bytes <= 0.0);
+        let fits = |phase: &Phase, k: usize| {
+            let mut sizes = [0usize; MAX_SPLIT];
+            for (s, n) in cluster.subcluster_nodes(k).enumerate() {
+                sizes[s] = n;
+            }
+            // Node 0 of a sub-cluster holds the most components: each task
+            // places component `c` on node `c % size`.
+            let mut load = [0usize; MAX_SPLIT];
+            for (ti, t) in phase.tasks.iter().enumerate() {
+                let s = ti % k;
+                load[s] = load[s].saturating_add(t.components.div_ceil(sizes[s]));
+                if load[s] > cores {
+                    return false;
+                }
+            }
+            phase
+                .tasks
+                .iter()
+                .enumerate()
+                .all(|(ti, t)| load[ti % k] as f64 * t.profile.memory_gb <= node_gb)
+        };
+        phases.iter().all(|phase| {
+            !phase.tasks.iter().any(moves_bytes)
+                && SPLITS
+                    .iter()
+                    .filter(|&&k| k <= cluster.nodes)
+                    .all(|&k| fits(phase, k))
+        })
     }
 
     /// Cache key for the calibration stage: seed + FaaS/storage behaviour
@@ -811,16 +926,27 @@ impl Pdc {
     /// node-count sweeps reuse every probe. `faas_cfg` is the task's tier
     /// config (fingerprinted, so each memory tier keys its own probe —
     /// which is what lets a sizing sweep share probes across candidates).
-    /// The config part of the key comes hashed from `probe_keys`.
-    fn probe_key(
+    /// The config part of the key comes hashed from `probe_keys`, and a
+    /// shared key is derived once per run of tasks with its tier and
+    /// profile (see [`ProbeKeys`]).
+    fn probe_key<'w>(
         &self,
-        probe_keys: &mut ProbeKeys,
+        probe_keys: &mut ProbeKeys<'w>,
         r: TaskRef,
-        t: &Task,
+        t: &'w Task,
         faas_cfg: &FaasConfig,
     ) -> u128 {
-        let mut f = probe_keys.prefix(&self.cfg, faas_cfg);
-        match self.probe_identity(t) {
+        let tier = probe_keys.tier(&self.cfg, faas_cfg);
+        let family = self.probe_identity(t);
+        // Only shared keys are remembered, and bit-equal profiles carry the
+        // same family, so a match is a shared key of this very subject.
+        if let Some((last_tier, last, key)) = probe_keys.last_shared {
+            if last_tier == tier && same_profile_bits(last, &t.profile) {
+                return key;
+            }
+        }
+        let mut f = probe_keys.prefixes[tier].1.clone();
+        match family {
             Some(family) => {
                 // Sentinel phase: no real task ref carries usize::MAX.
                 f.write_usize(usize::MAX);
@@ -837,14 +963,17 @@ impl Pdc {
                 .plan_context()
                 .margin_for(t.profile.checkpoint_bytes),
         );
-        f.digest()
+        let key = f.digest();
+        if family.is_some() {
+            probe_keys.last_shared = Some((tier, &t.profile, key));
+        }
+        key
     }
 
     /// Applies the objective to pick a platform. `price_fn` is the task's
     /// function tier's hourly price (the base price when unsized).
     fn choose(
         &self,
-        factors: &ModelFactors,
         t_vm: f64,
         t_sl_est: f64,
         components: usize,
@@ -859,7 +988,6 @@ impl Pdc {
         let fn_cost = components as f64 * probe_busy_secs / 3600.0 * price_fn;
         let saved_node_cost =
             (t_vm - t_sl_est).max(0.0) / 3600.0 * self.cfg.cluster.nodes as f64 * price_vm;
-        let _ = factors;
         let serverless_wins = match self.objective {
             Objective::ExecutionTime => t_sl_est < t_vm,
             Objective::Expense => fn_cost < saved_node_cost,
@@ -947,49 +1075,64 @@ impl Pdc {
     /// together at t = 0 on an otherwise idle cluster — exactly the state
     /// an all-VM pass reaches at the phase's barrier — once per candidate
     /// sub-cluster split, keeping each task's best time (the same reduction
-    /// as [`run_vm_profile`](Self::run_vm_profile)). Inputs route as the
-    /// full pass routes them: master NIC for initial tasks, fabric
-    /// otherwise; outputs to the fabric.
+    /// as [`run_vm_profile`](Self::run_vm_profile), which also replays the
+    /// first split when [`splits_tie`](Self::splits_tie) holds for the
+    /// phase). Inputs route as the full pass routes them: master NIC for
+    /// initial tasks, fabric otherwise; outputs to the fabric.
     fn run_phase_profile(&self, workflow: &Workflow, phase_idx: usize) -> PhaseProfileEntry {
         let phase = &workflow.phases[phase_idx];
-        let n = phase.tasks.len();
-        let mut task_secs = vec![f64::INFINITY; n];
+        let mut task_secs = vec![f64::INFINITY; phase.tasks.len()];
         let mut expense = Expense::default();
-        for k in [1usize, 2, 4] {
+        let replay = self.splits_tie(std::slice::from_ref(phase));
+        let mut first: Option<Expense> = None;
+        for k in SPLITS {
             if k > self.cfg.cluster.nodes {
                 continue;
             }
-            let tuned = self.cfg.clone().with_subclusters(k);
-            let mut env = CloudEnv::with_driver(&tuned, 0x9e3779b9, PhaseTimes(vec![0.0; n]));
-            env.world.cloud.cluster.start_billing(SimTime::ZERO);
-            for (ti, t) in phase.tasks.iter().enumerate() {
-                let input = if t.deps.is_empty() {
-                    ClusterInput::Master
-                } else {
-                    ClusterInput::Fabric
-                };
-                let io_requests =
-                    crate::exec::input_requests(workflow, TaskRef::new(phase_idx, ti));
-                // The full pass hands out sub-clusters round-robin from 0 at
-                // each phase start.
-                let spec =
-                    ClusterTaskSpec::of_task(t, io_requests, input, ClusterOutput::Fabric, ti % k);
-                VmCluster::run_task(&mut env.world, &mut env.sim, spec, ti);
-            }
-            let end = env.run();
-            let cloud = &mut env.world.cloud;
-            cloud.cluster.stop_billing(&mut cloud.meter, end);
-            add_expense(
-                &mut expense,
-                &cloud
-                    .meter
-                    .expense(self.cfg.provider.storage.price_per_gb_month),
-            );
-            for (ti, &s) in env.world.driver.0.iter().enumerate() {
-                task_secs[ti] = task_secs[ti].min(s);
-            }
+            let pass_expense = match first {
+                Some(pass) if replay => pass,
+                _ => {
+                    let (secs, pass) = self.phase_pass(workflow, phase_idx, k);
+                    for (best, s) in task_secs.iter_mut().zip(secs) {
+                        *best = best.min(s);
+                    }
+                    pass
+                }
+            };
+            first.get_or_insert(pass_expense);
+            add_expense(&mut expense, &pass_expense);
         }
         PhaseProfileEntry { task_secs, expense }
+    }
+
+    /// One pass of the scoped phase profile on `k` sub-clusters: each
+    /// task's wall time, by its index in the phase, and the pass's expense.
+    fn phase_pass(&self, workflow: &Workflow, phase_idx: usize, k: usize) -> (Vec<f64>, Expense) {
+        let phase = &workflow.phases[phase_idx];
+        let tuned = self.cfg.clone().with_subclusters(k);
+        let times = PhaseTimes(vec![0.0; phase.tasks.len()]);
+        let mut env = CloudEnv::with_driver(&tuned, 0x9e3779b9, times);
+        env.world.cloud.cluster.start_billing(SimTime::ZERO);
+        for (ti, t) in phase.tasks.iter().enumerate() {
+            let input = if t.deps.is_empty() {
+                ClusterInput::Master
+            } else {
+                ClusterInput::Fabric
+            };
+            let io_requests = crate::exec::input_requests(workflow, TaskRef::new(phase_idx, ti));
+            // The full pass hands out sub-clusters round-robin from 0 at
+            // each phase start.
+            let spec =
+                ClusterTaskSpec::of_task(t, io_requests, input, ClusterOutput::Fabric, ti % k);
+            VmCluster::run_task(&mut env.world, &mut env.sim, spec, ti);
+        }
+        let end = env.run();
+        let cloud = &mut env.world.cloud;
+        cloud.cluster.stop_billing(&mut cloud.meter, end);
+        let expense = cloud
+            .meter
+            .expense(self.cfg.provider.storage.price_per_gb_month);
+        (env.world.driver.0, expense)
     }
 }
 
@@ -1742,6 +1885,148 @@ mod tests {
         assert!(report.plan.covers(&w));
         let p0 = report.decisions[0].probe_secs;
         assert!(report.decisions.iter().all(|d| d.probe_secs == p0));
+    }
+
+    /// Two phases of one-component tasks, the second fed by the first
+    /// task, whose probe subjects interleave:
+    /// runs of family `a`, a `b` between them, an `a` whose memory differs,
+    /// family-less tasks, and two `a` tasks that `probe_key_sizing` puts on
+    /// different tiers.
+    fn probe_key_workflow() -> Workflow {
+        let base = mashup_dag::TaskProfile::trivial().compute(40.0);
+        let a = base.clone().family("a");
+        let b = base.clone().family("b");
+        let phases: [&[(&str, &mashup_dag::TaskProfile)]; 2] = [
+            &[
+                ("a0", &a),
+                ("a1", &a),
+                ("b0", &b),
+                ("a2", &a),
+                ("a3", &a.clone().memory(1.0)),
+                ("a4", &a),
+                ("n0", &base),
+                ("n1", &base),
+            ],
+            &[("a5", &a), ("a6", &a), ("a7", &a), ("b1", &b), ("b2", &b)],
+        ];
+        let mut wb = mashup_dag::WorkflowBuilder::new("probe-keys");
+        wb.initial_input_bytes(1e6);
+        let first = TaskRef::new(0, 0);
+        for tasks in phases {
+            wb.begin_phase();
+            for &(name, profile) in tasks {
+                let r = wb.add_task(mashup_dag::Task::new(name, 1, profile.clone()));
+                if r.phase > 0 {
+                    wb.depend(r, first, mashup_dag::DependencyPattern::AllToAll);
+                }
+            }
+        }
+        wb.build().expect("valid")
+    }
+
+    /// The base tier for every task but `a6` (1 GB) and `a7` (2 GB).
+    fn probe_key_sizing(c: &MashupConfig, w: &Workflow) -> Sizing {
+        let mut sizing = Sizing::base(c, w);
+        for (name, gb) in [("a6", 1.0), ("a7", 2.0)] {
+            sizing.tiers_gb[w.flat_by_name(name).expect("exists")] = gb;
+        }
+        sizing
+    }
+
+    #[test]
+    fn shared_probe_keys_match_per_task_keys() {
+        let c = cfg(4);
+        let w = probe_key_workflow();
+        let pdc = Pdc::new(c.clone())
+            .with_probe_sharing(true)
+            .with_sizing(probe_key_sizing(&c, &w));
+        let mut run = ProbeKeys::default();
+        for r in w.task_refs() {
+            let (t, faas_cfg) = (w.task(r), pdc.task_faas_cfg(&w, r));
+            let shared = pdc.probe_key(&mut run, r, t, &faas_cfg);
+            let alone = pdc.probe_key(&mut ProbeKeys::default(), r, t, &faas_cfg);
+            assert_eq!(shared, alone, "task {}", t.name);
+            if t.name == "a1" {
+                // a1 reused a0's key, so the run still points at a0.
+                let (_, last, _) = run.last_shared.expect("a shared key");
+                assert!(std::ptr::eq(last, &w.phases[0].tasks[0].profile));
+            }
+        }
+
+        // The plan's decisions are the ones per-task keys give.
+        let report = pdc.decide(&w);
+        let factors = pdc.calibrated_factors();
+        for (d, r) in report.decisions.iter().zip(w.task_refs()) {
+            let alone = pdc.decide_task(&w, r, d.t_vm_secs, &factors, &mut ProbeKeys::default());
+            assert_eq!(d, &alone, "task {}", w.task(r).name);
+        }
+    }
+
+    #[test]
+    fn scoped_phase_profiles_match_every_pass() {
+        // (tasks, components, memory GiB, jitter, I/O bytes) per phase: the
+        // skip rule takes some of them at some node counts and refuses the
+        // rest — wide, fat or I/O-bearing ones.
+        let shapes = [
+            (1, 1, 0.5, 0.0, 0.0),
+            (2, 2, 0.5, 0.05, 0.0),
+            (3, 4, 8.0, 0.0, 0.0),
+            (4, 3, 16.0, 0.05, 0.0),
+            (2, 1, 0.5, 0.0, 1e6),
+        ];
+        let mut b = mashup_dag::WorkflowBuilder::new("scoped");
+        b.initial_input_bytes(1e6);
+        for (pi, &(tasks, components, gb, jitter, io)) in shapes.iter().enumerate() {
+            b.begin_phase();
+            for ti in 0..tasks {
+                let profile = mashup_dag::TaskProfile::trivial()
+                    .compute(30.0 + ti as f64)
+                    .memory(gb)
+                    .contention(1.5)
+                    .jitter(jitter)
+                    .io(io, io);
+                let r = b.add_task(mashup_dag::Task::new(
+                    format!("p{pi}t{ti}"),
+                    components,
+                    profile,
+                ));
+                if pi > 0 {
+                    let producer = TaskRef::new(pi - 1, 0);
+                    b.depend(r, producer, mashup_dag::DependencyPattern::AllToAll);
+                }
+            }
+        }
+        let w = b.build().expect("valid");
+        let (mut ties, mut refusals) = (0, 0);
+        for nodes in [1, 2, 3, 5, 6, 8] {
+            let pdc = Pdc::new(cfg(nodes));
+            for (pi, phase) in w.phases.iter().enumerate() {
+                let mut want = vec![f64::INFINITY; phase.tasks.len()];
+                let mut expense = Expense::default();
+                for k in SPLITS.into_iter().filter(|&k| k <= nodes) {
+                    let (secs, pass) = pdc.phase_pass(&w, pi, k);
+                    for (best, s) in want.iter_mut().zip(secs) {
+                        *best = best.min(s);
+                    }
+                    add_expense(&mut expense, &pass);
+                }
+                let got = pdc.run_phase_profile(&w, pi);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let label = format!("phase {pi} on {nodes} nodes");
+                assert_eq!(bits(&got.task_secs), bits(&want), "{label}");
+                assert_eq!(
+                    format!("{:?}", got.expense),
+                    format!("{expense:?}"),
+                    "{label}"
+                );
+                if pdc.splits_tie(std::slice::from_ref(phase)) {
+                    ties += 1;
+                } else {
+                    refusals += 1;
+                }
+            }
+        }
+        assert!(ties > 0 && refusals > 0, "{ties} ties, {refusals} refusals");
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! times by flat id. The reference here runs three `execute_in` passes,
 //! each checking its config and plan, and maps every report back to a flat
 //! id by task name; every field the profiling stage produces must match it
-//! bit for bit. The remaining tests pin where refusals happen and the
-//! naming of reports built after the event loop.
+//! bit for bit. That includes the workflows on which `Pdc::splits_tie`
+//! lets the stage run the first split alone and replay it for the others:
+//! the reference never skips a pass. The remaining tests pin where
+//! refusals happen and the naming of reports built after the event loop.
 
 use mashup_bench::scale::{self, Shape};
 use mashup_cloud::{Expense, Fault, FaultPlan};
@@ -15,7 +17,7 @@ use mashup_core::{
     execute, execute_in, preflight, ChaosSpec, CheckedWorkflow, CloudEnv, MashupConfig, Pdc,
     PlacementPlan, PlanCache, Platform, Release, TraceEvent, Tracer, WorkflowReport,
 };
-use mashup_dag::Workflow;
+use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, Workflow, WorkflowBuilder};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,10 +32,33 @@ struct Profile {
     expense: Expense,
 }
 
-/// The profiling passes as three independent, fully checked executions.
-fn reference(cfg: &MashupConfig, w: &Workflow) -> Profile {
+/// The profiling passes as independent, fully checked executions, one per
+/// split k = 1, 2, 4 that fits the cluster.
+fn passes(cfg: &MashupConfig, w: &Workflow) -> Vec<(usize, WorkflowReport)> {
     let checked = CheckedWorkflow::borrowed(w).expect("clean workflow");
     let vm_plan = PlacementPlan::uniform(w, Platform::VmCluster);
+    let splits = [1usize, 2, 4]
+        .into_iter()
+        .filter(|&k| k <= cfg.cluster.nodes);
+    splits
+        .map(|k| {
+            let tuned = cfg.clone().with_subclusters(k);
+            let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
+            let report = execute_in(&mut env, &tuned, &checked, &vm_plan, "pdc-profiling")
+                .expect("clean config and plan");
+            (k, report)
+        })
+        .collect()
+}
+
+/// The profiling stage, run every pass and folded the plain way.
+fn reference(cfg: &MashupConfig, w: &Workflow) -> Profile {
+    fold(w, passes(cfg, w))
+}
+
+/// The profiling stage from its passes: each task's best time, the split
+/// the 5% hysteresis picks, and the summed expense.
+fn fold(w: &Workflow, passes: Vec<(usize, WorkflowReport)>) -> Profile {
     let mut expense = Expense::default();
     let mut best_task_vm = vec![f64::INFINITY; w.task_count()];
     let mut best: Option<(usize, WorkflowReport)> = None;
@@ -42,14 +67,7 @@ fn reference(cfg: &MashupConfig, w: &Workflow) -> Profile {
         .enumerate()
         .map(|(flat, r)| (w.task(r).name.as_str(), flat))
         .collect();
-    for k in [1usize, 2, 4] {
-        if k > cfg.cluster.nodes {
-            continue;
-        }
-        let tuned = cfg.clone().with_subclusters(k);
-        let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-        let report = execute_in(&mut env, &tuned, &checked, &vm_plan, "pdc-profiling")
-            .expect("clean config and plan");
+    for (k, report) in passes {
         expense.vm_dollars += report.expense.vm_dollars;
         expense.faas_dollars += report.expense.faas_dollars;
         expense.storage_dollars += report.expense.storage_dollars;
@@ -134,8 +152,192 @@ fn scale_profiles_match_the_checked_three_pass_reference() {
     for shape in [Shape::FanOut, Shape::Chain] {
         let w = scale::workflow(shape, 10_000);
         let cfg = MashupConfig::aws(8);
-        let got = profiled(&Pdc::new(cfg.clone()).with_probe_sharing(true), &w);
+        let pdc = Pdc::new(cfg.clone()).with_probe_sharing(true);
+        // The chain's one-component tasks fit any split; the fan-out's
+        // k = 1 pass stacks its whole worker phase on node 0.
+        assert_eq!(pdc.splits_tie(&w.phases), shape == Shape::Chain);
+        let got = profiled(&pdc, &w);
         assert_bit_identical(shape.name(), &got, &reference(&cfg, &w));
+    }
+}
+
+/// A deterministic draw stream (splitmix64) for the generated workflows.
+struct Draws(u64);
+
+impl Draws {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+
+    fn pick(&mut self, xs: &[f64]) -> f64 {
+        xs[self.below(xs.len())]
+    }
+}
+
+/// The kinds of generated workflow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    /// Phases of 1–2 tasks of 1–2 components, at most 8 GiB each: most
+    /// fit every split of most clusters.
+    Narrow,
+    /// 1–3 phases of 1–3 tasks of 1–4 components, of 0.5, 8 or 16 GiB:
+    /// loads and resident sets on either side of a node's 2 cores and
+    /// 16 GiB, under some splits and not others.
+    Edge,
+    /// Phases of 1–5 tasks, now and then of up to 40 components, up to
+    /// 16 GiB each: most overload some node.
+    Free,
+    /// Free, and every task writes bytes, so no phase can tie.
+    Io,
+}
+
+/// Workflow `seed` of `kind`: 1–6 phases with assorted compute, thrash
+/// coefficients and jitter; each task past phase 0 depends on one task of
+/// the phase before it.
+fn generated(seed: u64, kind: Kind) -> Workflow {
+    let mut d = Draws(seed);
+    let mut b = WorkflowBuilder::new(format!("generated-{kind:?}-{seed}"));
+    b.initial_input_bytes(1e6);
+    let mut prev: Vec<TaskRef> = Vec::new();
+    let phases = 1 + d.below(if kind == Kind::Edge { 3 } else { 6 });
+    for p in 0..phases {
+        b.begin_phase();
+        let mut cur = Vec::new();
+        let width = 1 + d.below(match kind {
+            Kind::Narrow => 2,
+            Kind::Edge => 3,
+            Kind::Free | Kind::Io => 5,
+        });
+        for i in 0..width {
+            let (components, gb): (usize, &[f64]) = match kind {
+                Kind::Narrow => (1 + d.below(2), &[0.25, 0.5, 2.0, 8.0]),
+                Kind::Edge => (1 + d.below(4), &[0.5, 8.0, 16.0]),
+                Kind::Free | Kind::Io if d.below(4) == 0 => {
+                    (1 + d.below(40), &[0.25, 0.5, 2.0, 6.0, 16.0])
+                }
+                Kind::Free | Kind::Io => (1 + d.below(2), &[0.25, 0.5, 2.0, 6.0, 16.0]),
+            };
+            let contention = if kind == Kind::Edge {
+                1.5
+            } else {
+                d.pick(&[0.0, 1.5])
+            };
+            let mut profile = TaskProfile::trivial()
+                .compute(d.pick(&[2.0, 15.0, 40.0, 90.0]))
+                .memory(d.pick(gb))
+                .contention(contention)
+                .jitter(d.pick(&[0.0, 0.05]));
+            if kind == Kind::Io {
+                profile = profile.io(d.pick(&[0.0, 1e6, 5e7]), d.pick(&[1e6, 2e7]));
+            }
+            let t = b.add_task(Task::new(format!("p{p}t{i}"), components, profile));
+            if !prev.is_empty() {
+                b.depend(t, prev[d.below(prev.len())], DependencyPattern::AllToAll);
+            }
+            cur.push(t);
+        }
+        prev = cur;
+    }
+    b.build().expect("generated workflows are valid")
+}
+
+#[test]
+fn generated_profiles_match_the_reference_whether_or_not_splits_tie() {
+    // Even and uneven splits (3, 5 and 6 nodes), and splits larger than
+    // the cluster (1, 2 and 3 nodes), which the passes skip.
+    const NODES: [usize; 7] = [1, 2, 3, 5, 6, 8, 16];
+    let cache = Arc::new(PlanCache::new());
+    let mut ties = [0usize; NODES.len()];
+    let mut zero_io_refusals = 0;
+    for seed in 0..24 {
+        for kind in [Kind::Narrow, Kind::Edge, Kind::Free, Kind::Io] {
+            let w = generated(seed, kind);
+            for (n, nodes) in NODES.into_iter().enumerate() {
+                let cfg = MashupConfig::aws(nodes);
+                let pdc = Pdc::new(cfg.clone()).with_cache(cache.clone());
+                let label = format!("{}@{nodes}", w.name);
+                let runs = passes(&cfg, &w);
+                let tie = pdc.splits_tie(&w.phases);
+                match (tie, kind) {
+                    (true, Kind::Io) => panic!("{label}: a workflow that moves bytes tied"),
+                    (true, _) => ties[n] += 1,
+                    (false, Kind::Io) => {}
+                    (false, _) => zero_io_refusals += 1,
+                }
+                if tie {
+                    // Sound, not just harmless after the fold: every
+                    // split's report is the first split's, bit for bit.
+                    let first = format!("{:?}", runs[0].1);
+                    for (k, report) in &runs[1..] {
+                        assert_eq!(format!("{report:?}"), first, "{label}: split {k}");
+                    }
+                }
+                assert_bit_identical(&label, &profiled(&pdc, &w), &fold(&w, runs));
+            }
+        }
+    }
+    // Not vacuous: the rule skips passes at every node count, and refuses
+    // some zero-I/O workflows too.
+    assert!(ties.iter().all(|&t| t > 0), "ties per node count: {ties:?}");
+    assert!(zero_io_refusals > 0, "no zero-I/O workflow was refused");
+}
+
+/// Tasks given as (components, GiB).
+type Tasks = &'static [(usize, f64)];
+
+/// One phase of `tasks`, thrashing once a node's resident set passes its
+/// RAM.
+fn one_phase(tasks: Tasks) -> Workflow {
+    let mut b = WorkflowBuilder::new("edge");
+    b.initial_input_bytes(1e6);
+    b.begin_phase();
+    for (i, &(components, gb)) in tasks.iter().enumerate() {
+        let profile = TaskProfile::trivial()
+            .compute(30.0)
+            .memory(gb)
+            .contention(1.5);
+        b.add_task(Task::new(format!("t{i}"), components, profile));
+    }
+    b.build().expect("valid")
+}
+
+#[test]
+fn splits_tie_is_decided_at_the_exact_bounds() {
+    // r5.large nodes: 2 cores, 16 GiB. Each case sits at a bound of the
+    // rule: accepted ones fill it exactly, refused ones pass it under one
+    // split only, where that split's pass really runs differently.
+    let cases: [(usize, Tasks, bool); 6] = [
+        // 2 components on 1 node: load 2 = cores, 2 × 8 GiB = RAM.
+        (1, &[(2, 8.0)], true),
+        // k = 2 puts 3 components on a 1-node sub-cluster.
+        (2, &[(3, 0.5)], false),
+        // k = 2 puts both 16 GiB components on one node.
+        (2, &[(2, 16.0)], false),
+        // 5 nodes split 2/1/1/1 at k = 4: the second task lands alone on
+        // a 1-node sub-cluster with 3 components (2/2/2/2 would fit it).
+        (5, &[(1, 0.5), (3, 0.5)], false),
+        // 6 nodes split 3/3 at k = 2 and 2/2/1/1 at k = 4: both tasks fit
+        // every split (one component each on node 0 at k = 1).
+        (6, &[(4, 0.5), (2, 8.0)], true),
+        // 3 nodes split 2/1 at k = 2: task 1 gets both its components on
+        // the 1-node sub-cluster, filling its cores and RAM exactly.
+        (3, &[(3, 0.5), (2, 8.0)], true),
+    ];
+    for (nodes, tasks, want) in cases {
+        let w = one_phase(tasks);
+        let cfg = MashupConfig::aws(nodes);
+        let pdc = Pdc::new(cfg.clone());
+        let label = format!("{tasks:?}@{nodes}");
+        assert_eq!(pdc.splits_tie(&w.phases), want, "{label}");
+        let runs = passes(&cfg, &w);
+        let first = format!("{:?}", runs[0].1);
+        let same = runs[1..].iter().all(|(_, r)| format!("{r:?}") == first);
+        assert_eq!(same, want, "{label}: the passes tie exactly when accepted");
+        assert_bit_identical(&label, &profiled(&pdc, &w), &fold(&w, runs));
     }
 }
 
