@@ -8,19 +8,26 @@
 //! id by task name; every field the profiling stage produces must match it
 //! bit for bit. That includes the workflows on which `Pdc::splits_tie`
 //! lets the stage run the first split alone and replay it for the others:
-//! the reference never skips a pass. The remaining tests pin where
-//! refusals happen and the naming of reports built after the event loop.
+//! the reference never skips a pass. A golden digest pins the scoped
+//! phase profiles `Pdc::replan` runs for fused candidates. The remaining
+//! tests pin where refusals happen and the naming of reports built after
+//! the event loop.
 
 use mashup_bench::scale::{self, Shape};
 use mashup_cloud::{Expense, Fault, FaultPlan};
 use mashup_core::{
-    execute, execute_in, preflight, ChaosSpec, CheckedWorkflow, CloudEnv, MashupConfig, Pdc,
-    PlacementPlan, PlanCache, Platform, Release, TraceEvent, Tracer, WorkflowReport,
+    execute, execute_in, preflight, ChaosSpec, CheckedWorkflow, CloudEnv, Fingerprinter,
+    MashupConfig, Pdc, PlacementPlan, PlanCache, Platform, Release, TraceEvent, Tracer,
+    WorkflowReport,
 };
-use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, Workflow, WorkflowBuilder};
+use mashup_dag::{
+    fusable_pairs, fuse, DependencyPattern, FusionCandidate, Task, TaskProfile, TaskRef, Workflow,
+    WorkflowBuilder,
+};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// What the VM profiling stage produces.
@@ -339,6 +346,77 @@ fn splits_tie_is_decided_at_the_exact_bounds() {
         assert_eq!(same, want, "{label}: the passes tie exactly when accepted");
         assert_bit_identical(&label, &profiled(&pdc, &w), &fold(&w, runs));
     }
+}
+
+/// The fusions the golden below replans: each single fusable pair, and the
+/// first two disjoint pairs together when there are such (of the paper
+/// workflows, only Epigenomics' chain has fusable pairs).
+fn fusions(w: &Workflow) -> Vec<Vec<FusionCandidate>> {
+    let pairs = fusable_pairs(w);
+    let mut out: Vec<Vec<FusionCandidate>> = pairs.iter().map(|&p| vec![p]).collect();
+    let disjoint = |a: &FusionCandidate, b: &FusionCandidate| {
+        let tasks = [a.producer, a.consumer];
+        !tasks.contains(&b.producer) && !tasks.contains(&b.consumer)
+    };
+    let two = pairs.iter().enumerate().find_map(|(i, a)| {
+        let b = pairs[i + 1..].iter().find(|b| disjoint(a, b))?;
+        Some(vec![*a, *b])
+    });
+    out.extend(two);
+    out
+}
+
+/// Every paper workflow's fusions at 1–48 nodes, each replanned from the
+/// base report on a fresh cache, so that each fused phase runs its scoped
+/// profile: a digest of every decision's `t_vm_secs` and the profiling
+/// expense, bit for bit. Re-bless after an intentional change with
+/// `MASHUP_BLESS_TRACES=1 cargo test --test vm_profile`.
+#[test]
+fn scoped_phase_profiles_match_golden_digest() {
+    let mut f = Fingerprinter::new("scoped-phase-profile-v1");
+    let (mut cases, mut two_pair) = (0, 0);
+    for build in [
+        genome1000::workflow as fn() -> Workflow,
+        srasearch::workflow,
+        epigenomics::workflow,
+    ] {
+        let w = build();
+        let candidates = fusions(&w);
+        two_pair += candidates.iter().filter(|c| c.len() == 2).count();
+        for nodes in [1, 2, 3, 4, 8, 16, 48] {
+            let cfg = MashupConfig::aws(nodes);
+            let prev = Pdc::new(cfg.clone()).decide(&w);
+            for pairs in &candidates {
+                let fused = CheckedWorkflow::new(fuse(&w, pairs).expect("fusable"))
+                    .expect("clean fused workflow");
+                let pdc = Pdc::new(cfg.clone()).with_cache(Arc::new(PlanCache::new()));
+                let (report, stats) = pdc.replan(&w, &prev, &fused);
+                assert!(stats.dirty_phases > 0 && !stats.full_replan);
+                for d in &report.decisions {
+                    f.write_f64(d.t_vm_secs);
+                }
+                let e = report.profiling_expense;
+                for x in [e.vm_dollars, e.faas_dollars, e.storage_dollars] {
+                    f.write_f64(x);
+                }
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(two_pair, 1, "one disjoint two-pair fusion");
+    let actual = format!("{cases} cases {:032x}\n", f.digest());
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/trace_fixtures/golden/scoped_phase_profile.digest");
+    if std::env::var_os("MASHUP_BLESS_TRACES").is_some() {
+        std::fs::write(&path, &actual).expect("write fixture");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("committed fixture");
+    assert_eq!(
+        golden, actual,
+        "scoped phase profiles drifted from the golden digest (bless with \
+         MASHUP_BLESS_TRACES=1 if the change is intentional)"
+    );
 }
 
 /// SRAsearch with one profile field the analyzer refuses (M105).
