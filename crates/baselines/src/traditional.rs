@@ -12,8 +12,8 @@
 //! over sub-cluster splits and keeping the best.
 
 use mashup_core::{
-    execute, AnalysisError, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Release,
-    Tracer, WorkflowReport,
+    execute, finer_split_wins, subcluster_splits, AnalysisError, CheckedWorkflow, MashupConfig,
+    PlacementPlan, Platform, Release, Tracer, WorkflowReport,
 };
 
 /// Runs the workflow entirely on the configured VM cluster.
@@ -36,8 +36,9 @@ pub(crate) fn run(
 
 /// Runs the traditional baseline under each sub-cluster split that fits
 /// the node count and returns the best-makespan report — the paper's
-/// strengthened baseline. The single-cluster split always runs, so a
-/// refused input returns its refusal.
+/// strengthened baseline, with the PDC's split set and hysteresis. The
+/// single-cluster split always runs, so a refused input returns its
+/// refusal.
 ///
 /// The split search runs unrecorded (its rejected candidates are not part
 /// of the chosen execution); the winning split is re-run traced, which —
@@ -55,13 +56,9 @@ pub(crate) fn run_tuned(
         tuned
     };
     let mut best = (1, run(&split(1), workflow, &Tracer::off())?);
-    for k in [2usize, 4] {
-        if k > cfg.cluster.nodes {
-            break;
-        }
+    for k in subcluster_splits(cfg.cluster.nodes).skip(1) {
         let report = run(&split(k), workflow, &Tracer::off())?;
-        // Same hysteresis as the PDC: a finer split must clearly win.
-        if report.makespan_secs < best.1.makespan_secs * 0.95 {
+        if finer_split_wins(report.makespan_secs, best.1.makespan_secs) {
             best = (k, report);
         }
     }

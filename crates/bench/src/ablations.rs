@@ -6,7 +6,7 @@ use crate::figures::checked;
 use crate::strategies::{grid, run_cells, RunCell, Strategy};
 use crate::table::{pct, Table};
 use mashup_core::{
-    improvement_pct, try_execute, CheckedWorkflow, MashupConfig, PlacementPlan, Platform,
+    improvement_pct, CheckedWorkflow, MashupConfig, PlacementPlan, Platform, Release, Tracer,
     WorkflowReport,
 };
 use mashup_dag::{Task, TaskProfile, Workflow, WorkflowBuilder};
@@ -14,9 +14,17 @@ use mashup_workflows::{epigenomics, srasearch};
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Executes a fixed plan; every ablation builds inputs the analyzer accepts.
-fn execute(cfg: &MashupConfig, w: &Workflow, plan: &PlacementPlan, label: &str) -> WorkflowReport {
-    try_execute(cfg, w, plan, label).unwrap_or_else(|e| panic!("{e}"))
+/// Executes a fixed plan on a workflow checked once; every ablation builds
+/// plans and configs the analyzer accepts.
+fn execute(
+    cfg: &MashupConfig,
+    w: &CheckedWorkflow,
+    plan: &PlacementPlan,
+    label: &str,
+) -> WorkflowReport {
+    let off = Tracer::off();
+    mashup_core::execute(cfg, w, plan, None, Release::PhaseBarrier, label, &off)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One ablation row: the design choice on vs off.
@@ -68,7 +76,7 @@ fn ablate_pdc(wfs: &[CheckedWorkflow], reports: &[Arc<WorkflowReport>]) -> Vec<A
 /// margin vs one whose margin leaves almost no usable window (the
 /// no-checkpointing limit: nearly all window spent re-reading state).
 fn ablate_checkpointing() -> Vec<AblationRow> {
-    let build = |margin: f64| -> Workflow {
+    let w = {
         let mut b = WorkflowBuilder::new("over-cap");
         b.initial_input_bytes(1e9);
         b.begin_phase();
@@ -77,14 +85,10 @@ fn ablate_checkpointing() -> Vec<AblationRow> {
             .io(1e8, 1e8)
             .memory(2.0)
             .checkpoint(1.0e9);
-        // The margin knob is on the engine config; stash it via jitter-free
-        // profile and vary the config below instead.
         profile.runtime_jitter = 0.0;
         b.add_task(Task::new("long", 1, profile));
-        let _ = margin;
-        b.build().expect("valid")
+        checked(b.build().expect("valid"))
     };
-    let w = build(30.0);
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
     let lean = {
         let mut cfg = MashupConfig::aws(2);
@@ -108,7 +112,7 @@ fn ablate_checkpointing() -> Vec<AblationRow> {
 
 /// Ablation 3 — pre-warming: Mashup's prefetch on vs off.
 fn ablate_prewarm() -> Vec<AblationRow> {
-    let w = epigenomics::workflow();
+    let w = checked(epigenomics::workflow());
     let plan = {
         // Fix the plan (wide middle serverless) so only pre-warming varies.
         let mut p = PlacementPlan::uniform(&w, Platform::VmCluster);
@@ -146,6 +150,7 @@ fn ablate_warm_family() -> Vec<AblationRow> {
             t.profile.code_family = None;
         }
     }
+    let (shared, split) = (checked(shared), checked(split));
     let plan_for = |w: &Workflow| {
         let mut p = PlacementPlan::uniform(w, Platform::VmCluster);
         for name in ["Mapmerge1", "Mapmerge2"] {

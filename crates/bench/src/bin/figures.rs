@@ -166,22 +166,7 @@ fn main() {
     let wall = started.elapsed().as_secs_f64();
     if bench::plan_cache_enabled() {
         let s = bench::plan_cache_stats();
-        eprintln!(
-            "[plan-cache] calibration {}h/{}m  vm-profile {}h/{}m  probes {}h/{}m  \
-             ({} entries, {:.1}% hits overall)",
-            s.calibration.hits,
-            s.calibration.misses,
-            s.vm_profile.hits,
-            s.vm_profile.misses,
-            s.probes.hits,
-            s.probes.misses,
-            s.entries(),
-            if s.hits() + s.misses() == 0 {
-                0.0
-            } else {
-                s.hits() as f64 * 100.0 / (s.hits() + s.misses()) as f64
-            },
-        );
+        eprintln!("[plan-cache] {s}");
         eprintln!(
             "[plan-cache] miss-side planning compute: calibration {:.2}s, \
              vm-profile {:.2}s, probes {:.2}s (summed across workers)",

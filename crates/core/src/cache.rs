@@ -2,7 +2,8 @@
 //!
 //! `Pdc::decide` does three kinds of simulated profiling work per call —
 //! calibration micro-batches, full VM profiling passes (the k ∈ {1,2,4}
-//! sub-cluster search), and one single-component serverless probe per task.
+//! sub-cluster search), and one single-component serverless probe per task;
+//! `Pdc::replan` adds scoped phase profiles.
 //! Across a figure sweep, neighbouring cells differ in a knob (node count,
 //! pricing, objective, input scale) that leaves most of that work
 //! identical. [`PlanCache`] memoizes each stage under a content fingerprint
@@ -10,12 +11,14 @@
 //!
 //! * **calibration** — seed + FaaS/storage behaviour + checkpoint margin;
 //! * **VM profiling** — workflow + cluster shape (incl. instance price:
-//!   VM expense is accrued at charge time) + seed;
+//!   VM expense is accrued at charge time) + seed: the split search's
+//!   executor passes over every phase;
 //! * **probes** — seed + task phase/name/profile + FaaS/storage behaviour +
 //!   checkpoint margin — *not* the cluster, so node-count sweeps reuse all
 //!   probes, and *not* prices, so pricing sweeps reuse everything;
 //! * **phase profiles** — seed + cluster shape + the phase's content
-//!   digest (incremental replans).
+//!   digest: the same split search over one phase, run alone (incremental
+//!   replans), so identical phases share an entry wherever they sit.
 //!
 //! Every planner memoizes through one: `Pdc::new` and `Mashup::new` make a
 //! cache of their own, `with_cache` shares one. Memoization is pure: the
@@ -52,30 +55,22 @@ use std::time::Instant;
 
 const SHARDS: usize = 16;
 
-/// The memoized result of the VM profiling stage (all candidate
-/// sub-cluster splits, reduced).
+/// The memoized result of a cluster-side profile: the k ∈ {1,2,4}
+/// sub-cluster splits over a range of phases, reduced. The VM profiling
+/// stage covers every phase; a scoped phase profile (the incremental-replan
+/// analogue) covers one, its tasks started together at t = 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmProfileEntry {
     /// Each task's best cluster-side makespan across the splits, indexed by
-    /// flat task id (phase-major order, matching `Workflow::task_refs`).
+    /// flat task id from the range's first task (phase-major order,
+    /// matching `Workflow::task_refs`; a phase's position for a scoped
+    /// profile).
     pub best_task_vm: Vec<f64>,
     /// The winning sub-cluster split.
     pub subclusters: usize,
     /// Makespan of the winning profiling pass, seconds.
     pub vm_makespan_secs: f64,
     /// Total expense of all profiling passes.
-    pub expense: Expense,
-}
-
-/// The memoized result of profiling one phase in isolation (the
-/// incremental-replan analogue of the full VM profiling pass): per-task
-/// best cluster-side makespans across the k ∈ {1,2,4} splits, for the
-/// tasks of a single phase started together at t = 0.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseProfileEntry {
-    /// Best makespan per task, indexed by position within the phase.
-    pub task_secs: Vec<f64>,
-    /// Total expense of the scoped profiling passes.
     pub expense: Expense,
 }
 
@@ -253,6 +248,34 @@ impl CacheStats {
             + self.probes.compute_secs
             + self.phase_profiles.compute_secs
     }
+
+    /// Hit fraction across stages in percent (0 when no stage was queried).
+    pub fn hit_pct(&self) -> f64 {
+        let total = SectionStats {
+            hits: self.hits(),
+            misses: self.misses(),
+            ..SectionStats::default()
+        };
+        total.hit_pct()
+    }
+}
+
+/// The one-line summary the binaries print after `[plan-cache]`: each
+/// stage's hits and misses, the stored entries and the overall hit rate.
+impl std::fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let stages = [
+            ("calibration", &self.calibration),
+            ("vm-profile", &self.vm_profile),
+            ("probes", &self.probes),
+            ("phase-profiles", &self.phase_profiles),
+        ];
+        for (name, s) in stages {
+            write!(f, "{name} {}h/{}m  ", s.hits, s.misses)?;
+        }
+        let (entries, pct) = (self.entries(), self.hit_pct());
+        write!(f, "({entries} entries, {pct:.1}% hits overall)")
+    }
 }
 
 /// The concurrent planning cache. Share one instance (behind an `Arc`)
@@ -261,7 +284,7 @@ pub struct PlanCache {
     calibration: Section<ModelFactors>,
     vm_profile: Section<VmProfileEntry>,
     probes: Section<ProbeEntry>,
-    phase_profiles: Section<PhaseProfileEntry>,
+    phase_profiles: Section<VmProfileEntry>,
 }
 
 impl PlanCache {
@@ -298,8 +321,8 @@ impl PlanCache {
     pub fn phase_profile(
         &self,
         key: u128,
-        compute: impl FnOnce() -> PhaseProfileEntry,
-    ) -> PhaseProfileEntry {
+        compute: impl FnOnce() -> VmProfileEntry,
+    ) -> VmProfileEntry {
         self.phase_profiles.get_or_compute(key, compute)
     }
 
@@ -420,5 +443,18 @@ mod tests {
         assert_eq!(s.misses(), 1);
         assert_eq!(s.entries(), 1);
         assert_eq!(SectionStats::default().hit_pct(), 0.0);
+        // Overall, one probe miss joins the calibration's 2 hits / 1 miss.
+        cache.probe(7, || ProbeEntry {
+            probe_secs: 1.0,
+            probe_busy_secs: 1.0,
+        });
+        let s = cache.stats();
+        assert!((s.hit_pct() - 50.0).abs() < 1e-9);
+        assert_eq!(CacheStats::default().hit_pct(), 0.0);
+        assert_eq!(
+            s.to_string(),
+            "calibration 2h/1m  vm-profile 0h/0m  probes 0h/1m  phase-profiles 0h/0m  \
+             (2 entries, 50.0% hits overall)"
+        );
     }
 }

@@ -20,7 +20,7 @@
 use crate::analysis::CheckedWorkflow;
 use crate::chaos::ChaosSpec;
 use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent};
-use crate::pdc::{Pdc, PdcReport};
+use crate::pdc::{load_ratio, Pdc, PdcReport};
 use crate::placement::{PlacementPlan, Platform};
 use crate::report::{TaskReport, WorkflowReport};
 use mashup_analyze::AnalysisError;
@@ -30,6 +30,7 @@ use mashup_cloud::{
 };
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
+use std::ops::Range;
 
 /// The executor's world over a workflow borrowed for `'w`.
 type W<'w> = World<Option<Execution<'w>>>;
@@ -89,6 +90,9 @@ pub struct Execution<'w> {
     /// task on the base platform (the original engine, byte-identical).
     sizing: Option<Sizing>,
     release: Release,
+    /// The phases the run executes, under [`Release::PhaseBarrier`]: every
+    /// phase, or the one phase of a scoped profiling pass.
+    phases: Range<usize>,
     /// Each task's output location, by flat id.
     locations: Vec<OutputLocation>,
     tracer: Tracer,
@@ -191,7 +195,10 @@ impl<'w> Driver for Option<Execution<'w>> {
     fn handle(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, event: ExecEvent) {
         match event {
             ExecEvent::Start => match exec(w).release {
-                Release::PhaseBarrier => run_phase(w, sim, 0),
+                Release::PhaseBarrier => {
+                    let first = exec(w).phases.start;
+                    run_phase(w, sim, first)
+                }
                 Release::Dataflow => {
                     let wf = exec(w).workflow;
                     for r in wf.task_refs().filter(|&r| wf.task(r).deps.is_empty()) {
@@ -304,9 +311,10 @@ pub fn execute(
         env.provision_tiers(cfg, sizing);
     }
     env.attach_tracer(tracer.clone());
+    let phases = 0..workflow.phases.len();
     let (report, completed) =
-        execute_in_unchecked(&mut env, cfg, workflow, plan, sizing, release, strategy);
-    Ok(named(report, &completed, workflow))
+        execute_in_unchecked(&mut env, cfg, workflow, plan, sizing, release, phases);
+    Ok(named(report, strategy, &completed, workflow))
 }
 
 /// [`execute`], unsized and phase by phase, in a caller-provided
@@ -326,17 +334,24 @@ pub fn execute_in<'w>(
         plan,
         None,
         Release::PhaseBarrier,
-        strategy,
+        0..workflow.phases.len(),
     );
-    Ok(named(report, &completed, workflow))
+    Ok(named(report, strategy, &completed, workflow))
 }
 
-/// Fills in the name of each task report, `completed` giving the task
-/// behind each. Names are allocated only after the event loop: built while
-/// it ran, long-lived name strings interleave with the loop's short-lived
-/// allocations and fragment the heap (at 100k tasks every later layer, DAG
-/// build included, measured about 20% slower).
-fn named(mut report: WorkflowReport, completed: &[TaskRef], w: &Workflow) -> WorkflowReport {
+/// Labels the report with `strategy` and fills in the name of each task
+/// report, `completed` giving the task behind each. Names are allocated
+/// only after the event loop: built while it ran, long-lived name strings
+/// interleave with the loop's short-lived allocations and fragment the heap
+/// (at 100k tasks every later layer, DAG build included, measured about
+/// 20% slower).
+fn named(
+    mut report: WorkflowReport,
+    strategy: &str,
+    completed: &[TaskRef],
+    w: &Workflow,
+) -> WorkflowReport {
+    report.strategy = strategy.into();
     for (task, &r) in report.tasks.iter_mut().zip(completed) {
         task.name = w.task(r).name.clone();
     }
@@ -369,8 +384,14 @@ pub fn try_execute(
 /// in range (M105). The run borrows `workflow`, and takes flat ids from its
 /// arena.
 ///
-/// Returns the report, its task reports unnamed (see [`named`]), and, for
-/// each entry of its `tasks`, the task it describes.
+/// Under [`Release::PhaseBarrier`] the run executes `phases`, from the
+/// first phase's start at the environment's clock to the last one's end;
+/// a scoped profiling pass runs one phase on an idle cluster, the state a
+/// full run reaches at that phase's barrier. Every other caller, and every
+/// [`Release::Dataflow`] run, passes all of them.
+///
+/// Returns the report, unlabelled and its task reports unnamed (see
+/// [`named`]), and, for each entry of its `tasks`, the task it describes.
 pub(crate) fn execute_in_unchecked<'w>(
     env: &mut CloudEnv<Option<Execution<'w>>>,
     cfg: &MashupConfig,
@@ -378,8 +399,13 @@ pub(crate) fn execute_in_unchecked<'w>(
     plan: &PlacementPlan,
     sizing: Option<&Sizing>,
     release: Release,
-    strategy: &str,
+    phases: Range<usize>,
 ) -> (WorkflowReport, Vec<TaskRef>) {
+    debug_assert!(release == Release::PhaseBarrier || phases == (0..workflow.phases.len()));
+    let tasks = workflow.phases[phases.clone()]
+        .iter()
+        .map(|p| p.tasks.len())
+        .sum();
     let locations = output_locations(workflow, plan);
     let (remaining, waiting) = match release {
         Release::PhaseBarrier => (0, Vec::new()),
@@ -421,10 +447,11 @@ pub(crate) fn execute_in_unchecked<'w>(
         plan: plan.clone(),
         sizing: sizing.cloned(),
         release,
+        phases,
         locations,
         tracer: env.sim.tracer().clone(),
-        reports: Vec::with_capacity(workflow.task_count()),
-        completed: Vec::with_capacity(workflow.task_count()),
+        reports: Vec::with_capacity(tasks),
+        completed: Vec::with_capacity(tasks),
         remaining,
         waiting,
         next_sub: 0,
@@ -459,7 +486,7 @@ pub(crate) fn execute_in_unchecked<'w>(
     let (tasks, completed) = (d.reports, d.completed);
     let report = WorkflowReport {
         workflow: workflow.name.clone(),
-        strategy: strategy.into(),
+        strategy: String::new(),
         cluster_nodes: if used_cluster { cfg.cluster.nodes } else { 0 },
         makespan_secs: finished_at.as_secs(),
         expense: cloud.meter.expense(cfg.provider.storage.price_per_gb_month),
@@ -471,7 +498,7 @@ pub(crate) fn execute_in_unchecked<'w>(
 
 fn run_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
     let d = exec(w);
-    if phase_idx >= d.workflow.phases.len() {
+    if phase_idx >= d.phases.end {
         d.finished_at = Some(sim.now());
         return;
     }
@@ -516,7 +543,7 @@ fn prewarm_next_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx:
     // burst threshold and the warm-up go to the tier's platform.
     let World { cloud, driver, .. } = w;
     let d = driver.as_ref().expect("executor state installed");
-    if !d.cfg.prewarm || phase_idx + 1 >= d.workflow.phases.len() {
+    if !d.cfg.prewarm || phase_idx + 1 >= d.phases.end {
         return;
     }
     for (ti, t) in d.workflow.phases[phase_idx + 1].tasks.iter().enumerate() {
@@ -535,7 +562,7 @@ fn prewarm_next_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx:
 
 /// Sum of per-component input GET requests implied by the dependency
 /// patterns (1 for initial tasks reading the staged dataset).
-pub(crate) fn input_requests(w: &Workflow, r: TaskRef) -> u64 {
+fn input_requests(w: &Workflow, r: TaskRef) -> u64 {
     let t = w.task(r);
     if t.deps.is_empty() {
         return 1;
@@ -685,7 +712,7 @@ fn advance_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, next: usize) {
     let d = exec(w);
     let trigger = match d.chaos.as_ref() {
         None => None,
-        Some(_) if next >= d.workflow.phases.len() => None,
+        Some(_) if next >= d.phases.end => None,
         Some(ctx) => {
             if surviving < ctx.planned_nodes {
                 Some("preemption")
@@ -741,8 +768,8 @@ fn phase_envelope_secs(d: &Execution, phase_idx: usize) -> f64 {
     let Some(baseline) = ctx.baseline.as_ref() else {
         return 0.0;
     };
-    let nodes = d.cfg.cluster.nodes.max(1) as f64;
-    let planned = ctx.planned_nodes.max(1) as f64;
+    let nodes = d.cfg.cluster.nodes.max(1);
+    let planned = ctx.planned_nodes.max(1);
     let mut envelope: f64 = 0.0;
     for ti in 0..d.workflow.phases[phase_idx].tasks.len() {
         let r = TaskRef::new(phase_idx, ti);
@@ -751,13 +778,9 @@ fn phase_envelope_secs(d: &Execution, phase_idx: usize) -> f64 {
             Ok(Platform::Serverless) if dec.t_serverless_est_secs.is_finite() => {
                 dec.t_serverless_est_secs
             }
-            _ => {
-                // Same per-node load ratio as `Pdc::replan_capacity`: the
-                // baseline VM time stretches only as far as the task's
-                // components pack more densely onto the assumed capacity.
-                let c = d.workflow.task(r).components as f64;
-                dec.t_vm_secs * (c / planned).max(1.0) / (c / nodes).max(1.0)
-            }
+            // The baseline VM time stretches only as far as the task's
+            // components pack more densely onto the assumed capacity.
+            _ => dec.t_vm_secs * load_ratio(d.workflow.task(r).components, planned, nodes),
         };
         envelope = envelope.max(expected);
     }
@@ -780,7 +803,7 @@ fn replan_and_run<'w>(
     let ctx = d.chaos.as_mut().expect("controller active");
     let baseline = ctx.baseline.as_ref().expect("ensured by advance_phase");
     let report = Pdc::new(d.cfg.clone()).replan_capacity(baseline, d.workflow, surviving);
-    let n_phases = d.workflow.phases.len();
+    let n_phases = d.phases.end;
     let mut moved = 0usize;
     for pi in next..n_phases {
         for ti in 0..d.workflow.phases[pi].tasks.len() {

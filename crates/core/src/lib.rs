@@ -46,9 +46,7 @@ mod report;
 pub mod trace;
 
 pub use analysis::{engine_params, preflight, CheckedWorkflow};
-pub use cache::{
-    CacheStats, PhaseProfileEntry, PlanCache, ProbeEntry, SectionStats, VmProfileEntry,
-};
+pub use cache::{CacheStats, PlanCache, ProbeEntry, SectionStats, VmProfileEntry};
 pub use chaos::ChaosSpec;
 pub use config::{CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent, MEMORY_TIERS_GB};
 pub use engine::{Mashup, MashupOutcome};
@@ -58,8 +56,8 @@ pub use mashup_analyze::{AnalysisError, Code, Diagnostic, Location, Severity};
 pub use mashup_sim::{KillReason, TraceEvent, TraceRecord, Tracer};
 pub use naive::plan_without_pdc;
 pub use pdc::{
-    calibrate, estimate_serverless_time, fit_gamma, ForcedVm, ModelFactors, Objective, Pdc,
-    PdcReport, ReplanStats, TaskDecision,
+    calibrate, estimate_serverless_time, finer_split_wins, fit_gamma, subcluster_splits, ForcedVm,
+    ModelFactors, Objective, Pdc, PdcReport, ReplanStats, TaskDecision,
 };
 pub use placement::{PlacementPlan, Platform, UnassignedTask};
 pub use report::{improvement_pct, TaskReport, WorkflowReport};

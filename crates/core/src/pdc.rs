@@ -31,15 +31,14 @@
 //!   the Fig. 5 study.
 
 use crate::analysis::CheckedWorkflow;
-use crate::cache::{PhaseProfileEntry, PlanCache, ProbeEntry, VmProfileEntry};
+use crate::cache::{PlanCache, ProbeEntry, VmProfileEntry};
 use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World};
 use crate::exec::{execute_in_unchecked, Release};
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::placement::{PlacementPlan, Platform};
 use mashup_analyze::{AnalysisError, FaasMisfit, PlanContext};
 use mashup_cloud::{
-    run_task_on_faas, ClusterInput, ClusterOutput, ClusterRunStats, ClusterTaskSpec, Expense,
-    FaasConfig, FaasRunStats, FaasTaskSpec, VmCluster,
+    run_task_on_faas, ClusterRunStats, Expense, FaasConfig, FaasRunStats, FaasTaskSpec,
 };
 use mashup_dag::{Phase, Task, TaskProfile, TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
@@ -47,6 +46,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// What the optimizer minimizes (Fig. 5 ablation; the paper's default is
@@ -201,11 +201,26 @@ pub struct Pdc {
 }
 
 /// The candidate sub-cluster splits of the VM profiling passes, in the
-/// order they run; a split larger than the cluster is skipped.
+/// order they run.
 const SPLITS: [usize; 3] = [1, 2, 4];
 
 /// The largest split: the most sub-clusters a profiling pass has.
 const MAX_SPLIT: usize = SPLITS[SPLITS.len() - 1];
+
+/// The candidate sub-cluster splits (k = 1, 2, 4) that fit a cluster of
+/// `nodes`, in the order a split search tries them: the PDC's VM profiling
+/// passes, and the tuned traditional baseline, which the paper strengthens
+/// with the same search (§4).
+pub fn subcluster_splits(nodes: usize) -> impl Iterator<Item = usize> {
+    SPLITS.into_iter().filter(move |&k| k <= nodes)
+}
+
+/// Whether a later split's makespan `secs` beats the best so far,
+/// `best_secs`, by the split search's 5% hysteresis: splitting halves every
+/// task's node share, so a near-tie is noise, not signal.
+pub fn finer_split_wins(secs: f64, best_secs: f64) -> bool {
+    secs < best_secs * 0.95
+}
 
 /// The probe keys of one plan over a workflow borrowed for `'w`. The keys'
 /// config prefix — tag, seed, one tier's FaaS config and the storage
@@ -400,7 +415,7 @@ impl Pdc {
         // Step 1: full VM profiling passes across candidate sub-cluster
         // splits (memoized on workflow + cluster shape + seed).
         let vm = self.cache.vm_profile(self.vm_profile_key(workflow), || {
-            self.run_vm_profile(workflow)
+            self.run_vm_profile(workflow, 0..workflow.phases.len())
         });
 
         // Step 2: single-component serverless probes + decisions. Flat ids
@@ -416,18 +431,7 @@ impl Pdc {
             decisions.push(d);
         }
 
-        // The boundary-tax refinement reasons in seconds, so it only
-        // applies under the (default) execution-time objective.
-        if self.objective == Objective::ExecutionTime {
-            refine_boundary_taxes(
-                workflow,
-                &mut decisions,
-                &mut plan,
-                self.cfg.cluster.instance.wan_bps,
-                self.cfg.cluster.instance.master_nic_bps,
-            );
-        }
-
+        self.refine_boundaries(workflow, &mut decisions, &mut plan);
         self.trace_decisions(workflow, &decisions);
 
         PdcReport {
@@ -437,6 +441,22 @@ impl Pdc {
             profiling_expense: vm.expense,
             profiling_vm_makespan_secs: vm.vm_makespan_secs,
             subclusters: vm.subclusters,
+        }
+    }
+
+    /// The plan-level boundary-tax refinement every planning path ends
+    /// with. It reasons in seconds, so it only applies under the (default)
+    /// execution-time objective.
+    fn refine_boundaries(
+        &self,
+        workflow: &Workflow,
+        decisions: &mut [TaskDecision],
+        plan: &mut PlacementPlan,
+    ) {
+        if self.objective == Objective::ExecutionTime {
+            let instance = &self.cfg.cluster.instance;
+            let (wan, master) = (instance.wan_bps, instance.master_nic_bps);
+            refine_boundary_taxes(workflow, decisions, plan, wan, master);
         }
     }
 
@@ -638,13 +658,7 @@ impl Pdc {
                         let d = if self.at_base_tier(workflow, r) {
                             let mut d = prev_d.clone();
                             d.task = r;
-                            // Boundary taxes are plan-level: strip any flip
-                            // the old refinement applied so the global
-                            // refinement below re-derives it.
-                            if let Some(ForcedVm::BoundaryTax { .. }) = d.forced_vm_reason {
-                                d.forced_vm_reason = None;
-                                d.platform = Platform::Serverless;
-                            }
+                            strip_boundary_tax(&mut d);
                             stats.reused_decisions += 1;
                             d
                         } else {
@@ -662,7 +676,7 @@ impl Pdc {
                     add_expense(&mut profiling_expense, &profile.expense);
                     for ti in 0..np.tasks.len() {
                         let r = TaskRef::new(pi, ti);
-                        let t_vm = profile.task_secs[ti];
+                        let t_vm = profile.best_task_vm[ti];
                         let d = self.decide_task(workflow, r, t_vm, &factors, &mut probe_keys);
                         plan.set(r, d.platform);
                         decisions.push(d);
@@ -672,16 +686,7 @@ impl Pdc {
             }
         }
 
-        if self.objective == Objective::ExecutionTime {
-            refine_boundary_taxes(
-                workflow,
-                &mut decisions,
-                &mut plan,
-                self.cfg.cluster.instance.wan_bps,
-                self.cfg.cluster.instance.master_nic_bps,
-            );
-        }
-
+        self.refine_boundaries(workflow, &mut decisions, &mut plan);
         self.trace_decisions(workflow, &decisions);
 
         let report = PdcReport {
@@ -723,15 +728,10 @@ impl Pdc {
         let mut plan = PlacementPlan::new();
         for prev_d in &prev.decisions {
             let mut d = prev_d.clone();
-            let c = workflow.task(d.task).components as f64;
-            let scale = (c / surviving as f64).max(1.0) / (c / nodes as f64).max(1.0);
-            d.t_vm_secs = prev_d.t_vm_secs * scale;
-            if let Some(ForcedVm::BoundaryTax { .. }) = d.forced_vm_reason {
-                d.forced_vm_reason = None;
-                d.platform = Platform::Serverless;
-            }
+            let t = workflow.task(d.task);
+            d.t_vm_secs = prev_d.t_vm_secs * load_ratio(t.components, surviving, nodes);
+            strip_boundary_tax(&mut d);
             if d.forced_vm_reason.is_none() {
-                let t = workflow.task(d.task);
                 let faas_cfg = self.task_faas_cfg(workflow, d.task);
                 d.platform = self.choose(
                     d.t_vm_secs,
@@ -744,15 +744,7 @@ impl Pdc {
             plan.set(d.task, d.platform);
             decisions.push(d);
         }
-        if self.objective == Objective::ExecutionTime {
-            refine_boundary_taxes(
-                workflow,
-                &mut decisions,
-                &mut plan,
-                self.cfg.cluster.instance.wan_bps,
-                self.cfg.cluster.instance.master_nic_bps,
-            );
-        }
+        self.refine_boundaries(workflow, &mut decisions, &mut plan);
         PdcReport {
             factors: prev.factors,
             decisions,
@@ -763,39 +755,43 @@ impl Pdc {
         }
     }
 
-    /// Runs the full VM profiling passes, one per candidate sub-cluster
-    /// split (seed-offset so profiling does not share jitter draws with
-    /// production runs) — the PDC keeps the best VM configuration as the
-    /// cluster-side baseline (§3 "Optimal VM configuration").
+    /// Profiles `phases` of `workflow` on the all-VM cluster, one pass per
+    /// candidate sub-cluster split (seed-offset so profiling does not share
+    /// jitter draws with production runs), and keeps the best VM
+    /// configuration as the cluster-side baseline (§3 "Optimal VM
+    /// configuration"). The VM profile runs every phase; the scoped phase
+    /// profile of [`replan`](Pdc::replan) runs one, which starts on an idle
+    /// cluster at t = 0, the state a full pass reaches at its barrier.
+    /// Task times are indexed by flat id from the range's first task.
     ///
-    /// The passes run unchecked: the workflow is checked, the all-VM plan
-    /// covers it, and they differ from the checked config only in
-    /// `cluster.subclusters`, which this loop keeps within `1..=nodes`, the
-    /// one M3xx bound that reads it. Every pass borrows the workflow.
+    /// The passes run through the executor, unchecked: the workflow is
+    /// checked, the all-VM plan covers it, and they differ from the checked
+    /// config only in `cluster.subclusters`, which the split set keeps
+    /// within `1..=nodes`, the one M3xx bound that reads it. Every pass
+    /// borrows the workflow.
     ///
-    /// When [`splits_tie`](Pdc::splits_tie) holds for every phase, only the
-    /// first pass runs: each later split would reproduce it bit for bit, so
-    /// its makespan and expense are folded in again for each of them, in
-    /// split order, and its task times already are the minimum (`min` is
-    /// idempotent).
-    fn run_vm_profile(&self, workflow: &CheckedWorkflow) -> VmProfileEntry {
+    /// When [`splits_tie`](Pdc::splits_tie) holds for every phase of the
+    /// range, only the first pass runs: each later split would reproduce
+    /// it bit for bit, so its makespan and expense are folded in again for
+    /// each of them, in split order, and its task times already are the
+    /// minimum (`min` is idempotent).
+    fn run_vm_profile(&self, workflow: &CheckedWorkflow, phases: Range<usize>) -> VmProfileEntry {
+        let tasks =
+            |r: Range<usize>| -> usize { workflow.phases[r].iter().map(|p| p.tasks.len()).sum() };
+        let first_task = tasks(0..phases.start);
         let mut expense = Expense::default();
         let vm_plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
         let arena = workflow.arena();
-        let replay = self.splits_tie(&workflow.phases);
+        let replay = self.splits_tie(&workflow.phases[phases.clone()]);
         let mut first: Option<(f64, Expense)> = None;
         let mut best: Option<(usize, f64)> = None;
-        // Per-task best VM time across the splits, indexed by flat task id
-        // (phase-major, matching `Workflow::task_refs`): a task's
+        // Each task's best VM time across the splits: a task's
         // cluster-side potential is what the *best-configured* cluster
         // gives it (§3 "Mashup recognizes the most optimal VM
         // configuration") — the all-in-one run can be polluted by
         // co-scheduled siblings thrashing the same nodes.
-        let mut best_task_vm = vec![f64::INFINITY; workflow.task_count()];
-        for k in SPLITS {
-            if k > self.cfg.cluster.nodes {
-                continue;
-            }
+        let mut best_task_vm = vec![f64::INFINITY; tasks(phases.clone())];
+        for k in subcluster_splits(self.cfg.cluster.nodes) {
             let (makespan, pass_expense) = match first {
                 Some(pass) if replay => pass,
                 _ => {
@@ -808,10 +804,11 @@ impl Pdc {
                         &vm_plan,
                         None,
                         Release::PhaseBarrier,
-                        "pdc-profiling",
+                        phases.clone(),
                     );
                     for (t, r) in report.tasks.iter().zip(&completed) {
-                        let e = &mut best_task_vm[arena.flat(*r).expect("task ref in workflow")];
+                        let flat = arena.flat(*r).expect("task ref in workflow");
+                        let e = &mut best_task_vm[flat - first_task];
                         *e = e.min(t.makespan_secs());
                     }
                     (report.makespan_secs, report.expense)
@@ -819,10 +816,7 @@ impl Pdc {
             };
             first.get_or_insert((makespan, pass_expense));
             add_expense(&mut expense, &pass_expense);
-            // Hysteresis: a finer split must be clearly (≥5 %) better —
-            // splitting halves every task's node share, so a near-tie is
-            // noise, not signal.
-            if best.is_none_or(|(_, b)| makespan < b * 0.95) {
+            if best.is_none_or(|(_, b)| finer_split_wins(makespan, b)) {
                 best = Some((k, makespan));
             }
         }
@@ -884,10 +878,7 @@ impl Pdc {
         };
         phases.iter().all(|phase| {
             !phase.tasks.iter().any(moves_bytes)
-                && SPLITS
-                    .iter()
-                    .filter(|&&k| k <= cluster.nodes)
-                    .all(|&k| fits(phase, k))
+                && subcluster_splits(cluster.nodes).all(|k| fits(phase, k))
         })
     }
 
@@ -1052,11 +1043,12 @@ impl Pdc {
         }
     }
 
-    /// Scoped phase profile, memoized.
-    fn phase_profile(&self, workflow: &Workflow, phase_idx: usize) -> PhaseProfileEntry {
+    /// Scoped phase profile of `workflow.phases[phase_idx]`, memoized.
+    fn phase_profile(&self, workflow: &CheckedWorkflow, phase_idx: usize) -> VmProfileEntry {
         let key = self.phase_profile_key(&workflow.phases[phase_idx]);
-        self.cache
-            .phase_profile(key, || self.run_phase_profile(workflow, phase_idx))
+        self.cache.phase_profile(key, || {
+            self.run_vm_profile(workflow, phase_idx..phase_idx + 1)
+        })
     }
 
     /// Cache key for one scoped phase profile: seed + cluster shape + the
@@ -1069,70 +1061,6 @@ impl Pdc {
         self.cfg.cluster.fingerprint(&mut f);
         f.write_bytes(&phase_content_digest(phase).to_le_bytes());
         f.digest()
-    }
-
-    /// Profiles `workflow.phases[phase_idx]` in isolation: its tasks start
-    /// together at t = 0 on an otherwise idle cluster — exactly the state
-    /// an all-VM pass reaches at the phase's barrier — once per candidate
-    /// sub-cluster split, keeping each task's best time (the same reduction
-    /// as [`run_vm_profile`](Self::run_vm_profile), which also replays the
-    /// first split when [`splits_tie`](Self::splits_tie) holds for the
-    /// phase). Inputs route as the full pass routes them: master NIC for
-    /// initial tasks, fabric otherwise; outputs to the fabric.
-    fn run_phase_profile(&self, workflow: &Workflow, phase_idx: usize) -> PhaseProfileEntry {
-        let phase = &workflow.phases[phase_idx];
-        let mut task_secs = vec![f64::INFINITY; phase.tasks.len()];
-        let mut expense = Expense::default();
-        let replay = self.splits_tie(std::slice::from_ref(phase));
-        let mut first: Option<Expense> = None;
-        for k in SPLITS {
-            if k > self.cfg.cluster.nodes {
-                continue;
-            }
-            let pass_expense = match first {
-                Some(pass) if replay => pass,
-                _ => {
-                    let (secs, pass) = self.phase_pass(workflow, phase_idx, k);
-                    for (best, s) in task_secs.iter_mut().zip(secs) {
-                        *best = best.min(s);
-                    }
-                    pass
-                }
-            };
-            first.get_or_insert(pass_expense);
-            add_expense(&mut expense, &pass_expense);
-        }
-        PhaseProfileEntry { task_secs, expense }
-    }
-
-    /// One pass of the scoped phase profile on `k` sub-clusters: each
-    /// task's wall time, by its index in the phase, and the pass's expense.
-    fn phase_pass(&self, workflow: &Workflow, phase_idx: usize, k: usize) -> (Vec<f64>, Expense) {
-        let phase = &workflow.phases[phase_idx];
-        let tuned = self.cfg.clone().with_subclusters(k);
-        let times = PhaseTimes(vec![0.0; phase.tasks.len()]);
-        let mut env = CloudEnv::with_driver(&tuned, 0x9e3779b9, times);
-        env.world.cloud.cluster.start_billing(SimTime::ZERO);
-        for (ti, t) in phase.tasks.iter().enumerate() {
-            let input = if t.deps.is_empty() {
-                ClusterInput::Master
-            } else {
-                ClusterInput::Fabric
-            };
-            let io_requests = crate::exec::input_requests(workflow, TaskRef::new(phase_idx, ti));
-            // The full pass hands out sub-clusters round-robin from 0 at
-            // each phase start.
-            let spec =
-                ClusterTaskSpec::of_task(t, io_requests, input, ClusterOutput::Fabric, ti % k);
-            VmCluster::run_task(&mut env.world, &mut env.sim, spec, ti);
-        }
-        let end = env.run();
-        let cloud = &mut env.world.cloud;
-        cloud.cluster.stop_billing(&mut cloud.meter, end);
-        let expense = cloud
-            .meter
-            .expense(self.cfg.provider.storage.price_per_gb_month);
-        (env.world.driver.0, expense)
     }
 }
 
@@ -1152,38 +1080,6 @@ fn phase_content_digest(phase: &Phase) -> u128 {
         f.write_bool(t.deps.is_empty());
     }
     f.digest()
-}
-
-/// A scoped phase profile's driver: each task's wall time, by its index in
-/// the phase, which tags its cluster run.
-struct PhaseTimes(Vec<f64>);
-
-impl Driver for PhaseTimes {
-    type Event = Infallible;
-    type ClusterTag = usize;
-    type FaasTag = Infallible;
-
-    fn handle(_: &mut World<Self>, _: &mut Simulation<World<Self>>, event: Self::Event) {
-        match event {}
-    }
-
-    fn cluster_done(
-        w: &mut World<Self>,
-        _: &mut Simulation<World<Self>>,
-        ti: usize,
-        stats: ClusterRunStats,
-    ) {
-        w.driver.0[ti] = stats.end.as_secs() - stats.start.as_secs();
-    }
-
-    fn faas_done(
-        _: &mut World<Self>,
-        _: &mut Simulation<World<Self>>,
-        tag: Infallible,
-        _: FaasRunStats,
-    ) {
-        match tag {}
-    }
 }
 
 /// The driver of a probe or calibration batch: one FaaS run's stats, once
@@ -1307,6 +1203,25 @@ fn refine_boundary_taxes(
             break;
         }
     }
+}
+
+/// Undoes a boundary-tax flip: the tax is plan-level, so a decision carried
+/// into a new plan drops it and the new plan's refinement re-derives it.
+fn strip_boundary_tax(d: &mut TaskDecision) {
+    if let Some(ForcedVm::BoundaryTax { .. }) = d.forced_vm_reason {
+        d.forced_vm_reason = None;
+        d.platform = Platform::Serverless;
+    }
+}
+
+/// The per-node load ratio of a task of `components` on `surviving` of a
+/// cluster's `nodes`: `max(1, C/surviving) / max(1, C/nodes)`, the factor
+/// its cluster time stretches by once capacity is lost. A task narrower
+/// than the surviving capacity never waved in the first place, so its
+/// ratio is 1.
+pub(crate) fn load_ratio(components: usize, surviving: usize, nodes: usize) -> f64 {
+    let c = components as f64;
+    (c / surviving as f64).max(1.0) / (c / nodes as f64).max(1.0)
 }
 
 /// The WAN data-movement seconds attributable to `r` being serverless:
@@ -1997,23 +1912,41 @@ mod tests {
             }
         }
         let w = b.build().expect("valid");
+        let w = checked(&w);
+        let vm_plan = PlacementPlan::uniform(&w, Platform::VmCluster);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (mut ties, mut refusals) = (0, 0);
         for nodes in [1, 2, 3, 5, 6, 8] {
             let pdc = Pdc::new(cfg(nodes));
             for (pi, phase) in w.phases.iter().enumerate() {
+                let label = format!("phase {pi} on {nodes} nodes");
+                // One executor pass of the phase alone per split, never
+                // replayed, folded the plain way.
                 let mut want = vec![f64::INFINITY; phase.tasks.len()];
                 let mut expense = Expense::default();
-                for k in SPLITS.into_iter().filter(|&k| k <= nodes) {
-                    let (secs, pass) = pdc.phase_pass(&w, pi, k);
-                    for (best, s) in want.iter_mut().zip(secs) {
-                        *best = best.min(s);
+                let mut passes = Vec::new();
+                for k in subcluster_splits(nodes) {
+                    let tuned = cfg(nodes).with_subclusters(k);
+                    let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
+                    let (report, completed) = execute_in_unchecked(
+                        &mut env,
+                        &tuned,
+                        &w,
+                        &vm_plan,
+                        None,
+                        Release::PhaseBarrier,
+                        pi..pi + 1,
+                    );
+                    assert_eq!(completed.len(), phase.tasks.len(), "{label}");
+                    for (t, r) in report.tasks.iter().zip(&completed) {
+                        assert_eq!(r.phase, pi, "{label}");
+                        want[r.task] = want[r.task].min(t.makespan_secs());
                     }
-                    add_expense(&mut expense, &pass);
+                    add_expense(&mut expense, &report.expense);
+                    passes.push(format!("{report:?}"));
                 }
-                let got = pdc.run_phase_profile(&w, pi);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                let label = format!("phase {pi} on {nodes} nodes");
-                assert_eq!(bits(&got.task_secs), bits(&want), "{label}");
+                let got = pdc.phase_profile(&w, pi);
+                assert_eq!(bits(&got.best_task_vm), bits(&want), "{label}");
                 assert_eq!(
                     format!("{:?}", got.expense),
                     format!("{expense:?}"),
@@ -2021,6 +1954,7 @@ mod tests {
                 );
                 if pdc.splits_tie(std::slice::from_ref(phase)) {
                     ties += 1;
+                    assert!(passes.iter().all(|p| *p == passes[0]), "{label}");
                 } else {
                     refusals += 1;
                 }

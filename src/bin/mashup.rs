@@ -550,25 +550,7 @@ fn run_pareto(mut argv: std::env::Args) -> io::Result<()> {
         s.executed,
         s.evaluated as f64 / wall.max(1e-9),
     );
-    let c = &s.cache;
-    eprintln!(
-        "[plan-cache] calibration {}h/{}m  vm-profile {}h/{}m  probes {}h/{}m  \
-         phase-profiles {}h/{}m  ({} entries, {:.1}% hits overall)",
-        c.calibration.hits,
-        c.calibration.misses,
-        c.vm_profile.hits,
-        c.vm_profile.misses,
-        c.probes.hits,
-        c.probes.misses,
-        c.phase_profiles.hits,
-        c.phase_profiles.misses,
-        c.entries(),
-        if c.hits() + c.misses() == 0 {
-            0.0
-        } else {
-            c.hits() as f64 * 100.0 / (c.hits() + c.misses()) as f64
-        },
-    );
+    eprintln!("[plan-cache] {}", s.cache);
     if let Some(path) = &out {
         // Drop the cache section from the artifact: its miss-side
         // compute_secs are wall-clock timings, so keeping them would make
@@ -789,14 +771,7 @@ fn run_serve(mut argv: std::env::Args) -> io::Result<()> {
         "mashup serve: {} completed, {} rejected, cache {:.1}% hits",
         stats.completed,
         stats.rejected,
-        {
-            let (h, m) = (stats.cache.hits(), stats.cache.misses());
-            if h + m == 0 {
-                0.0
-            } else {
-                h as f64 * 100.0 / (h + m) as f64
-            }
-        }
+        stats.cache.hit_pct(),
     );
     Ok(())
 }
