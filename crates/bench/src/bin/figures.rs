@@ -169,8 +169,12 @@ fn main() {
         eprintln!("[plan-cache] {s}");
         eprintln!(
             "[plan-cache] miss-side planning compute: calibration {:.2}s, \
-             vm-profile {:.2}s, probes {:.2}s (summed across workers)",
-            s.calibration.compute_secs, s.vm_profile.compute_secs, s.probes.compute_secs,
+             vm-profile {:.2}s, probes {:.2}s, phase-profiles {:.2}s \
+             (summed across workers)",
+            s.calibration.compute_secs,
+            s.vm_profile.compute_secs,
+            s.probes.compute_secs,
+            s.phase_profiles.compute_secs,
         );
     } else {
         eprintln!("[plan-cache] not shared (--no-plan-cache)");

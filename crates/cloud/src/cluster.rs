@@ -22,7 +22,9 @@ use crate::pricing::InstanceType;
 use crate::world::{Cloud, CloudWorld};
 use mashup_dag::Task;
 use mashup_sim::trace::{TraceEvent, Tracer};
-use mashup_sim::{jitter_factor, LinkId, Model, SeedSource, SimDuration, SimTime, Simulation};
+use mashup_sim::{
+    jitter_factor, jitter_stream, LinkId, Model, SeedSource, SimDuration, SimTime, Simulation,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -558,9 +560,9 @@ impl VmCluster {
             cluster.cfg.instance.wan_bps,
             cluster.cfg.instance.node_nic_bps,
         );
-        let mut rng = cluster.seeds.child(spec.label).stream("cluster-run");
         let (components, input, input_bytes) = (spec.components, spec.input, spec.input_bytes);
         let (io_requests, jitter) = (spec.io_requests, spec.jitter);
+        let mut rng = jitter_stream(&cluster.seeds, spec.label, "cluster-run", jitter);
         let label = if cluster.tracer.is_on() {
             spec.label.to_owned()
         } else {
@@ -576,7 +578,7 @@ impl VmCluster {
             tag,
         });
         let mut ready = move |comp: usize| {
-            let jf = jitter_factor(&mut rng, jitter);
+            let jf = rng.as_mut().map_or(1.0, |rng| jitter_factor(rng, jitter));
             let node = u32::try_from(comp % n_nodes).expect("node index fits a u32");
             ev::<W>(Ev::CompReady { run, node, jf })
         };

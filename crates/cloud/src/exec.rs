@@ -13,7 +13,7 @@ use crate::event::{ev, Ev};
 use crate::faas::Invocation;
 use crate::world::{Cloud, CloudWorld};
 use mashup_sim::trace::TraceEvent;
-use mashup_sim::{jitter_factor, SeedSource, SimDuration, SimTime, Simulation};
+use mashup_sim::{jitter_factor, jitter_stream, SeedSource, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
 
 /// Work description for running one task's components on FaaS. It
@@ -211,8 +211,8 @@ pub fn run_task_on_faas<W: CloudWorld>(
     let core_speed = platform.core_speed;
     let now = sim.now();
     let code = cloud.platform_mut(tier).code(spec.label);
-    let mut rng = seeds.child(spec.label).stream("faas-run");
     let (components, compute_secs, jitter) = (spec.components, spec.compute_secs, spec.jitter);
+    let mut rng = jitter_stream(seeds, spec.label, "faas-run", jitter);
     let (input_bytes, output_bytes) = (spec.input_bytes, spec.output_bytes);
     let run = cloud.faas_runs.insert(FaasRun {
         tier,
@@ -237,7 +237,7 @@ pub fn run_task_on_faas<W: CloudWorld>(
         tag,
     });
     for comp in 0..components {
-        let jf = jitter_factor(&mut rng, jitter);
+        let jf = rng.as_mut().map_or(1.0, |rng| jitter_factor(rng, jitter));
         let work = Work {
             chain: comp as u32,
             read: input_bytes,

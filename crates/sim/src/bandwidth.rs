@@ -24,6 +24,25 @@
 //! the sequence number reserved at that change — the `(at, seq)` key an
 //! eager replan at that change would have given it.
 //!
+//! The water-fill itself is a chain of divisions, each waiting on the last,
+//! and most replans repeat an answer the link has already computed. When
+//! every flow's cap is at least its fair share at every step, each
+//! `min(cap, fair)` returns `fair`, so the shares depend only on the link's
+//! fixed capacity and the flow count n. Each link keeps a memo of its
+//! four most recent such sequences, as (n, largest fair share,
+//! shares in water-fill order). A replan with n flows whose smallest cap is
+//! at least an n-entry's largest fair share copies that entry's shares
+//! instead of dividing: the loop would compute the same fair share at every
+//! step and return it from every `min`, so the copy is bit-identical. Any
+//! other replan runs the loop; if that loop was all-fair, its shares
+//! replace the oldest entry, in that entry's buffer. Sequences longer than
+//! `MEMO_MAX_FLOWS` are not kept, so the memo is bounded per link (at
+//! most 4 × 2048 shares, 64 KiB, and only on a link that carried that
+//! many flows at once). The min-scan that follows folds `f64::min` over
+//! four independent lanes: the quotients are never NaN or `-0.0`, so
+//! the minimum is one value whatever the order, and the lanes give it
+//! without one long chain of dependent compares.
+//!
 //! A completion tick finds the finished transfers in one scan. A lone
 //! finisher, the common case, is removed by binary search on both indexes;
 //! several are removed in one `retain` pass over each. A transfer's
@@ -79,6 +98,15 @@ use crate::trace::{TraceEvent, Tracer};
 /// Completion epsilon: transfers within this many bytes of done are finished.
 const EPS_BYTES: f64 = 1e-6;
 
+/// All-fair water-fills a link's share memo keeps.
+const MEMO_ENTRIES: usize = 4;
+
+/// Longest all-fair water-fill a link's share memo keeps.
+const MEMO_MAX_FLOWS: usize = 2048;
+
+/// Independent accumulators of the min-scan.
+const LANES: usize = 4;
+
 /// Identifier of a fair-share link in a [`Simulation`]'s arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(u32);
@@ -107,6 +135,51 @@ pub(crate) struct DelayedTransfer<E> {
     on_done: E,
 }
 
+/// One all-fair water-fill: every flow got its fair share, the capacity
+/// left over the flows left.
+struct FairFill {
+    /// The largest fair share in `shares`: `n` flows whose smallest cap is
+    /// at least this get exactly `shares`.
+    max_fair: f64,
+    /// Shares in water-fill (`by_cap`) order; its length is the flow count.
+    shares: Vec<f64>,
+}
+
+/// A link's most recent all-fair water-fills, at most one per flow count
+/// (the sequence for a count is unique), replaced oldest first.
+#[derive(Default)]
+struct ShareMemo {
+    fills: Vec<FairFill>,
+    /// The entry the next store replaces once `fills` is full.
+    oldest: usize,
+}
+
+impl ShareMemo {
+    /// The entry for `n` flows, if the memo has one.
+    fn find(&self, n: usize) -> Option<&FairFill> {
+        self.fills.iter().find(|f| f.shares.len() == n)
+    }
+
+    /// Keeps an all-fair water-fill's shares, reusing the buffer of the
+    /// entry it replaces.
+    fn store(&mut self, max_fair: f64, shares: impl Iterator<Item = f64>) {
+        let fill = if self.fills.len() < MEMO_ENTRIES {
+            self.fills.push(FairFill {
+                max_fair,
+                shares: Vec::new(),
+            });
+            self.fills.last_mut().expect("just pushed")
+        } else {
+            let fill = &mut self.fills[self.oldest];
+            self.oldest = (self.oldest + 1) % MEMO_ENTRIES;
+            fill.max_fair = max_fair;
+            fill
+        };
+        fill.shares.clear();
+        fill.shares.extend(shares);
+    }
+}
+
 /// One fair-share link of the arena.
 pub(crate) struct Link<E> {
     name: String,
@@ -121,6 +194,8 @@ pub(crate) struct Link<E> {
     by_cap: Vec<u32>,
     /// Set whenever the transfer set changes; cleared by `refresh_shares`.
     shares_dirty: bool,
+    /// Recent all-fair water-fills, reused while the caps allow.
+    memo: ShareMemo,
     /// A same-instant cascade's force-finish order: every live transfer's
     /// `(remaining bits, id)`, descending, so the next to finish is last.
     /// Valid while non-empty; any insert, any cancel and any advance that
@@ -276,22 +351,50 @@ impl<E> Link<E> {
     /// exceeds capacity. Flows are visited cap-ascending with id breaking
     /// ties — identical operation order to a stable sort over an
     /// id-ascending scan, which is what the per-call rebuild used to do.
+    /// An all-fair pass the memo holds is copied instead (see the module
+    /// docs).
     fn refresh_shares(&mut self) {
         if !self.shares_dirty {
             return;
         }
+        self.shares_dirty = false;
         let n = self.by_cap.len();
-        let mut remaining_cap = self.capacity;
-        for i in 0..n {
-            let slot = self.by_cap[i] as usize;
+        let Some(&first) = self.by_cap.first() else {
+            return;
+        };
+        let min_cap = self.transfer(first).cap;
+        let Link {
+            capacity,
+            slab,
+            by_cap,
+            memo,
+            ..
+        } = self;
+        let known = memo.find(n);
+        if let Some(fill) = known.filter(|f| min_cap >= f.max_fair) {
+            for (&slot, &share) in by_cap.iter().zip(&fill.shares) {
+                slab[slot as usize].as_mut().expect("live slot").share = share;
+            }
+            return;
+        }
+        let mut remaining_cap = *capacity;
+        let (mut all_fair, mut max_fair) = (true, 0.0f64);
+        for (i, &slot) in by_cap.iter().enumerate() {
             let n_left = (n - i) as f64;
             let fair = remaining_cap / n_left;
-            let t = self.slab[slot].as_mut().expect("live slot");
+            let t = slab[slot as usize].as_mut().expect("live slot");
             let share = t.cap.min(fair);
             t.share = share;
             remaining_cap -= share;
+            all_fair &= t.cap >= fair;
+            max_fair = max_fair.max(fair);
         }
-        self.shares_dirty = false;
+        if all_fair && known.is_none() && n <= MEMO_MAX_FLOWS {
+            let shares = by_cap
+                .iter()
+                .map(|&slot| slab[slot as usize].as_ref().expect("live slot").share);
+            memo.store(max_fair, shares);
+        }
     }
 
     /// Advances every transfer's progress from `last_update` to `now` under
@@ -400,21 +503,28 @@ impl<E> Link<E> {
     }
 
     /// Seconds until the next transfer completes under fresh shares: one
-    /// water-fill and one min-scan.
+    /// water-fill and one min-scan, folded in `LANES` independent lanes.
     fn next_completion_secs(&mut self) -> f64 {
         self.refresh_shares();
-        let dt = self
-            .by_id
-            .iter()
-            .map(|&slot| {
-                let t = self.transfer(slot);
-                if t.share <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    t.remaining / t.share
-                }
-            })
-            .fold(f64::INFINITY, f64::min);
+        let eta = |slot: u32| {
+            let t = self.transfer(slot);
+            if t.share <= 0.0 {
+                f64::INFINITY
+            } else {
+                t.remaining / t.share
+            }
+        };
+        let mut lanes = [f64::INFINITY; LANES];
+        let mut chunks = self.by_id.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for (lane, &slot) in lanes.iter_mut().zip(chunk) {
+                *lane = lane.min(eta(slot));
+            }
+        }
+        for (lane, &slot) in lanes.iter_mut().zip(chunks.remainder()) {
+            *lane = lane.min(eta(slot));
+        }
+        let dt = lanes.into_iter().fold(f64::INFINITY, f64::min);
         assert!(dt.is_finite(), "transfer on link '{}' starved", self.name);
         dt
     }
@@ -445,6 +555,7 @@ impl<W: Model> Simulation<W> {
             by_id: Vec::new(),
             by_cap: Vec::new(),
             shares_dirty: false,
+            memo: ShareMemo::default(),
             cascade: Vec::new(),
             forced_at: None,
             next_id: 0,
@@ -814,6 +925,49 @@ mod tests {
             .collect();
         let (t, _) = finish_times(1000.0, &jobs);
         assert_eq!(t.len(), 50);
+    }
+
+    /// The memo keeps an all-fair water-fill and reuses it for the same
+    /// flow count while the smallest cap is at least its largest fair
+    /// share, and not once that cap is one ulp below. The entry is
+    /// overwritten with marker shares so that a reuse shows.
+    #[test]
+    fn memo_entry_is_not_reused_below_its_largest_fair_share() {
+        let mut sim = Simulation::<()>::new();
+        let link = sim.add_link("l", 100.0);
+        let first = sim.start_transfer(link, 1.0e6, None, ());
+        sim.start_transfer(link, 1.0e6, None, ());
+        sim.start_transfer(link, 1.0e6, None, ());
+        sim.run_until(&mut (), Some(SimTime::ZERO));
+        let fair: Vec<f64> = sim.current_shares(link).iter().map(|s| s.1).collect();
+        // 100 / 3 rounds up; the later steps' shares round down.
+        let max_fair = fair[0];
+        assert!(fair[1] < max_fair && fair[2] < max_fair);
+        let memo = &mut sim.links[link.0 as usize].memo;
+        let entry = memo.fills.iter_mut().find(|f| f.shares.len() == 3);
+        let entry = entry.expect("an all-fair fill is kept");
+        assert_eq!(entry.max_fair.to_bits(), max_fair.to_bits());
+        assert_eq!(entry.shares, fair);
+        entry.shares = vec![1.0, 2.0, 3.0];
+
+        // Three flows again, the smallest cap exactly the largest fair
+        // share: the entry is copied, in water-fill order (capped first).
+        sim.cancel_transfer(link, first);
+        let capped = sim.start_transfer(link, 1.0e6, Some(max_fair), ());
+        sim.run_until(&mut (), Some(SimTime::ZERO));
+        let shares: Vec<f64> = sim.current_shares(link).iter().map(|s| s.1).collect();
+        assert_eq!(shares, [2.0, 3.0, 1.0]);
+
+        // One ulp below it: the water-fill runs, and the capped flow gets
+        // its cap.
+        sim.cancel_transfer(link, capped);
+        let below = max_fair.next_down();
+        sim.start_transfer(link, 1.0e6, Some(below), ());
+        sim.run_until(&mut (), Some(SimTime::ZERO));
+        let shares: Vec<(u64, f64)> = sim.current_shares(link);
+        assert_eq!(shares[2], (4, below));
+        let rest = (100.0 - below) / 2.0;
+        assert_eq!(shares[..2], [(1, rest), (2, 100.0 - below - rest)]);
     }
 
     /// What the cascade test's world saw, in order.

@@ -40,6 +40,6 @@ pub mod trace;
 
 pub use bandwidth::{LinkId, TransferId};
 pub use engine::{EventHandle, Model, Simulation};
-pub use rng::{jitter_factor, stream_rng, SeedSource};
+pub use rng::{jitter_factor, jitter_stream, stream_rng, SeedSource};
 pub use time::{SimDuration, SimTime};
 pub use trace::{KillReason, TraceEvent, TraceRecord, Tracer};

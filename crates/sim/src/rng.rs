@@ -57,6 +57,15 @@ impl SeedSource {
     }
 }
 
+/// The stream a run's jitter factors draw from: `seeds.child(label)`'s
+/// `stream`, derived only when `spread` is above 0. A zero spread draws
+/// nothing ([`jitter_factor`] returns 1), so it needs no stream and pays
+/// for no hashing or seeding.
+pub fn jitter_stream(seeds: &SeedSource, label: &str, stream: &str, spread: f64) -> Option<StdRng> {
+    assert!((0.0..1.0).contains(&spread), "spread must be in [0,1)");
+    (spread > 0.0).then(|| seeds.child(label).stream(stream))
+}
+
 /// Samples a truncated-normal-ish jitter factor in `[1-spread, 1+spread]`.
 ///
 /// Used to model run-to-run cloud variability around nominal task runtimes.
@@ -115,6 +124,21 @@ mod tests {
             let f = jitter_factor(&mut rng, 0.2);
             assert!((0.8..=1.2).contains(&f), "factor {f} out of range");
         }
+    }
+
+    #[test]
+    fn zero_spread_derives_no_stream() {
+        let s = SeedSource::new(7);
+        assert!(jitter_stream(&s, "task:Map", "run", 0.0).is_none());
+        let mut a = jitter_stream(&s, "task:Map", "run", 0.2).expect("spread draws");
+        let mut b = s.child("task:Map").stream("run");
+        assert_eq!(jitter_factor(&mut a, 0.2), jitter_factor(&mut b, 0.2));
+    }
+
+    #[test]
+    #[should_panic(expected = "spread must be in [0,1)")]
+    fn jitter_stream_checks_the_spread() {
+        jitter_stream(&SeedSource::new(7), "task:Map", "run", -0.1);
     }
 
     #[test]

@@ -47,6 +47,23 @@ struct EagerFlow {
 
 const EPS_BYTES: f64 = 1e-6;
 
+/// Max-min fair shares of flows with `caps`, given in id order, on a link
+/// of `capacity`: a stable sort by cap (ids break ties), then the
+/// water-fill, recomputed from scratch with nothing remembered.
+fn water_fill(capacity: f64, caps: &[f64]) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..caps.len()).collect();
+    order.sort_by(|&a, &b| caps[a].partial_cmp(&caps[b]).expect("caps are never NaN"));
+    let mut shares = vec![0.0; caps.len()];
+    let mut remaining_cap = capacity;
+    for (i, &f) in order.iter().enumerate() {
+        let fair = remaining_cap / (order.len() - i) as f64;
+        let share = caps[f].min(fair);
+        shares[f] = share;
+        remaining_cap -= share;
+    }
+    shares
+}
+
 impl EagerLink {
     fn new(capacity: f64) -> Self {
         EagerLink {
@@ -58,25 +75,10 @@ impl EagerLink {
         }
     }
 
-    /// Max-min fair shares in `flows` order: a stable sort by cap (ids
-    /// break ties), then the water-fill.
+    /// Max-min fair shares in `flows` order.
     fn shares(&self) -> Vec<f64> {
-        let mut order: Vec<usize> = (0..self.flows.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.flows[a]
-                .cap
-                .partial_cmp(&self.flows[b].cap)
-                .expect("caps are never NaN")
-        });
-        let mut shares = vec![0.0; self.flows.len()];
-        let mut remaining_cap = self.capacity;
-        for (i, &f) in order.iter().enumerate() {
-            let fair = remaining_cap / (order.len() - i) as f64;
-            let share = self.flows[f].cap.min(fair);
-            shares[f] = share;
-            remaining_cap -= share;
-        }
-        shares
+        let caps: Vec<f64> = self.flows.iter().map(|f| f.cap).collect();
+        water_fill(self.capacity, &caps)
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -151,6 +153,8 @@ trait Link: Sized + Send + 'static {
         on_done: Done<Self>,
     ) -> Self::Id;
     fn cancel(w: &mut Drive<Self>, sim: &mut Simulation<Drive<Self>>, id: Self::Id) -> f64;
+    /// Checks the link's current shares against [`water_fill`].
+    fn check(w: &mut Drive<Self>, sim: &mut Simulation<Drive<Self>>);
 }
 
 impl Link for LinkId {
@@ -166,6 +170,22 @@ impl Link for LinkId {
     }
     fn cancel(w: &mut Drive<Self>, sim: &mut Simulation<Drive<Self>>, id: TransferId) -> f64 {
         sim.cancel_transfer(w.link, id)
+    }
+    /// Every flow of the run is a transfer of positive size on this link,
+    /// so the k-th flow started has transfer id k and cap `w.caps[k]`.
+    fn check(w: &mut Drive<Self>, sim: &mut Simulation<Drive<Self>>) {
+        let got = sim.current_shares(w.link);
+        let caps: Vec<f64> = got.iter().map(|&(id, _)| w.caps[id as usize]).collect();
+        let want = water_fill(w.capacity, &caps);
+        for (&(id, share), want) in got.iter().zip(want) {
+            assert_eq!(
+                share.to_bits(),
+                want.to_bits(),
+                "share of transfer {id} among {}: {share} vs reference {want}",
+                got.len()
+            );
+        }
+        w.checks += 1;
     }
 }
 
@@ -208,14 +228,22 @@ impl Link for EagerLink {
         }
         removed.unwrap_or(0.0)
     }
+    /// The reference link: its shares are the reference loop's.
+    fn check(_: &mut Drive<Self>, _: &mut Simulation<Drive<Self>>) {}
 }
 
-/// The differential test's world: the link under test, the log of what
-/// happened, and the ids of every flow started.
+/// The differential tests' world: the link under test, the log of what
+/// happened, the ids and caps of every flow started, and whether to check
+/// the shares after every event that changes the link.
 struct Drive<L: Link> {
     link: L,
+    capacity: f64,
     log: Vec<(u64, u64)>,
     ids: Vec<L::Id>,
+    caps: Vec<f64>,
+    check: bool,
+    /// Share checks run.
+    checks: usize,
 }
 
 impl<L: Link> Model for Drive<L> {
@@ -231,17 +259,32 @@ impl<L: Link> Model for Drive<L> {
 const UNIT: f64 = 125.0;
 
 /// One driver step, one event: `(gap in quarter-seconds after the previous
-/// step, burst of (size, capped if 0, cap), cancel selector)`. A gap of 0
-/// puts two events at the same instant; the selector cancels an earlier
-/// flow when it is below 64.
+/// step, burst of (size, cap code, cap), cancel selector)`. A gap of 0 puts
+/// two events at the same instant; the selector cancels an earlier flow
+/// when it is below 64. The run's cap rule turns (cap code, cap) into the
+/// flow's cap.
 type Step = (u8, Vec<(u32, u8, u32)>, u16);
+
+/// The first differential test's cap rule: a cap of `cap` units when the
+/// code is 0, else none.
+fn unit_caps(code: u8, cap: u32) -> Option<f64> {
+    (code == 0).then_some(f64::from(cap) * UNIT)
+}
+
+/// Schedules a share check after the flush of the current event, when the
+/// run checks shares.
+fn check_after<L: Link>(w: &Drive<L>, sim: &mut Simulation<Drive<L>>) {
+    if w.check {
+        sim.schedule_now(Box::new(L::check));
+    }
+}
 
 /// Starts one flow of `units * UNIT` bytes whose completion logs `(label,
 /// instant bits)`, then schedules a marker event `units % 4` eighths of a
 /// second later, so markers fall between the link changes of one event and
 /// on completion instants. Flows of a multiple of 3 units start a half-size
 /// successor from their callback, so arrivals also land inside completion
-/// ticks.
+/// ticks. A completion schedules a share check when the run checks them.
 fn start_flow<L: Link>(
     w: &mut Drive<L>,
     sim: &mut Simulation<Drive<L>>,
@@ -254,7 +297,9 @@ fn start_flow<L: Link>(
         if label < 1 << 20 && units.is_multiple_of(3) {
             start_flow(w, sim, label + (1 << 20), units / 2, cap);
         }
+        check_after(w, sim);
     });
+    w.caps.push(cap.unwrap_or(f64::INFINITY));
     let id = L::start(w, sim, f64::from(units) * UNIT, cap, on_done);
     w.ids.push(id);
     let marker_in = SimDuration::from_secs(f64::from(units % 4) / 8.0);
@@ -267,22 +312,35 @@ fn start_flow<L: Link>(
     );
 }
 
-/// Runs `steps` on `link` and returns every completion, cancel result and
-/// step marker in the order they happened, with bit-exact instants.
+/// Runs `steps` on `link`, a link of `capacity`, with flow caps from
+/// `caps`, and returns every completion, cancel result and step marker in
+/// the order they happened, with bit-exact instants, and the number of
+/// share checks run (none unless `check`).
 fn drive<L: Link>(
-    link: impl FnOnce(&mut Simulation<Drive<L>>) -> L,
+    link: impl FnOnce(&mut Simulation<Drive<L>>, f64) -> L,
+    capacity: f64,
     steps: &[Step],
-) -> Vec<(u64, u64)> {
+    caps: &dyn Fn(u8, u32) -> Option<f64>,
+    check: bool,
+) -> (Vec<(u64, u64)>, usize) {
     let mut sim = Simulation::new();
     let mut world = Drive {
-        link: link(&mut sim),
+        link: link(&mut sim, capacity),
+        capacity,
         log: Vec::new(),
         ids: Vec::new(),
+        caps: Vec::new(),
+        check,
+        checks: 0,
     };
     let mut t = 0.0;
     for (k, (gap, burst, cancel)) in steps.iter().enumerate() {
         t += f64::from(*gap) * 0.25;
-        let (burst, cancel) = (burst.clone(), *cancel);
+        let burst: Vec<(u32, Option<f64>)> = burst
+            .iter()
+            .map(|&(units, code, cap)| (units, caps(code, cap)))
+            .collect();
+        let cancel = *cancel;
         let k = k as u64;
         let step: Done<L> = Box::new(move |w: &mut Drive<L>, sim: &mut Simulation<Drive<L>>| {
             w.log.push((u64::MAX - k, sim.now().as_secs().to_bits()));
@@ -292,10 +350,10 @@ fn drive<L: Link>(
                 let left = L::cancel(w, sim, id);
                 w.log.push((u64::MAX / 2 - k, left.to_bits()));
             }
-            for (j, &(units, capped, cap)) in burst.iter().enumerate() {
-                let cap = (capped == 0).then_some(f64::from(cap) * UNIT);
+            for (j, &(units, cap)) in burst.iter().enumerate() {
                 start_flow(w, sim, k * 100 + j as u64, units, cap);
             }
+            check_after(w, sim);
         });
         sim.schedule_at(SimTime::from_secs(t), step);
     }
@@ -305,7 +363,7 @@ fn drive<L: Link>(
         deadline += 0.3;
         sim.run_until(&mut world, Some(SimTime::from_secs(deadline)));
     }
-    world.log
+    (world.log, world.checks)
 }
 
 proptest! {
@@ -327,9 +385,62 @@ proptest! {
             1..20,
         )
     ) {
-        let eager = drive(|_| EagerLink::new(8.0 * UNIT), &steps);
-        let deferred = drive(|sim| sim.add_link("l", 8.0 * UNIT), &steps);
+        let capacity = 8.0 * UNIT;
+        let eager = drive(|_, c| EagerLink::new(c), capacity, &steps, &unit_caps, false);
+        let deferred = drive(|sim, c| sim.add_link("l", c), capacity, &steps, &unit_caps, false);
         prop_assert_eq!(deferred, eager);
+    }
+}
+
+/// The memo test's cap rules, by mode: 0 all uncapped; 1 one finite cap
+/// for every flow (`capacity / 64`: below the fair share under 64 flows,
+/// at or above it from 64 on); 2 uncapped and finite caps mixed; 3 caps of
+/// `capacity / cap` moved an ulp down or up by the code, so caps straddle
+/// the fair shares of the flow counts the run passes through.
+fn memo_caps(mode: u8, capacity: f64) -> impl Fn(u8, u32) -> Option<f64> {
+    move |code, cap| match mode {
+        0 => None,
+        1 => Some(capacity / 64.0),
+        2 => (code % 2 == 1).then_some(f64::from(cap) * UNIT / 64.0),
+        _ => {
+            let cap = capacity / f64::from(cap);
+            Some(match code % 3 {
+                0 => cap.next_down(),
+                1 => cap,
+                _ => cap.next_up(),
+            })
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The link's memo of all-fair water-fills changes nothing: after every
+    /// event that changes the link (so after its flush), each transfer's
+    /// share equals a from-scratch water-fill's bit for bit, and every
+    /// completion instant equals the reference link's, which never
+    /// memoizes. Bursts of up to 47 arrivals per step reach a few hundred
+    /// flows; completions, successors and cancels walk the count back down
+    /// through counts the memo has seen, under each cap rule.
+    #[test]
+    fn memoized_shares_match_the_reference_bit_for_bit(
+        mode in 0u8..4,
+        steps in proptest::collection::vec(
+            (
+                0u8..3,
+                proptest::collection::vec((1u32..64, 0u8..6, 1u32..400), 0..48),
+                0u16..96,
+            ),
+            1..12,
+        )
+    ) {
+        let capacity = 8.0 * UNIT;
+        let caps = memo_caps(mode, capacity);
+        let (eager, _) = drive(|_, c| EagerLink::new(c), capacity, &steps, &caps, true);
+        let (memo, checks) = drive(|sim, c| sim.add_link("l", c), capacity, &steps, &caps, true);
+        prop_assert_eq!(memo, eager);
+        prop_assert!(checks > 0);
     }
 }
 
