@@ -261,7 +261,7 @@ mod tests {
         b.begin_phase();
         let c = b.add_task(Task::new("B", 1, profile1));
         b.depend(c, a, DependencyPattern::AllToAll);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! M1xx: workflow structure and profile checks.
 //!
-//! Unlike `mashup_dag::validate`, which stops at the first violation, these
-//! checks collect *every* finding so a user fixes a broken workflow in one
-//! round trip.
+//! These are the only structural checks of a workflow: the DAG crate
+//! builds and parses without checking, and `mashup_core::CheckedWorkflow`
+//! runs these once per workflow. They collect *every* finding, so a user
+//! fixes a broken workflow in one round trip.
 
 use crate::diag::{Code, Diagnostic, Location};
 use mashup_dag::{fusable_pairs, Workflow};
@@ -263,17 +264,17 @@ mod tests {
         b.begin_phase();
         let c = b.add_task(Task::new("B", 1, TaskProfile::trivial().io(4e6, 0.0)));
         b.depend(c, a, DependencyPattern::AllToAll);
-        let w = b.build().expect("valid");
+        let w = b.build();
         assert!(analyze_workflow(&w).is_empty());
     }
 
     #[test]
     fn empty_workflow_and_empty_phase() {
-        let w = WorkflowBuilder::new("e").build_unchecked();
+        let w = WorkflowBuilder::new("e").build();
         assert_eq!(codes(&analyze_workflow(&w)), vec![Code::EmptyStructure]);
         let mut b = WorkflowBuilder::new("e2");
         b.begin_phase();
-        let w = b.build_unchecked();
+        let w = b.build();
         assert_eq!(codes(&analyze_workflow(&w)), vec![Code::EmptyStructure]);
     }
 
@@ -285,7 +286,7 @@ mod tests {
         b.add_task(Task::new("A", 1, TaskProfile::trivial().compute(-1.0))); // M106 + M105
         b.begin_phase();
         b.add_task(Task::new("C", 1, TaskProfile::trivial())); // M103
-        let w = b.build_unchecked();
+        let w = b.build();
         let got = codes(&analyze_workflow(&w));
         assert!(got.contains(&Code::ZeroComponents));
         assert!(got.contains(&Code::DuplicateTaskName));
@@ -305,7 +306,7 @@ mod tests {
         let c = b.add_task(Task::new("C", 2, TaskProfile::trivial()));
         b.depend(c, TaskRef::new(0, 9), DependencyPattern::OneToOne); // M102
         b.depend(c, a, DependencyPattern::OneToOne); // M107 (3 -> 2)
-        let w = b.build_unchecked();
+        let w = b.build();
         let got = codes(&analyze_workflow(&w));
         assert!(got.contains(&Code::NotEarlierPhase));
         assert!(got.contains(&Code::DanglingReference));
@@ -325,7 +326,7 @@ mod tests {
                 }
                 b.add_task(Task::new(format!("t{i}"), 1, p));
             }
-            b.build().expect("valid")
+            b.build()
         };
         // 65 tasks, 65 distinct identities: M109.
         let diags = analyze_workflow(&wide(None));
@@ -354,7 +355,7 @@ mod tests {
                 TaskProfile::trivial().compute(compute).io(5e8, 0.0),
             ));
             b.depend(c, a, DependencyPattern::OneToOne);
-            b.build().expect("valid")
+            b.build()
         };
         // 2 s of compute per stage against ~20 s of transfer: M110.
         let diags = analyze_workflow(&chain(2.0));
@@ -371,7 +372,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("w1");
         b.begin_phase();
         b.add_task(Task::new("A", 1, TaskProfile::trivial().io(1e6, 1e6)));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let diags = analyze_workflow(&w);
         assert_eq!(codes(&diags), vec![Code::MissingConsumerData]);
         assert_eq!(diags[0].severity, crate::Severity::Warning);
@@ -383,7 +384,7 @@ mod tests {
         b.begin_phase();
         let c = b.add_task(Task::new("B", 2, TaskProfile::trivial().io(5e6, 0.0)));
         b.depend(c, a, DependencyPattern::OneToOne);
-        let w = b.build().expect("valid");
+        let w = b.build();
         assert_eq!(
             codes(&analyze_workflow(&w)),
             vec![Code::MissingConsumerData]

@@ -107,7 +107,7 @@ mod tests {
         b.depend(c, t, DependencyPattern::OneToOne);
         let d = b.add_task(Task::new("D", 4, TaskProfile::trivial().compute(1.0)));
         b.depend(d, t, DependencyPattern::FanInBlocks);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]
@@ -128,7 +128,7 @@ mod tests {
         b.begin_phase();
         let z = b.add_task(Task::new("Z", 4, TaskProfile::trivial().compute(1.0)));
         b.depend(z, y, DependencyPattern::OneToOne);
-        let pipe = b.build().expect("valid");
+        let pipe = b.build();
         let fused = maximal_fusion(&pipe);
         assert_eq!(fused.task_count(), 1);
         assert_eq!(fused.phases[0].tasks[0].name, "X+Y+Z");

@@ -57,7 +57,7 @@ mod tests {
         b.begin_phase();
         let t = b.add_task(Task::new("b", 1, TaskProfile::trivial().compute(1.0)));
         b.depend(t, TaskRef::new(0, 0), DependencyPattern::AllToAll);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

@@ -144,7 +144,7 @@ mod tests {
                 .io(1.28e8, 1e6),
         ));
         b.depend(merge, wide, DependencyPattern::AllToAll);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
             TaskProfile::trivial().compute(50.0),
         ));
         b.depend(c, a, DependencyPattern::OneToOne);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

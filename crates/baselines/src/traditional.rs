@@ -89,7 +89,7 @@ mod tests {
                 TaskProfile::trivial().compute(5.0).io(2.5e9, 0.0),
             ));
         }
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn pipeline(len: usize, comps: usize, slowdown: f64, computes: &[u32]) -> Workfl
         }
         prev = Some(t);
     }
-    b.build().expect("generator only emits valid pipelines")
+    b.build()
 }
 
 /// Sum of `FnEnd` billed windows and their count from a trace.

@@ -87,7 +87,7 @@ fn ablate_checkpointing() -> Vec<AblationRow> {
             .checkpoint(1.0e9);
         profile.runtime_jitter = 0.0;
         b.add_task(Task::new("long", 1, profile));
-        checked(b.build().expect("valid"))
+        checked(b.build())
     };
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
     let lean = {

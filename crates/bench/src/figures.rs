@@ -255,7 +255,7 @@ pub fn fig04c_scaling() -> Fig04c {
                 b.initial_input_bytes(profile.input_bytes * c as f64);
                 b.begin_phase();
                 b.add_task(Task::new(name.clone(), c, profile.clone()));
-                checked(b.build().expect("valid"))
+                checked(b.build())
             })
         })
         .collect();
@@ -1282,7 +1282,7 @@ fn isolated(task: &Task) -> CheckedWorkflow<'static> {
         task.components,
         task.profile.clone(),
     ));
-    checked(b.build().expect("valid"))
+    checked(b.build())
 }
 
 /// Regenerates the §5 accuracy analysis: the PDC's serverless estimates

@@ -90,7 +90,8 @@ pub fn raw_graph(shape: Shape, tasks: usize) -> (Vec<Task>, Vec<RawEdge>) {
 /// Builds the `shape` workflow through [`from_task_graph`].
 pub fn workflow(shape: Shape, tasks: usize) -> Workflow {
     let (t, e) = raw_graph(shape, tasks);
-    from_task_graph(format!("scale-{}", shape.name()), t, e, 1.0e6).expect("generated DAG is valid")
+    from_task_graph(format!("scale-{}", shape.name()), t, e, 1.0e6)
+        .expect("generated edges name known tasks and form no cycle")
 }
 
 #[cfg(test)]

@@ -217,7 +217,7 @@ mod tests {
         b.initial_input_bytes(1e6);
         b.begin_phase();
         b.add_task(Task::new("t", 16, TaskProfile::trivial().compute(2.0)));
-        let w = CheckedWorkflow::new(b.build().expect("valid")).expect("checks clean");
+        let w = CheckedWorkflow::new(b.build()).expect("checks clean");
         let cfg = MashupConfig::aws(2);
         for s in Strategy::ALL {
             let r = run_strategy(&cfg, &w, s);

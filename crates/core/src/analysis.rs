@@ -118,7 +118,7 @@ mod tests {
         b.initial_input_bytes(1e9);
         b.begin_phase();
         b.add_task(Task::new("A", 4, TaskProfile::trivial().io(1e6, 1e6)));
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

@@ -443,7 +443,7 @@ mod tests {
         b.begin_phase();
         b.add_task(Task::new("A", 2, TaskProfile::trivial()));
         b.add_task(Task::new("B", 2, TaskProfile::trivial()));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let base = Sizing::base(&cfg, &w);
         assert!(base.is_base(&cfg));
         assert_eq!(base.distinct_tiers(), vec![cfg.provider.faas.memory_gb]);

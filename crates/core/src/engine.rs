@@ -33,7 +33,7 @@ pub struct MashupOutcome {
 /// b.initial_input_bytes(1.0e6);
 /// b.begin_phase();
 /// b.add_task(Task::new("wide", 64, TaskProfile::trivial().compute(5.0)));
-/// let workflow = CheckedWorkflow::new(b.build().expect("valid")).expect("clean workflow");
+/// let workflow = CheckedWorkflow::new(b.build()).expect("clean workflow");
 ///
 /// let outcome = Mashup::new(MashupConfig::aws(2))
 ///     .run_checked(&workflow)
@@ -119,7 +119,9 @@ impl Mashup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
+    use mashup_dag::{
+        DependencyPattern, PlacementPlan, Platform, Task, TaskProfile, WorkflowBuilder,
+    };
 
     fn wf() -> Workflow {
         let mut b = WorkflowBuilder::new("mix");
@@ -140,7 +142,7 @@ mod tests {
                 .io(1.28e8, 1e6),
         ));
         b.depend(merge, wide, DependencyPattern::AllToAll);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]
@@ -151,7 +153,7 @@ mod tests {
         let traditional = crate::exec::try_execute(
             &cfg,
             &w,
-            &crate::placement::PlacementPlan::uniform(&w, crate::placement::Platform::VmCluster),
+            &PlacementPlan::uniform(&w, Platform::VmCluster),
             "traditional",
         )
         .expect("clean inputs");

@@ -21,14 +21,13 @@ use crate::analysis::CheckedWorkflow;
 use crate::chaos::ChaosSpec;
 use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent};
 use crate::pdc::{load_ratio, Pdc, PdcReport};
-use crate::placement::{PlacementPlan, Platform};
 use crate::report::{TaskReport, WorkflowReport};
 use mashup_analyze::AnalysisError;
 use mashup_cloud::{
     run_task_on_faas, ClusterRunStats, ClusterTaskSpec, FaasRunStats, FaasTaskSpec, ObjectKey,
     VmCluster,
 };
-use mashup_dag::{TaskRef, Workflow};
+use mashup_dag::{PlacementPlan, Platform, TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 use std::ops::Range;
 
@@ -944,7 +943,7 @@ mod tests {
             TaskProfile::trivial().compute(10.0).io(6.4e8, 1.0e7),
         ));
         b.depend(m, a, DependencyPattern::AllToAll);
-        b.build().expect("valid")
+        b.build()
     }
 
     fn cfg(nodes: usize) -> MashupConfig {
@@ -1193,7 +1192,7 @@ mod tests {
             }
             producer = Some(t);
         }
-        let w = b.build().expect("valid");
+        let w = b.build();
         let checked = CheckedWorkflow::borrowed(&w).expect("clean workflow");
         let cfg = cfg(4).with_subclusters(1);
         let mut hybrid = PlacementPlan::uniform(&w, Platform::VmCluster);

@@ -220,7 +220,7 @@ mod tests {
         let mut b = WorkflowBuilder::new(name);
         b.begin_phase();
         b.add_task(Task::new("t", 4, TaskProfile::trivial().compute(compute)));
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

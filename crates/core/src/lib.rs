@@ -41,7 +41,6 @@ mod fingerprint;
 mod naive;
 pub mod pareto;
 mod pdc;
-mod placement;
 mod report;
 pub mod trace;
 
@@ -53,12 +52,12 @@ pub use engine::{Mashup, MashupOutcome};
 pub use exec::{execute, execute_in, try_execute, Execution, Release};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use mashup_analyze::{AnalysisError, Code, Diagnostic, Location, Severity};
+pub use mashup_dag::{PlacementPlan, Platform, UnassignedTask};
 pub use mashup_sim::{KillReason, TraceEvent, TraceRecord, Tracer};
 pub use naive::plan_without_pdc;
 pub use pdc::{
     calibrate, estimate_serverless_time, finer_split_wins, fit_gamma, subcluster_splits, ForcedVm,
     ModelFactors, Objective, Pdc, PdcReport, ReplanStats, TaskDecision,
 };
-pub use placement::{PlacementPlan, Platform, UnassignedTask};
 pub use report::{improvement_pct, TaskReport, WorkflowReport};
 pub use trace::Violation;

@@ -7,8 +7,7 @@
 //! cap or timeout window cannot run in a function at all).
 
 use crate::config::MashupConfig;
-use crate::placement::{PlacementPlan, Platform};
-use mashup_dag::Workflow;
+use mashup_dag::{PlacementPlan, Platform, Workflow};
 
 /// Builds the w/o-PDC plan: `components > cluster nodes` ⇒ serverless.
 pub fn plan_without_pdc(cfg: &MashupConfig, workflow: &Workflow) -> PlacementPlan {
@@ -43,7 +42,7 @@ mod tests {
             100,
             TaskProfile::trivial().checkpoint(1e11),
         ));
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

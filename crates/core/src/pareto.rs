@@ -18,9 +18,8 @@ use crate::analysis::CheckedWorkflow;
 use crate::config::{tier_key, MashupConfig, Sizing};
 use crate::fingerprint::Fingerprinter;
 use crate::pdc::PdcReport;
-use crate::placement::Platform;
 use mashup_analyze::AnalysisError;
-use mashup_dag::{fusable_pairs, fuse, FusionCandidate, TaskRef, Workflow};
+use mashup_dag::{fusable_pairs, fuse, FusionCandidate, Platform, TaskRef, Workflow};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -446,7 +445,7 @@ pub fn bound_dominated(front: &[(f64, f64)], lb: (f64, f64)) -> bool {
 mod tests {
     use super::*;
     use crate::exec::try_execute;
-    use crate::placement::PlacementPlan;
+    use mashup_dag::PlacementPlan;
     use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
 
     /// Three-task pipeline with one side consumer: pairs (A→B) and (B→C)
@@ -475,7 +474,7 @@ mod tests {
             TaskProfile::trivial().compute(2.0).io(1e7, 1e7),
         ));
         b.depend(d, c, DependencyPattern::OneToOne);
-        b.build().expect("valid")
+        b.build()
     }
 
     fn cfg() -> MashupConfig {

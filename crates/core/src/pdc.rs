@@ -35,12 +35,11 @@ use crate::cache::{PlanCache, ProbeEntry, VmProfileEntry};
 use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World};
 use crate::exec::{execute_in_unchecked, Release};
 use crate::fingerprint::{Fingerprint, Fingerprinter};
-use crate::placement::{PlacementPlan, Platform};
 use mashup_analyze::{AnalysisError, FaasMisfit, PlanContext};
 use mashup_cloud::{
     run_task_on_faas, ClusterRunStats, Expense, FaasConfig, FaasRunStats, FaasTaskSpec,
 };
-use mashup_dag::{Phase, Task, TaskProfile, TaskRef, Workflow};
+use mashup_dag::{Phase, PlacementPlan, Platform, Task, TaskProfile, TaskRef, Workflow};
 use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -1456,7 +1455,7 @@ mod tests {
             256,
             mashup_dag::TaskProfile::trivial().compute(10.0),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let report = Pdc::new(cfg(2)).decide(&w);
         assert_eq!(report.decisions.len(), 1);
         assert_eq!(report.decisions[0].platform, Platform::Serverless);
@@ -1476,7 +1475,7 @@ mod tests {
             96,
             mashup_dag::TaskProfile::trivial().compute(10.0),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let pdc = Pdc::new(cfg(4));
         let base = pdc.decide(&w);
 
@@ -1511,7 +1510,7 @@ mod tests {
                 .compute(10.0)
                 .memory(16.0),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let pdc = Pdc::new(cfg(4));
         let base = pdc.decide(&w);
         assert!(base.decisions[0].forced_vm_reason.is_some());
@@ -1534,7 +1533,7 @@ mod tests {
                 .compute(300.0)
                 .slowdown(1.2),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let report = Pdc::new(cfg(8)).decide(&w);
         assert_eq!(report.decisions[0].platform, Platform::VmCluster);
     }
@@ -1551,7 +1550,7 @@ mod tests {
                 .compute(10.0)
                 .memory(16.0),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let report = Pdc::new(cfg(2)).decide(&w);
         let d = &report.decisions[0];
         assert_eq!(d.platform, Platform::VmCluster);
@@ -1581,7 +1580,7 @@ mod tests {
                     .contention(2.0)
                     .recurring(recurring),
             ));
-            b.build().expect("valid")
+            b.build()
         };
         // Without the exception: forced to VM despite huge concurrency.
         let plain = Pdc::new(cfg(2)).decide(&mk(false));
@@ -1608,7 +1607,7 @@ mod tests {
             512,
             mashup_dag::TaskProfile::trivial().compute(20.0),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let time_plan = Pdc::new(cfg(8)).decide(&w);
         let cost_plan = Pdc::new(cfg(8))
             .with_objective(Objective::Expense)
@@ -1656,7 +1655,7 @@ mod tests {
             }
             prev = cur;
         }
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]
@@ -1769,7 +1768,7 @@ mod tests {
                 .compute(10.0)
                 .checkpoint(1e11),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let d = &Pdc::new(cfg(2)).decide(&w).decisions[0];
         assert_eq!(d.platform, Platform::VmCluster);
         assert_eq!(d.probe_secs, 0.0);
@@ -1836,7 +1835,7 @@ mod tests {
                 }
             }
         }
-        wb.build().expect("valid")
+        wb.build()
     }
 
     /// The base tier for every task but `a6` (1 GB) and `a7` (2 GB).
@@ -1911,7 +1910,7 @@ mod tests {
                 }
             }
         }
-        let w = b.build().expect("valid");
+        let w = b.build();
         let w = checked(&w);
         let vm_plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1973,7 +1972,7 @@ mod tests {
             8,
             mashup_dag::TaskProfile::trivial().compute(5.0),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let report = Pdc::new(cfg(4)).decide(&w);
         assert!(report.profiling_expense.vm_dollars > 0.0);
         assert!(report.profiling_vm_makespan_secs > 0.0);

@@ -1,7 +1,7 @@
 //! Execution reports: makespan, expense, and overhead decomposition.
 
-use crate::placement::{PlacementPlan, Platform};
 use mashup_cloud::Expense;
+use mashup_dag::{PlacementPlan, Platform};
 use serde::{Deserialize, Serialize};
 
 /// Per-task execution record.

@@ -573,8 +573,9 @@ mod tests {
     use super::*;
     use crate::analysis::CheckedWorkflow;
     use crate::exec::{execute, Release};
-    use crate::placement::{PlacementPlan, Platform};
-    use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
+    use mashup_dag::{
+        DependencyPattern, PlacementPlan, Platform, Task, TaskProfile, WorkflowBuilder,
+    };
     use mashup_sim::Tracer;
 
     fn wf() -> Workflow {
@@ -593,7 +594,7 @@ mod tests {
             TaskProfile::trivial().compute(10.0).io(6.4e8, 1.0e7),
         ));
         b.depend(m, a, DependencyPattern::AllToAll);
-        b.build().expect("valid")
+        b.build()
     }
 
     fn run_traced(
@@ -806,7 +807,7 @@ mod tests {
             2,
             TaskProfile::trivial().compute(150.0).checkpoint(5.0e7),
         ));
-        let w = b.build().expect("valid");
+        let w = b.build();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let tracer = Tracer::new();
         let report = run_traced(&shortened, &w, &plan, &tracer);

@@ -29,7 +29,7 @@ fn prewarming_cuts_next_phase_cold_starts() {
         TaskProfile::trivial().compute(5.0),
     ));
     b.depend(c, a, DependencyPattern::OneToOne);
-    let w = b.build().expect("valid");
+    let w = b.build();
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
 
     let mut on = MashupConfig::aws(2);
@@ -68,7 +68,7 @@ fn mixed_producer_locations_route_through_the_store() {
     ));
     b.depend(consumer, vm_side, DependencyPattern::OneToOne);
     b.depend(consumer, sl_side, DependencyPattern::OneToOne);
-    let w = b.build().expect("valid");
+    let w = b.build();
 
     let mut plan = PlacementPlan::uniform(&w, Platform::VmCluster);
     plan.set(TaskRef::new(0, 1), Platform::Serverless); // sl-prod
@@ -88,7 +88,7 @@ fn pure_vm_plans_never_bill_storage() {
     b.initial_input_bytes(1e12);
     b.begin_phase();
     b.add_task(Task::new("t", 16, TaskProfile::trivial().io(1e8, 1e8)));
-    let w = b.build().expect("valid");
+    let w = b.build();
     let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
     let report = execute(&MashupConfig::aws(4), &w, &plan, "vm");
     assert_eq!(report.expense.storage_dollars, 0.0);
@@ -121,7 +121,7 @@ fn boundary_tax_flips_marginal_serverless_wins_back_to_vm() {
             .contention(0.0),
     ));
     b.depend(consumer, producer, DependencyPattern::AllToAll);
-    let w = b.build().expect("valid");
+    let w = b.build();
     let pdc = Pdc::new(MashupConfig::aws(16)).decide(&w);
     let d = pdc
         .decisions
@@ -165,7 +165,7 @@ fn large_checkpoints_widen_the_margin_instead_of_dying() {
             .memory(2.0)
             .checkpoint(4.0e9), // 80 s to write at 50 MB/s: margin must widen
     ));
-    let w = b.build().expect("valid");
+    let w = b.build();
     let cfg = MashupConfig::aws(2);
     assert!(cfg.plan_context().margin_for(4.0e9) > 30.0);
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
@@ -192,7 +192,7 @@ fn subcluster_split_isolates_concurrent_vm_tasks() {
             .contention(2.0),
     ));
     b.add_task(Task::new("solo", 1, TaskProfile::trivial().compute(100.0)));
-    let w = b.build().expect("valid");
+    let w = b.build();
     let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
     let joint = execute(&MashupConfig::aws(8), &w, &plan, "joint");
     let split = execute(

@@ -46,7 +46,8 @@ pub struct TaskArena {
 
 impl TaskArena {
     /// Builds the arena for `w`. Assumes dependency references are in range
-    /// (validated workflows always are); panics otherwise.
+    /// (checked workflows always are: `CheckedWorkflow` refuses a dangling
+    /// one, M102); panics otherwise.
     pub(crate) fn build(w: &Workflow) -> Self {
         let mut phase_starts = Vec::with_capacity(w.phases.len() + 1);
         let mut acc = 0u32;
@@ -173,7 +174,7 @@ mod tests {
         let e = b.add_task(Task::new("E", 1, TaskProfile::trivial()));
         b.depend(e, c, DependencyPattern::AllToAll);
         b.depend(e, d, DependencyPattern::OneToOne);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

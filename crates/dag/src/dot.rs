@@ -51,7 +51,7 @@ mod tests {
         b.begin_phase();
         let m = b.add_task(Task::new("Map", 4, TaskProfile::trivial()));
         b.depend(m, a, DependencyPattern::FanOutBlocks);
-        let w = b.build().expect("valid");
+        let w = b.build();
         let dot = to_dot(&w);
         assert!(dot.contains("digraph \"demo\""));
         assert!(dot.contains("Split (2)"));

@@ -25,7 +25,6 @@
 //! disjointness rejects overlapping pairs within one call, but the fused
 //! task is itself a candidate on the next [`fusable_pairs`] pass.
 
-use crate::builder::{validate, ValidationError};
 use crate::pattern::DependencyPattern;
 use crate::profile::TaskProfile;
 use crate::workflow::{Phase, Task, TaskRef, Workflow};
@@ -71,9 +70,6 @@ pub enum FusionError {
     },
     /// A task appears in more than one requested pair.
     Overlap(TaskRef),
-    /// The rewritten workflow failed structural validation (e.g. a fused
-    /// name collides with an existing task).
-    Invalid(ValidationError),
 }
 
 impl fmt::Display for FusionError {
@@ -85,7 +81,6 @@ impl fmt::Display for FusionError {
             FusionError::Overlap(r) => {
                 write!(f, "task {r} appears in more than one fusion pair")
             }
-            FusionError::Invalid(e) => write!(f, "fused workflow is invalid: {e}"),
         }
     }
 }
@@ -197,9 +192,9 @@ fn compose_profiles(a: &TaskProfile, c: &TaskProfile) -> TaskProfile {
 /// rewritten workflow. Each fused task sits in its producer's phase slot
 /// under the name `"{producer}+{consumer}"`; consumers of the absorbed task
 /// are rewired to it; phases emptied by the rewrite are dropped and every
-/// surviving reference remapped. The result is re-validated before it is
-/// returned, so a `Workflow` coming out of here is as trustworthy as one
-/// from [`WorkflowBuilder`](crate::WorkflowBuilder).
+/// surviving reference remapped. The result is a new workflow, so a caller
+/// checks it (`CheckedWorkflow`) before planning or running it: a fused
+/// name may collide with an existing task.
 pub fn fuse(w: &Workflow, pairs: &[FusionCandidate]) -> Result<Workflow, FusionError> {
     let mut used: BTreeSet<TaskRef> = BTreeSet::new();
     for &pair in pairs {
@@ -279,9 +274,7 @@ pub fn fuse(w: &Workflow, pairs: &[FusionCandidate]) -> Result<Workflow, FusionE
         })
         .collect();
 
-    let fused = Workflow::new(w.name.clone(), phases, w.initial_input_bytes);
-    validate(&fused).map_err(FusionError::Invalid)?;
-    Ok(fused)
+    Ok(Workflow::new(w.name.clone(), phases, w.initial_input_bytes))
 }
 
 #[cfg(test)]
@@ -313,7 +306,7 @@ mod tests {
         b.begin_phase();
         let d = b.add_task(Task::new("C", 1, TaskProfile::trivial()));
         b.depend(d, c, DependencyPattern::AllToAll);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]
@@ -383,7 +376,7 @@ mod tests {
         b.begin_phase();
         let z = b.add_task(Task::new("C", 2, TaskProfile::trivial()));
         b.depend(z, m, DependencyPattern::OneToOne);
-        let w = b.build().expect("valid");
+        let w = b.build();
         let pairs = fusable_pairs(&w);
         assert_eq!(pairs.len(), 2);
         assert_eq!(fuse(&w, &pairs).unwrap_err(), FusionError::Overlap(m));
@@ -428,7 +421,7 @@ mod tests {
         let b2 = b.add_task(Task::new("B2", 3, TaskProfile::trivial().compute(8.0)));
         b.depend(b1, a1, DependencyPattern::OneToOne);
         b.depend(b2, a2, DependencyPattern::OneToOne);
-        let w = b.build().expect("valid");
+        let w = b.build();
         let pairs = fusable_pairs(&w);
         assert_eq!(pairs.len(), 2);
         let fused = fuse(&w, &pairs).expect("fuses");

@@ -6,7 +6,6 @@
 //! same phase have no mutual dependencies and every dependency points to an
 //! earlier phase.
 
-use crate::builder::{validate, ValidationError};
 use crate::pattern::DependencyPattern;
 use crate::workflow::{Phase, Task, TaskDep, TaskRef, Workflow};
 #[expect(
@@ -44,8 +43,6 @@ pub enum GraphError {
     UnknownTask(String),
     /// The edges form a cycle involving the named task.
     Cycle(String),
-    /// The derived workflow failed structural validation.
-    Invalid(ValidationError),
 }
 
 impl std::fmt::Display for GraphError {
@@ -53,7 +50,6 @@ impl std::fmt::Display for GraphError {
         match self {
             GraphError::UnknownTask(t) => write!(f, "edge references unknown task '{t}'"),
             GraphError::Cycle(t) => write!(f, "dependency cycle involving task '{t}'"),
-            GraphError::Invalid(e) => write!(f, "derived workflow invalid: {e}"),
         }
     }
 }
@@ -77,7 +73,8 @@ pub fn from_task_graph(
 ) -> Result<Workflow, GraphError> {
     let n = tasks.len();
     // Borrow-keyed name index: no String clones. Later entries shadow
-    // earlier duplicates (validation rejects duplicates afterwards).
+    // earlier duplicates; the derived workflow keeps both tasks, and
+    // `CheckedWorkflow` refuses it (M106).
     #[expect(clippy::disallowed_types, reason = "lookup-only, never iterated")]
     let mut index: HashMap<&str, usize> = HashMap::with_capacity(n);
     for (i, t) in tasks.iter().enumerate() {
@@ -192,9 +189,12 @@ pub fn from_task_graph(
         phases[levels[i]].tasks.push(task);
     }
 
+    // Every reference above was made here, so all are in range and the
+    // task index can be built now, off the planner's hot path. The rest of
+    // the structure (component counts, patterns, profiles) is
+    // `CheckedWorkflow`'s to check.
     let workflow = Workflow::new(name, phases, initial_input_bytes);
-    validate(&workflow).map_err(GraphError::Invalid)?;
-    workflow.prewarm_index();
+    workflow.arena();
     Ok(workflow)
 }
 
@@ -275,18 +275,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, GraphError::UnknownTask("Z".into()));
-    }
-
-    #[test]
-    fn pattern_mismatch_surfaces_as_invalid() {
-        let err = from_task_graph(
-            "bad",
-            vec![t("A", 3), t("B", 2)],
-            vec![RawEdge::new("A", "B", DependencyPattern::OneToOne)],
-            0.0,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GraphError::Invalid(_)));
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! rationale. Workflows can be built with [`WorkflowBuilder`], derived from
 //! a raw task graph with [`from_task_graph`], serialized to/from JSON with
 //! [`to_json`]/[`from_json`], and exported to Graphviz with [`to_dot`].
+//!
+//! This crate builds and parses; checking is `CheckedWorkflow`'s. The
+//! structural rules (non-empty phases, named tasks with components, sane
+//! profiles, dependencies on earlier phases with matching patterns) are
+//! the analyzer's M1xx checks, which `mashup_core::CheckedWorkflow` runs
+//! once per workflow, before any planner or executor sees it.
 
 #![warn(missing_docs)]
 
@@ -30,7 +36,7 @@ mod profile;
 mod workflow;
 
 pub use arena::TaskArena;
-pub use builder::{validate, ValidationError, WorkflowBuilder};
+pub use builder::WorkflowBuilder;
 pub use dot::to_dot;
 pub use fusion::{fusable_pairs, fuse, FusionCandidate, FusionError};
 pub use graph::{from_task_graph, GraphError, RawEdge};
@@ -44,11 +50,11 @@ pub fn to_json(w: &Workflow) -> String {
     serde_json::to_string_pretty(w).expect("workflow serialization is infallible")
 }
 
-/// Parses and validates a workflow from JSON.
+/// Parses a workflow from JSON. It parses; checking is
+/// `CheckedWorkflow`'s, so a structurally invalid workflow parses fine and
+/// is refused, with every finding, when it is checked.
 pub fn from_json(json: &str) -> Result<Workflow, String> {
-    let w: Workflow = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    validate(&w).map_err(|e| e.to_string())?;
-    Ok(w)
+    serde_json::from_str(json).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -63,7 +69,7 @@ mod tests {
         b.begin_phase();
         let c = b.add_task(Task::new("B", 1, TaskProfile::trivial()));
         b.depend(c, a, DependencyPattern::AllToAll);
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]
@@ -72,15 +78,6 @@ mod tests {
         let json = to_json(&w);
         let back = from_json(&json).expect("parses");
         assert_eq!(w, back);
-    }
-
-    #[test]
-    fn from_json_rejects_invalid_structure() {
-        let mut w = sample();
-        w.phases[1].tasks[0].deps[0].producer = TaskRef::new(5, 5);
-        let json = serde_json::to_string(&w).expect("serialize");
-        let err = from_json(&json).unwrap_err();
-        assert!(err.contains("nonexistent"), "got: {err}");
     }
 
     #[test]

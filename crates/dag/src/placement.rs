@@ -177,7 +177,7 @@ mod tests {
         b.begin_phase();
         b.add_task(Task::new("A", 2, TaskProfile::trivial()));
         b.add_task(Task::new("B", 3, TaskProfile::trivial()));
-        b.build().expect("valid")
+        b.build()
     }
 
     #[test]

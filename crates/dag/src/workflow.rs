@@ -154,8 +154,8 @@ impl PartialEq for Workflow {
 }
 
 impl Workflow {
-    /// Assembles a workflow from parts (no validation; see
-    /// [`validate`](crate::validate)).
+    /// Assembles a workflow from parts. It checks nothing: checking is
+    /// `CheckedWorkflow`'s (in `mashup-core`).
     pub fn new(name: impl Into<String>, phases: Vec<Phase>, initial_input_bytes: f64) -> Self {
         Workflow {
             name: name.into(),
@@ -171,13 +171,8 @@ impl Workflow {
         self.arena_cache.get_or_init(|| TaskArena::build(self))
     }
 
-    /// Builds the arena index now (the builder calls this so fully-built
-    /// workflows never pay the cost on a hot path).
-    pub(crate) fn prewarm_index(&self) {
-        let _ = self.arena();
-    }
     /// Looks up a task by reference. Panics on an out-of-range reference
-    /// (validated workflows never contain one).
+    /// (checked workflows never contain one).
     pub fn task(&self, r: TaskRef) -> &Task {
         &self.phases[r.phase].tasks[r.task]
     }
@@ -284,7 +279,7 @@ mod tests {
         b.begin_phase();
         let c = b.add_task(Task::new("B", 2, TaskProfile::trivial().compute(3.0)));
         b.depend(c, a, DependencyPattern::FanInBlocks);
-        b.build().expect("valid workflow")
+        b.build()
     }
 
     #[test]
@@ -336,7 +331,7 @@ mod tests {
         let c2 = b.add_task(Task::new("C", 1, TaskProfile::trivial()));
         b.depend(c1, a, DependencyPattern::OneToOne);
         b.depend(c2, a, DependencyPattern::AllToAll);
-        let w = b.build().expect("valid");
+        let w = b.build();
         let cons = w.consumers(TaskRef::new(0, 0));
         assert_eq!(cons.len(), 2);
         assert!(cons.contains(&(c1, DependencyPattern::OneToOne)));
@@ -361,7 +356,7 @@ mod tests {
         let e = b.add_task(Task::new("E", 1, TaskProfile::trivial()));
         b.depend(e, c, DependencyPattern::AllToAll);
         b.depend(e, d, DependencyPattern::OneToOne);
-        let w = b.build().expect("valid");
+        let w = b.build();
         assert_eq!(
             w.consumers(a),
             &[

@@ -165,7 +165,7 @@ pub fn workflow_scaled(scale: f64) -> Workflow {
     ));
     b.depend(pileup, chr21, DependencyPattern::AllToAll);
 
-    b.build().expect("Epigenomics definition is valid")
+    b.build()
 }
 
 #[cfg(test)]

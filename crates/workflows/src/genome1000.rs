@@ -106,7 +106,7 @@ pub fn workflow_scaled(scale: f64) -> Workflow {
         b.depend(consumer, sifting, DependencyPattern::AllToAll);
     }
 
-    b.build().expect("1000Genome definition is valid")
+    b.build()
 }
 
 #[cfg(test)]

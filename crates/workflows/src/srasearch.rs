@@ -101,7 +101,7 @@ pub fn workflow_scaled(scale: f64) -> Workflow {
     ));
     b.depend(merge2, merge1, DependencyPattern::AllToAll);
 
-    b.build().expect("SRAsearch definition is valid")
+    b.build()
 }
 
 #[cfg(test)]

@@ -1,20 +1,19 @@
 //! Property-based tests over the workflow definitions.
 
-use mashup_dag::validate;
 use mashup_workflows::{epigenomics, generate, genome1000, srasearch, SyntheticConfig};
 use proptest::prelude::*;
 
 proptest! {
-    /// The paper workflows stay valid (and keep their structure) under any
-    /// reasonable input scale.
+    /// The paper workflows keep their structure under any reasonable input
+    /// scale (that they pass the checks is `tests/workflow_checks.rs`'s, at
+    /// the repository root, where the analyzer is a dependency).
     #[test]
-    fn scaled_paper_workflows_are_valid(scale in 0.1f64..5.0) {
+    fn scaled_paper_workflows_keep_their_structure(scale in 0.1f64..5.0) {
         for w in [
             genome1000::workflow_scaled(scale),
             srasearch::workflow_scaled(scale),
             epigenomics::workflow_scaled(scale),
         ] {
-            validate(&w).expect("scaled workflow valid");
             prop_assert!(w.component_count() == 2506 || w.component_count() == 404
                 || w.component_count() == 2007);
             // Scaling never changes structure, only magnitudes.
@@ -39,13 +38,12 @@ proptest! {
         }
     }
 
-    /// The synthetic generator's outputs always validate and respect the
-    /// requested shape, for any seed.
+    /// The synthetic generator's outputs respect the requested shape, for
+    /// any seed.
     #[test]
     fn generator_respects_shape(seed in any::<u64>(), phases in 1usize..6) {
         let cfg = SyntheticConfig { phases, ..Default::default() };
         let w = generate(&cfg, seed);
-        validate(&w).expect("generated workflow valid");
         prop_assert_eq!(w.phases.len(), phases);
         for r in w.task_refs() {
             let t = w.task(r);

@@ -1,5 +1,5 @@
 //! Define a workflow in JSON (the format Mashup users would write), load
-//! and validate it, export its DAG to Graphviz, and run it through the
+//! and check it, export its DAG to Graphviz, and run it through the
 //! engine.
 //!
 //! ```text
@@ -13,12 +13,15 @@ use mashup::prelude::*;
 const EMBEDDED: &str = include_str!("protein_screen.json");
 
 fn main() {
-    // 1. Load: from a file if given, else the embedded definition.
+    // 1. Load: from a file if given, else the embedded definition. Parsing
+    // checks nothing; the analyzer checks the workflow once, here, and
+    // every planner and strategy takes the checked workflow.
     let json = std::env::args()
         .nth(1)
         .map(|p| std::fs::read_to_string(&p).expect("readable workflow file"))
         .unwrap_or_else(|| EMBEDDED.to_string());
-    let workflow = mashup::dag::from_json(&json).expect("valid workflow definition");
+    let workflow = mashup::dag::from_json(&json).expect("parseable workflow JSON");
+    let workflow = CheckedWorkflow::new(workflow).unwrap_or_else(|e| panic!("{e}"));
     println!(
         "loaded '{}': {} tasks / {} components / {} phases",
         workflow.name,
@@ -32,8 +35,7 @@ fn main() {
     std::fs::write("/tmp/custom_workflow.dot", &dot).expect("write dot file");
     println!("DAG written to /tmp/custom_workflow.dot (render with graphviz)");
 
-    // 3. Check it once, then run Mashup vs the baselines on a small cluster.
-    let workflow = CheckedWorkflow::new(workflow).expect("the workflow passes the analyzer");
+    // 3. Run Mashup vs the baselines on a small cluster.
     let cfg = MashupConfig::aws(4);
     let outcome = Mashup::new(cfg.clone())
         .run_checked(&workflow)

@@ -35,8 +35,7 @@ fn main() {
     b.depend(merge, extract, DependencyPattern::AllToAll);
     // The static checks run once, here; planners and strategies take the
     // checked workflow instead of checking it again.
-    let workflow = CheckedWorkflow::new(b.build().expect("workflow is valid"))
-        .expect("the workflow passes the analyzer");
+    let workflow = CheckedWorkflow::new(b.build()).expect("the workflow passes the analyzer");
 
     // 2. Pick an environment: 4 r5.large-like nodes + a Lambda-like platform.
     let cfg = MashupConfig::aws(4);

@@ -46,16 +46,16 @@ macro_rules! outln {
     };
 }
 
-/// Loads a built-in workflow by name, or reads the JSON file `spec` and
-/// parses it with `parse`.
-fn load_workflow(spec: &str, parse: fn(&str) -> Result<Workflow, String>) -> Workflow {
+/// Loads a built-in workflow by name, or reads and parses the JSON file
+/// `spec`. Nothing is checked here: `analyze` reports what is wrong with a
+/// workflow, and every other command checks it through [`load_checked`].
+fn load_workflow(spec: &str) -> Workflow {
     match spec {
         "1000Genome" => genome1000::workflow(),
         "SRAsearch" => srasearch::workflow(),
         "Epigenomics" => epigenomics::workflow(),
-        path => {
-            parse(&read(path)).unwrap_or_else(|e| die(&format!("invalid workflow '{path}': {e}")))
-        }
+        path => mashup::dag::from_json(&read(path))
+            .unwrap_or_else(|e| die(&format!("invalid workflow '{path}': {e}"))),
     }
 }
 
@@ -63,17 +63,10 @@ fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read '{path}': {e}")))
 }
 
-/// Parses a workflow without structural validation: reporting what is
-/// wrong with it is `analyze`'s job.
-fn unvalidated(json: &str) -> Result<Workflow, String> {
-    serde_json::from_str(json).map_err(|e| e.to_string())
-}
-
 /// Loads a workflow and checks it once for every pass that plans or runs
 /// it, exiting with the rendered diagnostics on a refusal.
 fn load_checked(spec: &str) -> CheckedWorkflow<'static> {
-    CheckedWorkflow::new(load_workflow(spec, mashup::dag::from_json))
-        .unwrap_or_else(|e| die_diagnosed(&e))
+    CheckedWorkflow::new(load_workflow(spec)).unwrap_or_else(|e| die_diagnosed(&e))
 }
 
 fn die(msg: &str) -> ! {
@@ -229,7 +222,7 @@ fn cli() -> io::Result<()> {
     match cmd.as_str() {
         "validate" => {
             let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
-            let w = load_workflow(&spec, mashup::dag::from_json);
+            let w = load_checked(&spec);
             outln!(
                 "'{}' is valid: {} tasks, {} components, {} phases, peak width {}",
                 w.name,
@@ -241,7 +234,7 @@ fn cli() -> io::Result<()> {
         }
         "dot" => {
             let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
-            let w = load_workflow(&spec, mashup::dag::from_json);
+            let w = load_checked(&spec);
             out!("{}", mashup::dag::to_dot(&w));
         }
         "analyze" => run_analyze(argv)?,
@@ -439,7 +432,7 @@ fn run_analyze(mut argv: std::env::Args) -> io::Result<()> {
         }
     }
     for spec in specs {
-        let w = load_workflow(&spec, unvalidated);
+        let w = load_workflow(&spec);
         targets.push((spec, w));
     }
 

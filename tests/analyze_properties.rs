@@ -94,7 +94,7 @@ fn straddling_workflow(tasks: &[(usize, usize, usize, usize)]) -> Workflow {
             Some(p) => b.depend(t, p, DependencyPattern::AllToAll),
         }
     }
-    b.build().expect("valid")
+    b.build()
 }
 
 proptest! {

@@ -67,6 +67,28 @@ fn analyze_prints_every_finding_and_fails_on_errors() {
     assert!(stdout.contains("M102") && stdout.contains("\"SRAsearch\""));
 }
 
+#[test]
+fn every_command_refuses_a_broken_workflow_with_every_finding() {
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/analyze_fixtures");
+    let bad = format!("{fixtures}/bad_workflow.json");
+    // The analyzer's pretty report of the file, as `analyze` prints it.
+    let golden = std::fs::read_to_string(format!("{fixtures}/golden/bad_workflow.pretty"))
+        .expect("golden exists");
+    for cmd in [
+        "validate", "dot", "plan", "run", "compare", "trace", "pareto", "chaos",
+    ] {
+        let out = mashup().args([cmd, &bad]).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} printed to stdout");
+        assert!(
+            stderr.starts_with("mashup: static analysis refused the input\n"),
+            "{cmd}: {stderr}"
+        );
+        assert!(stderr.contains(&golden), "{cmd}: {stderr}");
+    }
+}
+
 /// Every strategy name the CLI accepts.
 const STRATEGIES: [&str; 6] = [
     "mashup",

@@ -29,7 +29,7 @@ fn workflow(name: &str) -> Workflow {
         .io(1e7, 1e7)
         .jitter(0.2);
     b.add_task(Task::new("wide", 24, profile));
-    b.build().expect("valid")
+    b.build()
 }
 
 #[test]

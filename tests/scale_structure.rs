@@ -7,7 +7,7 @@
 //! raw-graph path must stay O(V + E) at 100k tasks.
 
 use mashup_bench::scale::{self, Shape};
-use mashup_core::Fingerprint;
+use mashup_core::{CheckedWorkflow, Fingerprint};
 use mashup_dag::{
     from_task_graph, DependencyPattern, RawEdge, Task, TaskProfile, Workflow, WorkflowBuilder,
 };
@@ -45,7 +45,7 @@ fn layered_workflow() -> impl Strategy<Value = Workflow> {
                 }
                 prev = current;
             }
-            b.build().expect("layered construction is always valid")
+            b.build()
         })
 }
 
@@ -77,6 +77,7 @@ proptest! {
     #[test]
     fn raw_graph_rebuild_is_structurally_identical(w in layered_workflow()) {
         let rebuilt = rebuild_via_raw_graph(&w);
+        CheckedWorkflow::borrowed(&rebuilt).expect("a layered rebuild passes the checks");
 
         // Phases and dependency lists (Task includes deps in its equality).
         prop_assert_eq!(&rebuilt, &w);
