@@ -433,19 +433,6 @@ fn sweep(metric: &str, score: impl Fn(&WorkflowReport, &WorkflowReport) -> f64) 
 }
 
 impl SweepResult {
-    /// Mean improvement per workflow.
-    pub fn averages(&self) -> Vec<(String, f64)> {
-        self.series
-            .iter()
-            .map(|(name, pts)| {
-                (
-                    name.clone(),
-                    pts.iter().sum::<f64>() / pts.len().max(1) as f64,
-                )
-            })
-            .collect()
-    }
-
     /// Renders the paper-style table.
     pub fn render(&self) -> String {
         let mut header = vec!["workflow".to_string()];
@@ -1454,7 +1441,6 @@ mod tests {
             sizes: vec![2, 4],
             series: vec![("w".into(), vec![10.0, 30.0])],
         };
-        assert_eq!(s.averages(), vec![("w".to_string(), 20.0)]);
         let rendered = s.render();
         assert!(rendered.contains("2n"));
         assert!(rendered.contains("20.0%"));

@@ -1,13 +1,10 @@
-//! Mashup engine configuration and the simulated cloud environment.
+//! Mashup engine configuration: the simulated cloud a run builds, and the
+//! per-task serverless memory sizing.
 
-use crate::exec::Execution;
 use mashup_analyze::PlanContext;
-use mashup_cloud::{
-    Cloud, CloudEvent, CloudWorld, ClusterConfig, ClusterRunStats, FaasConfig, FaasPlatform,
-    FaasRunStats, InstanceType, ProviderPreset,
-};
+use mashup_cloud::{Cloud, CloudWorld, ClusterConfig, FaasConfig, InstanceType, ProviderPreset};
 use mashup_dag::Workflow;
-use mashup_sim::{Model, SeedSource, SimTime, Simulation, Tracer};
+use mashup_sim::{SeedSource, Simulation};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -124,6 +121,22 @@ impl MashupConfig {
         }
     }
 
+    /// The engine, cloud and seed source of a fresh run of world `W`: the
+    /// services this config describes, their stochastic streams derived
+    /// from its seed. Each run builds its own, so runs never share state.
+    pub(crate) fn new_cloud<W: CloudWorld>(&self) -> (Simulation<W>, Cloud<W>, SeedSource) {
+        let seeds = SeedSource::new(self.seed);
+        let mut sim = Simulation::new();
+        let cloud = Cloud::new(
+            &mut sim,
+            self.cluster.clone(),
+            self.provider.faas.clone(),
+            self.provider.storage.clone(),
+            &seeds,
+        );
+        (sim, cloud, seeds)
+    }
+
     /// Derives the FaaS configuration for a `gb` memory tier from the
     /// provider's base function size, following the ICPS-style scaling the
     /// major providers use: price per function-hour grows linearly with
@@ -197,183 +210,6 @@ impl Sizing {
     }
 }
 
-/// A run's world: the cloud it simulates plus the state of whatever drives
-/// it — the executor, a profiling batch, a baseline manager. Events reach
-/// both through the `&mut World` the engine lends them.
-pub struct World<D: Driver> {
-    /// The cloud services.
-    pub cloud: Cloud<World<D>>,
-    /// Seed source for executors.
-    pub seeds: SeedSource,
-    /// The driver's state.
-    pub driver: D,
-}
-
-/// What drives a [`World`]: its own events, and the runs it starts on the
-/// cloud, which report back with the tag it chose.
-pub trait Driver: Sized + Send {
-    /// The driver's own events (phase starts, batch starts, store uploads).
-    type Event: Send;
-
-    /// What the driver attaches to each cluster run it starts.
-    type ClusterTag: Send;
-
-    /// What the driver attaches to each FaaS run it starts.
-    type FaasTag: Send;
-
-    /// Runs one of the driver's events.
-    fn handle(w: &mut World<Self>, sim: &mut Simulation<World<Self>>, event: Self::Event);
-
-    /// The cluster run started with `tag` finished.
-    fn cluster_done(
-        w: &mut World<Self>,
-        sim: &mut Simulation<World<Self>>,
-        tag: Self::ClusterTag,
-        stats: ClusterRunStats,
-    );
-
-    /// The FaaS run started with `tag` finished.
-    fn faas_done(
-        w: &mut World<Self>,
-        sim: &mut Simulation<World<Self>>,
-        tag: Self::FaasTag,
-        stats: FaasRunStats,
-    );
-}
-
-/// An event of a [`World`]: the cloud's or the driver's.
-pub enum WorldEvent<E> {
-    /// A cloud service event.
-    Cloud(CloudEvent),
-    /// A driver event.
-    Driver(E),
-}
-
-impl<E> From<CloudEvent> for WorldEvent<E> {
-    fn from(e: CloudEvent) -> Self {
-        WorldEvent::Cloud(e)
-    }
-}
-
-impl<D: Driver> Model for World<D> {
-    type Event = WorldEvent<D::Event>;
-
-    fn handle(&mut self, event: Self::Event, sim: &mut Simulation<Self>) {
-        match event {
-            WorldEvent::Cloud(e) => e.dispatch(self, sim),
-            WorldEvent::Driver(e) => D::handle(self, sim, e),
-        }
-    }
-}
-
-impl<D: Driver> CloudWorld for World<D> {
-    type ClusterTag = D::ClusterTag;
-    type FaasTag = D::FaasTag;
-
-    fn cloud(&mut self) -> &mut Cloud<Self> {
-        &mut self.cloud
-    }
-
-    fn cluster_done(
-        &mut self,
-        sim: &mut Simulation<Self>,
-        tag: D::ClusterTag,
-        stats: ClusterRunStats,
-    ) {
-        D::cluster_done(self, sim, tag, stats)
-    }
-
-    fn faas_done(&mut self, sim: &mut Simulation<Self>, tag: D::FaasTag, stats: FaasRunStats) {
-        D::faas_done(self, sim, tag, stats)
-    }
-}
-
-/// One instantiated simulated environment: the engine and the world it
-/// drives. Each workflow execution gets a fresh environment so runs never
-/// contaminate each other. [`CloudEnv::new`] builds one for the executor.
-pub struct CloudEnv<D: Driver> {
-    /// The discrete-event engine.
-    pub sim: Simulation<World<D>>,
-    /// The world it drives.
-    pub world: World<D>,
-}
-
-impl CloudEnv<Option<Execution<'_>>> {
-    /// Builds a fresh environment from `cfg`.
-    pub fn new(cfg: &MashupConfig) -> Self {
-        Self::with_driver(cfg, 0, None)
-    }
-
-    /// Builds an environment whose stochastic streams differ from the
-    /// default (used for honest PDC profiling: the profiling run must not
-    /// share jitter draws with the production run).
-    pub fn with_seed_offset(cfg: &MashupConfig, offset: u64) -> Self {
-        Self::with_driver(cfg, offset, None)
-    }
-}
-
-impl<D: Driver> CloudEnv<D> {
-    /// Builds an environment from `cfg` with its seed shifted by
-    /// `seed_offset`, driven by `driver`.
-    pub fn with_driver(cfg: &MashupConfig, seed_offset: u64, driver: D) -> Self {
-        let seeds = SeedSource::new(cfg.seed.wrapping_add(seed_offset));
-        let mut sim = Simulation::new();
-        let cloud = Cloud::new(
-            &mut sim,
-            cfg.cluster.clone(),
-            cfg.provider.faas.clone(),
-            cfg.provider.storage.clone(),
-            &seeds,
-        );
-        CloudEnv {
-            sim,
-            world: World {
-                cloud,
-                seeds,
-                driver,
-            },
-        }
-    }
-
-    /// Builds the extra per-tier FaaS platforms a sized run needs, one per
-    /// distinct non-base tier in `sizing`. Each platform derives its
-    /// stochastic streams from a tier-labelled seed child, charges the
-    /// world's meter, and maintains its own warm pools (a 2 GB function
-    /// cannot reuse a 0.5 GB microVM). Call before
-    /// [`attach_tracer`](CloudEnv::attach_tracer) so tier platforms are
-    /// traced too.
-    pub fn provision_tiers(&mut self, cfg: &MashupConfig, sizing: &Sizing) {
-        let base = tier_key(cfg.provider.faas.memory_gb);
-        for gb in sizing.distinct_tiers() {
-            let key = tier_key(gb);
-            if key != base {
-                let seeds = self.world.seeds.child(&format!("faas-tier-{key}"));
-                self.world.cloud.add_tier(key, cfg.faas_tier(gb), &seeds);
-            }
-        }
-    }
-
-    /// The FaaS platform serving a memory tier: the base platform for the
-    /// base tier (or any tier never provisioned), else the tier's own.
-    pub fn faas_for(&self, gb: f64) -> &FaasPlatform {
-        self.world.cloud.platform(Some(tier_key(gb)))
-    }
-
-    /// Attaches one flight recorder to every mechanism in the environment
-    /// (engine and links, cluster, platforms, store). Emission never
-    /// touches simulated state, so a traced run is byte-identical to an
-    /// untraced one.
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.world.cloud.set_tracer(&tracer);
-        self.sim.set_tracer(tracer);
-    }
-
-    /// Runs the world until no event remains; returns the final instant.
-    pub fn run(&mut self) -> SimTime {
-        self.sim.run(&mut self.world)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,15 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn env_construction_is_self_consistent() {
-        let cfg = MashupConfig::aws(8);
-        let env = CloudEnv::new(&cfg);
-        assert_eq!(env.world.cloud.cluster.config().nodes, 8);
-        assert_eq!(env.world.cloud.faas.config().timeout_secs, 900.0);
-        assert_eq!(env.sim.now().as_secs(), 0.0);
-    }
-
-    #[test]
     fn tier_scaling_follows_price_linear_speed_sqrt() {
         let cfg = MashupConfig::aws(4);
         let base = &cfg.provider.faas;
@@ -433,41 +260,6 @@ mod tests {
         // Non-scaled constants stay put.
         assert_eq!(big.per_function_bps, base.per_function_bps);
         assert_eq!(big.timeout_secs, base.timeout_secs);
-    }
-
-    #[test]
-    fn sizing_and_tier_platforms() {
-        use mashup_dag::{Task, TaskProfile, WorkflowBuilder};
-        let cfg = MashupConfig::aws(4);
-        let mut b = WorkflowBuilder::new("w");
-        b.begin_phase();
-        b.add_task(Task::new("A", 2, TaskProfile::trivial()));
-        b.add_task(Task::new("B", 2, TaskProfile::trivial()));
-        let w = b.build();
-        let base = Sizing::base(&cfg, &w);
-        assert!(base.is_base(&cfg));
-        assert_eq!(base.distinct_tiers(), vec![cfg.provider.faas.memory_gb]);
-        let mixed = Sizing {
-            tiers_gb: vec![0.5, cfg.provider.faas.memory_gb],
-        };
-        assert!(!mixed.is_base(&cfg));
-        assert_eq!(
-            mixed.distinct_tiers(),
-            vec![0.5, cfg.provider.faas.memory_gb]
-        );
-        let mut env = CloudEnv::new(&cfg);
-        env.provision_tiers(&cfg, &mixed);
-        // The base tier resolves to the base platform; 0.5 GB gets its own.
-        assert_eq!(
-            env.faas_for(cfg.provider.faas.memory_gb).config().memory_gb,
-            cfg.provider.faas.memory_gb
-        );
-        assert_eq!(env.faas_for(0.5).config().memory_gb, 0.5);
-        // An unprovisioned tier falls back to the base platform.
-        assert_eq!(
-            env.faas_for(2.0).config().memory_gb,
-            cfg.provider.faas.memory_gb
-        );
     }
 
     #[test]

@@ -19,20 +19,17 @@
 
 use crate::analysis::CheckedWorkflow;
 use crate::chaos::ChaosSpec;
-use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent};
+use crate::config::{tier_key, MashupConfig, Sizing};
 use crate::pdc::{load_ratio, Pdc, PdcReport};
 use crate::report::{TaskReport, WorkflowReport};
 use mashup_analyze::AnalysisError;
 use mashup_cloud::{
-    run_task_on_faas, ClusterRunStats, ClusterTaskSpec, FaasRunStats, FaasTaskSpec, ObjectKey,
-    VmCluster,
+    run_task_on_faas, Cloud, CloudEvent, CloudWorld, ClusterRunStats, ClusterTaskSpec,
+    FaasRunStats, FaasTaskSpec, ObjectKey, VmCluster,
 };
 use mashup_dag::{PlacementPlan, Platform, TaskRef, Workflow};
-use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
+use mashup_sim::{Model, SeedSource, SimTime, Simulation, TraceEvent, Tracer};
 use std::ops::Range;
-
-/// The executor's world over a workflow borrowed for `'w`.
-type W<'w> = World<Option<Execution<'w>>>;
 
 /// When the executor starts a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,10 +74,34 @@ fn output_locations(w: &Workflow, plan: &PlacementPlan) -> Vec<OutputLocation> {
     locs
 }
 
+/// The world of one execution: its cloud, the seed source its FaaS runs
+/// draw from, the executor's state over a workflow borrowed for `'w`, and
+/// the chaos controller when one is on. [`ExecWorld::new`] builds it whole
+/// from the run's inputs, so every event finds the executor's state.
+struct ExecWorld<'w> {
+    cloud: Cloud<ExecWorld<'w>>,
+    seeds: SeedSource,
+    exec: Execution<'w>,
+    /// Online replanning controller; `None` unless the config's chaos spec
+    /// turns `adaptive` on. It sits beside `exec`, so a replan borrows both.
+    chaos: Option<ChaosCtx>,
+}
+
+/// The executor's engine.
+type Sim<'w> = Simulation<ExecWorld<'w>>;
+
+// The planning service and the figure sweep move whole runs onto worker
+// threads: a reintroduced `Rc` or `RefCell` anywhere in a run's state
+// fails the build here.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Sim<'static>>();
+    assert_send::<ExecWorld<'static>>();
+};
+
 /// The executor's state during a run: the plan it follows, where each
-/// output lives, and the reports of finished tasks. It is the driver of
-/// the executor's [`World`] (see [`CloudEnv`]).
-pub struct Execution<'w> {
+/// output lives, and the reports of finished tasks.
+struct Execution<'w> {
     cfg: MashupConfig,
     /// The caller's workflow.
     workflow: &'w CheckedWorkflow<'w>,
@@ -117,9 +138,6 @@ pub struct Execution<'w> {
     /// index its [`ExecEvent::Uploaded`] carries.
     migrations: Vec<(ObjectKey, f64)>,
     finished_at: Option<SimTime>,
-    /// Online replanning controller; `None` unless the config's chaos spec
-    /// turns `adaptive` on.
-    chaos: Option<ChaosCtx>,
 }
 
 /// Phase-boundary replanning state. The controller consumes only the flight
@@ -132,8 +150,7 @@ struct ChaosCtx {
     /// Node capacity the active plan assumes; updated after each replan.
     planned_nodes: usize,
     /// Baseline PDC report for [`Pdc::replan_capacity`], computed on first
-    /// trigger (a full `decide` over the chaos-stripped config in its own
-    /// profiling environments — invisible to the production run's streams).
+    /// trigger (see [`ensure_baseline`]).
     baseline: Option<PdcReport>,
     /// When the currently-running phase started.
     phase_started: SimTime,
@@ -162,13 +179,10 @@ impl Execution<'_> {
     }
 }
 
-/// The executor state of a world mid-run.
-fn exec<'a, 'w>(w: &'a mut W<'w>) -> &'a mut Execution<'w> {
-    w.driver.as_mut().expect("executor state installed")
-}
-
-/// The executor's own events.
-pub enum ExecEvent {
+/// An event of the executor's world: the cloud's, or the executor's own.
+enum ExecEvent {
+    /// A cloud service event.
+    Cloud(CloudEvent),
     /// The run's first event: phase 0 starts, or under
     /// [`Release::Dataflow`] every task without producers. Later phases
     /// start inline at the barrier, or when a replan's migrations land;
@@ -184,42 +198,158 @@ pub enum ExecEvent {
     },
 }
 
-/// The executor drives its world by its release rule; its runs are tagged
-/// with the task they execute.
-impl<'w> Driver for Option<Execution<'w>> {
-    type Event = ExecEvent;
-    type ClusterTag = TaskRef;
-    type FaasTag = TaskRef;
+impl From<CloudEvent> for ExecEvent {
+    fn from(e: CloudEvent) -> Self {
+        ExecEvent::Cloud(e)
+    }
+}
 
-    fn handle(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, event: ExecEvent) {
+impl<'w> ExecWorld<'w> {
+    /// Builds the world of one run of `workflow` under `plan`, in the order
+    /// the trace relies on: the cloud `cfg` describes, one FaaS platform per
+    /// non-base tier of `sizing`, `tracer` on every mechanism, the config's
+    /// fault plan, then billing and the staged initial dataset. The run's
+    /// first event is scheduled on the returned engine.
+    fn new(
+        cfg: &MashupConfig,
+        workflow: &'w CheckedWorkflow,
+        plan: &PlacementPlan,
+        sizing: Option<&Sizing>,
+        release: Release,
+        phases: Range<usize>,
+        tracer: &Tracer,
+    ) -> (Sim<'w>, Self) {
+        debug_assert!(release == Release::PhaseBarrier || phases == (0..workflow.phases.len()));
+        let tasks = workflow.phases[phases.clone()]
+            .iter()
+            .map(|p| p.tasks.len())
+            .sum();
+        let (remaining, waiting) = match release {
+            Release::PhaseBarrier => (0, Vec::new()),
+            Release::Dataflow => {
+                let arena = workflow.arena();
+                let producers = (0..arena.task_count()).map(|f| arena.producers(f).len() as u32);
+                (arena.task_count(), producers.collect())
+            }
+        };
+        let exec = Execution {
+            cfg: cfg.clone(),
+            workflow,
+            plan: plan.clone(),
+            sizing: sizing.cloned(),
+            release,
+            phases,
+            locations: output_locations(workflow, plan),
+            tracer: tracer.clone(),
+            reports: Vec::with_capacity(tasks),
+            completed: Vec::with_capacity(tasks),
+            remaining,
+            waiting,
+            next_sub: 0,
+            pending_uploads: 0,
+            migrations: Vec::new(),
+            finished_at: None,
+        };
+        let chaos = cfg.chaos.as_ref().filter(|c| c.adaptive).map(|c| ChaosCtx {
+            spec: c.clone(),
+            planned_nodes: cfg.cluster.nodes,
+            baseline: None,
+            phase_started: SimTime::ZERO,
+            uploaded: std::collections::BTreeSet::new(),
+        });
+        let (mut sim, cloud, seeds) = cfg.new_cloud();
+        let mut w = ExecWorld {
+            cloud,
+            seeds,
+            exec,
+            chaos,
+        };
+
+        // A sized run gets a FaaS platform per distinct non-base tier. Each
+        // derives its stochastic streams from a tier-labelled seed child,
+        // charges the world's meter, and keeps its own warm pools (a 2 GB
+        // function cannot reuse a 0.5 GB microVM).
+        if let Some(sizing) = sizing {
+            let base = tier_key(cfg.provider.faas.memory_gb);
+            for gb in sizing.distinct_tiers() {
+                let key = tier_key(gb);
+                if key != base {
+                    let seeds = w.seeds.child(&format!("faas-tier-{key}"));
+                    w.cloud.add_tier(key, cfg.faas_tier(gb), &seeds);
+                }
+            }
+        }
+
+        // One flight recorder on every mechanism, tier platforms included.
+        // Emission never touches simulated state, so a traced run is
+        // byte-identical to an untraced one.
+        w.cloud.set_tracer(tracer);
+        sim.set_tracer(tracer.clone());
+
+        // Install the seeded fault schedule before billing starts: spot pools
+        // must wrap the whole billing window for piecewise settlement.
+        if let Some(chaos) = cfg.chaos.as_ref().filter(|c| !c.plan.is_empty()) {
+            chaos.plan.install(&mut sim, &mut w.cloud);
+        }
+
+        let now = sim.now();
+        let cloud = &mut w.cloud;
+        if plan.uses_cluster() {
+            cloud.cluster.start_billing(now);
+        }
+        if plan.uses_serverless() {
+            // Stage the initial dataset in the store so stateless initial tasks
+            // can read it; its occupancy is billed for the run's duration.
+            cloud.store.register_object(
+                &mut cloud.meter,
+                now,
+                ObjectKey::Input,
+                workflow.initial_input_bytes,
+                workflow,
+            );
+        }
+        sim.schedule_now(ExecEvent::Start);
+        (sim, w)
+    }
+}
+
+impl<'w> Model for ExecWorld<'w> {
+    type Event = ExecEvent;
+
+    fn handle(&mut self, event: ExecEvent, sim: &mut Sim<'w>) {
         match event {
-            ExecEvent::Start => match exec(w).release {
+            ExecEvent::Cloud(e) => e.dispatch(self, sim),
+            ExecEvent::Start => match self.exec.release {
                 Release::PhaseBarrier => {
-                    let first = exec(w).phases.start;
-                    run_phase(w, sim, first)
+                    let first = self.exec.phases.start;
+                    run_phase(self, sim, first)
                 }
                 Release::Dataflow => {
-                    let wf = exec(w).workflow;
+                    let wf = self.exec.workflow;
                     for r in wf.task_refs().filter(|&r| wf.task(r).deps.is_empty()) {
-                        spawn(w, sim, r);
+                        spawn(self, sim, r);
                     }
                 }
             },
-            ExecEvent::Uploaded { index, phase } => migration_landed(w, sim, index, phase),
+            ExecEvent::Uploaded { index, phase } => migration_landed(self, sim, index, phase),
         }
+    }
+}
+
+/// The executor's runs are tagged with the task they execute.
+impl<'w> CloudWorld for ExecWorld<'w> {
+    type ClusterTag = TaskRef;
+    type FaasTag = TaskRef;
+
+    fn cloud(&mut self) -> &mut Cloud<Self> {
+        &mut self.cloud
     }
 
     /// A cluster task finished: register its output in the store when it
     /// goes there. Its output location is the one it started with: replans
     /// rewrite only phases that have not started.
-    fn cluster_done(
-        w: &mut W<'w>,
-        sim: &mut Simulation<W<'w>>,
-        r: TaskRef,
-        stats: ClusterRunStats,
-    ) {
-        let World { cloud, driver, .. } = &mut *w;
-        let d = driver.as_ref().expect("executor state installed");
+    fn cluster_done(&mut self, sim: &mut Sim<'w>, r: TaskRef, stats: ClusterRunStats) {
+        let ExecWorld { cloud, exec: d, .. } = &mut *self;
         let t = d.workflow.task(r);
         if d.location(r) == OutputLocation::Store {
             cloud.store.register_object(
@@ -245,13 +375,13 @@ impl<'w> Driver for Option<Execution<'w>> {
             n_cold: 0,
             n_warm: 0,
         };
-        finish_task(w, sim, r, report);
+        finish_task(self, sim, r, report);
     }
 
     /// A serverless task finished: register its output in the store.
-    fn faas_done(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, stats: FaasRunStats) {
-        let World { cloud, driver, .. } = &mut *w;
-        let wf = driver.as_ref().expect("executor state installed").workflow;
+    fn faas_done(&mut self, sim: &mut Sim<'w>, r: TaskRef, stats: FaasRunStats) {
+        let ExecWorld { cloud, exec: d, .. } = &mut *self;
+        let wf = d.workflow;
         let t = wf.task(r);
         // Serverless outputs always live in the store.
         cloud.store.register_object(
@@ -276,16 +406,16 @@ impl<'w> Driver for Option<Execution<'w>> {
             n_cold: stats.n_cold,
             n_warm: stats.n_warm,
         };
-        finish_task(w, sim, r, report);
+        finish_task(self, sim, r, report);
     }
 }
 
-/// Executes `workflow` under `plan` in a fresh environment built from
-/// `cfg`, releasing tasks by `release`, and returns the full report.
-/// `strategy` labels the report.
+/// Executes `workflow` under `plan` in a fresh world built from `cfg`,
+/// releasing tasks by `release`, and returns the full report. `strategy`
+/// labels the report.
 ///
 /// Checks `cfg` (M3xx) and `plan` (M2xx) first and refuses error-diagnosed
-/// inputs with a typed [`AnalysisError`] before any environment is built.
+/// inputs with a typed [`AnalysisError`] before any world is built.
 ///
 /// With a `sizing`, each serverless task runs on the memory tier it assigns
 /// (see [`Sizing`]) and is checked against that tier's function:
@@ -305,36 +435,9 @@ pub fn execute(
     tracer: &Tracer,
 ) -> Result<WorkflowReport, AnalysisError> {
     workflow.check(cfg, Some(plan), sizing)?;
-    let mut env = CloudEnv::new(cfg);
-    if let Some(sizing) = sizing {
-        env.provision_tiers(cfg, sizing);
-    }
-    env.attach_tracer(tracer.clone());
     let phases = 0..workflow.phases.len();
     let (report, completed) =
-        execute_in_unchecked(&mut env, cfg, workflow, plan, sizing, release, phases);
-    Ok(named(report, strategy, &completed, workflow))
-}
-
-/// [`execute`], unsized and phase by phase, in a caller-provided
-/// environment (tests inject failure-laden stores through it).
-pub fn execute_in<'w>(
-    env: &mut CloudEnv<Option<Execution<'w>>>,
-    cfg: &MashupConfig,
-    workflow: &'w CheckedWorkflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-) -> Result<WorkflowReport, AnalysisError> {
-    workflow.check(cfg, Some(plan), None)?;
-    let (report, completed) = execute_in_unchecked(
-        env,
-        cfg,
-        workflow,
-        plan,
-        None,
-        Release::PhaseBarrier,
-        0..workflow.phases.len(),
-    );
+        execute_in_unchecked(cfg, workflow, plan, sizing, release, phases, tracer);
     Ok(named(report, strategy, &completed, workflow))
 }
 
@@ -376,105 +479,40 @@ pub fn try_execute(
     )
 }
 
-/// The executor proper. Callers arrive with a [`CheckedWorkflow`] and a
-/// plan they checked, so the plan covers the workflow (M201), every
-/// serverless task fits its function's memory cap (M203) and the
-/// checkpoint-chaining window (M202), and every profile field is finite and
-/// in range (M105). The run borrows `workflow`, and takes flat ids from its
-/// arena.
+/// The executor proper: builds the run's world ([`ExecWorld::new`]) and
+/// runs it to the end. Callers arrive with a [`CheckedWorkflow`] and a plan
+/// they checked, so the plan covers the workflow (M201), every serverless
+/// task fits its function's memory cap (M203) and the checkpoint-chaining
+/// window (M202), and every profile field is finite and in range (M105).
+/// The run borrows `workflow`, and takes flat ids from its arena.
 ///
 /// Under [`Release::PhaseBarrier`] the run executes `phases`, from the
-/// first phase's start at the environment's clock to the last one's end;
-/// a scoped profiling pass runs one phase on an idle cluster, the state a
-/// full run reaches at that phase's barrier. Every other caller, and every
+/// first phase's start at t = 0 to the last one's end; a scoped profiling
+/// pass runs one phase on an idle cluster, the state a full run reaches at
+/// that phase's barrier. Every other caller, and every
 /// [`Release::Dataflow`] run, passes all of them.
 ///
 /// Returns the report, unlabelled and its task reports unnamed (see
 /// [`named`]), and, for each entry of its `tasks`, the task it describes.
-pub(crate) fn execute_in_unchecked<'w>(
-    env: &mut CloudEnv<Option<Execution<'w>>>,
+pub(crate) fn execute_in_unchecked(
     cfg: &MashupConfig,
-    workflow: &'w CheckedWorkflow,
+    workflow: &CheckedWorkflow,
     plan: &PlacementPlan,
     sizing: Option<&Sizing>,
     release: Release,
     phases: Range<usize>,
+    tracer: &Tracer,
 ) -> (WorkflowReport, Vec<TaskRef>) {
-    debug_assert!(release == Release::PhaseBarrier || phases == (0..workflow.phases.len()));
-    let tasks = workflow.phases[phases.clone()]
-        .iter()
-        .map(|p| p.tasks.len())
-        .sum();
-    let locations = output_locations(workflow, plan);
-    let (remaining, waiting) = match release {
-        Release::PhaseBarrier => (0, Vec::new()),
-        Release::Dataflow => {
-            let arena = workflow.arena();
-            let producers = (0..arena.task_count()).map(|f| arena.producers(f).len() as u32);
-            (arena.task_count(), producers.collect())
-        }
-    };
+    let (mut sim, mut w) = ExecWorld::new(cfg, workflow, plan, sizing, release, phases, tracer);
+    sim.run(&mut w);
 
-    // Install the seeded fault schedule before billing starts: spot pools
-    // must wrap the whole billing window for piecewise settlement.
-    if let Some(chaos) = cfg.chaos.as_ref() {
-        if !chaos.plan.is_empty() {
-            chaos.plan.install(&mut env.sim, &mut env.world.cloud);
-        }
-    }
-
-    let now = env.sim.now();
-    let cloud = &mut env.world.cloud;
-    if plan.uses_cluster() {
-        cloud.cluster.start_billing(now);
-    }
-    if plan.uses_serverless() {
-        // Stage the initial dataset in the store so stateless initial tasks
-        // can read it; its occupancy is billed for the run's duration.
-        cloud.store.register_object(
-            &mut cloud.meter,
-            now,
-            ObjectKey::Input,
-            workflow.initial_input_bytes,
-            workflow,
-        );
-    }
-
-    env.world.driver = Some(Execution {
-        cfg: cfg.clone(),
-        workflow,
-        plan: plan.clone(),
-        sizing: sizing.cloned(),
-        release,
-        phases,
-        locations,
-        tracer: env.sim.tracer().clone(),
-        reports: Vec::with_capacity(tasks),
-        completed: Vec::with_capacity(tasks),
-        remaining,
-        waiting,
-        next_sub: 0,
-        pending_uploads: 0,
-        migrations: Vec::new(),
-        finished_at: None,
-        chaos: cfg.chaos.as_ref().filter(|c| c.adaptive).map(|c| ChaosCtx {
-            spec: c.clone(),
-            planned_nodes: cfg.cluster.nodes,
-            baseline: None,
-            phase_started: SimTime::ZERO,
-            uploaded: std::collections::BTreeSet::new(),
-        }),
-    });
-
-    env.sim.schedule_now(WorldEvent::Driver(ExecEvent::Start));
-    env.run();
-
-    let d = env.world.driver.take().expect("executor state installed");
+    let ExecWorld {
+        mut cloud, exec: d, ..
+    } = w;
     let finished_at = d.finished_at.expect("workflow execution completed");
     // A replan can add or shed cluster usage mid-run; billing must close if
     // it was ever opened, and the report carries the plan that actually ran.
     let used_cluster = plan.uses_cluster() || d.plan.uses_cluster();
-    let cloud = &mut env.world.cloud;
     if used_cluster {
         cloud.cluster.stop_billing(&mut cloud.meter, finished_at);
     }
@@ -482,7 +520,6 @@ pub(crate) fn execute_in_unchecked<'w>(
         .store
         .finalize(&mut cloud.meter, finished_at, workflow);
 
-    let (tasks, completed) = (d.reports, d.completed);
     let report = WorkflowReport {
         workflow: workflow.name.clone(),
         strategy: String::new(),
@@ -490,13 +527,13 @@ pub(crate) fn execute_in_unchecked<'w>(
         makespan_secs: finished_at.as_secs(),
         expense: cloud.meter.expense(cfg.provider.storage.price_per_gb_month),
         plan: d.plan,
-        tasks,
+        tasks: d.reports,
     };
-    (report, completed)
+    (report, d.completed)
 }
 
-fn run_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
-    let d = exec(w);
+fn run_phase<'w>(w: &mut ExecWorld<'w>, sim: &mut Sim<'w>, phase_idx: usize) {
+    let d = &mut w.exec;
     if phase_idx >= d.phases.end {
         d.finished_at = Some(sim.now());
         return;
@@ -504,7 +541,7 @@ fn run_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
     let n_tasks = d.workflow.phases[phase_idx].tasks.len();
     d.remaining = n_tasks;
     d.next_sub = 0;
-    if let Some(ctx) = d.chaos.as_mut() {
+    if let Some(ctx) = w.chaos.as_mut() {
         ctx.phase_started = sim.now();
     }
     d.tracer.emit(
@@ -523,8 +560,8 @@ fn run_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
 
 /// Starts task `r` on its platform. A VM task takes the next sub-cluster
 /// of the round robin.
-fn spawn<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef) {
-    let d = exec(w);
+fn spawn<'w>(w: &mut ExecWorld<'w>, sim: &mut Sim<'w>, r: TaskRef) {
+    let d = &mut w.exec;
     // Full coverage is guaranteed by diagnostic M201.
     match d.plan.platform(r).expect("plan covers workflow") {
         Platform::Serverless => spawn_serverless(w, sim, r),
@@ -536,12 +573,11 @@ fn spawn<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef) {
     }
 }
 
-fn prewarm_next_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, phase_idx: usize) {
+fn prewarm_next_phase<'w>(w: &mut ExecWorld<'w>, sim: &mut Sim<'w>, phase_idx: usize) {
     // Pre-warming targets each task's own platform: warm pools live per
     // tier (a 0.5 GB microVM cannot serve a 2 GB function), so both the
     // burst threshold and the warm-up go to the tier's platform.
-    let World { cloud, driver, .. } = w;
-    let d = driver.as_ref().expect("executor state installed");
+    let ExecWorld { cloud, exec: d, .. } = w;
     if !d.cfg.prewarm || phase_idx + 1 >= d.phases.end {
         return;
     }
@@ -576,13 +612,13 @@ fn input_requests(w: &Workflow, r: TaskRef) -> u64 {
         .max(1)
 }
 
-fn spawn_serverless<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef) {
-    let World {
+fn spawn_serverless<'w>(w: &mut ExecWorld<'w>, sim: &mut Sim<'w>, r: TaskRef) {
+    let ExecWorld {
         cloud,
         seeds,
-        driver,
+        exec: d,
+        ..
     } = w;
-    let d = driver.as_ref().expect("executor state installed");
     let wf = d.workflow;
     let t = wf.task(r);
     // Statelessness sanity check: everything this task reads must
@@ -613,9 +649,8 @@ fn spawn_serverless<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef) 
     run_task_on_faas(w, sim, tier, spec, &seeds, r);
 }
 
-fn spawn_on_cluster<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, subcluster: usize) {
-    let World { cloud, driver, .. } = w;
-    let d = driver.as_ref().expect("executor state installed");
+fn spawn_on_cluster<'w>(w: &mut ExecWorld<'w>, sim: &mut Sim<'w>, r: TaskRef, subcluster: usize) {
+    let ExecWorld { cloud, exec: d, .. } = w;
     let wf = d.workflow;
     let t = wf.task(r);
     let to_store = d.location(r) == OutputLocation::Store;
@@ -670,8 +705,8 @@ fn trace_task_start(d: &Execution, now: SimTime, r: TaskRef, platform: &str) {
     }
 }
 
-fn finish_task<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, report: TaskReport) {
-    let d = exec(w);
+fn finish_task<'w>(w: &mut ExecWorld<'w>, sim: &mut Sim<'w>, r: TaskRef, report: TaskReport) {
+    let d = &mut w.exec;
     if d.tracer.is_on() {
         d.tracer.emit(
             sim.now(),
@@ -691,7 +726,7 @@ fn finish_task<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, repor
             // Start each consumer `r` was the last producer of.
             let wf = d.workflow;
             for &(c, _) in wf.consumers(r) {
-                let d = exec(w);
+                let d = &mut w.exec;
                 let flat = d.flat(c);
                 d.waiting[flat] -= 1;
                 if d.waiting[flat] == 0 {
@@ -706,69 +741,59 @@ fn finish_task<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, r: TaskRef, repor
 /// controller (when one is active) a chance to replan the remaining
 /// subgraph. Without a controller this is exactly [`run_phase`]: no events
 /// fire, no randomness is drawn.
-fn advance_phase<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, next: usize) {
-    let surviving = w.cloud.cluster.surviving_nodes();
-    let d = exec(w);
-    let trigger = match d.chaos.as_ref() {
-        None => None,
-        Some(_) if next >= d.phases.end => None,
-        Some(ctx) => {
-            if surviving < ctx.planned_nodes {
-                Some("preemption")
-            } else if ctx.spec.detects_stragglers() {
-                // Provisional: resolved against the baseline envelope
-                // below (which may need computing first).
-                Some("straggler")
-            } else {
-                None
-            }
-        }
+fn advance_phase<'w>(w: &mut ExecWorld<'w>, sim: &mut Sim<'w>, next: usize) {
+    let ExecWorld {
+        cloud,
+        exec: d,
+        chaos,
+        ..
+    } = &mut *w;
+    let ctx = match chaos {
+        Some(ctx) if next < d.phases.end => ctx,
+        _ => return run_phase(w, sim, next),
     };
-    let Some(reason) = trigger else {
+    let surviving = cloud.cluster.surviving_nodes();
+    let reason = if surviving < ctx.planned_nodes {
+        "preemption"
+    } else if ctx.spec.detects_stragglers() {
+        // Provisional: resolved against the baseline envelope below
+        // (which may need computing first).
+        "straggler"
+    } else {
         return run_phase(w, sim, next);
     };
-    ensure_baseline(d);
+    let baseline = ensure_baseline(&mut ctx.baseline, d);
     let confirmed = reason == "preemption" || {
-        let ctx = d.chaos.as_ref().expect("trigger implies controller");
         let elapsed = sim.now().saturating_since(ctx.phase_started).as_secs();
-        let envelope = phase_envelope_secs(d, next - 1);
+        let envelope = phase_envelope_secs(d, baseline, ctx.planned_nodes, next - 1);
         envelope > 0.0 && elapsed > ctx.spec.straggler_factor * envelope
     };
-    if confirmed {
-        replan_and_run(w, sim, next, reason, surviving);
-    } else {
+    if !confirmed || replan(cloud, d, ctx, sim, next, reason, surviving) {
         run_phase(w, sim, next);
     }
 }
 
-/// Computes the controller's baseline PDC report on first use, from inputs
+/// The controller's baseline PDC report, computed on first use from inputs
 /// the run already checked. `Pdc::new` strips the chaos spec, and the
-/// planner runs in its own profiling
-/// environments, so the baseline reflects the advertised (fault-free)
-/// platform behaviour and leaves the production run's RNG streams and
-/// trace untouched.
-fn ensure_baseline(d: &mut Execution) {
-    let needs = d.chaos.as_ref().is_some_and(|c| c.baseline.is_none());
-    if !needs {
-        return;
-    }
-    let report = Pdc::new(d.cfg.clone()).plan_unchecked(d.workflow);
-    if let Some(ctx) = d.chaos.as_mut() {
-        ctx.baseline = Some(report);
-    }
+/// planner runs in its own profiling worlds, so the baseline reflects the
+/// advertised (fault-free) platform behaviour and leaves the production
+/// run's RNG streams and trace untouched.
+fn ensure_baseline<'c>(baseline: &'c mut Option<PdcReport>, d: &Execution) -> &'c PdcReport {
+    baseline.get_or_insert_with(|| Pdc::new(d.cfg.clone()).plan_unchecked(d.workflow))
 }
 
 /// The planned envelope of a finished phase: the longest expected task
-/// duration under the baseline measurements and the *active* plan, with VM
-/// times scaled to the capacity the plan assumes. A phase that ran longer
-/// than `straggler_factor` times this is a straggler.
-fn phase_envelope_secs(d: &Execution, phase_idx: usize) -> f64 {
-    let ctx = d.chaos.as_ref().expect("controller active");
-    let Some(baseline) = ctx.baseline.as_ref() else {
-        return 0.0;
-    };
+/// duration under the `baseline` measurements and the *active* plan, with
+/// VM times scaled to the `planned` node capacity the plan assumes. A phase
+/// that ran longer than `straggler_factor` times this is a straggler.
+fn phase_envelope_secs(
+    d: &Execution,
+    baseline: &PdcReport,
+    planned: usize,
+    phase_idx: usize,
+) -> f64 {
     let nodes = d.cfg.cluster.nodes.max(1);
-    let planned = ctx.planned_nodes.max(1);
+    let planned = planned.max(1);
     let mut envelope: f64 = 0.0;
     for ti in 0..d.workflow.phases[phase_idx].tasks.len() {
         let r = TaskRef::new(phase_idx, ti);
@@ -787,20 +812,20 @@ fn phase_envelope_secs(d: &Execution, phase_idx: usize) -> f64 {
 }
 
 /// Replans phases `next..` against `surviving` nodes, adopts the new
-/// placement, migrates to the store any master-resident outputs the new
-/// placement reads from it, and then starts the phase. Re-placement never
-/// rewrites history: finished phases keep their reports and locations.
-fn replan_and_run<'w>(
-    w: &mut W<'w>,
-    sim: &mut Simulation<W<'w>>,
+/// placement, and migrates to the store any master-resident outputs the new
+/// placement reads from it. Re-placement never rewrites history: finished
+/// phases keep their reports and locations. Returns whether phase `next`
+/// may start at once; otherwise the last migration to land starts it.
+fn replan<'w>(
+    cloud: &mut Cloud<ExecWorld<'w>>,
+    d: &mut Execution<'w>,
+    ctx: &mut ChaosCtx,
+    sim: &mut Sim<'w>,
     next: usize,
     reason: &'static str,
     surviving: usize,
-) {
-    let World { cloud, driver, .. } = &mut *w;
-    let d = driver.as_mut().expect("executor state installed");
-    let ctx = d.chaos.as_mut().expect("controller active");
-    let baseline = ctx.baseline.as_ref().expect("ensured by advance_phase");
+) -> bool {
+    let baseline = ensure_baseline(&mut ctx.baseline, d);
     let report = Pdc::new(d.cfg.clone()).replan_capacity(baseline, d.workflow, surviving);
     let n_phases = d.phases.end;
     let mut moved = 0usize;
@@ -825,7 +850,7 @@ fn replan_and_run<'w>(
     );
     ctx.planned_nodes = surviving;
     if moved == 0 {
-        return run_phase(w, sim, next);
+        return true;
     }
     let was_serverless = d.plan.uses_serverless();
     for pi in next..n_phases {
@@ -874,11 +899,10 @@ fn replan_and_run<'w>(
                 if d.location(p) == OutputLocation::Store {
                     continue; // already registered at completion
                 }
-                let pt = d.workflow.task(p);
-                let ctx = d.chaos.as_mut().expect("controller active");
                 if !ctx.uploaded.insert(p) {
                     continue; // migrated by an earlier replan
                 }
+                let pt = d.workflow.task(p);
                 uploads.push((
                     ObjectKey::Output(p),
                     pt.components as f64 * pt.profile.output_bytes,
@@ -888,7 +912,7 @@ fn replan_and_run<'w>(
         }
     }
     if uploads.is_empty() {
-        return run_phase(w, sim, next);
+        return true;
     }
     // Barrier: the phase starts once every migration has landed.
     let wan_bps = d.cfg.cluster.instance.wan_bps;
@@ -896,7 +920,7 @@ fn replan_and_run<'w>(
     d.migrations.clear();
     for (index, (key, bytes, requests)) in uploads.into_iter().enumerate() {
         d.migrations.push((key, bytes));
-        let landed = WorldEvent::Driver(ExecEvent::Uploaded { index, phase: next });
+        let landed = ExecEvent::Uploaded { index, phase: next };
         cloud.store.write(
             &mut cloud.meter,
             sim,
@@ -906,12 +930,12 @@ fn replan_and_run<'w>(
             landed,
         );
     }
+    false
 }
 
 /// Migration `index` landed: register it; the last one starts `phase`.
-fn migration_landed<'w>(w: &mut W<'w>, sim: &mut Simulation<W<'w>>, index: usize, phase: usize) {
-    let World { cloud, driver, .. } = &mut *w;
-    let d = driver.as_mut().expect("executor state installed");
+fn migration_landed<'w>(w: &mut ExecWorld<'w>, sim: &mut Sim<'w>, index: usize, phase: usize) {
+    let ExecWorld { cloud, exec: d, .. } = &mut *w;
     let (key, bytes) = d.migrations[index];
     cloud
         .store
@@ -1212,6 +1236,68 @@ mod tests {
             };
             assert_eq!(run(Release::Dataflow), run(Release::PhaseBarrier));
         }
+    }
+
+    /// The world of an all-serverless run of `w`, built but not yet run.
+    fn world<'w>(
+        cfg: &MashupConfig,
+        w: &'w CheckedWorkflow,
+        sizing: Option<&Sizing>,
+    ) -> (Sim<'w>, ExecWorld<'w>) {
+        let plan = PlacementPlan::uniform(w, Platform::Serverless);
+        let phases = 0..w.phases.len();
+        let tracer = Tracer::off();
+        ExecWorld::new(
+            cfg,
+            w,
+            &plan,
+            sizing,
+            Release::PhaseBarrier,
+            phases,
+            &tracer,
+        )
+    }
+
+    #[test]
+    fn world_construction_is_self_consistent() {
+        let cfg = cfg(8);
+        let w = CheckedWorkflow::new(two_phase_workflow()).expect("clean workflow");
+        let (sim, world) = world(&cfg, &w, None);
+        assert_eq!(world.cloud.cluster.config().nodes, 8);
+        assert_eq!(world.cloud.faas.config().timeout_secs, 900.0);
+        assert_eq!(sim.now().as_secs(), 0.0);
+    }
+
+    #[test]
+    fn sizing_and_tier_platforms() {
+        use mashup_dag::{Task, TaskProfile, WorkflowBuilder};
+        let cfg = cfg(4);
+        let mut b = WorkflowBuilder::new("w");
+        b.begin_phase();
+        b.add_task(Task::new("A", 2, TaskProfile::trivial()));
+        b.add_task(Task::new("B", 2, TaskProfile::trivial()));
+        let w = CheckedWorkflow::new(b.build()).expect("clean workflow");
+        let base = Sizing::base(&cfg, &w);
+        assert!(base.is_base(&cfg));
+        assert_eq!(base.distinct_tiers(), vec![cfg.provider.faas.memory_gb]);
+        let mixed = Sizing {
+            tiers_gb: vec![0.5, cfg.provider.faas.memory_gb],
+        };
+        assert!(!mixed.is_base(&cfg));
+        assert_eq!(
+            mixed.distinct_tiers(),
+            vec![0.5, cfg.provider.faas.memory_gb]
+        );
+        let (_, world) = world(&cfg, &w, Some(&mixed));
+        let faas_for = |gb: f64| world.cloud.platform(Some(tier_key(gb))).config().memory_gb;
+        // The base tier resolves to the base platform; 0.5 GB gets its own.
+        assert_eq!(
+            faas_for(cfg.provider.faas.memory_gb),
+            cfg.provider.faas.memory_gb
+        );
+        assert_eq!(faas_for(0.5), 0.5);
+        // An unprovisioned tier falls back to the base platform.
+        assert_eq!(faas_for(2.0), cfg.provider.faas.memory_gb);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   VM cluster and the serverless platform with store-mediated data
 //!   exchange, checkpointing across the FaaS time cap, and pre-warming. It
 //!   checks its config and plan first and refuses error-diagnosed ones with
-//!   a typed [`AnalysisError`]; [`execute_in`] runs in a caller-built
-//!   [`CloudEnv`];
+//!   a typed [`AnalysisError`], then builds the run's world whole from the
+//!   config;
 //! * [`Mashup`] — the one-call engine combining both;
 //! * [`plan_without_pdc`] — the paper's "Mashup w/o PDC" baseline design;
 //! * [`trace::check`] — the trace-invariant oracle: replays a recorded
@@ -47,9 +47,9 @@ pub mod trace;
 pub use analysis::{engine_params, preflight, CheckedWorkflow};
 pub use cache::{CacheStats, PlanCache, ProbeEntry, SectionStats, VmProfileEntry};
 pub use chaos::ChaosSpec;
-pub use config::{CloudEnv, Driver, MashupConfig, Sizing, World, WorldEvent, MEMORY_TIERS_GB};
+pub use config::{MashupConfig, Sizing, MEMORY_TIERS_GB};
 pub use engine::{Mashup, MashupOutcome};
-pub use exec::{execute, execute_in, try_execute, Execution, Release};
+pub use exec::{execute, try_execute, Release};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use mashup_analyze::{AnalysisError, Code, Diagnostic, Location, Severity};
 pub use mashup_dag::{PlacementPlan, Platform, UnassignedTask};

@@ -59,13 +59,6 @@ impl<'w> SearchSpace<'w> {
             base_tier,
         }
     }
-
-    /// Size of the full (unbudgeted) space: disjoint fusion subsets are
-    /// counted loosely as `2^pairs`, tier assignments exactly.
-    pub fn nominal_size(&self) -> f64 {
-        let tier_choices = self.tiers.len() as f64;
-        2f64.powi(self.pairs.len() as i32) * tier_choices.powi(self.base.task_count() as i32)
-    }
 }
 
 /// One point of the search space: fusion-pair indices (into
@@ -491,7 +484,6 @@ mod tests {
         let space = SearchSpace::new(&cfg(), &w);
         assert_eq!(space.pairs.len(), 2);
         assert_eq!(space.tiers[space.base_tier], 3.0);
-        assert!(space.nominal_size() > 100.0);
     }
 
     #[test]

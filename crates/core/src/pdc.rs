@@ -32,15 +32,16 @@
 
 use crate::analysis::CheckedWorkflow;
 use crate::cache::{PlanCache, ProbeEntry, VmProfileEntry};
-use crate::config::{tier_key, CloudEnv, Driver, MashupConfig, Sizing, World};
+use crate::config::{tier_key, MashupConfig, Sizing};
 use crate::exec::{execute_in_unchecked, Release};
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use mashup_analyze::{AnalysisError, FaasMisfit, PlanContext};
 use mashup_cloud::{
-    run_task_on_faas, ClusterRunStats, Expense, FaasConfig, FaasRunStats, FaasTaskSpec,
+    run_task_on_faas, Cloud, CloudEvent, CloudWorld, ClusterRunStats, Expense, FaasConfig,
+    FaasRunStats, FaasTaskSpec,
 };
 use mashup_dag::{Phase, PlacementPlan, Platform, Task, TaskProfile, TaskRef, Workflow};
-use mashup_sim::{SimTime, Simulation, TraceEvent, Tracer};
+use mashup_sim::{Model, SimTime, Simulation, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -755,8 +756,8 @@ impl Pdc {
     }
 
     /// Profiles `phases` of `workflow` on the all-VM cluster, one pass per
-    /// candidate sub-cluster split (seed-offset so profiling does not share
-    /// jitter draws with production runs), and keeps the best VM
+    /// candidate sub-cluster split (on a shifted seed, so profiling does
+    /// not share jitter draws with production runs), and keeps the best VM
     /// configuration as the cluster-side baseline (§3 "Optimal VM
     /// configuration"). The VM profile runs every phase; the scoped phase
     /// profile of [`replan`](Pdc::replan) runs one, which starts on an idle
@@ -794,16 +795,19 @@ impl Pdc {
             let (makespan, pass_expense) = match first {
                 Some(pass) if replay => pass,
                 _ => {
-                    let tuned = self.cfg.clone().with_subclusters(k);
-                    let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
+                    let tuned = self
+                        .cfg
+                        .clone()
+                        .with_subclusters(k)
+                        .with_seed(self.cfg.seed.wrapping_add(0x9e3779b9));
                     let (report, completed) = execute_in_unchecked(
-                        &mut env,
                         &tuned,
                         workflow,
                         &vm_plan,
                         None,
                         Release::PhaseBarrier,
                         phases.clone(),
+                        &Tracer::off(),
                     );
                     for (t, r) in report.tasks.iter().zip(&completed) {
                         let flat = arena.flat(*r).expect("task ref in workflow");
@@ -909,7 +913,7 @@ impl Pdc {
     /// Cache key for one serverless probe: seed + the probe subject's
     /// identity + profile + FaaS/storage behaviour + the task's resolved
     /// checkpoint margin. The subject is normally phase + task name (the
-    /// probe environment's seed offset is phase-derived and the FaaS label
+    /// probe's seed shift is phase-derived and the FaaS label
     /// keys warm pools); with [probe sharing](Pdc::with_probe_sharing) it
     /// is the code family alone, phase-independent, so every task of a
     /// family shares one probe. The cluster is deliberately absent, so
@@ -993,33 +997,28 @@ impl Pdc {
     }
 
     /// Runs one component of task `r` in a serverless function (its own
-    /// fresh environment, on the task's function tier). Checkpoint chains
-    /// for over-cap tasks are included, so the probe already prices the
-    /// time-cap workaround.
+    /// fresh world, on the task's function tier `faas_cfg`). Checkpoint
+    /// chains for over-cap tasks are included, so the probe already prices
+    /// the time-cap workaround.
     fn run_probe(&self, workflow: &Workflow, r: TaskRef, faas_cfg: &FaasConfig) -> ProbeEntry {
         let t = workflow.task(r);
         // A shared probe stands in for its family wherever its tasks sit,
-        // so it uses a fixed seed offset; per-task probes keep their
+        // so its seed shift is fixed; per-task probes keep their
         // phase-derived stream.
-        let (offset, label) = match self.probe_identity(t) {
+        let (shift, label) = match self.probe_identity(t) {
             Some(family) => (0x51ed2701, format!("probe:{family}")),
             None => (
                 0x51ed2701 ^ (r.phase as u64) << 8,
                 format!("probe:{}", t.name),
             ),
         };
-        // Non-base tiers probe on a platform built from the tier config;
-        // the base tier keeps the exact environment of prior releases.
-        let tuned;
-        let cfg = if *faas_cfg == self.cfg.provider.faas {
-            &self.cfg
-        } else {
-            let mut c = self.cfg.clone();
-            c.provider.faas = faas_cfg.clone();
-            tuned = c;
-            &tuned
-        };
-        let mut env = CloudEnv::with_driver(cfg, offset, FaasBatch::default());
+        // The probe's platform is built from the task's tier config: the
+        // provider's base function for the base tier.
+        let mut cfg = self
+            .cfg
+            .clone()
+            .with_seed(self.cfg.seed.wrapping_add(shift));
+        cfg.provider.faas = faas_cfg.clone();
         let spec = FaasTaskSpec {
             label: &label,
             components: 1,
@@ -1035,10 +1034,10 @@ impl Pdc {
                 .plan_context()
                 .margin_for(t.profile.checkpoint_bytes),
         };
-        let stats = run_faas_batch(&mut env, spec);
+        let (stats, probe_busy_secs) = run_faas_batch(&cfg, spec);
         ProbeEntry {
             probe_secs: stats.makespan().as_secs(),
-            probe_busy_secs: env.world.cloud.faas.function_seconds(),
+            probe_busy_secs,
         }
     }
 
@@ -1081,47 +1080,49 @@ fn phase_content_digest(phase: &Phase) -> u128 {
     f.digest()
 }
 
-/// The driver of a probe or calibration batch: one FaaS run's stats, once
-/// it finished.
-#[derive(Default)]
-struct FaasBatch(Option<FaasRunStats>);
+/// The world of a probe or calibration batch: a fresh cloud running one
+/// FaaS run, and that run's stats once it finished.
+struct FaasBatch {
+    cloud: Cloud<FaasBatch>,
+    stats: Option<FaasRunStats>,
+}
 
-impl Driver for FaasBatch {
-    type Event = Infallible;
-    type ClusterTag = Infallible;
-    type FaasTag = ();
+impl Model for FaasBatch {
+    type Event = CloudEvent;
 
-    fn handle(_: &mut World<Self>, _: &mut Simulation<World<Self>>, event: Self::Event) {
-        match event {}
-    }
-
-    fn cluster_done(
-        _: &mut World<Self>,
-        _: &mut Simulation<World<Self>>,
-        tag: Infallible,
-        _: ClusterRunStats,
-    ) {
-        match tag {}
-    }
-
-    fn faas_done(
-        w: &mut World<Self>,
-        _: &mut Simulation<World<Self>>,
-        (): (),
-        stats: FaasRunStats,
-    ) {
-        w.driver.0 = Some(stats);
+    fn handle(&mut self, event: CloudEvent, sim: &mut Simulation<Self>) {
+        event.dispatch(self, sim)
     }
 }
 
-/// Starts `spec` on `env`'s FaaS platform, runs the simulation to
-/// completion, and returns the batch stats (shared by the probe and
-/// calibration paths, which only differ in how they build the spec).
-fn run_faas_batch(env: &mut CloudEnv<FaasBatch>, spec: FaasTaskSpec) -> FaasRunStats {
-    let seeds = env.world.seeds;
-    run_task_on_faas(&mut env.world, &mut env.sim, None, spec, &seeds, ());
-    env.run();
-    env.world.driver.0.take().expect("FaaS batch completed")
+impl CloudWorld for FaasBatch {
+    type ClusterTag = Infallible;
+    type FaasTag = ();
+
+    fn cloud(&mut self) -> &mut Cloud<Self> {
+        &mut self.cloud
+    }
+
+    fn cluster_done(&mut self, _: &mut Simulation<Self>, tag: Infallible, _: ClusterRunStats) {
+        match tag {}
+    }
+
+    fn faas_done(&mut self, _: &mut Simulation<Self>, (): (), stats: FaasRunStats) {
+        self.stats = Some(stats);
+    }
+}
+
+/// Runs `spec` alone on the base FaaS platform of a fresh cloud built from
+/// `cfg`, to completion (shared by the probe and calibration paths, which
+/// only differ in how they build the spec). Returns the run's stats and
+/// the platform's busy function-seconds.
+fn run_faas_batch(cfg: &MashupConfig, spec: FaasTaskSpec) -> (FaasRunStats, f64) {
+    let (mut sim, cloud, seeds) = cfg.new_cloud();
+    let mut batch = FaasBatch { cloud, stats: None };
+    run_task_on_faas(&mut batch, &mut sim, None, spec, &seeds, ());
+    sim.run(&mut batch);
+    let stats = batch.stats.expect("FaaS batch completed");
+    (stats, batch.cloud.faas.function_seconds())
 }
 
 /// Hybrid boundary refinement: a serverless placement forces its VM-side
@@ -1353,7 +1354,9 @@ fn run_noop_batch(
     compute: f64,
     io_bytes: f64,
 ) -> BatchStats {
-    let mut env = CloudEnv::with_driver(cfg, 0xCA11B7A7E ^ components as u64, FaasBatch::default());
+    let cfg = &cfg
+        .clone()
+        .with_seed(cfg.seed.wrapping_add(0xCA11B7A7E ^ components as u64));
     let spec = FaasTaskSpec {
         label: &format!("calibration-{components}"),
         components,
@@ -1366,7 +1369,7 @@ fn run_noop_batch(
         memory_gb: 0.1,
         checkpoint_margin_secs: cfg.checkpoint_margin_secs,
     };
-    let stats = run_faas_batch(&mut env, spec);
+    let (stats, _) = run_faas_batch(cfg, spec);
     BatchStats {
         scaling: stats.scaling_secs(),
         mean_start_latency: stats.cold_start_secs / stats.n_cold.max(1) as f64,
@@ -1925,16 +1928,17 @@ mod tests {
                 let mut expense = Expense::default();
                 let mut passes = Vec::new();
                 for k in subcluster_splits(nodes) {
-                    let tuned = cfg(nodes).with_subclusters(k);
-                    let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
+                    let base = cfg(nodes);
+                    let seed = base.seed.wrapping_add(0x9e3779b9);
+                    let tuned = base.with_subclusters(k).with_seed(seed);
                     let (report, completed) = execute_in_unchecked(
-                        &mut env,
                         &tuned,
                         &w,
                         &vm_plan,
                         None,
                         Release::PhaseBarrier,
                         pi..pi + 1,
+                        &Tracer::off(),
                     );
                     assert_eq!(completed.len(), phase.tasks.len(), "{label}");
                     for (t, r) in report.tasks.iter().zip(&completed) {

@@ -5,9 +5,9 @@
 //! execution stack stays `Send`. A reintroduced `Rc`, `RefCell`, or
 //! non-`Send` trait object anywhere in the state graph turns these into
 //! compile errors pointing at the offending type — much earlier and
-//! clearer than a trait-bound error three layers up in `par_map`. Every
-//! strategy, Kepler's dataflow runs included, executes in the executor's
-//! world, so asserting that world covers them all.
+//! clearer than a trait-bound error three layers up in `par_map`. The
+//! executor's world, in which every strategy runs, is private to
+//! `mashup-core`; it asserts its own `Send` bound next to the type.
 
 fn assert_send<T: Send>() {}
 fn assert_send_sync<T: Send + Sync>() {}
@@ -18,20 +18,13 @@ fn engine_entry_points_are_send() {
     assert_send::<mashup_sim::Simulation<()>>();
     assert_send::<mashup_sim::Tracer>();
 
-    // The executor's world, and the engine over it.
-    type Exec = Option<mashup_core::Execution<'static>>;
-    type ExecWorld = mashup_core::World<Exec>;
-    assert_send::<ExecWorld>();
-    assert_send::<mashup_sim::Simulation<ExecWorld>>();
-
     // The simulated cloud substrates.
     assert_send::<mashup_cloud::VmCluster>();
     assert_send::<mashup_cloud::FaasPlatform>();
     assert_send::<mashup_cloud::ObjectStore>();
     assert_send::<mashup_cloud::CostMeter>();
 
-    // The engine facade and its environment.
-    assert_send::<mashup_core::CloudEnv<Exec>>();
+    // The engine facade.
     assert_send::<mashup_core::Mashup>();
     assert_send::<mashup_core::Pdc>();
     assert_send::<mashup_core::MashupOutcome>();

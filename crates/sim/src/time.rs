@@ -85,29 +85,9 @@ impl SimDuration {
         SimDuration(secs)
     }
 
-    /// Creates a duration from minutes.
-    pub fn from_mins(mins: f64) -> Self {
-        Self::from_secs(mins * 60.0)
-    }
-
-    /// Creates a duration from hours.
-    pub fn from_hours(hours: f64) -> Self {
-        Self::from_secs(hours * 3600.0)
-    }
-
-    /// Creates a duration from milliseconds.
-    pub fn from_millis(ms: f64) -> Self {
-        Self::from_secs(ms / 1000.0)
-    }
-
     /// Length in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Length in hours (useful for per-hour pricing).
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
     }
 
     /// The longer of two durations.
@@ -255,14 +235,6 @@ mod tests {
         let t = SimTime::from_secs(10.0) + SimDuration::from_secs(5.0);
         assert_eq!(t.as_secs(), 15.0);
         assert_eq!((t - SimTime::from_secs(10.0)).as_secs(), 5.0);
-    }
-
-    #[test]
-    fn duration_unit_constructors() {
-        assert_eq!(SimDuration::from_mins(2.0).as_secs(), 120.0);
-        assert_eq!(SimDuration::from_hours(1.0).as_secs(), 3600.0);
-        assert_eq!(SimDuration::from_millis(250.0).as_secs(), 0.25);
-        assert_eq!(SimDuration::from_hours(0.5).as_hours(), 0.5);
     }
 
     #[test]

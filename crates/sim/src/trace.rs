@@ -584,7 +584,7 @@ impl Tracer {
     }
 
     /// True when engine-level instants are captured too.
-    pub fn is_verbose(&self) -> bool {
+    fn is_verbose(&self) -> bool {
         self.buf.as_ref().is_some_and(|b| b.verbose)
     }
 

@@ -406,7 +406,10 @@ fn run_analyze(mut argv: std::env::Args) -> io::Result<()> {
                 cfg = match argv.next().as_deref() {
                     Some("aws") => MashupConfig::aws,
                     Some("gcp") => MashupConfig::gcp,
-                    other => die(&format!("unknown provider {other:?} (expected aws or gcp)")),
+                    Some(other) => {
+                        die(&format!("unknown provider '{other}' (expected aws or gcp)"))
+                    }
+                    None => die("--provider needs a value"),
                 };
             }
             "--json" => json = true,
@@ -601,7 +604,10 @@ fn run_chaos(mut argv: std::env::Args) -> io::Result<()> {
             "--profile" => {
                 profile = match argv.next().as_deref() {
                     Some(p @ ("preemption" | "storage" | "mixed")) => p.into(),
-                    other => die(&format!("unknown fault profile {other:?}")),
+                    Some(other) => die(&format!(
+                        "unknown fault profile '{other}' (expected preemption, storage or mixed)"
+                    )),
+                    None => die("--profile needs a value"),
                 };
             }
             "--horizon" => {

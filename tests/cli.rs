@@ -237,6 +237,22 @@ fn bad_objective_and_format_values_are_named_plainly() {
         &["trace", "SRAsearch", "--format"],
         "--format needs a value",
     );
+    refused(
+        &["analyze", "SRAsearch", "--provider", "azure"],
+        "unknown provider 'azure' (expected aws or gcp)",
+    );
+    refused(
+        &["analyze", "SRAsearch", "--provider"],
+        "--provider needs a value",
+    );
+    refused(
+        &["chaos", "SRAsearch", "--profile", "weird"],
+        "unknown fault profile 'weird' (expected preemption, storage or mixed)",
+    );
+    refused(
+        &["chaos", "SRAsearch", "--profile"],
+        "--profile needs a value",
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! `Pdc::plan` profiles a checked workflow on the all-VM cluster once per
 //! candidate sub-cluster split (k = 1, 2, 4). It shares one workflow copy
 //! across the passes, runs them unchecked and indexes each pass's task
-//! times by flat id. The reference here runs three `execute_in` passes,
+//! times by flat id. The reference here runs three `execute` passes,
 //! each checking its config and plan, and maps every report back to a flat
 //! id by task name; every field the profiling stage produces must match it
 //! bit for bit. That includes the workflows on which `Pdc::splits_tie`
@@ -16,9 +16,8 @@
 use mashup_bench::scale::{self, Shape};
 use mashup_cloud::{Expense, Fault, FaultPlan};
 use mashup_core::{
-    execute, execute_in, preflight, ChaosSpec, CheckedWorkflow, CloudEnv, Fingerprinter,
-    MashupConfig, Pdc, PlacementPlan, PlanCache, Platform, Release, TraceEvent, Tracer,
-    WorkflowReport,
+    execute, preflight, ChaosSpec, CheckedWorkflow, Fingerprinter, MashupConfig, Pdc,
+    PlacementPlan, PlanCache, Platform, Release, TraceEvent, Tracer, WorkflowReport,
 };
 use mashup_dag::{
     fusable_pairs, fuse, DependencyPattern, FusionCandidate, Task, TaskProfile, TaskRef, Workflow,
@@ -40,7 +39,8 @@ struct Profile {
 }
 
 /// The profiling passes as independent, fully checked executions, one per
-/// split k = 1, 2, 4 that fits the cluster.
+/// split k = 1, 2, 4 that fits the cluster, each on the seed the passes
+/// shift theirs to.
 fn passes(cfg: &MashupConfig, w: &Workflow) -> Vec<(usize, WorkflowReport)> {
     let checked = CheckedWorkflow::borrowed(w).expect("clean workflow");
     let vm_plan = PlacementPlan::uniform(w, Platform::VmCluster);
@@ -49,10 +49,20 @@ fn passes(cfg: &MashupConfig, w: &Workflow) -> Vec<(usize, WorkflowReport)> {
         .filter(|&k| k <= cfg.cluster.nodes);
     splits
         .map(|k| {
-            let tuned = cfg.clone().with_subclusters(k);
-            let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-            let report = execute_in(&mut env, &tuned, &checked, &vm_plan, "pdc-profiling")
-                .expect("clean config and plan");
+            let tuned = cfg
+                .clone()
+                .with_subclusters(k)
+                .with_seed(cfg.seed.wrapping_add(0x9e3779b9));
+            let report = execute(
+                &tuned,
+                &checked,
+                &vm_plan,
+                None,
+                Release::PhaseBarrier,
+                "pdc-profiling",
+                &Tracer::off(),
+            )
+            .expect("clean config and plan");
             (k, report)
         })
         .collect()
