@@ -28,13 +28,22 @@
 //! converts the same records into Chrome's `trace_event` JSON for
 //! `chrome://tracing` / Perfetto.
 //!
-//! Decoding reads each line in one pass. `serde_json::scan_members` runs
-//! the vendored JSON parser over the line and leaves its members as
-//! `(key, scalar)` slots that borrow from the input; only a string with
-//! escapes is copied, and a nested member is parsed and discarded. The
-//! table's reader then matches the `ev` tag and takes each field from the
-//! slots by key, the first of a repeated key winning. So the accepted
-//! lines and every `invalid JSON: …` error are the parser's own, and a
+//! Decoding reads each line in one pass, by one of two readers. The
+//! canonical reader ([`from_canonical_line`]), which the table generates
+//! beside the writer, walks a line exactly as [`to_jsonl`] spells it: the
+//! `seq`, `t` and `ev` header, then each field's `,"key":value` in table
+//! order, then `}`. Each field type's `take` mirrors its `put` and the
+//! vendored parser's token rule and conversion, and the reader gives up at
+//! the first byte that differs. Every line it declines goes unchanged to
+//! the general reader: `serde_json::scan_members` runs the vendored JSON
+//! parser over the line and leaves its members as `(key, scalar)` slots
+//! that borrow from the input (only a string with escapes is copied, and a
+//! nested member is parsed and discarded), and the table's `get_fields`
+//! then takes each field from the slots by key, the first of a repeated
+//! key winning. So reordered or repeated keys, whitespace and escapes are
+//! read by the general reader alone, and every error, `invalid JSON: …`
+//! included, is its own. Debug builds decode each line the canonical
+//! reader accepts both ways and assert equal records. Either way a
 //! record's `String` fields are its only allocations.
 
 use crate::time::SimTime;
@@ -66,17 +75,63 @@ impl KillReason {
 /// borrowed from the line unless they contained escapes.
 type Slots<'a> = [(Cow<'a, str>, Scalar<'a>)];
 
-/// One JSONL field value: `put` writes it as JSON, `get` reads it back
-/// from the scalar stored under `key` on line `line`.
+/// One JSONL field value. `put` writes it as JSON, and `take` reads back
+/// what `put` writes from the front of a canonical line, advancing past it;
+/// it returns `None` for any other spelling, which the general reader then
+/// decides. `get` reads the value from the scalar the general reader stored
+/// under `key` on line `line`.
 trait Field: Sized {
     fn put(&self, out: &mut String);
+    fn take(rest: &mut &str) -> Option<Self>;
     fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String>;
+}
+
+/// Splits off the number token at the front of `rest` as the vendored
+/// parser delimits it: an optional `-`, then every byte of `[0-9.eE+-]`.
+fn number_token<'a>(rest: &mut &'a str) -> &'a str {
+    let b = rest.as_bytes();
+    let sign = usize::from(b.first() == Some(&b'-'));
+    let len = sign
+        + b[sign..]
+            .iter()
+            .take_while(|c| matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .count();
+    let (token, tail) = rest.split_at(len);
+    *rest = tail;
+    token
+}
+
+/// Appends `n` in decimal.
+fn push_u64(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 impl Field for f64 {
     fn put(&self, out: &mut String) {
         // `{:?}` is the shortest round-trip form.
         let _ = write!(out, "{self:?}");
+    }
+    fn take(rest: &mut &str) -> Option<Self> {
+        // The parser reads a number only from `-` or a digit, and a token
+        // with none of `.eE` as an integer; `put` always writes one.
+        if !matches!(rest.as_bytes().first(), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        let token = number_token(rest);
+        if !token.bytes().any(|c| matches!(c, b'.' | b'e' | b'E')) {
+            return None;
+        }
+        token.parse().ok()
     }
     fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
         v.as_f64()
@@ -86,7 +141,19 @@ impl Field for f64 {
 
 impl Field for u64 {
     fn put(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        push_u64(*self, out);
+    }
+    fn take(rest: &mut &str) -> Option<Self> {
+        // An unsigned run of digits; a sign, fraction or exponent makes
+        // the parser's token something else.
+        if !rest.as_bytes().first()?.is_ascii_digit() {
+            return None;
+        }
+        let token = number_token(rest);
+        if !token.bytes().all(|c| c.is_ascii_digit()) {
+            return None;
+        }
+        token.parse().ok()
     }
     fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
         v.as_u64()
@@ -99,7 +166,10 @@ macro_rules! narrow_uint_field {
     ($($t:ty),*) => {$(
         impl Field for $t {
             fn put(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
+                push_u64(*self as u64, out);
+            }
+            fn take(rest: &mut &str) -> Option<Self> {
+                <$t>::try_from(u64::take(rest)?).ok()
             }
             fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
                 <$t>::try_from(u64::get(v, key, line)?)
@@ -114,10 +184,34 @@ impl Field for bool {
     fn put(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
+    fn take(rest: &mut &str) -> Option<Self> {
+        for (literal, value) in [("true", true), ("false", false)] {
+            if let Some(tail) = rest.strip_prefix(literal) {
+                *rest = tail;
+                return Some(value);
+            }
+        }
+        None
+    }
     fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
         v.as_bool()
             .ok_or_else(|| format!("line {line}: field '{key}' is not a bool"))
     }
+}
+
+/// True for the bytes a JSON string must escape.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The string literal at the front of `rest`, borrowed, when it holds no
+/// byte that needs escaping.
+fn take_str<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let body = rest.strip_prefix('"')?;
+    let end = body.bytes().position(needs_escape)?;
+    let (s, tail) = body.split_at(end);
+    *rest = tail.strip_prefix('"')?;
+    Some(s)
 }
 
 /// The string under `key`, borrowed from the line.
@@ -130,8 +224,21 @@ impl Field for String {
     fn put(&self, out: &mut String) {
         push_escaped(self, out);
     }
+    fn take(rest: &mut &str) -> Option<Self> {
+        take_str(rest).map(str::to_string)
+    }
     fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
         get_str(v, key, line).map(str::to_string)
+    }
+}
+
+impl KillReason {
+    fn from_label(s: &str) -> Option<Self> {
+        match s {
+            "watchdog" => Some(KillReason::Watchdog),
+            "injected" => Some(KillReason::Injected),
+            _ => None,
+        }
     }
 }
 
@@ -139,21 +246,25 @@ impl Field for KillReason {
     fn put(&self, out: &mut String) {
         push_escaped(self.as_str(), out);
     }
+    fn take(rest: &mut &str) -> Option<Self> {
+        KillReason::from_label(take_str(rest)?)
+    }
     fn get(v: &Scalar<'_>, key: &str, line: usize) -> Result<Self, String> {
-        match get_str(v, key, line)? {
-            "watchdog" => Ok(KillReason::Watchdog),
-            "injected" => Ok(KillReason::Injected),
-            _ => Err(format!("line {line}: unknown kill reason")),
-        }
+        KillReason::from_label(get_str(v, key, line)?)
+            .ok_or_else(|| format!("line {line}: unknown kill reason"))
     }
 }
 
-/// Appends `,"key":value`.
-fn put_field<T: Field>(out: &mut String, key: &str, value: &T) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
+/// Appends `prefix` (`,"key":`) and the value.
+fn put_field<T: Field>(out: &mut String, prefix: &str, value: &T) {
+    out.push_str(prefix);
     value.put(out);
+}
+
+/// Reads `prefix` (`,"key":`) and the value after it from a canonical line.
+fn take_field<T: Field>(rest: &mut &str, prefix: &str) -> Option<T> {
+    *rest = rest.strip_prefix(prefix)?;
+    T::take(rest)
 }
 
 /// The scalar stored under `key` on line `line`; the first one wins when
@@ -218,9 +329,20 @@ macro_rules! trace_schema {
             fn put_fields(&self, out: &mut String) {
                 match self {
                     $($enum::$variant { $($field),* } => {
-                        $(put_field(out, $key, $field);)*
+                        $(put_field(out, concat!(",\"", $key, "\":"), $field);)*
                     })*
                 }
+            }
+
+            /// Reads the fields of the event tagged `ev` as `put_fields`
+            /// writes them, or `None` at the first byte that differs.
+            fn take_fields(ev: &str, rest: &mut &str) -> Option<Self> {
+                Some(match ev {
+                    $(stringify!($variant) => $enum::$variant {
+                        $($field: take_field(rest, concat!(",\"", $key, "\":"))?,)*
+                    },)*
+                    _ => return None,
+                })
             }
 
             /// Reads the fields of the event tagged `ev` from line `line`.
@@ -634,6 +756,11 @@ impl Tracer {
 
 fn push_escaped(s: &str, out: &mut String) {
     out.push('"');
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -652,10 +779,8 @@ fn push_escaped(s: &str, out: &mut String) {
 
 /// Appends one record's compact JSONL line (no trailing newline).
 fn push_record(r: &TraceRecord, out: &mut String) {
-    out.push_str("{\"seq\":");
-    r.seq.put(out);
-    out.push_str(",\"t\":");
-    r.t_secs.put(out);
+    put_field(out, "{\"seq\":", &r.seq);
+    put_field(out, ",\"t\":", &r.t_secs);
     out.push_str(",\"ev\":\"");
     out.push_str(r.event.name());
     out.push('"');
@@ -683,22 +808,57 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
 
 /// Parses the compact JSONL form back into records. Unknown event names are
 /// an error, so readers notice vocabulary drift instead of skipping data.
-/// Each line is scanned once into borrowed slots (see the module doc).
+/// Each line is read once: by the canonical reader when it is spelled as
+/// [`to_jsonl`] writes it, else by the general scan (see the module doc).
 pub fn from_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
-    // At most one record per line.
-    let mut out = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count() + 1);
+    // Counting the lines first to size `out` costs more than growing it.
+    let mut out = Vec::new();
     // One slot buffer serves every line.
     let mut slots = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let n = idx + 1;
+        if let Some(record) = from_canonical_line(raw) {
+            // Debug output tells -0.0 from 0.0, which `==` does not.
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                format!("{:?}", read_general(raw, n, &mut slots)),
+                format!("{:?}", Ok::<_, String>(&record)),
+                "the canonical and general readers disagree on line {n}"
+            );
+            out.push(record);
+            continue;
+        }
         if raw.trim().is_empty() {
             continue;
         }
-        serde_json::scan_members(raw, &mut slots)
-            .map_err(|e| format!("line {n}: invalid JSON: {e}"))?;
-        out.push(read_record(&slots, n)?);
+        out.push(read_general(raw, n, &mut slots)?);
     }
     Ok(out)
+}
+
+/// The general reader: scans line `line` into `slots`, then reads its
+/// record from them.
+fn read_general<'a>(
+    raw: &'a str,
+    line: usize,
+    slots: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
+) -> Result<TraceRecord, String> {
+    serde_json::scan_members(raw, slots).map_err(|e| format!("line {line}: invalid JSON: {e}"))?;
+    read_record(slots, line)
+}
+
+/// Decodes one line spelled exactly as [`to_jsonl`] writes it: the header,
+/// then the event's fields in table order, then `}`. Returns `None` at the
+/// first byte that differs; [`from_jsonl`] then reads the line with its
+/// general reader, which accepts every spelling of the same record.
+pub fn from_canonical_line(line: &str) -> Option<TraceRecord> {
+    let mut rest = line;
+    let seq = take_field(&mut rest, "{\"seq\":")?;
+    let t_secs = take_field(&mut rest, ",\"t\":")?;
+    rest = rest.strip_prefix(",\"ev\":")?;
+    let ev = take_str(&mut rest)?;
+    let event = TraceEvent::take_fields(ev, &mut rest)?;
+    (rest == "}").then_some(TraceRecord { seq, t_secs, event })
 }
 
 /// Reads one record from line `line`'s slots: the `ev` tag first, then the
@@ -732,6 +892,65 @@ impl TidMap {
     fn get(&mut self, name: &str) -> u64 {
         let next = self.ids.len() as u64;
         *self.ids.entry(name.to_string()).or_insert(next)
+    }
+}
+
+/// Threads for the Chrome export's slices that may overlap within a
+/// group (all invocations; the components on one node). Chrome and Perfetto
+/// close a thread's newest open slice, so each slice opens on the lowest
+/// lane of its group free at that record and no thread ever holds two.
+/// Lanes get dense thread ids in first-seen order, so the export is
+/// deterministic.
+struct Lanes<G, K> {
+    /// Per group, the slice each lane holds open (`None` when free).
+    open: std::collections::BTreeMap<G, Vec<Option<K>>>,
+    tids: std::collections::BTreeMap<(G, usize), u64>,
+}
+
+impl<G: Ord + Clone, K: PartialEq> Lanes<G, K> {
+    fn new() -> Self {
+        Lanes {
+            open: std::collections::BTreeMap::new(),
+            tids: std::collections::BTreeMap::new(),
+        }
+    }
+
+    fn tid(&mut self, group: G, lane: usize) -> u64 {
+        let next = self.tids.len() as u64;
+        *self.tids.entry((group, lane)).or_insert(next)
+    }
+
+    /// Opens slice `key` on its group's lowest free lane; returns its tid.
+    fn open(&mut self, group: G, key: K) -> u64 {
+        let lanes = self.open.entry(group.clone()).or_default();
+        let lane = match lanes.iter().position(Option::is_none) {
+            Some(free) => {
+                lanes[free] = Some(key);
+                free
+            }
+            None => {
+                lanes.push(Some(key));
+                lanes.len() - 1
+            }
+        };
+        self.tid(group, lane)
+    }
+
+    /// Closes the first open slice `key` of its group; returns its tid. A
+    /// close with no open slice lands on a free lane, where it ends nothing.
+    fn close(&mut self, group: G, key: &K) -> u64 {
+        let lanes = self.open.entry(group.clone()).or_default();
+        let lane = match lanes.iter().position(|k| k.as_ref() == Some(key)) {
+            Some(held) => {
+                lanes[held] = None;
+                held
+            }
+            None => lanes
+                .iter()
+                .position(Option::is_none)
+                .unwrap_or(lanes.len()),
+        };
+        self.tid(group, lane)
     }
 }
 
@@ -780,12 +999,17 @@ fn chrome_event(
 
 /// Converts records into Chrome `trace_event` JSON (load in
 /// `chrome://tracing` or <https://ui.perfetto.dev>). Tasks, VM components,
-/// and function invocations become duration pairs on per-lane threads;
-/// everything else becomes an instant marker named after its event tag,
+/// and function invocations become duration pairs: each task on a thread
+/// of its own; each component or invocation on the lowest thread of its
+/// node's components, or of all invocations, that holds no open slice at
+/// its start, since Chrome closes a thread's newest open slice. Everything
+/// else becomes an instant marker named after its event tag,
 /// carrying the record's JSONL line as a string.
 pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
     let mut events = Vec::new();
     let mut task_tids = TidMap::new();
+    let mut comp_lanes = Lanes::new();
+    let mut fn_lanes = Lanes::new();
     for r in records {
         match &r.event {
             TraceEvent::TaskStart { task, platform, .. } => {
@@ -811,7 +1035,7 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
                 factor,
                 ..
             } => {
-                let tid = (*sub as u64) * 1000 + *node as u64;
+                let tid = comp_lanes.open((*sub, *node), task);
                 chrome_event(
                     &mut events,
                     task,
@@ -823,31 +1047,34 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
                 );
             }
             TraceEvent::VmCompEnd { task, sub, node } => {
-                let tid = (*sub as u64) * 1000 + *node as u64;
+                let tid = comp_lanes.close((*sub, *node), &task);
                 chrome_event(&mut events, task, "E", r.t_secs, 2, tid, &[]);
             }
             TraceEvent::FnStart { id, code, cold, .. } => {
+                let tid = fn_lanes.open((), *id);
                 chrome_event(
                     &mut events,
                     code,
                     "B",
                     r.t_secs,
                     3,
-                    id % 64,
+                    tid,
                     &[("cold", cold.to_string()), ("inv", id.to_string())],
                 );
             }
             TraceEvent::FnEnd { id, .. } => {
-                chrome_event(&mut events, "fn", "E", r.t_secs, 3, id % 64, &[]);
+                let tid = fn_lanes.close((), id);
+                chrome_event(&mut events, "fn", "E", r.t_secs, 3, tid, &[]);
             }
             TraceEvent::FnKill { id, reason, .. } => {
+                let tid = fn_lanes.close((), id);
                 chrome_event(
                     &mut events,
                     "fn",
                     "E",
                     r.t_secs,
                     3,
-                    id % 64,
+                    tid,
                     &[("kill", quoted(reason.as_str()))],
                 );
             }
@@ -979,6 +1206,30 @@ mod tests {
         assert_eq!(parsed, records);
         // Re-serializing the parsed records reproduces the bytes.
         assert_eq!(to_jsonl(&parsed), text);
+    }
+
+    #[test]
+    fn labels_with_bytes_to_escape_round_trip() {
+        for key in [
+            "plain é\u{200b}",
+            "a\"b",
+            "a\\b",
+            "a\tb",
+            "a\nb",
+            "\u{1}",
+            "\u{1f}",
+        ] {
+            let records = vec![TraceRecord {
+                seq: 0,
+                t_secs: 0.0,
+                event: TraceEvent::ObjectRemove { key: key.into() },
+            }];
+            let text = to_jsonl(&records);
+            let line = text.trim_end();
+            let written: serde::Value = serde_json::from_str(line).expect("valid JSON");
+            assert_eq!(written.get("key").and_then(serde::Value::as_str), Some(key));
+            assert_eq!(from_jsonl(&text), Ok(records), "{line}");
+        }
     }
 
     #[test]
@@ -1374,5 +1625,140 @@ mod tests {
             accepted > 500 && refused > 5000,
             "{accepted} accepted, {refused} refused"
         );
+    }
+
+    /// The general reader's verdict on `line`, read as line 1.
+    fn general(line: &str) -> Result<TraceRecord, String> {
+        read_general(line, 1, &mut Vec::new())
+    }
+
+    /// Asserts the canonical reader accepts `line` with the general
+    /// reader's record, compared by Debug form (it tells -0.0 from 0.0).
+    fn assert_read_alike(line: &str) {
+        let canonical = from_canonical_line(line).unwrap_or_else(|| panic!("declined {line}"));
+        assert_eq!(
+            format!("{canonical:?}"),
+            format!("{:?}", general(line).expect("general reader accepts")),
+            "{line}"
+        );
+    }
+
+    #[test]
+    fn canonical_reader_agrees_with_the_general_reader() {
+        // Every line the writer spells without escapes is accepted; the
+        // two lines with the escaped key go to the general reader.
+        let text = to_jsonl(&one_record_each());
+        let mut declined = 0;
+        for line in text.lines() {
+            if line.contains('\\') {
+                assert_eq!(from_canonical_line(line), None, "{line}");
+                declined += 1;
+            } else {
+                assert_read_alike(line);
+            }
+        }
+        assert_eq!(declined, 2);
+
+        // Every line of every committed golden trace.
+        let dir = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/trace_fixtures/golden"
+        );
+        let mut goldens = 0;
+        for entry in std::fs::read_dir(dir).expect("golden dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "jsonl") {
+                let text = std::fs::read_to_string(&path).expect("golden");
+                text.lines().for_each(assert_read_alike);
+                goldens += 1;
+            }
+        }
+        assert!(goldens >= 9, "{goldens} golden traces");
+
+        // A malformed or unusual line is declined, or read as the general
+        // reader reads it.
+        let mut accepted = 0;
+        for text in parity_corpus() {
+            for line in text.lines() {
+                if let Some(canonical) = from_canonical_line(line) {
+                    assert_eq!(
+                        format!("{:?}", Ok::<_, String>(canonical)),
+                        format!("{:?}", general(line)),
+                        "{line}"
+                    );
+                    accepted += 1;
+                }
+            }
+        }
+        assert!(accepted > 100, "{accepted} corpus lines accepted");
+    }
+
+    /// Decodes the first unescaped `one_record_each` line holding field
+    /// `key`, with `token` written in place of that field's value.
+    fn probe(key: &str, token: &str) -> Option<TraceEvent> {
+        let text = to_jsonl(&one_record_each());
+        let prefix = format!(",\"{key}\":");
+        let line = (text.lines())
+            .find(|l| l.contains(&prefix) && !l.contains('\\'))
+            .expect("an event with the key");
+        let start = line.find(&prefix).expect("key") + prefix.len();
+        let end = start + line[start..].find([',', '}']).expect("value end");
+        let spliced = format!("{}{token}{}", &line[..start], &line[end..]);
+        from_canonical_line(&spliced).map(|r| r.event)
+    }
+
+    #[test]
+    fn canonical_reader_takes_only_what_put_writes() {
+        // Integers: an unsigned run of digits that fits the field.
+        for token in [
+            "-1",
+            "-0",
+            "+1",
+            "1.0",
+            "1e3",
+            "1-2",
+            "01x",
+            "18446744073709551616",
+        ] {
+            assert_eq!(probe("id", token), None, "id {token}");
+        }
+        assert_eq!(probe("chain", "4294967296"), None);
+        assert!(probe("id", "18446744073709551615").is_some());
+        // Floats: a number token holding `.`, `e` or `E`.
+        for token in ["5", "-5", "-0", ".5", "+1.5", "1.5.5", "inf", "NaN"] {
+            assert_eq!(probe("billed", token), None, "billed {token}");
+        }
+        for token in ["1.5", "-0.0", "1e300", "-2.5E-7"] {
+            let parsed: f64 = token.parse().expect("float");
+            assert_eq!(
+                probe("billed", token),
+                Some(TraceEvent::FnEnd {
+                    id: 1,
+                    billed_secs: parsed
+                }),
+                "billed {token}"
+            );
+        }
+        // Strings: no escape, quote or control byte; bools: the literals.
+        for token in ["\"a\\\"b\"", "\"a\\nb\"", "\"a\tb\"", "\"a", "7"] {
+            assert_eq!(probe("code", token), None, "code {token}");
+        }
+        for token in ["True", "1", "\"true\"", "nul"] {
+            assert_eq!(probe("cold", token), None, "cold {token}");
+        }
+        // Only the exact line: nothing before `{` or after `}`, no spaces.
+        let line = record_to_json(&one_record_each()[4]);
+        assert!(from_canonical_line(&line).is_some());
+        for variant in [
+            format!("{line} "),
+            format!("{line}}}"),
+            format!("{line}x"),
+            format!(" {line}"),
+            line.replacen(':', ": ", 1),
+            line.replacen("FnEnd", "FnEndX", 1),
+            line.replacen("{\"seq\"", "{\"Seq\"", 1),
+        ] {
+            assert_eq!(from_canonical_line(&variant), None, "{variant}");
+        }
     }
 }

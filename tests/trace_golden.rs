@@ -15,11 +15,17 @@
 //! ```
 //!
 //! then review the fixture diff like any other code change.
+//!
+//! To read back every trace a `figures --trace-dir DIR` pass wrote:
+//!
+//! ```text
+//! MASHUP_TRACE_DIR=DIR cargo test --test trace_golden
+//! ```
 
 use mashup_baselines::Strategy;
 use mashup_cloud::{Fault, FaultPlan};
 use mashup_core::{ChaosSpec, CheckedWorkflow, Fingerprinter, Mashup, MashupConfig, Tracer};
-use mashup_sim::trace::{from_jsonl, to_jsonl};
+use mashup_sim::trace::{from_canonical_line, from_jsonl, to_jsonl};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use std::path::{Path, PathBuf};
 
@@ -210,6 +216,53 @@ fn kepler_verbose_trace_matches_golden_digest() {
         "Kepler's verbose trace drifted from the golden digest (bless with \
          MASHUP_BLESS_TRACES=1 if the change is intentional)"
     );
+}
+
+/// Every line of a verbose 1000Genome trace takes the canonical reader
+/// and decodes to the record it was written from, and to what the
+/// general reader makes of the same line behind a leading space.
+#[test]
+fn verbose_trace_lines_take_the_canonical_reader() {
+    let tracer = Tracer::verbose();
+    Mashup::new(MashupConfig::aws(8))
+        .with_tracer(tracer.clone())
+        .try_run(&genome1000::workflow())
+        .expect("clean inputs");
+    let records = tracer.take();
+    let text = to_jsonl(&records);
+    assert_eq!(text.lines().count(), records.len());
+    for (record, line) in records.iter().zip(text.lines()) {
+        let canonical = from_canonical_line(line).unwrap_or_else(|| panic!("declined {line}"));
+        let general = from_jsonl(&format!(" {line}")).expect("general reader accepts");
+        // Debug output tells -0.0 from 0.0, which `==` does not.
+        assert_eq!(format!("{canonical:?}"), format!("{record:?}"));
+        assert_eq!(format!("{:?}", [canonical]), format!("{general:?}"));
+    }
+}
+
+/// With `MASHUP_TRACE_DIR` set, every `.jsonl` file in it (as written by
+/// `figures --trace-dir`) decodes and re-encodes to the same bytes.
+#[test]
+fn trace_dir_files_round_trip() {
+    let Some(dir) = std::env::var_os("MASHUP_TRACE_DIR") else {
+        return;
+    };
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).expect("read MASHUP_TRACE_DIR") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|e| e != "jsonl") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read trace");
+        let records = from_jsonl(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            to_jsonl(&records) == text,
+            "{}: JSONL round trip changed the bytes",
+            path.display()
+        );
+        files += 1;
+    }
+    assert!(files > 0, "no .jsonl files in {}", dir.to_string_lossy());
 }
 
 // --- chaos goldens: seeded fault schedules replay byte-for-byte ---------

@@ -15,7 +15,9 @@ use mashup_core::trace::{
 };
 use mashup_core::{ChaosSpec, MashupConfig, TraceEvent, TraceRecord, Tracer, WorkflowReport};
 use mashup_dag::Workflow;
+use mashup_sim::trace::to_chrome_trace;
 use mashup_workflows::{epigenomics, genome1000, srasearch};
+use std::collections::BTreeMap;
 
 const STRATEGIES: [Strategy; 5] = [
     Strategy::Traditional,
@@ -72,6 +74,85 @@ fn srasearch_holds_all_invariants_under_every_strategy() {
 #[test]
 fn epigenomics_holds_all_invariants_under_every_strategy() {
     assert_clean(&epigenomics::workflow());
+}
+
+/// Chrome and Perfetto close the newest open slice on a thread. So an
+/// export reads right only when no thread holds two open slices and each
+/// end lands on the thread of the slice it ends: the invocation with its
+/// id, the component of its task on its node, the task of its name.
+#[test]
+fn chrome_export_never_holds_two_open_slices_on_a_thread() {
+    let cfg = MashupConfig::aws(8);
+    for workflow in [
+        genome1000::workflow(),
+        srasearch::workflow(),
+        epigenomics::workflow(),
+    ] {
+        for strategy in [Strategy::Mashup, Strategy::Traditional] {
+            let (_, records) = traced_run(&cfg, &workflow, strategy);
+            let label = format!("{} under {}", workflow.name, strategy.label());
+            // What each duration record opens or closes, in record order.
+            let slices: Vec<(bool, String)> = records
+                .iter()
+                .filter_map(|r| match &r.event {
+                    TraceEvent::TaskStart { task, .. } => Some((true, format!("task {task}"))),
+                    TraceEvent::TaskEnd { task } => Some((false, format!("task {task}"))),
+                    TraceEvent::VmCompStart {
+                        task, sub, node, ..
+                    } => Some((true, format!("comp {task} {sub}/{node}"))),
+                    TraceEvent::VmCompEnd { task, sub, node } => {
+                        Some((false, format!("comp {task} {sub}/{node}")))
+                    }
+                    TraceEvent::FnStart { id, .. } => Some((true, format!("fn {id}"))),
+                    TraceEvent::FnEnd { id, .. } | TraceEvent::FnKill { id, .. } => {
+                        Some((false, format!("fn {id}")))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let chrome: serde_json::Value =
+                serde_json::from_str(&to_chrome_trace(&records)).expect("valid JSON");
+            let events = chrome["traceEvents"].as_array().expect("traceEvents");
+            let durations: Vec<(&str, u64, u64)> = events
+                .iter()
+                .map(|e| {
+                    let ph = e["ph"].as_str().expect("ph");
+                    (
+                        ph,
+                        e["pid"].as_u64().expect("pid"),
+                        e["tid"].as_u64().expect("tid"),
+                    )
+                })
+                .filter(|(ph, _, _)| *ph != "i")
+                .collect();
+            assert_eq!(durations.len(), slices.len(), "{label}");
+            let mut open: BTreeMap<(u64, u64), &str> = BTreeMap::new();
+            for ((ph, pid, tid), (begins, slice)) in durations.into_iter().zip(&slices) {
+                assert_eq!(ph == "B", *begins, "{label}: {slice}");
+                if *begins {
+                    if let Some(held) = open.insert((pid, tid), slice) {
+                        panic!("{label}: {slice} opens on pid {pid} tid {tid}, which holds {held}");
+                    }
+                } else {
+                    assert_eq!(
+                        open.remove(&(pid, tid)),
+                        Some(slice.as_str()),
+                        "{label}: the end of {slice} lands on pid {pid} tid {tid}"
+                    );
+                }
+            }
+            // Traditional runs every component on the cluster; Mashup puts
+            // tasks on functions.
+            let kind = match strategy {
+                Strategy::Traditional => "comp",
+                _ => "fn",
+            };
+            assert!(
+                slices.iter().any(|(_, s)| s.starts_with(kind)),
+                "{label}: no {kind} slices"
+            );
+        }
+    }
 }
 
 // --- negative direction: seeded corruptions trip the right checker ------
