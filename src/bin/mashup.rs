@@ -14,6 +14,8 @@
 //! mashup serve    [--workers N] [--queue-depth N]
 //! ```
 //!
+//! Each command refuses a flag its line above does not name.
+//!
 //! Built-in workflow names load the paper's benchmarks; anything else is
 //! treated as a path to a JSON workflow definition (see
 //! `examples/custom_workflow.rs` for the format).
@@ -81,8 +83,14 @@ fn die_diagnosed(err: &AnalysisError) -> ! {
     std::process::exit(1)
 }
 
+/// A flag value with the name the command line gives it.
+type Named<T> = (&'static str, T);
+type Encoder = fn(&[TraceRecord]) -> String;
+type Provider = fn(usize) -> MashupConfig;
+type Profile = fn(f64) -> FaultProfile;
+
 /// The CLI's strategy names, in `compare`'s print order.
-const STRATEGIES: [(&str, Strategy); 6] = [
+const STRATEGIES: [Named<Strategy>; 6] = [
     ("traditional", Strategy::TraditionalTuned),
     ("serverless", Strategy::ServerlessOnly),
     ("pegasus", Strategy::Pegasus),
@@ -91,13 +99,215 @@ const STRATEGIES: [(&str, Strategy); 6] = [
     ("mashup", Strategy::Mashup),
 ];
 
-/// The strategy a CLI name selects.
-fn strategy_named(name: &str) -> Strategy {
-    STRATEGIES
+const OBJECTIVES: [Named<Objective>; 3] = [
+    ("time", Objective::ExecutionTime),
+    ("expense", Objective::Expense),
+    ("both", Objective::Both),
+];
+
+const FORMATS: [Named<Encoder>; 2] = [
+    ("jsonl", mashup::sim::trace::to_jsonl),
+    ("chrome", mashup::sim::trace::to_chrome_trace),
+];
+
+const PROVIDERS: [Named<Provider>; 2] = [("aws", MashupConfig::aws), ("gcp", MashupConfig::gcp)];
+
+const PROFILES: [Named<Profile>; 3] = [
+    ("preemption", FaultProfile::preemption),
+    ("storage", FaultProfile::storage),
+    ("mixed", FaultProfile::mixed),
+];
+
+/// The workflow operands a command takes ahead of (or among) its flags.
+#[derive(Clone, Copy, PartialEq)]
+enum Operands {
+    Zero,
+    /// The first argument, whatever it looks like.
+    One,
+    /// Every argument not starting with `--`.
+    Many,
+}
+use Operands::{Many, One, Zero};
+
+/// A command: its name, its workflow operands, the flags it reads (exactly
+/// those its usage lines above name, in their order; a unit test keeps the
+/// two equal) and its body.
+type Command = (
+    &'static str,
+    Operands,
+    &'static str,
+    fn(&Opts) -> io::Result<()>,
+);
+
+#[rustfmt::skip]
+const COMMANDS: [Command; 10] = [
+    ("validate", One,  "", validate),
+    ("analyze",  Many, "--plan --nodes --provider --json --suite", analyze),
+    ("dot",      One,  "", dot),
+    ("plan",     One,  "--nodes --objective --probe-sharing", plan),
+    ("run",      One,  "--nodes --strategy", run),
+    ("compare",  One,  "--nodes", compare),
+    ("trace",    One,  "--nodes --strategy --format --out --verbose --check", trace),
+    ("pareto",   One,  "--nodes --budget --jobs --out", pareto),
+    ("chaos",    One,  "--nodes --seed --profile --horizon --straggler-factor --strategy --check", chaos),
+    ("serve",    Zero, "--workers --queue-depth", serve),
+];
+
+/// Every flag's value, at its default unless the command line set it.
+struct Opts {
+    workflows: Vec<String>,
+    nodes: usize,
+    objective: Objective,
+    probe_sharing: bool,
+    strategy: Named<Strategy>,
+    format: Named<Encoder>,
+    out: Option<String>,
+    verbose: bool,
+    check: bool,
+    plan: Option<PlacementPlan>,
+    provider: Provider,
+    json: bool,
+    suite: bool,
+    budget: usize,
+    jobs: Option<usize>,
+    seed: u64,
+    profile: Named<Profile>,
+    horizon: Option<f64>,
+    straggler_factor: f64,
+    workers: Option<usize>,
+    queue_depth: usize,
+}
+
+impl Opts {
+    /// The checked workflow of a command that takes [`One`].
+    fn workflow(&self) -> CheckedWorkflow<'static> {
+        load_checked(&self.workflows[0])
+    }
+}
+
+/// Parses a command's arguments in one pass: a flag outside its `flags` is
+/// refused, and each value is checked as it is read.
+fn parse(&(name, operands, flags, _): &Command, mut argv: impl Iterator<Item = String>) -> Opts {
+    let mut o = Opts {
+        workflows: Vec::new(),
+        nodes: if name == "chaos" { 16 } else { 8 },
+        objective: Objective::ExecutionTime,
+        probe_sharing: false,
+        strategy: ("mashup", Strategy::Mashup),
+        format: FORMATS[0],
+        out: None,
+        verbose: false,
+        check: false,
+        plan: None,
+        provider: MashupConfig::aws,
+        json: false,
+        suite: false,
+        budget: 200,
+        jobs: None,
+        seed: 1,
+        profile: PROFILES[0],
+        horizon: None,
+        straggler_factor: 0.0,
+        workers: None,
+        queue_depth: mashup::serve::ServiceConfig::default().queue_depth,
+    };
+    if operands == One {
+        o.workflows
+            .push(argv.next().unwrap_or_else(|| die("missing workflow")));
+    }
+    while let Some(arg) = argv.next() {
+        let flag = arg.as_str();
+        if !flags.split_whitespace().any(|f| f == flag) {
+            if operands == Many && !flag.starts_with("--") {
+                o.workflows.push(arg);
+                continue;
+            }
+            let takes = match flags {
+                "" => "no flags".to_string(),
+                flags => flags.replace(' ', ", "),
+            };
+            die(&format!("unknown flag '{flag}' ({name} takes {takes})"));
+        }
+        match flag {
+            "--nodes" => o.nodes = number(flag, argv.next(), "a positive integer", |_| true),
+            "--budget" => o.budget = number(flag, argv.next(), "a positive integer", |&b| b >= 1),
+            "--jobs" => {
+                let what = "a worker count (0 = one per core)";
+                o.jobs = Some(number(flag, argv.next(), what, |_| true));
+            }
+            "--seed" => o.seed = number(flag, argv.next(), "an integer", |_| true),
+            "--horizon" => {
+                let ok = |&h: &f64| h > 0.0 && h.is_finite();
+                o.horizon = Some(number(flag, argv.next(), "positive seconds", ok));
+            }
+            "--straggler-factor" => {
+                let ok = |f: &f64| f.is_finite();
+                o.straggler_factor = number(flag, argv.next(), "a number", ok);
+            }
+            "--workers" => {
+                o.workers = Some(number(flag, argv.next(), "a positive integer", |&n| n >= 1));
+            }
+            "--queue-depth" => {
+                o.queue_depth = number(flag, argv.next(), "a positive integer", |&n| n >= 1);
+            }
+            "--objective" => o.objective = choice(flag, argv.next(), "objective", &OBJECTIVES).1,
+            "--strategy" => o.strategy = choice(flag, argv.next(), "strategy", &STRATEGIES),
+            "--format" => o.format = choice(flag, argv.next(), "trace format", &FORMATS),
+            "--provider" => o.provider = choice(flag, argv.next(), "provider", &PROVIDERS).1,
+            "--profile" => o.profile = choice(flag, argv.next(), "fault profile", &PROFILES),
+            "--out" => o.out = Some(argv.next().unwrap_or_else(|| die("--out needs a path"))),
+            "--plan" => {
+                let path = argv.next().unwrap_or_else(|| die("--plan needs a path"));
+                o.plan = Some(
+                    serde_json::from_str(&read(&path))
+                        .unwrap_or_else(|e| die(&format!("invalid plan '{path}': {e}"))),
+                );
+            }
+            "--probe-sharing" => o.probe_sharing = true,
+            "--verbose" => o.verbose = true,
+            "--check" => o.check = true,
+            "--json" => o.json = true,
+            "--suite" => o.suite = true,
+            _ => unreachable!("{flag} is in the flag table but has no parser"),
+        }
+    }
+    if operands == Many && o.workflows.is_empty() && !o.suite {
+        die("missing workflow (or --suite)");
+    }
+    o
+}
+
+/// A flag's number: dies with "`flag` needs `what`" when the value is
+/// missing, malformed or fails `ok`.
+fn number<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<String>,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(ok)
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+}
+
+/// A flag's value looked up among `names`; dies naming the expected ones
+/// when it is missing or unknown.
+fn choice<T: Copy>(flag: &str, value: Option<String>, noun: &str, names: &[Named<T>]) -> Named<T> {
+    let value = value.unwrap_or_else(|| die(&format!("{flag} needs a value")));
+    names
         .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, s)| s)
-        .unwrap_or_else(|| die(&format!("unknown strategy '{name}'")))
+        .find(|(name, _)| *name == value)
+        .copied()
+        .unwrap_or_else(|| {
+            let (last, rest) = names.split_last().expect("a choice has names");
+            let rest: Vec<&str> = rest.iter().map(|(name, _)| *name).collect();
+            die(&format!(
+                "unknown {noun} '{value}' (expected {} or {})",
+                rest.join(", "),
+                last.0
+            ))
+        })
 }
 
 /// Runs `strategy`, exiting with the rendered diagnostics on a refusal.
@@ -110,79 +320,6 @@ fn run_or_die(
     strategy
         .run(cfg, w, tracer, None)
         .unwrap_or_else(|e| die_diagnosed(&e))
-}
-
-struct Args {
-    workflow: String,
-    nodes: usize,
-    objective: Objective,
-    strategy: String,
-    format: String,
-    out: Option<String>,
-    verbose: bool,
-    check: bool,
-    probe_sharing: bool,
-}
-
-fn parse_args(mut rest: std::env::Args) -> Args {
-    let workflow = rest
-        .next()
-        .unwrap_or_else(|| die("missing workflow argument"));
-    let mut args = Args {
-        workflow,
-        nodes: 8,
-        objective: Objective::ExecutionTime,
-        strategy: "mashup".into(),
-        format: "jsonl".into(),
-        out: None,
-        verbose: false,
-        check: false,
-        probe_sharing: false,
-    };
-    while let Some(flag) = rest.next() {
-        match flag.as_str() {
-            "--nodes" => {
-                args.nodes = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--nodes needs a positive integer"));
-            }
-            "--objective" => {
-                args.objective = match rest.next().as_deref() {
-                    Some("time") => Objective::ExecutionTime,
-                    Some("expense") => Objective::Expense,
-                    Some("both") => Objective::Both,
-                    Some(other) => die(&format!(
-                        "unknown objective '{other}' (expected time, expense or both)"
-                    )),
-                    None => die("--objective needs a value"),
-                };
-            }
-            "--strategy" => {
-                args.strategy = rest
-                    .next()
-                    .unwrap_or_else(|| die("--strategy needs a value"));
-            }
-            "--format" => {
-                args.format = match rest.next().as_deref() {
-                    Some("jsonl") => "jsonl".into(),
-                    Some("chrome") => "chrome".into(),
-                    Some(other) => die(&format!(
-                        "unknown trace format '{other}' (expected jsonl or chrome)"
-                    )),
-                    None => die("--format needs a value"),
-                };
-            }
-            "--out" => {
-                args.out = Some(rest.next().unwrap_or_else(|| die("--out needs a path")));
-            }
-            "--verbose" => args.verbose = true,
-            "--check" => args.check = true,
-            "--probe-sharing" => args.probe_sharing = true,
-            other => die(&format!("unknown flag '{other}'")),
-        }
-    }
-    args
 }
 
 fn print_report(label: &str, r: &WorkflowReport) -> io::Result<()> {
@@ -211,167 +348,163 @@ fn main() {
 
 /// Runs the command the arguments name.
 fn cli() -> io::Result<()> {
-    let mut argv = std::env::args();
-    let _bin = argv.next();
-    let Some(cmd) = argv.next() else {
+    let mut argv = std::env::args().skip(1);
+    let Some(name) = argv.next() else {
         die(
             "usage: mashup <validate|analyze|dot|plan|run|compare|trace|chaos|serve|pareto> \
              [workflow] [flags]",
         )
     };
-    match cmd.as_str() {
-        "validate" => {
-            let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
-            let w = load_checked(&spec);
-            outln!(
-                "'{}' is valid: {} tasks, {} components, {} phases, peak width {}",
-                w.name,
-                w.task_count(),
-                w.component_count(),
-                w.phases.len(),
-                w.max_width()
-            );
-        }
-        "dot" => {
-            let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
-            let w = load_checked(&spec);
-            out!("{}", mashup::dag::to_dot(&w));
-        }
-        "analyze" => run_analyze(argv)?,
-        "plan" => {
-            let args = parse_args(argv);
-            let w = load_checked(&args.workflow);
-            let cfg = MashupConfig::aws(args.nodes);
-            // --probe-sharing collapses serverless probes across tasks of
-            // the same code family — one probe per family instead of one
-            // per task, the cheap mode for very wide workflows.
-            let pdc = Pdc::new(cfg)
-                .with_objective(args.objective)
-                .with_probe_sharing(args.probe_sharing)
-                .plan(&w)
-                .unwrap_or_else(|e| die_diagnosed(&e));
-            outln!(
-                "plan for '{}' on {} nodes ({} sub-clusters):",
-                w.name,
-                args.nodes,
-                pdc.subclusters
-            );
-            let f = &pdc.factors;
-            outln!(
-                "calibrated factors: alpha={:.4}, beta={:.2}, store={:.2e} B/s",
-                f.alpha,
-                f.beta,
-                f.store_bps
-            );
-            for d in &pdc.decisions {
-                let reason = d
-                    .forced_vm_reason
-                    .map(|r| format!("  [{r}]"))
-                    .unwrap_or_default();
-                outln!(
-                    "  {:<20} C={:<5} T_vm={:>9.1}s  T_sl≈{:>9.1}s  probe={:>8.1}s  -> {}{}",
-                    w.task(d.task).name,
-                    d.components,
-                    d.t_vm_secs,
-                    d.t_serverless_est_secs,
-                    d.probe_secs,
-                    d.platform,
-                    reason
-                );
-            }
-            outln!(
-                "profiling cost: ${:.4} (amortized over production runs)",
-                pdc.profiling_expense.total()
-            );
-        }
-        "run" => {
-            let args = parse_args(argv);
-            let w = load_checked(&args.workflow);
-            let cfg = MashupConfig::aws(args.nodes);
-            let strategy = strategy_named(&args.strategy);
-            let report = run_or_die(strategy, &cfg, &w, &Tracer::off());
-            print_report(&args.strategy, &report)?;
-            for t in &report.tasks {
-                outln!(
-                    "  {:<20} {:<10} {:>8.1}s  (cold {:>5.1}s, io {:>7.1}s, {} ckpts)",
-                    t.name,
-                    t.platform.to_string(),
-                    t.makespan_secs(),
-                    t.cold_start_secs,
-                    t.io_secs,
-                    t.checkpoints
-                );
-            }
-            outln!("\n{}", report.render_gantt(60));
-        }
-        "trace" => {
-            let args = parse_args(argv);
-            let w = load_checked(&args.workflow);
-            let cfg = MashupConfig::aws(args.nodes);
-            let tracer = if args.verbose {
-                Tracer::verbose()
-            } else {
-                Tracer::new()
-            };
-            let strategy = strategy_named(&args.strategy);
-            let report = run_or_die(strategy, &cfg, &w, &tracer);
-            let records = tracer.take();
-            let body = match args.format.as_str() {
-                "chrome" => mashup::sim::trace::to_chrome_trace(&records),
-                _ => mashup::sim::trace::to_jsonl(&records),
-            };
-            match &args.out {
-                Some(path) => {
-                    std::fs::write(path, &body)
-                        .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}")));
-                    eprintln!(
-                        "wrote {} records ({} format) to {path}",
-                        records.len(),
-                        args.format
-                    );
-                }
-                None => out!("{body}"),
-            }
-            if args.check {
-                let violations = mashup::engine::trace::check(&cfg, &w, &report, &records);
-                if violations.is_empty() {
-                    eprintln!("trace check: all invariants hold");
-                } else {
-                    for v in &violations {
-                        eprintln!("trace check: {v}");
-                    }
-                    std::process::exit(1);
-                }
-            }
-        }
-        "compare" => {
-            let args = parse_args(argv);
-            let w = load_checked(&args.workflow);
-            let cfg = MashupConfig::aws(args.nodes);
-            outln!("'{}' on {} nodes:", w.name, args.nodes);
-            let mut reports: Vec<(Strategy, WorkflowReport)> = Vec::new();
-            for &(name, s) in &STRATEGIES {
-                if s == Strategy::MashupWithoutPdc {
-                    continue;
-                }
-                let report = run_or_die(s, &cfg, &w, &Tracer::off());
-                print_report(name, &report)?;
-                reports.push((s, report));
-            }
-            let report = |s: Strategy| &reports.iter().find(|(r, _)| *r == s).expect("compared").1;
-            let (traditional, mashup) =
-                (report(Strategy::TraditionalTuned), report(Strategy::Mashup));
-            outln!(
-                "\nmashup vs traditional: {:.1}% time, {:.1}% expense",
-                improvement_pct(mashup.makespan_secs, traditional.makespan_secs),
-                improvement_pct(mashup.expense.total(), traditional.expense.total())
-            );
-        }
-        "pareto" => run_pareto(argv)?,
-        "chaos" => run_chaos(argv)?,
-        "serve" => run_serve(argv)?,
-        other => die(&format!("unknown command '{other}'")),
+    let cmd = COMMANDS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .unwrap_or_else(|| die(&format!("unknown command '{name}'")));
+    (cmd.3)(&parse(cmd, argv))
+}
+
+fn validate(o: &Opts) -> io::Result<()> {
+    let w = o.workflow();
+    outln!(
+        "'{}' is valid: {} tasks, {} components, {} phases, peak width {}",
+        w.name,
+        w.task_count(),
+        w.component_count(),
+        w.phases.len(),
+        w.max_width()
+    );
+    Ok(())
+}
+
+fn dot(o: &Opts) -> io::Result<()> {
+    out!("{}", mashup::dag::to_dot(&o.workflow()));
+    Ok(())
+}
+
+fn plan(o: &Opts) -> io::Result<()> {
+    let w = o.workflow();
+    let cfg = MashupConfig::aws(o.nodes);
+    // --probe-sharing collapses serverless probes across tasks of
+    // the same code family — one probe per family instead of one
+    // per task, the cheap mode for very wide workflows.
+    let pdc = Pdc::new(cfg)
+        .with_objective(o.objective)
+        .with_probe_sharing(o.probe_sharing)
+        .plan(&w)
+        .unwrap_or_else(|e| die_diagnosed(&e));
+    outln!(
+        "plan for '{}' on {} nodes ({} sub-clusters):",
+        w.name,
+        o.nodes,
+        pdc.subclusters
+    );
+    let f = &pdc.factors;
+    outln!(
+        "calibrated factors: alpha={:.4}, beta={:.2}, store={:.2e} B/s",
+        f.alpha,
+        f.beta,
+        f.store_bps
+    );
+    for d in &pdc.decisions {
+        let reason = d
+            .forced_vm_reason
+            .map(|r| format!("  [{r}]"))
+            .unwrap_or_default();
+        outln!(
+            "  {:<20} C={:<5} T_vm={:>9.1}s  T_sl≈{:>9.1}s  probe={:>8.1}s  -> {}{}",
+            w.task(d.task).name,
+            d.components,
+            d.t_vm_secs,
+            d.t_serverless_est_secs,
+            d.probe_secs,
+            d.platform,
+            reason
+        );
     }
+    outln!(
+        "profiling cost: ${:.4} (amortized over production runs)",
+        pdc.profiling_expense.total()
+    );
+    Ok(())
+}
+
+fn run(o: &Opts) -> io::Result<()> {
+    let w = o.workflow();
+    let cfg = MashupConfig::aws(o.nodes);
+    let (name, strategy) = o.strategy;
+    let report = run_or_die(strategy, &cfg, &w, &Tracer::off());
+    print_report(name, &report)?;
+    for t in &report.tasks {
+        outln!(
+            "  {:<20} {:<10} {:>8.1}s  (cold {:>5.1}s, io {:>7.1}s, {} ckpts)",
+            t.name,
+            t.platform.to_string(),
+            t.makespan_secs(),
+            t.cold_start_secs,
+            t.io_secs,
+            t.checkpoints
+        );
+    }
+    outln!("\n{}", report.render_gantt(60));
+    Ok(())
+}
+
+fn trace(o: &Opts) -> io::Result<()> {
+    let w = o.workflow();
+    let cfg = MashupConfig::aws(o.nodes);
+    let tracer = if o.verbose {
+        Tracer::verbose()
+    } else {
+        Tracer::new()
+    };
+    let report = run_or_die(o.strategy.1, &cfg, &w, &tracer);
+    let records = tracer.take();
+    let (format, encode) = o.format;
+    let body = encode(&records);
+    match &o.out {
+        Some(path) => {
+            std::fs::write(path, &body)
+                .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}")));
+            eprintln!(
+                "wrote {} records ({format} format) to {path}",
+                records.len()
+            );
+        }
+        None => out!("{body}"),
+    }
+    if o.check {
+        let violations = mashup::engine::trace::check(&cfg, &w, &report, &records);
+        if violations.is_empty() {
+            eprintln!("trace check: all invariants hold");
+        } else {
+            for v in &violations {
+                eprintln!("trace check: {v}");
+            }
+            std::process::exit(1);
+        }
+    }
+    Ok(())
+}
+
+fn compare(o: &Opts) -> io::Result<()> {
+    let w = o.workflow();
+    let cfg = MashupConfig::aws(o.nodes);
+    outln!("'{}' on {} nodes:", w.name, o.nodes);
+    let mut reports: Vec<(Strategy, WorkflowReport)> = Vec::new();
+    for &(name, s) in &STRATEGIES {
+        if s == Strategy::MashupWithoutPdc {
+            continue;
+        }
+        let report = run_or_die(s, &cfg, &w, &Tracer::off());
+        print_report(name, &report)?;
+        reports.push((s, report));
+    }
+    let report = |s: Strategy| &reports.iter().find(|(r, _)| *r == s).expect("compared").1;
+    let (traditional, mashup) = (report(Strategy::TraditionalTuned), report(Strategy::Mashup));
+    outln!(
+        "\nmashup vs traditional: {:.1}% time, {:.1}% expense",
+        improvement_pct(mashup.makespan_secs, traditional.makespan_secs),
+        improvement_pct(mashup.expense.total(), traditional.expense.total())
+    );
     Ok(())
 }
 
@@ -379,51 +512,11 @@ fn cli() -> io::Result<()> {
 /// target workflow, or with `--suite` on the paper workflows and six
 /// synthetic samples, plus a placement plan's if `--plan` names one. CI
 /// runs `--suite` to keep every shipped input analyzer-clean.
-fn run_analyze(mut argv: std::env::Args) -> io::Result<()> {
+fn analyze(o: &Opts) -> io::Result<()> {
     use mashup::analyze::{analyze_config, analyze_plan, analyze_workflow, has_errors};
-    let mut specs = Vec::new();
-    let mut plan: Option<PlacementPlan> = None;
-    let mut cfg: fn(usize) -> MashupConfig = MashupConfig::aws;
-    let mut nodes = 8usize;
-    let mut json = false;
-    let mut suite = false;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--plan" => {
-                let path = argv.next().unwrap_or_else(|| die("--plan needs a path"));
-                plan = Some(
-                    serde_json::from_str(&read(&path))
-                        .unwrap_or_else(|e| die(&format!("invalid plan '{path}': {e}"))),
-                );
-            }
-            "--nodes" => {
-                nodes = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--nodes needs a positive integer"));
-            }
-            "--provider" => {
-                cfg = match argv.next().as_deref() {
-                    Some("aws") => MashupConfig::aws,
-                    Some("gcp") => MashupConfig::gcp,
-                    Some(other) => {
-                        die(&format!("unknown provider '{other}' (expected aws or gcp)"))
-                    }
-                    None => die("--provider needs a value"),
-                };
-            }
-            "--json" => json = true,
-            "--suite" => suite = true,
-            flag if flag.starts_with("--") => die(&format!("unknown flag '{flag}'")),
-            spec => specs.push(spec.to_string()),
-        }
-    }
-    if specs.is_empty() && !suite {
-        die("missing workflow (or --suite)");
-    }
-    let cfg = cfg(nodes);
+    let cfg = (o.provider)(o.nodes);
     let mut targets = Vec::new();
-    if suite {
+    if o.suite {
         let synthetic = (0..6).map(|seed| {
             mashup::workflows::generate(&mashup::workflows::SyntheticConfig::default(), seed)
         });
@@ -434,9 +527,8 @@ fn run_analyze(mut argv: std::env::Args) -> io::Result<()> {
             targets.push((w.name.clone(), w));
         }
     }
-    for spec in specs {
-        let w = load_workflow(&spec);
-        targets.push((spec, w));
+    for spec in &o.workflows {
+        targets.push((spec.clone(), load_workflow(spec)));
     }
 
     /// One `--json` output element: a target plus its findings.
@@ -457,7 +549,7 @@ fn run_analyze(mut argv: std::env::Args) -> io::Result<()> {
     }];
     for (target, w) in targets {
         let mut diagnostics = analyze_workflow(&w);
-        if let Some(plan) = &plan {
+        if let Some(plan) = &o.plan {
             diagnostics.extend(analyze_plan(&w, plan, &cfg.plan_context()));
         }
         sections.push(Section {
@@ -466,7 +558,7 @@ fn run_analyze(mut argv: std::env::Args) -> io::Result<()> {
         });
     }
     let errors = sections.iter().any(|s| has_errors(&s.diagnostics));
-    if json {
+    if o.json {
         let body = serde_json::to_string_pretty(&sections)
             .unwrap_or_else(|e| die(&format!("serialize: {e}")));
         outln!("{body}");
@@ -484,38 +576,12 @@ fn run_analyze(mut argv: std::env::Args) -> io::Result<()> {
 
 /// `mashup pareto`: search the fusion × right-sizing plan space and print
 /// the time/expense Pareto front (see `mashup-serve`'s `pareto` module).
-fn run_pareto(mut argv: std::env::Args) -> io::Result<()> {
-    let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
-    let mut nodes = 8usize;
-    let mut budget = 200usize;
-    let mut out: Option<String> = None;
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--nodes" => {
-                nodes = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--nodes needs a positive integer"));
-            }
-            "--budget" => {
-                budget = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&b| b >= 1)
-                    .unwrap_or_else(|| die("--budget needs a positive integer"));
-            }
-            "--jobs" => {
-                let jobs = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a worker count (0 = one per core)"));
-                mashup::serve::set_jobs(jobs);
-            }
-            "--out" => out = Some(argv.next().unwrap_or_else(|| die("--out needs a path"))),
-            other => die(&format!("unknown flag '{other}'")),
-        }
+fn pareto(o: &Opts) -> io::Result<()> {
+    if let Some(jobs) = o.jobs {
+        mashup::serve::set_jobs(jobs);
     }
-    let w = load_checked(&spec);
+    let (nodes, budget) = (o.nodes, o.budget);
+    let w = o.workflow();
     let cfg = MashupConfig::aws(nodes);
     let started = std::time::Instant::now();
     let outcome = mashup::serve::pareto_sweep_with(&cfg, &w, budget, Default::default())
@@ -547,7 +613,7 @@ fn run_pareto(mut argv: std::env::Args) -> io::Result<()> {
         s.evaluated as f64 / wall.max(1e-9),
     );
     eprintln!("[plan-cache] {}", s.cache);
-    if let Some(path) = &out {
+    if let Some(path) = &o.out {
         // Drop the cache section from the artifact: its miss-side
         // compute_secs are wall-clock timings, so keeping them would make
         // the file vary across worker counts. The front and every search
@@ -578,75 +644,16 @@ fn run_pareto(mut argv: std::env::Args) -> io::Result<()> {
 /// traces through the trace-invariant oracle and exits nonzero on any
 /// violation. Everything is derived from the seed: rerunning the command
 /// reproduces every fault, retry, and replan bit-identically.
-fn run_chaos(mut argv: std::env::Args) -> io::Result<()> {
-    let spec = argv.next().unwrap_or_else(|| die("missing workflow"));
-    let mut nodes = 16usize;
-    let mut seed = 1u64;
-    let mut profile = "preemption".to_string();
-    let mut horizon: Option<f64> = None;
-    let mut straggler_factor = 0.0f64;
-    let mut strategy = "mashup".to_string();
-    let mut check = false;
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--nodes" => {
-                nodes = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--nodes needs a positive integer"));
-            }
-            "--seed" => {
-                seed = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--profile" => {
-                profile = match argv.next().as_deref() {
-                    Some(p @ ("preemption" | "storage" | "mixed")) => p.into(),
-                    Some(other) => die(&format!(
-                        "unknown fault profile '{other}' (expected preemption, storage or mixed)"
-                    )),
-                    None => die("--profile needs a value"),
-                };
-            }
-            "--horizon" => {
-                horizon = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&h: &f64| h > 0.0 && h.is_finite())
-                        .unwrap_or_else(|| die("--horizon needs positive seconds")),
-                );
-            }
-            "--straggler-factor" => {
-                straggler_factor = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|f: &f64| f.is_finite())
-                    .unwrap_or_else(|| die("--straggler-factor needs a number"));
-            }
-            "--strategy" => {
-                strategy = argv
-                    .next()
-                    .unwrap_or_else(|| die("--strategy needs a value"));
-            }
-            "--check" => check = true,
-            other => die(&format!("unknown flag '{other}'")),
-        }
-    }
-    let w = load_checked(&spec);
+fn chaos(o: &Opts) -> io::Result<()> {
+    let (nodes, seed, (profile, fault_profile)) = (o.nodes, o.seed, o.profile);
+    let w = o.workflow();
     let cfg = MashupConfig::aws(nodes);
-    let strategy = strategy_named(&strategy);
-    let run = |cfg: &MashupConfig, tracer: &Tracer| run_or_die(strategy, cfg, &w, tracer);
+    let run = |cfg: &MashupConfig, tracer: &Tracer| run_or_die(o.strategy.1, cfg, &w, tracer);
 
     // The fault-free reference also sizes the default fault horizon.
     let base = run(&cfg, &Tracer::off());
-    let horizon = horizon.unwrap_or(base.makespan_secs);
-    let prof = match profile.as_str() {
-        "storage" => FaultProfile::storage(horizon),
-        "mixed" => FaultProfile::mixed(horizon),
-        _ => FaultProfile::preemption(horizon),
-    };
+    let horizon = o.horizon.unwrap_or(base.makespan_secs);
+    let prof = fault_profile(horizon);
     let plan = FaultPlan::generate(seed, &prof, nodes, cfg.cluster.instance.price_per_hour);
     outln!(
         "'{}' on {nodes} nodes, {profile} faults (seed {seed}, horizon {horizon:.0}s): \
@@ -659,7 +666,7 @@ fn run_chaos(mut argv: std::env::Args) -> io::Result<()> {
     let adaptive_cfg = cfg.clone().with_chaos(
         ChaosSpec::new(plan)
             .with_adaptive(true)
-            .with_straggler_factor(straggler_factor),
+            .with_straggler_factor(o.straggler_factor),
     );
     let s_tracer = Tracer::new();
     let s_report = run(&static_cfg, &s_tracer);
@@ -688,7 +695,7 @@ fn run_chaos(mut argv: std::env::Args) -> io::Result<()> {
             count(|e| matches!(e, TraceEvent::Replan { .. })),
         );
     }
-    if check {
+    if o.check {
         let mut bad = 0usize;
         for (label, run_cfg, report, records) in [
             ("static", &static_cfg, &s_report, &s_records),
@@ -711,31 +718,12 @@ fn run_chaos(mut argv: std::env::Args) -> io::Result<()> {
 /// `PlanRequest`; replies are written to stdout as JSONL in submission
 /// order. Admission rejections and parse errors go to stderr; the process
 /// exits once stdin closes and the backlog drains.
-fn run_serve(mut argv: std::env::Args) -> io::Result<()> {
+fn serve(o: &Opts) -> io::Result<()> {
     use mashup::serve::{PlanRequest, PlanService, ServiceConfig, Ticket};
-    let mut workers = mashup::serve::jobs();
-    let mut queue_depth = ServiceConfig::default().queue_depth;
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--workers" => {
-                workers = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--workers needs a positive integer"));
-            }
-            "--queue-depth" => {
-                queue_depth = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--queue-depth needs a positive integer"));
-            }
-            other => die(&format!("unknown flag '{other}'")),
-        }
-    }
-    let service = PlanService::new(ServiceConfig { queue_depth });
-    let handles = service.spawn_workers(workers);
+    let service = PlanService::new(ServiceConfig {
+        queue_depth: o.queue_depth,
+    });
+    let handles = service.spawn_workers(o.workers.unwrap_or_else(mashup::serve::jobs));
     let mut tickets: Vec<Ticket> = Vec::new();
     for (lineno, line) in std::io::stdin().lines().enumerate() {
         let line = line.unwrap_or_else(|e| die(&format!("cannot read stdin: {e}")));
@@ -773,4 +761,44 @@ fn run_serve(mut argv: std::env::Args) -> io::Result<()> {
         stats.cache.hit_pct(),
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::COMMANDS;
+
+    /// Each command of the module doc's usage block and the flags its
+    /// lines name, in order of first mention.
+    fn usage() -> Vec<(&'static str, Vec<&'static str>)> {
+        let mut usage: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in include_str!("mashup.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! mashup "))
+        {
+            let name = line.split_whitespace().next().expect("a command name");
+            let i = match usage.iter().position(|(n, _)| *n == name) {
+                Some(i) => i,
+                None => {
+                    usage.push((name, Vec::new()));
+                    usage.len() - 1
+                }
+            };
+            let flags = &mut usage[i].1;
+            for token in line.split(|c: char| c.is_whitespace() || "[],".contains(c)) {
+                if token.starts_with("--") && !flags.contains(&token) {
+                    flags.push(token);
+                }
+            }
+        }
+        usage
+    }
+
+    #[test]
+    fn usage_block_names_exactly_each_commands_flags() {
+        let table: Vec<(&str, Vec<&str>)> = COMMANDS
+            .iter()
+            .map(|&(name, _, flags, _)| (name, flags.split_whitespace().collect()))
+            .collect();
+        assert_eq!(usage(), table);
+    }
 }

@@ -202,15 +202,73 @@ fn pareto_jobs_text_says_zero_means_one_per_core() {
     );
 }
 
+/// Each command of the binary's usage block and the flags its lines name,
+/// in order of first mention (a unit test in the binary keeps this block
+/// equal to the parser's flag table).
+fn usage() -> Vec<(&'static str, Vec<&'static str>)> {
+    let mut usage: Vec<(&str, Vec<&str>)> = Vec::new();
+    for line in include_str!("../src/bin/mashup.rs")
+        .lines()
+        .filter_map(|l| l.strip_prefix("//! mashup "))
+    {
+        let name = line.split_whitespace().next().expect("a command name");
+        let i = match usage.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                usage.push((name, Vec::new()));
+                usage.len() - 1
+            }
+        };
+        let flags = &mut usage[i].1;
+        for token in line.split(|c: char| c.is_whitespace() || "[],".contains(c)) {
+            if token.starts_with("--") && !flags.contains(&token) {
+                flags.push(token);
+            }
+        }
+    }
+    usage
+}
+
+/// Every command refuses, before loading its workflow, each flag another
+/// command reads but it does not, and a flag no command reads, naming the
+/// flags it does take.
 #[test]
 fn unknown_flags_fail_cleanly() {
-    let out = mashup()
-        .args(["plan", "SRAsearch", "--bogus"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag"));
+    let usage = usage();
+    assert_eq!(usage.len(), 10, "{usage:?}");
+    for (cmd, takes) in &usage {
+        let mut foreign: Vec<&str> = usage
+            .iter()
+            .flat_map(|(_, flags)| flags.iter().copied())
+            .filter(|flag| !takes.contains(flag))
+            .collect();
+        foreign.sort_unstable();
+        foreign.dedup();
+        foreign.push("--bogus");
+        let takes = match takes.join(", ") {
+            none if none.is_empty() => "no flags".to_string(),
+            list => list,
+        };
+        for flag in foreign {
+            let args = match *cmd {
+                "serve" => vec![*cmd, flag],
+                _ => vec![*cmd, "SRAsearch", flag],
+            };
+            let out = mashup()
+                .args(&args)
+                .stdin(std::process::Stdio::null())
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+            assert_eq!(
+                stderr,
+                format!("mashup: unknown flag '{flag}' ({cmd} takes {takes})\n"),
+                "{args:?}"
+            );
+        }
+    }
 }
 
 #[test]
