@@ -118,13 +118,13 @@ const PROFILES: [Named<Profile>; 3] = [
     ("mixed", FaultProfile::mixed),
 ];
 
-/// The workflow operands a command takes ahead of (or among) its flags.
+/// How many workflow operands a command takes. An operand is an argument,
+/// before or among the flags, that does not start with `--` and that no
+/// flag took as its value.
 #[derive(Clone, Copy, PartialEq)]
 enum Operands {
     Zero,
-    /// The first argument, whatever it looks like.
     One,
-    /// Every argument not starting with `--`.
     Many,
 }
 use Operands::{Many, One, Zero};
@@ -211,14 +211,10 @@ fn parse(&(name, operands, flags, _): &Command, mut argv: impl Iterator<Item = S
         workers: None,
         queue_depth: mashup::serve::ServiceConfig::default().queue_depth,
     };
-    if operands == One {
-        o.workflows
-            .push(argv.next().unwrap_or_else(|| die("missing workflow")));
-    }
     while let Some(arg) = argv.next() {
         let flag = arg.as_str();
         if !flags.split_whitespace().any(|f| f == flag) {
-            if operands == Many && !flag.starts_with("--") {
+            if !flag.starts_with("--") {
                 o.workflows.push(arg);
                 continue;
             }
@@ -271,8 +267,16 @@ fn parse(&(name, operands, flags, _): &Command, mut argv: impl Iterator<Item = S
             _ => unreachable!("{flag} is in the flag table but has no parser"),
         }
     }
-    if operands == Many && o.workflows.is_empty() && !o.suite {
-        die("missing workflow (or --suite)");
+    match (operands, o.workflows.as_slice()) {
+        (One, []) => die("missing workflow"),
+        (Many, []) if !o.suite => die("missing workflow (or --suite)"),
+        (Zero, [extra, ..]) => die(&format!(
+            "unexpected argument '{extra}' ({name} takes no workflow)"
+        )),
+        (One, [_, extra, ..]) => die(&format!(
+            "unexpected argument '{extra}' ({name} takes one workflow)"
+        )),
+        _ => {}
     }
     o
 }

@@ -271,6 +271,32 @@ fn unknown_flags_fail_cleanly() {
     }
 }
 
+/// The workflow is the argument no flag takes, wherever it stands; a flag
+/// where the workflow would be is refused as a flag, not read as a path.
+#[test]
+fn a_flag_may_come_before_the_workflow() {
+    let run = |args: &[&str]| mashup().args(args).output().expect("binary runs");
+    let before = run(&["plan", "--nodes", "4", "SRAsearch"]);
+    let after = run(&["plan", "SRAsearch", "--nodes", "4"]);
+    assert!(after.status.success());
+    assert_eq!(before.status.code(), after.status.code());
+    assert_eq!(before.stdout, after.stdout);
+
+    let out = run(&["validate", "--nodes"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "mashup: unknown flag '--nodes' (validate takes no flags)\n"
+    );
+    let out = run(&["validate", "SRAsearch", "Epigenomics"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "mashup: unexpected argument 'Epigenomics' (validate takes one workflow)\n"
+    );
+}
+
 #[test]
 fn bad_objective_and_format_values_are_named_plainly() {
     let refused = |args: &[&str], msg: &str| {

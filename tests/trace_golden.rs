@@ -25,7 +25,7 @@
 use mashup_baselines::Strategy;
 use mashup_cloud::{Fault, FaultPlan};
 use mashup_core::{ChaosSpec, CheckedWorkflow, Fingerprinter, Mashup, MashupConfig, Tracer};
-use mashup_sim::trace::{from_canonical_line, from_jsonl, to_jsonl};
+use mashup_sim::trace::{from_jsonl, to_jsonl};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use std::path::{Path, PathBuf};
 
@@ -218,9 +218,9 @@ fn kepler_verbose_trace_matches_golden_digest() {
     );
 }
 
-/// Every line of a verbose 1000Genome trace takes the canonical reader
-/// and decodes to the record it was written from, and to what the
-/// general reader makes of the same line behind a leading space.
+/// Every line of a verbose 1000Genome trace decodes, through the one
+/// reader, to the record it was written from; behind a leading space it is
+/// refused with its line number.
 #[test]
 fn verbose_trace_lines_take_the_canonical_reader() {
     let tracer = Tracer::verbose();
@@ -231,13 +231,18 @@ fn verbose_trace_lines_take_the_canonical_reader() {
     let records = tracer.take();
     let text = to_jsonl(&records);
     assert_eq!(text.lines().count(), records.len());
+    let refused =
+        |n: usize| format!("line {n}: not a trace record as to_jsonl writes it, from byte 0");
     for (record, line) in records.iter().zip(text.lines()) {
-        let canonical = from_canonical_line(line).unwrap_or_else(|| panic!("declined {line}"));
-        let general = from_jsonl(&format!(" {line}")).expect("general reader accepts");
+        let read = from_jsonl(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         // Debug output tells -0.0 from 0.0, which `==` does not.
-        assert_eq!(format!("{canonical:?}"), format!("{record:?}"));
-        assert_eq!(format!("{:?}", [canonical]), format!("{general:?}"));
+        assert_eq!(format!("{read:?}"), format!("{:?}", [record]));
+        assert_eq!(from_jsonl(&format!(" {line}")), Err(refused(1)));
     }
+    // In the whole trace, the spaced line is named by its number.
+    let last = text.lines().count();
+    let (head, tail) = text.trim_end().rsplit_once('\n').expect("many lines");
+    assert_eq!(from_jsonl(&format!("{head}\n {tail}")), Err(refused(last)));
 }
 
 /// With `MASHUP_TRACE_DIR` set, every `.jsonl` file in it (as written by
